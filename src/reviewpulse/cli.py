@@ -17,6 +17,7 @@ import numpy as np
 
 from .config import ConfigError, MarketConfig, load_config
 from .correlate import (
+    PairSeries,
     ce_records_from_json,
     ce_records_to_json,
     market_correlations,
@@ -137,24 +138,26 @@ def _cmd_correlate(args: argparse.Namespace) -> int:
     grid = sorted({s.window for s in stats})
     row = {app: i for i, app in enumerate(apps)}
     column = {w.start: i for i, w in enumerate(grid)}
-    records = []
+    series: list[PairSeries] = []
     for metric in metrics:
         values = np.full((len(apps), len(grid)), np.nan)
         for stat in stats:
             if stat.metric is metric and stat.mu is not None:
                 values[row[stat.app_id], column[stat.window.start]] = stat.mu
-        for series in market_correlations(
-            apps,
-            metric,
-            values,
-            grid,
-            config.lookback_days,
-            config.correlation_threshold,
-            min_points=config.min_corr_points,
-        ):
-            records.extend(series.records())
-    path = _write(Path(args.out), "correlations.csv", write_correlations_csv(records))
-    print(f"wrote {len(records)} correlation rows to {path}")
+        series.extend(
+            market_correlations(
+                apps,
+                metric,
+                values,
+                grid,
+                config.lookback_days,
+                config.correlation_threshold,
+                min_points=config.min_corr_points,
+            )
+        )
+    path = _write(Path(args.out), "correlations.csv", write_correlations_csv(series))
+    rows = sum(len(s.windows) for s in series)
+    print(f"wrote {rows} correlation rows to {path}")
     return 0
 
 

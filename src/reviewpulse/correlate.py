@@ -450,23 +450,40 @@ def detect_correlated_events(
     return sorted(found.values(), key=lambda r: (r.window.start, -r.ce))
 
 
-def write_correlations_csv(records: Iterable[CorrelationRecord]) -> str:
+def write_correlations_csv(correlations: Iterable[CorrelationRecord | PairSeries]) -> str:
+    """The correlations.csv text: a header, then every series' rows.
+
+    Rows are grouped per pair series, in window order, with the series in
+    the order given; per-window records are grouped into series first
+    (``as_pair_series``). A series' app ids and metric are quoted once, by
+    the same ``csv`` dialect as the header, and a shared window grid's
+    start dates are formatted once. An undefined rho is written empty,
+    any other with ``repr``.
+    """
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CORRELATIONS_CSV_COLUMNS)
-    for r in records:
-        writer.writerow(
-            [
-                r.app_i,
-                r.app_j,
-                r.metric.value,
-                r.window.start.isoformat(),
-                "" if r.rho is None else repr(r.rho),
-                r.c,
-                r.n_points,
-            ]
+    parts = [buf.getvalue()]
+    # Keyed by id: the series list below keeps every grid alive meanwhile.
+    starts_by_grid: dict[int, list[str]] = {}
+    for series in as_pair_series(correlations):
+        starts = starts_by_grid.get(id(series.windows))
+        if starts is None:
+            starts = starts_by_grid[id(series.windows)] = [w.start.isoformat() for w in series.windows]
+        buf.seek(0)
+        buf.truncate()
+        writer.writerow((series.app_i, series.app_j, series.metric.value, ""))
+        prefix = buf.getvalue()[:-1]  # the quoted constant fields and a trailing comma
+        rhos = [repr(rho) if rho == rho else "" for rho in series.rho.tolist()]  # NaN != NaN
+        parts.append(
+            "".join(
+                [
+                    f"{prefix}{t0},{rho},{c},{n}\n"
+                    for t0, rho, c, n in zip(starts, rhos, series.c.tolist(), series.n_points.tolist())
+                ]
+            )
         )
-    return buf.getvalue()
+    return "".join(parts)
 
 
 def read_correlations_csv(text: str, window_days: int) -> list[CorrelationRecord]:

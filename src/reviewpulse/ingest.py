@@ -148,7 +148,7 @@ def _build_review(record: Mapping[str, object], scales: ScaleMap) -> Review:
     )
 
 
-def _as_text_lines(source: IO[bytes] | IO[str] | str | bytes) -> list[str]:
+def _as_text(source: IO[bytes] | IO[str] | str | bytes) -> str:
     if isinstance(source, bytes):
         try:
             text = source.decode("utf-8")
@@ -168,7 +168,7 @@ def _as_text_lines(source: IO[bytes] | IO[str] | str | bytes) -> list[str]:
                 raise DatasetError(f"input is not valid UTF-8: {exc}") from exc
         else:
             text = data
-    return text.splitlines()
+    return text
 
 
 def parse_reviews(
@@ -185,9 +185,12 @@ def parse_reviews(
     if scales is None:
         scales = ScaleMap()
     if fmt == "jsonl":
-        return _parse_jsonl(_as_text_lines(source), scales)
+        # Lines end at "\n" alone: serialize_reviews writes U+0085, U+2028
+        # and U+2029 unescaped, which str.splitlines would split on; a
+        # CRLF line's trailing "\r" is JSON whitespace.
+        return _parse_jsonl(_as_text(source).split("\n"), scales)
     if fmt == "csv":
-        return _parse_csv(_as_text_lines(source), scales)
+        return _parse_csv(_as_text(source).splitlines(), scales)
     raise ValueError(f"unknown format {fmt!r} (expected 'jsonl' or 'csv')")
 
 

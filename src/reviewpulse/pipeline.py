@@ -335,11 +335,7 @@ def write_bundle(
     _write(out, "metrics.csv", write_metrics_csv(weekly_flat))
     _write(out, "metrics_daily.csv", write_metrics_csv(daily_flat))
     _write(out, "events.csv", write_events_csv(analysis.all_events()))
-    _write(
-        out,
-        "correlations.csv",
-        write_correlations_csv(r for series in analysis.pair_series for r in series.records()),
-    )
+    _write(out, "correlations.csv", write_correlations_csv(analysis.pair_series))
     _write(out, "correlated_events.json", ce_records_to_json(analysis.ces))
 
     template = (

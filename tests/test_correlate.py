@@ -6,17 +6,22 @@ of the intersection rules for correlated events.
 """
 from __future__ import annotations
 
+import csv
+import io
 import math
 import random
 from datetime import date, timedelta
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from reviewpulse.config import MarketConfig
 from reviewpulse.correlate import (
+    CORRELATIONS_CSV_COLUMNS,
     CorrelationRecord,
     CorrelationRun,
+    PairSeries,
     ce_records_from_json,
     ce_records_to_json,
     detect_correlated_events,
@@ -31,7 +36,8 @@ from reviewpulse.correlate import (
 from reviewpulse.detect import EventRecord
 from reviewpulse.ingest import build_catalog
 from reviewpulse.metrics import MetricKind, TimeWindow
-from reviewpulse.pipeline import analyze_catalog
+from reviewpulse.ingest import serialize_reviews
+from reviewpulse.pipeline import analyze_catalog, run_pipeline, write_bundle
 from reviewpulse.synth import generate, spike_pair_scenario
 
 D0 = date(2024, 1, 4)
@@ -315,6 +321,91 @@ def test_correlations_csv_round_trip() -> None:
     text = write_correlations_csv(records)
     back = read_correlations_csv(text, window_days=1)
     assert back == records
+
+
+def _reference_csv(series: list[PairSeries]) -> str:
+    """correlations.csv written the plain way: one csv.writer row per window."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(CORRELATIONS_CSV_COLUMNS)
+    for s in series:
+        for window, rho, c, n in zip(s.windows, s.rho, s.c, s.n_points):
+            rho = float(rho)
+            writer.writerow(
+                [s.app_i, s.app_j, s.metric.value, window.start.isoformat(),
+                 "" if math.isnan(rho) else repr(rho), int(c), int(n)]
+            )
+    return buf.getvalue()
+
+
+# App ids that need CSV quoting, or not; rho at the edges repr must keep.
+_APP_IDS = st.text(
+    alphabet=st.sampled_from(["a", "B", "7", ",", '"', "\n", "\r", " ", "\u00e9", "\U0001f600"]), max_size=5
+)
+_RHOS = st.one_of(
+    st.sampled_from([math.nan, -0.0, 0.0, 1.0, -1.0, 1e-05, -1e-05, 5e-324]),
+    st.floats(-1.0, 1.0),
+)
+
+
+@st.composite
+def _pair_series(draw) -> list[PairSeries]:
+    n = draw(st.integers(0, 12))
+    start = D0 + timedelta(days=draw(st.integers(-400, 4000)))
+    shared = [TimeWindow(start + timedelta(days=k), 1) for k in range(n)]
+    keys = draw(
+        st.lists(
+            st.tuples(_APP_IDS, _APP_IDS, st.sampled_from([MetricKind.COUNT, MetricKind.RATING])),
+            max_size=4,
+            unique=True,
+        )
+    )
+    series = []
+    for app_i, app_j, metric in keys:
+        # Series share one grid object, as market_correlations leaves them, or hold a copy.
+        windows = shared if draw(st.booleans()) else list(shared)
+        rho = draw(st.lists(_RHOS, min_size=n, max_size=n))
+        c = draw(st.lists(st.sampled_from([-1, 0, 1]), min_size=n, max_size=n))
+        n_points = draw(st.lists(st.integers(0, 10**6), min_size=n, max_size=n))
+        series.append(
+            PairSeries(app_i, app_j, metric, windows, np.array(rho, dtype=np.float64),
+                       np.array(c, dtype=np.int64), np.array(n_points, dtype=np.int64))
+        )
+    return series
+
+
+@settings(max_examples=300, deadline=None)
+@given(_pair_series())
+def test_correlations_csv_matches_per_row_writer(series: list[PairSeries]) -> None:
+    want = _reference_csv(series)
+    assert write_correlations_csv(series) == want
+    # Records take the same path once grouped into series.
+    assert write_correlations_csv([r for s in series for r in s.records()]) == want
+
+
+def test_correlations_csv_rewrites_a_pipeline_report_exactly(tmp_path) -> None:
+    reviews, _ = generate(spike_pair_scenario(seed=0, n_apps=3))
+    dataset = tmp_path / "reviews.jsonl"
+    dataset.write_text(serialize_reviews(reviews), encoding="utf-8")
+    config = MarketConfig(seed=0)
+    run_pipeline(config, [dataset], tmp_path / "out")
+    text = (tmp_path / "out" / "correlations.csv").read_text(encoding="utf-8")
+    records = read_correlations_csv(text, config.correlation_window_days)
+    assert any(r.rho is None for r in records) and any(r.c != 0 for r in records)
+    assert write_correlations_csv(records) == text
+
+
+def test_write_bundle_builds_no_correlation_records(tmp_path, monkeypatch) -> None:
+    reviews, _ = generate(spike_pair_scenario(seed=0, n_apps=3))
+    analysis = analyze_catalog(MarketConfig(seed=0), build_catalog(reviews))
+
+    def refuse(self: PairSeries) -> list[CorrelationRecord]:
+        raise AssertionError("the write path built per-window records")
+
+    monkeypatch.setattr(PairSeries, "records", refuse)
+    write_bundle(analysis, [], tmp_path)
+    lines = (tmp_path / "correlations.csv").read_text(encoding="utf-8").splitlines()
+    assert len(lines) == 1 + sum(len(s.windows) for s in analysis.pair_series)
 
 
 def test_ce_json_round_trip() -> None:

@@ -156,6 +156,34 @@ def test_csv_round_trip_and_bad_header() -> None:
         parse_reviews("review_id,app_id\nr1,a\n", "csv")
 
 
+@pytest.mark.parametrize("separator", ["\u0085", "\u2028", "\u2029"])
+def test_jsonl_round_trip_keeps_unicode_line_separators(separator: str) -> None:
+    # serialize_reviews writes these unescaped; only "\n" may end a line.
+    src = [
+        Review("r1", "appA", datetime(2024, 3, 1, 12, tzinfo=timezone.utc), 4,
+               f"First{separator}second.", "store"),
+        Review("r2", "appB", datetime(2024, 3, 2, 9, 30, tzinfo=timezone.utc), 2, "Plain.", "store"),
+    ]
+    text = serialize_reviews(src, "jsonl")
+    assert separator in text
+    for source in (text, text.encode("utf-8")):
+        assert parse_reviews(source, "jsonl") == (src, [])
+
+
+def test_jsonl_crlf_file_parses_with_physical_line_numbers() -> None:
+    src = [
+        Review(f"r{i}", "appA", datetime(2024, 3, 1 + i, 12, tzinfo=timezone.utc), 3, "Fine.", "store")
+        for i in range(3)
+    ]
+    crlf = serialize_reviews(src, "jsonl").replace("\n", "\r\n")
+    assert parse_reviews(crlf.encode("utf-8"), "jsonl") == (src, [])
+    # A bad line keeps its number: CRLF ends one line, not two.
+    broken = crlf.replace('"timestamp": "2024-03-02T12:00:00Z"', '"timestamp": "soon"')
+    reviews, rejects = parse_reviews(broken, "jsonl")
+    assert [r.review_id for r in reviews] == ["r0", "r2"]
+    assert [r.line_no for r in rejects] == [2]
+
+
 def test_csv_row_rejects() -> None:
     header = "app_id,body,rating,review_id,source,timestamp"
     rows = [
