@@ -17,7 +17,8 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from datetime import MAXYEAR, datetime, timezone
 from operator import attrgetter
-from typing import IO, Iterable, Mapping, Sequence
+from types import SimpleNamespace
+from typing import IO, Iterable, Iterator, Mapping, Sequence
 
 __all__ = [
     "REVIEW_FIELDS",
@@ -180,7 +181,8 @@ def parse_reviews(
 
     Duplicate ``(source, review_id)`` pairs keep the first occurrence; later
     ones are logged as rejects. Line numbers are 1-based and refer to the
-    physical input line (the header line counts for CSV).
+    physical input line (the header line counts for CSV, and a CSV record
+    is numbered by the line it starts on).
     """
     if scales is None:
         scales = ScaleMap()
@@ -190,7 +192,7 @@ def parse_reviews(
         # CRLF line's trailing "\r" is JSON whitespace.
         return _parse_jsonl(_as_text(source).split("\n"), scales)
     if fmt == "csv":
-        return _parse_csv(_as_text(source).splitlines(), scales)
+        return _parse_csv(_as_text(source), scales)
     raise ValueError(f"unknown format {fmt!r} (expected 'jsonl' or 'csv')")
 
 
@@ -213,12 +215,31 @@ def _parse_jsonl(lines: Sequence[str], scales: ScaleMap) -> tuple[list[Review], 
     return reviews, rejects
 
 
-def _parse_csv(lines: Sequence[str], scales: ScaleMap) -> tuple[list[Review], list[Reject]]:
-    reader = csv.reader(io.StringIO("\n".join(lines)))
+def _csv_records(text: str) -> Iterator[tuple[int, list[str]]]:
+    """Each CSV record with the physical line it starts on.
+
+    The csv module finds the record ends itself, so a quoted field keeps
+    its "\r\n", "\r", U+2028 or U+0085 as written. A record the csv
+    module refuses, such as one whose field exceeds ``csv.field_size_limit()``
+    (an unclosed quote early in a large file does), is a DatasetError
+    naming the line it starts on.
+    """
+    reader = csv.reader(io.StringIO(text, newline=""))
+    end = 0
     try:
-        header = next(reader)
-    except StopIteration:
+        for row in reader:
+            yield end + 1, row
+            end = reader.line_num
+    except csv.Error as exc:
+        raise DatasetError(f"CSV record at line {end + 1}: {exc}") from exc
+
+
+def _parse_csv(text: str, scales: ScaleMap) -> tuple[list[Review], list[Reject]]:
+    records = _csv_records(text)
+    first = next(records, None)
+    if first is None:
         return [], []
+    header = first[1]
     if sorted(header) != sorted(REVIEW_FIELDS):
         raise DatasetError(
             f"bad CSV header {header!r}: expected columns {list(REVIEW_FIELDS)}"
@@ -228,7 +249,7 @@ def _parse_csv(lines: Sequence[str], scales: ScaleMap) -> tuple[list[Review], li
     reviews: list[Review] = []
     rejects: list[Reject] = []
     seen: dict[tuple[str, str], int] = {}
-    for line_no, row in enumerate(reader, start=2):
+    for line_no, row in records:
         if not row:
             continue
         if len(row) != len(header):
@@ -287,8 +308,12 @@ def serialize_reviews(reviews: Iterable[Review], fmt: str = "jsonl") -> str:
         ]
         return "\n".join(lines) + ("\n" if lines else "")
     if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
+        # With a "\r\n" terminator the writer quotes every field holding a
+        # "\r"; given "\n" alone, Python 3.11's writer leaves a bare "\r"
+        # unquoted, and reading ends the record there. Rows end in "\n".
+        rows: list[str] = []
+        sink = SimpleNamespace(write=lambda row: rows.append(row[:-2]))
+        writer = csv.writer(sink, lineterminator="\r\n")
         writer.writerow(REVIEW_FIELDS)
         for r in reviews:
             writer.writerow(
@@ -301,7 +326,7 @@ def serialize_reviews(reviews: Iterable[Review], fmt: str = "jsonl") -> str:
                     r.source,
                 ]
             )
-        return buf.getvalue()
+        return "\n".join(rows) + "\n"
     raise ValueError(f"unknown format {fmt!r} (expected 'jsonl' or 'csv')")
 
 

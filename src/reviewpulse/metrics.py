@@ -30,7 +30,8 @@ from typing import Collection, Iterable, Sequence
 import numpy as np
 
 from .ingest import RatingScale, Review, ScaleMap
-from .sentiment import PolarityScorer, Sentence, score_review
+from .sentiment import PolarityScorer, Sentence, score_sentences
+from .sentiment import score_review  # noqa: F401  perfbench's tracer wraps this name
 
 __all__ = [
     "METRICS_CSV_COLUMNS",
@@ -139,7 +140,7 @@ BodyScore = tuple[list[tuple[int, str, "int | None"]], int, int]
 def _score_body(review: Review, scorer: PolarityScorer, cache: dict[str, BodyScore]) -> BodyScore:
     entry = cache.get(review.body)
     if entry is None:
-        parts = [(s.index, s.text, s.polarity) for s in score_review(review.review_id, review.body, scorer)]
+        parts = score_sentences(review.body, scorer)
         polarities = [p for _, _, p in parts if p is not None]
         entry = cache[review.body] = (parts, sum(polarities), len(polarities))
     return entry

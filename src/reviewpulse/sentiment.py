@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Protocol, runtime_checkable
+from typing import Iterator, Mapping, Protocol, runtime_checkable
 
 __all__ = [
     "LexiconScorer",
@@ -30,6 +30,7 @@ __all__ = [
     "load_lexicon",
     "score_polarity",
     "score_review",
+    "score_sentences",
     "split_sentences",
 ]
 
@@ -84,7 +85,9 @@ class PolarityScorer(Protocol):
 
 
 def _stem_candidates(token: str) -> Iterator[str]:
-    # Lookup order matters only in that the exact form wins over stems.
+    # The first candidate found in the lexicon wins, so order matters
+    # wherever a token yields more than one: the exact form comes first,
+    # and "likes" tries "lik" (strip "es") before "like" (strip "s").
     yield token
     if len(token) <= 3:
         return
@@ -106,36 +109,62 @@ def _stem_candidates(token: str) -> Iterator[str]:
         yield token[:-2]
 
 
+def _reach_forms(word: str) -> Iterator[str]:
+    # Every token that _stem_candidates can reduce to ``word``: each stem
+    # rule inverted.
+    yield from (word, word + "s", word + "es", word + "ed", word + "ing", word + "ly")
+    if word.endswith("y"):
+        yield word[:-1] + "ies"
+        yield word[:-1] + "ily"
+    if word.endswith("e"):
+        yield word + "d"
+        yield word[:-1] + "ing"
+
+
+def _lookup(lexicon: Mapping[str, int], token: str) -> int:
+    for candidate in _stem_candidates(token):
+        value = lexicon.get(candidate)
+        if value is not None:
+            return value
+    return 0
+
+
+def _reach(lexicon: Mapping[str, int]) -> dict[str, int]:
+    """Valence of every token that reaches a lexicon key through stemming.
+
+    A token outside the table reaches no key, so its valence is 0; each
+    form is valued by ``_lookup`` itself, so first-match order holds.
+    """
+    return {form: _lookup(lexicon, form) for word in lexicon for form in _reach_forms(word)}
+
+
 class LexiconScorer:
-    """Deterministic lexicon scorer; the packaged lexicon is the default."""
+    """Deterministic lexicon scorer; the packaged lexicon is the default.
+
+    Token valences come from a stem table built with the scorer (shared by
+    every default scorer), so scoring a sentence stems nothing.
+    """
 
     name = "lexicon"
 
     def __init__(self, lexicon: Mapping[str, int] | None = None) -> None:
-        self._lexicon = dict(default_lexicon() if lexicon is None else lexicon)
+        self._reach = _default_reach() if lexicon is None else _reach(lexicon)
 
     def valence(self, text: str) -> int:
         tokens = _TOKEN.findall(text.lower())
+        reach = self._reach
         total = 0
         for i, token in enumerate(tokens):
-            value = self._lookup(token)
+            value = reach.get(token, 0)
             if value == 0:
                 continue
-            preceding = tokens[max(0, i - NEGATION_WINDOW) : i]
-            if any(t in NEGATORS for t in preceding):
+            if not NEGATORS.isdisjoint(tokens[max(0, i - NEGATION_WINDOW) : i]):
                 value = -value
             total += value
         return total
 
     def score(self, text: str) -> int:
         return bin_valence(self.valence(text))
-
-    def _lookup(self, token: str) -> int:
-        for candidate in _stem_candidates(token):
-            value = self._lexicon.get(candidate)
-            if value is not None:
-                return value
-        return 0
 
 
 def score_polarity(sentence: str, scorer: PolarityScorer) -> int:
@@ -146,16 +175,27 @@ def score_polarity(sentence: str, scorer: PolarityScorer) -> int:
     return value
 
 
-def score_review(review_id: str, body: str, scorer: PolarityScorer) -> list[Sentence]:
-    """Split and score a review body; scorer failures mark sentences unscored."""
-    sentences: list[Sentence] = []
+def score_sentences(body: str, scorer: PolarityScorer) -> list[tuple[int, str, int | None]]:
+    """Split and score a review body as (index, text, polarity) tuples.
+
+    A scorer failure marks its sentence unscored (polarity None).
+    """
+    scored: list[tuple[int, str, int | None]] = []
     for index, text in enumerate(split_sentences(body)):
         try:
             polarity: int | None = score_polarity(text, scorer)
         except Exception:
             polarity = None
-        sentences.append(Sentence(review_id=review_id, index=index, text=text, polarity=polarity))
-    return sentences
+        scored.append((index, text, polarity))
+    return scored
+
+
+def score_review(review_id: str, body: str, scorer: PolarityScorer) -> list[Sentence]:
+    """Split and score a review body; scorer failures mark sentences unscored."""
+    return [
+        Sentence(review_id, index, text, polarity)
+        for index, text, polarity in score_sentences(body, scorer)
+    ]
 
 
 def load_lexicon(path: str | Path) -> dict[str, int]:
@@ -191,3 +231,8 @@ def default_lexicon() -> Mapping[str, int]:
         token, _, raw_valence = line.partition("\t")
         lexicon[token.strip()] = int(raw_valence.strip())
     return lexicon
+
+
+@lru_cache(maxsize=1)
+def _default_reach() -> dict[str, int]:
+    return _reach(default_lexicon())

@@ -11,6 +11,7 @@ import random
 from datetime import datetime, timezone
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from reviewpulse.ingest import (
     DatasetError,
@@ -196,6 +197,63 @@ def test_csv_row_rejects() -> None:
     assert [r.review_id for r in reviews] == ["r1"]
     assert rejects[0].line_no == 3 and rejects[0].reason.startswith("bad-rating")
     assert rejects[1].line_no == 4 and rejects[1].reason.startswith("bad-row")
+
+
+@pytest.mark.parametrize("separator", ["\r\n", "\r", "\n", "\u2028", "\u0085"])
+def test_csv_round_trip_keeps_line_breaks_in_bodies(separator: str) -> None:
+    src = [
+        Review("r1", "appA", datetime(2024, 3, 1, 12, tzinfo=timezone.utc), 4,
+               f"First{separator}second.", "store"),
+        Review("r2", "appB", datetime(2024, 3, 2, 9, 30, tzinfo=timezone.utc), 2, "Plain.", "store"),
+    ]
+    text = serialize_reviews(src, "csv")
+    assert separator in text
+    for source in (text, text.encode("utf-8")):
+        assert parse_reviews(source, "csv") == (src, [])
+
+
+# Arbitrary text, with line breaks, quotes and commas drawn often.
+_FIELD_TEXT = st.lists(
+    st.one_of(st.sampled_from(["\r\n", "\r", "\n", "\u0085", "\u2028", "\u2029", '"', ","]),
+              st.text(max_size=3)),
+    max_size=6,
+).map("".join)
+
+
+@settings(max_examples=300)
+@given(
+    st.lists(st.tuples(_FIELD_TEXT, _FIELD_TEXT.filter(str.strip)), min_size=1, max_size=4),
+    st.sampled_from(["jsonl", "csv"]),
+)
+def test_parse_reads_back_what_serialize_writes(fields: list[tuple[str, str]], fmt: str) -> None:
+    src = [
+        Review(f"r{i}", app_id, datetime(2024, 3, 1, 12, tzinfo=timezone.utc), 4, body, "store")
+        for i, (body, app_id) in enumerate(fields)
+    ]
+    assert parse_reviews(serialize_reviews(src, fmt), fmt) == (src, [])
+
+
+def test_csv_reject_after_multiline_records_reports_its_physical_line() -> None:
+    rows = [
+        "app_id,body,rating,review_id,source,timestamp",  # line 1
+        'appA,"two\nlines",4,r1,store,2024-01-05T10:00:00Z',  # lines 2-3
+        'appA,"three\r\nphysical\rlines",4,r2,store,2024-01-05T10:00:00Z',  # lines 4-6
+        "",  # line 7
+        "appA,bad rating,x,r3,store,2024-01-05T10:00:00Z",  # line 8
+    ]
+    reviews, rejects = parse_reviews("\n".join(rows), "csv")
+    assert [r.body for r in reviews] == ["two\nlines", "three\r\nphysical\rlines"]
+    assert [(r.line_no, r.reason.split(":")[0]) for r in rejects] == [(8, "bad-rating")]
+
+
+def test_unreadable_csv_record_is_a_dataset_error_naming_its_line() -> None:
+    # An unclosed quote on line 3 runs on until the field exceeds the csv
+    # module's size limit.
+    rows = ["app_id,body,rating,review_id,source,timestamp", "appA,ok,4,r1,store,2024-01-05T10:00:00Z",
+            'appA,"unclosed,4,r2,store,2024-01-05T10:00:00Z']
+    rows += [f"appA,body {i},4,r{i + 3},store,2024-01-05T10:00:00Z" for i in range(4000)]
+    with pytest.raises(DatasetError, match="CSV record at line 3: field larger than field limit"):
+        parse_reviews("\n".join(rows), "csv")
 
 
 def test_rejects_jsonl_shape() -> None:

@@ -2,23 +2,29 @@
 
 The splitting and binning tests each carry their own oracle: a literal
 re.split written here for splitting, and a from-the-definition fold of
-known valence sums for binning.
+known valence sums for binning. The stem-table test's oracle stems every
+token on the spot, as scoring did before the table.
 """
 from __future__ import annotations
 
 import random
 import re
+from types import MappingProxyType
+from typing import Mapping
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from reviewpulse.sentiment import (
     LexiconScorer,
     ScorerError,
+    _stem_candidates,
     bin_valence,
     default_lexicon,
     load_lexicon,
     score_polarity,
     score_review,
+    score_sentences,
     split_sentences,
 )
 
@@ -172,3 +178,89 @@ def test_load_lexicon_validation(tmp_path) -> None:
         bad.write_text(bad_line + "\n", encoding="utf-8")
         with pytest.raises(ValueError):
             load_lexicon(bad)
+
+
+def _stemmed_valence(lexicon: Mapping[str, int], text: str) -> int:
+    # Each token takes the value of its first stem candidate in the lexicon;
+    # "not"/"never" up to two tokens before it flips that value.
+    tokens = re.findall(r"[a-z0-9']+", text.lower())
+    total = 0
+    for i, token in enumerate(tokens):
+        value = next((lexicon[c] for c in _stem_candidates(token) if c in lexicon), 0)
+        if any(t in ("not", "never") for t in tokens[max(0, i - 2) : i]):
+            value = -value
+        total += value
+    return total
+
+
+# Keys ending in "y" and "e", short keys, 0 values, and "lik" next to "like"
+# so that "likes" reaches "lik" first; a read-only Mapping, not a dict.
+_CUSTOM_LEXICON = MappingProxyType(
+    {"happy": 2, "easy": 1, "dy": -1, "like": 1, "lik": -2, "love": 2, "hate": -2,
+     "e": 1, "tie": 1, "slow": -1, "meh": 0, "fine": 0, "ok": 1, "crash": -2}
+)
+_SUFFIXES = ("", "s", "es", "ed", "d", "ing", "ly", "ies", "ily")
+_FILLERS = ("not", "never", "no", "it", "the", "app", "a", "so", "3", "42", "1.5", "'", "don't", "it's")
+
+
+@st.composite
+def _sentence(draw, keys: list[str]) -> str:
+    words = []
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.integers(0, 3))
+        if kind <= 1:
+            # A key, whole or cut (a cut "happy" + "ies" is "happies"), plus a suffix.
+            key = draw(st.sampled_from(keys))
+            cut = draw(st.sampled_from([len(key), len(key) - 1, draw(st.integers(0, len(key)))]))
+            words.append(key[:cut] + draw(st.sampled_from(_SUFFIXES)))
+        elif kind == 2:
+            words.append(draw(st.sampled_from(_FILLERS)))
+        else:
+            words.append(draw(st.text(alphabet="abdeilnorsty'0", max_size=4)))
+    sentence = draw(st.sampled_from([" ", ", ", "-", "'", " not "])).join(words)
+    return sentence.upper() if draw(st.booleans()) else sentence
+
+
+@pytest.mark.parametrize("custom", [False, True], ids=["built-in", "custom"])
+@settings(max_examples=300)
+@given(data=st.data())
+def test_stem_table_matches_per_token_stemming(custom: bool, data) -> None:
+    lexicon = _CUSTOM_LEXICON if custom else default_lexicon()
+    scorer = LexiconScorer(lexicon) if custom else LexiconScorer()
+    text = data.draw(_sentence(sorted(lexicon)))
+    assert scorer.valence(text) == _stemmed_valence(lexicon, text)
+
+
+def test_default_scorers_share_one_stem_table() -> None:
+    assert LexiconScorer()._reach is LexiconScorer()._reach
+    custom = LexiconScorer(dict(default_lexicon()))
+    assert custom._reach is not LexiconScorer()._reach
+    assert custom._reach == LexiconScorer()._reach
+
+
+def test_sentence_tuples_agree_with_score_review() -> None:
+    class Flaky:
+        name = "flaky"
+
+        def score(self, text: str) -> int:
+            if "bad" in text:
+                raise RuntimeError("backend down")
+            return 2
+
+    class Bad:
+        name = "bad"
+
+        def __init__(self, value: object) -> None:
+            self.value = value
+
+        def score(self, text: str) -> object:
+            return self.value
+
+    body = "bad, it crashed. this is fine!\nnot bad, never crashes?"
+    expected = {"flaky": [None, 2, None], "bad": [None, None, None], "lexicon": [0, 3, 4]}
+    for scorer in (Flaky(), Bad(7), Bad(True), LexiconScorer()):
+        tuples = score_sentences(body, scorer)
+        sentences = score_review("r1", body, scorer)
+        assert [(s.index, s.text, s.polarity) for s in sentences] == tuples
+        assert {s.review_id for s in sentences} == {"r1"}
+        assert [p for _, _, p in tuples] == expected[scorer.name]
