@@ -35,7 +35,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .detect import EventRecord
-from .metrics import MetricKind, TimeWindow
+from .metrics import MetricKind, TimeWindow, csv_rows
 
 __all__ = [
     "CORRELATIONS_CSV_COLUMNS",
@@ -44,7 +44,6 @@ __all__ = [
     "CorrelationRun",
     "DEFAULT_MIN_CORR_POINTS",
     "PairSeries",
-    "as_pair_series",
     "ce_records_from_json",
     "ce_records_to_json",
     "detect_correlated_events",
@@ -149,36 +148,6 @@ class PairSeries:
                 self.windows, self.rho.tolist(), self.c.tolist(), self.n_points.tolist()
             )
         ]
-
-    @classmethod
-    def from_records(cls, records: Sequence[CorrelationRecord]) -> "PairSeries":
-        """Series of one pair/metric's records, in window order."""
-        first = records[0]
-        return cls(
-            app_i=first.app_i,
-            app_j=first.app_j,
-            metric=first.metric,
-            windows=[r.window for r in records],
-            rho=np.array([np.nan if r.rho is None else r.rho for r in records], dtype=np.float64),
-            c=np.array([r.c for r in records], dtype=np.int64),
-            n_points=np.array([r.n_points for r in records], dtype=np.int64),
-        )
-
-
-def as_pair_series(correlations: Iterable[CorrelationRecord | PairSeries]) -> list[PairSeries]:
-    """Pair series as given, plus per-window records grouped into series.
-
-    Records are grouped per (app_i, app_j, metric) in their input order.
-    """
-    series: list[PairSeries] = []
-    groups: dict[tuple[str, str, MetricKind], list[CorrelationRecord]] = {}
-    for item in correlations:
-        if isinstance(item, PairSeries):
-            series.append(item)
-        else:
-            groups.setdefault((item.app_i, item.app_j, item.metric), []).append(item)
-    series.extend(PairSeries.from_records(group) for group in groups.values())
-    return series
 
 
 def _window_bounds(
@@ -325,20 +294,13 @@ class CorrelationRun:
     first_interval: TimeWindow
 
 
-def extract_runs(
-    records: PairSeries | Sequence[CorrelationRecord], event_window_days: int
-) -> list[CorrelationRun]:
+def extract_runs(series: PairSeries, event_window_days: int) -> list[CorrelationRun]:
     """Collapse a pair/metric correlation series into its nonzero runs.
 
-    Input must be in window order over a contiguous grid (as produced by
-    ``pair_correlations``), as records or as a ``PairSeries``. Each run's
-    first interval is the event-window-sized span starting at the run start.
+    The series must be in window order over a contiguous grid (as
+    ``market_correlations`` leaves it). Each run's first interval is the
+    event-window-sized span starting at the run start.
     """
-    if not isinstance(records, PairSeries):
-        if not records:
-            return []
-        records = PairSeries.from_records(records)
-    series = records
     c = series.c
     if not c.any():
         return []
@@ -450,12 +412,11 @@ def detect_correlated_events(
     return sorted(found.values(), key=lambda r: (r.window.start, -r.ce))
 
 
-def write_correlations_csv(correlations: Iterable[CorrelationRecord | PairSeries]) -> str:
+def write_correlations_csv(correlations: Iterable[PairSeries]) -> str:
     """The correlations.csv text: a header, then every series' rows.
 
     Rows are grouped per pair series, in window order, with the series in
-    the order given; per-window records are grouped into series first
-    (``as_pair_series``). A series' app ids and metric are quoted once, by
+    the order given. A series' app ids and metric are quoted once, by
     the same ``csv`` dialect as the header, and a shared window grid's
     start dates are formatted once. An undefined rho is written empty,
     any other with ``repr``.
@@ -466,7 +427,7 @@ def write_correlations_csv(correlations: Iterable[CorrelationRecord | PairSeries
     parts = [buf.getvalue()]
     # Keyed by id: the series list below keeps every grid alive meanwhile.
     starts_by_grid: dict[int, list[str]] = {}
-    for series in as_pair_series(correlations):
+    for series in correlations:
         starts = starts_by_grid.get(id(series.windows))
         if starts is None:
             starts = starts_by_grid[id(series.windows)] = [w.start.isoformat() for w in series.windows]
@@ -486,27 +447,22 @@ def write_correlations_csv(correlations: Iterable[CorrelationRecord | PairSeries
     return "".join(parts)
 
 
-def read_correlations_csv(text: str, window_days: int) -> list[CorrelationRecord]:
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader, None)
-    if header is None or tuple(header) != CORRELATIONS_CSV_COLUMNS:
-        raise ValueError(f"bad correlations CSV header: {header!r}")
-    out: list[CorrelationRecord] = []
-    for row in reader:
-        if not row:
-            continue
-        app_i, app_j, metric, t0, rho, c, n_points = row
-        out.append(
-            CorrelationRecord(
-                app_i=app_i,
-                app_j=app_j,
-                metric=MetricKind(metric),
-                window=TimeWindow(date.fromisoformat(t0), window_days),
-                rho=None if rho == "" else float(rho),
-                c=int(c),
-                n_points=int(n_points),
-            )
-        )
+def read_correlations_csv(text: str, window_days: int) -> list[PairSeries]:
+    """Pair series from the CSV dump, one per (app_i, app_j, metric).
+
+    Series come in the order their first row appears, each holding its
+    rows in file order.
+    """
+    groups: dict[tuple[str, str, MetricKind], list[tuple[TimeWindow, float, int, int]]] = {}
+    for _, (app_i, app_j, metric, t0, rho, c, n_points) in csv_rows(text, CORRELATIONS_CSV_COLUMNS, "correlations"):
+        window = TimeWindow(date.fromisoformat(t0), window_days)
+        value = math.nan if rho == "" else float(rho)
+        groups.setdefault((app_i, app_j, MetricKind(metric)), []).append((window, value, int(c), int(n_points)))
+    out: list[PairSeries] = []
+    for (app_i, app_j, metric), rows in groups.items():
+        windows, rhos, cs, ns = zip(*rows)
+        out.append(PairSeries(app_i, app_j, metric, list(windows), np.array(rhos, dtype=np.float64),
+                              np.array(cs, dtype=np.int64), np.array(ns, dtype=np.int64)))
     return out
 
 

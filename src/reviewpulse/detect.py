@@ -23,20 +23,18 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import date
 from fractions import Fraction
 from math import isqrt
 from typing import Iterable, Sequence
 
-from .metrics import MetricKind, TimeWindow, WindowStat
+from .metrics import MetricKind, TimeWindow, WindowStat, csv_rows
 
 __all__ = [
     "EVENTS_CSV_COLUMNS",
-    "BaselineState",
     "EventRecord",
     "baseline_sigma",
-    "detect_event",
     "detect_series",
     "read_events_csv",
     "write_events_csv",
@@ -131,23 +129,6 @@ def baseline_sigma(
     return moments.sigma(mode)
 
 
-@dataclass(slots=True)
-class BaselineState:
-    """Expanding per-series delta history, from ``baseline_start`` onward."""
-
-    app_id: str
-    metric: MetricKind
-    baseline_start: date
-    deltas: list[float] = field(default_factory=list)
-
-    def sigma(self, min_baseline: int = DEFAULT_MIN_BASELINE, mode: str = "population") -> float | None:
-        return baseline_sigma(self.deltas, min_baseline=min_baseline, mode=mode)
-
-    def extend(self, delta: float | None) -> None:
-        if delta is not None:
-            self.deltas.append(delta)
-
-
 @dataclass(frozen=True, slots=True)
 class EventRecord:
     app_id: str
@@ -159,24 +140,6 @@ class EventRecord:
     k: float
     baseline_n: int
     warmup: bool
-
-
-def detect_event(
-    stat: WindowStat,
-    baseline: BaselineState,
-    k: float,
-    min_baseline: int = DEFAULT_MIN_BASELINE,
-    mode: str = "population",
-) -> EventRecord:
-    """Classify one window against the baseline as it stood before it.
-
-    Pure with respect to the baseline: the caller extends the state
-    afterwards, so the window under test never contributes to its own
-    sigma.
-    """
-    sigma = baseline.sigma(min_baseline=min_baseline, mode=mode)
-    n = len(baseline.deltas)
-    return _event(stat, sigma, k, n, n < min_baseline)
 
 
 def _event(stat: WindowStat, sigma: float | None, k: float, baseline_n: int, warmup: bool) -> EventRecord:
@@ -246,15 +209,8 @@ def read_events_csv(text: str, window_days: int, k: float) -> list[EventRecord]:
     The window length and sensitivity are not CSV columns; they come from
     the same config that produced the dump.
     """
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader, None)
-    if header is None or tuple(header) != EVENTS_CSV_COLUMNS:
-        raise ValueError(f"bad events CSV header: {header!r}")
     out: list[EventRecord] = []
-    for row in reader:
-        if not row:
-            continue
-        app_id, metric, t0, e, a, sigma, baseline_n, warmup = row
+    for _, (app_id, metric, t0, e, a, sigma, baseline_n, warmup) in csv_rows(text, EVENTS_CSV_COLUMNS, "events"):
         out.append(
             EventRecord(
                 app_id=app_id,

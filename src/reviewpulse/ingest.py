@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from datetime import MAXYEAR, datetime, timezone
 from operator import attrgetter
 from types import SimpleNamespace
-from typing import IO, Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 __all__ = [
     "REVIEW_FIELDS",
@@ -149,31 +149,17 @@ def _build_review(record: Mapping[str, object], scales: ScaleMap) -> Review:
     )
 
 
-def _as_text(source: IO[bytes] | IO[str] | str | bytes) -> str:
-    if isinstance(source, bytes):
-        try:
-            text = source.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise DatasetError(f"input is not valid UTF-8: {exc}") from exc
-    elif isinstance(source, str):
-        text = source
-    else:
-        try:
-            data = source.read()
-        except OSError as exc:
-            raise DatasetError(f"cannot read input: {exc}") from exc
-        if isinstance(data, bytes):
-            try:
-                text = data.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise DatasetError(f"input is not valid UTF-8: {exc}") from exc
-        else:
-            text = data
-    return text
+def _as_text(source: str | bytes) -> str:
+    if isinstance(source, str):
+        return source
+    try:
+        return source.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DatasetError(f"input is not valid UTF-8: {exc}") from exc
 
 
 def parse_reviews(
-    source: IO[bytes] | IO[str] | str | bytes,
+    source: str | bytes,
     fmt: str = "jsonl",
     scales: ScaleMap | None = None,
 ) -> tuple[list[Review], list[Reject]]:

@@ -25,7 +25,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from datetime import date, datetime, time, timedelta, timezone
 from enum import Enum
-from typing import Collection, Iterable, Sequence
+from typing import Collection, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -40,6 +40,7 @@ __all__ = [
     "ScoredReview",
     "TimeWindow",
     "correlation_points",
+    "csv_rows",
     "day_sums",
     "metric_delta",
     "metric_mu",
@@ -224,10 +225,6 @@ def _prefix(values: Sequence[int]) -> np.ndarray:
     return out
 
 
-def _cuts(timestamps: Sequence[datetime], midnights: Sequence[datetime]) -> np.ndarray:
-    return np.array([bisect_left(timestamps, m) for m in midnights], dtype=np.int64)
-
-
 def day_sums(
     reviews: Sequence[Review],
     midnights: Sequence[datetime],
@@ -256,42 +253,25 @@ def day_sums(
         scores = [_score_body(review, scorer, cache) for review in reviews]
         polarity = _prefix([total for _, total, _ in scores])
         sentences = _prefix([n for _, _, n in scores])
-    cuts = _cuts([r.timestamp for r in reviews], midnights)
+    stamps = [r.timestamp for r in reviews]
+    cuts = np.array([bisect_left(stamps, m) for m in midnights], dtype=np.int64)
     return DaySums(midnights[0].date(), cuts, rating, polarity, sentences)
-
-
-def _scored_day_sums(scored: Sequence[ScoredReview], windows: Sequence[TimeWindow]) -> DaySums:
-    ordered = sorted(scored, key=lambda s: s.review.timestamp)
-    polarities = [[s.polarity for s in r.sentences if s.polarity is not None] for r in ordered]
-    midnights = utc_midnights(windows[0].start, len(windows) * windows[0].days)
-    return DaySums(
-        start=windows[0].start,
-        cuts=_cuts([r.review.timestamp for r in ordered], midnights),
-        rating=_prefix([r.rating_value for r in ordered]),
-        polarity=_prefix([sum(p) for p in polarities]),
-        sentences=_prefix([len(p) for p in polarities]),
-    )
 
 
 def window_stats(
     app_id: str,
-    days: DaySums | Sequence[ScoredReview],
+    days: DaySums,
     windows: Sequence[TimeWindow],
     metric: MetricKind,
 ) -> list[WindowStat]:
     """Per-window stats over a contiguous grid, mu and delta filled.
 
-    ``days`` holds the app's day sums, or its scored reviews (in any order),
-    which are summed per day first. The analysis passes day sums; the
-    scored-review form is kept for callers that hold scored reviews, such
-    as the tests written against the per-review metrics. A window's mean is its integer total
+    ``days`` holds the app's day sums. A window's mean is its integer total
     over its observation count, so it is the same on every grid; the delta
     is mu minus the previous window's mu, where both exist.
     """
     if not windows:
         return []
-    if not isinstance(days, DaySums):
-        days = _scored_day_sums(days, windows)
     width = windows[0].days
     first = (windows[0].start - days.start).days
     bounds = days.cuts[first : first + len(windows) * width + 1 : width]
@@ -376,16 +356,21 @@ def write_metrics_csv(stats: Iterable[WindowStat]) -> str:
     return buf.getvalue()
 
 
-def read_metrics_csv(text: str) -> list[WindowStat]:
+def csv_rows(text: str, columns: Sequence[str], what: str) -> Iterator[tuple[int, list[str]]]:
+    """A report CSV's rows after its header, each with the line it ends on.
+
+    Blank lines are skipped; a header other than ``columns`` is a ValueError.
+    """
     reader = csv.reader(io.StringIO(text))
     header = next(reader, None)
-    if header is None or tuple(header) != METRICS_CSV_COLUMNS:
-        raise ValueError(f"bad metrics CSV header: {header!r}")
+    if header is None or tuple(header) != tuple(columns):
+        raise ValueError(f"bad {what} CSV header: {header!r}")
+    return ((reader.line_num, row) for row in reader if row)
+
+
+def read_metrics_csv(text: str) -> list[WindowStat]:
     out: list[WindowStat] = []
-    for row in reader:
-        if not row:
-            continue
-        app_id, metric, t0, w, mu, delta, n_obs = row
+    for line, (app_id, metric, t0, w, mu, delta, n_obs) in csv_rows(text, METRICS_CSV_COLUMNS, "metrics"):
         stat = WindowStat(
             app_id=app_id,
             metric=MetricKind(metric),
@@ -395,6 +380,6 @@ def read_metrics_csv(text: str) -> list[WindowStat]:
             n_obs=int(n_obs),
         )
         if not all(math.isfinite(v) for v in (stat.mu, stat.delta) if v is not None):
-            raise ValueError(f"metrics CSV line {reader.line_num}: mu and delta must be finite, got {mu!r}, {delta!r}")
+            raise ValueError(f"metrics CSV line {line}: mu and delta must be finite, got {mu!r}, {delta!r}")
         out.append(stat)
     return out

@@ -1,8 +1,22 @@
-"""End-to-end orchestration: raw review files to the report bundle.
+"""The stage graph: raw review files to the report bundle.
 
-Stages stay independently runnable (each CLI subcommand reads the previous
-stage's report), but ``run_pipeline`` drives them all in memory and writes
-the whole bundle:
+Every stage has one function, called through this module by both the
+library and the CLI:
+
+    load_catalog      parse the input files and build the market catalog
+    aggregate         sum each app per UTC day, fill both window grids' stats
+    detect_events     deviation events of every event-window series
+    correlate_stats   every app pair's correlation series per metric
+    ce_from_reports   correlated events from events plus correlation series
+    build_requests    summary requests for the correlated events
+
+``analyze_catalog`` chains aggregate through the requests in memory, and
+``run_pipeline`` adds parsing before and the bundle after. Each CLI
+subcommand is a thin adapter: it reads its stage file with ``read_stage``,
+calls one stage function and writes through the writers here
+(``write_file``, ``write_intake``, ``write_metrics``, ``write_requests``),
+so file formats, the order series are written in and the prompt template
+are decided in this module alone. The bundle:
 
     rejects.jsonl            per-line parse rejects
     catalog.json             per-app coverage and floor flags
@@ -20,13 +34,14 @@ seed included; running twice produces identical files.
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from datetime import date, datetime, time, timedelta, timezone
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 
 import numpy as np
 
@@ -35,7 +50,6 @@ from .correlate import (
     CorrelatedEventRecord,
     CorrelationRecord,
     PairSeries,
-    as_pair_series,
     ce_records_to_json,
     detect_correlated_events,
     extract_runs,
@@ -89,10 +103,23 @@ __all__ = [
     "BUNDLE_FILES",
     "MarketAnalysis",
     "PipelineResult",
+    "aggregate",
     "analyze_catalog",
     "ce_from_reports",
+    "correlate_stats",
+    "detect_events",
+    "group_series",
+    "in_report_order",
+    "json_text",
+    "load_catalog",
     "read_review_files",
+    "read_stage",
     "run_pipeline",
+    "write_bundle",
+    "write_file",
+    "write_intake",
+    "write_metrics",
+    "write_requests",
 ]
 
 ALL_METRICS = (MetricKind.COUNT, MetricKind.RATING, MetricKind.POLARITY)
@@ -108,6 +135,14 @@ BUNDLE_FILES = (
     "summary_requests.json",
 )
 
+T = TypeVar("T")
+SeriesKey = tuple[str, MetricKind]
+
+
+def in_report_order(by_series: Mapping[SeriesKey, Sequence[T]]) -> list[T]:
+    """Every series' items, series ordered by app id, then metric name."""
+    return [item for key in sorted(by_series, key=lambda k: (k[0], k[1].value)) for item in by_series[key]]
+
 
 @dataclass(slots=True)
 class MarketAnalysis:
@@ -116,9 +151,10 @@ class MarketAnalysis:
     span: tuple[date, date] | None
     apps: tuple[str, ...]
     scorer: PolarityScorer
-    weekly_stats: dict[tuple[str, MetricKind], list[WindowStat]] = field(default_factory=dict)
-    daily_stats: dict[tuple[str, MetricKind], list[WindowStat]] = field(default_factory=dict)
-    events: dict[tuple[str, MetricKind], list[EventRecord]] = field(default_factory=dict)
+    weekly_stats: dict[SeriesKey, list[WindowStat]] = field(default_factory=dict)
+    daily_stats: dict[SeriesKey, list[WindowStat]] = field(default_factory=dict)
+    daily_grid: list[TimeWindow] = field(default_factory=list)
+    events: dict[SeriesKey, list[EventRecord]] = field(default_factory=dict)
     pair_series: list[PairSeries] = field(default_factory=list)
     ces: list[CorrelatedEventRecord] = field(default_factory=list)
     requests: list[SummaryRequest] = field(default_factory=list)
@@ -132,10 +168,7 @@ class MarketAnalysis:
         return [record for series in self.pair_series for record in series.records()]
 
     def all_events(self) -> list[EventRecord]:
-        out: list[EventRecord] = []
-        for key in sorted(self.events, key=lambda k: (k[0], k[1].value)):
-            out.extend(self.events[key])
-        return out
+        return in_report_order(self.events)
 
     def nonzero_events(self) -> list[EventRecord]:
         return [e for e in self.all_events() if e.e != 0]
@@ -170,19 +203,62 @@ def _derive_span(config: MarketConfig, catalog: MarketCatalog, apps: Sequence[st
     return span_start, span_end
 
 
-def analyze_catalog(
+def read_stage(parse: Callable[..., T], path: str | Path, *args: object) -> T:
+    """``parse(text, *args)`` over an input or stage file's UTF-8 text.
+
+    A missing or unreadable file, or one that is not UTF-8 or does not
+    parse, is a dataset error.
+    """
+    p = Path(path)
+    if not p.is_file():
+        raise DatasetError(f"input file not found: {p}")
+    try:
+        text = p.read_bytes().decode("utf-8")
+    except OSError as exc:
+        raise DatasetError(f"cannot read {p}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DatasetError(f"{p} is not valid UTF-8: {exc}") from exc
+    try:
+        return parse(text, *args)
+    except (ValueError, KeyError, TypeError, csv.Error) as exc:
+        raise DatasetError(f"{p}: {exc}") from exc
+
+
+def read_review_files(
+    paths: Sequence[str | Path],
+    fmt: str,
+    config: MarketConfig,
+) -> tuple[list[Review], list[Reject]]:
+    """Parse and pool every input file (multi-source inputs concatenate)."""
+    reviews: list[Review] = []
+    rejects: list[Reject] = []
+    for path in paths:
+        file_reviews, file_rejects = read_stage(parse_reviews, path, fmt, config.scales)
+        reviews.extend(file_reviews)
+        rejects.extend(file_rejects)
+    return reviews, rejects
+
+
+def load_catalog(
+    config: MarketConfig, inputs: Sequence[str | Path], fmt: str = "jsonl"
+) -> tuple[MarketCatalog, list[Reject]]:
+    """Parse every input file and build the market catalog; rejects beside it."""
+    reviews, rejects = read_review_files(inputs, fmt, config)
+    return build_catalog(reviews, monthly_floor=config.monthly_floor), rejects
+
+
+def aggregate(
     config: MarketConfig,
     catalog: MarketCatalog,
     metrics: Sequence[MetricKind] = ALL_METRICS,
 ) -> MarketAnalysis:
-    """Run every analysis stage over an in-memory catalog.
+    """A new analysis with its event- and correlation-window stats filled.
 
+    Apps flagged insufficient are left out when the config excludes them.
     Each app's reviews are summed per UTC day once; both window grids sum
-    from those day sums. Sentences are scored where the polarity metric
-    needs them, and for the reviews of correlated-event windows, whose
-    summary requests sample sentences by polarity whatever the metric.
-    The catalog's reviews must be in canonical order, as ``build_catalog``
-    leaves them.
+    from those day sums. Sentences are scored only where the polarity
+    metric needs them. The catalog's reviews must be in canonical order,
+    as ``build_catalog`` leaves them.
     """
     scorer = LexiconScorer(
         load_lexicon(config.lexicon_path) if config.lexicon_path else None
@@ -196,44 +272,98 @@ def analyze_catalog(
     analysis = MarketAnalysis(config=config, catalog=catalog, span=span, apps=apps, scorer=scorer)
     if span is None:
         return analysis
-
     span_start, span_end = span
     weekly = window_series(span_start, span_end, config.event_window_days)
-    daily = window_series(span_start, span_end, config.correlation_window_days)
-    baseline_start = config.baseline_start or span_start
+    daily = analysis.daily_grid = window_series(span_start, span_end, config.correlation_window_days)
     midnights = utc_midnights(span_start, (span_end - span_start).days)
-
-    # Daily points per metric, one row per app, NaN where the mean is missing.
-    points: dict[MetricKind, list[list[float]]] = {metric: [] for metric in metrics}
     for app in apps:
         days = day_sums(catalog.reviews[app], midnights, metrics, scorer, config.scales, analysis.bodies)
         for metric in metrics:
-            wstats = window_stats(app, days, weekly, metric)
-            dstats = window_stats(app, days, daily, metric)
-            analysis.weekly_stats[(app, metric)] = wstats
-            analysis.daily_stats[(app, metric)] = dstats
-            analysis.events[(app, metric)] = detect_series(
-                wstats,
-                baseline_start,
-                config.sensitivity,
-                min_baseline=config.min_baseline,
-                mode=config.sigma_mode,
-            )
-            points[metric].append([math.nan if s.mu is None else s.mu for s in dstats])
+            analysis.weekly_stats[(app, metric)] = window_stats(app, days, weekly, metric)
+            analysis.daily_stats[(app, metric)] = window_stats(app, days, daily, metric)
+    return analysis
 
-    for metric in sorted(metrics, key=lambda m: m.value):
-        analysis.pair_series.extend(
+
+def group_series(stats: Iterable[WindowStat]) -> dict[SeriesKey, list[WindowStat]]:
+    """Metric rows grouped per app/metric series, each series in window order."""
+    series: dict[SeriesKey, list[WindowStat]] = {}
+    for stat in stats:
+        series.setdefault((stat.app_id, stat.metric), []).append(stat)
+    for group in series.values():
+        group.sort(key=lambda s: s.window.start)
+    return series
+
+
+def detect_events(
+    config: MarketConfig, weekly_stats: Mapping[SeriesKey, Sequence[WindowStat]]
+) -> dict[SeriesKey, list[EventRecord]]:
+    """Deviation events of every event-window series.
+
+    A series' baseline starts at ``config.baseline_start``, or else at its
+    first window, which in a full run is the span start.
+    """
+    return {
+        key: detect_series(stats, config.baseline_start or stats[0].window.start, config.sensitivity,
+                           min_baseline=config.min_baseline, mode=config.sigma_mode) if stats else []
+        for key, stats in weekly_stats.items()
+    }
+
+
+def correlate_stats(
+    config: MarketConfig,
+    apps: Sequence[str],
+    daily_stats: Mapping[SeriesKey, Sequence[WindowStat]],
+    grid: Sequence[TimeWindow],
+) -> list[PairSeries]:
+    """Every pair's correlation series over ``grid``, metrics in name order.
+
+    Each app is one row of points per metric, NaN where the mean is missing
+    or the app has no row for a window. A series holding one row per grid
+    window, in window order, is taken as it stands; any other is placed on
+    the grid by window start.
+    """
+    column: dict[date, int] = {}
+    out: list[PairSeries] = []
+    for metric in sorted({metric for _, metric in daily_stats}, key=lambda m: m.value):
+        values = np.full((len(apps), len(grid)), np.nan)
+        for row, app in enumerate(apps):
+            stats = daily_stats.get((app, metric), ())
+            mus = [math.nan if s.mu is None else s.mu for s in stats]
+            if len(mus) == len(grid):
+                values[row] = mus
+            elif mus:
+                column = column or {w.start: i for i, w in enumerate(grid)}
+                values[row, [column[s.window.start] for s in stats]] = mus
+        out.extend(
             market_correlations(
                 apps,
                 metric,
-                np.array(points[metric], dtype=np.float64).reshape(len(apps), len(daily)),
-                daily,
+                values,
+                grid,
                 config.lookback_days,
                 config.correlation_threshold,
                 min_points=config.min_corr_points,
             )
         )
+    return out
 
+
+def analyze_catalog(
+    config: MarketConfig,
+    catalog: MarketCatalog,
+    metrics: Sequence[MetricKind] = ALL_METRICS,
+) -> MarketAnalysis:
+    """Run every analysis stage over an in-memory catalog.
+
+    Sentences are scored where the polarity metric needs them, and for the
+    reviews of correlated-event windows, whose summary requests sample
+    sentences by polarity whatever the metric.
+    """
+    analysis = aggregate(config, catalog, metrics)
+    if analysis.span is None:
+        return analysis
+    analysis.events = detect_events(config, analysis.weekly_stats)
+    analysis.pair_series = correlate_stats(config, analysis.apps, analysis.daily_stats, analysis.daily_grid)
     analysis.ces = ce_from_reports(
         analysis.all_events(), analysis.pair_series, config.event_window_days
     )
@@ -245,17 +375,17 @@ def analyze_catalog(
 
 def ce_from_reports(
     events: Iterable[EventRecord],
-    correlations: Iterable[CorrelationRecord | PairSeries],
+    correlations: Iterable[PairSeries],
     event_window_days: int,
 ) -> list[CorrelatedEventRecord]:
     """Correlated events recomputed purely from events plus correlations.
 
-    This is the only path to CE records; the ``ce`` subcommand feeds it
-    per-window records from the CSV dumps and gets byte-identical results
-    to a full run, which passes whole pair series.
+    This is the only path to CE records; the ``ce`` subcommand feeds it the
+    series read back from correlations.csv and gets byte-identical results
+    to a full run.
     """
-    events_by_series: dict[tuple[str, MetricKind], list[EventRecord]] = {}
-    firing: set[tuple[str, MetricKind]] = set()
+    events_by_series: dict[SeriesKey, list[EventRecord]] = {}
+    firing: set[SeriesKey] = set()
     for record in events:
         key = (record.app_id, record.metric)
         events_by_series.setdefault(key, []).append(record)
@@ -263,7 +393,7 @@ def ce_from_reports(
             firing.add(key)
 
     ces: list[CorrelatedEventRecord] = []
-    for series in sorted(as_pair_series(correlations), key=lambda s: (s.metric.value, s.app_i, s.app_j)):
+    for series in sorted(correlations, key=lambda s: (s.metric.value, s.app_i, s.app_j)):
         key_i = (series.app_i, series.metric)
         key_j = (series.app_j, series.metric)
         if key_i not in firing or key_j not in firing:
@@ -287,34 +417,49 @@ class PipelineResult:
     summary_requests: int
 
 
-def read_review_files(
-    paths: Sequence[str | Path],
-    fmt: str,
-    config: MarketConfig,
-) -> tuple[list[Review], list[Reject]]:
-    """Parse and pool every input file (multi-source inputs concatenate)."""
-    reviews: list[Review] = []
-    rejects: list[Reject] = []
-    for path in paths:
-        p = Path(path)
-        if not p.is_file():
-            raise DatasetError(f"input file not found: {p}")
-        try:
-            raw = p.read_bytes()
-        except OSError as exc:
-            raise DatasetError(f"cannot read {p}: {exc}") from exc
-        file_reviews, file_rejects = parse_reviews(raw, fmt=fmt, scales=config.scales)
-        reviews.extend(file_reviews)
-        rejects.extend(file_rejects)
-    return reviews, rejects
+def write_file(out_dir: str | Path, name: str, text: str) -> Path:
+    """Write one report file (UTF-8, newlines as given), creating the directory."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    path = out / name
+    path.write_text(text, encoding="utf-8", newline="")
+    return path
 
 
-def _write(out_dir: Path, name: str, text: str) -> None:
-    (out_dir / name).write_text(text, encoding="utf-8", newline="")
-
-
-def _json_text(payload: object) -> str:
+def json_text(payload: object) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def write_intake(out_dir: str | Path, rejects: Sequence[Reject], catalog: MarketCatalog) -> None:
+    """Write rejects.jsonl and catalog.json."""
+    write_file(out_dir, "rejects.jsonl", rejects_to_jsonl(rejects))
+    write_file(out_dir, "catalog.json", json_text(catalog_summary(catalog)))
+
+
+def write_metrics(
+    out_dir: str | Path,
+    weekly_stats: Mapping[SeriesKey, Sequence[WindowStat]],
+    daily_stats: Mapping[SeriesKey, Sequence[WindowStat]],
+) -> tuple[int, int]:
+    """Write metrics.csv and metrics_daily.csv; return their row counts."""
+    weekly = in_report_order(weekly_stats)
+    daily = in_report_order(daily_stats)
+    write_file(out_dir, "metrics.csv", write_metrics_csv(weekly))
+    write_file(out_dir, "metrics_daily.csv", write_metrics_csv(daily))
+    return len(weekly), len(daily)
+
+
+def write_requests(out_dir: str | Path, config: MarketConfig, requests: Sequence[SummaryRequest]) -> list[Path]:
+    """Write summary_requests.json, and summaries.json when the summarizer is
+    the mock; return the paths written."""
+    template = load_template(config.prompt_template_path) if config.prompt_template_path else default_template()
+    entries = [request_report_entry(r, template) for r in requests]
+    paths = [write_file(out_dir, "summary_requests.json", json_text(entries))]
+    if config.summarizer == "mock":
+        client = MockSummarizer()
+        summaries = [summary_report_entry(r, client, template) for r in requests]
+        paths.append(write_file(out_dir, "summaries.json", json_text(summaries)))
+    return paths
 
 
 def write_bundle(
@@ -324,43 +469,15 @@ def write_bundle(
 ) -> PipelineResult:
     """Write every report file for an analysis (reports exist even when empty)."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    config = analysis.config
-
-    _write(out, "rejects.jsonl", rejects_to_jsonl(rejects))
-    _write(out, "catalog.json", _json_text(catalog_summary(analysis.catalog)))
-
-    weekly_flat = [s for key in sorted(analysis.weekly_stats, key=lambda k: (k[0], k[1].value)) for s in analysis.weekly_stats[key]]
-    daily_flat = [s for key in sorted(analysis.daily_stats, key=lambda k: (k[0], k[1].value)) for s in analysis.daily_stats[key]]
-    _write(out, "metrics.csv", write_metrics_csv(weekly_flat))
-    _write(out, "metrics_daily.csv", write_metrics_csv(daily_flat))
-    _write(out, "events.csv", write_events_csv(analysis.all_events()))
-    _write(out, "correlations.csv", write_correlations_csv(analysis.pair_series))
-    _write(out, "correlated_events.json", ce_records_to_json(analysis.ces))
-
-    template = (
-        load_template(config.prompt_template_path)
-        if config.prompt_template_path
-        else default_template()
-    )
-    _write(
-        out,
-        "summary_requests.json",
-        _json_text([request_report_entry(r, template) for r in analysis.requests]),
-    )
-    files = list(BUNDLE_FILES)
-    if config.summarizer == "mock":
-        client = MockSummarizer()
-        _write(
-            out,
-            "summaries.json",
-            _json_text([summary_report_entry(r, client, template) for r in analysis.requests]),
-        )
-        files.append("summaries.json")
-
+    write_intake(out, rejects, analysis.catalog)
+    write_metrics(out, analysis.weekly_stats, analysis.daily_stats)
+    write_file(out, "events.csv", write_events_csv(analysis.all_events()))
+    write_file(out, "correlations.csv", write_correlations_csv(analysis.pair_series))
+    write_file(out, "correlated_events.json", ce_records_to_json(analysis.ces))
+    written = write_requests(out, analysis.config, analysis.requests)
     return PipelineResult(
         out_dir=out,
-        files=tuple(files),
+        files=BUNDLE_FILES + tuple(p.name for p in written if p.name not in BUNDLE_FILES),
         reviews_accepted=sum(len(v) for v in analysis.catalog.reviews.values()),
         reviews_rejected=len(rejects),
         apps=len(analysis.apps),
@@ -377,7 +494,5 @@ def run_pipeline(
     fmt: str = "jsonl",
 ) -> PipelineResult:
     """Parse inputs, run every stage, and write the report bundle."""
-    reviews, rejects = read_review_files(inputs, fmt, config)
-    catalog = build_catalog(reviews, monthly_floor=config.monthly_floor)
-    analysis = analyze_catalog(config, catalog)
-    return write_bundle(analysis, rejects, out_dir)
+    catalog, rejects = load_catalog(config, inputs, fmt)
+    return write_bundle(analyze_catalog(config, catalog), rejects, out_dir)

@@ -271,15 +271,19 @@ def call_with_retry(
     raise last
 
 
+def _event_entry(request: SummaryRequest) -> dict:
+    return {
+        "app_id": request.app_id,
+        "metric": request.metric.value,
+        "window_start": request.window.start.isoformat(),
+        "window_days": request.window.days,
+    }
+
+
 def request_report_entry(request: SummaryRequest, template: str | None = None) -> dict:
     prompt = build_prompt(request, template)
     return {
-        "event": {
-            "app_id": request.app_id,
-            "metric": request.metric.value,
-            "window_start": request.window.start.isoformat(),
-            "window_days": request.window.days,
-        },
+        "event": _event_entry(request),
         "variant": request.variant,
         "n_requested": request.n_requested,
         "n_available": request.n_available,
@@ -299,12 +303,7 @@ def summary_report_entry(
 ) -> dict:
     prompt = build_prompt(request, template)
     return {
-        "event": {
-            "app_id": request.app_id,
-            "metric": request.metric.value,
-            "window_start": request.window.start.isoformat(),
-            "window_days": request.window.days,
-        },
+        "event": _event_entry(request),
         "variant": request.variant,
         "n_sampled": request.n_sampled,
         "prompt_sha256": prompt_sha256(prompt),

@@ -5,6 +5,9 @@ import json
 from datetime import date
 from pathlib import Path
 
+import pytest
+
+from reviewpulse import pipeline
 from reviewpulse.cli import main
 from reviewpulse.ingest import serialize_reviews
 from reviewpulse.synth import generate, scenario_to_dict, spike_pair_scenario
@@ -22,8 +25,8 @@ BUNDLE_FILES = (
 )
 
 
-def _small_dataset(tmp_path: Path) -> Path:
-    reviews, _ = generate(spike_pair_scenario(seed=2, n_apps=3, n_windows=12, spike_window=6))
+def _small_dataset(tmp_path: Path, **scenario: int) -> Path:
+    reviews, _ = generate(spike_pair_scenario(**{"seed": 2, "n_apps": 3, "n_windows": 12, "spike_window": 6, **scenario}))
     path = tmp_path / "reviews.jsonl"
     path.write_text(serialize_reviews(reviews, fmt="jsonl"), encoding="utf-8")
     return path
@@ -69,27 +72,61 @@ def test_ce_stage_rebuilds_the_run_output_from_csvs_alone(tmp_path) -> None:
     ).read_bytes()
 
 
-def test_staged_commands_chain_into_the_same_artifacts(tmp_path) -> None:
-    dataset = _small_dataset(tmp_path)
+def _chain_matches_run(tmp_path: Path, dataset: Path, settings: list[str]) -> Path:
+    """Run the staged subcommands and ``run`` under one config; assert equal files."""
+    flags = [arg for setting in settings for arg in ("--set", setting)]
     out = tmp_path / "run"
-    assert main(["run", str(dataset), "--out", str(out)]) == 0
+    assert main(["run", str(dataset), "--out", str(out), *flags]) == 0
 
     staged = tmp_path / "staged"
-    assert main(["metrics", str(dataset), "--out", str(staged)]) == 0
-    assert main(["detect", str(staged / "metrics.csv"), "--out", str(staged)]) == 0
-    assert main(["correlate", str(staged / "metrics_daily.csv"), "--out", str(staged)]) == 0
+    assert main(["metrics", str(dataset), "--out", str(staged), *flags]) == 0
+    assert main(["detect", str(staged / "metrics.csv"), "--out", str(staged), *flags]) == 0
+    assert main(["correlate", str(staged / "metrics_daily.csv"), "--out", str(staged), *flags]) == 0
     assert main([
         "ce", str(staged / "events.csv"), str(staged / "correlations.csv"),
-        "--out", str(staged),
+        "--out", str(staged), *flags,
     ]) == 0
     assert main([
         "summarize-prep", str(staged / "correlated_events.json"), str(dataset),
-        "--out", str(staged),
+        "--out", str(staged), *flags,
     ]) == 0
     for name in (
         "metrics.csv", "metrics_daily.csv", "events.csv", "correlations.csv",
         "correlated_events.json", "summary_requests.json", "summaries.json",
     ):
+        assert (staged / name).read_bytes() == (out / name).read_bytes(), name
+    return out
+
+
+def test_staged_commands_chain_into_the_same_artifacts(tmp_path) -> None:
+    out = _chain_matches_run(tmp_path, _small_dataset(tmp_path), [])
+    assert len(json.loads((out / "correlated_events.json").read_text())) == 1
+
+
+def test_staged_commands_chain_under_a_non_default_config(tmp_path) -> None:
+    # Sample sigma from a set baseline start, on a two-day correlation grid.
+    dataset = _small_dataset(tmp_path, n_apps=4, n_windows=30, spike_window=20)
+    settings = [
+        "sigma_mode=sample", "baseline_start=2024-02-01", "correlation_window_days=2",
+        "lookback_days=20", "min_corr_points=5", "sensitivity=1.5",
+    ]
+    out = _chain_matches_run(tmp_path, dataset, settings)
+    assert len(json.loads((out / "correlated_events.json").read_text())) == 2
+
+
+def test_metrics_runs_only_parse_catalog_and_aggregate(tmp_path, monkeypatch) -> None:
+    dataset = _small_dataset(tmp_path)
+    out = tmp_path / "run"
+    assert main(["run", str(dataset), "--out", str(out)]) == 0
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("metrics ran a later stage")
+
+    for name in ("detect_series", "market_correlations", "build_requests"):
+        monkeypatch.setattr(pipeline, name, refuse)
+    staged = tmp_path / "staged"
+    assert main(["metrics", str(dataset), "--out", str(staged)]) == 0
+    for name in ("metrics.csv", "metrics_daily.csv"):
         assert (staged / name).read_bytes() == (out / name).read_bytes(), name
 
 
@@ -160,6 +197,28 @@ def test_unparsable_stage_file_exits_three(tmp_path, capsys) -> None:
     assert "dataset error:" in capsys.readouterr().err
     (staged / "events.csv").write_text("wrong,header\n", encoding="utf-8")
     assert main(["ce", str(staged / "events.csv"), str(metrics), "--out", str(staged)]) == 3
+    # A bare "\r" in an unquoted field, which the csv reader refuses.
+    metrics.write_text(f"{header}\na\rb,count,2024-01-04,7,1.0,,3\n", encoding="utf-8", newline="")
+    assert main(["detect", str(metrics), "--out", str(staged)]) == 3
+
+
+@pytest.mark.parametrize("command", ["detect", "correlate", "ce", "summarize-prep"])
+def test_stage_file_that_is_not_utf8_exits_three(tmp_path, capsys, command) -> None:
+    bad = tmp_path / "stage"
+    bad.write_bytes(b"\xff\xfe")
+    # The stage file comes first; the command fails before reading the rest.
+    rest = {"ce": [str(bad)], "summarize-prep": [str(tmp_path / "reviews.jsonl")]}.get(command, [])
+    assert main([command, str(bad), *rest, "--out", str(tmp_path / "out")]) == 3
+    assert "not valid UTF-8" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("payload", ['{"a": 1}', "[1]"])
+def test_correlated_events_that_are_not_a_list_of_objects_exit_three(tmp_path, capsys, payload) -> None:
+    ces = tmp_path / "correlated_events.json"
+    ces.write_text(payload, encoding="utf-8")
+    code = main(["summarize-prep", str(ces), str(_small_dataset(tmp_path)), "--out", str(tmp_path / "out")])
+    assert code == 3
+    assert "dataset error:" in capsys.readouterr().err
 
 
 def test_partial_rejects_still_succeed(tmp_path) -> None:

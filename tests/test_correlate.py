@@ -160,9 +160,20 @@ def _corr(idx: int, c: int) -> CorrelationRecord:
     )
 
 
+def _as_series(records: list[CorrelationRecord]) -> PairSeries:
+    """One pair/metric's records, in window order, as a pair series."""
+    first = records[0]
+    return PairSeries(
+        first.app_i, first.app_j, first.metric, [r.window for r in records],
+        np.array([math.nan if r.rho is None else r.rho for r in records], dtype=np.float64),
+        np.array([r.c for r in records], dtype=np.int64),
+        np.array([r.n_points for r in records], dtype=np.int64),
+    )
+
+
 def test_runs_from_short_series() -> None:
     records = [_corr(i, c) for i, c in enumerate([0, 1, 1, 0, -1])]
-    runs = extract_runs(records, event_window_days=7)
+    runs = extract_runs(_as_series(records), event_window_days=7)
     assert [(r.sign, r.t_start, r.t_end) for r in runs] == [
         (1, D0 + timedelta(days=1), D0 + timedelta(days=3)),
         (-1, D0 + timedelta(days=4), D0 + timedelta(days=5)),
@@ -171,14 +182,14 @@ def test_runs_from_short_series() -> None:
 
 
 def test_all_zero_series_has_no_runs() -> None:
-    assert extract_runs([_corr(i, 0) for i in range(20)], 7) == []
+    assert extract_runs(_as_series([_corr(i, 0) for i in range(20)]), 7) == []
 
 
 def test_runs_match_linear_scan_oracle() -> None:
     rng = random.Random(55)
     signs = [rng.choice([-1, 0, 0, 1]) for _ in range(365)]
     records = [_corr(i, c) for i, c in enumerate(signs)]
-    runs = extract_runs(records, 7)
+    runs = extract_runs(_as_series(records), 7)
 
     # Oracle: scan for maximal constant nonzero stretches.
     expected = []
@@ -318,9 +329,9 @@ def test_two_app_spiked_market_yields_exactly_one_ce() -> None:
 
 def test_correlations_csv_round_trip() -> None:
     records = [_corr(i, c) for i, c in enumerate([0, 1, -1])]
-    text = write_correlations_csv(records)
+    text = write_correlations_csv([_as_series(records)])
     back = read_correlations_csv(text, window_days=1)
-    assert back == records
+    assert [r for s in back for r in s.records()] == records
 
 
 def _reference_csv(series: list[PairSeries]) -> str:
@@ -379,8 +390,6 @@ def _pair_series(draw) -> list[PairSeries]:
 def test_correlations_csv_matches_per_row_writer(series: list[PairSeries]) -> None:
     want = _reference_csv(series)
     assert write_correlations_csv(series) == want
-    # Records take the same path once grouped into series.
-    assert write_correlations_csv([r for s in series for r in s.records()]) == want
 
 
 def test_correlations_csv_rewrites_a_pipeline_report_exactly(tmp_path) -> None:
@@ -390,9 +399,10 @@ def test_correlations_csv_rewrites_a_pipeline_report_exactly(tmp_path) -> None:
     config = MarketConfig(seed=0)
     run_pipeline(config, [dataset], tmp_path / "out")
     text = (tmp_path / "out" / "correlations.csv").read_text(encoding="utf-8")
-    records = read_correlations_csv(text, config.correlation_window_days)
+    series = read_correlations_csv(text, config.correlation_window_days)
+    records = [r for s in series for r in s.records()]
     assert any(r.rho is None for r in records) and any(r.c != 0 for r in records)
-    assert write_correlations_csv(records) == text
+    assert write_correlations_csv(series) == text
 
 
 def test_write_bundle_builds_no_correlation_records(tmp_path, monkeypatch) -> None:
@@ -433,4 +443,4 @@ def test_market_correlations_match_per_pair_sweeps() -> None:
         want = pair_correlations(s.app_i, s.app_j, MetricKind.RATING, points[s.app_i], points[s.app_j], windows, 14, 0.5)
         assert s.app_i < s.app_j
         assert s.records() == want
-        assert extract_runs(s, 7) == extract_runs(want, 7)
+        assert extract_runs(s, 7) == extract_runs(_as_series(want), 7)

@@ -13,10 +13,7 @@ from datetime import date, timedelta
 import pytest
 
 from reviewpulse.detect import (
-    BaselineState,
-    EventRecord,
     baseline_sigma,
-    detect_event,
     detect_series,
     read_events_csv,
     write_events_csv,
@@ -185,15 +182,6 @@ def test_events_csv_round_trip() -> None:
     assert back == records
     with pytest.raises(ValueError):
         read_events_csv("nope\n", window_days=7, k=2.0)
-
-
-def test_detect_event_does_not_mutate_baseline() -> None:
-    state = BaselineState("appA", MetricKind.COUNT, START, [1.0, -1.0, 1.0, -1.0])
-    stat = _stats([10.0, 14.0])[1]
-    before = list(state.deltas)
-    record = detect_event(stat, state, k=2.0)
-    assert isinstance(record, EventRecord)
-    assert state.deltas == before
 
 
 def test_sigma_is_the_correctly_rounded_exact_standard_deviation() -> None:

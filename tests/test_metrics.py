@@ -168,10 +168,13 @@ def test_window_stats_buckets_by_window() -> None:
         _review(2, base + timedelta(days=7), rating=3),
         _review(3, base - timedelta(seconds=1), rating=4),  # before the grid
     ]
+    reviews.sort(key=lambda r: r.timestamp)
+    metrics = (MetricKind.COUNT, MetricKind.RATING)
+    days = day_sums(reviews, utc_midnights(start, 14), metrics, LexiconScorer(), ScaleMap(), {})
     windows = window_series(start, start + timedelta(days=14), 7)
-    stats = window_stats("appA", _scored(reviews), windows, MetricKind.COUNT)
+    stats = window_stats("appA", days, windows, MetricKind.COUNT)
     assert [s.mu for s in stats] == [2.0, 1.0]
-    rstats = window_stats("appA", _scored(reviews), windows, MetricKind.RATING)
+    rstats = window_stats("appA", days, windows, MetricKind.RATING)
     assert rstats[0].mu == pytest.approx((4 + 0) / 2)
     assert rstats[1].mu == pytest.approx(2.0)
 
@@ -213,7 +216,6 @@ def test_day_sums_match_per_review_bucketing_oracle() -> None:
         windows = window_series(start, start + timedelta(days=28), width)
         for metric in all_metrics:
             got = window_stats("appA", days, windows, metric)
-            assert got == window_stats("appA", scored, windows, metric)
             prev = None
             for stat, window in zip(got, windows):
                 inside = [
