@@ -10,7 +10,7 @@ problems at once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from datetime import date
 from pathlib import Path
 from typing import Mapping
@@ -184,6 +184,8 @@ def load_config(path: str | Path | None, overrides: Mapping[str, str] | None = N
             text = Path(path).read_text(encoding="utf-8")
         except OSError as exc:
             raise ConfigError([f"cannot read config {path}: {exc}"]) from exc
+        except UnicodeDecodeError as exc:
+            raise ConfigError([f"config {path} is not valid UTF-8: {exc}"]) from exc
         config = apply_overrides(config, parse_config_text(text))
     if overrides:
         config = apply_overrides(config, overrides)

@@ -22,8 +22,6 @@ nothing.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 from dataclasses import dataclass
@@ -35,6 +33,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .detect import EventRecord
+from .ingest import csv_line_writer
 from .metrics import MetricKind, TimeWindow, csv_rows
 
 __all__ = [
@@ -421,20 +420,17 @@ def write_correlations_csv(correlations: Iterable[PairSeries]) -> str:
     start dates are formatted once. An undefined rho is written empty,
     any other with ``repr``.
     """
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
+    parts: list[str] = []
+    writer = csv_line_writer(parts)
     writer.writerow(CORRELATIONS_CSV_COLUMNS)
-    parts = [buf.getvalue()]
     # Keyed by id: the series list below keeps every grid alive meanwhile.
     starts_by_grid: dict[int, list[str]] = {}
     for series in correlations:
         starts = starts_by_grid.get(id(series.windows))
         if starts is None:
             starts = starts_by_grid[id(series.windows)] = [w.start.isoformat() for w in series.windows]
-        buf.seek(0)
-        buf.truncate()
         writer.writerow((series.app_i, series.app_j, series.metric.value, ""))
-        prefix = buf.getvalue()[:-1]  # the quoted constant fields and a trailing comma
+        prefix = parts.pop()[:-1]  # the quoted constant fields and a trailing comma
         rhos = [repr(rho) if rho == rho else "" for rho in series.rho.tolist()]  # NaN != NaN
         parts.append(
             "".join(

@@ -21,14 +21,13 @@ baseline.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 from datetime import date
 from fractions import Fraction
 from math import isqrt
 from typing import Iterable, Sequence
 
+from .ingest import csv_line_writer
 from .metrics import MetricKind, TimeWindow, WindowStat, csv_rows
 
 __all__ = [
@@ -184,8 +183,8 @@ def detect_series(
 
 
 def write_events_csv(records: Iterable[EventRecord]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
+    lines: list[str] = []
+    writer = csv_line_writer(lines)
     writer.writerow(EVENTS_CSV_COLUMNS)
     for r in records:
         writer.writerow(
@@ -200,7 +199,7 @@ def write_events_csv(records: Iterable[EventRecord]) -> str:
                 "true" if r.warmup else "false",
             ]
         )
-    return buf.getvalue()
+    return "".join(lines)
 
 
 def read_events_csv(text: str, window_days: int, k: float) -> list[EventRecord]:

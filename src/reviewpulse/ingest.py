@@ -13,12 +13,12 @@ from __future__ import annotations
 import csv
 import io
 import json
-from bisect import bisect_left
 from dataclasses import dataclass, field
-from datetime import MAXYEAR, datetime, timezone
-from operator import attrgetter
+from datetime import date, datetime, timedelta, timezone
 from types import SimpleNamespace
 from typing import Iterable, Iterator, Mapping, Sequence
+
+import numpy as np
 
 __all__ = [
     "REVIEW_FIELDS",
@@ -28,9 +28,12 @@ __all__ = [
     "RatingScale",
     "Reject",
     "Review",
+    "ReviewTable",
     "ScaleMap",
     "build_catalog",
+    "canonical_order",
     "catalog_summary",
+    "csv_line_writer",
     "parse_reviews",
     "parse_timestamp",
     "rejects_to_jsonl",
@@ -88,6 +91,155 @@ class Reject:
     reason: str
 
 
+_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+_MICROSECOND = timedelta(microseconds=1)
+_COLUMNS = ("review_id", "app_id", "stamp_us", "raw_rating", "body", "source")
+_TEXT_COLUMNS = frozenset(("review_id", "app_id", "body", "source"))
+
+
+def _make_review(review_id: str, app_id: str, stamp_us: int, raw_rating: int, body: str, source: str) -> Review:
+    """The one place a table row becomes a ``Review``."""
+    return Review(review_id, app_id, _EPOCH + timedelta(microseconds=stamp_us), raw_rating, body, source)
+
+
+def _column(name: str, values: Sequence) -> np.ndarray:
+    """A read-only column: int64 for stamps and ratings, str objects otherwise."""
+    if name in _TEXT_COLUMNS:
+        if isinstance(values, np.ndarray) and values.dtype == object:
+            column = values
+        else:
+            column = np.empty(len(values), dtype=object)
+            column[:] = values
+    else:
+        column = np.asarray(values, dtype=np.int64)
+    column.flags.writeable = False
+    return column
+
+
+class ReviewTable(Sequence[Review]):
+    """Reviews held as columns, one row per review, in the order given.
+
+    ``stamp_us`` holds each timestamp as int64 UTC microseconds since the
+    epoch and ``raw_rating`` the raw rating as int64; ``review_id``,
+    ``app_id``, ``body`` and ``source`` are object arrays of str. Every
+    column is read-only. Indexing a row builds one ``Review`` with a UTC
+    timestamp; slicing and ``take`` return tables over the same strings.
+    A table equals any sequence holding equal reviews in the same order.
+    """
+
+    __slots__ = _COLUMNS
+
+    def __init__(self, review_id: Sequence[str], app_id: Sequence[str], stamp_us: Sequence[int],
+                 raw_rating: Sequence[int], body: Sequence[str], source: Sequence[str]) -> None:
+        values = (review_id, app_id, stamp_us, raw_rating, body, source)
+        columns = [_column(name, column) for name, column in zip(_COLUMNS, values)]
+        if len({len(c) for c in columns}) > 1:
+            raise ValueError(f"columns differ in length: {[len(c) for c in columns]}")
+        for name, column in zip(_COLUMNS, columns):
+            object.__setattr__(self, name, column)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError("ReviewTable is immutable")
+
+    @classmethod
+    def from_reviews(cls, reviews: Iterable[Review]) -> "ReviewTable":
+        """The table of ``reviews`` in their order; a table is returned as is.
+
+        Every timestamp must carry a UTC offset: a naive one is a
+        ValueError, and any other is stored as the same instant in UTC.
+        """
+        if isinstance(reviews, ReviewTable):
+            return reviews
+        columns = _new_columns()
+        for r in reviews:
+            ts = r.timestamp
+            if ts.utcoffset() is None:
+                raise ValueError(f"review {r.review_id!r} has a naive timestamp {ts.isoformat()}")
+            _append_row(columns, (r.review_id, r.app_id, (ts - _EPOCH) // _MICROSECOND, r.raw_rating, r.body, r.source))
+        return cls(*columns)
+
+    @classmethod
+    def concat(cls, tables: Iterable["ReviewTable"]) -> "ReviewTable":
+        """The rows of every table, one table after another."""
+        tables = list(tables)
+        if len(tables) == 1:
+            return tables[0]
+        if not tables:
+            return cls(*_new_columns())
+        return cls(*(np.concatenate([getattr(t, name) for t in tables]) for name in _COLUMNS))
+
+    def take(self, rows: np.ndarray) -> "ReviewTable":
+        """The table of the given row positions, in their order."""
+        return ReviewTable(*(getattr(self, name)[rows] for name in _COLUMNS))
+
+    def __len__(self) -> int:
+        return len(self.stamp_us)
+
+    def __getitem__(self, index: int | slice) -> "Review | ReviewTable":
+        if isinstance(index, slice):
+            return ReviewTable(*(getattr(self, name)[index] for name in _COLUMNS))
+        i = range(len(self))[index]  # IndexError and negative indices as for a list
+        return _make_review(
+            self.review_id[i], self.app_id[i], int(self.stamp_us[i]), int(self.raw_rating[i]), self.body[i], self.source[i]
+        )
+
+    def __iter__(self) -> Iterator[Review]:
+        return map(_make_review, *(getattr(self, name).tolist() for name in _COLUMNS))
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, ReviewTable):
+            return all(np.array_equal(getattr(self, name), getattr(other, name)) for name in _COLUMNS)
+        if isinstance(other, Sequence) and not isinstance(other, str):
+            return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+        return NotImplemented
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return f"ReviewTable(<{len(self)} reviews>)"
+
+
+def _new_columns() -> tuple[list, ...]:
+    """Empty lists for (review_id, app_id, stamp_us, raw_rating, body, source)."""
+    return tuple([] for _ in _COLUMNS)
+
+
+def _append_row(columns: tuple[list, ...], row: tuple) -> None:
+    # Six lists hold a row in less memory than one tuple per row would.
+    for column, value in zip(columns, row):
+        column.append(value)
+
+
+def canonical_order(stamp_us: np.ndarray, review_id: np.ndarray, group: np.ndarray | None = None) -> np.ndarray:
+    """Row positions in canonical order: by ``group`` when given, then
+    ``(stamp_us, review_id)``.
+
+    A stable sort on the integer keys orders almost every row; only rows
+    tied with a neighbour on all of them are sorted again by review id.
+    """
+    keys = (stamp_us,) if group is None else (stamp_us, group)
+    order = np.lexsort(keys)
+    if len(order) < 2:
+        return order
+    sorted_keys = [k[order] for k in keys]
+    tied = sorted_keys[0][1:] == sorted_keys[0][:-1]
+    if group is not None:
+        tied &= sorted_keys[1][1:] == sorted_keys[1][:-1]
+    if tied.any():
+        in_tie = np.zeros(len(order), dtype=bool)
+        in_tie[1:] = tied
+        in_tie[:-1] |= tied
+        positions = np.flatnonzero(in_tie)
+        rows = order[positions]
+        ids = review_id[rows]
+        # A fixed-width numpy string sorts much faster than str objects, but
+        # drops trailing NULs; ids holding a NUL keep the object compare.
+        if "\x00" not in "".join(ids.tolist()):
+            ids = ids.astype(str)
+        order[positions] = rows[np.lexsort((ids, *(k[positions] for k in sorted_keys)))]
+    return order
+
+
 class _RecordError(Exception):
     """Internal: one record failed validation (reason in args[0])."""
 
@@ -107,7 +259,8 @@ def parse_timestamp(value: str) -> datetime:
     return parsed.astimezone(timezone.utc)
 
 
-def _build_review(record: Mapping[str, object], scales: ScaleMap) -> Review:
+def _record_row(record: Mapping[str, object], scales: ScaleMap) -> tuple[str, str, int, int, str, str]:
+    """A valid record as a table row: (review_id, app_id, stamp_us, raw_rating, body, source)."""
     for name in REVIEW_FIELDS:
         if name not in record or record[name] is None:
             raise _RecordError(f"missing-field:{name}")
@@ -139,13 +292,13 @@ def _build_review(record: Mapping[str, object], scales: ScaleMap) -> Review:
             f"out-of-range-rating: {rating_raw} not in [{scale.lo}, {scale.hi}]"
         )
 
-    return Review(
-        review_id=str_fields["review_id"],
-        app_id=str_fields["app_id"],
-        timestamp=ts,
-        raw_rating=rating_raw,
-        body=str_fields["body"],
-        source=str_fields["source"],
+    return (
+        str_fields["review_id"],
+        str_fields["app_id"],
+        (ts - _EPOCH) // _MICROSECOND,
+        rating_raw,
+        str_fields["body"],
+        str_fields["source"],
     )
 
 
@@ -162,8 +315,8 @@ def parse_reviews(
     source: str | bytes,
     fmt: str = "jsonl",
     scales: ScaleMap | None = None,
-) -> tuple[list[Review], list[Reject]]:
-    """Parse a review stream into accepted reviews plus per-line rejects.
+) -> tuple[ReviewTable, list[Reject]]:
+    """Parse a review stream into a table of accepted reviews plus per-line rejects.
 
     Duplicate ``(source, review_id)`` pairs keep the first occurrence; later
     ones are logged as rejects. Line numbers are 1-based and refer to the
@@ -182,8 +335,8 @@ def parse_reviews(
     raise ValueError(f"unknown format {fmt!r} (expected 'jsonl' or 'csv')")
 
 
-def _parse_jsonl(lines: Sequence[str], scales: ScaleMap) -> tuple[list[Review], list[Reject]]:
-    reviews: list[Review] = []
+def _parse_jsonl(lines: Sequence[str], scales: ScaleMap) -> tuple[ReviewTable, list[Reject]]:
+    columns = _new_columns()
     rejects: list[Reject] = []
     seen: dict[tuple[str, str], int] = {}
     for line_no, line in enumerate(lines, start=1):
@@ -197,8 +350,8 @@ def _parse_jsonl(lines: Sequence[str], scales: ScaleMap) -> tuple[list[Review], 
         if not isinstance(record, dict):
             rejects.append(Reject(line_no, "not-an-object"))
             continue
-        _accept(record, line_no, scales, seen, reviews, rejects)
-    return reviews, rejects
+        _accept(record, line_no, scales, seen, columns, rejects)
+    return ReviewTable(*columns), rejects
 
 
 def _csv_records(text: str) -> Iterator[tuple[int, list[str]]]:
@@ -220,11 +373,11 @@ def _csv_records(text: str) -> Iterator[tuple[int, list[str]]]:
         raise DatasetError(f"CSV record at line {end + 1}: {exc}") from exc
 
 
-def _parse_csv(text: str, scales: ScaleMap) -> tuple[list[Review], list[Reject]]:
+def _parse_csv(text: str, scales: ScaleMap) -> tuple[ReviewTable, list[Reject]]:
     records = _csv_records(text)
     first = next(records, None)
     if first is None:
-        return [], []
+        return ReviewTable(*_new_columns()), []
     header = first[1]
     if sorted(header) != sorted(REVIEW_FIELDS):
         raise DatasetError(
@@ -232,7 +385,7 @@ def _parse_csv(text: str, scales: ScaleMap) -> tuple[list[Review], list[Reject]]
         )
     idx = {name: header.index(name) for name in REVIEW_FIELDS}
 
-    reviews: list[Review] = []
+    columns = _new_columns()
     rejects: list[Reject] = []
     seen: dict[tuple[str, str], int] = {}
     for line_no, row in records:
@@ -248,8 +401,8 @@ def _parse_csv(text: str, scales: ScaleMap) -> tuple[list[Review], list[Reject]]
         except ValueError:
             rejects.append(Reject(line_no, f"bad-rating: {rating_text!r} is not an integer"))
             continue
-        _accept(record, line_no, scales, seen, reviews, rejects)
-    return reviews, rejects
+        _accept(record, line_no, scales, seen, columns, rejects)
+    return ReviewTable(*columns), rejects
 
 
 def _accept(
@@ -257,21 +410,32 @@ def _accept(
     line_no: int,
     scales: ScaleMap,
     seen: dict[tuple[str, str], int],
-    reviews: list[Review],
+    columns: tuple[list, ...],
     rejects: list[Reject],
 ) -> None:
     try:
-        review = _build_review(record, scales)
+        row = _record_row(record, scales)
     except _RecordError as exc:
         rejects.append(Reject(line_no, str(exc)))
         return
-    key = (review.source, review.review_id)
+    review_id, source = row[0], row[5]
+    key = (source, review_id)
     first = seen.get(key)
     if first is not None:
-        rejects.append(Reject(line_no, f"duplicate: ({review.source}, {review.review_id}) first seen at line {first}"))
+        rejects.append(Reject(line_no, f"duplicate: ({source}, {review_id}) first seen at line {first}"))
         return
     seen[key] = line_no
-    reviews.append(review)
+    _append_row(columns, row)
+
+
+def csv_line_writer(lines: list[str]):
+    """A ``csv.writer`` that appends each row to ``lines``, ending in "\n".
+
+    The writer runs with a "\r\n" terminator, so it quotes every field
+    holding a "\r"; given "\n" alone, Python 3.11's writer leaves a bare
+    "\r" unquoted, and reading ends the record there.
+    """
+    return csv.writer(SimpleNamespace(write=lambda row: lines.append(row[:-2] + "\n")), lineterminator="\r\n")
 
 
 def serialize_reviews(reviews: Iterable[Review], fmt: str = "jsonl") -> str:
@@ -294,12 +458,8 @@ def serialize_reviews(reviews: Iterable[Review], fmt: str = "jsonl") -> str:
         ]
         return "\n".join(lines) + ("\n" if lines else "")
     if fmt == "csv":
-        # With a "\r\n" terminator the writer quotes every field holding a
-        # "\r"; given "\n" alone, Python 3.11's writer leaves a bare "\r"
-        # unquoted, and reading ends the record there. Rows end in "\n".
         rows: list[str] = []
-        sink = SimpleNamespace(write=lambda row: rows.append(row[:-2]))
-        writer = csv.writer(sink, lineterminator="\r\n")
+        writer = csv_line_writer(rows)
         writer.writerow(REVIEW_FIELDS)
         for r in reviews:
             writer.writerow(
@@ -312,7 +472,7 @@ def serialize_reviews(reviews: Iterable[Review], fmt: str = "jsonl") -> str:
                     r.source,
                 ]
             )
-        return "\n".join(rows) + "\n"
+        return "".join(rows)
     raise ValueError(f"unknown format {fmt!r} (expected 'jsonl' or 'csv')")
 
 
@@ -342,110 +502,96 @@ class MarketCatalog:
     """All accepted reviews grouped per app, in canonical order.
 
     Canonical order is ``(timestamp, review_id)``; repeated builds over the
-    same inputs produce identical catalogs. Apps below the monthly review
-    floor are flagged via coverage, never dropped here.
+    same inputs produce identical catalogs. Each app's reviews are one
+    ``ReviewTable``. Apps below the monthly review floor are flagged via
+    coverage, never dropped here.
     """
 
     apps: tuple[str, ...]
-    reviews: Mapping[str, tuple[Review, ...]]
+    reviews: Mapping[str, ReviewTable]
     coverage: Mapping[str, AppCoverage]
     monthly_floor: float
     duplicates_dropped: int
 
-    def all_reviews(self) -> list[Review]:
-        out: list[Review] = []
-        for app in self.apps:
-            out.extend(self.reviews[app])
-        return out
+    def all_reviews(self) -> ReviewTable:
+        return ReviewTable.concat(self.reviews[app] for app in self.apps)
 
     def insufficient_apps(self) -> tuple[str, ...]:
         return tuple(a for a in self.apps if self.coverage[a].insufficient)
 
 
-def _monthly_counts(timestamps: Sequence[datetime]) -> dict[str, int]:
-    """Reviews per UTC calendar month ("YYYY-MM"), months without reviews left out.
+_DAY_US = 86_400_000_000
 
-    ``timestamps`` must be sorted; each month's count is the distance
-    between the bisection points of its first instant and the next month's.
+
+def _month_start_us(year: int, month: int) -> int:
+    return (date(year, month, 1) - _EPOCH.date()).days * _DAY_US
+
+
+def _coverage(stamp_us: np.ndarray, monthly_floor: float) -> AppCoverage:
+    """Coverage of one app's sorted stamps.
+
+    Each UTC calendar month ("YYYY-MM") from the first review's to the last
+    one's counts the stamps between its first instant and the next month's;
+    months without reviews are left out of ``monthly_counts``.
     """
-    first = timestamps[0].astimezone(timezone.utc)
-    year, month = first.year, first.month
-    counts: dict[str, int] = {}
-    lo = 0
-    while lo < len(timestamps):
-        next_year, next_month = (year + 1, 1) if month == 12 else (year, month + 1)
-        if next_year > MAXYEAR:
-            hi = len(timestamps)
-        else:
-            boundary = datetime(next_year, next_month, 1, tzinfo=timezone.utc)
-            hi = bisect_left(timestamps, boundary, lo)
-        if hi > lo:
-            counts[f"{year:04d}-{month:02d}"] = hi - lo
-        lo = hi
-        year, month = next_year, next_month
-    return counts
+    first = _EPOCH + timedelta(microseconds=int(stamp_us[0]))
+    last = _EPOCH + timedelta(microseconds=int(stamp_us[-1]))
+    months = [
+        divmod(m, 12)
+        for m in range(first.year * 12 + first.month - 1, last.year * 12 + last.month)
+    ]
+    cuts = np.searchsorted(stamp_us, [_month_start_us(y, m + 1) for y, m in months[1:]], side="left")
+    counts = np.diff(cuts, prepend=0, append=len(stamp_us)).tolist()
+    total = len(stamp_us)
+    mean = total / len(months)
+    return AppCoverage(
+        first=first,
+        last=last,
+        total=total,
+        monthly_counts={f"{y:04d}-{m + 1:02d}": n for (y, m), n in zip(months, counts) if n},
+        months_spanned=len(months),
+        monthly_mean=mean,
+        insufficient=mean < monthly_floor,
+    )
 
 
-def _months_spanned(first: datetime, last: datetime) -> int:
-    a = first.astimezone(timezone.utc)
-    b = last.astimezone(timezone.utc)
-    return (b.year - a.year) * 12 + (b.month - a.month) + 1
-
-
-_canonical = attrgetter("timestamp", "review_id")
+def _first_occurrences(table: ReviewTable) -> ReviewTable:
+    """The table without repeated ``(source, review_id)`` keys; the first wins."""
+    ids = table.review_id.tolist()
+    sources = table.source.tolist()
+    keys = ids if len(set(sources)) < 2 else list(zip(sources, ids))
+    if len(set(keys)) == len(keys):
+        return table
+    # Built back to front, so each key keeps its first position.
+    first = dict(zip(reversed(keys), range(len(keys) - 1, -1, -1)))
+    return table.take(np.sort(np.fromiter(first.values(), dtype=np.intp, count=len(first))))
 
 
 def build_catalog(reviews: Iterable[Review], monthly_floor: float = 20.0) -> MarketCatalog:
     """Group reviews per app and compute coverage statistics.
 
-    The insufficient-data flag marks apps whose mean monthly review count,
-    taken over the calendar months between their first and last review
-    (inclusive), falls below ``monthly_floor``.
+    A ``ReviewTable`` is used as it is; any other iterable goes through
+    ``ReviewTable.from_reviews``. Repeated ``(source, review_id)`` keys keep
+    their first occurrence. The insufficient-data flag marks apps whose
+    mean monthly review count, taken over the calendar months between
+    their first and last review (inclusive), falls below ``monthly_floor``.
     """
-    seen: dict[str, set[str]] = {}  # review ids per source
-    duplicates = 0
-    by_app: dict[str, list[Review]] = {}
-    for review in reviews:
-        ids = seen.get(review.source)
-        if ids is None:
-            ids = seen[review.source] = set()
-        if review.review_id in ids:
-            duplicates += 1
-            continue
-        ids.add(review.review_id)
-        app_reviews = by_app.get(review.app_id)
-        if app_reviews is None:
-            app_reviews = by_app[review.app_id] = []
-        app_reviews.append(review)
-
-    apps = tuple(sorted(by_app))
-    sorted_reviews: dict[str, tuple[Review, ...]] = {}
-    coverage: dict[str, AppCoverage] = {}
-    for app in apps:
-        ordered = tuple(sorted(by_app[app], key=_canonical))
-        timestamps = [r.timestamp for r in ordered]
-        sorted_reviews[app] = ordered
-        monthly = _monthly_counts(timestamps)
-        first = ordered[0].timestamp
-        last = ordered[-1].timestamp
-        months = _months_spanned(first, last)
-        mean = len(ordered) / months
-        coverage[app] = AppCoverage(
-            first=first,
-            last=last,
-            total=len(ordered),
-            monthly_counts=monthly,
-            months_spanned=months,
-            monthly_mean=mean,
-            insufficient=mean < monthly_floor,
-        )
-
+    table = ReviewTable.from_reviews(reviews)
+    unique = _first_occurrences(table)
+    app_ids = unique.app_id.tolist()
+    apps = tuple(sorted(set(app_ids)))
+    position = {app: i for i, app in enumerate(apps)}
+    codes = np.fromiter(map(position.__getitem__, app_ids), dtype=np.intp, count=len(app_ids))
+    order = canonical_order(unique.stamp_us, unique.review_id, group=codes)
+    ordered = unique.take(order)
+    bounds = np.searchsorted(codes[order], np.arange(len(apps) + 1)).tolist()
+    by_app = {app: ordered[lo:hi] for app, lo, hi in zip(apps, bounds, bounds[1:])}
     return MarketCatalog(
         apps=apps,
-        reviews=sorted_reviews,
-        coverage=coverage,
+        reviews=by_app,
+        coverage={app: _coverage(by_app[app].stamp_us, monthly_floor) for app in apps},
         monthly_floor=monthly_floor,
-        duplicates_dropped=duplicates,
+        duplicates_dropped=len(table) - len(unique),
     )
 
 

@@ -21,15 +21,14 @@ from __future__ import annotations
 import csv
 import io
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
-from datetime import date, datetime, time, timedelta, timezone
+from datetime import date, datetime, timedelta, timezone
 from enum import Enum
 from typing import Collection, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .ingest import RatingScale, Review, ScaleMap
+from .ingest import RatingScale, Review, ReviewTable, ScaleMap, csv_line_writer
 from .sentiment import PolarityScorer, Sentence, score_sentences
 from .sentiment import score_review  # noqa: F401  perfbench's tracer wraps this name
 
@@ -138,12 +137,12 @@ def window_series(t_start: date, t_end: date, days: int) -> list[TimeWindow]:
 BodyScore = tuple[list[tuple[int, str, "int | None"]], int, int]
 
 
-def _score_body(review: Review, scorer: PolarityScorer, cache: dict[str, BodyScore]) -> BodyScore:
-    entry = cache.get(review.body)
+def _score_body(body: str, scorer: PolarityScorer, cache: dict[str, BodyScore]) -> BodyScore:
+    entry = cache.get(body)
     if entry is None:
-        parts = score_sentences(review.body, scorer)
+        parts = score_sentences(body, scorer)
         polarities = [p for _, _, p in parts if p is not None]
-        entry = cache[review.body] = (parts, sum(polarities), len(polarities))
+        entry = cache[body] = (parts, sum(polarities), len(polarities))
     return entry
 
 
@@ -165,7 +164,7 @@ def score_reviews(
         cache = {}
     out: list[ScoredReview] = []
     for review in reviews:
-        parts = _score_body(review, scorer, cache)[0]
+        parts = _score_body(review.body, scorer, cache)[0]
         sentences = tuple(
             Sentence(review_id=review.review_id, index=idx, text=text, polarity=pol)
             for idx, text, pol in parts
@@ -213,21 +212,39 @@ class DaySums:
     sentences: np.ndarray | None = None
 
 
-def utc_midnights(start: date, n_days: int) -> list[datetime]:
-    """The UTC midnights opening days ``start`` .. ``start + n_days``."""
-    first = datetime.combine(start, time(), tzinfo=timezone.utc)
-    return [first + timedelta(days=d) for d in range(n_days + 1)]
+_EPOCH_DAY = date(1970, 1, 1)
+_DAY_US = 86_400_000_000
 
 
-def _prefix(values: Sequence[int]) -> np.ndarray:
+def utc_midnights(start: date, n_days: int) -> np.ndarray:
+    """The UTC midnights opening days ``start`` .. ``start + n_days``, as
+    int64 microseconds since the epoch."""
+    first = (start - _EPOCH_DAY).days * _DAY_US
+    return first + np.arange(n_days + 1, dtype=np.int64) * _DAY_US
+
+
+def _prefix(values: Sequence[int] | np.ndarray) -> np.ndarray:
     out = np.zeros(len(values) + 1, dtype=np.int64)
     np.cumsum(values, out=out[1:])
     return out
 
 
+def _normalized_ratings(reviews: ReviewTable, scales: ScaleMap) -> np.ndarray:
+    """Each review's rating on the 0..4 bins, under its source's scale."""
+    out = np.empty(len(reviews), dtype=np.int64)
+    for source in set(reviews.source.tolist()):
+        rows = reviews.source == source
+        raw = reviews.raw_rating[rows]
+        values = sorted(set(raw.tolist()))  # np.unique would import numpy.ma, 0.5 MB
+        scale = scales.for_source(source)
+        bins = np.array([normalize_rating(v, scale) for v in values], dtype=np.int64)
+        out[rows] = bins[np.searchsorted(values, raw)]
+    return out
+
+
 def day_sums(
     reviews: Sequence[Review],
-    midnights: Sequence[datetime],
+    midnights: np.ndarray,
     metrics: Collection[MetricKind],
     scorer: PolarityScorer,
     scales: ScaleMap,
@@ -235,27 +252,23 @@ def day_sums(
 ) -> DaySums:
     """Day sums of one app's reviews (sorted by timestamp) over a span.
 
-    ``midnights`` comes from ``utc_midnights``. Ratings are normalised and
-    bodies scored (through ``cache``) only for the metrics asked for.
+    ``reviews`` is the app's ``ReviewTable``; any other sequence goes
+    through ``ReviewTable.from_reviews``. ``midnights`` comes from
+    ``utc_midnights``; each day is cut from the stamps by bisection.
+    Ratings are normalised and bodies scored (through ``cache``) only for
+    the metrics asked for.
     """
+    table = ReviewTable.from_reviews(reviews)
     rating = polarity = sentences = None
     if MetricKind.RATING in metrics:
-        bins: dict[tuple[str, int], int] = {}
-        values = []
-        for review in reviews:
-            key = (review.source, review.raw_rating)
-            value = bins.get(key)
-            if value is None:
-                value = bins[key] = normalize_rating(review.raw_rating, scales.for_source(review.source))
-            values.append(value)
-        rating = _prefix(values)
+        rating = _prefix(_normalized_ratings(table, scales))
     if MetricKind.POLARITY in metrics:
-        scores = [_score_body(review, scorer, cache) for review in reviews]
+        scores = [_score_body(body, scorer, cache) for body in table.body.tolist()]
         polarity = _prefix([total for _, total, _ in scores])
         sentences = _prefix([n for _, _, n in scores])
-    stamps = [r.timestamp for r in reviews]
-    cuts = np.array([bisect_left(stamps, m) for m in midnights], dtype=np.int64)
-    return DaySums(midnights[0].date(), cuts, rating, polarity, sentences)
+    cuts = np.searchsorted(table.stamp_us, midnights, side="left")
+    start = _EPOCH_DAY + timedelta(days=int(midnights[0]) // _DAY_US)
+    return DaySums(start, cuts, rating, polarity, sentences)
 
 
 def window_stats(
@@ -338,8 +351,8 @@ def correlation_points(stats: Sequence[WindowStat]) -> dict[date, float]:
 
 
 def write_metrics_csv(stats: Iterable[WindowStat]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
+    lines: list[str] = []
+    writer = csv_line_writer(lines)
     writer.writerow(METRICS_CSV_COLUMNS)
     for s in stats:
         writer.writerow(
@@ -353,7 +366,7 @@ def write_metrics_csv(stats: Iterable[WindowStat]) -> str:
                 s.n_obs,
             ]
         )
-    return buf.getvalue()
+    return "".join(lines)
 
 
 def csv_rows(text: str, columns: Sequence[str], what: str) -> Iterator[tuple[int, list[str]]]:

@@ -37,9 +37,8 @@ from __future__ import annotations
 import csv
 import json
 import math
-from bisect import bisect_left
 from dataclasses import dataclass, field
-from datetime import date, datetime, time, timedelta, timezone
+from datetime import date, timedelta
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 
@@ -62,7 +61,7 @@ from .ingest import (
     DatasetError,
     MarketCatalog,
     Reject,
-    Review,
+    ReviewTable,
     build_catalog,
     catalog_summary,
     parse_reviews,
@@ -158,9 +157,8 @@ class MarketAnalysis:
     pair_series: list[PairSeries] = field(default_factory=list)
     ces: list[CorrelatedEventRecord] = field(default_factory=list)
     requests: list[SummaryRequest] = field(default_factory=list)
-    # Per-body sentence scores and per-app timestamps, filled as needed.
+    # Per-body sentence scores, filled as needed.
     bodies: dict[str, BodyScore] = field(default_factory=dict, repr=False)
-    timestamps: dict[str, list[datetime]] = field(default_factory=dict, repr=False)
 
     @property
     def correlations(self) -> list[CorrelationRecord]:
@@ -176,16 +174,13 @@ class MarketAnalysis:
     def window_scored(self, app_id: str, window: TimeWindow) -> list[ScoredReview]:
         """App reviews inside a window, in canonical order, sentences scored.
 
-        The window's reviews are found by bisection on the app's sorted
-        timestamps; only they are scored.
+        The window's rows are cut from the app's table by bisection on its
+        stamps; only they become ``Review`` objects and are scored.
         """
-        reviews = self.catalog.reviews[app_id] if app_id in self.apps else ()
-        stamps = self.timestamps.get(app_id)
-        if stamps is None:
-            stamps = self.timestamps[app_id] = [r.timestamp for r in reviews]
-        opening = datetime.combine(window.start, time(), tzinfo=timezone.utc)
-        lo = bisect_left(stamps, opening)
-        hi = bisect_left(stamps, opening + timedelta(days=window.days), lo)
+        if app_id not in self.apps:
+            return []
+        reviews = self.catalog.reviews[app_id]
+        lo, hi = np.searchsorted(reviews.stamp_us, utc_midnights(window.start, window.days)[[0, -1]]).tolist()
         return score_reviews(reviews[lo:hi], self.scorer, self.config.scales, self.bodies)
 
 
@@ -196,8 +191,8 @@ def _derive_span(config: MarketConfig, catalog: MarketCatalog, apps: Sequence[st
         if config.span_start is not None and config.span_end is not None:
             return config.span_start, config.span_end
         return None
-    span_start = config.span_start or min(starts).astimezone(timezone.utc).date()
-    span_end = config.span_end or (max(ends).astimezone(timezone.utc).date() + timedelta(days=1))
+    span_start = config.span_start or min(starts).date()  # coverage stamps are UTC
+    span_end = config.span_end or (max(ends).date() + timedelta(days=1))
     if span_start >= span_end:
         return None
     return span_start, span_end
@@ -228,15 +223,15 @@ def read_review_files(
     paths: Sequence[str | Path],
     fmt: str,
     config: MarketConfig,
-) -> tuple[list[Review], list[Reject]]:
+) -> tuple[ReviewTable, list[Reject]]:
     """Parse and pool every input file (multi-source inputs concatenate)."""
-    reviews: list[Review] = []
+    tables: list[ReviewTable] = []
     rejects: list[Reject] = []
     for path in paths:
         file_reviews, file_rejects = read_stage(parse_reviews, path, fmt, config.scales)
-        reviews.extend(file_reviews)
+        tables.append(file_reviews)
         rejects.extend(file_rejects)
-    return reviews, rejects
+    return ReviewTable.concat(tables), rejects
 
 
 def load_catalog(

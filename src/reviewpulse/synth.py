@@ -22,15 +22,14 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields
-from datetime import date, datetime, time, timezone
-from operator import attrgetter
+from dataclasses import dataclass, field
+from datetime import date
 from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .ingest import Review
+from .ingest import ReviewTable, canonical_order
 from .metrics import MetricKind
 from .summarize import derive_seed
 
@@ -194,17 +193,6 @@ _HEADS = tuple(
 )
 _TAILS = tuple(f"{_FILLER[f0]} {_FILLER[f1]}." for f0 in range(10) for f1 in range(10))
 
-# Reviews are built straight through their slots: the generator's fields
-# need no checking, and the dataclass __init__ costs twice as much. A field
-# or a __post_init__ added to Review must fail here, not where it is read.
-_new_object = object.__new__
-_REVIEW_FIELDS = tuple(f.name for f in fields(Review))
-if _REVIEW_FIELDS != ("review_id", "app_id", "timestamp", "raw_rating", "body", "source") or hasattr(
-    Review, "__post_init__"
-):
-    raise TypeError(f"synth.generate sets review_id..source only; Review has {_REVIEW_FIELDS}")
-_SET_REVIEW_FIELDS = tuple(Review.__dict__[name].__set__ for name in _REVIEW_FIELDS)
-
 
 def _categorical(weights: Mapping[int, float]) -> tuple[np.ndarray, np.ndarray]:
     """Sorted values and the normalised cumulative distribution over them.
@@ -220,8 +208,14 @@ def _categorical(weights: Mapping[int, float]) -> tuple[np.ndarray, np.ndarray]:
     return values, cdf
 
 
-def generate(scenario: Scenario) -> tuple[list[Review], list[Label]]:
-    """Generate the scenario's reviews (canonically ordered) and labels."""
+def generate(scenario: Scenario) -> tuple[ReviewTable, list[Label]]:
+    """Generate the scenario's reviews (canonically ordered) and labels.
+
+    Each app's generator draws per window: its count, then (Poisson only)
+    the offsets, ratings, polarity bins, coins, tones and fills. That draw
+    order is part of the generated bytes. Everything after the draws runs
+    once per app over its concatenated windows.
+    """
     _validate(scenario)
     spikes: dict[tuple[str, int], float] = {}
     rating_shift: dict[tuple[str, int], int] = {}
@@ -236,21 +230,26 @@ def generate(scenario: Scenario) -> tuple[list[Review], list[Label]]:
             else:
                 polarity_shift[key] = polarity_shift.get(key, 0) + int(round(inj.magnitude))
 
-    set_id, set_app, set_ts, set_raw, set_body, set_source = _SET_REVIEW_FIELDS
-    from_epoch = datetime.fromtimestamp
-    epoch = int(datetime.combine(scenario.start, time(), tzinfo=timezone.utc).timestamp())
+    epoch_s = (scenario.start - date(1970, 1, 1)).days * 86400
     window_seconds = scenario.window_days * 86400
-    reviews: list[Review] = []
+    ids: list[str] = []
+    app_ids: list[str] = []
+    bodies: list[str] = []
+    stamps = [np.empty(0, dtype=np.int64)]
+    raws = [np.empty(0, dtype=np.int64)]
     serials: list[str] = []  # "00000", "00001", ..., grown on demand
     for app in scenario.apps:
         app_id = app.app_id
+        n_sent = app.sentences_per_review
         rng = np.random.default_rng(derive_seed(scenario.seed, "synth", app_id))
         rating_values, rating_cdf = _categorical(app.rating_weights)
         bin_values, bin_cdf = _categorical(app.polarity_weights)
 
+        windows: list[int] = []
+        counts: list[int] = []
+        draws: dict[str, list[np.ndarray]] = {k: [] for k in ("seconds", "rating", "bin", "coin", "tone", "fill")}
         for widx in range(scenario.n_windows):
-            key = (app_id, widx)
-            rate = app.rate_per_window * spikes.get(key, 1.0)
+            rate = app.rate_per_window * spikes.get((app_id, widx), 1.0)
             if app.count_model == "poisson":
                 count = int(rng.poisson(rate))
             else:
@@ -261,43 +260,45 @@ def generate(scenario: Scenario) -> tuple[list[Review], list[Label]]:
                 offsets = np.sort(rng.integers(0, window_seconds, size=count))
             else:
                 offsets = (np.arange(count) * window_seconds) // count
-            since_start = (offsets + widx * window_seconds).tolist()
-            n_sent = app.sentences_per_review
-            # One batched draw per stream keeps the hot loop free of
-            # per-review generator calls; the draw order is part of the
-            # generated bytes.
-            ratings = rating_values[rating_cdf.searchsorted(rng.random(count), side="right")]
-            bins = bin_values[bin_cdf.searchsorted(rng.random(count * n_sent), side="right")]
-            coins = rng.integers(0, 2, size=count * n_sent)
-            tones = rng.integers(0, 5, size=(count * n_sent, 2))
-            fills = rng.integers(0, 10, size=(count * n_sent, 2))
-            shift_p = polarity_shift.get(key, 0)
-            if shift_p:
-                bins = np.minimum(np.maximum(bins + shift_p, 0), 4)
-            heads = (((bins * 2 + coins) * 5 + tones[:, 0]) * 5 + tones[:, 1]).tolist()
-            tails = (fills[:, 0] * 10 + fills[:, 1]).tolist()
-            sentences = [_HEADS[h] + _TAILS[t] for h, t in zip(heads, tails)]
-            if n_sent == 1:
-                bodies = sentences
-            else:
-                bodies = [" ".join(sentences[i : i + n_sent]) for i in range(0, len(sentences), n_sent)]
-            shift_r = rating_shift.get(key, 0)
-            if shift_r:
-                ratings = np.minimum(np.maximum(ratings + shift_r, 1), 5)
-            raws = ratings.tolist()
-            serials.extend(f"{i:05d}" for i in range(len(serials), count))
-            prefix = f"{app_id}-w{widx:03d}-"
-            for serial, second, raw, body in zip(serials, since_start, raws, bodies):
-                review = _new_object(Review)
-                set_id(review, prefix + serial)
-                set_app(review, app_id)
-                set_ts(review, from_epoch(epoch + second, timezone.utc))
-                set_raw(review, raw)
-                set_body(review, body)
-                set_source(review, SYNTH_SOURCE)
-                reviews.append(review)
-    reviews.sort(key=attrgetter("timestamp", "review_id"))
-    return reviews, scenario_labels(scenario)
+            windows.append(widx)
+            counts.append(count)
+            draws["seconds"].append(offsets + widx * window_seconds)
+            draws["rating"].append(rng.random(count))
+            draws["bin"].append(rng.random(count * n_sent))
+            draws["coin"].append(rng.integers(0, 2, size=count * n_sent))
+            draws["tone"].append(rng.integers(0, 5, size=(count * n_sent, 2)))
+            draws["fill"].append(rng.integers(0, 10, size=(count * n_sent, 2)))
+        if not counts:
+            continue
+        seconds, u_rating, u_bin, coins, tones, fills = (np.concatenate(draws[k]) for k in draws)
+
+        ratings = rating_values[rating_cdf.searchsorted(u_rating, side="right")]
+        shifts = [rating_shift.get((app_id, w), 0) for w in windows]
+        if any(shifts):
+            ratings = np.minimum(np.maximum(ratings + np.repeat(shifts, counts), 1), 5)
+        bins = bin_values[bin_cdf.searchsorted(u_bin, side="right")]
+        shifts = [polarity_shift.get((app_id, w), 0) for w in windows]
+        if any(shifts):
+            bins = np.minimum(np.maximum(bins + np.repeat(shifts, np.multiply(counts, n_sent)), 0), 4)
+        heads = (((bins * 2 + coins) * 5 + tones[:, 0]) * 5 + tones[:, 1]).tolist()
+        tails = (fills[:, 0] * 10 + fills[:, 1]).tolist()
+        sentences = [_HEADS[h] + _TAILS[t] for h, t in zip(heads, tails)]
+        if n_sent == 1:
+            bodies.extend(sentences)
+        else:
+            bodies.extend(" ".join(sentences[i : i + n_sent]) for i in range(0, len(sentences), n_sent))
+
+        serials.extend(f"{i:05d}" for i in range(len(serials), max(counts)))
+        for widx, count in zip(windows, counts):
+            ids.extend(map(f"{app_id}-w{widx:03d}-".__add__, serials[:count]))
+        app_ids.extend([app_id] * len(ratings))
+        stamps.append((seconds + epoch_s) * 1_000_000)
+        raws.append(ratings)
+
+    table = ReviewTable(
+        ids, app_ids, np.concatenate(stamps), np.concatenate(raws), bodies, [SYNTH_SOURCE] * len(ids)
+    )
+    return table.take(canonical_order(table.stamp_us, table.review_id)), scenario_labels(scenario)
 
 
 def default_scenario(

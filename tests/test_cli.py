@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 from datetime import date
 from pathlib import Path
 
@@ -169,6 +170,37 @@ def test_config_violations_exit_two_with_each_error_on_stderr(tmp_path, capsys) 
     assert "correlation_threshold" in err
     assert "sensitivity" in err
     assert err.count("config error:") == 2
+
+
+def test_config_file_that_is_not_utf8_exits_two(tmp_path, capsys) -> None:
+    bad = tmp_path / "bad.cfg"
+    bad.write_bytes(b"\xff\xfe")
+    code = main(["run", str(_small_dataset(tmp_path)), "--config", str(bad), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "not valid UTF-8" in capsys.readouterr().err
+
+
+def test_app_id_with_a_carriage_return_survives_run_then_ce(tmp_path) -> None:
+    # The report CSVs must quote a bare "\r", or ce cannot read them back.
+    scenario = spike_pair_scenario(seed=2, n_apps=3, n_windows=12, spike_window=6)
+    renamed = {"spike0": "ap\rp01"}
+    scenario = replace(
+        scenario,
+        apps=tuple(replace(a, app_id=renamed.get(a.app_id, a.app_id)) for a in scenario.apps),
+        injections=tuple(replace(i, apps=tuple(renamed.get(a, a) for a in i.apps)) for i in scenario.injections),
+    )
+    dataset = tmp_path / "reviews.jsonl"
+    dataset.write_text(serialize_reviews(generate(scenario)[0]), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["run", str(dataset), "--out", str(out)]) == 0
+    ces = json.loads((out / "correlated_events.json").read_text(encoding="utf-8"))
+    assert [(c["app_i"], c["app_j"]) for c in ces] == [("ap\rp01", "spike1")]
+    ce_out = tmp_path / "ce"
+    assert main(["ce", str(out / "events.csv"), str(out / "correlations.csv"), "--out", str(ce_out)]) == 0
+    assert (ce_out / "correlated_events.json").read_bytes() == (out / "correlated_events.json").read_bytes()
+    staged = tmp_path / "staged"
+    assert main(["detect", str(out / "metrics.csv"), "--out", str(staged)]) == 0
+    assert (staged / "events.csv").read_bytes() == (out / "events.csv").read_bytes()
 
 
 def test_missing_dataset_exits_three(tmp_path, capsys) -> None:

@@ -335,18 +335,25 @@ def test_correlations_csv_round_trip() -> None:
 
 
 def _reference_csv(series: list[PairSeries]) -> str:
-    """correlations.csv written the plain way: one csv.writer row per window."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CORRELATIONS_CSV_COLUMNS)
+    """correlations.csv written the plain way: one csv.writer row per window.
+
+    Each row is written with a "\r\n" terminator, so that a field holding a
+    bare "\r" is quoted, and then cut back to end in "\n".
+    """
+    rows = []
+
+    def write(row: list) -> None:
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\r\n").writerow(row)
+        rows.append(buf.getvalue()[:-2] + "\n")
+
+    write(list(CORRELATIONS_CSV_COLUMNS))
     for s in series:
         for window, rho, c, n in zip(s.windows, s.rho, s.c, s.n_points):
             rho = float(rho)
-            writer.writerow(
-                [s.app_i, s.app_j, s.metric.value, window.start.isoformat(),
-                 "" if math.isnan(rho) else repr(rho), int(c), int(n)]
-            )
-    return buf.getvalue()
+            write([s.app_i, s.app_j, s.metric.value, window.start.isoformat(),
+                   "" if math.isnan(rho) else repr(rho), int(c), int(n)])
+    return "".join(rows)
 
 
 # App ids that need CSV quoting, or not; rho at the edges repr must keep.
@@ -389,7 +396,11 @@ def _pair_series(draw) -> list[PairSeries]:
 @given(_pair_series())
 def test_correlations_csv_matches_per_row_writer(series: list[PairSeries]) -> None:
     want = _reference_csv(series)
-    assert write_correlations_csv(series) == want
+    text = write_correlations_csv(series)
+    assert text == want
+    # App ids holding "\r", "\n", quotes or commas read back as written.
+    back = read_correlations_csv(text, window_days=1)
+    assert [r for s in back for r in s.records()] == [r for s in series for r in s.records()]
 
 
 def test_correlations_csv_rewrites_a_pipeline_report_exactly(tmp_path) -> None:
