@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 from typing import Sequence
 
@@ -20,7 +21,7 @@ from .correlate import (
     write_correlations_csv,
 )
 from .detect import read_events_csv, write_events_csv
-from .ingest import DatasetError
+from .ingest import DatasetError, serialize_reviews
 from .metrics import read_metrics_csv
 from .pipeline import (
     aggregate,
@@ -51,7 +52,7 @@ def _load_cli_config(args: argparse.Namespace) -> MarketConfig:
         if not sep:
             raise ConfigError([f"--set expects KEY=VALUE, got {item!r}"])
         overrides[key.strip()] = value.strip()
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         overrides["seed"] = str(args.seed)
     return load_config(args.config, overrides)
 
@@ -122,8 +123,6 @@ def _cmd_summarize_prep(args: argparse.Namespace) -> int:
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
-    from .ingest import serialize_reviews
-
     if args.scenario is not None:
         try:
             scenario = load_scenario(args.scenario)
@@ -132,8 +131,6 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     else:
         scenario = default_scenario()
     if args.seed is not None:
-        from dataclasses import replace
-
         scenario = replace(scenario, seed=args.seed)
     reviews, labels = generate(scenario)
     out = Path(args.out)
@@ -173,7 +170,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_common(parser: argparse.ArgumentParser, with_seed: bool = True) -> None:
+def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="config file (flat key = value lines)")
     parser.add_argument(
         "--set",
@@ -182,8 +179,7 @@ def _add_common(parser: argparse.ArgumentParser, with_seed: bool = True) -> None
         help="override one config key (repeatable, wins over the file)",
     )
     parser.add_argument("--out", required=True, help="output directory")
-    if with_seed:
-        parser.add_argument("--seed", type=int, help="override the run seed")
+    parser.add_argument("--seed", type=int, help="override the run seed")
 
 
 def _add_dataset_args(parser: argparse.ArgumentParser) -> None:
@@ -232,7 +228,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a synthetic review market")
     p.add_argument("scenario", nargs="?", help="scenario JSON (omit for the default market)")
-    _add_common(p)
+    p.add_argument("--out", required=True, help="output directory")
+    p.add_argument("--seed", type=int, help="override the scenario seed")
     p.set_defaults(handler=_cmd_synth)
 
     p = sub.add_parser("run", help="full pipeline: ingest through summary requests")

@@ -16,6 +16,8 @@ from pathlib import Path
 from typing import Mapping
 
 from .ingest import RatingScale, ScaleMap
+from .sentiment import load_lexicon
+from .summarize import load_template
 
 __all__ = [
     "ConfigError",
@@ -167,10 +169,18 @@ def validate_config(config: MarketConfig) -> MarketConfig:
             errors.append(
                 f"span_start {config.span_start} must precede span_end {config.span_end}"
             )
-    if config.lexicon_path is not None and not Path(config.lexicon_path).is_file():
-        errors.append(f"lexicon_path {config.lexicon_path!r} is not a file")
-    if config.prompt_template_path is not None and not Path(config.prompt_template_path).is_file():
-        errors.append(f"prompt_template_path {config.prompt_template_path!r} is not a file")
+    # Both files are read in full here, so a bad one fails before any output.
+    for key, load in (("lexicon_path", load_lexicon), ("prompt_template_path", load_template)):
+        path = getattr(config, key)
+        if path is None:
+            continue
+        if not Path(path).is_file():
+            errors.append(f"{key} {path!r} is not a file")
+            continue
+        try:
+            load(path)
+        except (OSError, ValueError) as exc:  # UnicodeDecodeError is a ValueError
+            errors.append(f"{key} {path!r}: {exc}")
     if errors:
         raise ConfigError(errors)
     return config

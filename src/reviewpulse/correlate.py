@@ -447,7 +447,9 @@ def read_correlations_csv(text: str, window_days: int) -> list[PairSeries]:
     """Pair series from the CSV dump, one per (app_i, app_j, metric).
 
     Series come in the order their first row appears, each holding its
-    rows in file order.
+    rows in file order. A series whose windows are not consecutive
+    ``window_days`` windows in time order, or whose ``c`` is not -1, 0 or
+    1, is a ValueError naming its pair: runs are read off that grid.
     """
     groups: dict[tuple[str, str, MetricKind], list[tuple[TimeWindow, float, int, int]]] = {}
     for _, (app_i, app_j, metric, t0, rho, c, n_points) in csv_rows(text, CORRELATIONS_CSV_COLUMNS, "correlations"):
@@ -457,6 +459,12 @@ def read_correlations_csv(text: str, window_days: int) -> list[PairSeries]:
     out: list[PairSeries] = []
     for (app_i, app_j, metric), rows in groups.items():
         windows, rhos, cs, ns = zip(*rows)
+        pair = f"({app_i}, {app_j}, {metric.value})"
+        for prev, window in zip(windows, windows[1:]):
+            if window.start != prev.end:
+                raise ValueError(f"correlations of {pair}: window {window.start} does not follow {prev.start}")
+        if not set(cs) <= {-1, 0, 1}:
+            raise ValueError(f"correlations of {pair}: c must be -1, 0 or 1, got {sorted(set(cs))}")
         out.append(PairSeries(app_i, app_j, metric, list(windows), np.array(rhos, dtype=np.float64),
                               np.array(cs, dtype=np.int64), np.array(ns, dtype=np.int64)))
     return out

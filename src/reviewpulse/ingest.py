@@ -23,6 +23,7 @@ import numpy as np
 __all__ = [
     "REVIEW_FIELDS",
     "AppCoverage",
+    "DAY_US",
     "DatasetError",
     "MarketCatalog",
     "RatingScale",
@@ -34,10 +35,12 @@ __all__ = [
     "canonical_order",
     "catalog_summary",
     "csv_line_writer",
+    "midnight_us",
     "parse_reviews",
     "parse_timestamp",
     "rejects_to_jsonl",
     "serialize_reviews",
+    "utc_datetime",
 ]
 
 REVIEW_FIELDS = ("review_id", "app_id", "timestamp", "rating", "body", "source")
@@ -93,13 +96,24 @@ class Reject:
 
 _EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 _MICROSECOND = timedelta(microseconds=1)
+DAY_US = 86_400_000_000
 _COLUMNS = ("review_id", "app_id", "stamp_us", "raw_rating", "body", "source")
 _TEXT_COLUMNS = frozenset(("review_id", "app_id", "body", "source"))
 
 
+def midnight_us(day: date) -> int:
+    """The UTC midnight opening ``day``, as microseconds since the epoch."""
+    return (day - _EPOCH.date()).days * DAY_US
+
+
+def utc_datetime(stamp_us: int) -> datetime:
+    """The UTC datetime ``stamp_us`` microseconds after the epoch."""
+    return _EPOCH + timedelta(microseconds=stamp_us)
+
+
 def _make_review(review_id: str, app_id: str, stamp_us: int, raw_rating: int, body: str, source: str) -> Review:
     """The one place a table row becomes a ``Review``."""
-    return Review(review_id, app_id, _EPOCH + timedelta(microseconds=stamp_us), raw_rating, body, source)
+    return Review(review_id, app_id, utc_datetime(stamp_us), raw_rating, body, source)
 
 
 def _column(name: str, values: Sequence) -> np.ndarray:
@@ -438,41 +452,23 @@ def csv_line_writer(lines: list[str]):
     return csv.writer(SimpleNamespace(write=lambda row: lines.append(row[:-2] + "\n")), lineterminator="\r\n")
 
 
+def _utc_text(ts: datetime) -> str:
+    """ISO-8601 text of ``ts`` in UTC, "Z" standing for the offset."""
+    return ts.astimezone(timezone.utc).isoformat().replace("+00:00", "Z")
+
+
 def serialize_reviews(reviews: Iterable[Review], fmt: str = "jsonl") -> str:
     """Serialise reviews back to the interchange format (round-trip safe)."""
+    rows = ((r.review_id, r.app_id, _utc_text(r.timestamp), r.raw_rating, r.body, r.source) for r in reviews)
     if fmt == "jsonl":
-        lines = [
-            json.dumps(
-                {
-                    "review_id": r.review_id,
-                    "app_id": r.app_id,
-                    "timestamp": r.timestamp.astimezone(timezone.utc).isoformat().replace("+00:00", "Z"),
-                    "rating": r.raw_rating,
-                    "body": r.body,
-                    "source": r.source,
-                },
-                ensure_ascii=False,
-                sort_keys=True,
-            )
-            for r in reviews
-        ]
+        lines = [json.dumps(dict(zip(REVIEW_FIELDS, row)), ensure_ascii=False, sort_keys=True) for row in rows]
         return "\n".join(lines) + ("\n" if lines else "")
     if fmt == "csv":
-        rows: list[str] = []
-        writer = csv_line_writer(rows)
+        lines = []
+        writer = csv_line_writer(lines)
         writer.writerow(REVIEW_FIELDS)
-        for r in reviews:
-            writer.writerow(
-                [
-                    r.review_id,
-                    r.app_id,
-                    r.timestamp.astimezone(timezone.utc).isoformat().replace("+00:00", "Z"),
-                    r.raw_rating,
-                    r.body,
-                    r.source,
-                ]
-            )
-        return "".join(rows)
+        writer.writerows(rows)
+        return "".join(lines)
     raise ValueError(f"unknown format {fmt!r} (expected 'jsonl' or 'csv')")
 
 
@@ -520,13 +516,6 @@ class MarketCatalog:
         return tuple(a for a in self.apps if self.coverage[a].insufficient)
 
 
-_DAY_US = 86_400_000_000
-
-
-def _month_start_us(year: int, month: int) -> int:
-    return (date(year, month, 1) - _EPOCH.date()).days * _DAY_US
-
-
 def _coverage(stamp_us: np.ndarray, monthly_floor: float) -> AppCoverage:
     """Coverage of one app's sorted stamps.
 
@@ -534,13 +523,13 @@ def _coverage(stamp_us: np.ndarray, monthly_floor: float) -> AppCoverage:
     one's counts the stamps between its first instant and the next month's;
     months without reviews are left out of ``monthly_counts``.
     """
-    first = _EPOCH + timedelta(microseconds=int(stamp_us[0]))
-    last = _EPOCH + timedelta(microseconds=int(stamp_us[-1]))
+    first = utc_datetime(int(stamp_us[0]))
+    last = utc_datetime(int(stamp_us[-1]))
     months = [
         divmod(m, 12)
         for m in range(first.year * 12 + first.month - 1, last.year * 12 + last.month)
     ]
-    cuts = np.searchsorted(stamp_us, [_month_start_us(y, m + 1) for y, m in months[1:]], side="left")
+    cuts = np.searchsorted(stamp_us, [midnight_us(date(y, m + 1, 1)) for y, m in months[1:]], side="left")
     counts = np.diff(cuts, prepend=0, append=len(stamp_us)).tolist()
     total = len(stamp_us)
     mean = total / len(months)
@@ -601,8 +590,8 @@ def catalog_summary(catalog: MarketCatalog) -> dict:
     for app in catalog.apps:
         cov = catalog.coverage[app]
         apps[app] = {
-            "first": cov.first.isoformat().replace("+00:00", "Z"),
-            "last": cov.last.isoformat().replace("+00:00", "Z"),
+            "first": _utc_text(cov.first),
+            "last": _utc_text(cov.last),
             "total": cov.total,
             "months_spanned": cov.months_spanned,
             "monthly_mean": cov.monthly_mean,

@@ -28,7 +28,7 @@ from typing import Collection, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .ingest import RatingScale, Review, ReviewTable, ScaleMap, csv_line_writer
+from .ingest import DAY_US, RatingScale, Review, ReviewTable, ScaleMap, csv_line_writer, midnight_us, utc_datetime
 from .sentiment import PolarityScorer, Sentence, score_sentences
 from .sentiment import score_review  # noqa: F401  perfbench's tracer wraps this name
 
@@ -212,15 +212,10 @@ class DaySums:
     sentences: np.ndarray | None = None
 
 
-_EPOCH_DAY = date(1970, 1, 1)
-_DAY_US = 86_400_000_000
-
-
 def utc_midnights(start: date, n_days: int) -> np.ndarray:
     """The UTC midnights opening days ``start`` .. ``start + n_days``, as
     int64 microseconds since the epoch."""
-    first = (start - _EPOCH_DAY).days * _DAY_US
-    return first + np.arange(n_days + 1, dtype=np.int64) * _DAY_US
+    return midnight_us(start) + np.arange(n_days + 1, dtype=np.int64) * DAY_US
 
 
 def _prefix(values: Sequence[int] | np.ndarray) -> np.ndarray:
@@ -267,8 +262,7 @@ def day_sums(
         polarity = _prefix([total for _, total, _ in scores])
         sentences = _prefix([n for _, _, n in scores])
     cuts = np.searchsorted(table.stamp_us, midnights, side="left")
-    start = _EPOCH_DAY + timedelta(days=int(midnights[0]) // _DAY_US)
-    return DaySums(start, cuts, rating, polarity, sentences)
+    return DaySums(utc_datetime(int(midnights[0])).date(), cuts, rating, polarity, sentences)
 
 
 def window_stats(

@@ -14,9 +14,12 @@ library and the CLI:
 ``run_pipeline`` adds parsing before and the bundle after. Each CLI
 subcommand is a thin adapter: it reads its stage file with ``read_stage``,
 calls one stage function and writes through the writers here
-(``write_file``, ``write_intake``, ``write_metrics``, ``write_requests``),
-so file formats, the order series are written in and the prompt template
-are decided in this module alone. The bundle:
+(``write_file``, ``write_intake``, ``write_metrics``, ``write_requests``).
+This module decides which files a stage writes, the order series are
+written in and which prompt template is used. Each file's format is
+decided in the module of its records: ``ingest`` (rejects, catalog),
+``metrics``, ``detect``, ``correlate`` (correlations, correlated events)
+and ``summarize`` (summary requests and summaries). The bundle:
 
     rejects.jsonl            per-line parse rejects
     catalog.json             per-app coverage and floor flags

@@ -109,18 +109,6 @@ def _stem_candidates(token: str) -> Iterator[str]:
         yield token[:-2]
 
 
-def _reach_forms(word: str) -> Iterator[str]:
-    # Every token that _stem_candidates can reduce to ``word``: each stem
-    # rule inverted.
-    yield from (word, word + "s", word + "es", word + "ed", word + "ing", word + "ly")
-    if word.endswith("y"):
-        yield word[:-1] + "ies"
-        yield word[:-1] + "ily"
-    if word.endswith("e"):
-        yield word + "d"
-        yield word[:-1] + "ing"
-
-
 def _lookup(lexicon: Mapping[str, int], token: str) -> int:
     for candidate in _stem_candidates(token):
         value = lexicon.get(candidate)
@@ -129,33 +117,27 @@ def _lookup(lexicon: Mapping[str, int], token: str) -> int:
     return 0
 
 
-def _reach(lexicon: Mapping[str, int]) -> dict[str, int]:
-    """Valence of every token that reaches a lexicon key through stemming.
-
-    A token outside the table reaches no key, so its valence is 0; each
-    form is valued by ``_lookup`` itself, so first-match order holds.
-    """
-    return {form: _lookup(lexicon, form) for word in lexicon for form in _reach_forms(word)}
-
-
 class LexiconScorer:
     """Deterministic lexicon scorer; the packaged lexicon is the default.
 
-    Token valences come from a stem table built with the scorer (shared by
-    every default scorer), so scoring a sentence stems nothing.
+    Each scorer remembers the valence of every distinct token it has
+    stemmed, so a token is stemmed once per scorer.
     """
 
     name = "lexicon"
 
     def __init__(self, lexicon: Mapping[str, int] | None = None) -> None:
-        self._reach = _default_reach() if lexicon is None else _reach(lexicon)
+        self._lexicon = default_lexicon() if lexicon is None else lexicon
+        self._memo: dict[str, int] = {}
 
     def valence(self, text: str) -> int:
         tokens = _TOKEN.findall(text.lower())
-        reach = self._reach
+        memo = self._memo
         total = 0
         for i, token in enumerate(tokens):
-            value = reach.get(token, 0)
+            value = memo.get(token)
+            if value is None:
+                value = memo[token] = _lookup(self._lexicon, token)
             if value == 0:
                 continue
             if not NEGATORS.isdisjoint(tokens[max(0, i - NEGATION_WINDOW) : i]):
@@ -222,17 +204,5 @@ def load_lexicon(path: str | Path) -> dict[str, int]:
 
 @lru_cache(maxsize=1)
 def default_lexicon() -> Mapping[str, int]:
-    ref = resources.files("reviewpulse").joinpath("data/lexicon.tsv")
-    lexicon: dict[str, int] = {}
-    for line in ref.read_text(encoding="utf-8").splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        token, _, raw_valence = line.partition("\t")
-        lexicon[token.strip()] = int(raw_valence.strip())
-    return lexicon
-
-
-@lru_cache(maxsize=1)
-def _default_reach() -> dict[str, int]:
-    return _reach(default_lexicon())
+    with resources.as_file(resources.files("reviewpulse").joinpath("data/lexicon.tsv")) as path:
+        return load_lexicon(path)

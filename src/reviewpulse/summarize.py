@@ -29,16 +29,14 @@ import time
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Callable, Iterable, Protocol, Sequence, TypeVar, runtime_checkable
+from typing import Callable, Protocol, Sequence, TypeVar, runtime_checkable
 
 from .correlate import CorrelatedEventRecord
 from .detect import EventRecord
 from .metrics import MetricKind, ScoredReview, TimeWindow
-from .sentiment import Sentence
 
 __all__ = [
     "MockSummarizer",
-    "PolarityPartition",
     "SummarizerClient",
     "SummaryRequest",
     "VARIANTS",
@@ -47,7 +45,6 @@ __all__ = [
     "call_with_retry",
     "default_template",
     "derive_seed",
-    "partition_by_polarity",
     "requests_for_event",
     "sample_reviews",
 ]
@@ -85,34 +82,6 @@ def sample_reviews(items: Sequence[_T], n: int, seed: int) -> list[_T]:
 
 
 @dataclass(frozen=True, slots=True)
-class PolarityPartition:
-    positive: tuple[Sentence, ...]
-    negative: tuple[Sentence, ...]
-    neutral: tuple[Sentence, ...]
-
-
-def partition_by_polarity(sentences: Iterable[Sentence]) -> PolarityPartition:
-    """Split scored sentences into positive / negative / neutral buckets.
-
-    The buckets are disjoint and cover every scored sentence; unscored
-    sentences (polarity None) are left out entirely.
-    """
-    positive: list[Sentence] = []
-    negative: list[Sentence] = []
-    neutral: list[Sentence] = []
-    for s in sentences:
-        if s.polarity is None:
-            continue
-        if s.polarity >= POSITIVE_MIN:
-            positive.append(s)
-        elif s.polarity <= NEGATIVE_MAX:
-            negative.append(s)
-        else:
-            neutral.append(s)
-    return PolarityPartition(tuple(positive), tuple(negative), tuple(neutral))
-
-
-@dataclass(frozen=True, slots=True)
 class SummaryRequest:
     app_id: str
     metric: MetricKind
@@ -138,14 +107,13 @@ def requests_for_event(
 
     ``window_scored`` must hold exactly the app's reviews whose timestamps
     fall in the event window, in canonical order. Variants with nothing to
-    sample are omitted.
+    sample are omitted. Unscored sentences (polarity None) are in no pool.
     """
-    sentences = [s for r in window_scored for s in r.sentences]
-    partition = partition_by_polarity(sentences)
+    sentences = [s for r in window_scored for s in r.sentences if s.polarity is not None]
     pools: dict[str, list[str]] = {
         "all": [r.review.body for r in window_scored],
-        "positive": [s.text for s in partition.positive],
-        "negative": [s.text for s in partition.negative],
+        "positive": [s.text for s in sentences if s.polarity >= POSITIVE_MIN],
+        "negative": [s.text for s in sentences if s.polarity <= NEGATIVE_MAX],
     }
     requests: list[SummaryRequest] = []
     for variant in VARIANTS:
@@ -179,8 +147,9 @@ def build_requests(
 ) -> list[SummaryRequest]:
     """Requests for every event contributing to any correlated-event record.
 
-    An event shared by several records is summarised once: requests are
-    deduplicated on (app, metric, window, variant).
+    An event shared by several records is summarised once: events are
+    deduplicated on (app, metric, window start), and each yields its
+    variants' requests.
     """
     seen: set[tuple[str, str, object]] = set()
     out: list[SummaryRequest] = []
@@ -253,10 +222,10 @@ def call_with_retry(
     client: SummarizerClient,
     prompt: str,
     attempts: int = 3,
-    base_delay: float = 0.5,
     sleep: Callable[[float], None] = time.sleep,
 ) -> str:
-    """Call a client with exponential backoff: three attempts by default."""
+    """Call a client with exponential backoff: three attempts by default,
+    waiting 0.5 s after the first failure and doubling the wait after each."""
     if attempts < 1:
         raise ValueError(f"attempts must be >= 1, got {attempts}")
     last: Exception | None = None
@@ -266,7 +235,7 @@ def call_with_retry(
         except Exception as exc:
             last = exc
             if attempt + 1 < attempts:
-                sleep(base_delay * (2**attempt))
+                sleep(0.5 * 2**attempt)
     assert last is not None
     raise last
 
@@ -298,7 +267,6 @@ def summary_report_entry(
     request: SummaryRequest,
     client: SummarizerClient,
     template: str | None = None,
-    attempts: int = 3,
     sleep: Callable[[float], None] = time.sleep,
 ) -> dict:
     prompt = build_prompt(request, template)
@@ -307,5 +275,5 @@ def summary_report_entry(
         "variant": request.variant,
         "n_sampled": request.n_sampled,
         "prompt_sha256": prompt_sha256(prompt),
-        "summary_text": call_with_retry(client, prompt, attempts=attempts, sleep=sleep),
+        "summary_text": call_with_retry(client, prompt, sleep=sleep),
     }

@@ -29,7 +29,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .ingest import ReviewTable, canonical_order
+from .ingest import ReviewTable, canonical_order, midnight_us
 from .metrics import MetricKind
 from .summarize import derive_seed
 
@@ -230,7 +230,7 @@ def generate(scenario: Scenario) -> tuple[ReviewTable, list[Label]]:
             else:
                 polarity_shift[key] = polarity_shift.get(key, 0) + int(round(inj.magnitude))
 
-    epoch_s = (scenario.start - date(1970, 1, 1)).days * 86400
+    start_us = midnight_us(scenario.start)
     window_seconds = scenario.window_days * 86400
     ids: list[str] = []
     app_ids: list[str] = []
@@ -292,7 +292,7 @@ def generate(scenario: Scenario) -> tuple[ReviewTable, list[Label]]:
         for widx, count in zip(windows, counts):
             ids.extend(map(f"{app_id}-w{widx:03d}-".__add__, serials[:count]))
         app_ids.extend([app_id] * len(ratings))
-        stamps.append((seconds + epoch_s) * 1_000_000)
+        stamps.append(seconds * 1_000_000 + start_us)
         raws.append(ratings)
 
     table = ReviewTable(
@@ -324,6 +324,11 @@ def default_scenario(
     )
 
 
+def _one_tone_app(app_id: str, rate: float, count_model: str = "constant") -> AppSpec:
+    """An app whose every review has raw rating 4 and polarity bin 2."""
+    return AppSpec(app_id, rate, count_model, rating_weights={4: 1.0}, polarity_weights={2: 1.0})
+
+
 def spike_pair_scenario(
     seed: int = 0,
     n_apps: int = 10,
@@ -342,26 +347,8 @@ def spike_pair_scenario(
     them correlated daily counts at the spike window — the one correlated
     event the scenario is built to exhibit.
     """
-    quiet = tuple(
-        AppSpec(
-            app_id=f"app{i:02d}",
-            rate_per_window=rate,
-            count_model="constant",
-            rating_weights={4: 1.0},
-            polarity_weights={2: 1.0},
-        )
-        for i in range(max(0, n_apps - 2))
-    )
-    noisy = tuple(
-        AppSpec(
-            app_id=name,
-            rate_per_window=rate,
-            count_model="poisson",
-            rating_weights={4: 1.0},
-            polarity_weights={2: 1.0},
-        )
-        for name in ("spike0", "spike1")
-    )
+    quiet = tuple(_one_tone_app(f"app{i:02d}", rate) for i in range(max(0, n_apps - 2)))
+    noisy = tuple(_one_tone_app(name, rate, "poisson") for name in ("spike0", "spike1"))
     return Scenario(
         start=start,
         n_windows=n_windows,
@@ -383,16 +370,7 @@ def flat_scenario(
     window_days: int = 7,
 ) -> Scenario:
     """Null market: constant counts, one rating, one polarity bin, no injections."""
-    apps = tuple(
-        AppSpec(
-            app_id=f"app{i:02d}",
-            rate_per_window=rate,
-            count_model="constant",
-            rating_weights={4: 1.0},
-            polarity_weights={2: 1.0},
-        )
-        for i in range(n_apps)
-    )
+    apps = tuple(_one_tone_app(f"app{i:02d}", rate) for i in range(n_apps))
     return Scenario(
         start=start,
         n_windows=n_windows,
@@ -432,6 +410,13 @@ def scenario_to_dict(scenario: Scenario) -> dict:
     }
 
 
+def _weights_from_dict(app: Mapping, key: str, default: Mapping[int, float]) -> dict[int, float]:
+    weights = app.get(key, default)
+    if not isinstance(weights, Mapping):
+        raise ValueError(f"{key} must map values to weights, got {type(weights).__name__}")
+    return {int(k): float(v) for k, v in weights.items()}
+
+
 def scenario_from_dict(data: Mapping) -> Scenario:
     try:
         apps = tuple(
@@ -439,8 +424,8 @@ def scenario_from_dict(data: Mapping) -> Scenario:
                 app_id=str(a["app_id"]),
                 rate_per_window=float(a["rate_per_window"]),
                 count_model=str(a.get("count_model", "poisson")),
-                rating_weights={int(k): float(v) for k, v in a.get("rating_weights", DEFAULT_RATING_WEIGHTS).items()},
-                polarity_weights={int(k): float(v) for k, v in a.get("polarity_weights", DEFAULT_POLARITY_WEIGHTS).items()},
+                rating_weights=_weights_from_dict(a, "rating_weights", DEFAULT_RATING_WEIGHTS),
+                polarity_weights=_weights_from_dict(a, "polarity_weights", DEFAULT_POLARITY_WEIGHTS),
                 sentences_per_review=int(a.get("sentences_per_review", 1)),
             )
             for a in data["apps"]

@@ -294,3 +294,59 @@ def test_bad_scenario_file_exits_two(tmp_path, capsys) -> None:
     code = main(["synth", str(scenario_path), "--out", str(tmp_path / "out")])
     assert code == 2
     assert "bad scenario" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field", ["rating_weights", "polarity_weights"])
+def test_scenario_weights_that_are_not_a_mapping_exit_two(tmp_path, capsys, field) -> None:
+    scenario = scenario_to_dict(spike_pair_scenario(seed=0, n_apps=3, n_windows=6, spike_window=3))
+    scenario["apps"][0][field] = [1, 2]
+    scenario_path = tmp_path / "scenario.json"
+    scenario_path.write_text(json.dumps(scenario), encoding="utf-8")
+    assert main(["synth", str(scenario_path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "bad scenario" in err and field in err
+
+
+@pytest.mark.parametrize("flags", [["--config", "x"], ["--set", "seed=1"]])
+def test_synth_takes_no_config(tmp_path, capsys, flags) -> None:
+    with pytest.raises(SystemExit) as exc:
+        main(["synth", *flags, "--out", str(tmp_path / "d")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not (tmp_path / "d").exists()
+
+
+@pytest.mark.parametrize(
+    "key, content",
+    [
+        ("lexicon_path", b"good\t1\nbad\tx\n"),
+        ("lexicon_path", b"caf\xe9\t1\n"),
+        ("prompt_template_path", b"Summarise \xff{reviews}\n"),
+    ],
+    ids=["lexicon-bad-line", "lexicon-not-utf8", "template-not-utf8"],
+)
+def test_bad_lexicon_or_template_exits_two_before_writing(tmp_path, capsys, key, content) -> None:
+    bad = tmp_path / "bad-file"
+    bad.write_bytes(content)
+    out = tmp_path / "out"
+    assert main(["run", str(_small_dataset(tmp_path)), "--out", str(out), "--set", f"{key}={bad}"]) == 2
+    assert f"config error: {key}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "days, c, window_days",
+    [((1, 2, 4, 5), 1, 1), ((2, 1), 1, 1), ((1, 1, 2), 0, 1), ((1, 3, 4), 0, 2), ((1, 2, 3), 2, 1)],
+    ids=["gap", "backwards", "repeat", "spacing", "bad-class"],
+)
+def test_correlations_off_their_window_grid_exit_three(tmp_path, capsys, days, c, window_days) -> None:
+    events = tmp_path / "events.csv"
+    events.write_text("app_id,metric,t0,e,a,sigma,baseline_n,warmup\n", encoding="utf-8")
+    correlations = tmp_path / "correlations.csv"
+    rows = [f"a,b,count,2024-01-{d:02d},0.9,{c},10\n" for d in days]
+    correlations.write_text("app_i,app_j,metric,t0,rho,c,n_points\n" + "".join(rows), encoding="utf-8")
+    out = tmp_path / "out"
+    flags = ["--set", f"correlation_window_days={window_days}"]
+    assert main(["ce", str(events), str(correlations), "--out", str(out), *flags]) == 3
+    assert "(a, b, count)" in capsys.readouterr().err
+    assert not out.exists()

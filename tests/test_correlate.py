@@ -10,7 +10,10 @@ import csv
 import io
 import math
 import random
+from collections import Counter
+from dataclasses import replace
 from datetime import date, timedelta
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -37,7 +40,7 @@ from reviewpulse.detect import EventRecord
 from reviewpulse.ingest import build_catalog
 from reviewpulse.metrics import MetricKind, TimeWindow
 from reviewpulse.ingest import serialize_reviews
-from reviewpulse.pipeline import analyze_catalog, run_pipeline, write_bundle
+from reviewpulse.pipeline import analyze_catalog, ce_from_reports, run_pipeline, write_bundle
 from reviewpulse.synth import generate, spike_pair_scenario
 
 D0 = date(2024, 1, 4)
@@ -311,6 +314,54 @@ def test_random_fixtures_match_exhaustive_ce_oracle() -> None:
             for r in detect_correlated_events(events_i, events_j, runs)
         ]
         assert got == _oracle_ces(events_i, events_j, runs)
+
+
+@st.composite
+def _market_reports(draw) -> tuple[list[EventRecord], list[PairSeries]]:
+    """Weekly events of every app and daily correlation series of every pair."""
+    apps = [f"app{k}" for k in range(draw(st.integers(2, 4)))]
+    weeks = draw(st.integers(2, 8))
+    metrics = draw(st.lists(st.sampled_from(list(MetricKind)), min_size=1, max_size=2, unique=True))
+    days = [TimeWindow(D0 + timedelta(days=d), 1) for d in range(7 * weeks)]
+    events: list[EventRecord] = []
+    series: list[PairSeries] = []
+    for metric in metrics:
+        for app in apps:
+            signs = draw(st.lists(st.sampled_from([-1, 0, 0, 1]), min_size=weeks, max_size=weeks))
+            events += [replace(_event(app, w, e), metric=metric) for w, e in enumerate(signs)]
+        for i, j in combinations(apps, 2):
+            # Runs of one class, each 1..10 days long, cut to the grid.
+            runs = draw(st.lists(st.tuples(st.sampled_from([-1, 0, 1]), st.integers(1, 10)), min_size=1))
+            c = np.array(([sign for sign, length in runs for _ in range(length)] * len(days))[: len(days)])
+            rho = np.where(c == 0, np.nan, 0.9 * c)
+            series.append(PairSeries(i, j, metric, days, rho, c, np.full(len(days), 10)))
+    return events, series
+
+
+@settings(max_examples=200)
+@given(_market_reports(), st.randoms(use_true_random=False))
+def test_ce_ignores_input_order_and_app_labels(reports, rng) -> None:
+    events, series = reports
+    ces = ce_from_reports(events, series, 7)
+    shuffled_events, shuffled_series = list(events), list(series)
+    rng.shuffle(shuffled_events)
+    rng.shuffle(shuffled_series)
+    assert ce_from_reports(shuffled_events, shuffled_series, 7) == ces
+
+    # Reversing the app order flips every pair: (app_i, app_j) becomes
+    # (new app_j, new app_i), and the series itself is symmetric.
+    n = len({e.app_id for e in events})
+    rename = {f"app{k}": f"app{n - 1 - k}" for k in range(n)}
+    flipped = ce_from_reports(
+        [replace(e, app_id=rename[e.app_id]) for e in events],
+        [replace(s, app_i=rename[s.app_j], app_j=rename[s.app_i]) for s in series],
+        7,
+    )
+
+    def keys(records, names):
+        return Counter((frozenset((names[r.app_i], names[r.app_j])), r.metric, r.window.start, r.ce) for r in records)
+
+    assert keys(flipped, rename) == keys(ces, {a: a for a in rename})
 
 
 def test_two_app_spiked_market_yields_exactly_one_ce() -> None:

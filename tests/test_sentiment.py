@@ -2,8 +2,8 @@
 
 The splitting and binning tests each carry their own oracle: a literal
 re.split written here for splitting, and a from-the-definition fold of
-known valence sums for binning. The stem-table test's oracle stems every
-token on the spot, as scoring did before the table.
+known valence sums for binning. The stemming test's oracle stems every
+token on the spot, where the scorer looks it up in its memo.
 """
 from __future__ import annotations
 
@@ -228,14 +228,9 @@ def test_stem_table_matches_per_token_stemming(custom: bool, data) -> None:
     lexicon = _CUSTOM_LEXICON if custom else default_lexicon()
     scorer = LexiconScorer(lexicon) if custom else LexiconScorer()
     text = data.draw(_sentence(sorted(lexicon)))
-    assert scorer.valence(text) == _stemmed_valence(lexicon, text)
-
-
-def test_default_scorers_share_one_stem_table() -> None:
-    assert LexiconScorer()._reach is LexiconScorer()._reach
-    custom = LexiconScorer(dict(default_lexicon()))
-    assert custom._reach is not LexiconScorer()._reach
-    assert custom._reach == LexiconScorer()._reach
+    expected = _stemmed_valence(lexicon, text)
+    assert scorer.valence(text) == expected
+    assert scorer.valence(text) == expected  # every token now from the scorer's memo
 
 
 def test_sentence_tuples_agree_with_score_review() -> None:

@@ -1,4 +1,4 @@
-"""Sampling, polarity partitioning, prompt rendering, and the mock client."""
+"""Sampling, polarity pools, prompt rendering, and the mock client."""
 from __future__ import annotations
 
 import random
@@ -18,7 +18,6 @@ from reviewpulse.summarize import (
     build_requests,
     call_with_retry,
     derive_seed,
-    partition_by_polarity,
     request_report_entry,
     requests_for_event,
     sample_reviews,
@@ -82,30 +81,29 @@ def test_sampling_inclusion_counts_are_uniform() -> None:
     assert max(counts) <= 565.4
 
 
-def _sentence(p: int | None) -> Sentence:
-    return Sentence(review_id="r", index=0, text="x.", polarity=p)
+def _pools(scored: list[ScoredReview]) -> dict[str, tuple[str, ...]]:
+    # n covers every pool, so each request holds its whole pool.
+    return {r.variant: r.texts for r in requests_for_event(_event(), scored, n=10_000, master_seed=0)}
 
 
-def test_partition_buckets_by_polarity_bounds() -> None:
-    part = partition_by_polarity([_sentence(p) for p in (0, 1, 2, 3, 4)])
-    assert [s.polarity for s in part.negative] == [0, 1]
-    assert [s.polarity for s in part.neutral] == [2]
-    assert [s.polarity for s in part.positive] == [3, 4]
+def test_polarity_pools_split_at_the_bin_bounds() -> None:
+    pools = _pools([_scored(0, (0, 1, 2, 3, 4))])
+    assert pools["negative"] == ("sentence 0-0.", "sentence 0-1.")
+    assert pools["positive"] == ("sentence 0-3.", "sentence 0-4.")
 
 
-def test_partition_all_neutral_leaves_positive_and_negative_empty() -> None:
-    part = partition_by_polarity([_sentence(2) for _ in range(10)])
-    assert part.positive == () and part.negative == ()
-    assert len(part.neutral) == 10
+def test_all_neutral_window_requests_whole_bodies_only() -> None:
+    assert list(_pools([_scored(i, (2, 2)) for i in range(5)])) == ["all"]
 
 
-def test_partition_matches_filter_oracle_and_drops_unscored() -> None:
+def test_polarity_pools_match_filter_oracle_and_drop_unscored() -> None:
     rng = random.Random(42)
-    sentences = [_sentence(rng.choice([None, 0, 1, 2, 3, 4])) for _ in range(500)]
-    part = partition_by_polarity(sentences)
-    assert list(part.positive) == [s for s in sentences if s.polarity is not None and s.polarity >= 3]
-    assert list(part.negative) == [s for s in sentences if s.polarity is not None and s.polarity <= 1]
-    assert list(part.neutral) == [s for s in sentences if s.polarity == 2]
+    scored = [_scored(i, tuple(rng.choice([None, 0, 1, 2, 3, 4]) for _ in range(5))) for i in range(100)]
+    sentences = [s for r in scored for s in r.sentences]
+    pools = _pools(scored)
+    assert pools["positive"] == tuple(s.text for s in sentences if s.polarity is not None and s.polarity >= 3)
+    assert pools["negative"] == tuple(s.text for s in sentences if s.polarity is not None and s.polarity <= 1)
+    assert pools["all"] == tuple(r.review.body for r in scored)
 
 
 def test_event_with_no_reviews_emits_no_requests() -> None:
