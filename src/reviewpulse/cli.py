@@ -28,7 +28,6 @@ from .pipeline import (
     ce_from_reports,
     correlate_stats,
     detect_events,
-    group_series,
     in_report_order,
     json_text,
     load_catalog,
@@ -78,8 +77,8 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
 
 def _cmd_detect(args: argparse.Namespace) -> int:
     config = _load_cli_config(args)
-    stats = read_stage(read_metrics_csv, args.metrics)
-    records = in_report_order(detect_events(config, group_series(stats)))
+    events = detect_events(config, read_stage(read_metrics_csv, args.metrics))
+    records = [r for series in in_report_order(events) for r in series]
     path = write_file(args.out, "events.csv", write_events_csv(records))
     nonzero = sum(1 for r in records if r.e != 0)
     print(f"wrote {len(records)} event rows ({nonzero} nonzero) to {path}")
@@ -88,10 +87,7 @@ def _cmd_detect(args: argparse.Namespace) -> int:
 
 def _cmd_correlate(args: argparse.Namespace) -> int:
     config = _load_cli_config(args)
-    stats = read_stage(read_metrics_csv, args.metrics_daily)
-    apps = sorted({s.app_id for s in stats})
-    grid = sorted({s.window for s in stats})
-    series = correlate_stats(config, apps, group_series(stats), grid)
+    series = correlate_stats(config, read_stage(read_metrics_csv, args.metrics_daily))
     path = write_file(args.out, "correlations.csv", write_correlations_csv(series))
     rows = sum(len(s.windows) for s in series)
     print(f"wrote {rows} correlation rows to {path}")

@@ -33,8 +33,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .detect import EventRecord
-from .ingest import csv_line_writer
-from .metrics import MetricKind, TimeWindow, csv_rows
+from .metrics import MetricKind, TimeWindow, csv_rows, series_groups, write_series_csv
 
 __all__ = [
     "CORRELATIONS_CSV_COLUMNS",
@@ -415,32 +414,14 @@ def write_correlations_csv(correlations: Iterable[PairSeries]) -> str:
     """The correlations.csv text: a header, then every series' rows.
 
     Rows are grouped per pair series, in window order, with the series in
-    the order given. A series' app ids and metric are quoted once, by
-    the same ``csv`` dialect as the header, and a shared window grid's
-    start dates are formatted once. An undefined rho is written empty,
-    any other with ``repr``.
+    the order given (``write_series_csv``). An undefined rho is written
+    empty, any other with ``repr``.
     """
-    parts: list[str] = []
-    writer = csv_line_writer(parts)
-    writer.writerow(CORRELATIONS_CSV_COLUMNS)
-    # Keyed by id: the series list below keeps every grid alive meanwhile.
-    starts_by_grid: dict[int, list[str]] = {}
-    for series in correlations:
-        starts = starts_by_grid.get(id(series.windows))
-        if starts is None:
-            starts = starts_by_grid[id(series.windows)] = [w.start.isoformat() for w in series.windows]
-        writer.writerow((series.app_i, series.app_j, series.metric.value, ""))
-        prefix = parts.pop()[:-1]  # the quoted constant fields and a trailing comma
-        rhos = [repr(rho) if rho == rho else "" for rho in series.rho.tolist()]  # NaN != NaN
-        parts.append(
-            "".join(
-                [
-                    f"{prefix}{t0},{rho},{c},{n}\n"
-                    for t0, rho, c, n in zip(starts, rhos, series.c.tolist(), series.n_points.tolist())
-                ]
-            )
-        )
-    return "".join(parts)
+    return write_series_csv(
+        CORRELATIONS_CSV_COLUMNS,
+        (((s.app_i, s.app_j, s.metric.value), s.windows, s.rho, s.c, s.n_points) for s in correlations),
+        lambda w: w.start.isoformat(),
+    )
 
 
 def read_correlations_csv(text: str, window_days: int) -> list[PairSeries]:
@@ -451,22 +432,17 @@ def read_correlations_csv(text: str, window_days: int) -> list[PairSeries]:
     ``window_days`` windows in time order, or whose ``c`` is not -1, 0 or
     1, is a ValueError naming its pair: runs are read off that grid.
     """
-    groups: dict[tuple[str, str, MetricKind], list[tuple[TimeWindow, float, int, int]]] = {}
-    for _, (app_i, app_j, metric, t0, rho, c, n_points) in csv_rows(text, CORRELATIONS_CSV_COLUMNS, "correlations"):
-        window = TimeWindow(date.fromisoformat(t0), window_days)
-        value = math.nan if rho == "" else float(rho)
-        groups.setdefault((app_i, app_j, MetricKind(metric)), []).append((window, value, int(c), int(n_points)))
+    rows = [
+        ((app_i, app_j, MetricKind(metric)), TimeWindow(date.fromisoformat(t0), window_days),
+         math.nan if rho == "" else float(rho), int(c), int(n))
+        for _, (app_i, app_j, metric, t0, rho, c, n) in csv_rows(text, CORRELATIONS_CSV_COLUMNS, "correlations")
+    ]
+    label = "correlations of ({0}, {1}, {2.value})"
     out: list[PairSeries] = []
-    for (app_i, app_j, metric), rows in groups.items():
-        windows, rhos, cs, ns = zip(*rows)
-        pair = f"({app_i}, {app_j}, {metric.value})"
-        for prev, window in zip(windows, windows[1:]):
-            if window.start != prev.end:
-                raise ValueError(f"correlations of {pair}: window {window.start} does not follow {prev.start}")
+    for key, (windows, rhos, cs, ns) in series_groups(rows, label).items():
         if not set(cs) <= {-1, 0, 1}:
-            raise ValueError(f"correlations of {pair}: c must be -1, 0 or 1, got {sorted(set(cs))}")
-        out.append(PairSeries(app_i, app_j, metric, list(windows), np.array(rhos, dtype=np.float64),
-                              np.array(cs, dtype=np.int64), np.array(ns, dtype=np.int64)))
+            raise ValueError(f"{label.format(*key)}: c must be -1, 0 or 1, got {sorted(set(cs))}")
+        out.append(PairSeries(*key, windows, np.array(rhos), np.array(cs, dtype=np.int64), np.array(ns, dtype=np.int64)))
     return out
 
 

@@ -14,6 +14,10 @@ The analysis sums each app's reviews per UTC day once (``day_sums``):
 integer prefix sums of reviews, normalised ratings, sentence polarities and
 scored sentences. Every window grid takes its totals from those, so a
 window mean is one integer total over one integer count on any grid.
+
+A series is held as columns (``SeriesStats``) over a window grid that all
+series of the grid share; ``WindowStat`` rows are built only at the edges.
+Reading a metrics CSV back refuses a series off that one grid.
 """
 
 from __future__ import annotations
@@ -21,10 +25,10 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from datetime import date, datetime, timedelta, timezone
 from enum import Enum
-from typing import Collection, Iterable, Iterator, Sequence
+from typing import Callable, Collection, Hashable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -37,20 +41,24 @@ __all__ = [
     "DaySums",
     "MetricKind",
     "ScoredReview",
+    "SeriesStats",
     "TimeWindow",
     "correlation_points",
     "csv_rows",
+    "check_grid",
     "day_sums",
     "metric_delta",
     "metric_mu",
     "normalize_rating",
     "read_metrics_csv",
     "score_reviews",
+    "series_groups",
     "utc_midnights",
     "window_series",
     "window_stats",
     "WindowStat",
     "write_metrics_csv",
+    "write_series_csv",
 ]
 
 METRICS_CSV_COLUMNS = ("app_id", "metric", "t0", "w", "mu", "delta", "n_obs")
@@ -103,6 +111,26 @@ class WindowStat:
     n_obs: int
 
 
+@dataclass(frozen=True, slots=True, eq=False)
+class SeriesStats:
+    """One app/metric series in column form over a contiguous window grid
+    that all series of the grid share: ``mu`` and ``delta`` (float, NaN
+    where missing) and ``n_obs`` (int) hold one entry per window."""
+
+    app_id: str
+    metric: MetricKind
+    windows: Sequence[TimeWindow]
+    mu: np.ndarray
+    delta: np.ndarray
+    n_obs: np.ndarray
+
+    def records(self) -> list[WindowStat]:
+        return [
+            WindowStat(self.app_id, self.metric, w, None if math.isnan(mu) else mu, None if math.isnan(d) else d, n)
+            for w, mu, d, n in zip(self.windows, self.mu.tolist(), self.delta.tolist(), self.n_obs.tolist())
+        ]
+
+
 def normalize_rating(raw: int, scale: RatingScale) -> int:
     """Map a raw rating onto the five bins 0..4 (nearest bin, ties up).
 
@@ -123,13 +151,8 @@ def window_series(t_start: date, t_end: date, days: int) -> list[TimeWindow]:
     """
     if days < 1:
         raise ValueError(f"window length must be >= 1 day, got {days}")
-    windows: list[TimeWindow] = []
-    cur = t_start
-    step = timedelta(days=days)
-    while cur + step <= t_end:
-        windows.append(TimeWindow(cur, days))
-        cur += step
-    return windows
+    count = (t_end - t_start).days // days
+    return [TimeWindow(t_start + timedelta(days=i * days), days) for i in range(count)]
 
 
 # Scored sentences of one body, (index, text, polarity) each, with the
@@ -270,41 +293,44 @@ def window_stats(
     days: DaySums,
     windows: Sequence[TimeWindow],
     metric: MetricKind,
-) -> list[WindowStat]:
-    """Per-window stats over a contiguous grid, mu and delta filled.
+) -> SeriesStats:
+    """The series over a contiguous grid, mu and delta filled.
 
     ``days`` holds the app's day sums. A window's mean is its integer total
     over its observation count, so it is the same on every grid; the delta
-    is mu minus the previous window's mu, where both exist.
+    is mu minus the previous window's mu, NaN where either is missing.
     """
-    if not windows:
-        return []
-    width = windows[0].days
-    first = (windows[0].start - days.start).days
+    width = windows[0].days if windows else 1
+    first = (windows[0].start - days.start).days if windows else 0
     bounds = days.cuts[first : first + len(windows) * width + 1 : width]
     if first < 0 or len(bounds) != len(windows) + 1:
         raise ValueError(f"windows from {windows[0].start} run outside the day sums")
     lo, hi = bounds[:-1], bounds[1:]
+    n_obs = hi - lo
     if metric is MetricKind.COUNT:
-        n_obs = (hi - lo).tolist()
-        mus: list[float | None] = [float(n) for n in n_obs]
+        mu = n_obs.astype(np.float64)
     elif metric is MetricKind.RATING or metric is MetricKind.POLARITY:
         sums = days.rating if metric is MetricKind.RATING else days.polarity
         if sums is None:
             raise ValueError(f"day sums were built without {metric.value} totals")
-        counts = days.sentences if metric is MetricKind.POLARITY else None
-        n_obs = (hi - lo).tolist() if counts is None else (counts[hi] - counts[lo]).tolist()
-        totals = (sums[hi] - sums[lo]).tolist()
-        mus = [t / n if n else None for t, n in zip(totals, n_obs)]
+        if metric is MetricKind.POLARITY:
+            n_obs = days.sentences[hi] - days.sentences[lo]
+        # Below 2**53 each int64 is an exact float64, so this is the rounded t / n.
+        mu = np.divide(sums[hi] - sums[lo], n_obs, out=np.full(len(n_obs), np.nan), where=n_obs > 0)
     else:
         raise ValueError(f"unknown metric {metric!r}")
-    stats: list[WindowStat] = []
-    prev: float | None = None
-    for window, mu, n in zip(windows, mus, n_obs):
-        delta = mu - prev if mu is not None and prev is not None else None
-        stats.append(WindowStat(app_id, metric, window, mu, delta, n))
-        prev = mu
-    return stats
+    return SeriesStats(app_id, metric, windows, mu, np.diff(mu, prepend=np.nan), n_obs)
+
+
+def check_grid(windows: Sequence[TimeWindow], label: str) -> None:
+    """Refuse windows that are not consecutive windows of one length in
+    time order (a gap, a step back, a repeat or a change of length) with a
+    ValueError naming ``label``."""
+    for prev, window in zip(windows, windows[1:]):
+        if window.start != prev.end:
+            raise ValueError(f"{label}: window {window.start} does not follow {prev.start}")
+        if window.days != prev.days:
+            raise ValueError(f"{label}: window {window.start} is {window.days} days, not {prev.days}")
 
 
 def metric_delta(stats: Sequence[WindowStat]) -> list[WindowStat]:
@@ -313,30 +339,9 @@ def metric_delta(stats: Sequence[WindowStat]) -> list[WindowStat]:
     The input must be one app/metric series in window order over a
     contiguous grid; the first window's delta is always missing.
     """
-    out: list[WindowStat] = []
-    prev_mu: float | None = None
-    prev_end: date | None = None
-    for i, stat in enumerate(stats):
-        if prev_end is not None and stat.window.start != prev_end:
-            raise ValueError(
-                f"windows not contiguous: {stat.window.start} does not follow {prev_end}"
-            )
-        delta = None
-        if i > 0 and stat.mu is not None and prev_mu is not None:
-            delta = stat.mu - prev_mu
-        out.append(
-            WindowStat(
-                app_id=stat.app_id,
-                metric=stat.metric,
-                window=stat.window,
-                mu=stat.mu,
-                delta=delta,
-                n_obs=stat.n_obs,
-            )
-        )
-        prev_mu = stat.mu
-        prev_end = stat.window.end
-    return out
+    check_grid([s.window for s in stats], "series")
+    prevs = [None, *(s.mu for s in stats)]
+    return [replace(s, delta=None if s.mu is None or p is None else s.mu - p) for s, p in zip(stats, prevs)]
 
 
 def correlation_points(stats: Sequence[WindowStat]) -> dict[date, float]:
@@ -344,23 +349,38 @@ def correlation_points(stats: Sequence[WindowStat]) -> dict[date, float]:
     return {s.window.start: s.mu for s in stats if s.mu is not None}
 
 
-def write_metrics_csv(stats: Iterable[WindowStat]) -> str:
-    lines: list[str] = []
-    writer = csv_line_writer(lines)
-    writer.writerow(METRICS_CSV_COLUMNS)
-    for s in stats:
-        writer.writerow(
-            [
-                s.app_id,
-                s.metric.value,
-                s.window.start.isoformat(),
-                s.window.days,
-                "" if s.mu is None else repr(s.mu),
-                "" if s.delta is None else repr(s.delta),
-                s.n_obs,
-            ]
-        )
-    return "".join(lines)
+def write_series_csv(
+    columns: Sequence[str],
+    series: Iterable[tuple[Sequence[str], Sequence[TimeWindow], np.ndarray, np.ndarray, np.ndarray]],
+    cell: Callable[[TimeWindow], str],
+) -> str:
+    """A series CSV: the header, then per series (leading fields, windows,
+    three value arrays) one row per window: the fields, ``cell(window)`` and
+    the values, a float written with ``repr`` and NaN empty. The fields are
+    quoted once per series, by the header's ``csv`` dialect, and a grid's
+    cells are formatted once for the consecutive series that share it."""
+    parts: list[str] = []
+    writer = csv_line_writer(parts)
+    writer.writerow(columns)
+    grid, cells = None, []
+    for fields, windows, *values in series:
+        if windows is not grid:
+            grid, cells = windows, [cell(w) for w in windows]
+        writer.writerow((*fields, ""))
+        prefix = parts.pop()[:-1]  # the quoted fields and a trailing comma
+        x, y, z = ([repr(v) if v == v else "" for v in a.tolist()] if a.dtype.kind == "f" else a.tolist()
+                   for a in values)  # NaN != NaN
+        parts.append("".join([f"{prefix}{t0},{p},{q},{r}\n" for t0, p, q, r in zip(cells, x, y, z)]))
+    return "".join(parts)
+
+
+def write_metrics_csv(series: Iterable[SeriesStats]) -> str:
+    """The metrics CSV text: a header, then every series' rows in window order."""
+    return write_series_csv(
+        METRICS_CSV_COLUMNS,
+        (((s.app_id, s.metric.value), s.windows, s.mu, s.delta, s.n_obs) for s in series),
+        lambda w: f"{w.start.isoformat()},{w.days}",
+    )
 
 
 def csv_rows(text: str, columns: Sequence[str], what: str) -> Iterator[tuple[int, list[str]]]:
@@ -375,18 +395,41 @@ def csv_rows(text: str, columns: Sequence[str], what: str) -> Iterator[tuple[int
     return ((reader.line_num, row) for row in reader if row)
 
 
-def read_metrics_csv(text: str) -> list[WindowStat]:
-    out: list[WindowStat] = []
+def series_groups(rows: Iterable[tuple], label: str) -> dict[Hashable, list[list]]:
+    """Series CSV rows, each (key, window, *values), grouped per key.
+
+    Series come in first-row order, each as its list of windows and one
+    list per value, in file order. Every series' windows must pass
+    ``check_grid``, which names it by ``label.format(*key)``.
+    """
+    groups: dict[Hashable, list[tuple]] = {}
+    for row in rows:
+        groups.setdefault(row[0], []).append(row[1:])
+    columns = {key: [list(column) for column in zip(*group)] for key, group in groups.items()}
+    for key, (windows, *_) in columns.items():
+        check_grid(windows, label.format(*key))
+    return columns
+
+
+def read_metrics_csv(text: str) -> dict[tuple[str, MetricKind], SeriesStats]:
+    """Metric series from the CSV dump, keyed by (app, metric) in first-row order.
+
+    A mu or delta that is not finite is a ValueError naming its line. So is
+    a series that ``series_groups`` refuses, or whose windows are not those
+    of the first series; the series share that one grid.
+    """
+    rows = []
     for line, (app_id, metric, t0, w, mu, delta, n_obs) in csv_rows(text, METRICS_CSV_COLUMNS, "metrics"):
-        stat = WindowStat(
-            app_id=app_id,
-            metric=MetricKind(metric),
-            window=TimeWindow(date.fromisoformat(t0), int(w)),
-            mu=None if mu == "" else float(mu),
-            delta=None if delta == "" else float(delta),
-            n_obs=int(n_obs),
-        )
-        if not all(math.isfinite(v) for v in (stat.mu, stat.delta) if v is not None):
+        values = [math.nan if v == "" else float(v) for v in (mu, delta)]
+        if not all(math.isfinite(x) for v, x in zip((mu, delta), values) if v != ""):
             raise ValueError(f"metrics CSV line {line}: mu and delta must be finite, got {mu!r}, {delta!r}")
-        out.append(stat)
+        rows.append(((app_id, MetricKind(metric)), TimeWindow(date.fromisoformat(t0), int(w)), *values, int(n_obs)))
+    label = "metrics of ({0}, {1.value})"
+    out: dict[tuple[str, MetricKind], SeriesStats] = {}
+    grid: list[TimeWindow] = []
+    for key, (windows, mus, deltas, n_obs) in series_groups(rows, label).items():
+        grid = grid or windows
+        if windows != grid:
+            raise ValueError(f"{label.format(*key)}: windows from {windows[0].start} are not the first series' grid")
+        out[key] = SeriesStats(*key, grid, np.array(mus), np.array(deltas), np.array(n_obs, dtype=np.int64))
     return out

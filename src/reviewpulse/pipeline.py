@@ -4,11 +4,15 @@ Every stage has one function, called through this module by both the
 library and the CLI:
 
     load_catalog      parse the input files and build the market catalog
-    aggregate         sum each app per UTC day, fill both window grids' stats
+    aggregate         sum each app per UTC day, fill both grids' metric series
     detect_events     deviation events of every event-window series
     correlate_stats   every app pair's correlation series per metric
     ce_from_reports   correlated events from events plus correlation series
     build_requests    summary requests for the correlated events
+
+Each (app, metric) series is one ``metrics.SeriesStats``: columns over a
+window grid that all its series share. ``detect_events`` builds rows only
+for event windows; ``read_metrics_csv`` checks the grid of a file it reads.
 
 ``analyze_catalog`` chains aggregate through the requests in memory, and
 ``run_pipeline`` adds parsing before and the bundle after. Each CLI
@@ -23,8 +27,8 @@ and ``summarize`` (summary requests and summaries). The bundle:
 
     rejects.jsonl            per-line parse rejects
     catalog.json             per-app coverage and floor flags
-    metrics.csv              event-window metric series (mu, delta)
-    metrics_daily.csv        correlation-window metric series
+    metrics.csv              event-window metric series (mu, delta, n_obs)
+    metrics_daily.csv        correlation-window metric series (one grid)
     events.csv               deviation events
     correlations.csv         pairwise correlation classes
     correlated_events.json   correlated events with embedded context
@@ -39,7 +43,6 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 from dataclasses import dataclass, field
 from datetime import date, timedelta
 from pathlib import Path
@@ -74,8 +77,8 @@ from .metrics import (
     BodyScore,
     MetricKind,
     ScoredReview,
+    SeriesStats,
     TimeWindow,
-    WindowStat,
     correlation_points,
     day_sums,
     metric_delta,
@@ -110,7 +113,6 @@ __all__ = [
     "ce_from_reports",
     "correlate_stats",
     "detect_events",
-    "group_series",
     "in_report_order",
     "json_text",
     "load_catalog",
@@ -141,9 +143,9 @@ T = TypeVar("T")
 SeriesKey = tuple[str, MetricKind]
 
 
-def in_report_order(by_series: Mapping[SeriesKey, Sequence[T]]) -> list[T]:
-    """Every series' items, series ordered by app id, then metric name."""
-    return [item for key in sorted(by_series, key=lambda k: (k[0], k[1].value)) for item in by_series[key]]
+def in_report_order(by_series: Mapping[SeriesKey, T]) -> list[T]:
+    """Every series' value, series ordered by app id, then metric name."""
+    return [by_series[key] for key in sorted(by_series, key=lambda k: (k[0], k[1].value))]
 
 
 @dataclass(slots=True)
@@ -153,9 +155,8 @@ class MarketAnalysis:
     span: tuple[date, date] | None
     apps: tuple[str, ...]
     scorer: PolarityScorer
-    weekly_stats: dict[SeriesKey, list[WindowStat]] = field(default_factory=dict)
-    daily_stats: dict[SeriesKey, list[WindowStat]] = field(default_factory=dict)
-    daily_grid: list[TimeWindow] = field(default_factory=list)
+    weekly_stats: dict[SeriesKey, SeriesStats] = field(default_factory=dict)
+    daily_stats: dict[SeriesKey, SeriesStats] = field(default_factory=dict)
     events: dict[SeriesKey, list[EventRecord]] = field(default_factory=dict)
     pair_series: list[PairSeries] = field(default_factory=list)
     ces: list[CorrelatedEventRecord] = field(default_factory=list)
@@ -169,7 +170,7 @@ class MarketAnalysis:
         return [record for series in self.pair_series for record in series.records()]
 
     def all_events(self) -> list[EventRecord]:
-        return in_report_order(self.events)
+        return [e for records in in_report_order(self.events) for e in records]
 
     def nonzero_events(self) -> list[EventRecord]:
         return [e for e in self.all_events() if e.e != 0]
@@ -205,7 +206,7 @@ def read_stage(parse: Callable[..., T], path: str | Path, *args: object) -> T:
     """``parse(text, *args)`` over an input or stage file's UTF-8 text.
 
     A missing or unreadable file, or one that is not UTF-8 or does not
-    parse, is a dataset error.
+    parse (a count beyond int64 included), is a dataset error.
     """
     p = Path(path)
     if not p.is_file():
@@ -218,7 +219,7 @@ def read_stage(parse: Callable[..., T], path: str | Path, *args: object) -> T:
         raise DatasetError(f"{p} is not valid UTF-8: {exc}") from exc
     try:
         return parse(text, *args)
-    except (ValueError, KeyError, TypeError, csv.Error) as exc:
+    except (ValueError, KeyError, TypeError, OverflowError, csv.Error) as exc:
         raise DatasetError(f"{p}: {exc}") from exc
 
 
@@ -272,7 +273,7 @@ def aggregate(
         return analysis
     span_start, span_end = span
     weekly = window_series(span_start, span_end, config.event_window_days)
-    daily = analysis.daily_grid = window_series(span_start, span_end, config.correlation_window_days)
+    daily = window_series(span_start, span_end, config.correlation_window_days)
     midnights = utc_midnights(span_start, (span_end - span_start).days)
     for app in apps:
         days = day_sums(catalog.reviews[app], midnights, metrics, scorer, config.scales, analysis.bodies)
@@ -282,18 +283,8 @@ def aggregate(
     return analysis
 
 
-def group_series(stats: Iterable[WindowStat]) -> dict[SeriesKey, list[WindowStat]]:
-    """Metric rows grouped per app/metric series, each series in window order."""
-    series: dict[SeriesKey, list[WindowStat]] = {}
-    for stat in stats:
-        series.setdefault((stat.app_id, stat.metric), []).append(stat)
-    for group in series.values():
-        group.sort(key=lambda s: s.window.start)
-    return series
-
-
 def detect_events(
-    config: MarketConfig, weekly_stats: Mapping[SeriesKey, Sequence[WindowStat]]
+    config: MarketConfig, weekly_stats: Mapping[SeriesKey, SeriesStats]
 ) -> dict[SeriesKey, list[EventRecord]]:
     """Deviation events of every event-window series.
 
@@ -301,37 +292,28 @@ def detect_events(
     first window, which in a full run is the span start.
     """
     return {
-        key: detect_series(stats, config.baseline_start or stats[0].window.start, config.sensitivity,
-                           min_baseline=config.min_baseline, mode=config.sigma_mode) if stats else []
-        for key, stats in weekly_stats.items()
+        key: detect_series(series.records(), config.baseline_start or series.windows[0].start,
+                           config.sensitivity, min_baseline=config.min_baseline, mode=config.sigma_mode)
+        if series.windows else []
+        for key, series in weekly_stats.items()
     }
 
 
-def correlate_stats(
-    config: MarketConfig,
-    apps: Sequence[str],
-    daily_stats: Mapping[SeriesKey, Sequence[WindowStat]],
-    grid: Sequence[TimeWindow],
-) -> list[PairSeries]:
-    """Every pair's correlation series over ``grid``, metrics in name order.
+def correlate_stats(config: MarketConfig, daily_stats: Mapping[SeriesKey, SeriesStats]) -> list[PairSeries]:
+    """Every pair's correlation series, metrics in name order, apps in id order.
 
-    Each app is one row of points per metric, NaN where the mean is missing
-    or the app has no row for a window. A series holding one row per grid
-    window, in window order, is taken as it stands; any other is placed on
-    the grid by window start.
+    The series share one window grid, as ``aggregate`` and
+    ``read_metrics_csv`` leave them. Each app is one row of ``mu`` points
+    per metric, NaN where the mean is missing or the app has no series.
     """
-    column: dict[date, int] = {}
+    apps = sorted({app for app, _ in daily_stats})
+    grid = next(iter(daily_stats.values())).windows if daily_stats else []
     out: list[PairSeries] = []
     for metric in sorted({metric for _, metric in daily_stats}, key=lambda m: m.value):
         values = np.full((len(apps), len(grid)), np.nan)
         for row, app in enumerate(apps):
-            stats = daily_stats.get((app, metric), ())
-            mus = [math.nan if s.mu is None else s.mu for s in stats]
-            if len(mus) == len(grid):
-                values[row] = mus
-            elif mus:
-                column = column or {w.start: i for i, w in enumerate(grid)}
-                values[row, [column[s.window.start] for s in stats]] = mus
+            if (app, metric) in daily_stats:
+                values[row] = daily_stats[(app, metric)].mu
         out.extend(
             market_correlations(
                 apps,
@@ -361,7 +343,7 @@ def analyze_catalog(
     if analysis.span is None:
         return analysis
     analysis.events = detect_events(config, analysis.weekly_stats)
-    analysis.pair_series = correlate_stats(config, analysis.apps, analysis.daily_stats, analysis.daily_grid)
+    analysis.pair_series = correlate_stats(config, analysis.daily_stats)
     analysis.ces = ce_from_reports(
         analysis.all_events(), analysis.pair_series, config.event_window_days
     )
@@ -436,15 +418,15 @@ def write_intake(out_dir: str | Path, rejects: Sequence[Reject], catalog: Market
 
 def write_metrics(
     out_dir: str | Path,
-    weekly_stats: Mapping[SeriesKey, Sequence[WindowStat]],
-    daily_stats: Mapping[SeriesKey, Sequence[WindowStat]],
+    weekly_stats: Mapping[SeriesKey, SeriesStats],
+    daily_stats: Mapping[SeriesKey, SeriesStats],
 ) -> tuple[int, int]:
     """Write metrics.csv and metrics_daily.csv; return their row counts."""
     weekly = in_report_order(weekly_stats)
     daily = in_report_order(daily_stats)
     write_file(out_dir, "metrics.csv", write_metrics_csv(weekly))
     write_file(out_dir, "metrics_daily.csv", write_metrics_csv(daily))
-    return len(weekly), len(daily)
+    return sum(len(s.windows) for s in weekly), sum(len(s.windows) for s in daily)
 
 
 def write_requests(out_dir: str | Path, config: MarketConfig, requests: Sequence[SummaryRequest]) -> list[Path]:

@@ -350,3 +350,57 @@ def test_correlations_off_their_window_grid_exit_three(tmp_path, capsys, days, c
     assert main(["ce", str(events), str(correlations), "--out", str(out), *flags]) == 3
     assert "(a, b, count)" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["detect", "correlate"])
+@pytest.mark.parametrize(
+    "rows",
+    [
+        ("a:01:1", "a:02:1", "a:04:1"),
+        ("a:02:1", "a:01:1"),
+        ("a:01:1", "a:01:1"),
+        ("a:01:2", "a:03:1"),
+        ("b:01:1", "b:02:1", "a:01:1", "a:03:1"),
+        ("b:01:1", "b:02:1", "a:01:1"),
+    ],
+    ids=["gap", "backwards", "repeat", "spacing", "other-grid", "short"],
+)
+def test_metrics_off_one_window_grid_exit_three(tmp_path, capsys, command, rows) -> None:
+    metrics = tmp_path / "metrics.csv"
+    lines = []
+    for row in rows:
+        app, day, days = row.split(":")
+        lines.append(f"{app},count,2024-01-{day},{days},3.0,,3\n")
+    metrics.write_text("app_id,metric,t0,w,mu,delta,n_obs\n" + "".join(lines), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main([command, str(metrics), "--out", str(out)]) == 3
+    assert "metrics of (a, count)" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_correlate_refuses_a_day_missing_from_every_app(tmp_path, capsys) -> None:
+    staged = tmp_path / "staged"
+    assert main(["metrics", str(_small_dataset(tmp_path)), "--out", str(staged)]) == 0
+    daily = staged / "metrics_daily.csv"
+    lines = daily.read_text(encoding="utf-8").splitlines(keepends=True)
+    daily.write_text("".join(line for line in lines if ",2024-02-10," not in line), encoding="utf-8")
+    assert main(["correlate", str(daily), "--out", str(tmp_path / "out")]) == 3
+    assert "window 2024-02-11 does not follow 2024-02-09" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, header, row",
+    [
+        ("detect", "app_id,metric,t0,w,mu,delta,n_obs", "a,count,2024-01-01,1,3.0,,{n}"),
+        ("ce", "app_i,app_j,metric,t0,rho,c,n_points", "a,b,count,2024-01-01,0.5,1,{n}"),
+    ],
+    ids=["detect", "ce"],
+)
+def test_stage_count_beyond_int64_exits_three(tmp_path, capsys, command, header, row) -> None:
+    stage = tmp_path / "stage.csv"
+    stage.write_text(f"{header}\n{row.format(n=2**63)}\n", encoding="utf-8")
+    events = tmp_path / "events.csv"
+    events.write_text("app_id,metric,t0,e,a,sigma,baseline_n,warmup\n", encoding="utf-8")
+    inputs = [str(stage)] if command == "detect" else [str(events), str(stage)]
+    assert main([command, *inputs, "--out", str(tmp_path / "out")]) == 3
+    assert "dataset error" in capsys.readouterr().err

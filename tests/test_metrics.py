@@ -1,14 +1,19 @@
 """Window metrics: rating normalisation, window grids, averages, deltas."""
 from __future__ import annotations
 
+import math
 import random
 from datetime import date, datetime, timedelta, timezone
 
+import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from reviewpulse.ingest import RatingScale, Review, ScaleMap
 from reviewpulse.metrics import (
+    DaySums,
     MetricKind,
+    SeriesStats,
     TimeWindow,
     WindowStat,
     day_sums,
@@ -173,24 +178,60 @@ def test_window_stats_buckets_by_window() -> None:
     days = day_sums(reviews, utc_midnights(start, 14), metrics, LexiconScorer(), ScaleMap(), {})
     windows = window_series(start, start + timedelta(days=14), 7)
     stats = window_stats("appA", days, windows, MetricKind.COUNT)
-    assert [s.mu for s in stats] == [2.0, 1.0]
+    assert stats.mu.tolist() == [2.0, 1.0]
+    assert stats.n_obs.tolist() == [2, 1]
+    assert stats.windows is windows
     rstats = window_stats("appA", days, windows, MetricKind.RATING)
-    assert rstats[0].mu == pytest.approx((4 + 0) / 2)
-    assert rstats[1].mu == pytest.approx(2.0)
+    assert rstats.mu.tolist() == pytest.approx([(4 + 0) / 2, 2.0])
+    assert [s.delta for s in rstats.records()] == [None, 0.0]
+
+
+def _series(app: str, mus: list[float | None], windows: list[TimeWindow]) -> SeriesStats:
+    mu = np.array([math.nan if m is None else m for m in mus])
+    return SeriesStats(app, MetricKind.COUNT, windows, mu, np.diff(mu, prepend=math.nan),
+                       np.array([0 if m is None else 1 for m in mus]))
+
+
+def _assert_same_series(got: SeriesStats, want: SeriesStats) -> None:
+    assert (got.app_id, got.metric, list(got.windows)) == (want.app_id, want.metric, list(want.windows))
+    for name in ("mu", "delta", "n_obs"):
+        np.testing.assert_array_equal(getattr(got, name), getattr(want, name), strict=True)
 
 
 def test_metrics_csv_round_trip() -> None:
-    stats = metric_delta([_stat(0, 10.0), _stat(1, None), _stat(2, 1 / 3)])
-    text = write_metrics_csv(stats)
-    assert read_metrics_csv(text) == stats
+    windows = window_series(date(2024, 1, 4), date(2024, 1, 25), 7)
+    series = [_series("appA", [10.0, None, 1 / 3], windows), _series("app,\rB", [None, 2.0, 2.5], windows)]
+    back = read_metrics_csv(write_metrics_csv(series))
+    assert list(back) == [(s.app_id, s.metric) for s in series]
+    for s in series:
+        _assert_same_series(back[(s.app_id, s.metric)], s)
+    assert back[("appA", MetricKind.COUNT)].windows is back[("app,\rB", MetricKind.COUNT)].windows
     with pytest.raises(ValueError):
         read_metrics_csv("wrong,header\n1,2\n")
 
 
 @pytest.mark.parametrize("mu, delta", [("nan", "1.0"), ("2.0", "inf"), ("2.0", "-inf"), ("inf", "")])
 def test_metrics_csv_rejects_non_finite_values(mu: str, delta: str) -> None:
-    text = write_metrics_csv([_stat(0, 1.0)]) + f"appA,count,2024-01-08,7,{mu},{delta},3\n"
+    text = write_metrics_csv([_series("appA", [1.0], [TimeWindow(date(2024, 1, 4), 7)])])
     with pytest.raises(ValueError, match="line 3"):
+        read_metrics_csv(text + f"appA,count,2024-01-11,7,{mu},{delta},3\n")
+
+
+@pytest.mark.parametrize(
+    "rows, refused",
+    [
+        (["a,2024-01-01,1", "a,2024-01-03,1"], "a"),
+        (["a,2024-01-02,1", "a,2024-01-01,1"], "a"),
+        (["a,2024-01-01,1", "a,2024-01-01,1"], "a"),
+        (["a,2024-01-01,1", "a,2024-01-02,2"], "a"),
+        (["a,2024-01-01,2", "a,2024-01-03,2", "b,2024-01-01,1", "b,2024-01-02,1"], "b"),
+    ],
+    ids=["gap", "backwards", "repeat", "spacing", "other-grid"],
+)
+def test_metrics_csv_refuses_series_off_one_grid(rows: list[str], refused: str) -> None:
+    app_day_width = [row.split(",") for row in rows]
+    text = "app_id,metric,t0,w,mu,delta,n_obs\n" + "".join(f"{a},count,{d},{w},1.0,,1\n" for a, d, w in app_day_width)
+    with pytest.raises(ValueError, match=rf"metrics of \({refused}, count\)"):
         read_metrics_csv(text)
 
 
@@ -215,9 +256,9 @@ def test_day_sums_match_per_review_bucketing_oracle() -> None:
     for width in (1, 7):
         windows = window_series(start, start + timedelta(days=28), width)
         for metric in all_metrics:
-            got = window_stats("appA", days, windows, metric)
+            got = window_stats("appA", days, windows, metric).records()
             prev = None
-            for stat, window in zip(got, windows):
+            for stat, window in zip(got, windows, strict=True):
                 inside = [
                     by_id[r.review_id] for r in reviews
                     if window.start <= r.timestamp.astimezone(timezone.utc).date() < window.end
@@ -234,3 +275,52 @@ def test_window_stats_refuse_windows_outside_the_day_sums() -> None:
         window_stats("appA", days, window_series(start, start + timedelta(days=21), 7), MetricKind.COUNT)
     with pytest.raises(ValueError):
         window_stats("appA", days, window_series(start, start + timedelta(days=14), 7), MetricKind.RATING)
+
+
+@st.composite
+def _day_reviews(draw):
+    """Per UTC day, each review's normalised rating and sentence polarities."""
+    return draw(st.lists(
+        st.lists(st.tuples(st.integers(0, 4), st.lists(st.integers(0, 4), max_size=3)), max_size=4),
+        min_size=1, max_size=30,
+    ))
+
+
+@given(_day_reviews(), st.integers(0, 6), st.integers(1, 8), st.sampled_from(list(MetricKind)))
+def test_window_stats_match_per_window_means_and_round_trip(day_reviews, offset, width, metric) -> None:
+    start = date(2024, 1, 4)
+    reviews = [review for day in day_reviews for review in day]
+
+    def prefix(values: list[int]) -> np.ndarray:
+        return np.array([0, *np.cumsum(values, dtype=np.int64)], dtype=np.int64)
+
+    days = DaySums(
+        start,
+        prefix([len(day) for day in day_reviews]),
+        prefix([rating for rating, _ in reviews]),
+        prefix([sum(pols) for _, pols in reviews]),
+        prefix([len(pols) for _, pols in reviews]),
+    )
+    grid_start = start + timedelta(days=min(offset, len(day_reviews)))
+    windows = window_series(grid_start, start + timedelta(days=len(day_reviews)), width)
+    series = window_stats("appA", days, windows, metric)
+
+    # Oracle: bucket the reviews per window, average in plain Python, then metric_delta.
+    oracle = []
+    for window in windows:
+        first = (window.start - start).days
+        inside = [review for day in day_reviews[first : first + width] for review in day]
+        if metric is MetricKind.COUNT:
+            values = [1] * len(inside)
+            mu = float(len(inside))
+        else:
+            values = [r for r, _ in inside] if metric is MetricKind.RATING else [p for _, ps in inside for p in ps]
+            mu = sum(values) / len(values) if values else None
+        oracle.append(WindowStat("appA", metric, window, mu, None, len(values)))
+    assert series.records() == metric_delta(oracle)
+
+    back = read_metrics_csv(write_metrics_csv([series]))
+    if windows:
+        _assert_same_series(back[("appA", metric)], series)
+    else:
+        assert back == {}
