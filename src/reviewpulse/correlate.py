@@ -12,9 +12,11 @@ correlation is classified against a threshold h:
 Consecutive windows with the same nonzero class form a run. Each run is
 examined only at its first event-window-sized interval: deviation events
 of the two apps falling into event windows that overlap that interval are
-intersected there. When the same-window intersection is empty, the test is
-retried with one app's event taken from the immediately preceding event
-window (both single-sided permutations; never both apps preceding).
+intersected there. Zero events are ignored. When the same-window
+intersection is empty, the test is retried with one app's event taken
+from the immediately preceding event window (both single-sided
+permutations; never both apps preceding). Events e_i and e_j match when
+e_i == sign * e_j, and the correlated event's class is the run's sign.
 
 Pairs are canonical with app_i < app_j, so swapping inputs changes
 nothing.
@@ -336,18 +338,6 @@ class CorrelatedEventRecord:
     run: CorrelationRun
 
 
-def _match(sign: int, e_i: EventRecord | None, e_j: EventRecord | None) -> int:
-    a = e_i.e if e_i is not None else 0
-    b = e_j.e if e_j is not None else 0
-    if a == 0 or b == 0:
-        return 0
-    if sign == 1 and a == b:
-        return 1
-    if sign == -1 and a == -b:
-        return -1
-    return 0
-
-
 def detect_correlated_events(
     events_i: Sequence[EventRecord],
     events_j: Sequence[EventRecord],
@@ -355,25 +345,24 @@ def detect_correlated_events(
 ) -> list[CorrelatedEventRecord]:
     """Intersect two apps' events with their correlation runs.
 
-    For each run, every event window overlapping the run's first interval
-    is tested. The same-window pairing is tried first; if it yields nothing
-    the two single-sided pairings against the immediately preceding event
-    window are tried in order (app_i preceding, then app_j preceding). At
+    Zero events are ignored. For each run, every event window overlapping
+    the run's first interval is tested. The same-window pairing is tried
+    first; if it yields nothing the two single-sided pairings against the
+    immediately preceding event window are tried in order (app_i
+    preceding, then app_j preceding). A pairing matches when
+    ``e_i == run.sign * e_j``, and the CE's class is the run's sign. At
     most one record survives per (event window, class); when several runs
     would duplicate one, the earliest-starting run wins.
     """
-    if not any(r.e for r in events_i) or not any(r.e for r in events_j):
-        return []  # a match needs a nonzero event on both sides
-    by_start_i = {r.window.start: r for r in events_i}
-    by_start_j = {r.window.start: r for r in events_j}
-    grid = sorted({r.window for r in events_i} | {r.window for r in events_j})
+    by_start_i = {r.window.start: r for r in events_i if r.e}
+    by_start_j = {r.window.start: r for r in events_j if r.e}
+    # Every pairing takes one app's event from the tested window itself.
+    grid = sorted({r.window for by_start in (by_start_i, by_start_j) for r in by_start.values()})
     starts = [w.start for w in grid]
-    longest = timedelta(days=max(w.days for w in grid))
+    longest = timedelta(days=max((w.days for w in grid), default=0))
 
     found: dict[tuple[date, int], CorrelatedEventRecord] = {}
     for run in sorted(runs, key=lambda r: (r.t_start, r.t_end, r.sign)):
-        if run.sign == 0:
-            continue
         first = run.first_interval
         # Only windows starting in (first.start - longest, first.end) can overlap.
         lo = bisect_right(starts, first.start - longest)
@@ -383,25 +372,23 @@ def detect_correlated_events(
                 continue
             same_i = by_start_i.get(window.start)
             same_j = by_start_j.get(window.start)
-            prev_start = window.preceding().start
+            prev_start = window.start - timedelta(days=window.days)
             candidates = (
                 (same_i, same_j),
                 (by_start_i.get(prev_start), same_j),
                 (same_i, by_start_j.get(prev_start)),
             )
             for e_i, e_j in candidates:
-                ce = _match(run.sign, e_i, e_j)
-                if ce == 0:
+                if e_i is None or e_j is None or e_i.e != run.sign * e_j.e:
                     continue
-                key = (window.start, ce)
+                key = (window.start, run.sign)
                 if key not in found:
-                    assert e_i is not None and e_j is not None
                     found[key] = CorrelatedEventRecord(
                         app_i=run.app_i,
                         app_j=run.app_j,
                         metric=run.metric,
                         window=window,
-                        ce=ce,
+                        ce=run.sign,
                         event_i=e_i,
                         event_j=e_j,
                         run=run,

@@ -93,8 +93,6 @@ class _Moments:
             return None
         # n * (n - ddof) * variance, exact; an int while every delta is integral.
         scaled = n * self.squares - self.total * self.total
-        if isinstance(scaled, int):
-            return _sqrt_ratio(scaled, n * (n - ddof))
         return _sqrt_ratio(scaled.numerator, scaled.denominator * n * (n - ddof))
 
 

@@ -88,9 +88,6 @@ class TimeWindow:
     def overlaps(self, other: "TimeWindow") -> bool:
         return self.start < other.end and other.start < self.end
 
-    def preceding(self) -> "TimeWindow":
-        return TimeWindow(self.start - timedelta(days=self.days), self.days)
-
 
 @dataclass(frozen=True, slots=True)
 class ScoredReview:

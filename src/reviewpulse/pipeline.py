@@ -345,7 +345,7 @@ def analyze_catalog(
     analysis.events = detect_events(config, analysis.weekly_stats)
     analysis.pair_series = correlate_stats(config, analysis.daily_stats)
     analysis.ces = ce_from_reports(
-        analysis.all_events(), analysis.pair_series, config.event_window_days
+        analysis.nonzero_events(), analysis.pair_series, config.event_window_days
     )
     analysis.requests = build_requests(
         analysis.ces, analysis.window_scored, config.sample_size, config.seed
@@ -360,28 +360,23 @@ def ce_from_reports(
 ) -> list[CorrelatedEventRecord]:
     """Correlated events recomputed purely from events plus correlations.
 
-    This is the only path to CE records; the ``ce`` subcommand feeds it the
-    series read back from correlations.csv and gets byte-identical results
-    to a full run.
+    Zero events are ignored, so a series takes part only if it fired, and
+    a CE's class is its run's sign. This is the only path to CE records;
+    the ``ce`` subcommand feeds it the series read back from
+    correlations.csv and gets byte-identical results to a full run,
+    whether or not events.csv keeps its zero rows.
     """
     events_by_series: dict[SeriesKey, list[EventRecord]] = {}
-    firing: set[SeriesKey] = set()
     for record in events:
-        key = (record.app_id, record.metric)
-        events_by_series.setdefault(key, []).append(record)
-        if record.e != 0:
-            firing.add(key)
+        if record.e:
+            events_by_series.setdefault((record.app_id, record.metric), []).append(record)
 
     ces: list[CorrelatedEventRecord] = []
     for series in sorted(correlations, key=lambda s: (s.metric.value, s.app_i, s.app_j)):
-        key_i = (series.app_i, series.metric)
-        key_j = (series.app_j, series.metric)
-        if key_i not in firing or key_j not in firing:
-            continue  # a CE needs a nonzero event from each app
-        runs = extract_runs(series, event_window_days)
-        if not runs:
-            continue
-        ces.extend(detect_correlated_events(events_by_series[key_i], events_by_series[key_j], runs))
+        events_i = events_by_series.get((series.app_i, series.metric))
+        events_j = events_by_series.get((series.app_j, series.metric))
+        if events_i and events_j:
+            ces.extend(detect_correlated_events(events_i, events_j, extract_runs(series, event_window_days)))
     return ces
 
 

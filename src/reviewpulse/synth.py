@@ -160,32 +160,31 @@ def scenario_labels(scenario: Scenario) -> list[Label]:
     return labels
 
 
-def _sentence_for_bin(target: int, coin: int, tone: Sequence[int], fill: Sequence[int]) -> str:
-    """One sentence scoring exactly ``target``, from pre-drawn pool indices.
+def _sentence_for_bin(target: int, coin: int, tone: Sequence[int]) -> str:
+    """The head of a sentence scoring exactly ``target``, with its trailing space.
 
     ``coin`` picks between the one-strong-word and two-mild-words phrasings
-    at the extreme bins; ``tone`` indexes the valence pools and ``fill`` the
-    filler pool.
+    at the extreme bins; ``tone`` indexes the valence pools. A neutral
+    sentence has an empty head; the filler tail (``_TAILS``) scores 0.
     """
     if target >= 4:
         head = _POS2[tone[0]] if coin == 0 else f"{_POS1[tone[0]]} {_POS1[tone[1]]}"
     elif target == 3:
         head = _POS1[tone[0]]
     elif target == 2:
-        head = ""
+        return ""
     elif target == 1:
         head = _NEG1[tone[0]]
     else:
         head = _NEG2[tone[0]] if coin == 0 else f"{_NEG1[tone[0]]} {_NEG1[tone[1]]}"
-    tail = f"{_FILLER[fill[0]]} {_FILLER[fill[1]]}."
-    return f"{head} {tail}" if head else tail
+    return f"{head} "
 
 
-# Every sentence _sentence_for_bin can produce, as head + tail: the head is
-# indexed by ((target * 2 + coin) * 5 + tone[0]) * 5 + tone[1], the tail by
-# fill[0] * 10 + fill[1]. Heads carry their trailing space.
+# Every sentence is a head plus a tail: the head is indexed by
+# ((target * 2 + coin) * 5 + tone[0]) * 5 + tone[1], the tail by
+# fill[0] * 10 + fill[1].
 _HEADS = tuple(
-    _sentence_for_bin(target, coin, (t0, t1), (0, 0))[: -len("the the.")]
+    _sentence_for_bin(target, coin, (t0, t1))
     for target in range(5)
     for coin in range(2)
     for t0 in range(5)

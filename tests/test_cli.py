@@ -1,6 +1,7 @@
 """Command-line surface: exit codes, report bundles, stage plumbing."""
 from __future__ import annotations
 
+import csv
 import json
 from dataclasses import replace
 from datetime import date
@@ -71,6 +72,16 @@ def test_ce_stage_rebuilds_the_run_output_from_csvs_alone(tmp_path) -> None:
     assert (ce_out / "correlated_events.json").read_bytes() == (
         out / "correlated_events.json"
     ).read_bytes()
+
+    # Zero events are ignored, so dropping events.csv's e == 0 rows changes nothing.
+    lines = (out / "events.csv").read_text(encoding="utf-8").splitlines(keepends=True)
+    fired = [line for line, row in zip(lines, csv.reader(lines)) if row[3] != "0"]
+    assert 1 < len(fired) < len(lines)
+    (tmp_path / "fired.csv").write_text("".join(fired), encoding="utf-8")
+    fired_out = tmp_path / "fired"
+    assert main(["ce", str(tmp_path / "fired.csv"), str(out / "correlations.csv"), "--out", str(fired_out)]) == 0
+    assert json.loads((out / "correlated_events.json").read_text()) != []
+    assert (fired_out / "correlated_events.json").read_bytes() == (out / "correlated_events.json").read_bytes()
 
 
 def _chain_matches_run(tmp_path: Path, dataset: Path, settings: list[str]) -> Path:

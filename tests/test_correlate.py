@@ -238,6 +238,8 @@ def test_same_window_agreement_with_positive_run() -> None:
     ces = detect_correlated_events(events_i, events_j, [_run(1, 28, 42)])
     assert len(ces) == 1
     assert ces[0].ce == 1 and ces[0].window == TimeWindow(D0 + timedelta(days=28), 7)
+    # A run of class 0 matches nothing, even over two firing events.
+    assert detect_correlated_events(events_i, events_j, [_run(0, 28, 42)]) == []
 
 
 def test_opposite_signs_with_negative_run() -> None:
@@ -347,6 +349,8 @@ def test_ce_ignores_input_order_and_app_labels(reports, rng) -> None:
     rng.shuffle(shuffled_events)
     rng.shuffle(shuffled_series)
     assert ce_from_reports(shuffled_events, shuffled_series, 7) == ces
+    # Zero events are ignored: the nonzero events alone give the same CEs.
+    assert ce_from_reports([e for e in events if e.e], series, 7) == ces
 
     # Reversing the app order flips every pair: (app_i, app_j) becomes
     # (new app_j, new app_i), and the series itself is symmetric.
