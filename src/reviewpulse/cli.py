@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -131,21 +131,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     reviews, labels = generate(scenario)
     out = Path(args.out)
     write_file(out, "reviews.jsonl", serialize_reviews(reviews, fmt="jsonl"))
-    write_file(
-        out,
-        "labels.json",
-        json_text(
-            [
-                {
-                    "app_id": l.app_id,
-                    "metric": l.metric.value,
-                    "window_index": l.window_index,
-                    "sign": l.sign,
-                }
-                for l in labels
-            ]
-        ),
-    )
+    write_file(out, "labels.json", json_text([asdict(label) for label in labels]))
     write_file(out, "scenario.json", json_text(scenario_to_dict(scenario)))
     print(f"wrote {len(reviews)} reviews and {len(labels)} labels to {out}")
     return 0

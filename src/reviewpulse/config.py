@@ -10,10 +10,10 @@ problems at once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from datetime import date
 from pathlib import Path
-from typing import Mapping
+from typing import Callable, Mapping
 
 from .ingest import RatingScale, ScaleMap
 from .sentiment import load_lexicon
@@ -60,19 +60,26 @@ class MarketConfig:
     scales: ScaleMap = field(default_factory=ScaleMap)
 
 
-_INT_KEYS = {
-    "event_window_days",
-    "correlation_window_days",
-    "lookback_days",
-    "sample_size",
-    "seed",
-    "min_baseline",
-    "min_corr_points",
+def _parse_bool(value: str) -> bool:
+    if value.lower() not in ("true", "false"):
+        raise ValueError(f"expected true/false, got {value!r}")
+    return value.lower() == "true"
+
+
+def _none_or(parse: Callable[[str], object]) -> Callable[[str], object]:
+    return lambda value: None if value.lower() == "none" else parse(value)
+
+
+# Each key is parsed by its field's declared type; only ``| None`` types read ``none``.
+_PARSE_BY_TYPE = {
+    "int": int,
+    "float": float,
+    "bool": _parse_bool,
+    "str": str,
+    "date | None": _none_or(date.fromisoformat),
+    "str | None": _none_or(str),
 }
-_FLOAT_KEYS = {"sensitivity", "correlation_threshold", "monthly_floor"}
-_BOOL_KEYS = {"exclude_insufficient"}
-_DATE_KEYS = {"baseline_start", "span_start", "span_end"}
-_STR_KEYS = {"sigma_mode", "summarizer", "lexicon_path", "prompt_template_path"}
+_KEY_PARSERS = {f.name: _PARSE_BY_TYPE[f.type] for f in fields(MarketConfig) if f.type in _PARSE_BY_TYPE}
 
 
 def parse_config_text(text: str) -> dict[str, str]:
@@ -106,18 +113,8 @@ def apply_overrides(config: MarketConfig, values: Mapping[str, str]) -> MarketCo
 
     for key, value in values.items():
         try:
-            if key in _INT_KEYS:
-                updates[key] = int(value)
-            elif key in _FLOAT_KEYS:
-                updates[key] = float(value)
-            elif key in _BOOL_KEYS:
-                if value.lower() not in ("true", "false"):
-                    raise ValueError(f"expected true/false, got {value!r}")
-                updates[key] = value.lower() == "true"
-            elif key in _DATE_KEYS:
-                updates[key] = None if value.lower() == "none" else date.fromisoformat(value)
-            elif key in _STR_KEYS:
-                updates[key] = None if value.lower() == "none" else value
+            if key in _KEY_PARSERS:
+                updates[key] = _KEY_PARSERS[key](value)
             elif key == "scale.default":
                 default_scale = _parse_scale(value)
                 scales_touched = True

@@ -35,6 +35,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .detect import EventRecord
+from .ingest import json_text
 from .metrics import MetricKind, TimeWindow, csv_rows, series_groups, write_series_csv
 
 __all__ = [
@@ -514,4 +515,4 @@ def ce_records_to_json(records: Iterable[CorrelatedEventRecord]) -> str:
         }
         for r in records
     ]
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return json_text(payload)

@@ -35,6 +35,7 @@ __all__ = [
     "canonical_order",
     "catalog_summary",
     "csv_line_writer",
+    "json_text",
     "midnight_us",
     "parse_reviews",
     "parse_timestamp",
@@ -273,20 +274,18 @@ def parse_timestamp(value: str) -> datetime:
     return parsed.astimezone(timezone.utc)
 
 
-def _record_row(record: Mapping[str, object], scales: ScaleMap) -> tuple[str, str, int, int, str, str]:
+def _record_row(record: dict | _RecordError, scales: ScaleMap) -> tuple[str, str, int, int, str, str]:
     """A valid record as a table row: (review_id, app_id, stamp_us, raw_rating, body, source)."""
+    if isinstance(record, _RecordError):
+        raise record
     for name in REVIEW_FIELDS:
         if name not in record or record[name] is None:
             raise _RecordError(f"missing-field:{name}")
-
-    str_fields = {}
     for name in ("review_id", "app_id", "body", "source"):
-        value = record[name]
-        if not isinstance(value, str):
+        if not isinstance(record[name], str):
             raise _RecordError(f"bad-field:{name}: expected string")
-        str_fields[name] = value
     for name in ("review_id", "app_id", "source"):
-        if not str_fields[name].strip():
+        if not record[name].strip():
             raise _RecordError(f"bad-field:{name}: empty")
 
     ts_raw = record["timestamp"]
@@ -300,19 +299,19 @@ def _record_row(record: Mapping[str, object], scales: ScaleMap) -> tuple[str, st
     rating_raw = record["rating"]
     if isinstance(rating_raw, bool) or not isinstance(rating_raw, int):
         raise _RecordError(f"bad-rating: {rating_raw!r} is not an integer")
-    scale = scales.for_source(str_fields["source"])
+    scale = scales.for_source(record["source"])
     if not scale.contains(rating_raw):
         raise _RecordError(
             f"out-of-range-rating: {rating_raw} not in [{scale.lo}, {scale.hi}]"
         )
 
     return (
-        str_fields["review_id"],
-        str_fields["app_id"],
+        record["review_id"],
+        record["app_id"],
         (ts - _EPOCH) // _MICROSECOND,
         rating_raw,
-        str_fields["body"],
-        str_fields["source"],
+        record["body"],
+        record["source"],
     )
 
 
@@ -343,103 +342,80 @@ def parse_reviews(
         # Lines end at "\n" alone: serialize_reviews writes U+0085, U+2028
         # and U+2029 unescaped, which str.splitlines would split on; a
         # CRLF line's trailing "\r" is JSON whitespace.
-        return _parse_jsonl(_as_text(source).split("\n"), scales)
-    if fmt == "csv":
-        return _parse_csv(_as_text(source), scales)
-    raise ValueError(f"unknown format {fmt!r} (expected 'jsonl' or 'csv')")
-
-
-def _parse_jsonl(lines: Sequence[str], scales: ScaleMap) -> tuple[ReviewTable, list[Reject]]:
+        records = _jsonl_records(_as_text(source).split("\n"))
+    elif fmt == "csv":
+        records = _csv_records(_as_text(source))
+    else:
+        raise ValueError(f"unknown format {fmt!r} (expected 'jsonl' or 'csv')")
     columns = _new_columns()
     rejects: list[Reject] = []
     seen: dict[tuple[str, str], int] = {}
+    for line_no, record in records:
+        try:
+            row = _record_row(record, scales)
+        except _RecordError as exc:
+            rejects.append(Reject(line_no, str(exc)))
+            continue
+        key = (row[5], row[0])
+        first = seen.get(key)
+        if first is not None:
+            rejects.append(Reject(line_no, f"duplicate: ({row[5]}, {row[0]}) first seen at line {first}"))
+            continue
+        seen[key] = line_no
+        _append_row(columns, row)
+    return ReviewTable(*columns), rejects
+
+
+def _jsonl_records(lines: Sequence[str]) -> Iterator[tuple[int, dict | _RecordError]]:
+    """Each non-blank line's object, or the error that keeps it from being one."""
     for line_no, line in enumerate(lines, start=1):
         if not line.strip():
             continue
         try:
             record = json.loads(line)
         except json.JSONDecodeError as exc:
-            rejects.append(Reject(line_no, f"invalid-json: {exc.msg}"))
+            yield line_no, _RecordError(f"invalid-json: {exc.msg}")
             continue
-        if not isinstance(record, dict):
-            rejects.append(Reject(line_no, "not-an-object"))
-            continue
-        _accept(record, line_no, scales, seen, columns, rejects)
-    return ReviewTable(*columns), rejects
+        yield line_no, record if isinstance(record, dict) else _RecordError("not-an-object")
 
 
-def _csv_records(text: str) -> Iterator[tuple[int, list[str]]]:
-    """Each CSV record with the physical line it starts on.
+def _csv_records(text: str) -> Iterator[tuple[int, dict | _RecordError]]:
+    """Each non-blank CSV record after the header, with the physical line it starts on.
 
-    The csv module finds the record ends itself, so a quoted field keeps
-    its "\r\n", "\r", U+2028 or U+0085 as written. A record the csv
-    module refuses, such as one whose field exceeds ``csv.field_size_limit()``
-    (an unclosed quote early in a large file does), is a DatasetError
-    naming the line it starts on.
+    A record becomes a field mapping with an int rating, or the error that
+    keeps it from being one. The csv module finds the record ends itself,
+    so a quoted field keeps its "\r\n", "\r", U+2028 or U+0085 as written.
+    An unusable header is a DatasetError, and so is a record the csv module
+    refuses, such as one whose field exceeds ``csv.field_size_limit()`` (an
+    unclosed quote early in a large file does), naming the line it starts on.
     """
     reader = csv.reader(io.StringIO(text, newline=""))
     end = 0
     try:
+        header = next(reader, None)
+        if header is None:
+            return
+        if sorted(header) != sorted(REVIEW_FIELDS):
+            raise DatasetError(
+                f"bad CSV header {header!r}: expected columns {list(REVIEW_FIELDS)}"
+            )
+        end = reader.line_num
         for row in reader:
-            yield end + 1, row
-            end = reader.line_num
+            line_no, end = end + 1, reader.line_num
+            if not row:
+                continue
+            if len(row) != len(header):
+                yield line_no, _RecordError(f"bad-row: expected {len(header)} fields, got {len(row)}")
+                continue
+            record = dict(zip(header, row))
+            rating_text = record["rating"].strip()
+            try:
+                record["rating"] = int(rating_text)
+            except ValueError:
+                record = _RecordError(f"bad-rating: {rating_text!r} is not an integer")
+            yield line_no, record
     except csv.Error as exc:
         raise DatasetError(f"CSV record at line {end + 1}: {exc}") from exc
-
-
-def _parse_csv(text: str, scales: ScaleMap) -> tuple[ReviewTable, list[Reject]]:
-    records = _csv_records(text)
-    first = next(records, None)
-    if first is None:
-        return ReviewTable(*_new_columns()), []
-    header = first[1]
-    if sorted(header) != sorted(REVIEW_FIELDS):
-        raise DatasetError(
-            f"bad CSV header {header!r}: expected columns {list(REVIEW_FIELDS)}"
-        )
-    idx = {name: header.index(name) for name in REVIEW_FIELDS}
-
-    columns = _new_columns()
-    rejects: list[Reject] = []
-    seen: dict[tuple[str, str], int] = {}
-    for line_no, row in records:
-        if not row:
-            continue
-        if len(row) != len(header):
-            rejects.append(Reject(line_no, f"bad-row: expected {len(header)} fields, got {len(row)}"))
-            continue
-        record: dict[str, object] = {name: row[idx[name]] for name in REVIEW_FIELDS}
-        rating_text = str(record["rating"]).strip()
-        try:
-            record["rating"] = int(rating_text)
-        except ValueError:
-            rejects.append(Reject(line_no, f"bad-rating: {rating_text!r} is not an integer"))
-            continue
-        _accept(record, line_no, scales, seen, columns, rejects)
-    return ReviewTable(*columns), rejects
-
-
-def _accept(
-    record: Mapping[str, object],
-    line_no: int,
-    scales: ScaleMap,
-    seen: dict[tuple[str, str], int],
-    columns: tuple[list, ...],
-    rejects: list[Reject],
-) -> None:
-    try:
-        row = _record_row(record, scales)
-    except _RecordError as exc:
-        rejects.append(Reject(line_no, str(exc)))
-        return
-    review_id, source = row[0], row[5]
-    key = (source, review_id)
-    first = seen.get(key)
-    if first is not None:
-        rejects.append(Reject(line_no, f"duplicate: ({source}, {review_id}) first seen at line {first}"))
-        return
-    seen[key] = line_no
-    _append_row(columns, row)
 
 
 def csv_line_writer(lines: list[str]):
@@ -452,6 +428,11 @@ def csv_line_writer(lines: list[str]):
     return csv.writer(SimpleNamespace(write=lambda row: lines.append(row[:-2] + "\n")), lineterminator="\r\n")
 
 
+def json_text(payload: object) -> str:
+    """The indented, key-sorted JSON of a report file, ending in a newline."""
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
 def _utc_text(ts: datetime) -> str:
     """ISO-8601 text of ``ts`` in UTC, "Z" standing for the offset."""
     return ts.astimezone(timezone.utc).isoformat().replace("+00:00", "Z")
@@ -461,8 +442,7 @@ def serialize_reviews(reviews: Iterable[Review], fmt: str = "jsonl") -> str:
     """Serialise reviews back to the interchange format (round-trip safe)."""
     rows = ((r.review_id, r.app_id, _utc_text(r.timestamp), r.raw_rating, r.body, r.source) for r in reviews)
     if fmt == "jsonl":
-        lines = [json.dumps(dict(zip(REVIEW_FIELDS, row)), ensure_ascii=False, sort_keys=True) for row in rows]
-        return "\n".join(lines) + ("\n" if lines else "")
+        return _jsonl_text(dict(zip(REVIEW_FIELDS, row)) for row in rows)
     if fmt == "csv":
         lines = []
         writer = csv_line_writer(lines)
@@ -473,11 +453,12 @@ def serialize_reviews(reviews: Iterable[Review], fmt: str = "jsonl") -> str:
 
 
 def rejects_to_jsonl(rejects: Iterable[Reject]) -> str:
-    lines = [
-        json.dumps({"line_no": r.line_no, "reason": r.reason}, ensure_ascii=False)
-        for r in rejects
-    ]
-    return "\n".join(lines) + ("\n" if lines else "")
+    return _jsonl_text({"line_no": r.line_no, "reason": r.reason} for r in rejects)
+
+
+def _jsonl_text(payloads: Iterable[dict]) -> str:
+    """One JSON object a line, keys sorted and non-ASCII written as is."""
+    return "".join(json.dumps(p, ensure_ascii=False, sort_keys=True) + "\n" for p in payloads)
 
 
 @dataclass(frozen=True, slots=True)

@@ -42,7 +42,6 @@ seed included; running twice produces identical files.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass, field
 from datetime import date, timedelta
 from pathlib import Path
@@ -70,6 +69,7 @@ from .ingest import (
     ReviewTable,
     build_catalog,
     catalog_summary,
+    json_text,
     parse_reviews,
     rejects_to_jsonl,
 )
@@ -399,10 +399,6 @@ def write_file(out_dir: str | Path, name: str, text: str) -> Path:
     path = out / name
     path.write_text(text, encoding="utf-8", newline="")
     return path
-
-
-def json_text(payload: object) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def write_intake(out_dir: str | Path, rejects: Sequence[Reject], catalog: MarketCatalog) -> None:

@@ -50,6 +50,8 @@ __all__ = [
 
 SYNTH_SOURCE = "synthetic"
 
+MARKET_START = date(2024, 1, 4)  # the first window of every built-in scenario
+
 INJECTION_KINDS = ("count-spike", "rating-drop", "polarity-shift")
 
 DEFAULT_RATING_WEIGHTS: Mapping[int, float] = {1: 0.10, 2: 0.10, 3: 0.15, 4: 0.25, 5: 0.40}
@@ -305,18 +307,16 @@ def default_scenario(
     n_windows: int = 52,
     rate: float = 40.0,
     seed: int = 0,
-    start: date = date(2024, 1, 4),
-    window_days: int = 7,
     injections: Sequence[Injection] = (),
 ) -> Scenario:
-    """Template market: Poisson counts with the default mixes."""
+    """Template market: Poisson counts with the default mixes, in 7-day windows."""
     apps = tuple(
         AppSpec(app_id=f"app{i:02d}", rate_per_window=rate) for i in range(n_apps)
     )
     return Scenario(
-        start=start,
+        start=MARKET_START,
         n_windows=n_windows,
-        window_days=window_days,
+        window_days=7,
         apps=apps,
         injections=tuple(injections),
         seed=seed,
@@ -333,12 +333,9 @@ def spike_pair_scenario(
     n_apps: int = 10,
     rate: float = 40.0,
     spike_window: int = 30,
-    magnitude: float = 5.0,
     n_windows: int = 52,
-    start: date = date(2024, 1, 4),
-    window_days: int = 7,
 ) -> Scenario:
-    """Two noisy apps against a quiet background, spiked together.
+    """Two noisy apps against a quiet background, spiked 5x together in 7-day windows.
 
     The last two apps draw Poisson counts; the rest publish at a constant
     rate with a single rating and a single polarity bin, so they can never
@@ -349,31 +346,24 @@ def spike_pair_scenario(
     quiet = tuple(_one_tone_app(f"app{i:02d}", rate) for i in range(max(0, n_apps - 2)))
     noisy = tuple(_one_tone_app(name, rate, "poisson") for name in ("spike0", "spike1"))
     return Scenario(
-        start=start,
+        start=MARKET_START,
         n_windows=n_windows,
-        window_days=window_days,
+        window_days=7,
         apps=quiet + noisy,
         injections=(
-            Injection(apps=("spike0", "spike1"), window_index=spike_window, kind="count-spike", magnitude=magnitude),
+            Injection(apps=("spike0", "spike1"), window_index=spike_window, kind="count-spike", magnitude=5.0),
         ),
         seed=seed,
     )
 
 
-def flat_scenario(
-    n_apps: int = 10,
-    n_windows: int = 52,
-    rate: float = 21.0,
-    seed: int = 0,
-    start: date = date(2024, 1, 4),
-    window_days: int = 7,
-) -> Scenario:
-    """Null market: constant counts, one rating, one polarity bin, no injections."""
-    apps = tuple(_one_tone_app(f"app{i:02d}", rate) for i in range(n_apps))
+def flat_scenario(n_apps: int = 10, n_windows: int = 52, seed: int = 0) -> Scenario:
+    """Null market: 21 reviews a 7-day window, one rating, one polarity bin, no injections."""
+    apps = tuple(_one_tone_app(f"app{i:02d}", 21.0) for i in range(n_apps))
     return Scenario(
-        start=start,
+        start=MARKET_START,
         n_windows=n_windows,
-        window_days=window_days,
+        window_days=7,
         apps=apps,
         injections=(),
         seed=seed,

@@ -183,6 +183,13 @@ def test_config_violations_exit_two_with_each_error_on_stderr(tmp_path, capsys) 
     assert err.count("config error:") == 2
 
 
+def test_run_with_summarizer_none_writes_requests_but_no_summaries(tmp_path) -> None:
+    out = tmp_path / "out"
+    assert main(["run", str(_small_dataset(tmp_path)), "--out", str(out), "--set", "summarizer=none"]) == 0
+    assert (out / "summary_requests.json").is_file()
+    assert not (out / "summaries.json").exists()
+
+
 def test_config_file_that_is_not_utf8_exits_two(tmp_path, capsys) -> None:
     bad = tmp_path / "bad.cfg"
     bad.write_bytes(b"\xff\xfe")

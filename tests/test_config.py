@@ -1,6 +1,7 @@
 """Config defaults, parsing, precedence, and whole-file validation."""
 from __future__ import annotations
 
+from dataclasses import fields
 from datetime import date
 
 import pytest
@@ -123,8 +124,50 @@ def test_date_and_none_values_parse() -> None:
     assert config.span_end is None
     with pytest.raises(ConfigError, match="baseline_start"):
         apply_overrides(MarketConfig(), {"baseline_start": "March 1"})
+    # A key that is not optional takes "none" as its value.
+    assert load_config(None, {"summarizer": "none"}).summarizer == "none"
+    with pytest.raises(ConfigError, match="sigma_mode must be 'population' or 'sample', got 'none'"):
+        load_config(None, {"sigma_mode": "none"})
 
 
 def test_missing_referenced_files_fail_validation(tmp_path) -> None:
     with pytest.raises(ConfigError, match="lexicon_path"):
         validate_config(MarketConfig(lexicon_path=str(tmp_path / "nope.tsv")))
+
+
+def _as_text(value: object) -> str:
+    if value is None:
+        return "none"
+    return str(value).lower() if isinstance(value, bool) else str(value)
+
+
+# Every key whose type is ``X | None``; only these read ``none`` as unset.
+_UNSETTABLE = {"baseline_start", "span_start", "span_end", "lexicon_path", "prompt_template_path"}
+
+
+def test_override_keys_are_the_config_fields_parsed_by_their_type() -> None:
+    names = [f.name for f in fields(MarketConfig) if f.name != "scales"]
+    # Every field but scales reads back its own value from text.
+    values = MarketConfig(
+        event_window_days=14, correlation_window_days=2, sensitivity=2.5, correlation_threshold=0.75,
+        lookback_days=21, sample_size=30, seed=7, min_baseline=5, min_corr_points=9, monthly_floor=12.5,
+        exclude_insufficient=True, sigma_mode="sample", summarizer="none", baseline_start=date(2024, 3, 1),
+        span_start=date(2024, 1, 1), span_end=date(2025, 1, 1), lexicon_path="lex.tsv",
+        prompt_template_path="prompt.txt",
+    )
+    assert apply_overrides(MarketConfig(), {n: _as_text(getattr(values, n)) for n in names}) == values
+    config = apply_overrides(MarketConfig(), {"scale.default": "0:4", "scale.web": "0:10"})
+    assert (config.scales.default, config.scales.per_source) == (RatingScale(0, 4), {"web": RatingScale(0, 10)})
+    with pytest.raises(ConfigError) as err:
+        apply_overrides(MarketConfig(), {"scales": "1:5", "scale": "1:5", "Seed": "1"})
+    assert err.value.errors == ["unknown config key 'scales'", "unknown config key 'scale'", "unknown config key 'Seed'"]
+
+    for name in names:
+        try:
+            config = apply_overrides(values, {name: "None"})
+        except ConfigError as exc:
+            assert name not in _UNSETTABLE
+            assert exc.errors[0].startswith(f"{name}: "), exc.errors
+            continue
+        assert getattr(config, name) == (None if name in _UNSETTABLE else "None"), name
+    assert {f.name for f in fields(MarketConfig) if "None" in str(f.type)} == _UNSETTABLE

@@ -108,24 +108,38 @@ def test_thousand_lines_with_three_bad_timestamps_against_line_oracle() -> None:
 
 def test_reject_reasons_are_machine_readable() -> None:
     lines = [
+        _line("r1"),
+        "",
         "{ not json",
         json.dumps(["a", "list"]),
-        _line("r1").replace('"rating": 5', '"rating": "five"'),
-        _line("r2", rating=9),
+        "   ",
         json.dumps({"app_id": "a", "timestamp": "2024-01-05T10:00:00Z",
                     "rating": 3, "body": "x", "source": "s"}),
-        _line("r3"),
-        _line("r3"),
+        _line("r2", body=7),
+        _line("r3", app_id="  "),
+        _line("r4", ts="2024-01-05T10:00:00"),
+        _line("r5", ts=20240105),
+        _line("r6", rating="5"),
+        _line("r7", rating=True),
+        _line("r8", rating=6),
+        _line("r1"),
+        _line("r1", source="web"),
     ]
-    reviews, rejects = parse_reviews("\n".join(lines), "jsonl")
-    assert [r.review_id for r in reviews] == ["r3"]
-    reasons = {r.line_no: r.reason for r in rejects}
-    assert reasons[1].startswith("invalid-json")
-    assert reasons[2] == "not-an-object"
-    assert reasons[3].startswith("bad-rating") or reasons[3].startswith("bad-field")
-    assert reasons[4].startswith("out-of-range-rating")
-    assert reasons[5].startswith("missing-field:") and "review_id" in reasons[5]
-    assert reasons[7] == "duplicate: (store, r3) first seen at line 6"
+    reviews, rejects = parse_reviews("\n".join(lines) + "\n", "jsonl")
+    assert [(r.review_id, r.source) for r in reviews] == [("r1", "store"), ("r1", "web")]
+    assert [(r.line_no, r.reason) for r in rejects] == [
+        (3, "invalid-json: Expecting property name enclosed in double quotes"),
+        (4, "not-an-object"),
+        (6, "missing-field:review_id"),
+        (7, "bad-field:body: expected string"),
+        (8, "bad-field:app_id: empty"),
+        (9, "bad-timestamp: timestamp '2024-01-05T10:00:00' has no timezone offset"),
+        (10, "bad-timestamp: expected string"),
+        (11, "bad-rating: '5' is not an integer"),
+        (12, "bad-rating: True is not an integer"),
+        (13, "out-of-range-rating: 6 not in [1, 5]"),
+        (14, "duplicate: (store, r1) first seen at line 1"),
+    ]
 
 
 def test_duplicate_key_is_source_scoped() -> None:
@@ -186,17 +200,29 @@ def test_jsonl_crlf_file_parses_with_physical_line_numbers() -> None:
 
 
 def test_csv_row_rejects() -> None:
-    header = "app_id,body,rating,review_id,source,timestamp"
     rows = [
-        header,
-        "appA,ok,4,r1,store,2024-01-05T10:00:00Z",
-        "appA,bad rating,x,r2,store,2024-01-05T10:00:00Z",
-        "appA,too short,4,r3,store",
+        "source,rating,review_id,app_id,timestamp,body",  # line 1
+        "store,4,r1,appA,2024-01-05T10:00:00Z,ok",
+        "",
+        "store,x,r2,appA,2024-01-05T10:00:00Z,bad rating",
+        "store,4,r3,appA",
+        'store,4,r1,appB,2024-01-05T11:00:00Z,"two\nlines"',  # lines 6-7
+        "",
+        "store, 3 ,r4,appA,2024-01-05T10:00:00Z,spaced rating",
+        "store,4,r1,appA,2024-01-05T10:00:00Z,ok,extra",
+        "store,9,,appA,2024-01-05T10:00:00Z,empty id",
+        "store,4,r5,appA,2024-01-05,naive",
     ]
-    reviews, rejects = parse_reviews("\n".join(rows), "csv")
-    assert [r.review_id for r in reviews] == ["r1"]
-    assert rejects[0].line_no == 3 and rejects[0].reason.startswith("bad-rating")
-    assert rejects[1].line_no == 4 and rejects[1].reason.startswith("bad-row")
+    reviews, rejects = parse_reviews("\n".join(rows) + "\n", "csv")
+    assert [(r.review_id, r.raw_rating) for r in reviews] == [("r1", 4), ("r4", 3)]
+    assert [(r.line_no, r.reason) for r in rejects] == [
+        (4, "bad-rating: 'x' is not an integer"),
+        (5, "bad-row: expected 6 fields, got 4"),
+        (6, "duplicate: (store, r1) first seen at line 2"),
+        (10, "bad-row: expected 6 fields, got 7"),
+        (11, "bad-field:review_id: empty"),
+        (12, "bad-timestamp: timestamp '2024-01-05' has no timezone offset"),
+    ]
 
 
 @pytest.mark.parametrize("separator", ["\r\n", "\r", "\n", "\u2028", "\u0085"])
