@@ -10,6 +10,7 @@ problems at once.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields, replace
 from datetime import date
 from pathlib import Path
@@ -66,6 +67,13 @@ def _parse_bool(value: str) -> bool:
     return value.lower() == "true"
 
 
+def _parse_finite(value: str) -> float:
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValueError(f"expected a finite number, got {value!r}")
+    return number
+
+
 def _none_or(parse: Callable[[str], object]) -> Callable[[str], object]:
     return lambda value: None if value.lower() == "none" else parse(value)
 
@@ -73,7 +81,7 @@ def _none_or(parse: Callable[[str], object]) -> Callable[[str], object]:
 # Each key is parsed by its field's declared type; only ``| None`` types read ``none``.
 _PARSE_BY_TYPE = {
     "int": int,
-    "float": float,
+    "float": _parse_finite,
     "bool": _parse_bool,
     "str": str,
     "date | None": _none_or(date.fromisoformat),

@@ -13,8 +13,11 @@ from __future__ import annotations
 import csv
 import io
 import json
+import re
 from dataclasses import dataclass, field
 from datetime import date, datetime, timedelta, timezone
+from itertools import compress
+from operator import attrgetter, itemgetter
 from types import SimpleNamespace
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -100,6 +103,9 @@ _MICROSECOND = timedelta(microseconds=1)
 DAY_US = 86_400_000_000
 _COLUMNS = ("review_id", "app_id", "stamp_us", "raw_rating", "body", "source")
 _TEXT_COLUMNS = frozenset(("review_id", "app_id", "body", "source"))
+_REVIEW_ROW = attrgetter("review_id", "app_id", "timestamp", "raw_rating", "body", "source")
+# Row columns in REVIEW_FIELDS order; a parsed block holds line numbers after them.
+_ID, _APP, _STAMP, _RATING, _BODY, _SOURCE, _LINE = range(7)
 
 
 def midnight_us(day: date) -> int:
@@ -165,12 +171,11 @@ class ReviewTable(Sequence[Review]):
         """
         if isinstance(reviews, ReviewTable):
             return reviews
-        columns = _new_columns()
-        for r in reviews:
-            ts = r.timestamp
+        columns = _transpose(list(map(_REVIEW_ROW, reviews)))
+        for review_id, ts in zip(columns[_ID], columns[_STAMP]):
             if ts.utcoffset() is None:
-                raise ValueError(f"review {r.review_id!r} has a naive timestamp {ts.isoformat()}")
-            _append_row(columns, (r.review_id, r.app_id, (ts - _EPOCH) // _MICROSECOND, r.raw_rating, r.body, r.source))
+                raise ValueError(f"review {review_id!r} has a naive timestamp {ts.isoformat()}")
+        columns[_STAMP] = [(ts - _EPOCH) // _MICROSECOND for ts in columns[_STAMP]]
         return cls(*columns)
 
     @classmethod
@@ -180,7 +185,7 @@ class ReviewTable(Sequence[Review]):
         if len(tables) == 1:
             return tables[0]
         if not tables:
-            return cls(*_new_columns())
+            return cls(*_transpose(()))
         return cls(*(np.concatenate([getattr(t, name) for t in tables]) for name in _COLUMNS))
 
     def take(self, rows: np.ndarray) -> "ReviewTable":
@@ -214,17 +219,6 @@ class ReviewTable(Sequence[Review]):
         return f"ReviewTable(<{len(self)} reviews>)"
 
 
-def _new_columns() -> tuple[list, ...]:
-    """Empty lists for (review_id, app_id, stamp_us, raw_rating, body, source)."""
-    return tuple([] for _ in _COLUMNS)
-
-
-def _append_row(columns: tuple[list, ...], row: tuple) -> None:
-    # Six lists hold a row in less memory than one tuple per row would.
-    for column, value in zip(columns, row):
-        column.append(value)
-
-
 def canonical_order(stamp_us: np.ndarray, review_id: np.ndarray, group: np.ndarray | None = None) -> np.ndarray:
     """Row positions in canonical order: by ``group`` when given, then
     ``(stamp_us, review_id)``.
@@ -255,10 +249,6 @@ def canonical_order(stamp_us: np.ndarray, review_id: np.ndarray, group: np.ndarr
     return order
 
 
-class _RecordError(Exception):
-    """Internal: one record failed validation (reason in args[0])."""
-
-
 def parse_timestamp(value: str) -> datetime:
     """Parse an ISO-8601 timestamp, requiring an explicit UTC offset.
 
@@ -274,45 +264,20 @@ def parse_timestamp(value: str) -> datetime:
     return parsed.astimezone(timezone.utc)
 
 
-def _record_row(record: dict | _RecordError, scales: ScaleMap) -> tuple[str, str, int, int, str, str]:
-    """A valid record as a table row: (review_id, app_id, stamp_us, raw_rating, body, source)."""
-    if isinstance(record, _RecordError):
-        raise record
-    for name in REVIEW_FIELDS:
-        if name not in record or record[name] is None:
-            raise _RecordError(f"missing-field:{name}")
-    for name in ("review_id", "app_id", "body", "source"):
-        if not isinstance(record[name], str):
-            raise _RecordError(f"bad-field:{name}: expected string")
-    for name in ("review_id", "app_id", "source"):
-        if not record[name].strip():
-            raise _RecordError(f"bad-field:{name}: empty")
-
-    ts_raw = record["timestamp"]
-    if not isinstance(ts_raw, str):
-        raise _RecordError("bad-timestamp: expected string")
-    try:
-        ts = parse_timestamp(ts_raw)
-    except ValueError as exc:
-        raise _RecordError(f"bad-timestamp: {exc}") from exc
-
-    rating_raw = record["rating"]
-    if isinstance(rating_raw, bool) or not isinstance(rating_raw, int):
-        raise _RecordError(f"bad-rating: {rating_raw!r} is not an integer")
-    scale = scales.for_source(record["source"])
-    if not scale.contains(rating_raw):
-        raise _RecordError(
-            f"out-of-range-rating: {rating_raw} not in [{scale.lo}, {scale.hi}]"
-        )
-
-    return (
-        record["review_id"],
-        record["app_id"],
-        (ts - _EPOCH) // _MICROSECOND,
-        rating_raw,
-        record["body"],
-        record["source"],
-    )
+# JSONL text is decoded in blocks of about this many characters, and CSV in
+# blocks of this many records; each block ends at a line or record end.
+_BLOCK_CHARS = 1 << 16
+_BLOCK_RECORDS = 512
+_SCAN = json.JSONDecoder().scan_once
+_JSON_SPACE = " \t\r"  # JSON whitespace, less the "\n" that ends a line
+_FIELDS_OF = itemgetter(*REVIEW_FIELDS)
+# The common timestamp form, in ASCII digits; numpy would take year 0,
+# which datetime refuses.
+_STAMP_FORM = (
+    r"(?!0000)[0-9]{4}-(?:0[1-9]|1[0-2])-(?:0[1-9]|[12][0-9]|3[01])"
+    r"T(?:[01][0-9]|2[0-3]):[0-5][0-9]:[0-5][0-9](?:\.[0-9]{6})?Z"
+)
+_STAMP_COLUMN = rf"(?:{_STAMP_FORM}\n)*{_STAMP_FORM}"  # compiled at first use, by re's cache
 
 
 def _as_text(source: str | bytes) -> str:
@@ -334,58 +299,192 @@ def parse_reviews(
     Duplicate ``(source, review_id)`` pairs keep the first occurrence; later
     ones are logged as rejects. Line numbers are 1-based and refer to the
     physical input line (the header line counts for CSV, and a CSV record
-    is numbered by the line it starts on).
+    is numbered by the line it starts on). Rejects come in line order.
     """
     if scales is None:
         scales = ScaleMap()
     if fmt == "jsonl":
-        # Lines end at "\n" alone: serialize_reviews writes U+0085, U+2028
-        # and U+2029 unescaped, which str.splitlines would split on; a
-        # CRLF line's trailing "\r" is JSON whitespace.
-        records = _jsonl_records(_as_text(source).split("\n"))
+        blocks = _jsonl_blocks(_as_text(source))
     elif fmt == "csv":
-        records = _csv_records(_as_text(source))
+        blocks = _csv_blocks(_as_text(source))
     else:
         raise ValueError(f"unknown format {fmt!r} (expected 'jsonl' or 'csv')")
-    columns = _new_columns()
+    tables: list[ReviewTable] = []
     rejects: list[Reject] = []
     seen: dict[tuple[str, str], int] = {}
-    for line_no, record in records:
+    for columns, block_rejects in blocks:
+        tables.append(_accept(columns, block_rejects, scales, seen))
+        rejects += sorted(block_rejects, key=attrgetter("line_no"))
+    return ReviewTable.concat(tables), rejects
+
+
+def _drop(columns: list, reasons: list[str | None], rejects: list[Reject]) -> list:
+    """The columns without the rows that have a reason; each of those becomes a reject."""
+    if not any(reasons):
+        return columns
+    rejects += [Reject(line_no, reason) for line_no, reason in zip(columns[_LINE], reasons) if reason]
+    keep = [reason is None for reason in reasons]
+    return [c[np.array(keep, dtype=bool)] if isinstance(c, np.ndarray) else list(compress(c, keep)) for c in columns]
+
+
+def _accept(columns: list, rejects: list[Reject], scales: ScaleMap, seen: dict[tuple[str, str], int]) -> ReviewTable:
+    """The block's rows that pass every rule, less keys already in ``seen``.
+
+    Each rule is checked over a whole column, and costs work per row only
+    when some row fails it. A row is rejected for the first rule it fails,
+    in this order: a missing (or null) field, a non-string text field, a
+    blank id, a non-string or unparsable timestamp, a non-integer rating, a
+    rating outside its source's scale, a duplicate ``(source, review_id)``.
+    """
+    types = [set(map(type, column)) for column in columns[:_LINE]]
+    for k, name in enumerate(REVIEW_FIELDS):
+        if type(None) in types[k]:
+            columns = _drop(columns, [f"missing-field:{name}" if v is None else None for v in columns[k]], rejects)
+    for k in (_ID, _APP, _BODY, _SOURCE):
+        if types[k] != {str}:
+            reason = f"bad-field:{REVIEW_FIELDS[k]}: expected string"
+            columns = _drop(columns, [None if type(v) is str else reason for v in columns[k]], rejects)
+    for k in (_ID, _APP, _SOURCE):
+        if not all(map(str.strip, columns[k])):
+            reason = f"bad-field:{REVIEW_FIELDS[k]}: empty"
+            columns = _drop(columns, [None if v.strip() else reason for v in columns[k]], rejects)
+    if types[_STAMP] != {str}:
+        reason = "bad-timestamp: expected string"
+        columns = _drop(columns, [None if type(v) is str else reason for v in columns[_STAMP]], rejects)
+    columns[_STAMP], reasons = _stamps_us(columns[_STAMP])
+    columns = _drop(columns, reasons, rejects)
+    if types[_RATING] != {int}:
+        columns = _drop(
+            columns, [None if type(v) is int else f"bad-rating: {v!r} is not an integer" for v in columns[_RATING]], rejects
+        )
+    scale_of = {source: scales.for_source(source) for source in set(columns[_SOURCE])}
+    used = set(scale_of.values())
+    if len(used) != 1 or not _within(used.pop(), columns[_RATING]):
+        reasons = []
+        for rating, source in zip(columns[_RATING], columns[_SOURCE]):
+            scale = scale_of[source]
+            reasons.append(None if scale.contains(rating) else f"out-of-range-rating: {rating} not in [{scale.lo}, {scale.hi}]")
+        columns = _drop(columns, reasons, rejects)
+    keys = list(zip(columns[_SOURCE], columns[_ID]))
+    block_seen = dict(zip(keys, columns[_LINE]))
+    if len(block_seen) == len(keys) and seen.keys().isdisjoint(block_seen):
+        seen.update(block_seen)
+    else:
+        reasons = []
+        for key, line_no in zip(keys, columns[_LINE]):
+            first = seen.setdefault(key, line_no)
+            reasons.append(None if first == line_no else f"duplicate: ({key[0]}, {key[1]}) first seen at line {first}")
+        columns = _drop(columns, reasons, rejects)
+    for k in (_APP, _SOURCE):  # one string object per distinct id: a run keeps these columns
+        one_of = dict(zip(columns[k], columns[k]))
+        columns[k] = list(map(one_of.__getitem__, columns[k]))
+    return ReviewTable(*columns[:_LINE])
+
+
+def _within(scale: RatingScale, ratings: Sequence[int]) -> bool:
+    return scale.lo <= min(ratings) and max(ratings) <= scale.hi
+
+
+def _stamps_us(texts: Sequence[str]) -> tuple[Sequence[int], list[str | None]]:
+    """Each text's UTC microseconds since the epoch, and per text the reason it is not a timestamp.
+
+    A column of nothing but the common form (``_STAMP_FORM``) converts as
+    one array. Otherwise, or if numpy refuses a date such as 29 February
+    of a common year, each text goes through ``parse_timestamp``.
+    """
+    joined = "\n".join(texts)
+    if re.fullmatch(_STAMP_COLUMN, joined):
+        parts = joined.replace("Z", "").split("\n")
+        if len(parts) == len(texts):  # no text held a "\n" of its own
+            try:
+                return np.array(parts, dtype="datetime64[us]").view(np.int64), [None] * len(parts)
+            except ValueError:
+                pass
+    stamps: list[int] = []
+    reasons: list[str | None] = []
+    for text in texts:
         try:
-            row = _record_row(record, scales)
-        except _RecordError as exc:
-            rejects.append(Reject(line_no, str(exc)))
-            continue
-        key = (row[5], row[0])
-        first = seen.get(key)
-        if first is not None:
-            rejects.append(Reject(line_no, f"duplicate: ({row[5]}, {row[0]}) first seen at line {first}"))
-            continue
-        seen[key] = line_no
-        _append_row(columns, row)
-    return ReviewTable(*columns), rejects
+            stamps.append((parse_timestamp(text) - _EPOCH) // _MICROSECOND)
+            reasons.append(None)
+        except ValueError as exc:
+            stamps.append(0)
+            reasons.append(f"bad-timestamp: {exc}")
+    return stamps, reasons
 
 
-def _jsonl_records(lines: Sequence[str]) -> Iterator[tuple[int, dict | _RecordError]]:
-    """Each non-blank line's object, or the error that keeps it from being one."""
-    for line_no, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
+def _jsonl_blocks(text: str) -> Iterator[tuple[list, list[Reject]]]:
+    """Each block of about ``_BLOCK_CHARS`` characters, ending at a line end, decoded.
+
+    Lines end at "\n" alone: serialize_reviews writes U+0085, U+2028 and
+    U+2029 unescaped, which str.splitlines would split on; a CRLF line's
+    trailing "\r" is JSON whitespace. The whole text is never split at once.
+    """
+    start, first_line = 0, 1
+    while start < len(text):
+        end = text.find("\n", start + _BLOCK_CHARS)
+        if end < 0:  # the last block; a final "\n" ends the text, not a line
+            end = len(text) - text.endswith("\n")
+        lines = text[start:end].split("\n")
+        yield _decode_lines(lines, first_line)
+        start, first_line = end + 1, first_line + len(lines)
+
+
+def _decode_lines(lines: Sequence[str], first_line: int) -> tuple[list, list[Reject]]:
+    """The block's columns of decoded objects, and its lines that are not one.
+
+    A line whose value, read by the C scanner from the line's start, is
+    followed only by JSON whitespace is decoded by the scanner alone. Any other
+    non-blank line goes to ``json.loads``, whose verdict and message stand;
+    a line it cannot decode (an integer past the digit limit or nesting
+    past the recursion limit included) is an ``invalid-json`` reject.
+    """
+    records: list[dict] = []
+    line_nos: list[int] = []
+    rejects: list[Reject] = []
+    for line_no, line in enumerate(lines, first_line):
         try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            yield line_no, _RecordError(f"invalid-json: {exc.msg}")
+            record, end = _SCAN(line, 0)
+        except (StopIteration, ValueError, RecursionError):
+            end = -1
+        if end != len(line) and (end < 0 or line[end:].strip(_JSON_SPACE)):
+            if not line.strip():
+                continue
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as exc:
+                rejects.append(Reject(line_no, f"invalid-json: {exc.msg}"))
+                continue
+            except (ValueError, RecursionError) as exc:
+                rejects.append(Reject(line_no, f"invalid-json: {exc}"))
+                continue
+        if type(record) is not dict:
+            rejects.append(Reject(line_no, "not-an-object"))
             continue
-        yield line_no, record if isinstance(record, dict) else _RecordError("not-an-object")
+        records.append(record)
+        line_nos.append(line_no)
+    return [*_fields(records), line_nos], rejects
 
 
-def _csv_records(text: str) -> Iterator[tuple[int, dict | _RecordError]]:
-    """Each non-blank CSV record after the header, with the physical line it starts on.
+def _fields(records: list[dict]) -> list:
+    """The records' REVIEW_FIELDS columns; an absent field reads as null, and either is missing-field."""
+    try:
+        return _transpose(list(map(_FIELDS_OF, records)))
+    except KeyError:
+        return _transpose([tuple(map(record.get, REVIEW_FIELDS)) for record in records])
 
-    A record becomes a field mapping with an int rating, or the error that
-    keeps it from being one. The csv module finds the record ends itself,
-    so a quoted field keeps its "\r\n", "\r", U+2028 or U+0085 as written.
-    An unusable header is a DatasetError, and so is a record the csv module
+
+def _transpose(rows: Sequence[Sequence]) -> list:
+    return list(zip(*rows)) if rows else [()] * len(REVIEW_FIELDS)
+
+
+def _csv_blocks(text: str) -> Iterator[tuple[list, list[Reject]]]:
+    """The records after the header in blocks of ``_BLOCK_RECORDS``, numbered by the line each starts on.
+
+    A record whose field count is not the header's is a ``bad-row``, and
+    one whose rating is not an integer a ``bad-rating``; blank records are
+    skipped. The csv module finds the record ends itself, so a quoted
+    field keeps its "\r\n", "\r", U+2028 or U+0085 as written. An
+    unusable header is a DatasetError, and so is a record the csv module
     refuses, such as one whose field exceeds ``csv.field_size_limit()`` (an
     unclosed quote early in a large file does), naming the line it starts on.
     """
@@ -399,23 +498,48 @@ def _csv_records(text: str) -> Iterator[tuple[int, dict | _RecordError]]:
             raise DatasetError(
                 f"bad CSV header {header!r}: expected columns {list(REVIEW_FIELDS)}"
             )
+        fields_of = itemgetter(*map(header.index, REVIEW_FIELDS))
         end = reader.line_num
+        rows: list[list[str]] = []
+        line_nos: list[int] = []
+        rejects: list[Reject] = []
         for row in reader:
             line_no, end = end + 1, reader.line_num
-            if not row:
-                continue
-            if len(row) != len(header):
-                yield line_no, _RecordError(f"bad-row: expected {len(header)} fields, got {len(row)}")
-                continue
-            record = dict(zip(header, row))
-            rating_text = record["rating"].strip()
-            try:
-                record["rating"] = int(rating_text)
-            except ValueError:
-                record = _RecordError(f"bad-rating: {rating_text!r} is not an integer")
-            yield line_no, record
+            if len(row) == len(header):
+                rows.append(row)
+                line_nos.append(line_no)
+            elif row:
+                rejects.append(Reject(line_no, f"bad-row: expected {len(header)} fields, got {len(row)}"))
+            if len(rows) == _BLOCK_RECORDS:
+                yield _csv_block(rows, line_nos, fields_of, rejects)
+                rows, line_nos, rejects = [], [], []
+        if rows or rejects:
+            yield _csv_block(rows, line_nos, fields_of, rejects)
     except csv.Error as exc:
         raise DatasetError(f"CSV record at line {end + 1}: {exc}") from exc
+
+
+def _csv_block(
+    rows: list[list[str]], line_nos: list[int], fields_of: itemgetter, rejects: list[Reject]
+) -> tuple[list, list[Reject]]:
+    """The records' columns in REVIEW_FIELDS order with int ratings; a rating that is not one is a reject."""
+    columns = [*_transpose(list(map(fields_of, rows))), line_nos]
+    texts = list(map(str.strip, columns[_RATING]))
+    try:
+        columns[_RATING] = list(map(int, texts))
+    except ValueError:
+        ratings = list(map(_int_or_none, texts))
+        reasons = [None if r is not None else f"bad-rating: {t!r} is not an integer" for r, t in zip(ratings, texts)]
+        columns[_RATING] = ratings
+        columns = _drop(columns, reasons, rejects)
+    return columns, rejects
+
+
+def _int_or_none(text: str) -> int | None:
+    try:
+        return int(text)
+    except ValueError:
+        return None
 
 
 def csv_line_writer(lines: list[str]):

@@ -183,6 +183,24 @@ def test_config_violations_exit_two_with_each_error_on_stderr(tmp_path, capsys) 
     assert err.count("config error:") == 2
 
 
+@pytest.mark.parametrize("setting", ["monthly_floor=nan", "sensitivity=inf", "correlation_threshold=-inf"])
+def test_a_float_key_that_is_not_finite_exits_two(tmp_path, capsys, setting) -> None:
+    code = main(["run", str(_small_dataset(tmp_path)), "--out", str(tmp_path / "out"), "--set", setting])
+    assert code == 2
+    assert "expected a finite number" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_line_json_cannot_decode_is_one_reject_not_a_failed_run(tmp_path) -> None:
+    dataset = _small_dataset(tmp_path)
+    mixed = tmp_path / "mixed.jsonl"
+    mixed.write_text("1" * 5000 + "\n" + "[" * 100_000 + "\n" + dataset.read_text(), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["run", str(mixed), "--out", str(out)]) == 0
+    rejects = [json.loads(l) for l in (out / "rejects.jsonl").read_text().splitlines()]
+    assert [(r["line_no"], r["reason"].split(":")[0]) for r in rejects] == [(1, "invalid-json"), (2, "invalid-json")]
+
+
 def test_run_with_summarizer_none_writes_requests_but_no_summaries(tmp_path) -> None:
     out = tmp_path / "out"
     assert main(["run", str(_small_dataset(tmp_path)), "--out", str(out), "--set", "summarizer=none"]) == 0

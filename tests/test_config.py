@@ -171,3 +171,18 @@ def test_override_keys_are_the_config_fields_parsed_by_their_type() -> None:
             continue
         assert getattr(config, name) == (None if name in _UNSETTABLE else "None"), name
     assert {f.name for f in fields(MarketConfig) if "None" in str(f.type)} == _UNSETTABLE
+
+
+_FLOAT_KEYS = [f.name for f in fields(MarketConfig) if f.type == "float"]
+
+
+@pytest.mark.parametrize("value", ["nan", "NaN", "inf", "-inf", "Infinity", "1e400"])
+@pytest.mark.parametrize("key", _FLOAT_KEYS)
+def test_float_keys_refuse_values_that_are_not_finite(key: str, value: str) -> None:
+    with pytest.raises(ConfigError) as err:
+        load_config(None, {key: value})
+    assert err.value.errors == [f"{key}: expected a finite number, got {value!r}"]
+
+
+def test_float_keys_are_the_three_documented_ones() -> None:
+    assert _FLOAT_KEYS == ["sensitivity", "correlation_threshold", "monthly_floor"]

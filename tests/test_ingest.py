@@ -9,11 +9,15 @@ from __future__ import annotations
 import json
 import random
 from datetime import datetime, timezone
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from oracles import parse_reviews_by_row
 
+from reviewpulse import ingest
 from reviewpulse.ingest import (
+    REVIEW_FIELDS,
     DatasetError,
     RatingScale,
     Reject,
@@ -21,6 +25,7 @@ from reviewpulse.ingest import (
     ScaleMap,
     build_catalog,
     catalog_summary,
+    csv_line_writer,
     parse_reviews,
     parse_timestamp,
     rejects_to_jsonl,
@@ -280,6 +285,186 @@ def test_unreadable_csv_record_is_a_dataset_error_naming_its_line() -> None:
     rows += [f"appA,body {i},4,r{i + 3},store,2024-01-05T10:00:00Z" for i in range(4000)]
     with pytest.raises(DatasetError, match="CSV record at line 3: field larger than field limit"):
         parse_reviews("\n".join(rows), "csv")
+
+
+@pytest.mark.parametrize(
+    "bad_line, message",
+    [
+        ("1" * 5000, "Exceeds the limit (4300 digits) for integer string conversion"),
+        ('{"rating": ' + "9" * 5000 + "}", "Exceeds the limit (4300 digits) for integer string conversion"),
+        ("[" * 100_000 + "]" * 100_000, "maximum recursion depth exceeded"),
+        ('{"a": ' + "[" * 100_000, "maximum recursion depth exceeded"),
+    ],
+    ids=["huge-integer", "huge-integer-field", "deep-nesting", "deep-nesting-unclosed"],
+)
+def test_a_line_json_cannot_decode_costs_only_that_line(bad_line: str, message: str) -> None:
+    text = "\n".join([_line("r1"), bad_line, _line("r2")]) + "\n"
+    reviews, rejects = parse_reviews(text, "jsonl")
+    assert [r.review_id for r in reviews] == ["r1", "r2"]
+    assert [r.line_no for r in rejects] == [2]
+    assert rejects[0].reason.startswith("invalid-json: " + message)
+
+
+def test_lines_that_join_into_valid_json_are_still_judged_alone() -> None:
+    # Joined into one array these decode as three objects; alone, none is one.
+    lines = ['{"a":1},{"b":2}', '{"c":[{}', "{}]}"]
+    _, rejects = parse_reviews("\n".join(lines), "jsonl")
+    assert [(r.line_no, r.reason.split(":")[0]) for r in rejects] == [(n, "invalid-json") for n in (1, 2, 3)]
+
+
+# (timestamp text, converted by the array path without parse_timestamp?)
+_STAMP_CASES = [
+    ("2024-02-29T12:00:00Z", True),
+    ("2023-02-29T12:00:00Z", False),  # in the common form, but no such day
+    ("2000-02-29T00:00:00Z", True),
+    ("1900-02-29T00:00:00Z", False),
+    ("2024-01-05T23:59:59.999999Z", True),
+    ("0001-01-01T00:00:00Z", True),
+    ("9999-12-31T23:59:59.999999Z", True),
+    ("0000-01-01T00:00:00Z", False),
+    ("2024-01-05T24:00:00Z", False),
+    ("2024-01-05T23:59:60Z", False),
+    ("2024-13-01T00:00:00Z", False),
+    ("2024-01-05T10:00:00+00:00", False),
+    ("2024-01-05T12:00:00+02:00", False),
+    ("2024-01-05T10:00:00z", False),
+    ("2024-01-05T10:00:00.5Z", False),
+    (" 2024-01-05T10:00:00Z", False),
+    ("2024-01-05T10:00:00", False),
+    ("２０２４-01-05T10:00:00Z", False),  # fullwidth digits
+]
+
+
+def _parse_timestamp_verdict(text: str) -> tuple[int, str | None]:
+    try:
+        return (parse_timestamp(text) - ingest._EPOCH) // ingest._MICROSECOND, None
+    except ValueError as exc:
+        return 0, f"bad-timestamp: {exc}"
+
+
+@pytest.mark.parametrize("text, by_array", _STAMP_CASES, ids=[t for t, _ in _STAMP_CASES])
+def test_timestamp_column_agrees_with_parse_timestamp(text: str, by_array: bool) -> None:
+    texts = ["2024-01-05T10:00:00Z", text, "2024-01-05T10:00:00.000001Z"]
+    want = [_parse_timestamp_verdict(t) for t in texts]
+    stamps, reasons = ingest._stamps_us(texts)
+    assert list(zip(map(int, stamps), reasons)) == want
+    if by_array:
+        with mock.patch.object(ingest, "parse_timestamp", side_effect=AssertionError):
+            assert ingest._stamps_us(texts)[0].tolist() == [stamp for stamp, _ in want]
+
+
+def test_timestamp_column_treats_a_text_holding_a_newline_as_one_text() -> None:
+    texts = ["2024-01-05T10:00:00Z\n2024-01-05T10:00:00Z", "2024-01-05T10:00:00Z"]
+    _, reasons = ingest._stamps_us(texts)
+    assert reasons[0].startswith("bad-timestamp:") and reasons[1] is None
+
+
+# Field values for the oracle tests: good ones, and bad ones for each rule.
+_ABSENT = object()
+_GOOD = {
+    "review_id": st.sampled_from(["r1", "r2", " r1", "r\u20284"]),
+    "app_id": st.sampled_from(["appA", "appB"]),
+    "timestamp": st.sampled_from([t for t, _ in _STAMP_CASES if _parse_timestamp_verdict(t)[1] is None]),
+    "rating": st.integers(1, 5),
+    "body": st.text(st.sampled_from("ab \u0085\u2028\r\t\"\\é😀"), max_size=5),
+    "source": st.sampled_from(["store", "web", "web "]),
+}
+_BAD = {
+    "review_id": st.sampled_from(["", "  ", 7]),
+    "app_id": st.sampled_from([" ", 3, ["appA"]]),
+    "timestamp": st.one_of(st.sampled_from([t for t, _ in _STAMP_CASES] + ["soon", ""]), st.integers()),
+    "rating": st.one_of(st.booleans(), st.floats(allow_nan=False), st.sampled_from(["5", 10**30, -(10**30), 0, 6, 10, 11, [5]])),
+    "body": st.sampled_from([3, {"a": 1}]),
+    "source": st.sampled_from(["\t", ["store"]]),
+}
+
+
+@st.composite
+def _record_line(draw: st.DrawFn) -> str:
+    bad = draw(st.lists(st.sampled_from(REVIEW_FIELDS), max_size=2))
+    record = {}
+    for name in REVIEW_FIELDS:
+        value = draw(st.one_of(_BAD[name], st.sampled_from([_ABSENT, None])) if name in bad else _GOOD[name])
+        if value is not _ABSENT:
+            record[name] = value
+    line = json.dumps(record, ensure_ascii=draw(st.booleans()))
+    return draw(st.sampled_from([line] * 5 + [" " + line, line + " \t", line + "x", line + ",{}"]))
+
+
+_OTHER_LINES = st.sampled_from([
+    "", "   ", "\t", "\u2028", "\x0c", "{ not json", "[1, 2]", "7", '"x"', "null", "1" * 5000,
+    '{"a":1},{"b":2}', '{"c":[{}', "{}]}", "{}",
+])
+
+
+@settings(max_examples=300)
+@given(
+    st.lists(st.one_of(_record_line(), _record_line(), _OTHER_LINES), max_size=25),
+    st.lists(st.sampled_from(["\n", "\r\n"]), min_size=25, max_size=25),
+    st.booleans(),
+    st.sampled_from([None, ScaleMap(per_source={"web": RatingScale(0, 10)})]),
+    st.sampled_from([1, 40, 200, 1 << 16]),
+)
+def test_jsonl_parse_agrees_with_the_per_row_oracle(lines, endings, bom, scales, block_chars) -> None:
+    text = ("\ufeff" if bom else "") + "".join(line + end for line, end in zip(lines, endings))
+    with mock.patch.object(ingest, "_BLOCK_CHARS", block_chars):
+        got = parse_reviews(text, "jsonl", scales)
+    assert got == parse_reviews_by_row(text, "jsonl", scales)
+
+
+_GOOD_CSV = {"rating": st.sampled_from(["3", " 4 ", "5", "+2", "1_0"])}
+_BAD_CSV = {
+    "review_id": st.sampled_from(["", "  "]),
+    "app_id": st.just(" "),
+    "timestamp": st.sampled_from([t for t, _ in _STAMP_CASES] + ["soon", ""]),
+    "rating": st.sampled_from(["x", " x ", "", "3.0", "0", "11", "9" * 5000]),
+    "body": _GOOD["body"],  # any text is a body
+    "source": st.just("\t"),
+}
+
+
+@st.composite
+def _csv_row(draw: st.DrawFn) -> list[str]:
+    bad = draw(st.lists(st.sampled_from(REVIEW_FIELDS), max_size=2))
+    row = []
+    for name in REVIEW_FIELDS:
+        good, wrong = _GOOD_CSV.get(name, _GOOD[name]), _BAD_CSV.get(name, _BAD[name])
+        row.append(draw(wrong if name in bad else good))
+    return draw(st.sampled_from([row] * 6 + [row[:4], row + ["extra"], []]))
+
+
+@settings(max_examples=200)
+@given(
+    st.permutations(list(REVIEW_FIELDS)),
+    st.lists(_csv_row(), max_size=20),
+    st.sampled_from([None, ScaleMap(per_source={"web": RatingScale(0, 10)})]),
+    st.sampled_from([1, 3, 512]),
+)
+def test_csv_parse_agrees_with_the_per_row_oracle(header, rows, scales, block_records) -> None:
+    lines: list[str] = []
+    writer = csv_line_writer(lines)
+    writer.writerow(header)
+    order = [REVIEW_FIELDS.index(name) for name in header]
+    writer.writerows([[row[i] for i in order] if len(row) == len(REVIEW_FIELDS) else row for row in rows])
+    text = "".join(lines)
+    with mock.patch.object(ingest, "_BLOCK_RECORDS", block_records):
+        got = parse_reviews(text, "csv", scales)
+    assert got == parse_reviews_by_row(text, "csv", scales)
+
+
+def test_duplicates_across_blocks_name_the_first_line() -> None:
+    lines = [_line(f"r{i % 3}", source=("store", "web")[i % 2]) for i in range(12)]
+    text = "\n".join(lines) + "\n"
+    for block_chars in (1, len(lines[0]) * 2, 1 << 16):
+        with mock.patch.object(ingest, "_BLOCK_CHARS", block_chars):
+            reviews, rejects = parse_reviews(text, "jsonl")
+        assert [(r.source, r.review_id) for r in reviews] == [
+            ("store", "r0"), ("web", "r1"), ("store", "r2"), ("web", "r0"), ("store", "r1"), ("web", "r2")
+        ]
+        assert [(r.line_no, r.reason) for r in rejects] == [
+            (line_no + 6, f"duplicate: ({r.source}, {r.review_id}) first seen at line {line_no}")
+            for line_no, r in enumerate(reviews, start=1)
+        ]
 
 
 def test_rejects_jsonl_shape() -> None:
