@@ -79,7 +79,7 @@ def _cmd_detect(args: argparse.Namespace) -> int:
     config = _load_cli_config(args)
     events = detect_events(config, read_stage(read_metrics_csv, args.metrics))
     records = [r for series in in_report_order(events) for r in series]
-    path = write_file(args.out, "events.csv", write_events_csv(records))
+    path = write_file(args.out, "events.csv", [write_events_csv(records)])
     nonzero = sum(1 for r in records if r.e != 0)
     print(f"wrote {len(records)} event rows ({nonzero} nonzero) to {path}")
     return 0
@@ -99,7 +99,7 @@ def _cmd_ce(args: argparse.Namespace) -> int:
     events = read_stage(read_events_csv, args.events, config.event_window_days, config.sensitivity)
     correlations = read_stage(read_correlations_csv, args.correlations, config.correlation_window_days)
     ces = ce_from_reports(events, correlations, config.event_window_days)
-    path = write_file(args.out, "correlated_events.json", ce_records_to_json(ces))
+    path = write_file(args.out, "correlated_events.json", [ce_records_to_json(ces)])
     print(f"wrote {len(ces)} correlated events to {path}")
     return 0
 
@@ -130,9 +130,9 @@ def _cmd_synth(args: argparse.Namespace) -> int:
         scenario = replace(scenario, seed=args.seed)
     reviews, labels = generate(scenario)
     out = Path(args.out)
-    write_file(out, "reviews.jsonl", serialize_reviews(reviews, fmt="jsonl"))
-    write_file(out, "labels.json", json_text([asdict(label) for label in labels]))
-    write_file(out, "scenario.json", json_text(scenario_to_dict(scenario)))
+    write_file(out, "reviews.jsonl", [serialize_reviews(reviews, fmt="jsonl")])
+    write_file(out, "labels.json", [json_text([asdict(label) for label in labels])])
+    write_file(out, "scenario.json", [json_text(scenario_to_dict(scenario))])
     print(f"wrote {len(reviews)} reviews and {len(labels)} labels to {out}")
     return 0
 

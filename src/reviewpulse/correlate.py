@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from bisect import bisect_left, bisect_right
 from datetime import date, timedelta
 from itertools import combinations
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -398,12 +398,12 @@ def detect_correlated_events(
     return sorted(found.values(), key=lambda r: (r.window.start, -r.ce))
 
 
-def write_correlations_csv(correlations: Iterable[PairSeries]) -> str:
-    """The correlations.csv text: a header, then every series' rows.
+def write_correlations_csv(correlations: Iterable[PairSeries]) -> Iterator[str]:
+    """The correlations.csv text as chunks: a header, then every series' rows.
 
     Rows are grouped per pair series, in window order, with the series in
-    the order given (``write_series_csv``). An undefined rho is written
-    empty, any other with ``repr``.
+    the order given, one chunk per series (``write_series_csv``). An
+    undefined rho is written empty, any other with ``repr``.
     """
     return write_series_csv(
         CORRELATIONS_CSV_COLUMNS,

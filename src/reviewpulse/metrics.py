@@ -17,7 +17,8 @@ window mean is one integer total over one integer count on any grid.
 
 A series is held as columns (``SeriesStats``) over a window grid that all
 series of the grid share; ``WindowStat`` rows are built only at the edges.
-Reading a metrics CSV back refuses a series off that one grid.
+A series CSV is written as text chunks, one per series, so no file's whole
+text is held. Reading a metrics CSV back refuses a series off that one grid.
 """
 
 from __future__ import annotations
@@ -152,18 +153,8 @@ def window_series(t_start: date, t_end: date, days: int) -> list[TimeWindow]:
     return [TimeWindow(t_start + timedelta(days=i * days), days) for i in range(count)]
 
 
-# Scored sentences of one body, (index, text, polarity) each, with the
-# polarity total and count over its scored sentences.
-BodyScore = tuple[list[tuple[int, str, "int | None"]], int, int]
-
-
-def _score_body(body: str, scorer: PolarityScorer, cache: dict[str, BodyScore]) -> BodyScore:
-    entry = cache.get(body)
-    if entry is None:
-        parts = score_sentences(body, scorer)
-        polarities = [p for _, _, p in parts if p is not None]
-        entry = cache[body] = (parts, sum(polarities), len(polarities))
-    return entry
+# Scored sentences of one body, (index, text, polarity) each.
+BodyScore = list[tuple[int, str, "int | None"]]
 
 
 def score_reviews(
@@ -184,7 +175,9 @@ def score_reviews(
         cache = {}
     out: list[ScoredReview] = []
     for review in reviews:
-        parts = _score_body(review.body, scorer, cache)[0]
+        parts = cache.get(review.body)
+        if parts is None:
+            parts = cache[review.body] = score_sentences(review.body, scorer)
         sentences = tuple(
             Sentence(review_id=review.review_id, index=idx, text=text, polarity=pol)
             for idx, text, pol in parts
@@ -263,24 +256,31 @@ def day_sums(
     metrics: Collection[MetricKind],
     scorer: PolarityScorer,
     scales: ScaleMap,
-    cache: dict[str, BodyScore],
+    memo: dict[str, tuple[int, int]],
 ) -> DaySums:
     """Day sums of one app's reviews (sorted by timestamp) over a span.
 
     ``reviews`` is the app's ``ReviewTable``; any other sequence goes
     through ``ReviewTable.from_reviews``. ``midnights`` comes from
     ``utc_midnights``; each day is cut from the stamps by bisection.
-    Ratings are normalised and bodies scored (through ``cache``) only for
-    the metrics asked for.
+    Ratings are normalised and bodies scored only for the metrics asked
+    for. ``memo`` keeps each distinct body's polarity total and scored
+    sentence count, and no sentence text.
     """
     table = ReviewTable.from_reviews(reviews)
     rating = polarity = sentences = None
     if MetricKind.RATING in metrics:
         rating = _prefix(_normalized_ratings(table, scales))
     if MetricKind.POLARITY in metrics:
-        scores = [_score_body(body, scorer, cache) for body in table.body.tolist()]
-        polarity = _prefix([total for _, total, _ in scores])
-        sentences = _prefix([n for _, _, n in scores])
+        totals = []
+        for body in table.body.tolist():
+            entry = memo.get(body)
+            if entry is None:
+                scored = [p for _, _, p in score_sentences(body, scorer) if p is not None]
+                entry = memo[body] = (sum(scored), len(scored))
+            totals.append(entry)
+        polarity = _prefix([total for total, _ in totals])
+        sentences = _prefix([n for _, n in totals])
     cuts = np.searchsorted(table.stamp_us, midnights, side="left")
     return DaySums(utc_datetime(int(midnights[0])).date(), cuts, rating, polarity, sentences)
 
@@ -350,15 +350,18 @@ def write_series_csv(
     columns: Sequence[str],
     series: Iterable[tuple[Sequence[str], Sequence[TimeWindow], np.ndarray, np.ndarray, np.ndarray]],
     cell: Callable[[TimeWindow], str],
-) -> str:
-    """A series CSV: the header, then per series (leading fields, windows,
-    three value arrays) one row per window: the fields, ``cell(window)`` and
-    the values, a float written with ``repr`` and NaN empty. The fields are
-    quoted once per series, by the header's ``csv`` dialect, and a grid's
-    cells are formatted once for the consecutive series that share it."""
+) -> Iterator[str]:
+    """A series CSV as text chunks: the header, then one chunk per series
+    (leading fields, windows, three value arrays) of one row per window:
+    the fields, ``cell(window)`` and the values, a float written with
+    ``repr`` and NaN empty. The fields are quoted once per series, by the
+    header's ``csv`` dialect, and a grid's cells are formatted once for the
+    consecutive series that share it. Nothing is built before it is asked
+    for, so a writer holds one series' text at a time."""
     parts: list[str] = []
     writer = csv_line_writer(parts)
     writer.writerow(columns)
+    yield parts.pop()
     grid, cells = None, []
     for fields, windows, *values in series:
         if windows is not grid:
@@ -367,12 +370,12 @@ def write_series_csv(
         prefix = parts.pop()[:-1]  # the quoted fields and a trailing comma
         x, y, z = ([repr(v) if v == v else "" for v in a.tolist()] if a.dtype.kind == "f" else a.tolist()
                    for a in values)  # NaN != NaN
-        parts.append("".join([f"{prefix}{t0},{p},{q},{r}\n" for t0, p, q, r in zip(cells, x, y, z)]))
-    return "".join(parts)
+        yield "".join([f"{prefix}{t0},{p},{q},{r}\n" for t0, p, q, r in zip(cells, x, y, z)])
 
 
-def write_metrics_csv(series: Iterable[SeriesStats]) -> str:
-    """The metrics CSV text: a header, then every series' rows in window order."""
+def write_metrics_csv(series: Iterable[SeriesStats]) -> Iterator[str]:
+    """The metrics CSV as text chunks: a header, then every series' rows in
+    window order, one chunk per series."""
     return write_series_csv(
         METRICS_CSV_COLUMNS,
         (((s.app_id, s.metric.value), s.windows, s.mu, s.delta, s.n_obs) for s in series),

@@ -35,8 +35,11 @@ and ``summarize`` (summary requests and summaries). The bundle:
     summary_requests.json    sampled texts and prompt hashes per event
     summaries.json           mock-client summaries (when configured)
 
-Every byte of the bundle is a pure function of the inputs and the config,
-seed included; running twice produces identical files.
+``write_file`` writes a file from text chunks through one handle; the
+series CSVs (metrics, metrics_daily, correlations) come one chunk per
+series, so no file's whole text is held. Every byte of the bundle is a
+pure function of the inputs and the config, seed included; running twice
+produces identical files.
 """
 
 from __future__ import annotations
@@ -161,7 +164,8 @@ class MarketAnalysis:
     pair_series: list[PairSeries] = field(default_factory=list)
     ces: list[CorrelatedEventRecord] = field(default_factory=list)
     requests: list[SummaryRequest] = field(default_factory=list)
-    # Per-body sentence scores, filled as needed.
+    # Per-body scored sentences, filled by window_scored only: the bodies
+    # of the windows it was asked for (the correlated events' windows).
     bodies: dict[str, BodyScore] = field(default_factory=dict, repr=False)
 
     @property
@@ -256,8 +260,9 @@ def aggregate(
     Apps flagged insufficient are left out when the config excludes them.
     Each app's reviews are summed per UTC day once; both window grids sum
     from those day sums. Sentences are scored only where the polarity
-    metric needs them. The catalog's reviews must be in canonical order,
-    as ``build_catalog`` leaves them.
+    metric needs them, and only each distinct body's polarity total and
+    scored count is kept, until this returns. The catalog's reviews must be
+    in canonical order, as ``build_catalog`` leaves them.
     """
     scorer = LexiconScorer(
         load_lexicon(config.lexicon_path) if config.lexicon_path else None
@@ -275,8 +280,9 @@ def aggregate(
     weekly = window_series(span_start, span_end, config.event_window_days)
     daily = window_series(span_start, span_end, config.correlation_window_days)
     midnights = utc_midnights(span_start, (span_end - span_start).days)
+    memo: dict[str, tuple[int, int]] = {}  # shared by the apps: a body may repeat across them
     for app in apps:
-        days = day_sums(catalog.reviews[app], midnights, metrics, scorer, config.scales, analysis.bodies)
+        days = day_sums(catalog.reviews[app], midnights, metrics, scorer, config.scales, memo)
         for metric in metrics:
             analysis.weekly_stats[(app, metric)] = window_stats(app, days, weekly, metric)
             analysis.daily_stats[(app, metric)] = window_stats(app, days, daily, metric)
@@ -392,19 +398,21 @@ class PipelineResult:
     summary_requests: int
 
 
-def write_file(out_dir: str | Path, name: str, text: str) -> Path:
-    """Write one report file (UTF-8, newlines as given), creating the directory."""
+def write_file(out_dir: str | Path, name: str, chunks: Iterable[str]) -> Path:
+    """Write one report file from its text chunks, in order, through one
+    handle (UTF-8, newlines as given), creating the directory."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     path = out / name
-    path.write_text(text, encoding="utf-8", newline="")
+    with open(path, "w", encoding="utf-8", newline="") as f:
+        f.writelines(chunks)
     return path
 
 
 def write_intake(out_dir: str | Path, rejects: Sequence[Reject], catalog: MarketCatalog) -> None:
     """Write rejects.jsonl and catalog.json."""
-    write_file(out_dir, "rejects.jsonl", rejects_to_jsonl(rejects))
-    write_file(out_dir, "catalog.json", json_text(catalog_summary(catalog)))
+    write_file(out_dir, "rejects.jsonl", [rejects_to_jsonl(rejects)])
+    write_file(out_dir, "catalog.json", [json_text(catalog_summary(catalog))])
 
 
 def write_metrics(
@@ -425,11 +433,11 @@ def write_requests(out_dir: str | Path, config: MarketConfig, requests: Sequence
     the mock; return the paths written."""
     template = load_template(config.prompt_template_path) if config.prompt_template_path else default_template()
     entries = [request_report_entry(r, template) for r in requests]
-    paths = [write_file(out_dir, "summary_requests.json", json_text(entries))]
+    paths = [write_file(out_dir, "summary_requests.json", [json_text(entries)])]
     if config.summarizer == "mock":
         client = MockSummarizer()
         summaries = [summary_report_entry(r, client, template) for r in requests]
-        paths.append(write_file(out_dir, "summaries.json", json_text(summaries)))
+        paths.append(write_file(out_dir, "summaries.json", [json_text(summaries)]))
     return paths
 
 
@@ -442,9 +450,9 @@ def write_bundle(
     out = Path(out_dir)
     write_intake(out, rejects, analysis.catalog)
     write_metrics(out, analysis.weekly_stats, analysis.daily_stats)
-    write_file(out, "events.csv", write_events_csv(analysis.all_events()))
+    write_file(out, "events.csv", [write_events_csv(analysis.all_events())])
     write_file(out, "correlations.csv", write_correlations_csv(analysis.pair_series))
-    write_file(out, "correlated_events.json", ce_records_to_json(analysis.ces))
+    write_file(out, "correlated_events.json", [ce_records_to_json(analysis.ces)])
     written = write_requests(out, analysis.config, analysis.requests)
     return PipelineResult(
         out_dir=out,

@@ -193,6 +193,8 @@ _HEADS = tuple(
     for t1 in range(5)
 )
 _TAILS = tuple(f"{_FILLER[f0]} {_FILLER[f1]}." for f0 in range(10) for f1 in range(10))
+# Exclusive upper bounds of the coin, tone and fill draws.
+_PICK_HIGHS = np.array([2, 5, 10])
 
 
 def _categorical(weights: Mapping[int, float]) -> tuple[np.ndarray, np.ndarray]:
@@ -266,9 +268,12 @@ def generate(scenario: Scenario) -> tuple[ReviewTable, list[Label]]:
             draws["seconds"].append(offsets + widx * window_seconds)
             draws["rating"].append(rng.random(count))
             draws["bin"].append(rng.random(count * n_sent))
-            draws["coin"].append(rng.integers(0, 2, size=count * n_sent))
-            draws["tone"].append(rng.integers(0, 5, size=(count * n_sent, 2)))
-            draws["fill"].append(rng.integers(0, 10, size=(count * n_sent, 2)))
+            # One call for coin, tone and fill draws the same stream as three.
+            m = count * n_sent
+            picks = rng.integers(0, np.repeat(_PICK_HIGHS, (m, 2 * m, 2 * m)))
+            draws["coin"].append(picks[:m])
+            draws["tone"].append(picks[m : 3 * m].reshape(m, 2))
+            draws["fill"].append(picks[3 * m :].reshape(m, 2))
         if not counts:
             continue
         seconds, u_rating, u_bin, coins, tones, fills = (np.concatenate(draws[k]) for k in draws)

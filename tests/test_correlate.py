@@ -384,7 +384,7 @@ def test_two_app_spiked_market_yields_exactly_one_ce() -> None:
 
 def test_correlations_csv_round_trip() -> None:
     records = [_corr(i, c) for i, c in enumerate([0, 1, -1])]
-    text = write_correlations_csv([_as_series(records)])
+    text = "".join(write_correlations_csv([_as_series(records)]))
     back = read_correlations_csv(text, window_days=1)
     assert [r for s in back for r in s.records()] == records
 
@@ -451,7 +451,7 @@ def _pair_series(draw) -> list[PairSeries]:
 @given(_pair_series())
 def test_correlations_csv_matches_per_row_writer(series: list[PairSeries]) -> None:
     want = _reference_csv(series)
-    text = write_correlations_csv(series)
+    text = "".join(write_correlations_csv(series))
     assert text == want
     # App ids holding "\r", "\n", quotes or commas read back as written.
     back = read_correlations_csv(text, window_days=1)
@@ -468,7 +468,7 @@ def test_correlations_csv_rewrites_a_pipeline_report_exactly(tmp_path) -> None:
     series = read_correlations_csv(text, config.correlation_window_days)
     records = [r for s in series for r in s.records()]
     assert any(r.rho is None for r in records) and any(r.c != 0 for r in records)
-    assert write_correlations_csv(series) == text
+    assert "".join(write_correlations_csv(series)) == text
 
 
 def test_write_bundle_builds_no_correlation_records(tmp_path, monkeypatch) -> None:

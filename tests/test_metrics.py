@@ -3,12 +3,14 @@ from __future__ import annotations
 
 import math
 import random
+import tracemalloc
 from datetime import date, datetime, timedelta, timezone
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from reviewpulse.correlate import PairSeries, read_correlations_csv, write_correlations_csv
 from reviewpulse.ingest import RatingScale, Review, ScaleMap
 from reviewpulse.metrics import (
     DaySums,
@@ -27,6 +29,7 @@ from reviewpulse.metrics import (
     window_stats,
     write_metrics_csv,
 )
+from reviewpulse.pipeline import write_file
 from reviewpulse.sentiment import LexiconScorer
 
 
@@ -201,7 +204,7 @@ def _assert_same_series(got: SeriesStats, want: SeriesStats) -> None:
 def test_metrics_csv_round_trip() -> None:
     windows = window_series(date(2024, 1, 4), date(2024, 1, 25), 7)
     series = [_series("appA", [10.0, None, 1 / 3], windows), _series("app,\rB", [None, 2.0, 2.5], windows)]
-    back = read_metrics_csv(write_metrics_csv(series))
+    back = read_metrics_csv("".join(write_metrics_csv(series)))
     assert list(back) == [(s.app_id, s.metric) for s in series]
     for s in series:
         _assert_same_series(back[(s.app_id, s.metric)], s)
@@ -212,7 +215,7 @@ def test_metrics_csv_round_trip() -> None:
 
 @pytest.mark.parametrize("mu, delta", [("nan", "1.0"), ("2.0", "inf"), ("2.0", "-inf"), ("inf", "")])
 def test_metrics_csv_rejects_non_finite_values(mu: str, delta: str) -> None:
-    text = write_metrics_csv([_series("appA", [1.0], [TimeWindow(date(2024, 1, 4), 7)])])
+    text = "".join(write_metrics_csv([_series("appA", [1.0], [TimeWindow(date(2024, 1, 4), 7)])]))
     with pytest.raises(ValueError, match="line 3"):
         read_metrics_csv(text + f"appA,count,2024-01-11,7,{mu},{delta},3\n")
 
@@ -319,8 +322,47 @@ def test_window_stats_match_per_window_means_and_round_trip(day_reviews, offset,
         oracle.append(WindowStat("appA", metric, window, mu, None, len(values)))
     assert series.records() == metric_delta(oracle)
 
-    back = read_metrics_csv(write_metrics_csv([series]))
+    back = read_metrics_csv("".join(write_metrics_csv([series])))
     if windows:
         _assert_same_series(back[("appA", metric)], series)
     else:
         assert back == {}
+
+
+def test_write_file_streams_its_chunks(tmp_path) -> None:
+    # About 4 MB in 1,000 generated chunks: no more than a chunk or two may
+    # be held at once.
+    def chunks():
+        for i in range(1000):
+            yield f"{i:05d}" + "x" * 4090 + "\n"
+
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        path = write_file(tmp_path, "big.txt", chunks())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - base < 2**20
+    assert path.read_bytes() == "".join(chunks()).encode("utf-8")
+
+
+def test_series_csv_files_hold_their_joined_chunks(tmp_path) -> None:
+    # An app id holding "," and "\r" stays quoted across chunk boundaries.
+    windows = window_series(date(2024, 1, 4), date(2024, 1, 25), 7)
+    series = [_series("app,\rA", [10.0, None, 1 / 3], windows), _series("appB", [None, 2.0, 2.5], windows)]
+    pairs = [
+        PairSeries(a, b, MetricKind.RATING, windows, np.array([math.nan, 0.75, -1 / 3]),
+                   np.array([0, 1, 0]), np.array([3, 9, 12]))
+        for a, b in [("app,\rA", "appB"), ("appB", "app\r,C")]
+    ]
+    for name, write, rows in [("metrics.csv", write_metrics_csv, series),
+                              ("correlations.csv", write_correlations_csv, pairs)]:
+        chunks = list(write(rows))
+        assert len(chunks) == 1 + len(rows)
+        path = write_file(tmp_path, name, write(rows))
+        assert path.read_bytes() == "".join(chunks).encode("utf-8")
+    back = read_metrics_csv((tmp_path / "metrics.csv").read_bytes().decode("utf-8"))
+    assert list(back) == [(s.app_id, s.metric) for s in series]
+    text = (tmp_path / "correlations.csv").read_bytes().decode("utf-8")
+    assert [(s.app_i, s.app_j) for s in read_correlations_csv(text, 7)] == [(p.app_i, p.app_j) for p in pairs]

@@ -11,7 +11,7 @@ from reviewpulse.correlate import CorrelatedEventRecord, CorrelationRun
 from reviewpulse.detect import EventRecord
 from reviewpulse.ingest import Review
 from reviewpulse.metrics import MetricKind, ScoredReview, TimeWindow
-from reviewpulse.sentiment import Sentence
+from reviewpulse.sentiment import LexiconScorer, Sentence
 from reviewpulse.summarize import (
     MockSummarizer,
     build_prompt,
@@ -286,3 +286,40 @@ def test_counts_only_analysis_prepares_the_full_analysis_requests() -> None:
     want = [r for r in full.requests if r.metric is MetricKind.COUNT]
     assert {r.variant for r in want} == {"all", "positive", "negative"}
     assert counts.requests == want
+
+
+def test_full_analysis_keeps_sentence_texts_only_for_ce_windows(monkeypatch) -> None:
+    # The polarity day sums keep integer totals per body; sentence texts
+    # are kept only for the windows whose requests read them.
+    from reviewpulse.config import MarketConfig
+    from reviewpulse.ingest import build_catalog
+    from reviewpulse.metrics import score_reviews
+    from reviewpulse.pipeline import MarketAnalysis, analyze_catalog
+    from reviewpulse.synth import Injection, default_scenario, generate
+
+    asked: list[tuple[str, TimeWindow]] = []
+    window_scored = MarketAnalysis.window_scored
+
+    def recording(self: MarketAnalysis, app_id: str, window: TimeWindow) -> list[ScoredReview]:
+        asked.append((app_id, window))
+        return window_scored(self, app_id, window)
+
+    monkeypatch.setattr(MarketAnalysis, "window_scored", recording)
+    spike = Injection(("app01", "app02"), 30, "count-spike", 5.0)
+    config = MarketConfig(seed=3)
+    catalog = build_catalog(generate(default_scenario(seed=3, injections=(spike,)))[0])
+    analysis = analyze_catalog(config, catalog)
+    assert analysis.ces and asked
+
+    def in_window(app_id: str, window: TimeWindow) -> list[Review]:
+        return [r for r in catalog.reviews[app_id] if window.contains(r.timestamp)]
+
+    window_bodies = {r.body for app_id, window in asked for r in in_window(app_id, window)}
+    all_bodies = {r.body for reviews in catalog.reviews.values() for r in reviews}
+    assert set(analysis.bodies) == window_bodies
+    assert len(window_bodies) * 4 < len(all_bodies)
+
+    def rescored(app_id: str, window: TimeWindow) -> list[ScoredReview]:
+        return score_reviews(in_window(app_id, window), LexiconScorer(), config.scales)
+
+    assert analysis.requests == build_requests(analysis.ces, rescored, config.sample_size, config.seed)
