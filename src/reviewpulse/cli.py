@@ -22,7 +22,7 @@ from .correlate import (
 )
 from .detect import read_events_csv, write_events_csv
 from .ingest import DatasetError, serialize_reviews
-from .metrics import read_metrics_csv
+from .metrics import read_day_sums_csv
 from .pipeline import (
     aggregate,
     ce_from_reports,
@@ -33,6 +33,7 @@ from .pipeline import (
     load_catalog,
     read_stage,
     run_pipeline,
+    series_stats,
     write_file,
     write_intake,
     write_metrics,
@@ -69,15 +70,15 @@ def _cmd_ingest_check(args: argparse.Namespace) -> int:
 def _cmd_metrics(args: argparse.Namespace) -> int:
     config = _load_cli_config(args)
     catalog, _ = load_catalog(config, args.inputs, args.format)
-    analysis = aggregate(config, catalog)
-    weekly, daily = write_metrics(args.out, analysis.weekly_stats, analysis.daily_stats)
-    print(f"wrote {weekly} event-window rows and {daily} correlation-window rows to {Path(args.out)}")
+    weekly, daily = write_metrics(args.out, aggregate(config, catalog))
+    print(f"wrote day sums, {weekly} event-window rows and {daily} correlation-window rows to {Path(args.out)}")
     return 0
 
 
 def _cmd_detect(args: argparse.Namespace) -> int:
     config = _load_cli_config(args)
-    events = detect_events(config, read_stage(read_metrics_csv, args.metrics))
+    sums = read_stage(read_day_sums_csv, args.day_sums)
+    events = detect_events(config, series_stats(sums, config.event_window_days))
     records = [r for series in in_report_order(events) for r in series]
     path = write_file(args.out, "events.csv", [write_events_csv(records)])
     nonzero = sum(1 for r in records if r.e != 0)
@@ -87,7 +88,8 @@ def _cmd_detect(args: argparse.Namespace) -> int:
 
 def _cmd_correlate(args: argparse.Namespace) -> int:
     config = _load_cli_config(args)
-    series = correlate_stats(config, read_stage(read_metrics_csv, args.metrics_daily))
+    sums = read_stage(read_day_sums_csv, args.day_sums)
+    series = correlate_stats(config, series_stats(sums, config.correlation_window_days))
     path = write_file(args.out, "correlations.csv", write_correlations_csv(series))
     rows = sum(len(s.windows) for s in series)
     print(f"wrote {rows} correlation rows to {path}")
@@ -122,7 +124,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     if args.scenario is not None:
         try:
             scenario = load_scenario(args.scenario)
-        except (OSError, ValueError) as exc:
+        except (OSError, ValueError, RecursionError) as exc:
             raise ConfigError([f"bad scenario {args.scenario}: {exc}"]) from exc
     else:
         scenario = default_scenario()
@@ -181,18 +183,18 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(handler=_cmd_ingest_check)
 
-    p = sub.add_parser("metrics", help="compute windowed metric series")
+    p = sub.add_parser("metrics", help="compute day sums and windowed metric series")
     _add_dataset_args(p)
     _add_common(p)
     p.set_defaults(handler=_cmd_metrics)
 
-    p = sub.add_parser("detect", help="detect deviation events from metrics.csv")
-    p.add_argument("metrics", help="metrics.csv from the metrics stage")
+    p = sub.add_parser("detect", help="detect deviation events from day_sums.csv")
+    p.add_argument("day_sums", help="day_sums.csv from the metrics stage")
     _add_common(p)
     p.set_defaults(handler=_cmd_detect)
 
-    p = sub.add_parser("correlate", help="compute pairwise correlations from metrics_daily.csv")
-    p.add_argument("metrics_daily", help="metrics_daily.csv from the metrics stage")
+    p = sub.add_parser("correlate", help="compute pairwise correlations from day_sums.csv")
+    p.add_argument("day_sums", help="day_sums.csv from the metrics stage")
     _add_common(p)
     p.set_defaults(handler=_cmd_correlate)
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from datetime import date
 from fractions import Fraction
-from math import isqrt
+from math import isfinite, isqrt
 from typing import Iterable, Sequence
 
 from .ingest import csv_line_writer
@@ -204,18 +204,24 @@ def read_events_csv(text: str, window_days: int, k: float) -> list[EventRecord]:
     """Rebuild event records from the CSV dump.
 
     The window length and sensitivity are not CSV columns; they come from
-    the same config that produced the dump.
+    the same config that produced the dump. A row whose ``e`` is not -1, 0
+    or 1, whose ``a`` or ``sigma`` is not finite, or whose ``warmup`` is not
+    ``true`` or ``false`` is a ValueError naming its line.
     """
     out: list[EventRecord] = []
-    for _, (app_id, metric, t0, e, a, sigma, baseline_n, warmup) in csv_rows(text, EVENTS_CSV_COLUMNS, "events"):
+    for line, (app_id, metric, t0, e, a, sigma, baseline_n, warmup) in csv_rows(text, EVENTS_CSV_COLUMNS, "events"):
+        values = [None if v == "" else float(v) for v in (a, sigma)]
+        finite = all(isfinite(v) for v in values if v is not None)
+        if int(e) not in (-1, 0, 1) or not finite or warmup not in ("true", "false"):
+            raise ValueError(f"events CSV line {line}: bad e, a, sigma or warmup: {e!r}, {a!r}, {sigma!r}, {warmup!r}")
         out.append(
             EventRecord(
                 app_id=app_id,
                 metric=MetricKind(metric),
                 window=TimeWindow(date.fromisoformat(t0), window_days),
                 e=int(e),
-                a=None if a == "" else float(a),
-                sigma=None if sigma == "" else float(sigma),
+                a=values[0],
+                sigma=values[1],
                 k=k,
                 baseline_n=int(baseline_n),
                 warmup=warmup == "true",

@@ -10,26 +10,30 @@ Missing is an explicit state: a window with no observations has no mean
 for rating/polarity (the count metric is simply 0 there), and a delta is
 missing whenever either side is. Nothing is imputed.
 
-The analysis sums each app's reviews per UTC day once (``day_sums``):
-integer prefix sums of reviews, normalised ratings, sentence polarities and
-scored sentences. Every window grid takes its totals from those, so a
-window mean is one integer total over one integer count on any grid.
+The analysis sums each app's reviews per UTC day of the span once
+(``day_sums``): int64 prefix sums over the days of reviews, normalised
+ratings, sentence polarities and scored sentences. Every window grid takes
+its totals from those, so a window mean is one integer total over one
+integer count on any grid. The day sums are the one intermediate between
+stages: ``write_day_sums_csv`` writes them as one row per app and day, and
+``read_day_sums_csv`` reads them back exactly.
 
 A series is held as columns (``SeriesStats``) over a window grid that all
 series of the grid share; ``WindowStat`` rows are built only at the edges.
 A series CSV is written as text chunks, one per series, so no file's whole
-text is held. Reading a metrics CSV back refuses a series off that one grid.
+text is held. The metrics CSVs are reports; no stage reads them back.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import math
 from dataclasses import dataclass, replace
 from datetime import date, datetime, timedelta, timezone
 from enum import Enum
-from typing import Callable, Collection, Hashable, Iterable, Iterator, Sequence
+from typing import Callable, Collection, Hashable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -38,6 +42,7 @@ from .sentiment import PolarityScorer, Sentence, score_sentences
 from .sentiment import score_review  # noqa: F401  perfbench's tracer wraps this name
 
 __all__ = [
+    "DAY_SUMS_CSV_COLUMNS",
     "METRICS_CSV_COLUMNS",
     "DaySums",
     "MetricKind",
@@ -51,18 +56,20 @@ __all__ = [
     "metric_delta",
     "metric_mu",
     "normalize_rating",
-    "read_metrics_csv",
+    "read_day_sums_csv",
     "score_reviews",
     "series_groups",
     "utc_midnights",
     "window_series",
     "window_stats",
     "WindowStat",
+    "write_day_sums_csv",
     "write_metrics_csv",
     "write_series_csv",
 ]
 
 METRICS_CSV_COLUMNS = ("app_id", "metric", "t0", "w", "mu", "delta", "n_obs")
+DAY_SUMS_CSV_COLUMNS = ("app_id", "t0", "reviews", "rating", "polarity", "sentences")
 
 
 class MetricKind(str, Enum):
@@ -209,17 +216,17 @@ def metric_mu(reviews_in_window: Sequence[ScoredReview], metric: MetricKind) -> 
 class DaySums:
     """One app's reviews summed per UTC day of a span, as prefix sums.
 
-    The app's reviews are taken in timestamp order. ``cuts[d]`` counts those
-    before day ``d`` of the span, so day ``d`` holds reviews
-    ``cuts[d]:cuts[d + 1]``. ``rating``, ``polarity`` and ``sentences`` are
-    int64 prefix sums over the same reviews (length reviews + 1) of the
-    normalised rating, the sentence polarity total and the number of scored
-    sentences; each is None when its metric was not asked for. Any grid of
-    whole-day windows inside the span sums from these in integer arithmetic.
+    Day ``d`` of the span is ``start + d``. ``reviews[d]`` counts the app's
+    reviews on the span's days before day ``d``, so it holds one entry per
+    day and one more. ``rating``, ``polarity`` and ``sentences`` are int64
+    prefix sums over the same days of the normalised rating, the sentence
+    polarity total and the number of scored sentences; each is None when its
+    metric was not asked for. Any grid of whole-day windows inside the span
+    sums from these in integer arithmetic.
     """
 
     start: date
-    cuts: np.ndarray
+    reviews: np.ndarray
     rating: np.ndarray | None = None
     polarity: np.ndarray | None = None
     sentences: np.ndarray | None = None
@@ -263,14 +270,17 @@ def day_sums(
     ``reviews`` is the app's ``ReviewTable``; any other sequence goes
     through ``ReviewTable.from_reviews``. ``midnights`` comes from
     ``utc_midnights``; each day is cut from the stamps by bisection.
-    Ratings are normalised and bodies scored only for the metrics asked
-    for. ``memo`` keeps each distinct body's polarity total and scored
-    sentence count, and no sentence text.
+    Ratings are normalised and bodies scored only for the span's reviews
+    and the metrics asked for. ``memo`` keeps each distinct body's polarity
+    total and scored sentence count, and no sentence text.
     """
     table = ReviewTable.from_reviews(reviews)
+    cuts = np.searchsorted(table.stamp_us, midnights, side="left")
+    table = table[cuts[0] : cuts[-1]]  # the span's reviews
+    cuts -= cuts[0]
     rating = polarity = sentences = None
     if MetricKind.RATING in metrics:
-        rating = _prefix(_normalized_ratings(table, scales))
+        rating = _prefix(_normalized_ratings(table, scales))[cuts]
     if MetricKind.POLARITY in metrics:
         totals = []
         for body in table.body.tolist():
@@ -279,9 +289,8 @@ def day_sums(
                 scored = [p for _, _, p in score_sentences(body, scorer) if p is not None]
                 entry = memo[body] = (sum(scored), len(scored))
             totals.append(entry)
-        polarity = _prefix([total for total, _ in totals])
-        sentences = _prefix([n for _, n in totals])
-    cuts = np.searchsorted(table.stamp_us, midnights, side="left")
+        polarity = _prefix([total for total, _ in totals])[cuts]
+        sentences = _prefix([n for _, n in totals])[cuts]
     return DaySums(utc_datetime(int(midnights[0])).date(), cuts, rating, polarity, sentences)
 
 
@@ -299,11 +308,10 @@ def window_stats(
     """
     width = windows[0].days if windows else 1
     first = (windows[0].start - days.start).days if windows else 0
-    bounds = days.cuts[first : first + len(windows) * width + 1 : width]
-    if first < 0 or len(bounds) != len(windows) + 1:
+    bounds = slice(first, first + len(windows) * width + 1, width)
+    if first < 0 or len(days.reviews[bounds]) != len(windows) + 1:
         raise ValueError(f"windows from {windows[0].start} run outside the day sums")
-    lo, hi = bounds[:-1], bounds[1:]
-    n_obs = hi - lo
+    n_obs = np.diff(days.reviews[bounds])
     if metric is MetricKind.COUNT:
         mu = n_obs.astype(np.float64)
     elif metric is MetricKind.RATING or metric is MetricKind.POLARITY:
@@ -311,9 +319,9 @@ def window_stats(
         if sums is None:
             raise ValueError(f"day sums were built without {metric.value} totals")
         if metric is MetricKind.POLARITY:
-            n_obs = days.sentences[hi] - days.sentences[lo]
+            n_obs = np.diff(days.sentences[bounds])
         # Below 2**53 each int64 is an exact float64, so this is the rounded t / n.
-        mu = np.divide(sums[hi] - sums[lo], n_obs, out=np.full(len(n_obs), np.nan), where=n_obs > 0)
+        mu = np.divide(np.diff(sums[bounds]), n_obs, out=np.full(len(n_obs), np.nan), where=n_obs > 0)
     else:
         raise ValueError(f"unknown metric {metric!r}")
     return SeriesStats(app_id, metric, windows, mu, np.diff(mu, prepend=np.nan), n_obs)
@@ -383,6 +391,22 @@ def write_metrics_csv(series: Iterable[SeriesStats]) -> Iterator[str]:
     )
 
 
+def write_day_sums_csv(sums: Mapping[str, DaySums]) -> Iterator[str]:
+    """The day sums CSV as text chunks: the header, then one chunk per app
+    of one row per day of its span, holding that day's totals; a total that
+    was not summed is left empty. Each app id is quoted once, and the day
+    cells are formatted once per span."""
+    parts: list[str] = []
+    csv_line_writer(parts).writerows([DAY_SUMS_CSV_COLUMNS, *((app, "") for app in sums)])
+    day_cells = functools.cache(lambda start, n: [(start + timedelta(days=d)).isoformat() for d in range(n)])
+    yield parts[0]
+    for prefix, days in zip([line[:-1] for line in parts[1:]], sums.values()):  # "app," without its newline
+        cells = day_cells(days.start, len(days.reviews) - 1)
+        totals = ([""] * len(cells) if a is None else np.diff(a).tolist()
+                  for a in (days.reviews, days.rating, days.polarity, days.sentences))
+        yield "".join([f"{prefix}{t0},{n},{r},{p},{s}\n" for t0, n, r, p, s in zip(cells, *totals)])
+
+
 def csv_rows(text: str, columns: Sequence[str], what: str) -> Iterator[tuple[int, list[str]]]:
     """A report CSV's rows after its header, each with the line it ends on.
 
@@ -411,25 +435,23 @@ def series_groups(rows: Iterable[tuple], label: str) -> dict[Hashable, list[list
     return columns
 
 
-def read_metrics_csv(text: str) -> dict[tuple[str, MetricKind], SeriesStats]:
-    """Metric series from the CSV dump, keyed by (app, metric) in first-row order.
+def read_day_sums_csv(text: str) -> dict[str, DaySums]:
+    """Day sums from the CSV dump, keyed by app in first-row order.
 
-    A mu or delta that is not finite is a ValueError naming its line. So is
-    a series that ``series_groups`` refuses, or whose windows are not those
-    of the first series; the series share that one grid.
+    ``series_groups`` refuses an app's days with a gap, a repeat or a step
+    back, and every app must hold the first app's span. A total that is not
+    an integer (an empty one included), or is beyond int64, is a ValueError;
+    so is a negative one, or a running sum beyond int64.
     """
-    rows = []
-    for line, (app_id, metric, t0, w, mu, delta, n_obs) in csv_rows(text, METRICS_CSV_COLUMNS, "metrics"):
-        values = [math.nan if v == "" else float(v) for v in (mu, delta)]
-        if not all(math.isfinite(x) for v, x in zip((mu, delta), values) if v != ""):
-            raise ValueError(f"metrics CSV line {line}: mu and delta must be finite, got {mu!r}, {delta!r}")
-        rows.append(((app_id, MetricKind(metric)), TimeWindow(date.fromisoformat(t0), int(w)), *values, int(n_obs)))
-    label = "metrics of ({0}, {1.value})"
-    out: dict[tuple[str, MetricKind], SeriesStats] = {}
-    grid: list[TimeWindow] = []
-    for key, (windows, mus, deltas, n_obs) in series_groups(rows, label).items():
-        grid = grid or windows
-        if windows != grid:
-            raise ValueError(f"{label.format(*key)}: windows from {windows[0].start} are not the first series' grid")
-        out[key] = SeriesStats(*key, grid, np.array(mus), np.array(deltas), np.array(n_obs, dtype=np.int64))
+    rows = [((app_id,), TimeWindow(date.fromisoformat(t0), 1), n, rating, polarity, sentences)
+            for _, (app_id, t0, n, rating, polarity, sentences) in csv_rows(text, DAY_SUMS_CSV_COLUMNS, "day sums")]
+    out: dict[str, DaySums] = {}
+    for (app,), (days, *totals) in series_groups(rows, "day sums of ({0})").items():
+        prefixes = [_prefix(np.array(t, dtype=np.int64)) for t in totals]
+        if any((s[1:] < s[:-1]).any() for s in prefixes):
+            raise ValueError(f"day sums of ({app}): a total is negative or sums beyond int64")
+        sums = out[app] = DaySums(days[0].start, *prefixes)
+        first = next(iter(out.values()))
+        if (sums.start, len(sums.reviews)) != (first.start, len(first.reviews)):
+            raise ValueError(f"day sums of ({app}): days from {sums.start} are not the first app's span")
     return out

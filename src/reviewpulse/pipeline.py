@@ -5,14 +5,20 @@ library and the CLI:
 
     load_catalog      parse the input files and build the market catalog
     aggregate         sum each app per UTC day, fill both grids' metric series
+    series_stats      one grid's metric series of every app, from day sums
     detect_events     deviation events of every event-window series
     correlate_stats   every app pair's correlation series per metric
     ce_from_reports   correlated events from events plus correlation series
     build_requests    summary requests for the correlated events
 
-Each (app, metric) series is one ``metrics.SeriesStats``: columns over a
-window grid that all its series share. ``detect_events`` builds rows only
-for event windows; ``read_metrics_csv`` checks the grid of a file it reads.
+The one intermediate is each app's ``metrics.DaySums``: integer totals
+per UTC day of the span that all apps share. ``aggregate`` builds them from
+the reviews, and the ``detect`` and ``correlate`` subcommands read them from
+day_sums.csv; both then build their series through ``series_stats``, on the
+grid width of the config at hand, so the CLI chain and the library run the
+same code after the day sums. Each (app, metric) series is one
+``metrics.SeriesStats``: columns over a window grid that all its series
+share. ``detect_events`` builds rows only for event windows.
 
 ``analyze_catalog`` chains aggregate through the requests in memory, and
 ``run_pipeline`` adds parsing before and the bundle after. Each CLI
@@ -27,6 +33,7 @@ and ``summarize`` (summary requests and summaries). The bundle:
 
     rejects.jsonl            per-line parse rejects
     catalog.json             per-app coverage and floor flags
+    day_sums.csv             per-app, per-day totals: the stage intermediate
     metrics.csv              event-window metric series (mu, delta, n_obs)
     metrics_daily.csv        correlation-window metric series (one grid)
     events.csv               deviation events
@@ -35,11 +42,12 @@ and ``summarize`` (summary requests and summaries). The bundle:
     summary_requests.json    sampled texts and prompt hashes per event
     summaries.json           mock-client summaries (when configured)
 
+The metrics CSVs are reports only: no stage reads them back.
 ``write_file`` writes a file from text chunks through one handle; the
-series CSVs (metrics, metrics_daily, correlations) come one chunk per
-series, so no file's whole text is held. Every byte of the bundle is a
-pure function of the inputs and the config, seed included; running twice
-produces identical files.
+CSVs of day sums and series (metrics, metrics_daily, correlations) come
+one chunk per app or series, so no file's whole text is held. Every byte
+of the bundle is a pure function of the inputs and the config, seed
+included; running twice produces identical files.
 """
 
 from __future__ import annotations
@@ -78,6 +86,7 @@ from .ingest import (
 )
 from .metrics import (
     BodyScore,
+    DaySums,
     MetricKind,
     ScoredReview,
     SeriesStats,
@@ -89,6 +98,7 @@ from .metrics import (
     utc_midnights,
     window_series,
     window_stats,
+    write_day_sums_csv,
     write_metrics_csv,
 )
 from .sentiment import LexiconScorer, PolarityScorer, load_lexicon
@@ -122,6 +132,7 @@ __all__ = [
     "read_review_files",
     "read_stage",
     "run_pipeline",
+    "series_stats",
     "write_bundle",
     "write_file",
     "write_intake",
@@ -134,6 +145,7 @@ ALL_METRICS = (MetricKind.COUNT, MetricKind.RATING, MetricKind.POLARITY)
 BUNDLE_FILES = (
     "rejects.jsonl",
     "catalog.json",
+    "day_sums.csv",
     "metrics.csv",
     "metrics_daily.csv",
     "events.csv",
@@ -155,9 +167,9 @@ def in_report_order(by_series: Mapping[SeriesKey, T]) -> list[T]:
 class MarketAnalysis:
     config: MarketConfig
     catalog: MarketCatalog
-    span: tuple[date, date] | None
     apps: tuple[str, ...]
     scorer: PolarityScorer
+    day_sums: dict[str, DaySums] = field(default_factory=dict)
     weekly_stats: dict[SeriesKey, SeriesStats] = field(default_factory=dict)
     daily_stats: dict[SeriesKey, SeriesStats] = field(default_factory=dict)
     events: dict[SeriesKey, list[EventRecord]] = field(default_factory=dict)
@@ -193,24 +205,21 @@ class MarketAnalysis:
 
 
 def _derive_span(config: MarketConfig, catalog: MarketCatalog, apps: Sequence[str]) -> tuple[date, date] | None:
-    starts = [catalog.coverage[a].first for a in apps]
-    ends = [catalog.coverage[a].last for a in apps]
-    if not starts:
-        if config.span_start is not None and config.span_end is not None:
-            return config.span_start, config.span_end
+    """The config's span, its open ends taken from the apps' coverage; None
+    when there is no app or the span holds no day."""
+    if not apps:
         return None
-    span_start = config.span_start or min(starts).date()  # coverage stamps are UTC
-    span_end = config.span_end or (max(ends).date() + timedelta(days=1))
-    if span_start >= span_end:
-        return None
-    return span_start, span_end
+    span_start = config.span_start or min(catalog.coverage[a].first for a in apps).date()  # coverage stamps are UTC
+    span_end = config.span_end or max(catalog.coverage[a].last for a in apps).date() + timedelta(days=1)
+    return (span_start, span_end) if span_start < span_end else None
 
 
 def read_stage(parse: Callable[..., T], path: str | Path, *args: object) -> T:
     """``parse(text, *args)`` over an input or stage file's UTF-8 text.
 
     A missing or unreadable file, or one that is not UTF-8 or does not
-    parse (a count beyond int64 included), is a dataset error.
+    parse (a count beyond int64 or nesting too deep included), is a dataset
+    error.
     """
     p = Path(path)
     if not p.is_file():
@@ -223,7 +232,7 @@ def read_stage(parse: Callable[..., T], path: str | Path, *args: object) -> T:
         raise DatasetError(f"{p} is not valid UTF-8: {exc}") from exc
     try:
         return parse(text, *args)
-    except (ValueError, KeyError, TypeError, OverflowError, csv.Error) as exc:
+    except (ValueError, KeyError, TypeError, OverflowError, RecursionError, csv.Error) as exc:
         raise DatasetError(f"{p}: {exc}") from exc
 
 
@@ -258,10 +267,11 @@ def aggregate(
     """A new analysis with its event- and correlation-window stats filled.
 
     Apps flagged insufficient are left out when the config excludes them.
-    Each app's reviews are summed per UTC day once; both window grids sum
-    from those day sums. Sentences are scored only where the polarity
-    metric needs them, and only each distinct body's polarity total and
-    scored count is kept, until this returns. The catalog's reviews must be
+    Each app's reviews are summed per UTC day of the span once, and the
+    analysis keeps those day sums; both window grids sum from them through
+    ``series_stats``. Sentences are scored only where the polarity metric
+    needs them, and only each distinct body's polarity total and scored
+    count is kept, until this returns. The catalog's reviews must be
     in canonical order, as ``build_catalog`` leaves them.
     """
     scorer = LexiconScorer(
@@ -272,21 +282,26 @@ def aggregate(
         for a in catalog.apps
         if not (config.exclude_insufficient and catalog.coverage[a].insufficient)
     )
+    analysis = MarketAnalysis(config=config, catalog=catalog, apps=apps, scorer=scorer)
     span = _derive_span(config, catalog, apps)
-    analysis = MarketAnalysis(config=config, catalog=catalog, span=span, apps=apps, scorer=scorer)
-    if span is None:
-        return analysis
-    span_start, span_end = span
-    weekly = window_series(span_start, span_end, config.event_window_days)
-    daily = window_series(span_start, span_end, config.correlation_window_days)
-    midnights = utc_midnights(span_start, (span_end - span_start).days)
-    memo: dict[str, tuple[int, int]] = {}  # shared by the apps: a body may repeat across them
-    for app in apps:
-        days = day_sums(catalog.reviews[app], midnights, metrics, scorer, config.scales, memo)
-        for metric in metrics:
-            analysis.weekly_stats[(app, metric)] = window_stats(app, days, weekly, metric)
-            analysis.daily_stats[(app, metric)] = window_stats(app, days, daily, metric)
+    if span is not None:
+        midnights = utc_midnights(span[0], (span[1] - span[0]).days)
+        memo: dict[str, tuple[int, int]] = {}  # shared by the apps: a body may repeat across them
+        for app in apps:
+            analysis.day_sums[app] = day_sums(catalog.reviews[app], midnights, metrics, scorer, config.scales, memo)
+    analysis.weekly_stats = series_stats(analysis.day_sums, config.event_window_days, metrics)
+    analysis.daily_stats = series_stats(analysis.day_sums, config.correlation_window_days, metrics)
     return analysis
+
+
+def series_stats(sums: Mapping[str, DaySums], window_days: int,
+                 metrics: Sequence[MetricKind] = ALL_METRICS) -> dict[SeriesKey, SeriesStats]:
+    """Every app's series of each metric on one grid of ``window_days``-day
+    windows over the span that the apps' day sums share."""
+    first = next(iter(sums.values()), None)
+    grid = [] if first is None else window_series(
+        first.start, first.start + timedelta(days=len(first.reviews) - 1), window_days)
+    return {(app, metric): window_stats(app, days, grid, metric) for app, days in sums.items() for metric in metrics}
 
 
 def detect_events(
@@ -308,18 +323,15 @@ def detect_events(
 def correlate_stats(config: MarketConfig, daily_stats: Mapping[SeriesKey, SeriesStats]) -> list[PairSeries]:
     """Every pair's correlation series, metrics in name order, apps in id order.
 
-    The series share one window grid, as ``aggregate`` and
-    ``read_metrics_csv`` leave them. Each app is one row of ``mu`` points
-    per metric, NaN where the mean is missing or the app has no series.
+    Every app has a series of each metric, all on one window grid, as
+    ``series_stats`` leaves them. Each app is one row of ``mu`` points per
+    metric, NaN where the mean is missing.
     """
     apps = sorted({app for app, _ in daily_stats})
     grid = next(iter(daily_stats.values())).windows if daily_stats else []
     out: list[PairSeries] = []
     for metric in sorted({metric for _, metric in daily_stats}, key=lambda m: m.value):
-        values = np.full((len(apps), len(grid)), np.nan)
-        for row, app in enumerate(apps):
-            if (app, metric) in daily_stats:
-                values[row] = daily_stats[(app, metric)].mu
+        values = np.array([daily_stats[(app, metric)].mu for app in apps])
         out.extend(
             market_correlations(
                 apps,
@@ -346,8 +358,6 @@ def analyze_catalog(
     sentences by polarity whatever the metric.
     """
     analysis = aggregate(config, catalog, metrics)
-    if analysis.span is None:
-        return analysis
     analysis.events = detect_events(config, analysis.weekly_stats)
     analysis.pair_series = correlate_stats(config, analysis.daily_stats)
     analysis.ces = ce_from_reports(
@@ -415,14 +425,12 @@ def write_intake(out_dir: str | Path, rejects: Sequence[Reject], catalog: Market
     write_file(out_dir, "catalog.json", [json_text(catalog_summary(catalog))])
 
 
-def write_metrics(
-    out_dir: str | Path,
-    weekly_stats: Mapping[SeriesKey, SeriesStats],
-    daily_stats: Mapping[SeriesKey, SeriesStats],
-) -> tuple[int, int]:
-    """Write metrics.csv and metrics_daily.csv; return their row counts."""
-    weekly = in_report_order(weekly_stats)
-    daily = in_report_order(daily_stats)
+def write_metrics(out_dir: str | Path, analysis: MarketAnalysis) -> tuple[int, int]:
+    """Write day_sums.csv, metrics.csv and metrics_daily.csv; return the
+    series CSVs' row counts."""
+    weekly = in_report_order(analysis.weekly_stats)
+    daily = in_report_order(analysis.daily_stats)
+    write_file(out_dir, "day_sums.csv", write_day_sums_csv(analysis.day_sums))
     write_file(out_dir, "metrics.csv", write_metrics_csv(weekly))
     write_file(out_dir, "metrics_daily.csv", write_metrics_csv(daily))
     return sum(len(s.windows) for s in weekly), sum(len(s.windows) for s in daily)
@@ -449,7 +457,7 @@ def write_bundle(
     """Write every report file for an analysis (reports exist even when empty)."""
     out = Path(out_dir)
     write_intake(out, rejects, analysis.catalog)
-    write_metrics(out, analysis.weekly_stats, analysis.daily_stats)
+    write_metrics(out, analysis)
     write_file(out, "events.csv", [write_events_csv(analysis.all_events())])
     write_file(out, "correlations.csv", write_correlations_csv(analysis.pair_series))
     write_file(out, "correlated_events.json", [ce_records_to_json(analysis.ces)])

@@ -18,6 +18,7 @@ BUNDLE_FILES = (
     "catalog.json",
     "correlated_events.json",
     "correlations.csv",
+    "day_sums.csv",
     "events.csv",
     "metrics.csv",
     "metrics_daily.csv",
@@ -46,7 +47,7 @@ def test_empty_dataset_yields_empty_reports_and_exit_zero(tmp_path) -> None:
     assert json.loads((out / "summaries.json").read_text()) == []
     assert (out / "rejects.jsonl").read_text() == ""
     # CSVs reduce to their header line.
-    for name in ("events.csv", "correlations.csv", "metrics.csv", "metrics_daily.csv"):
+    for name in ("day_sums.csv", "events.csv", "correlations.csv", "metrics.csv", "metrics_daily.csv"):
         lines = (out / name).read_text().strip().splitlines()
         assert len(lines) == 1, name
 
@@ -92,8 +93,8 @@ def _chain_matches_run(tmp_path: Path, dataset: Path, settings: list[str]) -> Pa
 
     staged = tmp_path / "staged"
     assert main(["metrics", str(dataset), "--out", str(staged), *flags]) == 0
-    assert main(["detect", str(staged / "metrics.csv"), "--out", str(staged), *flags]) == 0
-    assert main(["correlate", str(staged / "metrics_daily.csv"), "--out", str(staged), *flags]) == 0
+    assert main(["detect", str(staged / "day_sums.csv"), "--out", str(staged), *flags]) == 0
+    assert main(["correlate", str(staged / "day_sums.csv"), "--out", str(staged), *flags]) == 0
     assert main([
         "ce", str(staged / "events.csv"), str(staged / "correlations.csv"),
         "--out", str(staged), *flags,
@@ -103,7 +104,7 @@ def _chain_matches_run(tmp_path: Path, dataset: Path, settings: list[str]) -> Pa
         "--out", str(staged), *flags,
     ]) == 0
     for name in (
-        "metrics.csv", "metrics_daily.csv", "events.csv", "correlations.csv",
+        "day_sums.csv", "metrics.csv", "metrics_daily.csv", "events.csv", "correlations.csv",
         "correlated_events.json", "summary_requests.json", "summaries.json",
     ):
         assert (staged / name).read_bytes() == (out / name).read_bytes(), name
@@ -138,8 +139,25 @@ def test_metrics_runs_only_parse_catalog_and_aggregate(tmp_path, monkeypatch) ->
         monkeypatch.setattr(pipeline, name, refuse)
     staged = tmp_path / "staged"
     assert main(["metrics", str(dataset), "--out", str(staged)]) == 0
-    for name in ("metrics.csv", "metrics_daily.csv"):
+    for name in ("day_sums.csv", "metrics.csv", "metrics_daily.csv"):
         assert (staged / name).read_bytes() == (out / name).read_bytes(), name
+
+
+def test_detect_takes_its_window_from_its_own_config(tmp_path) -> None:
+    # One day_sums.csv, written under the default 7-day event window, serves
+    # a detect run on 14-day windows.
+    dataset = _small_dataset(tmp_path, n_windows=30, spike_window=20)
+    staged = tmp_path / "staged"
+    assert main(["metrics", str(dataset), "--out", str(staged)]) == 0
+    detected = tmp_path / "detected"
+    flags = ["--set", "event_window_days=14"]
+    assert main(["detect", str(staged / "day_sums.csv"), "--out", str(detected), *flags]) == 0
+    out = tmp_path / "run"
+    assert main(["run", str(dataset), "--out", str(out), *flags]) == 0
+    assert (detected / "events.csv").read_bytes() == (out / "events.csv").read_bytes()
+    rows = list(csv.DictReader((out / "events.csv").read_text(encoding="utf-8").splitlines()))
+    assert (date.fromisoformat(rows[1]["t0"]) - date.fromisoformat(rows[0]["t0"])).days == 14
+    assert any(row["e"] != "0" for row in rows)
 
 
 def test_synthetic_market_run_reports_exactly_the_injected_pair(tmp_path) -> None:
@@ -235,7 +253,7 @@ def test_app_id_with_a_carriage_return_survives_run_then_ce(tmp_path) -> None:
     assert main(["ce", str(out / "events.csv"), str(out / "correlations.csv"), "--out", str(ce_out)]) == 0
     assert (ce_out / "correlated_events.json").read_bytes() == (out / "correlated_events.json").read_bytes()
     staged = tmp_path / "staged"
-    assert main(["detect", str(out / "metrics.csv"), "--out", str(staged)]) == 0
+    assert main(["detect", str(out / "day_sums.csv"), "--out", str(staged)]) == 0
     assert (staged / "events.csv").read_bytes() == (out / "events.csv").read_bytes()
 
 
@@ -256,18 +274,18 @@ def test_unreadable_csv_header_exits_three(tmp_path, capsys) -> None:
 def test_unparsable_stage_file_exits_three(tmp_path, capsys) -> None:
     staged = tmp_path / "staged"
     assert main(["metrics", str(_small_dataset(tmp_path)), "--out", str(staged)]) == 0
-    metrics = staged / "metrics.csv"
-    header, first, *rest = metrics.read_text(encoding="utf-8").splitlines()
+    day_sums = staged / "day_sums.csv"
+    header, first, *rest = day_sums.read_text(encoding="utf-8").splitlines()
     cells = first.split(",")
-    cells[5] = "nan"
-    metrics.write_text("\n".join([header, ",".join(cells), *rest]) + "\n", encoding="utf-8")
-    assert main(["detect", str(metrics), "--out", str(staged)]) == 3
+    cells[3] = "nan"
+    day_sums.write_text("\n".join([header, ",".join(cells), *rest]) + "\n", encoding="utf-8")
+    assert main(["detect", str(day_sums), "--out", str(staged)]) == 3
     assert "dataset error:" in capsys.readouterr().err
     (staged / "events.csv").write_text("wrong,header\n", encoding="utf-8")
-    assert main(["ce", str(staged / "events.csv"), str(metrics), "--out", str(staged)]) == 3
+    assert main(["ce", str(staged / "events.csv"), str(day_sums), "--out", str(staged)]) == 3
     # A bare "\r" in an unquoted field, which the csv reader refuses.
-    metrics.write_text(f"{header}\na\rb,count,2024-01-04,7,1.0,,3\n", encoding="utf-8", newline="")
-    assert main(["detect", str(metrics), "--out", str(staged)]) == 3
+    day_sums.write_text(f"{header}\na\rb,2024-01-04,1,3,0,0\n", encoding="utf-8", newline="")
+    assert main(["detect", str(day_sums), "--out", str(staged)]) == 3
 
 
 @pytest.mark.parametrize("command", ["detect", "correlate", "ce", "summarize-prep"])
@@ -287,6 +305,36 @@ def test_correlated_events_that_are_not_a_list_of_objects_exit_three(tmp_path, c
     code = main(["summarize-prep", str(ces), str(_small_dataset(tmp_path)), "--out", str(tmp_path / "out")])
     assert code == 3
     assert "dataset error:" in capsys.readouterr().err
+
+
+def test_correlated_events_nested_too_deep_exit_three(tmp_path, capsys) -> None:
+    ces = tmp_path / "correlated_events.json"
+    ces.write_text("[" * 100_000, encoding="utf-8")
+    code = main(["summarize-prep", str(ces), str(_small_dataset(tmp_path)), "--out", str(tmp_path / "out")])
+    assert code == 3
+    assert "dataset error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "e, a, sigma, warmup",
+    [("7", "1.5", "0.5", "false"), ("1", "nan", "0.5", "false"), ("1", "1.5", "inf", "false"),
+     ("-1", "-inf", "0.5", "false"), ("1", "1.5", "0.5", "yes")],
+    ids=["e-out-of-range", "a-nan", "sigma-inf", "a-minus-inf", "warmup-not-boolean"],
+)
+def test_bad_events_csv_row_exits_three(tmp_path, capsys, e, a, sigma, warmup) -> None:
+    events = tmp_path / "events.csv"
+    events.write_text(
+        "app_id,metric,t0,e,a,sigma,baseline_n,warmup\n"
+        "a,count,2024-01-04,0,,,0,true\n"
+        f"a,count,2024-01-11,{e},{a},{sigma},4,{warmup}\n",
+        encoding="utf-8",
+    )
+    correlations = tmp_path / "correlations.csv"
+    correlations.write_text("app_i,app_j,metric,t0,rho,c,n_points\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["ce", str(events), str(correlations), "--out", str(out)]) == 3
+    assert "events CSV line 3" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_partial_rejects_still_succeed(tmp_path) -> None:
@@ -330,6 +378,14 @@ def test_bad_scenario_file_exits_two(tmp_path, capsys) -> None:
     code = main(["synth", str(scenario_path), "--out", str(tmp_path / "out")])
     assert code == 2
     assert "bad scenario" in capsys.readouterr().err
+
+
+def test_scenario_nested_too_deep_exits_two(tmp_path, capsys) -> None:
+    scenario_path = tmp_path / "scenario.json"
+    scenario_path.write_text("[" * 100_000, encoding="utf-8")
+    assert main(["synth", str(scenario_path), "--out", str(tmp_path / "out")]) == 2
+    assert "bad scenario" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("field", ["rating_weights", "polarity_weights"])
@@ -390,44 +446,51 @@ def test_correlations_off_their_window_grid_exit_three(tmp_path, capsys, days, c
 
 @pytest.mark.parametrize("command", ["detect", "correlate"])
 @pytest.mark.parametrize(
-    "rows",
+    "rows, refused",
     [
-        ("a:01:1", "a:02:1", "a:04:1"),
-        ("a:02:1", "a:01:1"),
-        ("a:01:1", "a:01:1"),
-        ("a:01:2", "a:03:1"),
-        ("b:01:1", "b:02:1", "a:01:1", "a:03:1"),
-        ("b:01:1", "b:02:1", "a:01:1"),
+        (("a:01:1", "a:02:1", "a:04:1"), "day sums of (a): window 2024-01-04 does not follow 2024-01-02"),
+        (("a:02:1", "a:01:1"), "day sums of (a): window 2024-01-01 does not follow 2024-01-02"),
+        (("a:01:1", "a:01:1"), "day sums of (a): window 2024-01-01 does not follow 2024-01-01"),
+        (("b:01:1", "b:02:1", "a:02:1", "a:03:1"), "day sums of (a): days from 2024-01-02 are not the first app's span"),
+        (("b:01:1", "b:02:1", "a:01:1"), "day sums of (a): days from 2024-01-01 are not the first app's span"),
+        (("a:01:1", "a:02:-1"), "day sums of (a): a total is negative or sums beyond int64"),
+        (("a:01:1", "a:02:1.5"), "invalid literal for int()"),
+        (("a:01:1", f"a:02:{2**63}"), "too large"),
+        (("a:01:1", f"a:02:{2**63 - 1}"), "day sums of (a): a total is negative or sums beyond int64"),
+        ((), "bad day sums CSV header"),
     ],
-    ids=["gap", "backwards", "repeat", "spacing", "other-grid", "short"],
+    ids=["gap", "backwards", "repeat", "other-span", "short-span", "negative", "not-integer",
+         "beyond-int64", "sum-beyond-int64", "header"],
 )
-def test_metrics_off_one_window_grid_exit_three(tmp_path, capsys, command, rows) -> None:
-    metrics = tmp_path / "metrics.csv"
+def test_bad_day_sums_exit_three(tmp_path, capsys, command, rows, refused) -> None:
+    day_sums = tmp_path / "day_sums.csv"
     lines = []
     for row in rows:
-        app, day, days = row.split(":")
-        lines.append(f"{app},count,2024-01-{day},{days},3.0,,3\n")
-    metrics.write_text("app_id,metric,t0,w,mu,delta,n_obs\n" + "".join(lines), encoding="utf-8")
+        app, day, total = row.split(":")
+        lines.append(f"{app},2024-01-{day},3,{total},0,0\n")
+    header = "app_id,t0,reviews,rating,polarity,sentences" if rows else "app_id,metric,t0,w,mu,delta,n_obs"
+    day_sums.write_text(header + "\n" + "".join(lines), encoding="utf-8")
     out = tmp_path / "out"
-    assert main([command, str(metrics), "--out", str(out)]) == 3
-    assert "metrics of (a, count)" in capsys.readouterr().err
+    assert main([command, str(day_sums), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "dataset error:" in err and refused in err
     assert not out.exists()
 
 
 def test_correlate_refuses_a_day_missing_from_every_app(tmp_path, capsys) -> None:
     staged = tmp_path / "staged"
     assert main(["metrics", str(_small_dataset(tmp_path)), "--out", str(staged)]) == 0
-    daily = staged / "metrics_daily.csv"
-    lines = daily.read_text(encoding="utf-8").splitlines(keepends=True)
-    daily.write_text("".join(line for line in lines if ",2024-02-10," not in line), encoding="utf-8")
-    assert main(["correlate", str(daily), "--out", str(tmp_path / "out")]) == 3
+    day_sums = staged / "day_sums.csv"
+    lines = day_sums.read_text(encoding="utf-8").splitlines(keepends=True)
+    day_sums.write_text("".join(line for line in lines if ",2024-02-10," not in line), encoding="utf-8")
+    assert main(["correlate", str(day_sums), "--out", str(tmp_path / "out")]) == 3
     assert "window 2024-02-11 does not follow 2024-02-09" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
     "command, header, row",
     [
-        ("detect", "app_id,metric,t0,w,mu,delta,n_obs", "a,count,2024-01-01,1,3.0,,{n}"),
+        ("detect", "app_id,t0,reviews,rating,polarity,sentences", "a,2024-01-01,{n},0,0,0"),
         ("ce", "app_i,app_j,metric,t0,rho,c,n_points", "a,b,count,2024-01-01,0.5,1,{n}"),
     ],
     ids=["detect", "ce"],

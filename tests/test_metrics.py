@@ -1,6 +1,8 @@
 """Window metrics: rating normalisation, window grids, averages, deltas."""
 from __future__ import annotations
 
+import csv
+import io
 import math
 import random
 import tracemalloc
@@ -8,10 +10,11 @@ from datetime import date, datetime, timedelta, timezone
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from reviewpulse.correlate import PairSeries, read_correlations_csv, write_correlations_csv
-from reviewpulse.ingest import RatingScale, Review, ScaleMap
+from reviewpulse.config import MarketConfig
+from reviewpulse.ingest import RatingScale, Review, ScaleMap, build_catalog
 from reviewpulse.metrics import (
     DaySums,
     MetricKind,
@@ -22,15 +25,17 @@ from reviewpulse.metrics import (
     metric_delta,
     metric_mu,
     normalize_rating,
-    read_metrics_csv,
+    read_day_sums_csv,
     score_reviews,
     utc_midnights,
     window_series,
     window_stats,
+    write_day_sums_csv,
     write_metrics_csv,
 )
-from reviewpulse.pipeline import write_file
+from reviewpulse.pipeline import aggregate, write_file
 from reviewpulse.sentiment import LexiconScorer
+from reviewpulse.synth import generate, spike_pair_scenario
 
 
 def _review(i: int, ts: datetime, rating: int = 4, body: str = "ok.", app: str = "appA") -> Review:
@@ -195,49 +200,6 @@ def _series(app: str, mus: list[float | None], windows: list[TimeWindow]) -> Ser
                        np.array([0 if m is None else 1 for m in mus]))
 
 
-def _assert_same_series(got: SeriesStats, want: SeriesStats) -> None:
-    assert (got.app_id, got.metric, list(got.windows)) == (want.app_id, want.metric, list(want.windows))
-    for name in ("mu", "delta", "n_obs"):
-        np.testing.assert_array_equal(getattr(got, name), getattr(want, name), strict=True)
-
-
-def test_metrics_csv_round_trip() -> None:
-    windows = window_series(date(2024, 1, 4), date(2024, 1, 25), 7)
-    series = [_series("appA", [10.0, None, 1 / 3], windows), _series("app,\rB", [None, 2.0, 2.5], windows)]
-    back = read_metrics_csv("".join(write_metrics_csv(series)))
-    assert list(back) == [(s.app_id, s.metric) for s in series]
-    for s in series:
-        _assert_same_series(back[(s.app_id, s.metric)], s)
-    assert back[("appA", MetricKind.COUNT)].windows is back[("app,\rB", MetricKind.COUNT)].windows
-    with pytest.raises(ValueError):
-        read_metrics_csv("wrong,header\n1,2\n")
-
-
-@pytest.mark.parametrize("mu, delta", [("nan", "1.0"), ("2.0", "inf"), ("2.0", "-inf"), ("inf", "")])
-def test_metrics_csv_rejects_non_finite_values(mu: str, delta: str) -> None:
-    text = "".join(write_metrics_csv([_series("appA", [1.0], [TimeWindow(date(2024, 1, 4), 7)])]))
-    with pytest.raises(ValueError, match="line 3"):
-        read_metrics_csv(text + f"appA,count,2024-01-11,7,{mu},{delta},3\n")
-
-
-@pytest.mark.parametrize(
-    "rows, refused",
-    [
-        (["a,2024-01-01,1", "a,2024-01-03,1"], "a"),
-        (["a,2024-01-02,1", "a,2024-01-01,1"], "a"),
-        (["a,2024-01-01,1", "a,2024-01-01,1"], "a"),
-        (["a,2024-01-01,1", "a,2024-01-02,2"], "a"),
-        (["a,2024-01-01,2", "a,2024-01-03,2", "b,2024-01-01,1", "b,2024-01-02,1"], "b"),
-    ],
-    ids=["gap", "backwards", "repeat", "spacing", "other-grid"],
-)
-def test_metrics_csv_refuses_series_off_one_grid(rows: list[str], refused: str) -> None:
-    app_day_width = [row.split(",") for row in rows]
-    text = "app_id,metric,t0,w,mu,delta,n_obs\n" + "".join(f"{a},count,{d},{w},1.0,,1\n" for a, d, w in app_day_width)
-    with pytest.raises(ValueError, match=rf"metrics of \({refused}, count\)"):
-        read_metrics_csv(text)
-
-
 def test_day_sums_match_per_review_bucketing_oracle() -> None:
     # Oracle: bucket each review by its own UTC day, then average in plain
     # Python. Offsets, polarity mixes and reviews outside the grid included.
@@ -292,7 +254,6 @@ def _day_reviews(draw):
 @given(_day_reviews(), st.integers(0, 6), st.integers(1, 8), st.sampled_from(list(MetricKind)))
 def test_window_stats_match_per_window_means_and_round_trip(day_reviews, offset, width, metric) -> None:
     start = date(2024, 1, 4)
-    reviews = [review for day in day_reviews for review in day]
 
     def prefix(values: list[int]) -> np.ndarray:
         return np.array([0, *np.cumsum(values, dtype=np.int64)], dtype=np.int64)
@@ -300,9 +261,9 @@ def test_window_stats_match_per_window_means_and_round_trip(day_reviews, offset,
     days = DaySums(
         start,
         prefix([len(day) for day in day_reviews]),
-        prefix([rating for rating, _ in reviews]),
-        prefix([sum(pols) for _, pols in reviews]),
-        prefix([len(pols) for _, pols in reviews]),
+        prefix([sum(rating for rating, _ in day) for day in day_reviews]),
+        prefix([sum(sum(pols) for _, pols in day) for day in day_reviews]),
+        prefix([sum(len(pols) for _, pols in day) for day in day_reviews]),
     )
     grid_start = start + timedelta(days=min(offset, len(day_reviews)))
     windows = window_series(grid_start, start + timedelta(days=len(day_reviews)), width)
@@ -322,11 +283,9 @@ def test_window_stats_match_per_window_means_and_round_trip(day_reviews, offset,
         oracle.append(WindowStat("appA", metric, window, mu, None, len(values)))
     assert series.records() == metric_delta(oracle)
 
-    back = read_metrics_csv("".join(write_metrics_csv([series])))
-    if windows:
-        _assert_same_series(back[("appA", metric)], series)
-    else:
-        assert back == {}
+    # The same series from the day sums read back from their CSV.
+    back = read_day_sums_csv("".join(write_day_sums_csv({"appA": days})))
+    assert window_stats("appA", back["appA"], windows, metric).records() == series.records()
 
 
 def test_write_file_streams_its_chunks(tmp_path) -> None:
@@ -356,13 +315,75 @@ def test_series_csv_files_hold_their_joined_chunks(tmp_path) -> None:
                    np.array([0, 1, 0]), np.array([3, 9, 12]))
         for a, b in [("app,\rA", "appB"), ("appB", "app\r,C")]
     ]
+    days = np.array([0, 2, 5, 5], dtype=np.int64)
+    sums = {app: DaySums(date(2024, 1, 4), days, days, 2 * days, days) for app in ("app,\rA", 'app"B')}
     for name, write, rows in [("metrics.csv", write_metrics_csv, series),
-                              ("correlations.csv", write_correlations_csv, pairs)]:
+                              ("correlations.csv", write_correlations_csv, pairs),
+                              ("day_sums.csv", write_day_sums_csv, sums)]:
         chunks = list(write(rows))
         assert len(chunks) == 1 + len(rows)
         path = write_file(tmp_path, name, write(rows))
         assert path.read_bytes() == "".join(chunks).encode("utf-8")
-    back = read_metrics_csv((tmp_path / "metrics.csv").read_bytes().decode("utf-8"))
-    assert list(back) == [(s.app_id, s.metric) for s in series]
+    text = (tmp_path / "metrics.csv").read_bytes().decode("utf-8")
+    assert [row[0] for row in csv.reader(io.StringIO(text))] == ["app_id", *(s.app_id for s in series for _ in windows)]
+    assert list(read_day_sums_csv((tmp_path / "day_sums.csv").read_bytes().decode("utf-8"))) == list(sums)
     text = (tmp_path / "correlations.csv").read_bytes().decode("utf-8")
     assert [(s.app_i, s.app_j) for s in read_correlations_csv(text, 7)] == [(p.app_i, p.app_j) for p in pairs]
+
+
+def _arrays(days: DaySums) -> list[np.ndarray]:
+    return [days.reviews, days.rating, days.polarity, days.sentences]
+
+
+@given(
+    st.lists(st.text(st.sampled_from('ab,"\r\n '), min_size=1, max_size=5), min_size=1, max_size=4, unique=True),
+    st.integers(0, 3000),
+    st.integers(1, 12),
+    st.data(),
+)
+def test_day_sums_csv_round_trip(apps, offset, n_days, data) -> None:
+    # Totals reach 2**58 a day, so the running sums come near int64's top.
+    start = date(2020, 1, 1) + timedelta(days=offset)
+    totals = st.lists(st.integers(0, 2**58), min_size=n_days, max_size=n_days)
+    sums = {
+        app: DaySums(start, *(np.array([0, *np.cumsum(data.draw(totals))], dtype=np.int64) for _ in range(4)))
+        for app in apps
+    }
+    back = read_day_sums_csv("".join(write_day_sums_csv(sums)))
+    assert list(back) == apps
+    for app, days in sums.items():
+        assert back[app].start == start
+        for got, want in zip(_arrays(back[app]), _arrays(days), strict=True):
+            np.testing.assert_array_equal(got, want, strict=True)
+
+
+def test_day_sums_csv_leaves_totals_not_summed_empty() -> None:
+    # A count-only analysis has no rating or polarity totals to write, and
+    # the reader refuses the empty cells rather than reading them as zeros.
+    days = day_sums([], utc_midnights(date(2024, 1, 4), 2), (MetricKind.COUNT,), LexiconScorer(), ScaleMap(), {})
+    text = "".join(write_day_sums_csv({"appA": days}))
+    assert text.splitlines()[1:] == ["appA,2024-01-04,0,,,", "appA,2024-01-05,0,,,"]
+    with pytest.raises(ValueError, match="invalid literal"):
+        read_day_sums_csv(text)
+
+
+_SPLIT_MARKET = generate(spike_pair_scenario(seed=3, n_apps=3, n_windows=6, spike_window=3))[0]
+
+
+@settings(max_examples=20)
+@given(st.integers(0, 2**32 - 1), st.floats(0, 1))
+def test_day_sums_of_disjoint_parts_add_up(seed: int, share: float) -> None:
+    # Two parts that share no (source, review_id) key, over one fixed span
+    # that leaves some reviews out at both ends: the whole's day sums are
+    # the elementwise sum of the parts'.
+    config = MarketConfig(span_start=date(2024, 1, 6), span_end=date(2024, 2, 10))
+    rng = random.Random(seed)
+    first = np.array([rng.random() < share for _ in range(len(_SPLIT_MARKET))])
+    parts = [_SPLIT_MARKET.take(np.flatnonzero(first)), _SPLIT_MARKET.take(np.flatnonzero(~first))]
+    whole, *halves = (aggregate(config, build_catalog(t)).day_sums for t in (_SPLIT_MARKET, *parts))
+    assert list(whole) == ["app00", "spike0", "spike1"]
+    for app, days in whole.items():
+        assert days.reviews[-1] < len(_SPLIT_MARKET.stamp_us[_SPLIT_MARKET.app_id == app])
+        summed = [sum(arrays) for arrays in zip(*(_arrays(h[app]) for h in halves if app in h))]
+        for got, want in zip(summed, _arrays(days), strict=True):
+            np.testing.assert_array_equal(got, want)

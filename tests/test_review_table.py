@@ -134,7 +134,8 @@ def _assert_cuts_match_bisect(stamps_us: list[int], start: date, n_days: int) ->
                  for d in range(n_days + 1)]
     days = day_sums(table, utc_midnights(start, n_days), (MetricKind.COUNT,), LexiconScorer(), ScaleMap(), {})
     assert days.start == start
-    assert days.cuts.tolist() == [bisect_left(stamps, m) for m in midnights]
+    before = bisect_left(stamps, midnights[0])
+    assert days.reviews.tolist() == [bisect_left(stamps, m) - before for m in midnights]
 
 
 def test_day_cuts_match_bisection_at_and_around_midnight() -> None:
@@ -166,7 +167,7 @@ def test_day_sums_of_a_list_equal_those_of_its_table() -> None:
     args = (utc_midnights(date(2023, 12, 31), 4), metrics, LexiconScorer(), ScaleMap())
     from_list = day_sums(reviews, *args, {})
     from_table = day_sums(ReviewTable.from_reviews(reviews), *args, {})
-    for name in ("cuts", "rating", "polarity", "sentences"):
+    for name in ("reviews", "rating", "polarity", "sentences"):
         assert getattr(from_list, name).tolist() == getattr(from_table, name).tolist(), name
 
 
