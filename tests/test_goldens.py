@@ -1,7 +1,8 @@
 """Byte goldens: speed-ups must not change what the program produces.
 
 The sha256 values below were recorded from the implementation before the
-columnar analysis path replaced per-review objects. Each test regenerates
+columnar analysis path replaced per-review objects; the ``day_sums.csv``
+digests were added when that file joined the bundle. Each test regenerates
 the same input and compares digests, so any change in generated markets,
 report bundles or criterion-4 decisions shows up here by name.
 """
@@ -52,6 +53,7 @@ BUNDLES = {
     "spike_pair": {
         "rejects.jsonl": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "catalog.json": "e0cb6e112d94f92405c3aa42086ebabf0af735e6da0405e243fc8e58d04d8d54",
+        "day_sums.csv": "068e02b323b212af63b85493e1d6b7119ef93a52fb0e58e7e49edc601659b093",
         "metrics.csv": "4528b92ec5e1ed3bb40b2730df5480f4378fe36a6e934d6654a645c92b429179",
         "metrics_daily.csv": "ec1b36171b63d562fdd4f9dd9838915cb6d991089cc501d434ed4795aa43703a",
         "events.csv": "bdf33f081bdab12a6743a0faa1c5113a2c8679d39dbe492d44f502ba301a3909",
@@ -63,6 +65,7 @@ BUNDLES = {
     "polarity": {
         "rejects.jsonl": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "catalog.json": "c068f24129038ad352de00d7877fd3615492a0af78e8f26b03fd30249650f7ae",
+        "day_sums.csv": "7db90922e9edeed6506880adaa9c03bd0547659ad7a3946a063ff2fe5e5421cb",
         "metrics.csv": "3db6e887e208ac787cd2352aa5c02d1c43cbaccf2d7c511f5b080f8a0ffaf6fc",
         "metrics_daily.csv": "42e25397aa7b039d90d8b9c2c99dc8067a145f770e6959d351f5a4adf5290191",
         "events.csv": "f085e84ceb25d044f7ab5e5028ba1ec427b4c57dd3d81798fd9b10b85a6d641a",
