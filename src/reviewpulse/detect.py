@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from datetime import date
-from fractions import Fraction
 from math import isfinite, isqrt
 from typing import Iterable, Sequence
 
@@ -62,21 +61,32 @@ def _sqrt_ratio(num: int, den: int) -> float:
 
 
 class _Moments:
-    """Exact running count, sum and sum of squares of float deltas."""
+    """Exact running count, sum and sum of squares of float deltas.
 
-    __slots__ = ("n", "total", "squares")
+    Every finite float is an integer over a power of two, so ``total`` and
+    ``squares`` are held as Python ints over ``2**shift`` and
+    ``2**(2*shift)``, ``shift`` being the largest exponent seen so far.
+    """
+
+    __slots__ = ("n", "total", "squares", "shift")
 
     def __init__(self) -> None:
         self.n = 0
-        self.total: int | Fraction = 0
-        self.squares: int | Fraction = 0
+        self.total = 0
+        self.squares = 0
+        self.shift = 0
 
     def add(self, x: float) -> None:
         try:
             num, den = x.as_integer_ratio()
         except (ValueError, OverflowError):
             raise ValueError(f"baseline deltas must be finite, got {x!r}") from None
-        value = num if den == 1 else Fraction(num, den)
+        k = den.bit_length() - 1  # den == 2**k
+        if k > self.shift:
+            self.total <<= k - self.shift
+            self.squares <<= 2 * (k - self.shift)
+            self.shift = k
+        value = num << (self.shift - k)
         self.n += 1
         self.total += value
         self.squares += value * value
@@ -91,9 +101,8 @@ class _Moments:
         ddof = _DDOF[mode]
         if n <= ddof:
             return None
-        # n * (n - ddof) * variance, exact; an int while every delta is integral.
-        scaled = n * self.squares - self.total * self.total
-        return _sqrt_ratio(scaled.numerator, scaled.denominator * n * (n - ddof))
+        # n * (n - ddof) * variance is this numerator over 4**shift, exactly.
+        return _sqrt_ratio(n * self.squares - self.total * self.total, n * (n - ddof) << 2 * self.shift)
 
 
 _DDOF = {"population": 0, "sample": 1}

@@ -38,23 +38,23 @@ from typing import Callable, Collection, Hashable, Iterable, Iterator, Mapping, 
 import numpy as np
 
 from .ingest import DAY_US, RatingScale, Review, ReviewTable, ScaleMap, csv_line_writer, midnight_us, utc_datetime
-from .sentiment import PolarityScorer, Sentence, score_sentences
+from .sentiment import PolarityScorer, score_sentences
 from .sentiment import score_review  # noqa: F401  perfbench's tracer wraps this name
 
 __all__ = [
+    "BodyScore",
     "DAY_SUMS_CSV_COLUMNS",
     "METRICS_CSV_COLUMNS",
     "DaySums",
     "MetricKind",
-    "ScoredReview",
     "SeriesStats",
     "TimeWindow",
     "correlation_points",
     "csv_rows",
     "check_grid",
     "day_sums",
+    "int64_cells",
     "metric_delta",
-    "metric_mu",
     "normalize_rating",
     "read_day_sums_csv",
     "score_reviews",
@@ -95,15 +95,6 @@ class TimeWindow:
 
     def overlaps(self, other: "TimeWindow") -> bool:
         return self.start < other.end and other.start < self.end
-
-
-@dataclass(frozen=True, slots=True)
-class ScoredReview:
-    """A review with its normalised rating and scored sentences attached."""
-
-    review: Review
-    rating_value: int
-    sentences: tuple[Sentence, ...]
 
 
 @dataclass(frozen=True, slots=True)
@@ -165,51 +156,24 @@ BodyScore = list[tuple[int, str, "int | None"]]
 
 
 def score_reviews(
-    reviews: Iterable[Review],
-    scorer: PolarityScorer,
-    scales: ScaleMap | None = None,
-    cache: dict[str, BodyScore] | None = None,
-) -> list[ScoredReview]:
-    """Attach normalised ratings and scored sentences to reviews.
+    bodies: Iterable[str], scorer: PolarityScorer, cache: dict[str, BodyScore] | None = None
+) -> list[BodyScore]:
+    """Each body's scored sentences, in the order given; no ``Review``,
+    rating or ``Sentence`` is built.
 
     Scoring is per distinct body text (identical bodies share one scoring
     pass), which keeps large synthetic datasets cheap without changing any
     result. ``cache`` carries those per-body scores across calls.
     """
-    if scales is None:
-        scales = ScaleMap()
     if cache is None:
         cache = {}
-    out: list[ScoredReview] = []
-    for review in reviews:
-        parts = cache.get(review.body)
+    out: list[BodyScore] = []
+    for body in bodies:
+        parts = cache.get(body)
         if parts is None:
-            parts = cache[review.body] = score_sentences(review.body, scorer)
-        sentences = tuple(
-            Sentence(review_id=review.review_id, index=idx, text=text, polarity=pol)
-            for idx, text, pol in parts
-        )
-        rating_value = normalize_rating(review.raw_rating, scales.for_source(review.source))
-        out.append(ScoredReview(review=review, rating_value=rating_value, sentences=sentences))
+            parts = cache[body] = score_sentences(body, scorer)
+        out.append(parts)
     return out
-
-
-def metric_mu(reviews_in_window: Sequence[ScoredReview], metric: MetricKind) -> float | None:
-    """Window average for one metric; None when there is nothing to average.
-
-    Count is the number of reviews (never missing), rating the mean
-    normalised rating over reviews, polarity the flat mean over all scored
-    sentences in the window (reviews with more sentences weigh more).
-    """
-    if metric is MetricKind.COUNT:
-        return float(len(reviews_in_window))
-    if metric is MetricKind.RATING:
-        values = [r.rating_value for r in reviews_in_window]
-    elif metric is MetricKind.POLARITY:
-        values = [s.polarity for r in reviews_in_window for s in r.sentences if s.polarity is not None]
-    else:
-        raise ValueError(f"unknown metric {metric!r}")
-    return sum(values) / len(values) if values else None
 
 
 @dataclass(frozen=True, slots=True)
@@ -419,6 +383,21 @@ def csv_rows(text: str, columns: Sequence[str], what: str) -> Iterator[tuple[int
     return ((reader.line_num, row) for row in reader if row)
 
 
+def int64_cells(cells: Iterable[str], line: int, label: str) -> list[int]:
+    """One CSV row's integer cells. A cell that is not an integer, or is
+    beyond int64, is a ValueError naming ``label`` and the row's line."""
+    values = []
+    for cell in cells:
+        try:
+            value = int(cell)
+        except ValueError:
+            raise ValueError(f"{label}, CSV line {line}: {cell!r} is not an integer") from None
+        if not -(2**63) <= value < 2**63:
+            raise ValueError(f"{label}, CSV line {line}: {cell} is beyond int64")
+        values.append(value)
+    return values
+
+
 def series_groups(rows: Iterable[tuple], label: str) -> dict[Hashable, list[list]]:
     """Series CSV rows, each (key, window, *values), grouped per key.
 
@@ -440,11 +419,13 @@ def read_day_sums_csv(text: str) -> dict[str, DaySums]:
 
     ``series_groups`` refuses an app's days with a gap, a repeat or a step
     back, and every app must hold the first app's span. A total that is not
-    an integer (an empty one included), or is beyond int64, is a ValueError;
-    so is a negative one, or a running sum beyond int64.
+    an integer (an empty one included), or is beyond int64, is a ValueError
+    naming its app and line; so is a negative one, or a running sum beyond
+    int64.
     """
-    rows = [((app_id,), TimeWindow(date.fromisoformat(t0), 1), n, rating, polarity, sentences)
-            for _, (app_id, t0, n, rating, polarity, sentences) in csv_rows(text, DAY_SUMS_CSV_COLUMNS, "day sums")]
+    rows = [((app_id,), TimeWindow(date.fromisoformat(t0), 1),
+             *int64_cells((n, rating, polarity, sentences), line, f"day sums of ({app_id})"))
+            for line, (app_id, t0, n, rating, polarity, sentences) in csv_rows(text, DAY_SUMS_CSV_COLUMNS, "day sums")]
     out: dict[str, DaySums] = {}
     for (app,), (days, *totals) in series_groups(rows, "day sums of ({0})").items():
         prefixes = [_prefix(np.array(t, dtype=np.int64)) for t in totals]

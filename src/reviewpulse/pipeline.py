@@ -88,7 +88,6 @@ from .metrics import (
     BodyScore,
     DaySums,
     MetricKind,
-    ScoredReview,
     SeriesStats,
     TimeWindow,
     correlation_points,
@@ -105,6 +104,7 @@ from .sentiment import LexiconScorer, PolarityScorer, load_lexicon
 from .summarize import (
     MockSummarizer,
     SummaryRequest,
+    build_prompt,
     build_requests,
     default_template,
     load_template,
@@ -191,17 +191,19 @@ class MarketAnalysis:
     def nonzero_events(self) -> list[EventRecord]:
         return [e for e in self.all_events() if e.e != 0]
 
-    def window_scored(self, app_id: str, window: TimeWindow) -> list[ScoredReview]:
-        """App reviews inside a window, in canonical order, sentences scored.
+    def window_scored(self, app_id: str, window: TimeWindow) -> list[tuple[str, BodyScore]]:
+        """The bodies of the app's reviews inside a window, in canonical
+        order, each with its scored sentences.
 
-        The window's rows are cut from the app's table by bisection on its
-        stamps; only they become ``Review`` objects and are scored.
+        The window's bodies are cut from the app's ``body`` column by
+        bisection on its stamps; no ``Review`` is built.
         """
         if app_id not in self.apps:
             return []
         reviews = self.catalog.reviews[app_id]
         lo, hi = np.searchsorted(reviews.stamp_us, utc_midnights(window.start, window.days)[[0, -1]]).tolist()
-        return score_reviews(reviews[lo:hi], self.scorer, self.config.scales, self.bodies)
+        bodies = reviews.body[lo:hi].tolist()
+        return list(zip(bodies, score_reviews(bodies, self.scorer, self.bodies)))
 
 
 def _derive_span(config: MarketConfig, catalog: MarketCatalog, apps: Sequence[str]) -> tuple[date, date] | None:
@@ -438,13 +440,14 @@ def write_metrics(out_dir: str | Path, analysis: MarketAnalysis) -> tuple[int, i
 
 def write_requests(out_dir: str | Path, config: MarketConfig, requests: Sequence[SummaryRequest]) -> list[Path]:
     """Write summary_requests.json, and summaries.json when the summarizer is
-    the mock; return the paths written."""
+    the mock; return the paths written. Each request's prompt is built once."""
     template = load_template(config.prompt_template_path) if config.prompt_template_path else default_template()
-    entries = [request_report_entry(r, template) for r in requests]
+    prompts = [build_prompt(r, template) for r in requests]
+    entries = [request_report_entry(r, p) for r, p in zip(requests, prompts)]
     paths = [write_file(out_dir, "summary_requests.json", [json_text(entries)])]
     if config.summarizer == "mock":
         client = MockSummarizer()
-        summaries = [summary_report_entry(r, client, template) for r in requests]
+        summaries = [summary_report_entry(r, p, client) for r, p in zip(requests, prompts)]
         paths.append(write_file(out_dir, "summaries.json", [json_text(summaries)]))
     return paths
 

@@ -33,7 +33,7 @@ from typing import Callable, Protocol, Sequence, TypeVar, runtime_checkable
 
 from .correlate import CorrelatedEventRecord
 from .detect import EventRecord
-from .metrics import MetricKind, ScoredReview, TimeWindow
+from .metrics import BodyScore, MetricKind, TimeWindow
 
 __all__ = [
     "MockSummarizer",
@@ -99,21 +99,22 @@ class SummaryRequest:
 
 def requests_for_event(
     event: EventRecord,
-    window_scored: Sequence[ScoredReview],
+    window_scored: Sequence[tuple[str, BodyScore]],
     n: int,
     master_seed: int,
 ) -> list[SummaryRequest]:
     """Build the all/positive/negative requests for one event's window.
 
-    ``window_scored`` must hold exactly the app's reviews whose timestamps
-    fall in the event window, in canonical order. Variants with nothing to
-    sample are omitted. Unscored sentences (polarity None) are in no pool.
+    ``window_scored`` must hold the body of exactly each of the app's
+    reviews whose timestamp falls in the event window, in canonical order,
+    each with its scored sentences. Variants with nothing to sample are
+    omitted. Unscored sentences (polarity None) are in no pool.
     """
-    sentences = [s for r in window_scored for s in r.sentences if s.polarity is not None]
+    sentences = [(text, pol) for _, parts in window_scored for _, text, pol in parts if pol is not None]
     pools: dict[str, list[str]] = {
-        "all": [r.review.body for r in window_scored],
-        "positive": [s.text for s in sentences if s.polarity >= POSITIVE_MIN],
-        "negative": [s.text for s in sentences if s.polarity <= NEGATIVE_MAX],
+        "all": [body for body, _ in window_scored],
+        "positive": [text for text, pol in sentences if pol >= POSITIVE_MIN],
+        "negative": [text for text, pol in sentences if pol <= NEGATIVE_MAX],
     }
     requests: list[SummaryRequest] = []
     for variant in VARIANTS:
@@ -141,7 +142,7 @@ def requests_for_event(
 
 def build_requests(
     ce_records: Sequence[CorrelatedEventRecord],
-    window_scored: Callable[[str, TimeWindow], Sequence[ScoredReview]],
+    window_scored: Callable[[str, TimeWindow], Sequence[tuple[str, BodyScore]]],
     n: int,
     master_seed: int,
 ) -> list[SummaryRequest]:
@@ -249,8 +250,8 @@ def _event_entry(request: SummaryRequest) -> dict:
     }
 
 
-def request_report_entry(request: SummaryRequest, template: str | None = None) -> dict:
-    prompt = build_prompt(request, template)
+def request_report_entry(request: SummaryRequest, prompt: str) -> dict:
+    """A summary_requests.json entry for a request and its built prompt."""
     return {
         "event": _event_entry(request),
         "variant": request.variant,
@@ -265,11 +266,11 @@ def request_report_entry(request: SummaryRequest, template: str | None = None) -
 
 def summary_report_entry(
     request: SummaryRequest,
+    prompt: str,
     client: SummarizerClient,
-    template: str | None = None,
     sleep: Callable[[float], None] = time.sleep,
 ) -> dict:
-    prompt = build_prompt(request, template)
+    """A summaries.json entry: the client's summary of a request's built prompt."""
     return {
         "event": _event_entry(request),
         "variant": request.variant,

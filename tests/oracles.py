@@ -4,6 +4,10 @@
 order, and dedups one key at a time. ``reviewpulse.ingest.parse_reviews``
 checks the same rules a column at a time over blocks of lines; the
 property tests hold the two to the same table, rejects and order.
+
+``metric_mu`` averages one window's ``ScoredReview``s (``scored_reviews``
+builds them one review at a time); the tests hold the day sums' window
+means to it.
 """
 
 from __future__ import annotations
@@ -11,6 +15,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from reviewpulse.ingest import (
@@ -22,6 +27,8 @@ from reviewpulse.ingest import (
     ScaleMap,
     parse_timestamp,
 )
+from reviewpulse.metrics import MetricKind, normalize_rating, score_reviews
+from reviewpulse.sentiment import PolarityScorer, Sentence
 
 
 class _RecordError(Exception):
@@ -122,3 +129,44 @@ def _csv_records(text: str) -> Iterator[tuple[int, dict | _RecordError]]:
         except ValueError:
             record = _RecordError(f"bad-rating: {rating_text!r} is not an integer")
         yield line_no, record
+
+
+@dataclass(frozen=True, slots=True)
+class ScoredReview:
+    """A review with its normalised rating and scored sentences attached."""
+
+    review: Review
+    rating_value: int
+    sentences: tuple[Sentence, ...]
+
+
+def scored_reviews(reviews: Sequence[Review], scorer: PolarityScorer) -> list[ScoredReview]:
+    """Each review with its normalised rating (default scales) and its
+    body's scored sentences."""
+    scales = ScaleMap()
+    return [
+        ScoredReview(
+            review=review,
+            rating_value=normalize_rating(review.raw_rating, scales.for_source(review.source)),
+            sentences=tuple(Sentence(review.review_id, index, text, pol) for index, text, pol in parts),
+        )
+        for review, parts in zip(reviews, score_reviews([r.body for r in reviews], scorer))
+    ]
+
+
+def metric_mu(reviews_in_window: Sequence[ScoredReview], metric: MetricKind) -> float | None:
+    """Window average for one metric; None when there is nothing to average.
+
+    Count is the number of reviews (never missing), rating the mean
+    normalised rating over reviews, polarity the flat mean over all scored
+    sentences in the window (reviews with more sentences weigh more).
+    """
+    if metric is MetricKind.COUNT:
+        return float(len(reviews_in_window))
+    if metric is MetricKind.RATING:
+        values = [r.rating_value for r in reviews_in_window]
+    elif metric is MetricKind.POLARITY:
+        values = [s.polarity for r in reviews_in_window for s in r.sentences if s.polarity is not None]
+    else:
+        raise ValueError(f"unknown metric {metric!r}")
+    return sum(values) / len(values) if values else None

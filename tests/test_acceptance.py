@@ -19,16 +19,14 @@ import pytest
 from reviewpulse.config import MarketConfig
 from reviewpulse.correlate import detect_correlation, pair_correlations, pearson_rho
 from reviewpulse.detect import detect_series
-from reviewpulse.ingest import Review, build_catalog, parse_reviews, serialize_reviews
+from reviewpulse.ingest import build_catalog, parse_reviews, serialize_reviews
 from reviewpulse.metrics import (
     MetricKind,
-    ScoredReview,
     TimeWindow,
     WindowStat,
     metric_delta,
 )
 from reviewpulse.pipeline import analyze_catalog, run_pipeline
-from reviewpulse.sentiment import Sentence
 from reviewpulse.summarize import requests_for_event
 from reviewpulse.synth import default_scenario, flat_scenario, generate, spike_pair_scenario
 
@@ -228,23 +226,14 @@ def test_criterion_6_identical_runs_produce_identical_bundles(tmp_path) -> None:
 
 
 def test_criterion_7_requests_respect_polarity_and_take_all(tmp_path) -> None:
-    from datetime import datetime, timezone
-
     from reviewpulse.detect import EventRecord
 
     window = TimeWindow(START, 7)
-    scored = []
-    for i, bins in enumerate([(0, 4), (1, 3), (2, 2), (3, 0), (4, 1)]):
-        review = Review(
-            review_id=f"r{i}", app_id="appA",
-            timestamp=datetime(2024, 1, 4, 6 + i, tzinfo=timezone.utc),
-            raw_rating=3, body=f"review body {i}.", source="store",
-        )
-        sentences = tuple(
-            Sentence(review_id=f"r{i}", index=j, text=f"s{i}{j} bin{p}.", polarity=p)
-            for j, p in enumerate(bins)
-        )
-        scored.append(ScoredReview(review=review, rating_value=2, sentences=sentences))
+    # Five bodies of the event window, each with its (index, text, polarity) sentences.
+    scored = [
+        (f"review body {i}.", [(j, f"s{i}{j} bin{p}.", p) for j, p in enumerate(bins)])
+        for i, bins in enumerate([(0, 4), (1, 3), (2, 2), (3, 0), (4, 1)])
+    ]
     event = EventRecord(
         app_id="appA", metric=MetricKind.COUNT, window=window,
         e=1, a=3.0, sigma=1.0, k=2.0, baseline_n=6, warmup=False,

@@ -427,20 +427,29 @@ def test_bad_lexicon_or_template_exits_two_before_writing(tmp_path, capsys, key,
 
 
 @pytest.mark.parametrize(
-    "days, c, window_days",
-    [((1, 2, 4, 5), 1, 1), ((2, 1), 1, 1), ((1, 1, 2), 0, 1), ((1, 3, 4), 0, 2), ((1, 2, 3), 2, 1)],
-    ids=["gap", "backwards", "repeat", "spacing", "bad-class"],
+    "days, c, n_points, window_days, refused",
+    [
+        ((1, 2, 4, 5), 1, 10, 1, "(a, b, count)"),
+        ((2, 1), 1, 10, 1, "(a, b, count)"),
+        ((1, 1, 2), 0, 10, 1, "(a, b, count)"),
+        ((1, 3, 4), 0, 10, 2, "(a, b, count)"),
+        ((1, 2, 3), 2, 10, 1, "(a, b, count)"),
+        ((1, 2), "1.0", 10, 1, "correlations of (a, b, count), CSV line 2: '1.0' is not an integer"),
+        ((1, 2), 1, "x", 1, "correlations of (a, b, count), CSV line 2: 'x' is not an integer"),
+    ],
+    ids=["gap", "backwards", "repeat", "spacing", "bad-class", "c-not-integer", "n-points-not-integer"],
 )
-def test_correlations_off_their_window_grid_exit_three(tmp_path, capsys, days, c, window_days) -> None:
+def test_correlations_off_their_window_grid_exit_three(tmp_path, capsys, days, c, n_points, window_days,
+                                                       refused) -> None:
     events = tmp_path / "events.csv"
     events.write_text("app_id,metric,t0,e,a,sigma,baseline_n,warmup\n", encoding="utf-8")
     correlations = tmp_path / "correlations.csv"
-    rows = [f"a,b,count,2024-01-{d:02d},0.9,{c},10\n" for d in days]
+    rows = [f"a,b,count,2024-01-{d:02d},0.9,{c},{n_points}\n" for d in days]
     correlations.write_text("app_i,app_j,metric,t0,rho,c,n_points\n" + "".join(rows), encoding="utf-8")
     out = tmp_path / "out"
     flags = ["--set", f"correlation_window_days={window_days}"]
     assert main(["ce", str(events), str(correlations), "--out", str(out), *flags]) == 3
-    assert "(a, b, count)" in capsys.readouterr().err
+    assert refused in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -454,8 +463,8 @@ def test_correlations_off_their_window_grid_exit_three(tmp_path, capsys, days, c
         (("b:01:1", "b:02:1", "a:02:1", "a:03:1"), "day sums of (a): days from 2024-01-02 are not the first app's span"),
         (("b:01:1", "b:02:1", "a:01:1"), "day sums of (a): days from 2024-01-01 are not the first app's span"),
         (("a:01:1", "a:02:-1"), "day sums of (a): a total is negative or sums beyond int64"),
-        (("a:01:1", "a:02:1.5"), "invalid literal for int()"),
-        (("a:01:1", f"a:02:{2**63}"), "too large"),
+        (("a:01:1", "a:02:1.5"), "day sums of (a), CSV line 3: '1.5' is not an integer"),
+        (("a:01:1", f"a:02:{2**63}"), f"day sums of (a), CSV line 3: {2**63} is beyond int64"),
         (("a:01:1", f"a:02:{2**63 - 1}"), "day sums of (a): a total is negative or sums beyond int64"),
         ((), "bad day sums CSV header"),
     ],

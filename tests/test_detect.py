@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import math
 import random
+import statistics
+import sys
 from datetime import date, timedelta
 
 import pytest
@@ -184,15 +186,28 @@ def test_events_csv_round_trip() -> None:
         read_events_csv("nope\n", window_days=7, k=2.0)
 
 
+_DELTA_KINDS = (
+    lambda rng: rng.uniform(-50, 50),
+    lambda rng: float(rng.randrange(-9, 9)),
+    lambda rng: rng.choice([1 / 3, 0.0, -0.0]),
+    lambda rng: rng.choice([-1, 1]) * rng.uniform(1, 10) * 10.0 ** rng.randrange(-300, 300),
+    lambda rng: rng.choice([-1, 1]) * rng.randrange(1, 2**52) * 5e-324,  # subnormal
+)
+
+
 def test_sigma_is_the_correctly_rounded_exact_standard_deviation() -> None:
     # Oracle: the exact variance as a fraction; the float returned must be
     # the nearest float to its square root (within half an ulp either way).
+    # Deltas mix subnormals, magnitudes from 1e-300 to 1e300, integers and
+    # signed zeros; on Python 3.11+ statistics.pstdev / stdev are also
+    # correctly rounded, so they must agree bit for bit.
     from fractions import Fraction
 
     rng = random.Random(9)
-    for _ in range(300):
-        values = [rng.choice([rng.uniform(-50, 50), float(rng.randrange(-9, 9)), 1 / 3]) for _ in range(rng.randrange(4, 40))]
-        for mode, ddof in (("population", 0), ("sample", 1)):
+    for _ in range(1000):
+        kinds = rng.sample(_DELTA_KINDS, rng.randrange(1, len(_DELTA_KINDS) + 1))
+        values = [rng.choice(kinds)(rng) for _ in range(rng.randrange(4, 40))]
+        for mode, ddof, stdlib in (("population", 0, statistics.pstdev), ("sample", 1, statistics.stdev)):
             sigma = baseline_sigma(values, mode=mode)
             exact = [Fraction(v) for v in values]
             mean = sum(exact) / len(exact)
@@ -200,6 +215,8 @@ def test_sigma_is_the_correctly_rounded_exact_standard_deviation() -> None:
             below = (Fraction(sigma) + Fraction(math.nextafter(sigma, -math.inf))) / 2
             above = (Fraction(sigma) + Fraction(math.nextafter(sigma, math.inf))) / 2
             assert below * below <= variance <= above * above, (values, mode)
+            if sys.version_info >= (3, 11):
+                assert sigma == stdlib(values), (values, mode)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

@@ -23,10 +23,8 @@ from reviewpulse.metrics import (
     WindowStat,
     day_sums,
     metric_delta,
-    metric_mu,
     normalize_rating,
     read_day_sums_csv,
-    score_reviews,
     utc_midnights,
     window_series,
     window_stats,
@@ -37,13 +35,15 @@ from reviewpulse.pipeline import aggregate, write_file
 from reviewpulse.sentiment import LexiconScorer
 from reviewpulse.synth import generate, spike_pair_scenario
 
+from oracles import metric_mu, scored_reviews
+
 
 def _review(i: int, ts: datetime, rating: int = 4, body: str = "ok.", app: str = "appA") -> Review:
     return Review(f"r{i}", app, ts, rating, body, "store")
 
 
 def _scored(reviews: list[Review]):
-    return score_reviews(reviews, LexiconScorer())
+    return scored_reviews(reviews, LexiconScorer())
 
 
 def test_normalize_scale_endpoints() -> None:
@@ -363,7 +363,7 @@ def test_day_sums_csv_leaves_totals_not_summed_empty() -> None:
     days = day_sums([], utc_midnights(date(2024, 1, 4), 2), (MetricKind.COUNT,), LexiconScorer(), ScaleMap(), {})
     text = "".join(write_day_sums_csv({"appA": days}))
     assert text.splitlines()[1:] == ["appA,2024-01-04,0,,,", "appA,2024-01-05,0,,,"]
-    with pytest.raises(ValueError, match="invalid literal"):
+    with pytest.raises(ValueError, match=r"day sums of \(appA\), CSV line 2: '' is not an integer"):
         read_day_sums_csv(text)
 
 

@@ -1,5 +1,5 @@
 """Columnar reviews: the table against lists of ``Review``, the day cuts
-against bisection over datetimes, and what the sweep path materialises."""
+against bisection over datetimes, and that a run materialises no row."""
 from __future__ import annotations
 
 import random
@@ -171,7 +171,10 @@ def test_day_sums_of_a_list_equal_those_of_its_table() -> None:
         assert getattr(from_list, name).tolist() == getattr(from_table, name).tolist(), name
 
 
-def test_sweep_market_builds_review_objects_only_for_ce_windows(monkeypatch) -> None:
+def test_a_run_builds_no_review_objects(monkeypatch) -> None:
+    # Rows stay columns from parse to bundle: the counts-only sweep market
+    # and a full analysis, where polarity is scored and CE windows feed
+    # summary requests, never turn a table row into a Review.
     built = []
     make = ingest._make_review
 
@@ -181,18 +184,12 @@ def test_sweep_market_builds_review_objects_only_for_ce_windows(monkeypatch) -> 
 
     monkeypatch.setattr(ingest, "_make_review", counting)
     reviews, _ = generate(spike_pair_scenario(seed=0))
-    analysis = analyze_catalog(MarketConfig(seed=0), build_catalog(reviews), metrics=(MetricKind.COUNT,))
-    monkeypatch.undo()
-
-    windows = {(e.app_id, e.window) for ce in analysis.ces for e in (ce.event_i, ce.event_j) if e.e != 0}
-    assert windows
-    want = sorted(
-        r.review_id
-        for r in reviews
-        for app, window in windows
-        if r.app_id == app and window.contains(r.timestamp)
-    )
-    assert sorted(built) == want
+    catalog = build_catalog(reviews)
+    counts = analyze_catalog(MarketConfig(seed=0), catalog, metrics=(MetricKind.COUNT,))
+    full = analyze_catalog(MarketConfig(seed=0), catalog)
+    assert counts.requests and full.requests
+    assert MetricKind.POLARITY in {metric for _, metric in full.daily_stats}
+    assert built == []
 
 
 def _bundle(inputs: list[Path], out: Path) -> dict[str, bytes]:

@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 import random
-from datetime import date, datetime, timedelta, timezone
+from datetime import date
 from pathlib import Path
 
 import pytest
@@ -10,8 +10,8 @@ import pytest
 from reviewpulse.correlate import CorrelatedEventRecord, CorrelationRun
 from reviewpulse.detect import EventRecord
 from reviewpulse.ingest import Review
-from reviewpulse.metrics import MetricKind, ScoredReview, TimeWindow
-from reviewpulse.sentiment import LexiconScorer, Sentence
+from reviewpulse.metrics import BodyScore, MetricKind, TimeWindow
+from reviewpulse.sentiment import LexiconScorer
 from reviewpulse.summarize import (
     MockSummarizer,
     build_prompt,
@@ -27,23 +27,8 @@ from reviewpulse.summarize import (
 WINDOW = TimeWindow(date(2024, 8, 1), 7)
 
 
-def _review(i: int, body: str = "Fine overall.") -> Review:
-    return Review(
-        review_id=f"r{i:04d}",
-        app_id="appA",
-        timestamp=datetime(2024, 8, 1, 12, 0, tzinfo=timezone.utc) + timedelta(minutes=i),
-        raw_rating=4,
-        body=body,
-        source="store",
-    )
-
-
-def _scored(i: int, polarities: tuple[int | None, ...], body: str | None = None) -> ScoredReview:
-    sentences = tuple(
-        Sentence(review_id=f"r{i:04d}", index=j, text=f"sentence {i}-{j}.", polarity=p)
-        for j, p in enumerate(polarities)
-    )
-    return ScoredReview(review=_review(i, body or f"body {i}."), rating_value=4, sentences=sentences)
+def _scored(i: int, polarities: tuple[int | None, ...], body: str | None = None) -> tuple[str, BodyScore]:
+    return body or f"body {i}.", [(j, f"sentence {i}-{j}.", p) for j, p in enumerate(polarities)]
 
 
 def _event(e: int = 1, app: str = "appA", window: TimeWindow = WINDOW) -> EventRecord:
@@ -81,7 +66,7 @@ def test_sampling_inclusion_counts_are_uniform() -> None:
     assert max(counts) <= 565.4
 
 
-def _pools(scored: list[ScoredReview]) -> dict[str, tuple[str, ...]]:
+def _pools(scored: list[tuple[str, BodyScore]]) -> dict[str, tuple[str, ...]]:
     # n covers every pool, so each request holds its whole pool.
     return {r.variant: r.texts for r in requests_for_event(_event(), scored, n=10_000, master_seed=0)}
 
@@ -99,11 +84,11 @@ def test_all_neutral_window_requests_whole_bodies_only() -> None:
 def test_polarity_pools_match_filter_oracle_and_drop_unscored() -> None:
     rng = random.Random(42)
     scored = [_scored(i, tuple(rng.choice([None, 0, 1, 2, 3, 4]) for _ in range(5))) for i in range(100)]
-    sentences = [s for r in scored for s in r.sentences]
+    sentences = [(text, p) for _, parts in scored for _, text, p in parts]
     pools = _pools(scored)
-    assert pools["positive"] == tuple(s.text for s in sentences if s.polarity is not None and s.polarity >= 3)
-    assert pools["negative"] == tuple(s.text for s in sentences if s.polarity is not None and s.polarity <= 1)
-    assert pools["all"] == tuple(r.review.body for r in scored)
+    assert pools["positive"] == tuple(text for text, p in sentences if p is not None and p >= 3)
+    assert pools["negative"] == tuple(text for text, p in sentences if p is not None and p <= 1)
+    assert pools["all"] == tuple(body for body, _ in scored)
 
 
 def test_event_with_no_reviews_emits_no_requests() -> None:
@@ -153,7 +138,7 @@ def test_build_requests_dedups_shared_events_and_skips_quiet_sides() -> None:
     ]
     calls: list[tuple[str, date]] = []
 
-    def window_scored(app_id: str, window: TimeWindow) -> list[ScoredReview]:
+    def window_scored(app_id: str, window: TimeWindow) -> list[tuple[str, BodyScore]]:
         calls.append((app_id, window.start))
         return [_scored(0, (4,))]
 
@@ -168,8 +153,8 @@ def test_build_requests_dedups_shared_events_and_skips_quiet_sides() -> None:
 
 def test_requests_use_only_text_from_the_event_window() -> None:
     scored = [_scored(i, (4, 0, 2)) for i in range(5)]
-    pools = {r.review.body for r in scored} | {
-        s.text for r in scored for s in r.sentences
+    pools = {body for body, _ in scored} | {
+        text for _, parts in scored for _, text, _ in parts
     }
     for request in requests_for_event(_event(), scored, n=3, master_seed=1):
         assert set(request.texts) <= pools
@@ -256,7 +241,8 @@ def test_retry_reraises_after_exhaustion() -> None:
 
 def test_report_entries_carry_the_expected_fields() -> None:
     request = requests_for_event(_event(), [_scored(0, (4,))], n=50, master_seed=0)[0]
-    entry = request_report_entry(request)
+    prompt = build_prompt(request)
+    entry = request_report_entry(request, prompt)
     assert set(entry) == {
         "event", "variant", "n_requested", "n_available", "n_sampled",
         "seed", "prompt_sha256", "texts",
@@ -265,7 +251,7 @@ def test_report_entries_carry_the_expected_fields() -> None:
         "app_id": "appA", "metric": "count",
         "window_start": "2024-08-01", "window_days": 7,
     }
-    summary = summary_report_entry(request, MockSummarizer(), sleep=lambda _: None)
+    summary = summary_report_entry(request, prompt, MockSummarizer(), sleep=lambda _: None)
     assert set(summary) == {"event", "variant", "n_sampled", "prompt_sha256", "summary_text"}
     assert summary["prompt_sha256"] == entry["prompt_sha256"]
 
@@ -300,7 +286,7 @@ def test_full_analysis_keeps_sentence_texts_only_for_ce_windows(monkeypatch) -> 
     asked: list[tuple[str, TimeWindow]] = []
     window_scored = MarketAnalysis.window_scored
 
-    def recording(self: MarketAnalysis, app_id: str, window: TimeWindow) -> list[ScoredReview]:
+    def recording(self: MarketAnalysis, app_id: str, window: TimeWindow) -> list[tuple[str, BodyScore]]:
         asked.append((app_id, window))
         return window_scored(self, app_id, window)
 
@@ -319,7 +305,8 @@ def test_full_analysis_keeps_sentence_texts_only_for_ce_windows(monkeypatch) -> 
     assert set(analysis.bodies) == window_bodies
     assert len(window_bodies) * 4 < len(all_bodies)
 
-    def rescored(app_id: str, window: TimeWindow) -> list[ScoredReview]:
-        return score_reviews(in_window(app_id, window), LexiconScorer(), config.scales)
+    def rescored(app_id: str, window: TimeWindow) -> list[tuple[str, BodyScore]]:
+        bodies = [r.body for r in in_window(app_id, window)]
+        return list(zip(bodies, score_reviews(bodies, LexiconScorer())))
 
     assert analysis.requests == build_requests(analysis.ces, rescored, config.sample_size, config.seed)
