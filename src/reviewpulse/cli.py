@@ -31,6 +31,7 @@ from .pipeline import (
     in_report_order,
     json_text,
     load_catalog,
+    new_analysis,
     read_stage,
     run_pipeline,
     series_stats,
@@ -110,8 +111,8 @@ def _cmd_summarize_prep(args: argparse.Namespace) -> int:
     config = _load_cli_config(args)
     ces = read_stage(ce_records_from_json, args.correlated_events)
     catalog, _ = load_catalog(config, args.inputs, args.format)
-    # No metric is aggregated: the analysis only scores the CE windows' reviews.
-    analysis = aggregate(config, catalog, metrics=())
+    # Nothing is summed: the analysis only scores the CE windows' reviews.
+    analysis = new_analysis(config, catalog)
     requests = build_requests(ces, analysis.window_scored, config.sample_size, config.seed)
     paths = write_requests(args.out, config, requests)
     print(f"wrote {len(requests)} summary requests to {paths[0]}")

@@ -36,7 +36,7 @@ import numpy as np
 
 from .detect import EventRecord
 from .ingest import json_text
-from .metrics import MetricKind, TimeWindow, csv_rows, int64_cells, series_groups, write_series_csv
+from .metrics import MetricKind, TimeWindow, csv_rows, float_cells, int64_cells, series_groups, write_series_csv
 
 __all__ = [
     "CORRELATIONS_CSV_COLUMNS",
@@ -419,15 +419,15 @@ def read_correlations_csv(text: str, window_days: int) -> list[PairSeries]:
     rows in file order. A series whose windows are not consecutive
     ``window_days`` windows in time order, or whose ``c`` is not -1, 0 or
     1, is a ValueError naming its pair: runs are read off that grid. A
-    ``c`` or ``n_points`` that is not an integer, or is beyond int64, is a
-    ValueError naming its pair and line.
+    ``c`` or ``n_points`` that is not an integer, or is beyond int64, or a
+    ``rho`` that is not a number, is a ValueError naming its pair and line.
     """
-    rows = [
-        ((app_i, app_j, MetricKind(metric)), TimeWindow(date.fromisoformat(t0), window_days),
-         math.nan if rho == "" else float(rho),
-         *int64_cells((c, n), line, f"correlations of ({app_i}, {app_j}, {metric})"))
-        for line, (app_i, app_j, metric, t0, rho, c, n) in csv_rows(text, CORRELATIONS_CSV_COLUMNS, "correlations")
-    ]
+    rows = []
+    for line, (app_i, app_j, metric, t0, rho, c, n) in csv_rows(text, CORRELATIONS_CSV_COLUMNS, "correlations"):
+        series = f"correlations of ({app_i}, {app_j}, {metric})"
+        (rho_value,) = float_cells((rho,), line, series)
+        rows.append(((app_i, app_j, MetricKind(metric)), TimeWindow(date.fromisoformat(t0), window_days),
+                     math.nan if rho_value is None else rho_value, *int64_cells((c, n), line, series)))
     label = "correlations of ({0}, {1}, {2.value})"
     out: list[PairSeries] = []
     for key, (windows, rhos, cs, ns) in series_groups(rows, label).items():

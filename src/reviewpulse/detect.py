@@ -27,7 +27,7 @@ from math import isfinite, isqrt
 from typing import Iterable, Sequence
 
 from .ingest import csv_line_writer
-from .metrics import MetricKind, TimeWindow, WindowStat, csv_rows
+from .metrics import MetricKind, TimeWindow, WindowStat, csv_rows, float_cells, int64_cells
 
 __all__ = [
     "EVENTS_CSV_COLUMNS",
@@ -215,24 +215,28 @@ def read_events_csv(text: str, window_days: int, k: float) -> list[EventRecord]:
     The window length and sensitivity are not CSV columns; they come from
     the same config that produced the dump. A row whose ``e`` is not -1, 0
     or 1, whose ``a`` or ``sigma`` is not finite, or whose ``warmup`` is not
-    ``true`` or ``false`` is a ValueError naming its line.
+    ``true`` or ``false`` is a ValueError naming its line. So is an ``e`` or
+    ``baseline_n`` that is not an integer, or is beyond int64, and an ``a``
+    or ``sigma`` that is not a number; these also name the row's series.
     """
     out: list[EventRecord] = []
     for line, (app_id, metric, t0, e, a, sigma, baseline_n, warmup) in csv_rows(text, EVENTS_CSV_COLUMNS, "events"):
-        values = [None if v == "" else float(v) for v in (a, sigma)]
+        label = f"events of ({app_id}, {metric})"
+        e_value, n_value = int64_cells((e, baseline_n), line, label)
+        values = float_cells((a, sigma), line, label)
         finite = all(isfinite(v) for v in values if v is not None)
-        if int(e) not in (-1, 0, 1) or not finite or warmup not in ("true", "false"):
+        if e_value not in (-1, 0, 1) or not finite or warmup not in ("true", "false"):
             raise ValueError(f"events CSV line {line}: bad e, a, sigma or warmup: {e!r}, {a!r}, {sigma!r}, {warmup!r}")
         out.append(
             EventRecord(
                 app_id=app_id,
                 metric=MetricKind(metric),
                 window=TimeWindow(date.fromisoformat(t0), window_days),
-                e=int(e),
+                e=e_value,
                 a=values[0],
                 sigma=values[1],
                 k=k,
-                baseline_n=int(baseline_n),
+                baseline_n=n_value,
                 warmup=warmup == "true",
             )
         )

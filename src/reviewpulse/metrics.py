@@ -38,7 +38,7 @@ from typing import Callable, Collection, Hashable, Iterable, Iterator, Mapping, 
 import numpy as np
 
 from .ingest import DAY_US, RatingScale, Review, ReviewTable, ScaleMap, csv_line_writer, midnight_us, utc_datetime
-from .sentiment import PolarityScorer, score_sentences
+from .sentiment import LexiconScorer, PolarityScorer, score_sentences
 from .sentiment import score_review  # noqa: F401  perfbench's tracer wraps this name
 
 __all__ = [
@@ -53,10 +53,12 @@ __all__ = [
     "csv_rows",
     "check_grid",
     "day_sums",
+    "float_cells",
     "int64_cells",
     "metric_delta",
     "normalize_rating",
     "read_day_sums_csv",
+    "score_bodies",
     "score_reviews",
     "series_groups",
     "utc_midnights",
@@ -176,6 +178,23 @@ def score_reviews(
     return out
 
 
+# Bodies per LexiconScorer.body_totals call. A block bounds the words held
+# at once and keeps the kernel's arrays above 1 KiB: numpy keeps the memory
+# of a freed array under that size for reuse, so many small calls, one per
+# app, would leave heap behind for every array size they used.
+SCORE_BLOCK = 1024
+
+
+def score_bodies(bodies: Iterable[str], scorer: LexiconScorer, memo: dict[str, tuple[int, int]]) -> None:
+    """Put each body that ``memo`` does not hold yet into it, as its
+    polarity total and sentence count, scoring ``SCORE_BLOCK`` bodies per
+    ``scorer.body_totals`` call."""
+    fresh = list(set(bodies).difference(memo))
+    for i in range(0, len(fresh), SCORE_BLOCK):
+        block = fresh[i : i + SCORE_BLOCK]
+        memo.update(zip(block, zip(*(a.tolist() for a in scorer.body_totals(block)))))
+
+
 @dataclass(frozen=True, slots=True)
 class DaySums:
     """One app's reviews summed per UTC day of a span, as prefix sums.
@@ -225,7 +244,7 @@ def day_sums(
     reviews: Sequence[Review],
     midnights: np.ndarray,
     metrics: Collection[MetricKind],
-    scorer: PolarityScorer,
+    scorer: LexiconScorer,
     scales: ScaleMap,
     memo: dict[str, tuple[int, int]],
 ) -> DaySums:
@@ -236,7 +255,8 @@ def day_sums(
     ``utc_midnights``; each day is cut from the stamps by bisection.
     Ratings are normalised and bodies scored only for the span's reviews
     and the metrics asked for. ``memo`` keeps each distinct body's polarity
-    total and scored sentence count, and no sentence text.
+    total and scored sentence count, and no sentence text; the span's
+    bodies that it does not hold yet go through ``score_bodies``.
     """
     table = ReviewTable.from_reviews(reviews)
     cuts = np.searchsorted(table.stamp_us, midnights, side="left")
@@ -246,15 +266,11 @@ def day_sums(
     if MetricKind.RATING in metrics:
         rating = _prefix(_normalized_ratings(table, scales))[cuts]
     if MetricKind.POLARITY in metrics:
-        totals = []
-        for body in table.body.tolist():
-            entry = memo.get(body)
-            if entry is None:
-                scored = [p for _, _, p in score_sentences(body, scorer) if p is not None]
-                entry = memo[body] = (sum(scored), len(scored))
-            totals.append(entry)
-        polarity = _prefix([total for total, _ in totals])[cuts]
-        sentences = _prefix([n for _, n in totals])[cuts]
+        bodies = table.body.tolist()
+        score_bodies(bodies, scorer, memo)
+        totals = np.array(list(map(memo.__getitem__, bodies)), dtype=np.int64).reshape(-1, 2)
+        polarity = _prefix(totals[:, 0])[cuts]
+        sentences = _prefix(totals[:, 1])[cuts]
     return DaySums(utc_datetime(int(midnights[0])).date(), cuts, rating, polarity, sentences)
 
 
@@ -395,6 +411,18 @@ def int64_cells(cells: Iterable[str], line: int, label: str) -> list[int]:
         if not -(2**63) <= value < 2**63:
             raise ValueError(f"{label}, CSV line {line}: {cell} is beyond int64")
         values.append(value)
+    return values
+
+
+def float_cells(cells: Iterable[str], line: int, label: str) -> list[float | None]:
+    """One CSV row's float cells, an empty one None. A cell that does not
+    parse as a float is a ValueError naming ``label`` and the row's line."""
+    values: list[float | None] = []
+    for cell in cells:
+        try:
+            values.append(None if cell == "" else float(cell))
+        except ValueError:
+            raise ValueError(f"{label}, CSV line {line}: {cell!r} is not a number") from None
     return values
 
 

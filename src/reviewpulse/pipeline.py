@@ -55,6 +55,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, field
 from datetime import date, timedelta
+from itertools import chain
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 
@@ -93,6 +94,7 @@ from .metrics import (
     correlation_points,
     day_sums,
     metric_delta,
+    score_bodies,
     score_reviews,
     utc_midnights,
     window_series,
@@ -100,7 +102,7 @@ from .metrics import (
     write_day_sums_csv,
     write_metrics_csv,
 )
-from .sentiment import LexiconScorer, PolarityScorer, load_lexicon
+from .sentiment import LexiconScorer, load_lexicon
 from .summarize import (
     MockSummarizer,
     SummaryRequest,
@@ -129,6 +131,7 @@ __all__ = [
     "in_report_order",
     "json_text",
     "load_catalog",
+    "new_analysis",
     "read_review_files",
     "read_stage",
     "run_pipeline",
@@ -168,7 +171,7 @@ class MarketAnalysis:
     config: MarketConfig
     catalog: MarketCatalog
     apps: tuple[str, ...]
-    scorer: PolarityScorer
+    scorer: LexiconScorer
     day_sums: dict[str, DaySums] = field(default_factory=dict)
     weekly_stats: dict[SeriesKey, SeriesStats] = field(default_factory=dict)
     daily_stats: dict[SeriesKey, SeriesStats] = field(default_factory=dict)
@@ -261,21 +264,10 @@ def load_catalog(
     return build_catalog(reviews, monthly_floor=config.monthly_floor), rejects
 
 
-def aggregate(
-    config: MarketConfig,
-    catalog: MarketCatalog,
-    metrics: Sequence[MetricKind] = ALL_METRICS,
-) -> MarketAnalysis:
-    """A new analysis with its event- and correlation-window stats filled.
-
-    Apps flagged insufficient are left out when the config excludes them.
-    Each app's reviews are summed per UTC day of the span once, and the
-    analysis keeps those day sums; both window grids sum from them through
-    ``series_stats``. Sentences are scored only where the polarity metric
-    needs them, and only each distinct body's polarity total and scored
-    count is kept, until this returns. The catalog's reviews must be
-    in canonical order, as ``build_catalog`` leaves them.
-    """
+def new_analysis(config: MarketConfig, catalog: MarketCatalog) -> MarketAnalysis:
+    """An analysis of the catalog with nothing summed yet: its apps, less
+    those flagged insufficient when the config excludes them, and a
+    lexicon scorer on the config's lexicon."""
     scorer = LexiconScorer(
         load_lexicon(config.lexicon_path) if config.lexicon_path else None
     )
@@ -284,13 +276,36 @@ def aggregate(
         for a in catalog.apps
         if not (config.exclude_insufficient and catalog.coverage[a].insufficient)
     )
-    analysis = MarketAnalysis(config=config, catalog=catalog, apps=apps, scorer=scorer)
-    span = _derive_span(config, catalog, apps)
+    return MarketAnalysis(config=config, catalog=catalog, apps=apps, scorer=scorer)
+
+
+def aggregate(
+    config: MarketConfig,
+    catalog: MarketCatalog,
+    metrics: Sequence[MetricKind] = ALL_METRICS,
+) -> MarketAnalysis:
+    """A ``new_analysis`` with its event- and correlation-window stats filled.
+
+    Each app's reviews are summed per UTC day of the span once, and the
+    analysis keeps those day sums; both window grids sum from them through
+    ``series_stats``. Bodies are scored only where the polarity metric
+    needs them: every app's distinct bodies in one ``score_bodies`` pass
+    before the sums, and only each body's polarity total and sentence
+    count is kept, until this returns. The catalog's reviews must be in
+    canonical order, as ``build_catalog`` leaves them.
+    """
+    analysis = new_analysis(config, catalog)
+    span = _derive_span(config, catalog, analysis.apps)
     if span is not None:
         midnights = utc_midnights(span[0], (span[1] - span[0]).days)
         memo: dict[str, tuple[int, int]] = {}  # shared by the apps: a body may repeat across them
-        for app in apps:
-            analysis.day_sums[app] = day_sums(catalog.reviews[app], midnights, metrics, scorer, config.scales, memo)
+        if MetricKind.POLARITY in metrics:
+            apps_bodies = (catalog.reviews[app].body.tolist() for app in analysis.apps)
+            score_bodies(chain.from_iterable(apps_bodies), analysis.scorer, memo)
+        for app in analysis.apps:
+            analysis.day_sums[app] = day_sums(
+                catalog.reviews[app], midnights, metrics, analysis.scorer, config.scales, memo
+            )
     analysis.weekly_stats = series_stats(analysis.day_sums, config.event_window_days, metrics)
     analysis.daily_stats = series_stats(analysis.day_sums, config.correlation_window_days, metrics)
     return analysis

@@ -9,6 +9,11 @@ valences, folded into the five polarity bins:
 
 External scorers plug in through the same ``score(text) -> 0..4`` surface;
 a failing scorer marks the sentence unscored instead of aborting the run.
+
+``LexiconScorer.body_totals`` gives each body's polarity total and sentence
+count, the numbers ``score_sentences`` gives, for a whole list of bodies in
+one pass: each distinct word is tokenised once per scorer, and the
+sentences are cut, negated and summed as arrays.
 """
 
 from __future__ import annotations
@@ -17,8 +22,11 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
+from itertools import chain, repeat
 from pathlib import Path
-from typing import Iterator, Mapping, Protocol, runtime_checkable
+from typing import Iterator, Mapping, Protocol, Sequence, runtime_checkable
+
+import numpy as np
 
 __all__ = [
     "LexiconScorer",
@@ -39,6 +47,20 @@ _TOKEN = re.compile(r"[a-z0-9']+")
 
 NEGATORS = frozenset({"not", "never"})
 NEGATION_WINDOW = 2
+
+# body_totals codes a lowercased word as one letter per token, "ABCDE" for
+# valence -2..+2 and "abcde" for a negator of that valence, then one end
+# mark: "\v" where the word ends in terminal punctuation, which breaks the
+# sentence when whitespace follows, and "\n" otherwise. Both marks are line
+# breaks to ``str.splitlines`` and no letter is one.
+_WORD_PARTS = re.compile(r"[a-z0-9']+|[.!?] | ")
+_LETTERS = "ABCDEabcde"
+_WORD_END, _SENTENCE_END = "\n", "\v"
+_END_MARKS = {" ": _WORD_END, ". ": _SENTENCE_END, "! ": _SENTENCE_END, "? ": _SENTENCE_END}
+_CODE_VALENCE = np.zeros(128, dtype=np.int64)
+_CODE_VALENCE[[ord(c) for c in _LETTERS]] = [-2, -1, 0, 1, 2] * 2
+_CODE_NEGATES = np.zeros(128, dtype=bool)
+_CODE_NEGATES[[ord(c) for c in _LETTERS[5:]]] = True
 
 
 class ScorerError(Exception):
@@ -121,7 +143,8 @@ class LexiconScorer:
     """Deterministic lexicon scorer; the packaged lexicon is the default.
 
     Each scorer remembers the valence of every distinct token it has
-    stemmed, so a token is stemmed once per scorer.
+    stemmed, so a token is stemmed once per scorer, and ``body_totals``
+    remembers the code of every distinct lowercased word it has split.
     """
 
     name = "lexicon"
@@ -129,6 +152,8 @@ class LexiconScorer:
     def __init__(self, lexicon: Mapping[str, int] | None = None) -> None:
         self._lexicon = default_lexicon() if lexicon is None else lexicon
         self._memo: dict[str, int] = {}
+        self._words: dict[str, str] = {}  # lowercased word -> its code
+        self._parts: dict[str, str] = dict(_END_MARKS)  # token -> letter, and the end marks
 
     def valence(self, text: str) -> int:
         tokens = _TOKEN.findall(text.lower())
@@ -147,6 +172,67 @@ class LexiconScorer:
 
     def score(self, text: str) -> int:
         return bin_valence(self.valence(text))
+
+    def _learn(self, words: Sequence[str]) -> None:
+        """Code each of ``words`` (distinct, lowercased, no whitespace)."""
+        # Joined by spaces, each word is its tokens, then a space that follows
+        # terminal punctuation or not; no whitespace is inside a word.
+        parts = _WORD_PARTS.findall(" ".join(words) + " ")
+        codes, memo, lexicon = self._parts, self._memo, self._lexicon
+        for token in set(parts).difference(codes):
+            value = memo.get(token)
+            if value is None:
+                value = memo[token] = _lookup(lexicon, token)
+            if not -2 <= value <= 2:
+                raise ValueError(f"lexicon valence {value!r} of {token!r} is outside -2..+2")
+            codes[token] = _LETTERS[value + 2 + 5 * (token in NEGATORS)]
+        self._words.update(zip(words, "".join(map(codes.__getitem__, parts)).splitlines(keepends=True)))
+
+    def body_totals(self, bodies: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+        """Each body's polarity total, the sum of its sentences' bins, and
+        its sentence count, as int64 arrays: the numbers that
+        ``score_sentences`` gives.
+
+        A body is lowercased and cut into lines at ``\\n`` and each line into
+        words at whitespace, all bodies at once. A sentence starts at a
+        line's first word and after a word that ends in ``.``, ``!`` or
+        ``?``, as ``split_sentences`` cuts it; a sentence without a token
+        scores 2. Boundaries come from the word counts per line and per body,
+        so a body may hold any character.
+        """
+        # No character lowercases into or out of whitespace or ".!?", and
+        # str.split() splits where re's \s matches (both hold for every code
+        # point), so these are the words split_sentences and valence see.
+        lines = list(map(str.split, map(str.lower, bodies), repeat("\n")))
+        words_per_line = list(map(str.split, chain.from_iterable(lines)))
+        words = list(chain.from_iterable(words_per_line))
+        known = self._words
+        fresh = set(words).difference(known)
+        if fresh:
+            self._learn(list(fresh))
+        code = np.frombuffer("".join(map(known.__getitem__, words)).encode("ascii"), dtype=np.uint8)
+        n_lines = np.fromiter(map(len, lines), dtype=np.int64, count=len(lines))
+        n_words = np.fromiter(map(len, words_per_line), dtype=np.int64, count=len(words_per_line))
+        ends = code < ord("A")  # one end mark per word, in word order
+        starts = np.zeros(len(words) + 1, dtype=bool)
+        starts[np.cumsum(n_words) - n_words] = True  # an empty line's entry is the next word's
+        starts[1:] |= code[ends] == ord(_SENTENCE_END)
+        starts = starts[:-1]
+        word_sentence = np.cumsum(starts) - 1
+        sentence_body = np.repeat(np.repeat(np.arange(len(bodies)), n_lines), n_words)[starts]
+        tokens = ~ends
+        token_sentence = word_sentence[(np.cumsum(ends) - ends)[tokens]]
+        code = code[tokens]
+        valence = _CODE_VALENCE[code]
+        negated = np.zeros(len(code), dtype=bool)
+        for k in range(1, NEGATION_WINDOW + 1):
+            negated[k:] |= _CODE_NEGATES[code[:-k]] & (token_sentence[k:] == token_sentence[:-k])
+        valence[negated] *= -1
+        n_sentences = len(sentence_body)
+        # A bincount weight is a float64; these sums are small integers, so exact.
+        bins = np.clip(np.bincount(token_sentence, weights=valence, minlength=n_sentences), -2, 2) + 2
+        totals = np.bincount(sentence_body, weights=bins, minlength=len(bodies)).astype(np.int64)
+        return totals, np.bincount(sentence_body, minlength=len(bodies))
 
 
 def score_polarity(sentence: str, scorer: PolarityScorer) -> int:

@@ -316,24 +316,31 @@ def test_correlated_events_nested_too_deep_exit_three(tmp_path, capsys) -> None:
 
 
 @pytest.mark.parametrize(
-    "e, a, sigma, warmup",
-    [("7", "1.5", "0.5", "false"), ("1", "nan", "0.5", "false"), ("1", "1.5", "inf", "false"),
-     ("-1", "-inf", "0.5", "false"), ("1", "1.5", "0.5", "yes")],
-    ids=["e-out-of-range", "a-nan", "sigma-inf", "a-minus-inf", "warmup-not-boolean"],
+    "e, a, sigma, baseline_n, warmup, refused",
+    [("7", "1.5", "0.5", "4", "false", "events CSV line 3"),
+     ("1", "nan", "0.5", "4", "false", "events CSV line 3"),
+     ("1", "1.5", "inf", "4", "false", "events CSV line 3"),
+     ("-1", "-inf", "0.5", "4", "false", "events CSV line 3"),
+     ("1", "1.5", "0.5", "4", "yes", "events CSV line 3"),
+     ("1.0", "1.5", "0.5", "4", "false", "events of (a, count), CSV line 3: '1.0' is not an integer"),
+     ("1", "1.5", "0.5", "x", "false", "events of (a, count), CSV line 3: 'x' is not an integer"),
+     ("1", "x", "0.5", "4", "false", "events of (a, count), CSV line 3: 'x' is not a number")],
+    ids=["e-out-of-range", "a-nan", "sigma-inf", "a-minus-inf", "warmup-not-boolean", "e-not-integer",
+         "baseline-n-not-integer", "a-not-a-number"],
 )
-def test_bad_events_csv_row_exits_three(tmp_path, capsys, e, a, sigma, warmup) -> None:
+def test_bad_events_csv_row_exits_three(tmp_path, capsys, e, a, sigma, baseline_n, warmup, refused) -> None:
     events = tmp_path / "events.csv"
     events.write_text(
         "app_id,metric,t0,e,a,sigma,baseline_n,warmup\n"
         "a,count,2024-01-04,0,,,0,true\n"
-        f"a,count,2024-01-11,{e},{a},{sigma},4,{warmup}\n",
+        f"a,count,2024-01-11,{e},{a},{sigma},{baseline_n},{warmup}\n",
         encoding="utf-8",
     )
     correlations = tmp_path / "correlations.csv"
     correlations.write_text("app_i,app_j,metric,t0,rho,c,n_points\n", encoding="utf-8")
     out = tmp_path / "out"
     assert main(["ce", str(events), str(correlations), "--out", str(out)]) == 3
-    assert "events CSV line 3" in capsys.readouterr().err
+    assert refused in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -427,24 +434,26 @@ def test_bad_lexicon_or_template_exits_two_before_writing(tmp_path, capsys, key,
 
 
 @pytest.mark.parametrize(
-    "days, c, n_points, window_days, refused",
+    "days, rho, c, n_points, window_days, refused",
     [
-        ((1, 2, 4, 5), 1, 10, 1, "(a, b, count)"),
-        ((2, 1), 1, 10, 1, "(a, b, count)"),
-        ((1, 1, 2), 0, 10, 1, "(a, b, count)"),
-        ((1, 3, 4), 0, 10, 2, "(a, b, count)"),
-        ((1, 2, 3), 2, 10, 1, "(a, b, count)"),
-        ((1, 2), "1.0", 10, 1, "correlations of (a, b, count), CSV line 2: '1.0' is not an integer"),
-        ((1, 2), 1, "x", 1, "correlations of (a, b, count), CSV line 2: 'x' is not an integer"),
+        ((1, 2, 4, 5), "0.9", 1, 10, 1, "(a, b, count)"),
+        ((2, 1), "0.9", 1, 10, 1, "(a, b, count)"),
+        ((1, 1, 2), "0.9", 0, 10, 1, "(a, b, count)"),
+        ((1, 3, 4), "0.9", 0, 10, 2, "(a, b, count)"),
+        ((1, 2, 3), "0.9", 2, 10, 1, "(a, b, count)"),
+        ((1, 2), "0.9", "1.0", 10, 1, "correlations of (a, b, count), CSV line 2: '1.0' is not an integer"),
+        ((1, 2), "0.9", 1, "x", 1, "correlations of (a, b, count), CSV line 2: 'x' is not an integer"),
+        ((1, 2), "x", 1, 10, 1, "correlations of (a, b, count), CSV line 2: 'x' is not a number"),
     ],
-    ids=["gap", "backwards", "repeat", "spacing", "bad-class", "c-not-integer", "n-points-not-integer"],
+    ids=["gap", "backwards", "repeat", "spacing", "bad-class", "c-not-integer", "n-points-not-integer",
+         "rho-not-a-number"],
 )
-def test_correlations_off_their_window_grid_exit_three(tmp_path, capsys, days, c, n_points, window_days,
+def test_correlations_off_their_window_grid_exit_three(tmp_path, capsys, days, rho, c, n_points, window_days,
                                                        refused) -> None:
     events = tmp_path / "events.csv"
     events.write_text("app_id,metric,t0,e,a,sigma,baseline_n,warmup\n", encoding="utf-8")
     correlations = tmp_path / "correlations.csv"
-    rows = [f"a,b,count,2024-01-{d:02d},0.9,{c},{n_points}\n" for d in days]
+    rows = [f"a,b,count,2024-01-{d:02d},{rho},{c},{n_points}\n" for d in days]
     correlations.write_text("app_i,app_j,metric,t0,rho,c,n_points\n" + "".join(rows), encoding="utf-8")
     out = tmp_path / "out"
     flags = ["--set", f"correlation_window_days={window_days}"]

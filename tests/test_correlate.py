@@ -389,6 +389,22 @@ def test_correlations_csv_round_trip() -> None:
     assert [r for s in back for r in s.records()] == records
 
 
+@pytest.mark.parametrize(
+    "cells, refused",
+    [
+        ("x,1,10", "'x' is not a number"),
+        ("0.5,1.0,10", "'1.0' is not an integer"),
+        ("0.5,1,ten", "'ten' is not an integer"),
+    ],
+    ids=["rho-text", "c-float", "n-points-text"],
+)
+def test_correlations_csv_names_the_line_of_a_bad_numeric_cell(cells: str, refused: str) -> None:
+    text = "app_i,app_j,metric,t0,rho,c,n_points\na,b,count,2024-01-01,,0,1\n"
+    with pytest.raises(ValueError) as exc:
+        read_correlations_csv(text + f"a,b,count,2024-01-02,{cells}\n", window_days=1)
+    assert str(exc.value) == f"correlations of (a, b, count), CSV line 3: {refused}"
+
+
 def _reference_csv(series: list[PairSeries]) -> str:
     """correlations.csv written the plain way: one csv.writer row per window.
 

@@ -186,6 +186,24 @@ def test_events_csv_round_trip() -> None:
         read_events_csv("nope\n", window_days=7, k=2.0)
 
 
+@pytest.mark.parametrize(
+    "cells, refused",
+    [
+        ("1.0,,,0,true", "'1.0' is not an integer"),
+        ("0,,,x,true", "'x' is not an integer"),
+        (f"{2**63},,,0,true", f"{2**63} is beyond int64"),
+        ("1,x,0.5,4,false", "'x' is not a number"),
+        ("1,1.5,0.5x,4,false", "'0.5x' is not a number"),
+    ],
+    ids=["e-float", "baseline-n-text", "e-beyond-int64", "a-text", "sigma-text"],
+)
+def test_events_csv_names_the_line_of_a_bad_numeric_cell(cells: str, refused: str) -> None:
+    text = "app_id,metric,t0,e,a,sigma,baseline_n,warmup\na,count,2024-01-04,0,,,0,true\n"
+    with pytest.raises(ValueError) as exc:
+        read_events_csv(text + f"a,count,2024-01-11,{cells}\n", window_days=7, k=2.0)
+    assert str(exc.value) == f"events of (a, count), CSV line 3: {refused}"
+
+
 _DELTA_KINDS = (
     lambda rng: rng.uniform(-50, 50),
     lambda rng: float(rng.randrange(-9, 9)),

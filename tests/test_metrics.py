@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import math
 import random
 import tracemalloc
@@ -231,6 +232,33 @@ def test_day_sums_match_per_review_bucketing_oracle() -> None:
                 assert stat.mu == metric_mu(inside, metric)
                 assert stat.delta == (None if stat.mu is None or prev is None else stat.mu - prev)
                 prev = stat.mu
+
+
+@pytest.mark.parametrize("block", [1024, 2], ids=["one-block", "blocks-of-2"])
+def test_polarity_day_sums_of_repeated_bodies_match_per_review_oracle(monkeypatch, block: int) -> None:
+    # Bodies repeat within each app and across the apps, which share one
+    # memo and one scorer; the oracle scores every review on its own.
+    monkeypatch.setattr("reviewpulse.metrics.SCORE_BLOCK", block)
+    rng = random.Random(33)
+    start = date(2024, 1, 4)
+    base = datetime(2024, 1, 4, tzinfo=timezone.utc)
+    pool = ["excellent app. not good!", "", " \n ", "terrible crash.\nthe menu", "never slow? ok", "good. good."]
+    scorer, memo = LexiconScorer(), {}
+    for app in ("appA", "appB", "appC"):
+        reviews = sorted(
+            (_review(i, base + timedelta(seconds=rng.randrange(14 * 86400)), body=rng.choice(pool), app=app)
+             for i in range(60)),
+            key=lambda r: (r.timestamp, r.review_id),
+        )
+        days = day_sums(reviews, utc_midnights(start, 14), (MetricKind.POLARITY,), scorer, ScaleMap(), memo)
+        polarity, sentences = [0] * 15, [0] * 15
+        for s in _scored(reviews):
+            day = (s.review.timestamp.date() - start).days
+            polarity[day + 1] += sum(x.polarity for x in s.sentences)
+            sentences[day + 1] += len(s.sentences)
+        assert days.polarity.tolist() == list(itertools.accumulate(polarity))
+        assert days.sentences.tolist() == list(itertools.accumulate(sentences))
+    assert len(memo) == len(pool)
 
 
 def test_window_stats_refuse_windows_outside_the_day_sums() -> None:

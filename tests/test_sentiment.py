@@ -3,7 +3,9 @@
 The splitting and binning tests each carry their own oracle: a literal
 re.split written here for splitting, and a from-the-definition fold of
 known valence sums for binning. The stemming test's oracle stems every
-token on the spot, where the scorer looks it up in its memo.
+token on the spot, where the scorer looks it up in its memo. The
+``body_totals`` kernel is held to ``score_sentences``, one sentence at a
+time.
 """
 from __future__ import annotations
 
@@ -12,6 +14,7 @@ import re
 from types import MappingProxyType
 from typing import Mapping
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -231,6 +234,55 @@ def test_stem_table_matches_per_token_stemming(custom: bool, data) -> None:
     expected = _stemmed_valence(lexicon, text)
     assert scorer.valence(text) == expected
     assert scorer.valence(text) == expected  # every token now from the scorer's memo
+
+
+# Words: negators, lexicon words with inflections, and characters that
+# lowercase into token characters (U+0130, U+212A) or by context (capital
+# sigma). Each word is followed by a separator: whitespace that str.split
+# and re's \s both know (\r, \x1c..\x1f, \x85 and U+3000 among them), NUL,
+# terminal punctuation, or nothing.
+_ODD_WORDS = ("not", "never", "3.5", "'", "don't", "''", "?!", "\u0130", "\u212a", "\u03a3", "\U0001f600")
+_SEPARATORS = (" ", " ", " ", "", ". ", "! ", "? ", ".", "...", "\n", " \n ", "\r", "\t", "\x00", "\x1c",
+               "\x1d", "\x1e", "\x1f", "\x85", "\u3000")
+
+
+@st.composite
+def _bodies(draw, keys: list[str]) -> list[str]:
+    """Body lists: arbitrary text, or words and separators; empty, blank
+    and repeated bodies."""
+    word = st.one_of(
+        st.sampled_from(_ODD_WORDS),
+        st.builds(str.__add__, st.sampled_from(keys), st.sampled_from(_SUFFIXES)),
+    )
+    words = st.lists(st.builds(str.__add__, word, st.sampled_from(_SEPARATORS)), max_size=10).map("".join)
+    body = st.one_of(st.text(), words, words.map(str.upper), st.sampled_from(["", " ", "\n\n", "\t\u3000"]))
+    bodies = draw(st.lists(body, max_size=6))
+    if bodies:
+        bodies += draw(st.lists(st.sampled_from(bodies), max_size=4))
+    return bodies
+
+
+@pytest.mark.parametrize("custom", [False, True], ids=["built-in", "custom"])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_body_totals_match_the_per_sentence_path(custom: bool, data) -> None:
+    lexicon = _CUSTOM_LEXICON if custom else default_lexicon()
+    scorer = LexiconScorer(lexicon) if custom else LexiconScorer()
+    oracle = LexiconScorer(lexicon) if custom else LexiconScorer()
+    for _ in range(2):  # the second list meets words the scorer has coded
+        bodies = data.draw(_bodies(sorted(lexicon)))
+        totals, counts = scorer.body_totals(bodies)
+        polarities = [[p for _, _, p in score_sentences(body, oracle)] for body in bodies]
+        assert (totals.dtype, counts.dtype) == (np.int64, np.int64)
+        assert totals.tolist() == [sum(p) for p in polarities]
+        assert counts.tolist() == [len(p) for p in polarities]
+
+
+def test_body_totals_refuse_a_valence_outside_the_scale() -> None:
+    scorer = LexiconScorer({"great": 3})
+    assert scorer.score("great") == 4
+    with pytest.raises(ValueError, match="outside -2..\\+2"):
+        scorer.body_totals(["great"])
 
 
 def test_sentence_tuples_agree_with_score_review() -> None:
