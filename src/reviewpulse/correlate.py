@@ -36,7 +36,8 @@ import numpy as np
 
 from .detect import EventRecord
 from .ingest import json_text
-from .metrics import MetricKind, TimeWindow, csv_rows, float_cells, int64_cells, series_groups, write_series_csv
+from .metrics import (MetricKind, TimeWindow, csv_rows, float_cells, int64_cells, series_cells, series_groups,
+                      write_series_csv)
 
 __all__ = [
     "CORRELATIONS_CSV_COLUMNS",
@@ -48,11 +49,9 @@ __all__ = [
     "ce_records_from_json",
     "ce_records_to_json",
     "detect_correlated_events",
-    "detect_correlation",
     "extract_runs",
     "market_correlations",
     "pair_correlations",
-    "pearson_rho",
     "read_correlations_csv",
     "write_correlations_csv",
 ]
@@ -64,54 +63,6 @@ DEFAULT_MIN_CORR_POINTS = 8
 # Relative variance floor below which a lookback is treated as constant
 # (sum-of-squares cancellation noise, not signal).
 _REL_VARIANCE_EPS = 1e-12
-
-
-def pearson_rho(
-    xs: Iterable[tuple[date, float]],
-    ys: Iterable[tuple[date, float]],
-    lookback: tuple[date, date],
-    min_points: int = DEFAULT_MIN_CORR_POINTS,
-) -> float | None:
-    """Pearson correlation over pairwise-complete dates in [lo, hi).
-
-    None when fewer than ``min_points`` dates are shared or either series
-    is constant over the shared dates.
-    """
-    lo, hi = lookback
-    x_by_date = {d: v for d, v in xs if lo <= d < hi}
-    pairs = sorted((d, x_by_date[d], v) for d, v in ys if lo <= d < hi and d in x_by_date)
-    if len(pairs) < max(min_points, 2):
-        return None
-    xv = [p[1] for p in pairs]
-    yv = [p[2] for p in pairs]
-    if max(xv) == min(xv) or max(yv) == min(yv):
-        return None
-    n = len(pairs)
-    mx = sum(xv) / n
-    my = sum(yv) / n
-    sxy = 0.0
-    sxx = 0.0
-    syy = 0.0
-    for x, y in zip(xv, yv):
-        dx = x - mx
-        dy = y - my
-        sxy += dx * dy
-        sxx += dx * dx
-        syy += dy * dy
-    denom = math.sqrt(sxx * syy)
-    if denom == 0.0:
-        return None
-    return max(-1.0, min(1.0, sxy / denom))
-
-
-def detect_correlation(rho: float | None, h: float) -> int:
-    if rho is None:
-        return 0
-    if rho >= h:
-        return 1
-    if rho <= -h:
-        return -1
-    return 0
 
 
 @dataclass(frozen=True, slots=True)
@@ -227,8 +178,8 @@ def pair_correlations(
     """Correlation records for one pair/metric over the whole window grid.
 
     The sweep shares prefix sums over the pair's common dates, so each
-    window costs O(1) after an O(n) setup; results match per-window
-    ``pearson_rho`` calls.
+    window costs O(1) after an O(n) setup; results match the Pearson
+    correlation of each window's lookback taken from its definition.
     """
     if app_j < app_i:
         app_i, app_j = app_j, app_i
@@ -418,16 +369,17 @@ def read_correlations_csv(text: str, window_days: int) -> list[PairSeries]:
     Series come in the order their first row appears, each holding its
     rows in file order. A series whose windows are not consecutive
     ``window_days`` windows in time order, or whose ``c`` is not -1, 0 or
-    1, is a ValueError naming its pair: runs are read off that grid. A
-    ``c`` or ``n_points`` that is not an integer, or is beyond int64, or a
-    ``rho`` that is not a number, is a ValueError naming its pair and line.
+    1, is a ValueError naming its pair: runs are read off that grid. A row
+    that ``series_cells`` refuses, a ``c`` or ``n_points`` that is not an
+    integer or is beyond int64, or a ``rho`` that is not a number, is a
+    ValueError naming its pair and line.
     """
     rows = []
-    for line, (app_i, app_j, metric, t0, rho, c, n) in csv_rows(text, CORRELATIONS_CSV_COLUMNS, "correlations"):
-        series = f"correlations of ({app_i}, {app_j}, {metric})"
-        (rho_value,) = float_cells((rho,), line, series)
-        rows.append(((app_i, app_j, MetricKind(metric)), TimeWindow(date.fromisoformat(t0), window_days),
-                     math.nan if rho_value is None else rho_value, *int64_cells((c, n), line, series)))
+    for line, row in csv_rows(text, CORRELATIONS_CSV_COLUMNS, "correlations"):
+        label, key, t0, (rho, c, n) = series_cells(row, CORRELATIONS_CSV_COLUMNS, line, "correlations")
+        (rho_value,) = float_cells((rho,), line, label)
+        rows.append((key, TimeWindow(t0, window_days), math.nan if rho_value is None else rho_value,
+                     *int64_cells((c, n), line, label)))
     label = "correlations of ({0}, {1}, {2.value})"
     out: list[PairSeries] = []
     for key, (windows, rhos, cs, ns) in series_groups(rows, label).items():

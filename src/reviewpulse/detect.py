@@ -27,12 +27,11 @@ from math import isfinite, isqrt
 from typing import Iterable, Sequence
 
 from .ingest import csv_line_writer
-from .metrics import MetricKind, TimeWindow, WindowStat, csv_rows, float_cells, int64_cells
+from .metrics import MetricKind, TimeWindow, WindowStat, csv_rows, float_cells, int64_cells, series_cells
 
 __all__ = [
     "EVENTS_CSV_COLUMNS",
     "EventRecord",
-    "baseline_sigma",
     "detect_series",
     "read_events_csv",
     "write_events_csv",
@@ -111,28 +110,6 @@ _DDOF = {"population": 0, "sample": 1}
 def _check_mode(mode: str) -> None:
     if mode not in _DDOF:
         raise ValueError(f"unknown sigma mode {mode!r} (expected 'population' or 'sample')")
-
-
-def baseline_sigma(
-    deltas: Sequence[float],
-    min_baseline: int = DEFAULT_MIN_BASELINE,
-    mode: str = "population",
-) -> float | None:
-    """Standard deviation of the baseline deltas; None while too few.
-
-    Population form by default (the baseline is treated as the complete
-    history, not a sample); ``mode="sample"`` switches to the n-1 form,
-    which then needs at least two deltas. The value is the exact standard
-    deviation of the deltas, correctly rounded; a NaN or infinite delta is
-    a ValueError.
-    """
-    _check_mode(mode)
-    if len(deltas) < min_baseline:
-        return None
-    moments = _Moments()
-    for delta in deltas:
-        moments.add(delta)
-    return moments.sigma(mode)
 
 
 @dataclass(frozen=True, slots=True)
@@ -215,13 +192,14 @@ def read_events_csv(text: str, window_days: int, k: float) -> list[EventRecord]:
     The window length and sensitivity are not CSV columns; they come from
     the same config that produced the dump. A row whose ``e`` is not -1, 0
     or 1, whose ``a`` or ``sigma`` is not finite, or whose ``warmup`` is not
-    ``true`` or ``false`` is a ValueError naming its line. So is an ``e`` or
-    ``baseline_n`` that is not an integer, or is beyond int64, and an ``a``
-    or ``sigma`` that is not a number; these also name the row's series.
+    ``true`` or ``false`` is a ValueError naming its line. So is a row that
+    ``series_cells`` refuses, an ``e`` or ``baseline_n`` that is not an
+    integer or is beyond int64, and an ``a`` or ``sigma`` that is not a
+    number; these also name the row's series.
     """
     out: list[EventRecord] = []
-    for line, (app_id, metric, t0, e, a, sigma, baseline_n, warmup) in csv_rows(text, EVENTS_CSV_COLUMNS, "events"):
-        label = f"events of ({app_id}, {metric})"
+    for line, row in csv_rows(text, EVENTS_CSV_COLUMNS, "events"):
+        label, (app_id, metric), t0, (e, a, sigma, baseline_n, warmup) = series_cells(row, EVENTS_CSV_COLUMNS, line, "events")
         e_value, n_value = int64_cells((e, baseline_n), line, label)
         values = float_cells((a, sigma), line, label)
         finite = all(isfinite(v) for v in values if v is not None)
@@ -230,8 +208,8 @@ def read_events_csv(text: str, window_days: int, k: float) -> list[EventRecord]:
         out.append(
             EventRecord(
                 app_id=app_id,
-                metric=MetricKind(metric),
-                window=TimeWindow(date.fromisoformat(t0), window_days),
+                metric=metric,
+                window=TimeWindow(t0, window_days),
                 e=e_value,
                 a=values[0],
                 sigma=values[1],

@@ -18,6 +18,12 @@ integer count on any grid. The day sums are the one intermediate between
 stages: ``write_day_sums_csv`` writes them as one row per app and day, and
 ``read_day_sums_csv`` reads them back exactly.
 
+Sentences are scored by one kernel, ``LexiconScorer.sentence_bins``. The
+day sums take each distinct body's polarity total and sentence count from
+it (``score_bodies``); the correlated events' windows take each
+sentence's text and bin (``score_reviews``, one ``score_review`` per
+distinct body).
+
 A series is held as columns (``SeriesStats``) over a window grid that all
 series of the grid share; ``WindowStat`` rows are built only at the edges.
 A series CSV is written as text chunks, one per series, so no file's whole
@@ -38,8 +44,7 @@ from typing import Callable, Collection, Hashable, Iterable, Iterator, Mapping, 
 import numpy as np
 
 from .ingest import DAY_US, RatingScale, Review, ReviewTable, ScaleMap, csv_line_writer, midnight_us, utc_datetime
-from .sentiment import LexiconScorer, PolarityScorer, score_sentences
-from .sentiment import score_review  # noqa: F401  perfbench's tracer wraps this name
+from .sentiment import LexiconScorer, split_sentences
 
 __all__ = [
     "BodyScore",
@@ -59,7 +64,9 @@ __all__ = [
     "normalize_rating",
     "read_day_sums_csv",
     "score_bodies",
+    "score_review",
     "score_reviews",
+    "series_cells",
     "series_groups",
     "utc_midnights",
     "window_series",
@@ -154,28 +161,41 @@ def window_series(t_start: date, t_end: date, days: int) -> list[TimeWindow]:
 
 
 # Scored sentences of one body, (index, text, polarity) each.
-BodyScore = list[tuple[int, str, "int | None"]]
+BodyScore = list[tuple[int, str, int]]
+
+
+def score_review(body: str, bins: Sequence[int]) -> BodyScore:
+    """One body's scored sentences: ``split_sentences``' texts zipped with
+    the body's sentence bins. A count of bins other than the count of
+    sentences is a ValueError."""
+    texts = split_sentences(body)
+    if len(texts) != len(bins):
+        raise ValueError(f"{len(bins)} sentence bins for a body of {len(texts)} sentences")
+    return list(zip(range(len(texts)), texts, bins))
 
 
 def score_reviews(
-    bodies: Iterable[str], scorer: PolarityScorer, cache: dict[str, BodyScore] | None = None
+    bodies: Iterable[str], scorer: LexiconScorer, cache: dict[str, BodyScore] | None = None
 ) -> list[BodyScore]:
-    """Each body's scored sentences, in the order given; no ``Review``,
-    rating or ``Sentence`` is built.
+    """Each body's scored sentences, in the order given; no ``Review`` or
+    rating is built.
 
-    Scoring is per distinct body text (identical bodies share one scoring
-    pass), which keeps large synthetic datasets cheap without changing any
-    result. ``cache`` carries those per-body scores across calls.
+    The distinct bodies that ``cache`` does not hold yet are scored in one
+    ``scorer.sentence_bins`` call, and each goes through ``score_review``;
+    identical bodies share one entry. ``cache`` carries those per-body
+    scores across calls.
     """
     if cache is None:
         cache = {}
-    out: list[BodyScore] = []
-    for body in bodies:
-        parts = cache.get(body)
-        if parts is None:
-            parts = cache[body] = score_sentences(body, scorer)
-        out.append(parts)
-    return out
+    bodies = list(bodies)
+    fresh = list(dict.fromkeys(body for body in bodies if body not in cache))
+    if fresh:
+        bins, owner = scorer.sentence_bins(fresh)
+        cuts = [0, *np.cumsum(np.bincount(owner, minlength=len(fresh))).tolist()]
+        bins = bins.tolist()
+        for body, lo, hi in zip(fresh, cuts, cuts[1:]):
+            cache[body] = score_review(body, bins[lo:hi])
+    return [cache[body] for body in bodies]
 
 
 # Bodies per LexiconScorer.body_totals call. A block bounds the words held
@@ -414,6 +434,26 @@ def int64_cells(cells: Iterable[str], line: int, label: str) -> list[int]:
     return values
 
 
+def series_cells(row: list[str], columns: Sequence[str], line: int, what: str) -> tuple[str, tuple, date, list[str]]:
+    """One series CSV row cut at its ``t0`` cell: the series label (``what``
+    and the key cells), the key cells before ``t0`` (a ``metric`` cell as
+    its ``MetricKind``), the day ``t0`` names and the cells after it. A row
+    of another length than ``columns``, a metric that is no ``MetricKind``
+    or a ``t0`` that is no ISO date is a ValueError naming the series and
+    the row's line."""
+    at = columns.index("t0")
+    key = row[:at]
+    label = f"{what} of ({', '.join(key)})"
+    try:
+        if len(row) != len(columns):
+            raise ValueError(f"expected {len(columns)} cells, got {len(row)}")
+        if columns[at - 1] == "metric":
+            key[-1] = MetricKind(key[-1])
+        return label, tuple(key), date.fromisoformat(row[at]), row[at + 1 :]
+    except ValueError as exc:
+        raise ValueError(f"{label}, CSV line {line}: {exc}") from None
+
+
 def float_cells(cells: Iterable[str], line: int, label: str) -> list[float | None]:
     """One CSV row's float cells, an empty one None. A cell that does not
     parse as a float is a ValueError naming ``label`` and the row's line."""
@@ -446,14 +486,15 @@ def read_day_sums_csv(text: str) -> dict[str, DaySums]:
     """Day sums from the CSV dump, keyed by app in first-row order.
 
     ``series_groups`` refuses an app's days with a gap, a repeat or a step
-    back, and every app must hold the first app's span. A total that is not
-    an integer (an empty one included), or is beyond int64, is a ValueError
-    naming its app and line; so is a negative one, or a running sum beyond
-    int64.
+    back, and every app must hold the first app's span. A row that
+    ``series_cells`` refuses, or a total that is not an integer (an empty
+    one included) or is beyond int64, is a ValueError naming its app and
+    line; so is a negative total, or a running sum beyond int64.
     """
-    rows = [((app_id,), TimeWindow(date.fromisoformat(t0), 1),
-             *int64_cells((n, rating, polarity, sentences), line, f"day sums of ({app_id})"))
-            for line, (app_id, t0, n, rating, polarity, sentences) in csv_rows(text, DAY_SUMS_CSV_COLUMNS, "day sums")]
+    rows = []
+    for line, row in csv_rows(text, DAY_SUMS_CSV_COLUMNS, "day sums"):
+        label, key, t0, totals = series_cells(row, DAY_SUMS_CSV_COLUMNS, line, "day sums")
+        rows.append((key, TimeWindow(t0, 1), *int64_cells(totals, line, label)))
     out: dict[str, DaySums] = {}
     for (app,), (days, *totals) in series_groups(rows, "day sums of ({0})").items():
         prefixes = [_prefix(np.array(t, dtype=np.int64)) for t in totals]

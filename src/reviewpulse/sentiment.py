@@ -1,54 +1,44 @@
 """Sentence splitting and polarity scoring on the shared 0..4 scale.
 
-The built-in scorer is a small valence lexicon (token -> -2..+2) with a
+The scorer is a small valence lexicon (token -> -2..+2) with a
 "not"/"never" flip applied to valence tokens at most two positions after
 the negator. Sentence valence is the sum of (possibly flipped) token
 valences, folded into the five polarity bins:
 
     valence <= -2 -> 0, -1 -> 1, 0 -> 2, +1 -> 3, valence >= +2 -> 4
 
-External scorers plug in through the same ``score(text) -> 0..4`` surface;
-a failing scorer marks the sentence unscored instead of aborting the run.
-
-``LexiconScorer.body_totals`` gives each body's polarity total and sentence
-count, the numbers ``score_sentences`` gives, for a whole list of bodies in
-one pass: each distinct word is tokenised once per scorer, and the
-sentences are cut, negated and summed as arrays.
+``LexiconScorer.sentence_bins`` is the one scoring kernel: it gives every
+sentence of a whole list of bodies its bin and its body's index, in order.
+Each distinct word is tokenised once per scorer, and the sentences are
+cut, negated and summed as arrays. ``body_totals`` sums those bins per
+body for the day sums; the correlated events' windows zip them with
+``split_sentences``' texts (``metrics.score_reviews``).
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 from itertools import chain, repeat
 from pathlib import Path
-from typing import Iterator, Mapping, Protocol, Sequence, runtime_checkable
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
 __all__ = [
     "LexiconScorer",
-    "PolarityScorer",
-    "ScorerError",
-    "Sentence",
-    "bin_valence",
     "default_lexicon",
     "load_lexicon",
-    "score_polarity",
-    "score_review",
-    "score_sentences",
     "split_sentences",
 ]
 
 _SENTENCE_BREAK = re.compile(r"(?<=[.!?])\s+|\n+")
-_TOKEN = re.compile(r"[a-z0-9']+")
 
 NEGATORS = frozenset({"not", "never"})
 NEGATION_WINDOW = 2
 
-# body_totals codes a lowercased word as one letter per token, "ABCDE" for
+# sentence_bins codes a lowercased word as one letter per token, "ABCDE" for
 # valence -2..+2 and "abcde" for a negator of that valence, then one end
 # mark: "\v" where the word ends in terminal punctuation, which breaks the
 # sentence when whitespace follows, and "\n" otherwise. Both marks are line
@@ -63,20 +53,6 @@ _CODE_NEGATES = np.zeros(128, dtype=bool)
 _CODE_NEGATES[[ord(c) for c in _LETTERS[5:]]] = True
 
 
-class ScorerError(Exception):
-    """A polarity scorer failed or returned something outside 0..4."""
-
-
-@dataclass(frozen=True, slots=True)
-class Sentence:
-    """One sentence of a review body. ``polarity`` is None when unscored."""
-
-    review_id: str
-    index: int
-    text: str
-    polarity: int | None
-
-
 def split_sentences(body: str) -> list[str]:
     """Split a review body into sentences.
 
@@ -88,22 +64,6 @@ def split_sentences(body: str) -> list[str]:
     """
     parts = (p.strip() for p in _SENTENCE_BREAK.split(body))
     return [p for p in parts if p]
-
-
-def bin_valence(valence: int) -> int:
-    if valence <= -2:
-        return 0
-    if valence >= 2:
-        return 4
-    return valence + 2
-
-
-@runtime_checkable
-class PolarityScorer(Protocol):
-    name: str
-
-    def score(self, text: str) -> int:
-        """Return the polarity bin (0..4) for one sentence."""
 
 
 def _stem_candidates(token: str) -> Iterator[str]:
@@ -142,56 +102,33 @@ def _lookup(lexicon: Mapping[str, int], token: str) -> int:
 class LexiconScorer:
     """Deterministic lexicon scorer; the packaged lexicon is the default.
 
-    Each scorer remembers the valence of every distinct token it has
-    stemmed, so a token is stemmed once per scorer, and ``body_totals``
-    remembers the code of every distinct lowercased word it has split.
+    Each scorer remembers the code of every distinct lowercased word it has
+    split and of every token it has stemmed, so a word is split and a token
+    stemmed once per scorer.
     """
-
-    name = "lexicon"
 
     def __init__(self, lexicon: Mapping[str, int] | None = None) -> None:
         self._lexicon = default_lexicon() if lexicon is None else lexicon
-        self._memo: dict[str, int] = {}
         self._words: dict[str, str] = {}  # lowercased word -> its code
         self._parts: dict[str, str] = dict(_END_MARKS)  # token -> letter, and the end marks
-
-    def valence(self, text: str) -> int:
-        tokens = _TOKEN.findall(text.lower())
-        memo = self._memo
-        total = 0
-        for i, token in enumerate(tokens):
-            value = memo.get(token)
-            if value is None:
-                value = memo[token] = _lookup(self._lexicon, token)
-            if value == 0:
-                continue
-            if not NEGATORS.isdisjoint(tokens[max(0, i - NEGATION_WINDOW) : i]):
-                value = -value
-            total += value
-        return total
-
-    def score(self, text: str) -> int:
-        return bin_valence(self.valence(text))
 
     def _learn(self, words: Sequence[str]) -> None:
         """Code each of ``words`` (distinct, lowercased, no whitespace)."""
         # Joined by spaces, each word is its tokens, then a space that follows
         # terminal punctuation or not; no whitespace is inside a word.
         parts = _WORD_PARTS.findall(" ".join(words) + " ")
-        codes, memo, lexicon = self._parts, self._memo, self._lexicon
+        codes, lexicon = self._parts, self._lexicon
         for token in set(parts).difference(codes):
-            value = memo.get(token)
-            if value is None:
-                value = memo[token] = _lookup(lexicon, token)
+            value = _lookup(lexicon, token)
             if not -2 <= value <= 2:
                 raise ValueError(f"lexicon valence {value!r} of {token!r} is outside -2..+2")
             codes[token] = _LETTERS[value + 2 + 5 * (token in NEGATORS)]
         self._words.update(zip(words, "".join(map(codes.__getitem__, parts)).splitlines(keepends=True)))
 
-    def body_totals(self, bodies: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
-        """Each body's polarity total, the sum of its sentences' bins, and
-        its sentence count, as int64 arrays: the numbers that
-        ``score_sentences`` gives.
+    def sentence_bins(self, bodies: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+        """Each sentence's polarity bin and the index of its body, as int64
+        arrays over the bodies' sentences in order: body by body, and each
+        body's sentences in ``split_sentences`` order.
 
         A body is lowercased and cut into lines at ``\\n`` and each line into
         words at whitespace, all bodies at once. A sentence starts at a
@@ -202,7 +139,7 @@ class LexiconScorer:
         """
         # No character lowercases into or out of whitespace or ".!?", and
         # str.split() splits where re's \s matches (both hold for every code
-        # point), so these are the words split_sentences and valence see.
+        # point), so these are the words of split_sentences' sentences.
         lines = list(map(str.split, map(str.lower, bodies), repeat("\n")))
         words_per_line = list(map(str.split, chain.from_iterable(lines)))
         words = list(chain.from_iterable(words_per_line))
@@ -219,7 +156,7 @@ class LexiconScorer:
         starts[1:] |= code[ends] == ord(_SENTENCE_END)
         starts = starts[:-1]
         word_sentence = np.cumsum(starts) - 1
-        sentence_body = np.repeat(np.repeat(np.arange(len(bodies)), n_lines), n_words)[starts]
+        sentence_body = np.repeat(np.repeat(np.arange(len(bodies), dtype=np.int64), n_lines), n_words)[starts]
         tokens = ~ends
         token_sentence = word_sentence[(np.cumsum(ends) - ends)[tokens]]
         code = code[tokens]
@@ -228,42 +165,16 @@ class LexiconScorer:
         for k in range(1, NEGATION_WINDOW + 1):
             negated[k:] |= _CODE_NEGATES[code[:-k]] & (token_sentence[k:] == token_sentence[:-k])
         valence[negated] *= -1
-        n_sentences = len(sentence_body)
         # A bincount weight is a float64; these sums are small integers, so exact.
-        bins = np.clip(np.bincount(token_sentence, weights=valence, minlength=n_sentences), -2, 2) + 2
-        totals = np.bincount(sentence_body, weights=bins, minlength=len(bodies)).astype(np.int64)
-        return totals, np.bincount(sentence_body, minlength=len(bodies))
+        sums = np.bincount(token_sentence, weights=valence, minlength=len(sentence_body)).astype(np.int64)
+        return np.minimum(np.maximum(sums, -2), 2) + 2, sentence_body
 
-
-def score_polarity(sentence: str, scorer: PolarityScorer) -> int:
-    """Score one sentence, enforcing the 0..4 contract on the result."""
-    value = scorer.score(sentence)
-    if isinstance(value, bool) or not isinstance(value, int) or not 0 <= value <= 4:
-        raise ScorerError(f"scorer {scorer.name!r} returned {value!r}, expected an int in 0..4")
-    return value
-
-
-def score_sentences(body: str, scorer: PolarityScorer) -> list[tuple[int, str, int | None]]:
-    """Split and score a review body as (index, text, polarity) tuples.
-
-    A scorer failure marks its sentence unscored (polarity None).
-    """
-    scored: list[tuple[int, str, int | None]] = []
-    for index, text in enumerate(split_sentences(body)):
-        try:
-            polarity: int | None = score_polarity(text, scorer)
-        except Exception:
-            polarity = None
-        scored.append((index, text, polarity))
-    return scored
-
-
-def score_review(review_id: str, body: str, scorer: PolarityScorer) -> list[Sentence]:
-    """Split and score a review body; scorer failures mark sentences unscored."""
-    return [
-        Sentence(review_id, index, text, polarity)
-        for index, text, polarity in score_sentences(body, scorer)
-    ]
+    def body_totals(self, bodies: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+        """Each body's polarity total, the sum of its sentences' bins, and
+        its sentence count, as int64 arrays."""
+        bins, body = self.sentence_bins(bodies)
+        totals = np.bincount(body, weights=bins, minlength=len(bodies)).astype(np.int64)
+        return totals, np.bincount(body, minlength=len(bodies))
 
 
 def load_lexicon(path: str | Path) -> dict[str, int]:

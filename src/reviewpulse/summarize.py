@@ -108,9 +108,9 @@ def requests_for_event(
     ``window_scored`` must hold the body of exactly each of the app's
     reviews whose timestamp falls in the event window, in canonical order,
     each with its scored sentences. Variants with nothing to sample are
-    omitted. Unscored sentences (polarity None) are in no pool.
+    omitted.
     """
-    sentences = [(text, pol) for _, parts in window_scored for _, text, pol in parts if pol is not None]
+    sentences = [(text, pol) for _, parts in window_scored for _, text, pol in parts]
     pools: dict[str, list[str]] = {
         "all": [body for body, _ in window_scored],
         "positive": [text for text, pol in sentences if pol >= POSITIVE_MIN],

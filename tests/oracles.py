@@ -5,9 +5,20 @@ order, and dedups one key at a time. ``reviewpulse.ingest.parse_reviews``
 checks the same rules a column at a time over blocks of lines; the
 property tests hold the two to the same table, rejects and order.
 
+``SentenceScorer`` scores one sentence at a time: each token's stemmed
+valence, flipped by a negator up to two tokens before it, summed and
+folded into a bin. ``score_sentences`` and ``score_review`` split and
+score a body through any ``PolarityScorer``, marking a sentence whose
+scorer fails unscored. The tests hold ``LexiconScorer.sentence_bins``, the
+package's one scoring kernel, to them sentence for sentence.
+
 ``metric_mu`` averages one window's ``ScoredReview``s (``scored_reviews``
 builds them one review at a time); the tests hold the day sums' window
 means to it.
+
+``pearson_rho`` and ``detect_correlation`` correlate and classify one
+window from its definition, and ``baseline_sigma`` takes one baseline's
+standard deviation; the tests hold the package's column sweeps to them.
 """
 
 from __future__ import annotations
@@ -15,9 +26,14 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
+import re
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from datetime import date
+from typing import Iterable, Iterator, Mapping, Protocol, Sequence, runtime_checkable
 
+from reviewpulse.correlate import DEFAULT_MIN_CORR_POINTS
+from reviewpulse.detect import DEFAULT_MIN_BASELINE, _check_mode, _Moments
 from reviewpulse.ingest import (
     REVIEW_FIELDS,
     DatasetError,
@@ -27,8 +43,8 @@ from reviewpulse.ingest import (
     ScaleMap,
     parse_timestamp,
 )
-from reviewpulse.metrics import MetricKind, normalize_rating, score_reviews
-from reviewpulse.sentiment import PolarityScorer, Sentence
+from reviewpulse.metrics import MetricKind, normalize_rating
+from reviewpulse.sentiment import NEGATION_WINDOW, NEGATORS, _lookup, default_lexicon, split_sentences
 
 
 class _RecordError(Exception):
@@ -131,6 +147,95 @@ def _csv_records(text: str) -> Iterator[tuple[int, dict | _RecordError]]:
         yield line_no, record
 
 
+_TOKEN = re.compile(r"[a-z0-9']+")
+
+
+class ScorerError(Exception):
+    """A polarity scorer failed or returned something outside 0..4."""
+
+
+@dataclass(frozen=True, slots=True)
+class Sentence:
+    """One sentence of a review body. ``polarity`` is None when unscored."""
+
+    review_id: str
+    index: int
+    text: str
+    polarity: int | None
+
+
+def bin_valence(valence: int) -> int:
+    if valence <= -2:
+        return 0
+    if valence >= 2:
+        return 4
+    return valence + 2
+
+
+@runtime_checkable
+class PolarityScorer(Protocol):
+    name: str
+
+    def score(self, text: str) -> int:
+        """Return the polarity bin (0..4) for one sentence."""
+
+
+class SentenceScorer:
+    """The lexicon rule one sentence at a time; the packaged lexicon is the
+    default."""
+
+    name = "lexicon"
+
+    def __init__(self, lexicon: Mapping[str, int] | None = None) -> None:
+        self._lexicon = default_lexicon() if lexicon is None else lexicon
+
+    def valence(self, text: str) -> int:
+        tokens = _TOKEN.findall(text.lower())
+        total = 0
+        for i, token in enumerate(tokens):
+            value = _lookup(self._lexicon, token)
+            if value == 0:
+                continue
+            if not NEGATORS.isdisjoint(tokens[max(0, i - NEGATION_WINDOW) : i]):
+                value = -value
+            total += value
+        return total
+
+    def score(self, text: str) -> int:
+        return bin_valence(self.valence(text))
+
+
+def score_polarity(sentence: str, scorer: PolarityScorer) -> int:
+    """Score one sentence, enforcing the 0..4 contract on the result."""
+    value = scorer.score(sentence)
+    if isinstance(value, bool) or not isinstance(value, int) or not 0 <= value <= 4:
+        raise ScorerError(f"scorer {scorer.name!r} returned {value!r}, expected an int in 0..4")
+    return value
+
+
+def score_sentences(body: str, scorer: PolarityScorer) -> list[tuple[int, str, int | None]]:
+    """Split and score a review body as (index, text, polarity) tuples.
+
+    A scorer failure marks its sentence unscored (polarity None).
+    """
+    scored: list[tuple[int, str, int | None]] = []
+    for index, text in enumerate(split_sentences(body)):
+        try:
+            polarity: int | None = score_polarity(text, scorer)
+        except Exception:
+            polarity = None
+        scored.append((index, text, polarity))
+    return scored
+
+
+def score_review(review_id: str, body: str, scorer: PolarityScorer) -> list[Sentence]:
+    """Split and score a review body; scorer failures mark sentences unscored."""
+    return [
+        Sentence(review_id, index, text, polarity)
+        for index, text, polarity in score_sentences(body, scorer)
+    ]
+
+
 @dataclass(frozen=True, slots=True)
 class ScoredReview:
     """A review with its normalised rating and scored sentences attached."""
@@ -142,15 +247,15 @@ class ScoredReview:
 
 def scored_reviews(reviews: Sequence[Review], scorer: PolarityScorer) -> list[ScoredReview]:
     """Each review with its normalised rating (default scales) and its
-    body's scored sentences."""
+    body's sentences, scored one at a time."""
     scales = ScaleMap()
     return [
         ScoredReview(
             review=review,
             rating_value=normalize_rating(review.raw_rating, scales.for_source(review.source)),
-            sentences=tuple(Sentence(review.review_id, index, text, pol) for index, text, pol in parts),
+            sentences=tuple(score_review(review.review_id, review.body, scorer)),
         )
-        for review, parts in zip(reviews, score_reviews([r.body for r in reviews], scorer))
+        for review in reviews
     ]
 
 
@@ -170,3 +275,73 @@ def metric_mu(reviews_in_window: Sequence[ScoredReview], metric: MetricKind) -> 
     else:
         raise ValueError(f"unknown metric {metric!r}")
     return sum(values) / len(values) if values else None
+
+
+def pearson_rho(
+    xs: Iterable[tuple[date, float]],
+    ys: Iterable[tuple[date, float]],
+    lookback: tuple[date, date],
+    min_points: int = DEFAULT_MIN_CORR_POINTS,
+) -> float | None:
+    """Pearson correlation over pairwise-complete dates in [lo, hi).
+
+    None when fewer than ``min_points`` dates are shared or either series
+    is constant over the shared dates.
+    """
+    lo, hi = lookback
+    x_by_date = {d: v for d, v in xs if lo <= d < hi}
+    pairs = sorted((d, x_by_date[d], v) for d, v in ys if lo <= d < hi and d in x_by_date)
+    if len(pairs) < max(min_points, 2):
+        return None
+    xv = [p[1] for p in pairs]
+    yv = [p[2] for p in pairs]
+    if max(xv) == min(xv) or max(yv) == min(yv):
+        return None
+    n = len(pairs)
+    mx = sum(xv) / n
+    my = sum(yv) / n
+    sxy = 0.0
+    sxx = 0.0
+    syy = 0.0
+    for x, y in zip(xv, yv):
+        dx = x - mx
+        dy = y - my
+        sxy += dx * dy
+        sxx += dx * dx
+        syy += dy * dy
+    denom = math.sqrt(sxx * syy)
+    if denom == 0.0:
+        return None
+    return max(-1.0, min(1.0, sxy / denom))
+
+
+def detect_correlation(rho: float | None, h: float) -> int:
+    if rho is None:
+        return 0
+    if rho >= h:
+        return 1
+    if rho <= -h:
+        return -1
+    return 0
+
+
+def baseline_sigma(
+    deltas: Sequence[float],
+    min_baseline: int = DEFAULT_MIN_BASELINE,
+    mode: str = "population",
+) -> float | None:
+    """Standard deviation of the baseline deltas; None while too few.
+
+    Population form by default (the baseline is treated as the complete
+    history, not a sample); ``mode="sample"`` switches to the n-1 form,
+    which then needs at least two deltas. The value is the exact standard
+    deviation of the deltas, correctly rounded; a NaN or infinite delta is
+    a ValueError.
+    """
+    _check_mode(mode)
+    if len(deltas) < min_baseline:
+        return None
+    moments = _Moments()
+    for delta in deltas:
+        moments.add(delta)
+    return moments.sigma(mode)

@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 from reviewpulse.config import MarketConfig
-from reviewpulse.correlate import detect_correlation, pair_correlations, pearson_rho
+from reviewpulse.correlate import pair_correlations
 from reviewpulse.detect import detect_series
 from reviewpulse.ingest import build_catalog, parse_reviews, serialize_reviews
 from reviewpulse.metrics import (
@@ -29,6 +29,8 @@ from reviewpulse.metrics import (
 from reviewpulse.pipeline import analyze_catalog, run_pipeline
 from reviewpulse.summarize import requests_for_event
 from reviewpulse.synth import default_scenario, flat_scenario, generate, spike_pair_scenario
+
+from oracles import detect_correlation, pearson_rho
 
 START = date(2024, 1, 4)
 

@@ -495,6 +495,45 @@ def test_bad_day_sums_exit_three(tmp_path, capsys, command, rows, refused) -> No
     assert not out.exists()
 
 
+_STAGE_HEADERS = {
+    "events": "app_id,metric,t0,e,a,sigma,baseline_n,warmup",
+    "correlations": "app_i,app_j,metric,t0,rho,c,n_points",
+    "day_sums": "app_id,t0,reviews,rating,polarity,sentences",
+}
+
+
+@pytest.mark.parametrize(
+    "stage, row, refused",
+    [
+        ("events", "a,stars,2024-01-04,0,,,0,true", "events of (a, stars), CSV line 2: 'stars' is not a valid MetricKind"),
+        ("events", "a,count,2024-13-04,0,,,0,true", "events of (a, count), CSV line 2: month must be in 1..12"),
+        ("events", "a,count,2024-01-04,0,,,0", "events of (a, count), CSV line 2: expected 8 cells, got 7"),
+        ("correlations", "a,b,stars,2024-01-04,0.5,1,10",
+         "correlations of (a, b, stars), CSV line 2: 'stars' is not a valid MetricKind"),
+        ("correlations", "a,b,count,2024-13-04,0.5,1,10",
+         "correlations of (a, b, count), CSV line 2: month must be in 1..12"),
+        ("correlations", "a,b,count,2024-01-04,0.5,1", "correlations of (a, b, count), CSV line 2: expected 7 cells, got 6"),
+        ("day_sums", "a,2024-13-04,1,0,0,0", "day sums of (a), CSV line 2: month must be in 1..12"),
+        ("day_sums", "a,2024-01-04,1,0,0", "day sums of (a), CSV line 2: expected 6 cells, got 5"),
+    ],
+    ids=["events-metric", "events-t0", "events-short-row", "correlations-metric", "correlations-t0",
+         "correlations-short-row", "day-sums-t0", "day-sums-short-row"],
+)
+def test_bad_series_key_or_short_row_exits_three_naming_series_and_line(tmp_path, capsys, stage, row,
+                                                                         refused) -> None:
+    paths = {}
+    for name, header in _STAGE_HEADERS.items():
+        paths[name] = tmp_path / f"{name}.csv"
+        paths[name].write_text(header + "\n" + (row + "\n" if name == stage else ""), encoding="utf-8")
+    inputs = [paths["day_sums"]] if stage == "day_sums" else [paths["events"], paths["correlations"]]
+    command = "detect" if stage == "day_sums" else "ce"
+    out = tmp_path / "out"
+    assert main([command, *map(str, inputs), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "dataset error:" in err and refused in err
+    assert not out.exists()
+
+
 def test_correlate_refuses_a_day_missing_from_every_app(tmp_path, capsys) -> None:
     staged = tmp_path / "staged"
     assert main(["metrics", str(_small_dataset(tmp_path)), "--out", str(staged)]) == 0

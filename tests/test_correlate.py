@@ -28,11 +28,9 @@ from reviewpulse.correlate import (
     ce_records_from_json,
     ce_records_to_json,
     detect_correlated_events,
-    detect_correlation,
     extract_runs,
     market_correlations,
     pair_correlations,
-    pearson_rho,
     read_correlations_csv,
     write_correlations_csv,
 )
@@ -42,6 +40,8 @@ from reviewpulse.metrics import MetricKind, TimeWindow
 from reviewpulse.ingest import serialize_reviews
 from reviewpulse.pipeline import analyze_catalog, ce_from_reports, run_pipeline, write_bundle
 from reviewpulse.synth import generate, spike_pair_scenario
+
+from oracles import detect_correlation, pearson_rho
 
 D0 = date(2024, 1, 4)
 

@@ -15,12 +15,13 @@ from datetime import date, timedelta
 import pytest
 
 from reviewpulse.detect import (
-    baseline_sigma,
     detect_series,
     read_events_csv,
     write_events_csv,
 )
 from reviewpulse.metrics import MetricKind, TimeWindow, WindowStat
+
+from oracles import baseline_sigma
 
 START = date(2024, 1, 4)
 

@@ -26,6 +26,7 @@ from reviewpulse.metrics import (
     metric_delta,
     normalize_rating,
     read_day_sums_csv,
+    score_review,
     utc_midnights,
     window_series,
     window_stats,
@@ -36,7 +37,7 @@ from reviewpulse.pipeline import aggregate, write_file
 from reviewpulse.sentiment import LexiconScorer
 from reviewpulse.synth import generate, spike_pair_scenario
 
-from oracles import metric_mu, scored_reviews
+from oracles import SentenceScorer, metric_mu, scored_reviews
 
 
 def _review(i: int, ts: datetime, rating: int = 4, body: str = "ok.", app: str = "appA") -> Review:
@@ -44,7 +45,7 @@ def _review(i: int, ts: datetime, rating: int = 4, body: str = "ok.", app: str =
 
 
 def _scored(reviews: list[Review]):
-    return scored_reviews(reviews, LexiconScorer())
+    return scored_reviews(reviews, SentenceScorer())
 
 
 def test_normalize_scale_endpoints() -> None:
@@ -259,6 +260,15 @@ def test_polarity_day_sums_of_repeated_bodies_match_per_review_oracle(monkeypatc
         assert days.polarity.tolist() == list(itertools.accumulate(polarity))
         assert days.sentences.tolist() == list(itertools.accumulate(sentences))
     assert len(memo) == len(pool)
+
+
+def test_score_review_refuses_a_bin_count_other_than_the_sentence_count() -> None:
+    body = "Great app. Crashes a lot!\nnot bad"
+    assert score_review(body, [4, 0, 3]) == [(0, "Great app.", 4), (1, "Crashes a lot!", 0), (2, "not bad", 3)]
+    for bins in ([4, 0], [4, 0, 3, 2], []):
+        with pytest.raises(ValueError, match="sentence bins for a body of 3 sentences"):
+            score_review(body, bins)
+    assert score_review(" \n ", []) == []
 
 
 def test_window_stats_refuse_windows_outside_the_day_sums() -> None:

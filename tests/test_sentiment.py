@@ -2,10 +2,12 @@
 
 The splitting and binning tests each carry their own oracle: a literal
 re.split written here for splitting, and a from-the-definition fold of
-known valence sums for binning. The stemming test's oracle stems every
-token on the spot, where the scorer looks it up in its memo. The
-``body_totals`` kernel is held to ``score_sentences``, one sentence at a
-time.
+known valence sums for binning. The rule tests score through the
+per-sentence ``SentenceScorer`` of ``tests/oracles.py``. The stemming
+test's oracle stems every token on the spot, where the kernel codes each
+word once into its stem table. The ``sentence_bins`` kernel, and
+``body_totals`` and ``metrics.score_reviews`` over it, are held to the
+oracle's ``score_sentences``, one sentence at a time.
 """
 from __future__ import annotations
 
@@ -18,17 +20,22 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from reviewpulse.metrics import score_reviews
 from reviewpulse.sentiment import (
     LexiconScorer,
-    ScorerError,
     _stem_candidates,
-    bin_valence,
     default_lexicon,
     load_lexicon,
+    split_sentences,
+)
+
+from oracles import (
+    ScorerError,
+    SentenceScorer,
+    bin_valence,
     score_polarity,
     score_review,
     score_sentences,
-    split_sentences,
 )
 
 
@@ -87,18 +94,18 @@ def test_bin_valence_table() -> None:
 
 
 def test_neutral_sentence_scores_two() -> None:
-    scorer = LexiconScorer()
+    scorer = SentenceScorer()
     assert scorer.score("the and of it.") == 2
 
 
 def test_strong_positive_sentence_scores_four() -> None:
-    scorer = LexiconScorer()
+    scorer = SentenceScorer()
     assert scorer.score("excellent, love it") == 4
 
 
 def test_thousand_lexicon_sentences_match_binning_oracle() -> None:
     lexicon = dict(default_lexicon())
-    scorer = LexiconScorer(lexicon)
+    scorer = SentenceScorer(lexicon)
     tokens = sorted(lexicon)
     rng = random.Random(2024)
     for _ in range(1000):
@@ -110,7 +117,7 @@ def test_thousand_lexicon_sentences_match_binning_oracle() -> None:
 
 
 def test_negation_flips_within_two_tokens() -> None:
-    scorer = LexiconScorer()
+    scorer = SentenceScorer()
     assert scorer.score("good app.") == 3
     assert scorer.score("not good.") == 1
     assert scorer.score("not very good.") == 1  # one token in between
@@ -119,7 +126,7 @@ def test_negation_flips_within_two_tokens() -> None:
 
 
 def test_stemming_reaches_base_forms() -> None:
-    scorer = LexiconScorer()
+    scorer = SentenceScorer()
     assert scorer.valence("crashes") == -2
     assert scorer.valence("loved") == 2
     assert scorer.valence("slowly") == -1
@@ -164,7 +171,7 @@ def test_failing_scorer_marks_sentence_unscored() -> None:
 def test_adding_positive_token_never_lowers_score() -> None:
     # Monotonicity holds for negator-free sentences: a +2 token can only
     # push the valence sum up.
-    scorer = LexiconScorer()
+    scorer = SentenceScorer()
     rng = random.Random(5)
     tokens = sorted(default_lexicon())
     for _ in range(200):
@@ -232,8 +239,11 @@ def test_stem_table_matches_per_token_stemming(custom: bool, data) -> None:
     scorer = LexiconScorer(lexicon) if custom else LexiconScorer()
     text = data.draw(_sentence(sorted(lexicon)))
     expected = _stemmed_valence(lexicon, text)
-    assert scorer.valence(text) == expected
-    assert scorer.valence(text) == expected  # every token now from the scorer's memo
+    assert SentenceScorer(lexicon).valence(text) == expected
+    # The text holds no sentence break: one sentence, or none when blank.
+    bins = [bin_valence(expected)] if text.strip() else []
+    assert scorer.sentence_bins([text])[0].tolist() == bins
+    assert scorer.sentence_bins([text])[0].tolist() == bins  # every word now from the scorer's stem table
 
 
 # Words: negators, lexicon words with inflections, and characters that
@@ -268,7 +278,7 @@ def _bodies(draw, keys: list[str]) -> list[str]:
 def test_body_totals_match_the_per_sentence_path(custom: bool, data) -> None:
     lexicon = _CUSTOM_LEXICON if custom else default_lexicon()
     scorer = LexiconScorer(lexicon) if custom else LexiconScorer()
-    oracle = LexiconScorer(lexicon) if custom else LexiconScorer()
+    oracle = SentenceScorer(lexicon)
     for _ in range(2):  # the second list meets words the scorer has coded
         bodies = data.draw(_bodies(sorted(lexicon)))
         totals, counts = scorer.body_totals(bodies)
@@ -278,11 +288,28 @@ def test_body_totals_match_the_per_sentence_path(custom: bool, data) -> None:
         assert counts.tolist() == [len(p) for p in polarities]
 
 
+@pytest.mark.parametrize("custom", [False, True], ids=["built-in", "custom"])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_sentence_bins_match_the_oracle_sentence_for_sentence(custom: bool, data) -> None:
+    lexicon = _CUSTOM_LEXICON if custom else default_lexicon()
+    scorer = LexiconScorer(lexicon) if custom else LexiconScorer()
+    reviews_scorer = LexiconScorer(lexicon) if custom else LexiconScorer()
+    oracle = SentenceScorer(lexicon)
+    cache: dict = {}
+    for _ in range(2):  # the second list meets coded words and cached bodies
+        bodies = data.draw(_bodies(sorted(lexicon)))
+        want = [score_sentences(body, oracle) for body in bodies]
+        bins, owner = scorer.sentence_bins(bodies)
+        assert (bins.dtype, owner.dtype) == (np.int64, np.int64)
+        assert list(zip(owner.tolist(), bins.tolist())) == [(k, p) for k, s in enumerate(want) for _, _, p in s]
+        assert score_reviews(bodies, reviews_scorer, cache) == want
+
+
 def test_body_totals_refuse_a_valence_outside_the_scale() -> None:
-    scorer = LexiconScorer({"great": 3})
-    assert scorer.score("great") == 4
+    assert SentenceScorer({"great": 3}).score("great") == 4
     with pytest.raises(ValueError, match="outside -2..\\+2"):
-        scorer.body_totals(["great"])
+        LexiconScorer({"great": 3}).body_totals(["great"])
 
 
 def test_sentence_tuples_agree_with_score_review() -> None:
@@ -305,7 +332,7 @@ def test_sentence_tuples_agree_with_score_review() -> None:
 
     body = "bad, it crashed. this is fine!\nnot bad, never crashes?"
     expected = {"flaky": [None, 2, None], "bad": [None, None, None], "lexicon": [0, 3, 4]}
-    for scorer in (Flaky(), Bad(7), Bad(True), LexiconScorer()):
+    for scorer in (Flaky(), Bad(7), Bad(True), SentenceScorer()):
         tuples = score_sentences(body, scorer)
         sentences = score_review("r1", body, scorer)
         assert [(s.index, s.text, s.polarity) for s in sentences] == tuples

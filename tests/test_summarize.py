@@ -27,7 +27,7 @@ from reviewpulse.summarize import (
 WINDOW = TimeWindow(date(2024, 8, 1), 7)
 
 
-def _scored(i: int, polarities: tuple[int | None, ...], body: str | None = None) -> tuple[str, BodyScore]:
+def _scored(i: int, polarities: tuple[int, ...], body: str | None = None) -> tuple[str, BodyScore]:
     return body or f"body {i}.", [(j, f"sentence {i}-{j}.", p) for j, p in enumerate(polarities)]
 
 
@@ -81,13 +81,13 @@ def test_all_neutral_window_requests_whole_bodies_only() -> None:
     assert list(_pools([_scored(i, (2, 2)) for i in range(5)])) == ["all"]
 
 
-def test_polarity_pools_match_filter_oracle_and_drop_unscored() -> None:
+def test_polarity_pools_match_filter_oracle() -> None:
     rng = random.Random(42)
-    scored = [_scored(i, tuple(rng.choice([None, 0, 1, 2, 3, 4]) for _ in range(5))) for i in range(100)]
+    scored = [_scored(i, tuple(rng.choice([0, 1, 2, 3, 4]) for _ in range(5))) for i in range(100)]
     sentences = [(text, p) for _, parts in scored for _, text, p in parts]
     pools = _pools(scored)
-    assert pools["positive"] == tuple(text for text, p in sentences if p is not None and p >= 3)
-    assert pools["negative"] == tuple(text for text, p in sentences if p is not None and p <= 1)
+    assert pools["positive"] == tuple(text for text, p in sentences if p >= 3)
+    assert pools["negative"] == tuple(text for text, p in sentences if p <= 1)
     assert pools["all"] == tuple(body for body, _ in scored)
 
 
