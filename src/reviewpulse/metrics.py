@@ -18,11 +18,13 @@ integer count on any grid. The day sums are the one intermediate between
 stages: ``write_day_sums_csv`` writes them as one row per app and day, and
 ``read_day_sums_csv`` reads them back exactly.
 
-Sentences are scored by one kernel, ``LexiconScorer.sentence_bins``. The
-day sums take each distinct body's polarity total and sentence count from
-it (``score_bodies``); the correlated events' windows take each
-sentence's text and bin (``score_reviews``, one ``score_review`` per
-distinct body).
+Sentences are scored by one kernel, ``LexiconScorer.sentence_bins``,
+called only by ``score_bodies``: it fills one memo that maps each distinct
+body to its sentence bins, one byte (0..4) per sentence in
+``split_sentences`` order. The day sums take each body's sentence count
+and polarity total from those bytes; the correlated events' windows zip
+them with the sentences' texts (``score_reviews``, one ``score_review``
+per body), so a body the day sums scored is not scored again.
 
 A series is held as columns (``SeriesStats``) over a window grid that all
 series of the grid share; ``WindowStat`` rows are built only at the edges.
@@ -174,45 +176,39 @@ def score_review(body: str, bins: Sequence[int]) -> BodyScore:
     return list(zip(range(len(texts)), texts, bins))
 
 
-def score_reviews(
-    bodies: Iterable[str], scorer: LexiconScorer, cache: dict[str, BodyScore] | None = None
-) -> list[BodyScore]:
-    """Each body's scored sentences, in the order given; no ``Review`` or
-    rating is built.
-
-    The distinct bodies that ``cache`` does not hold yet are scored in one
-    ``scorer.sentence_bins`` call, and each goes through ``score_review``;
-    identical bodies share one entry. ``cache`` carries those per-body
-    scores across calls.
-    """
-    if cache is None:
-        cache = {}
-    bodies = list(bodies)
-    fresh = list(dict.fromkeys(body for body in bodies if body not in cache))
-    if fresh:
-        bins, owner = scorer.sentence_bins(fresh)
-        cuts = [0, *np.cumsum(np.bincount(owner, minlength=len(fresh))).tolist()]
-        bins = bins.tolist()
-        for body, lo, hi in zip(fresh, cuts, cuts[1:]):
-            cache[body] = score_review(body, bins[lo:hi])
-    return [cache[body] for body in bodies]
+def score_reviews(bodies: Sequence[str], scorer: LexiconScorer, memo: dict[str, bytes]) -> list[BodyScore]:
+    """Each body's scored sentences, in the order given: ``score_review`` of
+    the body and its bins in ``memo``, which ``score_bodies`` first fills
+    with the bodies it lacks. No ``Review`` or rating is built."""
+    score_bodies(bodies, scorer, memo)
+    return [score_review(body, memo[body]) for body in bodies]
 
 
-# Bodies per LexiconScorer.body_totals call. A block bounds the words held
+# Bodies per LexiconScorer.sentence_bins call. A block bounds the words held
 # at once and keeps the kernel's arrays above 1 KiB: numpy keeps the memory
 # of a freed array under that size for reuse, so many small calls, one per
 # app, would leave heap behind for every array size they used.
 SCORE_BLOCK = 1024
 
 
-def score_bodies(bodies: Iterable[str], scorer: LexiconScorer, memo: dict[str, tuple[int, int]]) -> None:
+def score_bodies(bodies: Iterable[str], scorer: LexiconScorer, memo: dict[str, bytes]) -> None:
     """Put each body that ``memo`` does not hold yet into it, as its
-    polarity total and sentence count, scoring ``SCORE_BLOCK`` bodies per
-    ``scorer.body_totals`` call."""
+    sentence bins: one byte (0..4) per sentence, in ``split_sentences``
+    order. ``SCORE_BLOCK`` bodies are scored per ``scorer.sentence_bins``
+    call; this is the kernel's one caller."""
     fresh = list(set(bodies).difference(memo))
+    # One table sized for every fresh body before the first block: a memo
+    # regrown block by block leaves its old tables between the kernel's
+    # arrays, and that fragmented heap can keep a run's freed memory from
+    # going back to the system when the run ends.
+    scored = dict.fromkeys(fresh)
     for i in range(0, len(fresh), SCORE_BLOCK):
         block = fresh[i : i + SCORE_BLOCK]
-        memo.update(zip(block, zip(*(a.tolist() for a in scorer.body_totals(block)))))
+        bins, owner = scorer.sentence_bins(block)
+        cuts = np.searchsorted(owner, np.arange(len(block) + 1)).tolist()
+        joined = bins.astype(np.uint8).tobytes()
+        scored.update(zip(block, map(joined.__getitem__, map(slice, cuts, cuts[1:]))))
+    memo.update(scored)
 
 
 @dataclass(frozen=True, slots=True)
@@ -266,7 +262,7 @@ def day_sums(
     metrics: Collection[MetricKind],
     scorer: LexiconScorer,
     scales: ScaleMap,
-    memo: dict[str, tuple[int, int]],
+    memo: dict[str, bytes],
 ) -> DaySums:
     """Day sums of one app's reviews (sorted by timestamp) over a span.
 
@@ -274,9 +270,9 @@ def day_sums(
     through ``ReviewTable.from_reviews``. ``midnights`` comes from
     ``utc_midnights``; each day is cut from the stamps by bisection.
     Ratings are normalised and bodies scored only for the span's reviews
-    and the metrics asked for. ``memo`` keeps each distinct body's polarity
-    total and scored sentence count, and no sentence text; the span's
-    bodies that it does not hold yet go through ``score_bodies``.
+    and the metrics asked for. ``memo`` keeps each distinct body's sentence
+    bins, and no sentence text; the span's bodies that it does not hold yet
+    go through ``score_bodies``.
     """
     table = ReviewTable.from_reviews(reviews)
     cuts = np.searchsorted(table.stamp_us, midnights, side="left")
@@ -288,9 +284,9 @@ def day_sums(
     if MetricKind.POLARITY in metrics:
         bodies = table.body.tolist()
         score_bodies(bodies, scorer, memo)
-        totals = np.array(list(map(memo.__getitem__, bodies)), dtype=np.int64).reshape(-1, 2)
-        polarity = _prefix(totals[:, 0])[cuts]
-        sentences = _prefix(totals[:, 1])[cuts]
+        bins = list(map(memo.__getitem__, bodies))
+        sentences = _prefix(np.fromiter(map(len, bins), dtype=np.int64, count=len(bins)))[cuts]
+        polarity = _prefix(np.frombuffer(b"".join(bins), dtype=np.uint8))[sentences]
     return DaySums(utc_datetime(int(midnights[0])).date(), cuts, rating, polarity, sentences)
 
 

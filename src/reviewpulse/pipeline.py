@@ -179,9 +179,10 @@ class MarketAnalysis:
     pair_series: list[PairSeries] = field(default_factory=list)
     ces: list[CorrelatedEventRecord] = field(default_factory=list)
     requests: list[SummaryRequest] = field(default_factory=list)
-    # Per-body scored sentences, filled by window_scored only: the bodies
-    # of the windows it was asked for (the correlated events' windows).
-    bodies: dict[str, BodyScore] = field(default_factory=dict, repr=False)
+    # Each scored body's sentence bins (metrics.score_bodies), and no text:
+    # aggregate fills it for the polarity metric, and window_scored scores
+    # into it only the window bodies it lacks.
+    bodies: dict[str, bytes] = field(default_factory=dict, repr=False)
 
     @property
     def correlations(self) -> list[CorrelationRecord]:
@@ -199,7 +200,9 @@ class MarketAnalysis:
         order, each with its scored sentences.
 
         The window's bodies are cut from the app's ``body`` column by
-        bisection on its stamps; no ``Review`` is built.
+        bisection on its stamps; no ``Review`` is built. Their sentence
+        bins come from ``bodies``, so a body the day sums scored is not
+        scored again.
         """
         if app_id not in self.apps:
             return []
@@ -290,21 +293,20 @@ def aggregate(
     analysis keeps those day sums; both window grids sum from them through
     ``series_stats``. Bodies are scored only where the polarity metric
     needs them: every app's distinct bodies in one ``score_bodies`` pass
-    before the sums, and only each body's polarity total and sentence
-    count is kept, until this returns. The catalog's reviews must be in
-    canonical order, as ``build_catalog`` leaves them.
+    before the sums, into the analysis' ``bodies`` memo, which keeps each
+    body's sentence bins for the summary requests. The catalog's reviews
+    must be in canonical order, as ``build_catalog`` leaves them.
     """
     analysis = new_analysis(config, catalog)
     span = _derive_span(config, catalog, analysis.apps)
     if span is not None:
         midnights = utc_midnights(span[0], (span[1] - span[0]).days)
-        memo: dict[str, tuple[int, int]] = {}  # shared by the apps: a body may repeat across them
         if MetricKind.POLARITY in metrics:
             apps_bodies = (catalog.reviews[app].body.tolist() for app in analysis.apps)
-            score_bodies(chain.from_iterable(apps_bodies), analysis.scorer, memo)
+            score_bodies(chain.from_iterable(apps_bodies), analysis.scorer, analysis.bodies)
         for app in analysis.apps:
             analysis.day_sums[app] = day_sums(
-                catalog.reviews[app], midnights, metrics, analysis.scorer, config.scales, memo
+                catalog.reviews[app], midnights, metrics, analysis.scorer, config.scales, analysis.bodies
             )
     analysis.weekly_stats = series_stats(analysis.day_sums, config.event_window_days, metrics)
     analysis.daily_stats = series_stats(analysis.day_sums, config.correlation_window_days, metrics)
@@ -372,7 +374,8 @@ def analyze_catalog(
 
     Sentences are scored where the polarity metric needs them, and for the
     reviews of correlated-event windows, whose summary requests sample
-    sentences by polarity whatever the metric.
+    sentences by polarity whatever the metric; each distinct body is
+    scored once.
     """
     analysis = aggregate(config, catalog, metrics)
     analysis.events = detect_events(config, analysis.weekly_stats)

@@ -10,9 +10,9 @@ valences, folded into the five polarity bins:
 ``LexiconScorer.sentence_bins`` is the one scoring kernel: it gives every
 sentence of a whole list of bodies its bin and its body's index, in order.
 Each distinct word is tokenised once per scorer, and the sentences are
-cut, negated and summed as arrays. ``body_totals`` sums those bins per
-body for the day sums; the correlated events' windows zip them with
-``split_sentences``' texts (``metrics.score_reviews``).
+cut, negated and summed as arrays. ``metrics.score_bodies`` is its one
+caller: it keeps each body's bins, from which the day sums take their
+totals and the correlated events' windows their scored sentences.
 """
 
 from __future__ import annotations
@@ -168,13 +168,6 @@ class LexiconScorer:
         # A bincount weight is a float64; these sums are small integers, so exact.
         sums = np.bincount(token_sentence, weights=valence, minlength=len(sentence_body)).astype(np.int64)
         return np.minimum(np.maximum(sums, -2), 2) + 2, sentence_body
-
-    def body_totals(self, bodies: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
-        """Each body's polarity total, the sum of its sentences' bins, and
-        its sentence count, as int64 arrays."""
-        bins, body = self.sentence_bins(bodies)
-        totals = np.bincount(body, weights=bins, minlength=len(bodies)).astype(np.int64)
-        return totals, np.bincount(body, minlength=len(bodies))
 
 
 def load_lexicon(path: str | Path) -> dict[str, int]:

@@ -127,6 +127,22 @@ def test_staged_commands_chain_under_a_non_default_config(tmp_path) -> None:
     assert len(json.loads((out / "correlated_events.json").read_text())) == 2
 
 
+def test_staged_commands_chain_under_a_custom_lexicon(tmp_path) -> None:
+    # summarize-prep scores each CE window's bodies itself, while run reads
+    # the sentence bins its day sums scored. The generated bodies are
+    # neutral under the built-in lexicon; this one scores their filler words.
+    dataset = _small_dataset(tmp_path)
+    lexicon = tmp_path / "fillers.tsv"
+    lexicon.write_text("today\t2\nupdate\t-2\nscreen\t1\nversion\t-1\n", encoding="utf-8")
+    out = _chain_matches_run(tmp_path, dataset, [f"lexicon_path={lexicon}"])
+    default = tmp_path / "default"
+    assert main(["run", str(dataset), "--out", str(default)]) == 0
+    variants = {entry["variant"] for entry in json.loads((out / "summary_requests.json").read_text())}
+    assert variants == {"all", "positive", "negative"}
+    for name in ("day_sums.csv", "summary_requests.json"):
+        assert (out / name).read_bytes() != (default / name).read_bytes(), name
+
+
 def test_metrics_runs_only_parse_catalog_and_aggregate(tmp_path, monkeypatch) -> None:
     dataset = _small_dataset(tmp_path)
     out = tmp_path / "run"

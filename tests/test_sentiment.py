@@ -6,8 +6,8 @@ known valence sums for binning. The rule tests score through the
 per-sentence ``SentenceScorer`` of ``tests/oracles.py``. The stemming
 test's oracle stems every token on the spot, where the kernel codes each
 word once into its stem table. The ``sentence_bins`` kernel, and
-``body_totals`` and ``metrics.score_reviews`` over it, are held to the
-oracle's ``score_sentences``, one sentence at a time.
+``metrics.score_bodies`` and ``metrics.score_reviews`` over it, are held
+to the oracle's ``score_sentences``, one sentence at a time.
 """
 from __future__ import annotations
 
@@ -15,12 +15,14 @@ import random
 import re
 from types import MappingProxyType
 from typing import Mapping
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from reviewpulse.metrics import score_reviews
+from reviewpulse import metrics
+from reviewpulse.metrics import score_bodies, score_reviews
 from reviewpulse.sentiment import (
     LexiconScorer,
     _stem_candidates,
@@ -275,17 +277,19 @@ def _bodies(draw, keys: list[str]) -> list[str]:
 @pytest.mark.parametrize("custom", [False, True], ids=["built-in", "custom"])
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
-def test_body_totals_match_the_per_sentence_path(custom: bool, data) -> None:
+def test_score_bodies_match_the_per_sentence_path(custom: bool, data) -> None:
     lexicon = _CUSTOM_LEXICON if custom else default_lexicon()
     scorer = LexiconScorer(lexicon) if custom else LexiconScorer()
     oracle = SentenceScorer(lexicon)
-    for _ in range(2):  # the second list meets words the scorer has coded
+    memo: dict[str, bytes] = {}
+    # The second list meets coded words and memoised bodies, and is scored
+    # in blocks of two bodies.
+    for block in (metrics.SCORE_BLOCK, 2):
         bodies = data.draw(_bodies(sorted(lexicon)))
-        totals, counts = scorer.body_totals(bodies)
-        polarities = [[p for _, _, p in score_sentences(body, oracle)] for body in bodies]
-        assert (totals.dtype, counts.dtype) == (np.int64, np.int64)
-        assert totals.tolist() == [sum(p) for p in polarities]
-        assert counts.tolist() == [len(p) for p in polarities]
+        with mock.patch.object(metrics, "SCORE_BLOCK", block):
+            score_bodies(bodies, scorer, memo)
+        for body in bodies:
+            assert memo[body] == bytes(p for _, _, p in score_sentences(body, oracle))
 
 
 @pytest.mark.parametrize("custom", [False, True], ids=["built-in", "custom"])
@@ -296,20 +300,22 @@ def test_sentence_bins_match_the_oracle_sentence_for_sentence(custom: bool, data
     scorer = LexiconScorer(lexicon) if custom else LexiconScorer()
     reviews_scorer = LexiconScorer(lexicon) if custom else LexiconScorer()
     oracle = SentenceScorer(lexicon)
-    cache: dict = {}
-    for _ in range(2):  # the second list meets coded words and cached bodies
+    memo: dict[str, bytes] = {}
+    for _ in range(2):  # the second list meets coded words and memoised bodies
         bodies = data.draw(_bodies(sorted(lexicon)))
         want = [score_sentences(body, oracle) for body in bodies]
         bins, owner = scorer.sentence_bins(bodies)
         assert (bins.dtype, owner.dtype) == (np.int64, np.int64)
         assert list(zip(owner.tolist(), bins.tolist())) == [(k, p) for k, s in enumerate(want) for _, _, p in s]
-        assert score_reviews(bodies, reviews_scorer, cache) == want
+        assert score_reviews(bodies, reviews_scorer, memo) == want
 
 
-def test_body_totals_refuse_a_valence_outside_the_scale() -> None:
+def test_score_bodies_refuse_a_valence_outside_the_scale() -> None:
     assert SentenceScorer({"great": 3}).score("great") == 4
+    memo: dict[str, bytes] = {}
     with pytest.raises(ValueError, match="outside -2..\\+2"):
-        LexiconScorer({"great": 3}).body_totals(["great"])
+        score_bodies(["great"], LexiconScorer({"great": 3}), memo)
+    assert memo == {}
 
 
 def test_sentence_tuples_agree_with_score_review() -> None:

@@ -275,13 +275,24 @@ def test_counts_only_analysis_prepares_the_full_analysis_requests() -> None:
 
 
 def test_full_analysis_keeps_sentence_texts_only_for_ce_windows(monkeypatch) -> None:
-    # The polarity day sums keep integer totals per body; sentence texts
-    # are kept only for the windows whose requests read them.
+    # A polarity run scores each distinct body once, for the day sums, into
+    # one memo of sentence bins that holds no text; the correlated events'
+    # windows read their bins from it, and only their sentences get texts.
+    from collections import Counter
+
+    from reviewpulse import metrics
     from reviewpulse.config import MarketConfig
     from reviewpulse.ingest import build_catalog
     from reviewpulse.metrics import score_reviews
     from reviewpulse.pipeline import MarketAnalysis, analyze_catalog
     from reviewpulse.synth import Injection, default_scenario, generate
+
+    kernel_bodies: Counter = Counter()
+    sentence_bins = LexiconScorer.sentence_bins
+
+    def counting(self: LexiconScorer, bodies: list[str]):
+        kernel_bodies.update(bodies)
+        return sentence_bins(self, bodies)
 
     asked: list[tuple[str, TimeWindow]] = []
     window_scored = MarketAnalysis.window_scored
@@ -290,23 +301,38 @@ def test_full_analysis_keeps_sentence_texts_only_for_ce_windows(monkeypatch) -> 
         asked.append((app_id, window))
         return window_scored(self, app_id, window)
 
+    texted: set[str] = set()
+    score_review = metrics.score_review
+
+    def texting(body: str, bins) -> BodyScore:
+        texted.add(body)
+        return score_review(body, bins)
+
+    monkeypatch.setattr(LexiconScorer, "sentence_bins", counting)
     monkeypatch.setattr(MarketAnalysis, "window_scored", recording)
+    monkeypatch.setattr(metrics, "score_review", texting)
     spike = Injection(("app01", "app02"), 30, "count-spike", 5.0)
     config = MarketConfig(seed=3)
     catalog = build_catalog(generate(default_scenario(seed=3, injections=(spike,)))[0])
     analysis = analyze_catalog(config, catalog)
     assert analysis.ces and asked
 
+    all_bodies = {body for app in analysis.apps for body in catalog.reviews[app].body.tolist()}
+    assert set(kernel_bodies) == all_bodies
+    assert max(kernel_bodies.values()) == 1
+    assert set(analysis.bodies) == all_bodies
+    assert {type(bins) for bins in analysis.bodies.values()} == {bytes}
+
     def in_window(app_id: str, window: TimeWindow) -> list[Review]:
         return [r for r in catalog.reviews[app_id] if window.contains(r.timestamp)]
 
     window_bodies = {r.body for app_id, window in asked for r in in_window(app_id, window)}
-    all_bodies = {r.body for reviews in catalog.reviews.values() for r in reviews}
-    assert set(analysis.bodies) == window_bodies
+    assert texted == window_bodies
     assert len(window_bodies) * 4 < len(all_bodies)
 
     def rescored(app_id: str, window: TimeWindow) -> list[tuple[str, BodyScore]]:
         bodies = [r.body for r in in_window(app_id, window)]
-        return list(zip(bodies, score_reviews(bodies, LexiconScorer())))
+        return list(zip(bodies, score_reviews(bodies, LexiconScorer(), {})))
 
     assert analysis.requests == build_requests(analysis.ces, rescored, config.sample_size, config.seed)
+
