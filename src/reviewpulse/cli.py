@@ -17,6 +17,7 @@ from .config import ConfigError, MarketConfig, load_config
 from .correlate import (
     ce_records_from_json,
     ce_records_to_json,
+    extract_runs,
     read_correlations_csv,
     write_correlations_csv,
 )
@@ -90,18 +91,17 @@ def _cmd_detect(args: argparse.Namespace) -> int:
 def _cmd_correlate(args: argparse.Namespace) -> int:
     config = _load_cli_config(args)
     sums = read_stage(read_day_sums_csv, args.day_sums)
-    series = correlate_stats(config, series_stats(sums, config.correlation_window_days))
-    path = write_file(args.out, "correlations.csv", write_correlations_csv(series))
-    rows = sum(len(s.windows) for s in series)
-    print(f"wrote {rows} correlation rows to {path}")
+    runs = extract_runs(correlate_stats(config, series_stats(sums, config.correlation_window_days)))
+    path = write_file(args.out, "correlations.csv", write_correlations_csv(runs))
+    print(f"wrote {len(runs)} correlation runs to {path}")
     return 0
 
 
 def _cmd_ce(args: argparse.Namespace) -> int:
     config = _load_cli_config(args)
     events = read_stage(read_events_csv, args.events, config.event_window_days, config.sensitivity)
-    correlations = read_stage(read_correlations_csv, args.correlations, config.correlation_window_days)
-    ces = ce_from_reports(events, correlations, config.event_window_days)
+    runs = read_stage(read_correlations_csv, args.correlations, config.correlation_window_days)
+    ces = ce_from_reports(events, runs, config.event_window_days)
     path = write_file(args.out, "correlated_events.json", [ce_records_to_json(ces)])
     print(f"wrote {len(ces)} correlated events to {path}")
     return 0
@@ -194,7 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(handler=_cmd_detect)
 
-    p = sub.add_parser("correlate", help="compute pairwise correlations from day_sums.csv")
+    p = sub.add_parser("correlate", help="compute pairwise correlation runs from day_sums.csv")
     p.add_argument("day_sums", help="day_sums.csv from the metrics stage")
     _add_common(p)
     p.set_defaults(handler=_cmd_correlate)

@@ -9,7 +9,8 @@ correlation is classified against a threshold h:
     -1  rho <= -h
      0  otherwise, and whenever rho is undefined
 
-Consecutive windows with the same nonzero class form a run. Each run is
+Consecutive windows with the same nonzero class form a run, and the runs
+are all that correlations.csv holds and the CE stage reads. Each run is
 examined only at its first event-window-sized interval: deviation events
 of the two apps falling into event windows that overlap that interval are
 intersected there. Zero events are ignored. When the same-window
@@ -29,15 +30,15 @@ import math
 from dataclasses import dataclass
 from bisect import bisect_left, bisect_right
 from datetime import date, timedelta
-from itertools import combinations
-from typing import Iterable, Iterator, Mapping, Sequence
+from itertools import combinations, groupby
+from operator import attrgetter
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .detect import EventRecord
-from .ingest import json_text
-from .metrics import (MetricKind, TimeWindow, csv_rows, float_cells, int64_cells, series_cells, series_groups,
-                      write_series_csv)
+from .ingest import csv_line_writer, json_text
+from .metrics import MetricKind, TimeWindow, csv_rows, int64_cells, series_cells
 
 __all__ = [
     "CORRELATIONS_CSV_COLUMNS",
@@ -56,7 +57,7 @@ __all__ = [
     "write_correlations_csv",
 ]
 
-CORRELATIONS_CSV_COLUMNS = ("app_i", "app_j", "metric", "t0", "rho", "c", "n_points")
+CORRELATIONS_CSV_COLUMNS = ("app_i", "app_j", "metric", "sign", "t_start", "t_end")
 
 DEFAULT_MIN_CORR_POINTS = 8
 
@@ -81,8 +82,8 @@ class PairSeries:
     """One pair/metric correlation series over a contiguous window grid.
 
     Column form of the pair's ``CorrelationRecord`` rows: ``rho`` (float,
-    NaN where undefined), ``c`` and ``n_points`` (int) hold one entry per
-    window of ``windows``.
+    NaN where undefined), ``c`` (int8 from ``market_correlations``) and
+    ``n_points`` (int) hold one entry per window of ``windows``.
     """
 
     app_i: str
@@ -160,7 +161,7 @@ def _correlate_rows(
     denom = np.sqrt(np.where(defined, vx * vy, 1.0))
     cov = wsxy - wsx * wsy / nf
     rho = np.clip(np.where(defined, cov / denom, np.nan), -1.0, 1.0)
-    c = np.where(defined & (rho >= h), 1, np.where(defined & (rho <= -h), -1, 0))
+    c = np.where(defined & (rho >= h), 1, np.where(defined & (rho <= -h), -1, 0)).astype(np.int8)
     return rho, c, n
 
 
@@ -233,9 +234,10 @@ def market_correlations(
     return series
 
 
-@dataclass(frozen=True, slots=True)
-class CorrelationRun:
-    """Maximal stretch of consecutive windows with a constant nonzero class."""
+class CorrelationRun(NamedTuple):
+    """Maximal stretch of consecutive windows with a constant nonzero class,
+    from the start of its first window to the end of its last. A named
+    tuple, since one is built per run of every pair."""
 
     app_i: str
     app_j: str
@@ -243,38 +245,41 @@ class CorrelationRun:
     sign: int
     t_start: date
     t_end: date
-    first_interval: TimeWindow
 
 
-def extract_runs(series: PairSeries, event_window_days: int) -> list[CorrelationRun]:
-    """Collapse a pair/metric correlation series into its nonzero runs.
+# Class cells stacked per block in extract_runs; bounds its working arrays
+# at a few MB.
+_RUN_BLOCK_CELLS = 2**20
 
-    The series must be in window order over a contiguous grid (as
-    ``market_correlations`` leaves it). Each run's first interval is the
-    event-window-sized span starting at the run start.
+
+def extract_runs(series: Sequence[PairSeries]) -> list[CorrelationRun]:
+    """Every nonzero run of the pair series, series in the order given and
+    each one's runs in time order.
+
+    Each series must be in window order over a contiguous grid, as
+    ``market_correlations`` leaves it. Consecutive series on one grid are
+    stacked into (series x windows) class matrices of up to
+    ``_RUN_BLOCK_CELLS`` cells, each cut in one array pass: a run starts at
+    window ``d`` where ``c[d] != 0`` and ``c[d] != c[d - 1]``, and ends
+    where the next window's class differs. Objects are built per run only.
     """
-    c = series.c
-    if not c.any():
-        return []
-    cuts = (np.flatnonzero(c[1:] != c[:-1]) + 1).tolist()
-    firsts = [0, *cuts]
-    ends = [*cuts, len(c)]
     runs: list[CorrelationRun] = []
-    for first, end, sign in zip(firsts, ends, c[firsts].tolist()):
-        if sign == 0:
-            continue
-        t_start = series.windows[first].start
-        runs.append(
-            CorrelationRun(
-                app_i=series.app_i,
-                app_j=series.app_j,
-                metric=series.metric,
-                sign=sign,
-                t_start=t_start,
-                t_end=series.windows[end - 1].end,
-                first_interval=TimeWindow(t_start, event_window_days),
-            )
-        )
+    for windows, group in groupby(series, key=attrgetter("windows")):
+        group = list(group)
+        starts = [w.start for w in windows]
+        ends = [*starts[1:], *(w.end for w in windows[-1:])]  # the grid is contiguous
+        step = max(1, _RUN_BLOCK_CELLS // max(1, len(windows)))
+        for at in range(0, len(group), step):
+            c = np.stack([s.c for s in group[at : at + step]])
+            changed = c[:, 1:] != c[:, :-1]
+            opens, closes = c != 0, c != 0
+            opens[:, 1:] &= changed
+            closes[:, :-1] &= changed
+            rows, firsts = np.nonzero(opens)
+            lasts = np.nonzero(closes)[1]
+            keys = [group[at + k] for k in rows.tolist()]
+            runs += map(CorrelationRun, [s.app_i for s in keys], [s.app_j for s in keys], [s.metric for s in keys],
+                        c[rows, firsts].tolist(), [starts[k] for k in firsts.tolist()], [ends[k] for k in lasts.tolist()])
     return runs
 
 
@@ -288,20 +293,23 @@ class CorrelatedEventRecord:
     event_i: EventRecord
     event_j: EventRecord
     run: CorrelationRun
+    first_interval: TimeWindow
 
 
 def detect_correlated_events(
     events_i: Sequence[EventRecord],
     events_j: Sequence[EventRecord],
     runs: Sequence[CorrelationRun],
+    event_window_days: int,
 ) -> list[CorrelatedEventRecord]:
     """Intersect two apps' events with their correlation runs.
 
     Zero events are ignored. For each run, every event window overlapping
-    the run's first interval is tested. The same-window pairing is tried
-    first; if it yields nothing the two single-sided pairings against the
-    immediately preceding event window are tried in order (app_i
-    preceding, then app_j preceding). A pairing matches when
+    the run's first interval, the ``event_window_days`` days from its
+    start, is tested. The same-window pairing is tried first; if it yields
+    nothing the two single-sided pairings against the immediately
+    preceding event window are tried in order (app_i preceding, then app_j
+    preceding). A pairing matches when
     ``e_i == run.sign * e_j``, and the CE's class is the run's sign. At
     most one record survives per (event window, class); when several runs
     would duplicate one, the earliest-starting run wins.
@@ -315,7 +323,7 @@ def detect_correlated_events(
 
     found: dict[tuple[date, int], CorrelatedEventRecord] = {}
     for run in sorted(runs, key=lambda r: (r.t_start, r.t_end, r.sign)):
-        first = run.first_interval
+        first = TimeWindow(run.t_start, event_window_days)
         # Only windows starting in (first.start - longest, first.end) can overlap.
         lo = bisect_right(starts, first.start - longest)
         hi = bisect_left(starts, first.end, lo)
@@ -344,49 +352,74 @@ def detect_correlated_events(
                         event_i=e_i,
                         event_j=e_j,
                         run=run,
+                        first_interval=first,
                     )
                 break
     return sorted(found.values(), key=lambda r: (r.window.start, -r.ce))
 
 
-def write_correlations_csv(correlations: Iterable[PairSeries]) -> Iterator[str]:
-    """The correlations.csv text as chunks: a header, then every series' rows.
+def write_correlations_csv(runs: Sequence[CorrelationRun]) -> Iterator[str]:
+    """The correlations.csv text as chunks: the header, then one chunk per
+    pair series of one row per run, runs in the order given.
 
-    Rows are grouped per pair series, in window order, with the series in
-    the order given, one chunk per series (``write_series_csv``). An
-    undefined rho is written empty, any other with ``repr``.
+    Each series' key cells are quoted once, through ``csv_line_writer``,
+    and each day's ISO text is formatted once.
     """
-    return write_series_csv(
-        CORRELATIONS_CSV_COLUMNS,
-        (((s.app_i, s.app_j, s.metric.value), s.windows, s.rho, s.c, s.n_points) for s in correlations),
-        lambda w: w.start.isoformat(),
-    )
+    parts: list[str] = []
+    writer = csv_line_writer(parts)
+    writer.writerow(CORRELATIONS_CSV_COLUMNS)
+    yield parts.pop()
+    iso = {day: day.isoformat() for day in {r.t_start for r in runs} | {r.t_end for r in runs}}
+    for (app_i, app_j, metric), group in groupby(runs, key=attrgetter("app_i", "app_j", "metric")):
+        writer.writerow((app_i, app_j, metric.value, ""))
+        prefix = parts.pop()[:-1]  # the quoted key cells and a trailing comma
+        yield "".join([f"{prefix}{r.sign},{iso[r.t_start]},{iso[r.t_end]}\n" for r in group])
 
 
-def read_correlations_csv(text: str, window_days: int) -> list[PairSeries]:
-    """Pair series from the CSV dump, one per (app_i, app_j, metric).
+def _run_problem(sign: int, t_start: date, t_end: date, window_days: int, prev: CorrelationRun | None) -> str | None:
+    """Why a run read back cannot stand after ``prev``, the previous run of
+    its pair and metric; None when it can."""
+    if sign not in (-1, 1):
+        return f"sign must be 1 or -1, got {sign}"
+    if t_end <= t_start:
+        return f"t_end {t_end} is not after t_start {t_start}"
+    if (t_end - t_start).days % window_days:
+        return f"{(t_end - t_start).days} days are not whole {window_days}-day windows"
+    if prev is None:
+        return None
+    if t_start < prev.t_start:
+        return f"the run from {t_start} comes before the run from {prev.t_start}"
+    if t_start < prev.t_end:
+        return f"the run from {t_start} overlaps the run from {prev.t_start}"
+    if t_start == prev.t_end and sign == prev.sign:
+        return f"the run from {t_start} touches the run from {prev.t_start} with the same sign"
+    if (t_start - prev.t_end).days % window_days:
+        return f"the run from {t_start} is off the grid of the run from {prev.t_start}"
+    return None
 
-    Series come in the order their first row appears, each holding its
-    rows in file order. A series whose windows are not consecutive
-    ``window_days`` windows in time order, or whose ``c`` is not -1, 0 or
-    1, is a ValueError naming its pair: runs are read off that grid. A row
-    that ``series_cells`` refuses, a ``c`` or ``n_points`` that is not an
-    integer or is beyond int64, or a ``rho`` that is not a number, is a
-    ValueError naming its pair and line.
+
+def read_correlations_csv(text: str, window_days: int) -> list[CorrelationRun]:
+    """Correlation runs from the CSV dump, in file order.
+
+    A row that ``series_cells`` refuses, or a ``sign`` that is not an
+    integer, is a ValueError naming its pair and line. So is a run whose
+    sign is not 1 or -1, whose ``t_end`` is not after its ``t_start``, or
+    whose span is not a whole number of ``window_days`` windows; and one
+    that comes before the previous run of its pair and metric, overlaps
+    it, touches it with the same sign, or starts a span after its end that
+    is not a whole number of windows.
     """
-    rows = []
+    runs: list[CorrelationRun] = []
+    last: dict[tuple, CorrelationRun] = {}
     for line, row in csv_rows(text, CORRELATIONS_CSV_COLUMNS, "correlations"):
-        label, key, t0, (rho, c, n) = series_cells(row, CORRELATIONS_CSV_COLUMNS, line, "correlations")
-        (rho_value,) = float_cells((rho,), line, label)
-        rows.append((key, TimeWindow(t0, window_days), math.nan if rho_value is None else rho_value,
-                     *int64_cells((c, n), line, label)))
-    label = "correlations of ({0}, {1}, {2.value})"
-    out: list[PairSeries] = []
-    for key, (windows, rhos, cs, ns) in series_groups(rows, label).items():
-        if not set(cs) <= {-1, 0, 1}:
-            raise ValueError(f"{label.format(*key)}: c must be -1, 0 or 1, got {sorted(set(cs))}")
-        out.append(PairSeries(*key, windows, np.array(rhos), np.array(cs, dtype=np.int64), np.array(ns, dtype=np.int64)))
-    return out
+        label, key, (sign, t_start, t_end) = series_cells(row, CORRELATIONS_CSV_COLUMNS, line, "correlations")
+        (sign,) = int64_cells((sign,), line, label)
+        problem = _run_problem(sign, t_start, t_end, window_days, last.get(key))
+        if problem is not None:
+            raise ValueError(f"{label}, CSV line {line}: {problem}")
+        last[key] = CorrelationRun(*key, sign, t_start, t_end)
+        runs.append(last[key])
+    return runs
 
 
 def _event_from_dict(data: Mapping) -> EventRecord:
@@ -417,17 +450,11 @@ def ce_records_from_json(text: str) -> list[CorrelatedEventRecord]:
                 ce=int(item["ce"]),
                 event_i=_event_from_dict(item["event_i"]),
                 event_j=_event_from_dict(item["event_j"]),
-                run=CorrelationRun(
-                    app_i=str(item["app_i"]),
-                    app_j=str(item["app_j"]),
-                    metric=MetricKind(item["metric"]),
-                    sign=int(run["sign"]),
-                    t_start=date.fromisoformat(run["t_start"]),
-                    t_end=date.fromisoformat(run["t_end"]),
-                    first_interval=TimeWindow(
-                        date.fromisoformat(run["first_interval_start"]),
-                        int(run["first_interval_days"]),
-                    ),
+                run=CorrelationRun(str(item["app_i"]), str(item["app_j"]), MetricKind(item["metric"]), int(run["sign"]),
+                                   date.fromisoformat(run["t_start"]), date.fromisoformat(run["t_end"])),
+                first_interval=TimeWindow(
+                    date.fromisoformat(run["first_interval_start"]),
+                    int(run["first_interval_days"]),
                 ),
             )
         )
@@ -464,8 +491,8 @@ def ce_records_to_json(records: Iterable[CorrelatedEventRecord]) -> str:
                 "sign": r.run.sign,
                 "t_start": r.run.t_start.isoformat(),
                 "t_end": r.run.t_end.isoformat(),
-                "first_interval_start": r.run.first_interval.start.isoformat(),
-                "first_interval_days": r.run.first_interval.days,
+                "first_interval_start": r.first_interval.start.isoformat(),
+                "first_interval_days": r.first_interval.days,
             },
         }
         for r in records

@@ -199,7 +199,7 @@ def read_events_csv(text: str, window_days: int, k: float) -> list[EventRecord]:
     """
     out: list[EventRecord] = []
     for line, row in csv_rows(text, EVENTS_CSV_COLUMNS, "events"):
-        label, (app_id, metric), t0, (e, a, sigma, baseline_n, warmup) = series_cells(row, EVENTS_CSV_COLUMNS, line, "events")
+        label, (app_id, metric), (t0, e, a, sigma, baseline_n, warmup) = series_cells(row, EVENTS_CSV_COLUMNS, line, "events")
         e_value, n_value = int64_cells((e, baseline_n), line, label)
         values = float_cells((a, sigma), line, label)
         finite = all(isfinite(v) for v in values if v is not None)

@@ -41,7 +41,7 @@ import math
 from dataclasses import dataclass, replace
 from datetime import date, datetime, timedelta, timezone
 from enum import Enum
-from typing import Callable, Collection, Hashable, Iterable, Iterator, Mapping, Sequence
+from typing import Collection, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -69,14 +69,12 @@ __all__ = [
     "score_review",
     "score_reviews",
     "series_cells",
-    "series_groups",
     "utc_midnights",
     "window_series",
     "window_stats",
     "WindowStat",
     "write_day_sums_csv",
     "write_metrics_csv",
-    "write_series_csv",
 ]
 
 METRICS_CSV_COLUMNS = ("app_id", "metric", "t0", "w", "mu", "delta", "n_obs")
@@ -350,41 +348,25 @@ def correlation_points(stats: Sequence[WindowStat]) -> dict[date, float]:
     return {s.window.start: s.mu for s in stats if s.mu is not None}
 
 
-def write_series_csv(
-    columns: Sequence[str],
-    series: Iterable[tuple[Sequence[str], Sequence[TimeWindow], np.ndarray, np.ndarray, np.ndarray]],
-    cell: Callable[[TimeWindow], str],
-) -> Iterator[str]:
-    """A series CSV as text chunks: the header, then one chunk per series
-    (leading fields, windows, three value arrays) of one row per window:
-    the fields, ``cell(window)`` and the values, a float written with
-    ``repr`` and NaN empty. The fields are quoted once per series, by the
-    header's ``csv`` dialect, and a grid's cells are formatted once for the
-    consecutive series that share it. Nothing is built before it is asked
-    for, so a writer holds one series' text at a time."""
+def write_metrics_csv(series: Iterable[SeriesStats]) -> Iterator[str]:
+    """The metrics CSV as text chunks: the header, then one chunk per series
+    of one row per window, in window order: a float written with ``repr``
+    and NaN empty. The key cells are quoted once per series, by the
+    header's ``csv`` dialect, and a grid's window cells are formatted once
+    for the consecutive series that share it. Nothing is built before it
+    is asked for, so a writer holds one series' text at a time."""
     parts: list[str] = []
     writer = csv_line_writer(parts)
-    writer.writerow(columns)
+    writer.writerow(METRICS_CSV_COLUMNS)
     yield parts.pop()
     grid, cells = None, []
-    for fields, windows, *values in series:
-        if windows is not grid:
-            grid, cells = windows, [cell(w) for w in windows]
-        writer.writerow((*fields, ""))
-        prefix = parts.pop()[:-1]  # the quoted fields and a trailing comma
-        x, y, z = ([repr(v) if v == v else "" for v in a.tolist()] if a.dtype.kind == "f" else a.tolist()
-                   for a in values)  # NaN != NaN
-        yield "".join([f"{prefix}{t0},{p},{q},{r}\n" for t0, p, q, r in zip(cells, x, y, z)])
-
-
-def write_metrics_csv(series: Iterable[SeriesStats]) -> Iterator[str]:
-    """The metrics CSV as text chunks: a header, then every series' rows in
-    window order, one chunk per series."""
-    return write_series_csv(
-        METRICS_CSV_COLUMNS,
-        (((s.app_id, s.metric.value), s.windows, s.mu, s.delta, s.n_obs) for s in series),
-        lambda w: f"{w.start.isoformat()},{w.days}",
-    )
+    for s in series:
+        if s.windows is not grid:
+            grid, cells = s.windows, [f"{w.start.isoformat()},{w.days}" for w in s.windows]
+        writer.writerow((s.app_id, s.metric.value, ""))
+        prefix = parts.pop()[:-1]  # the quoted key cells and a trailing comma
+        mu, delta = ([repr(v) if v == v else "" for v in a.tolist()] for a in (s.mu, s.delta))  # NaN != NaN
+        yield "".join([f"{prefix}{t0},{m},{d},{n}\n" for t0, m, d, n in zip(cells, mu, delta, s.n_obs.tolist())])
 
 
 def write_day_sums_csv(sums: Mapping[str, DaySums]) -> Iterator[str]:
@@ -430,22 +412,28 @@ def int64_cells(cells: Iterable[str], line: int, label: str) -> list[int]:
     return values
 
 
-def series_cells(row: list[str], columns: Sequence[str], line: int, what: str) -> tuple[str, tuple, date, list[str]]:
-    """One series CSV row cut at its ``t0`` cell: the series label (``what``
-    and the key cells), the key cells before ``t0`` (a ``metric`` cell as
-    its ``MetricKind``), the day ``t0`` names and the cells after it. A row
-    of another length than ``columns``, a metric that is no ``MetricKind``
-    or a ``t0`` that is no ISO date is a ValueError naming the series and
-    the row's line."""
-    at = columns.index("t0")
+# Columns whose cells name a day, read as ``date``s by ``series_cells``.
+_DATE_COLUMNS = ("t0", "t_start", "t_end")
+
+
+def series_cells(row: list[str], columns: Sequence[str], line: int, what: str) -> tuple[str, tuple, list]:
+    """One series CSV row cut after its key: the series label (``what`` and
+    the key cells), the key (the cells through ``metric``, that one as its
+    ``MetricKind``, or the first cell where there is no metric column) and
+    the cells after it, each of a date column as the day it names. A row of
+    another length than ``columns``, a metric that is no ``MetricKind`` or
+    a date that is not ISO is a ValueError naming the series and the row's
+    line."""
+    at = columns.index("metric") + 1 if "metric" in columns else 1
     key = row[:at]
     label = f"{what} of ({', '.join(key)})"
     try:
         if len(row) != len(columns):
             raise ValueError(f"expected {len(columns)} cells, got {len(row)}")
-        if columns[at - 1] == "metric":
+        if at > 1:
             key[-1] = MetricKind(key[-1])
-        return label, tuple(key), date.fromisoformat(row[at]), row[at + 1 :]
+        return label, tuple(key), [date.fromisoformat(cell) if name in _DATE_COLUMNS else cell
+                                   for name, cell in zip(columns[at:], row[at:])]
     except ValueError as exc:
         raise ValueError(f"{label}, CSV line {line}: {exc}") from None
 
@@ -462,37 +450,23 @@ def float_cells(cells: Iterable[str], line: int, label: str) -> list[float | Non
     return values
 
 
-def series_groups(rows: Iterable[tuple], label: str) -> dict[Hashable, list[list]]:
-    """Series CSV rows, each (key, window, *values), grouped per key.
-
-    Series come in first-row order, each as its list of windows and one
-    list per value, in file order. Every series' windows must pass
-    ``check_grid``, which names it by ``label.format(*key)``.
-    """
-    groups: dict[Hashable, list[tuple]] = {}
-    for row in rows:
-        groups.setdefault(row[0], []).append(row[1:])
-    columns = {key: [list(column) for column in zip(*group)] for key, group in groups.items()}
-    for key, (windows, *_) in columns.items():
-        check_grid(windows, label.format(*key))
-    return columns
-
-
 def read_day_sums_csv(text: str) -> dict[str, DaySums]:
     """Day sums from the CSV dump, keyed by app in first-row order.
 
-    ``series_groups`` refuses an app's days with a gap, a repeat or a step
+    ``check_grid`` refuses an app's days with a gap, a repeat or a step
     back, and every app must hold the first app's span. A row that
     ``series_cells`` refuses, or a total that is not an integer (an empty
     one included) or is beyond int64, is a ValueError naming its app and
     line; so is a negative total, or a running sum beyond int64.
     """
-    rows = []
+    rows: dict[str, list[tuple]] = {}
     for line, row in csv_rows(text, DAY_SUMS_CSV_COLUMNS, "day sums"):
-        label, key, t0, totals = series_cells(row, DAY_SUMS_CSV_COLUMNS, line, "day sums")
-        rows.append((key, TimeWindow(t0, 1), *int64_cells(totals, line, label)))
+        label, (app,), (t0, *totals) = series_cells(row, DAY_SUMS_CSV_COLUMNS, line, "day sums")
+        rows.setdefault(app, []).append((TimeWindow(t0, 1), *int64_cells(totals, line, label)))
     out: dict[str, DaySums] = {}
-    for (app,), (days, *totals) in series_groups(rows, "day sums of ({0})").items():
+    for app, group in rows.items():
+        days, *totals = zip(*group)
+        check_grid(days, f"day sums of ({app})")
         prefixes = [_prefix(np.array(t, dtype=np.int64)) for t in totals]
         if any((s[1:] < s[:-1]).any() for s in prefixes):
             raise ValueError(f"day sums of ({app}): a total is negative or sums beyond int64")

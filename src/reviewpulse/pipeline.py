@@ -8,7 +8,8 @@ library and the CLI:
     series_stats      one grid's metric series of every app, from day sums
     detect_events     deviation events of every event-window series
     correlate_stats   every app pair's correlation series per metric
-    ce_from_reports   correlated events from events plus correlation series
+    extract_runs      every pair series' runs of a nonzero correlation class
+    ce_from_reports   correlated events from events plus correlation runs
     build_requests    summary requests for the correlated events
 
 The one intermediate is each app's ``metrics.DaySums``: integer totals
@@ -37,16 +38,16 @@ and ``summarize`` (summary requests and summaries). The bundle:
     metrics.csv              event-window metric series (mu, delta, n_obs)
     metrics_daily.csv        correlation-window metric series (one grid)
     events.csv               deviation events
-    correlations.csv         pairwise correlation classes
+    correlations.csv         runs of a nonzero correlation class per pair
     correlated_events.json   correlated events with embedded context
     summary_requests.json    sampled texts and prompt hashes per event
     summaries.json           mock-client summaries (when configured)
 
 The metrics CSVs are reports only: no stage reads them back.
 ``write_file`` writes a file from text chunks through one handle; the
-CSVs of day sums and series (metrics, metrics_daily, correlations) come
-one chunk per app or series, so no file's whole text is held. Every byte
-of the bundle is a pure function of the inputs and the config, seed
+CSVs of day sums, series and runs (metrics, metrics_daily, correlations)
+come one chunk per app or series, so no file's whole text is held. Every
+byte of the bundle is a pure function of the inputs and the config, seed
 included; running twice produces identical files.
 """
 
@@ -65,6 +66,7 @@ from .config import MarketConfig
 from .correlate import (
     CorrelatedEventRecord,
     CorrelationRecord,
+    CorrelationRun,
     PairSeries,
     ce_records_to_json,
     detect_correlated_events,
@@ -177,6 +179,7 @@ class MarketAnalysis:
     daily_stats: dict[SeriesKey, SeriesStats] = field(default_factory=dict)
     events: dict[SeriesKey, list[EventRecord]] = field(default_factory=dict)
     pair_series: list[PairSeries] = field(default_factory=list)
+    runs: list[CorrelationRun] = field(default_factory=list)
     ces: list[CorrelatedEventRecord] = field(default_factory=list)
     requests: list[SummaryRequest] = field(default_factory=list)
     # Each scored body's sentence bins (metrics.score_bodies), and no text:
@@ -380,9 +383,8 @@ def analyze_catalog(
     analysis = aggregate(config, catalog, metrics)
     analysis.events = detect_events(config, analysis.weekly_stats)
     analysis.pair_series = correlate_stats(config, analysis.daily_stats)
-    analysis.ces = ce_from_reports(
-        analysis.nonzero_events(), analysis.pair_series, config.event_window_days
-    )
+    analysis.runs = extract_runs(analysis.pair_series)
+    analysis.ces = ce_from_reports(analysis.nonzero_events(), analysis.runs, config.event_window_days)
     analysis.requests = build_requests(
         analysis.ces, analysis.window_scored, config.sample_size, config.seed
     )
@@ -391,28 +393,30 @@ def analyze_catalog(
 
 def ce_from_reports(
     events: Iterable[EventRecord],
-    correlations: Iterable[PairSeries],
+    runs: Iterable[CorrelationRun],
     event_window_days: int,
 ) -> list[CorrelatedEventRecord]:
-    """Correlated events recomputed purely from events plus correlations.
+    """Correlated events recomputed purely from events plus correlation runs.
 
-    Zero events are ignored, so a series takes part only if it fired, and
-    a CE's class is its run's sign. This is the only path to CE records;
-    the ``ce`` subcommand feeds it the series read back from
-    correlations.csv and gets byte-identical results to a full run,
-    whether or not events.csv keeps its zero rows.
+    Zero events are ignored, so a pair takes part only if both its apps
+    fired, and a CE's class is its run's sign. Pairs go in (metric name,
+    app_i, app_j) order. This is the only path to CE records; the ``ce``
+    subcommand feeds it the runs read back from correlations.csv and gets
+    byte-identical results to a full run, whether or not events.csv keeps
+    its zero rows.
     """
     events_by_series: dict[SeriesKey, list[EventRecord]] = {}
     for record in events:
         if record.e:
             events_by_series.setdefault((record.app_id, record.metric), []).append(record)
-
+    runs_by_pair: dict[tuple, list[CorrelationRun]] = {}
+    for run in runs:
+        if (run.app_i, run.metric) in events_by_series and (run.app_j, run.metric) in events_by_series:
+            runs_by_pair.setdefault((run.metric.value, run.app_i, run.app_j, run.metric), []).append(run)
     ces: list[CorrelatedEventRecord] = []
-    for series in sorted(correlations, key=lambda s: (s.metric.value, s.app_i, s.app_j)):
-        events_i = events_by_series.get((series.app_i, series.metric))
-        events_j = events_by_series.get((series.app_j, series.metric))
-        if events_i and events_j:
-            ces.extend(detect_correlated_events(events_i, events_j, extract_runs(series, event_window_days)))
+    for (_, app_i, app_j, metric), pair_runs in sorted(runs_by_pair.items(), key=lambda item: item[0][:3]):
+        events_i, events_j = events_by_series[(app_i, metric)], events_by_series[(app_j, metric)]
+        ces += detect_correlated_events(events_i, events_j, pair_runs, event_window_days)
     return ces
 
 
@@ -480,7 +484,7 @@ def write_bundle(
     write_intake(out, rejects, analysis.catalog)
     write_metrics(out, analysis)
     write_file(out, "events.csv", [write_events_csv(analysis.all_events())])
-    write_file(out, "correlations.csv", write_correlations_csv(analysis.pair_series))
+    write_file(out, "correlations.csv", write_correlations_csv(analysis.runs))
     write_file(out, "correlated_events.json", [ce_records_to_json(analysis.ces)])
     written = write_requests(out, analysis.config, analysis.requests)
     return PipelineResult(

@@ -19,6 +19,8 @@ means to it.
 ``pearson_rho`` and ``detect_correlation`` correlate and classify one
 window from its definition, and ``baseline_sigma`` takes one baseline's
 standard deviation; the tests hold the package's column sweeps to them.
+``extract_runs`` cuts one pair series into its runs, one series at a time;
+the tests hold the package's all-pairs run extractor to it.
 """
 
 from __future__ import annotations
@@ -32,7 +34,9 @@ from dataclasses import dataclass
 from datetime import date
 from typing import Iterable, Iterator, Mapping, Protocol, Sequence, runtime_checkable
 
-from reviewpulse.correlate import DEFAULT_MIN_CORR_POINTS
+import numpy as np
+
+from reviewpulse.correlate import DEFAULT_MIN_CORR_POINTS, CorrelationRun, PairSeries
 from reviewpulse.detect import DEFAULT_MIN_BASELINE, _check_mode, _Moments
 from reviewpulse.ingest import (
     REVIEW_FIELDS,
@@ -323,6 +327,36 @@ def detect_correlation(rho: float | None, h: float) -> int:
     if rho <= -h:
         return -1
     return 0
+
+
+def extract_runs(series: PairSeries) -> list[CorrelationRun]:
+    """Collapse a pair/metric correlation series into its nonzero runs.
+
+    The series must be in window order over a contiguous grid (as
+    ``market_correlations`` leaves it).
+    """
+    c = series.c
+    if not c.any():
+        return []
+    cuts = (np.flatnonzero(c[1:] != c[:-1]) + 1).tolist()
+    firsts = [0, *cuts]
+    ends = [*cuts, len(c)]
+    runs: list[CorrelationRun] = []
+    for first, end, sign in zip(firsts, ends, c[firsts].tolist()):
+        if sign == 0:
+            continue
+        t_start = series.windows[first].start
+        runs.append(
+            CorrelationRun(
+                app_i=series.app_i,
+                app_j=series.app_j,
+                metric=series.metric,
+                sign=sign,
+                t_start=t_start,
+                t_end=series.windows[end - 1].end,
+            )
+        )
+    return runs
 
 
 def baseline_sigma(

@@ -353,7 +353,7 @@ def test_bad_events_csv_row_exits_three(tmp_path, capsys, e, a, sigma, baseline_
         encoding="utf-8",
     )
     correlations = tmp_path / "correlations.csv"
-    correlations.write_text("app_i,app_j,metric,t0,rho,c,n_points\n", encoding="utf-8")
+    correlations.write_text("app_i,app_j,metric,sign,t_start,t_end\n", encoding="utf-8")
     out = tmp_path / "out"
     assert main(["ce", str(events), str(correlations), "--out", str(out)]) == 3
     assert refused in capsys.readouterr().err
@@ -450,31 +450,30 @@ def test_bad_lexicon_or_template_exits_two_before_writing(tmp_path, capsys, key,
 
 
 @pytest.mark.parametrize(
-    "days, rho, c, n_points, window_days, refused",
+    "runs, window_days, refused",
     [
-        ((1, 2, 4, 5), "0.9", 1, 10, 1, "(a, b, count)"),
-        ((2, 1), "0.9", 1, 10, 1, "(a, b, count)"),
-        ((1, 1, 2), "0.9", 0, 10, 1, "(a, b, count)"),
-        ((1, 3, 4), "0.9", 0, 10, 2, "(a, b, count)"),
-        ((1, 2, 3), "0.9", 2, 10, 1, "(a, b, count)"),
-        ((1, 2), "0.9", "1.0", 10, 1, "correlations of (a, b, count), CSV line 2: '1.0' is not an integer"),
-        ((1, 2), "0.9", 1, "x", 1, "correlations of (a, b, count), CSV line 2: 'x' is not an integer"),
-        ((1, 2), "x", 1, 10, 1, "correlations of (a, b, count), CSV line 2: 'x' is not a number"),
+        (("1:2:3", "1:1:2"), 1, "CSV line 3: the run from 2024-01-01 comes before the run from 2024-01-02"),
+        (("1:1:2", "1:1:2"), 1, "CSV line 3: the run from 2024-01-01 overlaps the run from 2024-01-01"),
+        (("1:1:2", "1:2:3"), 1, "CSV line 3: the run from 2024-01-02 touches the run from 2024-01-01 with the same sign"),
+        (("1:1:3", "1:4:6"), 2, "CSV line 3: the run from 2024-01-04 is off the grid of the run from 2024-01-01"),
+        (("1:1:4",), 2, "CSV line 2: 3 days are not whole 2-day windows"),
+        (("1:2:2",), 1, "CSV line 2: t_end 2024-01-02 is not after t_start 2024-01-02"),
+        (("2:1:2",), 1, "CSV line 2: sign must be 1 or -1, got 2"),
+        (("1.0:1:2",), 1, "CSV line 2: '1.0' is not an integer"),
     ],
-    ids=["gap", "backwards", "repeat", "spacing", "bad-class", "c-not-integer", "n-points-not-integer",
-         "rho-not-a-number"],
+    ids=["backwards", "repeat", "touch", "gap", "spacing", "empty", "bad-class", "sign-not-integer"],
 )
-def test_correlations_off_their_window_grid_exit_three(tmp_path, capsys, days, rho, c, n_points, window_days,
-                                                       refused) -> None:
+def test_correlations_off_their_window_grid_exit_three(tmp_path, capsys, runs, window_days, refused) -> None:
     events = tmp_path / "events.csv"
     events.write_text("app_id,metric,t0,e,a,sigma,baseline_n,warmup\n", encoding="utf-8")
     correlations = tmp_path / "correlations.csv"
-    rows = [f"a,b,count,2024-01-{d:02d},{rho},{c},{n_points}\n" for d in days]
-    correlations.write_text("app_i,app_j,metric,t0,rho,c,n_points\n" + "".join(rows), encoding="utf-8")
+    rows = [f"a,b,count,{sign},2024-01-{int(start):02d},2024-01-{int(end):02d}\n"
+            for sign, start, end in (run.split(":") for run in runs)]
+    correlations.write_text("app_i,app_j,metric,sign,t_start,t_end\n" + "".join(rows), encoding="utf-8")
     out = tmp_path / "out"
     flags = ["--set", f"correlation_window_days={window_days}"]
     assert main(["ce", str(events), str(correlations), "--out", str(out), *flags]) == 3
-    assert refused in capsys.readouterr().err
+    assert f"correlations of (a, b, count), {refused}" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -513,7 +512,7 @@ def test_bad_day_sums_exit_three(tmp_path, capsys, command, rows, refused) -> No
 
 _STAGE_HEADERS = {
     "events": "app_id,metric,t0,e,a,sigma,baseline_n,warmup",
-    "correlations": "app_i,app_j,metric,t0,rho,c,n_points",
+    "correlations": "app_i,app_j,metric,sign,t_start,t_end",
     "day_sums": "app_id,t0,reviews,rating,polarity,sentences",
 }
 
@@ -524,11 +523,11 @@ _STAGE_HEADERS = {
         ("events", "a,stars,2024-01-04,0,,,0,true", "events of (a, stars), CSV line 2: 'stars' is not a valid MetricKind"),
         ("events", "a,count,2024-13-04,0,,,0,true", "events of (a, count), CSV line 2: month must be in 1..12"),
         ("events", "a,count,2024-01-04,0,,,0", "events of (a, count), CSV line 2: expected 8 cells, got 7"),
-        ("correlations", "a,b,stars,2024-01-04,0.5,1,10",
+        ("correlations", "a,b,stars,1,2024-01-04,2024-01-05",
          "correlations of (a, b, stars), CSV line 2: 'stars' is not a valid MetricKind"),
-        ("correlations", "a,b,count,2024-13-04,0.5,1,10",
+        ("correlations", "a,b,count,1,2024-13-04,2024-01-05",
          "correlations of (a, b, count), CSV line 2: month must be in 1..12"),
-        ("correlations", "a,b,count,2024-01-04,0.5,1", "correlations of (a, b, count), CSV line 2: expected 7 cells, got 6"),
+        ("correlations", "a,b,count,1,2024-01-04", "correlations of (a, b, count), CSV line 2: expected 6 cells, got 5"),
         ("day_sums", "a,2024-13-04,1,0,0,0", "day sums of (a), CSV line 2: month must be in 1..12"),
         ("day_sums", "a,2024-01-04,1,0,0", "day sums of (a), CSV line 2: expected 6 cells, got 5"),
     ],

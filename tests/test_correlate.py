@@ -1,8 +1,9 @@
 """Pairwise correlation, runs, and correlated-event intersection.
 
 Oracles here: a from-definition Pearson (plain covariance over the product
-of standard deviations), a linear scan for runs, and a brute-force replay
-of the intersection rules for correlated events.
+of standard deviations), a linear scan for runs, the per-series run cutter
+of ``oracles.extract_runs``, and a brute-force replay of the intersection
+rules for correlated events.
 """
 from __future__ import annotations
 
@@ -41,7 +42,8 @@ from reviewpulse.ingest import serialize_reviews
 from reviewpulse.pipeline import analyze_catalog, ce_from_reports, run_pipeline, write_bundle
 from reviewpulse.synth import generate, spike_pair_scenario
 
-from oracles import detect_correlation, pearson_rho
+from oracles import detect_correlation, extract_runs as series_runs, pearson_rho
+from test_goldens import MARKETS
 
 D0 = date(2024, 1, 4)
 
@@ -176,23 +178,23 @@ def _as_series(records: list[CorrelationRecord]) -> PairSeries:
 
 def test_runs_from_short_series() -> None:
     records = [_corr(i, c) for i, c in enumerate([0, 1, 1, 0, -1])]
-    runs = extract_runs(_as_series(records), event_window_days=7)
+    runs = extract_runs([_as_series(records)])
     assert [(r.sign, r.t_start, r.t_end) for r in runs] == [
         (1, D0 + timedelta(days=1), D0 + timedelta(days=3)),
         (-1, D0 + timedelta(days=4), D0 + timedelta(days=5)),
     ]
-    assert runs[0].first_interval == TimeWindow(D0 + timedelta(days=1), 7)
 
 
 def test_all_zero_series_has_no_runs() -> None:
-    assert extract_runs(_as_series([_corr(i, 0) for i in range(20)]), 7) == []
+    assert extract_runs([_as_series([_corr(i, 0) for i in range(20)])]) == []
+    assert extract_runs([]) == []
 
 
 def test_runs_match_linear_scan_oracle() -> None:
     rng = random.Random(55)
     signs = [rng.choice([-1, 0, 0, 1]) for _ in range(365)]
     records = [_corr(i, c) for i, c in enumerate(signs)]
-    runs = extract_runs(_as_series(records), 7)
+    runs = extract_runs([_as_series(records)])
 
     # Oracle: scan for maximal constant nonzero stretches.
     expected = []
@@ -209,6 +211,46 @@ def test_runs_match_linear_scan_oracle() -> None:
     assert [(r.sign, r.t_start, r.t_end) for r in runs] == expected
 
 
+@st.composite
+def _class_matrices(draw) -> list[PairSeries]:
+    """Pair series over one or two grids, each class row built from runs of
+    one class; rows often start or end in a run, or flip sign with no zero
+    between."""
+    n = draw(st.integers(0, 30))
+    grids = [[TimeWindow(D0 + timedelta(days=2 * k), 2) for k in range(n)]]
+    grids.append(list(grids[0]) if draw(st.booleans()) else [TimeWindow(D0 + timedelta(days=k), 1) for k in range(n)])
+    series = []
+    for k in range(draw(st.integers(0, 8))):
+        pieces = draw(st.lists(st.tuples(st.sampled_from([-1, 0, 1]), st.integers(1, 6)), min_size=1, max_size=8))
+        c = np.array(([sign for sign, length in pieces for _ in range(length)] + [0] * n)[:n], dtype=np.int64)
+        rho = np.where(c == 0, np.nan, 0.9 * c)
+        windows = grids[draw(st.integers(0, 1))]
+        series.append(PairSeries(f"a{k}", f"b{k}", draw(st.sampled_from(list(MetricKind))), windows, rho, c,
+                                 np.full(n, 10)))
+    return series
+
+
+@settings(max_examples=300, deadline=None)
+@given(_class_matrices())
+def test_all_pairs_runs_match_the_per_series_oracle(series: list[PairSeries]) -> None:
+    assert extract_runs(series) == [run for s in series for run in series_runs(s)]
+
+
+def test_runs_at_both_grid_edges_and_sign_flips() -> None:
+    rows = [[1, 1, -1, -1, 1], [-1, 0, 0, 0, -1], [0, 1, -1, 1, 0], [0, 0, 0, 0, 0]]
+    series = [
+        PairSeries(f"a{k}", "b", MetricKind.COUNT, _grid(5), np.zeros(5), np.array(row), np.zeros(5, dtype=np.int64))
+        for k, row in enumerate(rows)
+    ]
+    runs = extract_runs(series)
+    assert [(r.app_i, r.sign, (r.t_start - D0).days, (r.t_end - D0).days) for r in runs] == [
+        ("a0", 1, 0, 2), ("a0", -1, 2, 4), ("a0", 1, 4, 5),
+        ("a1", -1, 0, 1), ("a1", -1, 4, 5),
+        ("a2", 1, 1, 2), ("a2", -1, 2, 3), ("a2", 1, 3, 4),
+    ]
+    assert runs == [run for s in series for run in series_runs(s)]
+
+
 def _event(app: str, widx: int, e: int) -> EventRecord:
     return EventRecord(
         app_id=app, metric=MetricKind.COUNT,
@@ -221,7 +263,6 @@ def _run(sign: int, start_day: int, end_day: int) -> CorrelationRun:
     return CorrelationRun(
         app_i="a", app_j="b", metric=MetricKind.COUNT, sign=sign,
         t_start=D0 + timedelta(days=start_day), t_end=D0 + timedelta(days=end_day),
-        first_interval=TimeWindow(D0 + timedelta(days=start_day), 7),
     )
 
 
@@ -229,24 +270,25 @@ def test_no_events_means_no_ce() -> None:
     events_i = [_event("a", w, 0) for w in range(10)]
     events_j = [_event("b", w, 1) for w in range(10)]
     runs = [_run(1, 0, 70)]
-    assert detect_correlated_events(events_i, events_j, runs) == []
+    assert detect_correlated_events(events_i, events_j, runs, 7) == []
 
 
 def test_same_window_agreement_with_positive_run() -> None:
     events_i = [_event("a", w, 1 if w == 4 else 0) for w in range(10)]
     events_j = [_event("b", w, 1 if w == 4 else 0) for w in range(10)]
-    ces = detect_correlated_events(events_i, events_j, [_run(1, 28, 42)])
+    ces = detect_correlated_events(events_i, events_j, [_run(1, 28, 42)], 7)
     assert len(ces) == 1
     assert ces[0].ce == 1 and ces[0].window == TimeWindow(D0 + timedelta(days=28), 7)
+    assert ces[0].first_interval == TimeWindow(D0 + timedelta(days=28), 7)
     # A run of class 0 matches nothing, even over two firing events.
-    assert detect_correlated_events(events_i, events_j, [_run(0, 28, 42)]) == []
+    assert detect_correlated_events(events_i, events_j, [_run(0, 28, 42)], 7) == []
 
 
 def test_opposite_signs_with_negative_run() -> None:
     events_i = [_event("a", w, 1 if w == 4 else 0) for w in range(10)]
     events_j = [_event("b", w, -1 if w == 4 else 0) for w in range(10)]
-    assert detect_correlated_events(events_i, events_j, [_run(1, 28, 42)]) == []
-    ces = detect_correlated_events(events_i, events_j, [_run(-1, 28, 42)])
+    assert detect_correlated_events(events_i, events_j, [_run(1, 28, 42)], 7) == []
+    ces = detect_correlated_events(events_i, events_j, [_run(-1, 28, 42)], 7)
     assert len(ces) == 1 and ces[0].ce == -1
 
 
@@ -255,7 +297,7 @@ def test_preceding_window_pairings_one_sided_only() -> None:
     # pairing applies at window 4.
     events_i = [_event("a", w, 1 if w == 3 else 0) for w in range(10)]
     events_j = [_event("b", w, 1 if w == 4 else 0) for w in range(10)]
-    ces = detect_correlated_events(events_i, events_j, [_run(1, 28, 42)])
+    ces = detect_correlated_events(events_i, events_j, [_run(1, 28, 42)], 7)
     assert [(c.window.start, c.ce) for c in ces] == [(D0 + timedelta(days=28), 1)]
     assert ces[0].event_i.window.start == D0 + timedelta(days=21)
 
@@ -264,7 +306,7 @@ def test_preceding_window_pairings_one_sided_only() -> None:
     # window 3 itself does not overlap the first interval.
     events_i = [_event("a", w, 1 if w == 3 else 0) for w in range(10)]
     events_j = [_event("b", w, 1 if w == 3 else 0) for w in range(10)]
-    assert detect_correlated_events(events_i, events_j, [_run(1, 28, 42)]) == []
+    assert detect_correlated_events(events_i, events_j, [_run(1, 28, 42)], 7) == []
 
 
 def _oracle_ces(events_i, events_j, runs):
@@ -286,7 +328,7 @@ def _oracle_ces(events_i, events_j, runs):
 
     found = {}
     for run in sorted(runs, key=lambda r: (r.t_start, r.t_end, r.sign)):
-        lo, hi = run.first_interval.start, run.first_interval.end
+        lo, hi = run.t_start, run.t_start + timedelta(days=7)
         for w in grid:
             if not (w.start < hi and lo < w.end):  # overlap test
                 continue
@@ -313,7 +355,7 @@ def test_random_fixtures_match_exhaustive_ce_oracle() -> None:
             runs.append(_run(rng.choice([-1, 1]), start, start + rng.randrange(1, 30)))
         got = [
             (r.window.start, r.ce, r.event_i.window.start, r.event_j.window.start)
-            for r in detect_correlated_events(events_i, events_j, runs)
+            for r in detect_correlated_events(events_i, events_j, runs, 7)
         ]
         assert got == _oracle_ces(events_i, events_j, runs)
 
@@ -344,21 +386,22 @@ def _market_reports(draw) -> tuple[list[EventRecord], list[PairSeries]]:
 @given(_market_reports(), st.randoms(use_true_random=False))
 def test_ce_ignores_input_order_and_app_labels(reports, rng) -> None:
     events, series = reports
-    ces = ce_from_reports(events, series, 7)
-    shuffled_events, shuffled_series = list(events), list(series)
+    runs = extract_runs(series)
+    ces = ce_from_reports(events, runs, 7)
+    shuffled_events, shuffled_runs = list(events), list(runs)
     rng.shuffle(shuffled_events)
-    rng.shuffle(shuffled_series)
-    assert ce_from_reports(shuffled_events, shuffled_series, 7) == ces
+    rng.shuffle(shuffled_runs)
+    assert ce_from_reports(shuffled_events, shuffled_runs, 7) == ces
     # Zero events are ignored: the nonzero events alone give the same CEs.
-    assert ce_from_reports([e for e in events if e.e], series, 7) == ces
+    assert ce_from_reports([e for e in events if e.e], runs, 7) == ces
 
     # Reversing the app order flips every pair: (app_i, app_j) becomes
-    # (new app_j, new app_i), and the series itself is symmetric.
+    # (new app_j, new app_i), and the run itself is symmetric.
     n = len({e.app_id for e in events})
     rename = {f"app{k}": f"app{n - 1 - k}" for k in range(n)}
     flipped = ce_from_reports(
         [replace(e, app_id=rename[e.app_id]) for e in events],
-        [replace(s, app_i=rename[s.app_j], app_j=rename[s.app_i]) for s in series],
+        [r._replace(app_i=rename[r.app_j], app_j=rename[r.app_i]) for r in runs],
         7,
     )
 
@@ -383,30 +426,79 @@ def test_two_app_spiked_market_yields_exactly_one_ce() -> None:
 
 
 def test_correlations_csv_round_trip() -> None:
-    records = [_corr(i, c) for i, c in enumerate([0, 1, -1])]
-    text = "".join(write_correlations_csv([_as_series(records)]))
-    back = read_correlations_csv(text, window_days=1)
-    assert [r for s in back for r in s.records()] == records
+    records = [_corr(i, c) for i, c in enumerate([0, 1, -1, -1, 0, 1])]
+    runs = extract_runs([_as_series(records)])
+    text = "".join(write_correlations_csv(runs))
+    assert text == (
+        "app_i,app_j,metric,sign,t_start,t_end\n"
+        "a,b,count,1,2024-01-05,2024-01-06\n"
+        "a,b,count,-1,2024-01-06,2024-01-08\n"
+        "a,b,count,1,2024-01-09,2024-01-10\n"
+    )
+    assert read_correlations_csv(text, window_days=1) == runs
 
 
 @pytest.mark.parametrize(
     "cells, refused",
     [
-        ("x,1,10", "'x' is not a number"),
-        ("0.5,1.0,10", "'1.0' is not an integer"),
-        ("0.5,1,ten", "'ten' is not an integer"),
+        ("x,2024-01-03,2024-01-04", "'x' is not an integer"),
+        ("1.0,2024-01-03,2024-01-04", "'1.0' is not an integer"),
+        ("1,2024-01-03,2024-01-0x", "Invalid isoformat string: '2024-01-0x'"),
     ],
-    ids=["rho-text", "c-float", "n-points-text"],
+    ids=["sign-text", "sign-float", "t-end-not-a-date"],
 )
 def test_correlations_csv_names_the_line_of_a_bad_numeric_cell(cells: str, refused: str) -> None:
-    text = "app_i,app_j,metric,t0,rho,c,n_points\na,b,count,2024-01-01,,0,1\n"
+    text = "app_i,app_j,metric,sign,t_start,t_end\na,b,count,1,2024-01-01,2024-01-02\n"
     with pytest.raises(ValueError) as exc:
-        read_correlations_csv(text + f"a,b,count,2024-01-02,{cells}\n", window_days=1)
+        read_correlations_csv(text + f"a,b,count,{cells}\n", window_days=1)
     assert str(exc.value) == f"correlations of (a, b, count), CSV line 3: {refused}"
 
 
-def _reference_csv(series: list[PairSeries]) -> str:
-    """correlations.csv written the plain way: one csv.writer row per window.
+@pytest.mark.parametrize(
+    "runs, window_days, refused",
+    [
+        (["2,01,02"], 1, "CSV line 3: sign must be 1 or -1, got 2"),
+        (["0,01,02"], 1, "CSV line 3: sign must be 1 or -1, got 0"),
+        (["1,02,02"], 1, "CSV line 3: t_end 2024-01-02 is not after t_start 2024-01-02"),
+        (["1,03,02"], 1, "CSV line 3: t_end 2024-01-02 is not after t_start 2024-01-03"),
+        (["1,01,04"], 2, "CSV line 3: 3 days are not whole 2-day windows"),
+        (["1,05,06", "-1,01,02"], 1, "CSV line 5: the run from 2024-01-01 comes before the run from 2024-01-05"),
+        (["1,01,04", "-1,03,05"], 1, "CSV line 5: the run from 2024-01-03 overlaps the run from 2024-01-01"),
+        (["1,01,03", "1,01,03"], 1, "CSV line 5: the run from 2024-01-01 overlaps the run from 2024-01-01"),
+        (["1,01,03", "1,03,05"], 1,
+         "CSV line 5: the run from 2024-01-03 touches the run from 2024-01-01 with the same sign"),
+        (["1,01,03", "-1,04,06"], 2, "CSV line 5: the run from 2024-01-04 is off the grid of the run from 2024-01-01"),
+    ],
+    ids=["sign-two", "sign-zero", "empty", "backwards", "off-grid", "out-of-order", "overlap", "repeat", "touch",
+         "gap-off-grid"],
+)
+def test_correlations_csv_names_the_pair_and_line_of_a_refused_run(runs, window_days, refused) -> None:
+    # Runs are checked per pair and metric: another pair's runs around them change nothing.
+    others = [f"a,c,count,1,2024-02-{1 + 8 * k:02d},2024-02-{7 + 8 * k:02d}\n" for k in range(3)]
+    rows = [others[0]]
+    for k, (sign, start, end) in enumerate(r.split(",") for r in runs):
+        rows += [f"a,b,count,{sign},2024-01-{start},2024-01-{end}\n", others[k + 1]]
+    with pytest.raises(ValueError) as exc:
+        read_correlations_csv("app_i,app_j,metric,sign,t_start,t_end\n" + "".join(rows), window_days)
+    assert str(exc.value) == f"correlations of (a, b, count), {refused}"
+
+
+def test_correlations_csv_accepts_touching_runs_of_opposite_sign() -> None:
+    text = (
+        "app_i,app_j,metric,sign,t_start,t_end\n"
+        "a,b,count,1,2024-01-01,2024-01-03\n"
+        "a,b,count,-1,2024-01-03,2024-01-05\n"
+        "a,b,rating,1,2024-01-01,2024-01-03\n"
+        "a,b,count,1,2024-01-07,2024-01-09\n"
+    )
+    runs = read_correlations_csv(text, window_days=2)
+    assert [(r.metric.value, r.sign, r.t_start.day, r.t_end.day) for r in runs] == [
+        ("count", 1, 1, 3), ("count", -1, 3, 5), ("rating", 1, 1, 3), ("count", 1, 7, 9),
+    ]
+
+
+def _reference_csv(runs: list[CorrelationRun]) -> str:
+    """correlations.csv written the plain way: one csv.writer row per run.
 
     Each row is written with a "\r\n" terminator, so that a field holding a
     bare "\r" is quoted, and then cut back to end in "\n".
@@ -419,29 +511,23 @@ def _reference_csv(series: list[PairSeries]) -> str:
         rows.append(buf.getvalue()[:-2] + "\n")
 
     write(list(CORRELATIONS_CSV_COLUMNS))
-    for s in series:
-        for window, rho, c, n in zip(s.windows, s.rho, s.c, s.n_points):
-            rho = float(rho)
-            write([s.app_i, s.app_j, s.metric.value, window.start.isoformat(),
-                   "" if math.isnan(rho) else repr(rho), int(c), int(n)])
+    for r in runs:
+        write([r.app_i, r.app_j, r.metric.value, r.sign, r.t_start.isoformat(), r.t_end.isoformat()])
     return "".join(rows)
 
 
-# App ids that need CSV quoting, or not; rho at the edges repr must keep.
+# App ids that need CSV quoting, or not.
 _APP_IDS = st.text(
     alphabet=st.sampled_from(["a", "B", "7", ",", '"', "\n", "\r", " ", "\u00e9", "\U0001f600"]), max_size=5
-)
-_RHOS = st.one_of(
-    st.sampled_from([math.nan, -0.0, 0.0, 1.0, -1.0, 1e-05, -1e-05, 5e-324]),
-    st.floats(-1.0, 1.0),
 )
 
 
 @st.composite
-def _pair_series(draw) -> list[PairSeries]:
-    n = draw(st.integers(0, 12))
-    start = D0 + timedelta(days=draw(st.integers(-400, 4000)))
-    shared = [TimeWindow(start + timedelta(days=k), 1) for k in range(n)]
+def _correlation_runs(draw) -> tuple[int, list[CorrelationRun]]:
+    """A window length and the runs of a few pair series on its grid: each
+    run 1..5 windows long, after a gap of 0..3 windows, flipping sign where
+    it touches the run before."""
+    window_days = draw(st.integers(1, 3))
     keys = draw(
         st.lists(
             st.tuples(_APP_IDS, _APP_IDS, st.sampled_from([MetricKind.COUNT, MetricKind.RATING])),
@@ -449,29 +535,29 @@ def _pair_series(draw) -> list[PairSeries]:
             unique=True,
         )
     )
-    series = []
+    runs: list[CorrelationRun] = []
     for app_i, app_j, metric in keys:
-        # Series share one grid object, as market_correlations leaves them, or hold a copy.
-        windows = shared if draw(st.booleans()) else list(shared)
-        rho = draw(st.lists(_RHOS, min_size=n, max_size=n))
-        c = draw(st.lists(st.sampled_from([-1, 0, 1]), min_size=n, max_size=n))
-        n_points = draw(st.lists(st.integers(0, 10**6), min_size=n, max_size=n))
-        series.append(
-            PairSeries(app_i, app_j, metric, windows, np.array(rho, dtype=np.float64),
-                       np.array(c, dtype=np.int64), np.array(n_points, dtype=np.int64))
-        )
-    return series
+        at = D0 + timedelta(days=draw(st.integers(-400, 4000)))
+        sign = 0
+        for gap, length, flip in draw(st.lists(st.tuples(st.integers(0, 3), st.integers(1, 5), st.booleans()))):
+            sign = -sign if gap == 0 and sign else draw(st.sampled_from([-1, 1])) if flip or not sign else sign
+            start = at + timedelta(days=gap * window_days)
+            at = start + timedelta(days=length * window_days)
+            runs.append(CorrelationRun(app_i, app_j, metric, sign, start, at))
+    return window_days, runs
 
 
 @settings(max_examples=300, deadline=None)
-@given(_pair_series())
-def test_correlations_csv_matches_per_row_writer(series: list[PairSeries]) -> None:
-    want = _reference_csv(series)
-    text = "".join(write_correlations_csv(series))
-    assert text == want
-    # App ids holding "\r", "\n", quotes or commas read back as written.
-    back = read_correlations_csv(text, window_days=1)
-    assert [r for s in back for r in s.records()] == [r for s in series for r in s.records()]
+@given(_correlation_runs())
+def test_correlations_csv_matches_per_row_writer(drawn: tuple[int, list[CorrelationRun]]) -> None:
+    window_days, runs = drawn
+    text = "".join(write_correlations_csv(runs))
+    assert text == _reference_csv(runs)
+    # App ids holding "\r", "\n", quotes or commas read back as written, and
+    # write -> read -> write gives the same bytes.
+    back = read_correlations_csv(text, window_days)
+    assert back == runs
+    assert "".join(write_correlations_csv(back)) == text
 
 
 def test_correlations_csv_rewrites_a_pipeline_report_exactly(tmp_path) -> None:
@@ -481,10 +567,9 @@ def test_correlations_csv_rewrites_a_pipeline_report_exactly(tmp_path) -> None:
     config = MarketConfig(seed=0)
     run_pipeline(config, [dataset], tmp_path / "out")
     text = (tmp_path / "out" / "correlations.csv").read_text(encoding="utf-8")
-    series = read_correlations_csv(text, config.correlation_window_days)
-    records = [r for s in series for r in s.records()]
-    assert any(r.rho is None for r in records) and any(r.c != 0 for r in records)
-    assert "".join(write_correlations_csv(series)) == text
+    runs = read_correlations_csv(text, config.correlation_window_days)
+    assert {r.sign for r in runs} == {-1, 1}
+    assert "".join(write_correlations_csv(runs)) == text
 
 
 def test_write_bundle_builds_no_correlation_records(tmp_path, monkeypatch) -> None:
@@ -497,13 +582,34 @@ def test_write_bundle_builds_no_correlation_records(tmp_path, monkeypatch) -> No
     monkeypatch.setattr(PairSeries, "records", refuse)
     write_bundle(analysis, [], tmp_path)
     lines = (tmp_path / "correlations.csv").read_text(encoding="utf-8").splitlines()
-    assert len(lines) == 1 + sum(len(s.windows) for s in analysis.pair_series)
+    assert len(lines) == 1 + len(analysis.runs) > 1
+
+
+def _oracle_runs(analysis) -> list[CorrelationRun]:
+    return [run for s in analysis.pair_series for run in series_runs(s)]
+
+
+@pytest.mark.parametrize("market", sorted(MARKETS))
+def test_golden_market_ces_match_the_per_series_oracle(market: str) -> None:
+    reviews, _ = generate(MARKETS[market]())
+    analysis = analyze_catalog(MarketConfig(seed=0), build_catalog(reviews))
+    assert analysis.runs == _oracle_runs(analysis)
+    assert analysis.ces
+    assert ce_from_reports(analysis.nonzero_events(), _oracle_runs(analysis), 7) == analysis.ces
+
+
+def test_criterion_4_ces_match_the_per_series_oracle() -> None:
+    for seed in range(100):
+        reviews, _ = generate(spike_pair_scenario(seed=seed))
+        analysis = analyze_catalog(MarketConfig(seed=seed), build_catalog(reviews), metrics=(MetricKind.COUNT,))
+        assert analysis.runs == _oracle_runs(analysis), seed
+        assert ce_from_reports(analysis.nonzero_events(), _oracle_runs(analysis), 7) == analysis.ces, seed
 
 
 def test_ce_json_round_trip() -> None:
     events_i = [_event("a", w, 1 if w == 4 else 0) for w in range(10)]
     events_j = [_event("b", w, 1 if w == 4 else 0) for w in range(10)]
-    ces = detect_correlated_events(events_i, events_j, [_run(1, 28, 42)])
+    ces = detect_correlated_events(events_i, events_j, [_run(1, 28, 42)], 7)
     assert ce_records_from_json(ce_records_to_json(ces)) == ces
 
 
@@ -525,4 +631,4 @@ def test_market_correlations_match_per_pair_sweeps() -> None:
         want = pair_correlations(s.app_i, s.app_j, MetricKind.RATING, points[s.app_i], points[s.app_j], windows, 14, 0.5)
         assert s.app_i < s.app_j
         assert s.records() == want
-        assert extract_runs(s, 7) == extract_runs(_as_series(want), 7)
+        assert extract_runs([s]) == series_runs(_as_series(want))

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from reviewpulse.correlate import PairSeries, read_correlations_csv, write_correlations_csv
+from reviewpulse.correlate import CorrelationRun, read_correlations_csv, write_correlations_csv
 from reviewpulse.config import MarketConfig
 from reviewpulse.ingest import RatingScale, Review, ScaleMap, build_catalog
 from reviewpulse.metrics import (
@@ -348,25 +348,25 @@ def test_series_csv_files_hold_their_joined_chunks(tmp_path) -> None:
     # An app id holding "," and "\r" stays quoted across chunk boundaries.
     windows = window_series(date(2024, 1, 4), date(2024, 1, 25), 7)
     series = [_series("app,\rA", [10.0, None, 1 / 3], windows), _series("appB", [None, 2.0, 2.5], windows)]
-    pairs = [
-        PairSeries(a, b, MetricKind.RATING, windows, np.array([math.nan, 0.75, -1 / 3]),
-                   np.array([0, 1, 0]), np.array([3, 9, 12]))
+    runs = [
+        CorrelationRun(a, b, MetricKind.RATING, sign, windows[k].start, windows[k].end)
         for a, b in [("app,\rA", "appB"), ("appB", "app\r,C")]
+        for k, sign in [(0, 1), (2, -1)]
     ]
     days = np.array([0, 2, 5, 5], dtype=np.int64)
     sums = {app: DaySums(date(2024, 1, 4), days, days, 2 * days, days) for app in ("app,\rA", 'app"B')}
     for name, write, rows in [("metrics.csv", write_metrics_csv, series),
-                              ("correlations.csv", write_correlations_csv, pairs),
+                              ("correlations.csv", write_correlations_csv, runs),
                               ("day_sums.csv", write_day_sums_csv, sums)]:
         chunks = list(write(rows))
-        assert len(chunks) == 1 + len(rows)
+        assert len(chunks) == 3  # the header, then one chunk per series, pair or app
         path = write_file(tmp_path, name, write(rows))
         assert path.read_bytes() == "".join(chunks).encode("utf-8")
     text = (tmp_path / "metrics.csv").read_bytes().decode("utf-8")
     assert [row[0] for row in csv.reader(io.StringIO(text))] == ["app_id", *(s.app_id for s in series for _ in windows)]
     assert list(read_day_sums_csv((tmp_path / "day_sums.csv").read_bytes().decode("utf-8"))) == list(sums)
     text = (tmp_path / "correlations.csv").read_bytes().decode("utf-8")
-    assert [(s.app_i, s.app_j) for s in read_correlations_csv(text, 7)] == [(p.app_i, p.app_j) for p in pairs]
+    assert read_correlations_csv(text, 7) == runs
 
 
 def _arrays(days: DaySums) -> list[np.ndarray]:

@@ -122,18 +122,18 @@ def test_variant_without_material_is_omitted() -> None:
 def test_build_requests_dedups_shared_events_and_skips_quiet_sides() -> None:
     run = CorrelationRun(
         app_i="appA", app_j="appB", metric=MetricKind.COUNT, sign=1,
-        t_start=WINDOW.start, t_end=WINDOW.end, first_interval=WINDOW,
+        t_start=WINDOW.start, t_end=WINDOW.end,
     )
     shared = _event(1, "appA")
     other = TimeWindow(date(2024, 8, 8), 7)
     records = [
         CorrelatedEventRecord(
             app_i="appA", app_j="appB", metric=MetricKind.COUNT, window=WINDOW,
-            ce=1, event_i=shared, event_j=_event(1, "appB"), run=run,
+            ce=1, event_i=shared, event_j=_event(1, "appB"), run=run, first_interval=WINDOW,
         ),
         CorrelatedEventRecord(
             app_i="appA", app_j="appB", metric=MetricKind.COUNT, window=other,
-            ce=1, event_i=shared, event_j=_event(0, "appB", other), run=run,
+            ce=1, event_i=shared, event_j=_event(0, "appB", other), run=run, first_interval=WINDOW,
         ),
     ]
     calls: list[tuple[str, date]] = []
