@@ -2,9 +2,12 @@
 
 The sha256 values below were recorded from the implementation before the
 columnar analysis path replaced per-review objects; the ``day_sums.csv``
-digests were added when that file joined the bundle. Each test regenerates
-the same input and compares digests, so any change in generated markets,
-report bundles or criterion-4 decisions shows up here by name.
+digests were added when that file joined the bundle, and the
+``correlations.csv`` digests were recorded again when that file went from
+one row per correlation window to one row per correlation run. Each test
+regenerates the same input and compares digests, so any change in
+generated markets, report bundles or criterion-4 decisions shows up here
+by name.
 """
 from __future__ import annotations
 
@@ -57,7 +60,7 @@ BUNDLES = {
         "metrics.csv": "4528b92ec5e1ed3bb40b2730df5480f4378fe36a6e934d6654a645c92b429179",
         "metrics_daily.csv": "ec1b36171b63d562fdd4f9dd9838915cb6d991089cc501d434ed4795aa43703a",
         "events.csv": "bdf33f081bdab12a6743a0faa1c5113a2c8679d39dbe492d44f502ba301a3909",
-        "correlations.csv": "faac19aa268e84463be876d678bcf672d5f404ac53e107e5b2df4b1b4348fd1d",
+        "correlations.csv": "3e2b57292c00c622ad5fe95f1973f5bdd16b115ffe132fc52f2e9e4f938354d5",
         "correlated_events.json": "db0ebf8a7e9bcc17a8a3cf6536a16e7c152695c5a28ac00e5901dad5bef036ca",
         "summary_requests.json": "bbd9fd1aeb2683093a7a3cfe21007f5c95fbe287cdb1fc7c75314d019568e616",
         "summaries.json": "74bd43018badd28ca3fd580e6f0416636b1bc0965967dd4b66fec30f2480db01",
@@ -69,7 +72,7 @@ BUNDLES = {
         "metrics.csv": "3db6e887e208ac787cd2352aa5c02d1c43cbaccf2d7c511f5b080f8a0ffaf6fc",
         "metrics_daily.csv": "42e25397aa7b039d90d8b9c2c99dc8067a145f770e6959d351f5a4adf5290191",
         "events.csv": "f085e84ceb25d044f7ab5e5028ba1ec427b4c57dd3d81798fd9b10b85a6d641a",
-        "correlations.csv": "02fba36bf45f3cfdc9523abbc7a2456fca3e349e0f699ee131ace5f8d2f218b1",
+        "correlations.csv": "3986f9f0718cb7ea3bfdeee4c9f906699fef89aeebe1c868177008dff59baca0",
         "correlated_events.json": "86d4474f034546a616c9a0d887f16530ec186399fba27dbf567b05978d41b91c",
         "summary_requests.json": "e4424cb5f6363f3c6bccdb8b22bc1357b9890151a162eeef53f66fdf98058967",
         "summaries.json": "3a7d7a0fb276606b8e4f732c5745644db9bcfe02c98f26e52e3f001e22b54860",
