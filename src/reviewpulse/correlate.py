@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from bisect import bisect_left, bisect_right
 from datetime import date, timedelta
 from itertools import combinations, groupby
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -370,10 +370,10 @@ def write_correlations_csv(runs: Sequence[CorrelationRun]) -> Iterator[str]:
     writer.writerow(CORRELATIONS_CSV_COLUMNS)
     yield parts.pop()
     iso = {day: day.isoformat() for day in {r.t_start for r in runs} | {r.t_end for r in runs}}
-    for (app_i, app_j, metric), group in groupby(runs, key=attrgetter("app_i", "app_j", "metric")):
+    for (app_i, app_j, metric), group in groupby(runs, key=itemgetter(0, 1, 2)):
         writer.writerow((app_i, app_j, metric.value, ""))
         prefix = parts.pop()[:-1]  # the quoted key cells and a trailing comma
-        yield "".join([f"{prefix}{r.sign},{iso[r.t_start]},{iso[r.t_end]}\n" for r in group])
+        yield "".join([f"{prefix}{sign},{iso[start]},{iso[end]}\n" for _, _, _, sign, start, end in group])
 
 
 def _run_problem(sign: int, t_start: date, t_end: date, window_days: int, prev: CorrelationRun | None) -> str | None:
