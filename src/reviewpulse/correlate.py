@@ -195,9 +195,10 @@ def pair_correlations(
     return PairSeries(app_i, app_j, metric, windows, rho[0], c[0], n[0]).records()
 
 
-# Pairs correlated per block of rows in market_correlations; bounds the
-# working arrays at a few MB.
-_PAIR_BLOCK = 256
+# Cells (pairs x grid windows) correlated per block in market_correlations.
+# _correlate_rows holds about 100 B a cell, so a block's working arrays stay
+# near 1 MiB whatever the app count or span.
+_PAIR_CELLS = 2**13
 
 
 def market_correlations(
@@ -214,15 +215,18 @@ def market_correlations(
     ``values[a, w]`` is app ``apps[a]``'s metric point at window ``w`` of
     the grid, NaN where missing; points sit at window starts, as
     ``correlation_points`` keys them. Each series equals what
-    ``pair_correlations`` gives for the pair.
+    ``pair_correlations`` gives for the pair. Pairs go through the kernel
+    in blocks of ``_PAIR_CELLS`` cells; each row's sums are its own, so the
+    block size never changes a bit of a result.
     """
     ordinals = np.fromiter((w.start.toordinal() for w in windows), dtype=np.int64, count=len(windows))
     lo, hi = _window_bounds(ordinals, windows, lookback_days)
     valid = ~np.isnan(values)
     pairs = [(i, j) if apps[i] < apps[j] else (j, i) for i, j in combinations(range(len(apps)), 2)]
     series: list[PairSeries] = []
-    for at in range(0, len(pairs), _PAIR_BLOCK):
-        block = pairs[at : at + _PAIR_BLOCK]
+    step = max(1, _PAIR_CELLS // max(1, len(windows)))
+    for at in range(0, len(pairs), step):
+        block = pairs[at : at + step]
         rows_i = [i for i, _ in block]
         rows_j = [j for _, j in block]
         common = valid[rows_i] & valid[rows_j]

@@ -1,25 +1,27 @@
 """Review dataset parsing, validation, and per-app cataloguing.
 
 Input records arrive as JSONL or CSV with the fields ``review_id``,
-``app_id``, ``timestamp``, ``rating``, ``body``, ``source``. Malformed
-records never abort a run: each one becomes a :class:`Reject` carrying its
-line number and a machine-readable reason, and parsing continues. Only an
-unreadable stream (missing file, undecodable bytes, unusable CSV header)
-raises :class:`DatasetError`.
+``app_id``, ``timestamp``, ``rating``, ``body``, ``source``. A file is
+read in binary blocks and decoded incrementally (``utf8_blocks``), so its
+whole text is never held. Malformed records never abort a run: each one
+becomes a :class:`Reject` carrying its line number and a machine-readable
+reason, and parsing continues. Only an unreadable stream (missing file,
+undecodable bytes, unusable CSV header) raises :class:`DatasetError`.
 """
 
 from __future__ import annotations
 
+import codecs
 import csv
 import io
 import json
 import re
 from dataclasses import dataclass, field
 from datetime import date, datetime, timedelta, timezone
-from itertools import compress
+from itertools import chain, compress
 from operator import attrgetter, itemgetter
 from types import SimpleNamespace
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import BinaryIO, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -45,6 +47,7 @@ __all__ = [
     "rejects_to_jsonl",
     "serialize_reviews",
     "utc_datetime",
+    "utf8_blocks",
 ]
 
 REVIEW_FIELDS = ("review_id", "app_id", "timestamp", "rating", "body", "source")
@@ -264,8 +267,10 @@ def parse_timestamp(value: str) -> datetime:
     return parsed.astimezone(timezone.utc)
 
 
-# JSONL text is decoded in blocks of about this many characters, and CSV in
-# blocks of this many records; each block ends at a line or record end.
+# Input bytes are read this many at a time. The text is cut into blocks of
+# about _BLOCK_CHARS characters that end at a line end, and CSV records are
+# validated _BLOCK_RECORDS at a time.
+_READ_BYTES = 1 << 20
 _BLOCK_CHARS = 1 << 16
 _BLOCK_RECORDS = 512
 _SCAN = json.JSONDecoder().scan_once
@@ -280,33 +285,63 @@ _STAMP_FORM = (
 _STAMP_COLUMN = rf"(?:{_STAMP_FORM}\n)*{_STAMP_FORM}"  # compiled at first use, by re's cache
 
 
-def _as_text(source: str | bytes) -> str:
-    if isinstance(source, str):
-        return source
-    try:
-        return source.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise DatasetError(f"input is not valid UTF-8: {exc}") from exc
+def utf8_blocks(stream: BinaryIO, name: str) -> Iterator[str]:
+    """The stream's text, decoded from binary reads of ``_READ_BYTES`` by one
+    incremental UTF-8 decoder, so a character may straddle two reads.
+
+    Bytes that are not UTF-8 are a DatasetError naming ``name`` and their
+    position counted from the start of the stream.
+    """
+    decoder = codecs.getincrementaldecoder("utf-8")()
+    done = 0  # bytes read before ``data``
+    while True:
+        data = stream.read(_READ_BYTES)
+        held = len(decoder.getstate()[0])  # bytes of a character begun in the last read
+        try:
+            text = decoder.decode(data, final=not data)
+        except UnicodeDecodeError as exc:
+            raise DatasetError(f"{name} is not valid UTF-8: {_decode_problem(exc, done - held)}") from exc
+        yield text
+        if not data:
+            return
+        done += len(data)
+
+
+def _decode_problem(exc: UnicodeDecodeError, offset: int) -> str:
+    """``str(exc)``, its positions counted from ``offset`` bytes earlier."""
+    start = exc.start + offset
+    if exc.end - exc.start == 1:
+        return f"'{exc.encoding}' codec can't decode byte 0x{exc.object[exc.start]:02x} in position {start}: {exc.reason}"
+    return f"'{exc.encoding}' codec can't decode bytes in position {start}-{exc.end - 1 + offset}: {exc.reason}"
 
 
 def parse_reviews(
-    source: str | bytes,
+    source: str | bytes | Iterable[str],
     fmt: str = "jsonl",
     scales: ScaleMap | None = None,
 ) -> tuple[ReviewTable, list[Reject]]:
     """Parse a review stream into a table of accepted reviews plus per-line rejects.
 
-    Duplicate ``(source, review_id)`` pairs keep the first occurrence; later
-    ones are logged as rejects. Line numbers are 1-based and refer to the
-    physical input line (the header line counts for CSV, and a CSV record
-    is numbered by the line it starts on). Rejects come in line order.
+    ``source`` is the text, its UTF-8 bytes, or the text in pieces as
+    ``utf8_blocks`` reads a file; only a partial last line is carried from
+    piece to piece. Duplicate ``(source, review_id)`` pairs keep the first
+    occurrence; later ones are logged as rejects. Line numbers are 1-based
+    and refer to the physical input line (the header line counts for CSV,
+    and a CSV record is numbered by the line it starts on). Rejects come in
+    line order.
     """
     if scales is None:
         scales = ScaleMap()
+    if isinstance(source, str):
+        texts: Iterable[str] = (source,)
+    elif isinstance(source, bytes):
+        texts = utf8_blocks(io.BytesIO(source), "input")
+    else:
+        texts = source
     if fmt == "jsonl":
-        blocks = _jsonl_blocks(_as_text(source))
+        blocks = _jsonl_blocks(_line_blocks(texts))
     elif fmt == "csv":
-        blocks = _csv_blocks(_as_text(source))
+        blocks = _csv_blocks(_line_blocks(texts))
     else:
         raise ValueError(f"unknown format {fmt!r} (expected 'jsonl' or 'csv')")
     tables: list[ReviewTable] = []
@@ -412,21 +447,40 @@ def _stamps_us(texts: Sequence[str]) -> tuple[Sequence[int], list[str | None]]:
     return stamps, reasons
 
 
-def _jsonl_blocks(text: str) -> Iterator[tuple[list, list[Reject]]]:
-    """Each block of about ``_BLOCK_CHARS`` characters, ending at a line end, decoded.
+def _line_blocks(texts: Iterable[str]) -> Iterator[str]:
+    """The text of ``texts`` in blocks that each end just after a "\n", but
+    the last: about ``_BLOCK_CHARS`` characters, or more when one line is.
+
+    Only what follows a piece's last "\n" is carried to the next piece, in
+    parts that are joined once, so a line longer than a piece is copied
+    once, not once per piece.
+    """
+    held: list[str] = []
+    for text in texts:
+        start = 0
+        while end := text.find("\n", start + _BLOCK_CHARS) + 1 or text.rfind("\n", start) + 1:
+            yield "".join([*held, text[start:end]])
+            held, start = [], end
+        if start < len(text):
+            held.append(text[start:])
+    if held:
+        yield "".join(held)
+
+
+def _jsonl_blocks(blocks: Iterable[str]) -> Iterator[tuple[list, list[Reject]]]:
+    """Each block's lines, decoded.
 
     Lines end at "\n" alone: serialize_reviews writes U+0085, U+2028 and
     U+2029 unescaped, which str.splitlines would split on; a CRLF line's
-    trailing "\r" is JSON whitespace. The whole text is never split at once.
+    trailing "\r" is JSON whitespace. A final "\n" ends the text, not a line.
     """
-    start, first_line = 0, 1
-    while start < len(text):
-        end = text.find("\n", start + _BLOCK_CHARS)
-        if end < 0:  # the last block; a final "\n" ends the text, not a line
-            end = len(text) - text.endswith("\n")
-        lines = text[start:end].split("\n")
+    first_line = 1
+    for block in blocks:
+        lines = block.split("\n")
+        if block.endswith("\n"):
+            del lines[-1]
         yield _decode_lines(lines, first_line)
-        start, first_line = end + 1, first_line + len(lines)
+        first_line += len(lines)
 
 
 def _decode_lines(lines: Sequence[str], first_line: int) -> tuple[list, list[Reject]]:
@@ -477,18 +531,19 @@ def _transpose(rows: Sequence[Sequence]) -> list:
     return list(zip(*rows)) if rows else [()] * len(REVIEW_FIELDS)
 
 
-def _csv_blocks(text: str) -> Iterator[tuple[list, list[Reject]]]:
+def _csv_blocks(blocks: Iterable[str]) -> Iterator[tuple[list, list[Reject]]]:
     """The records after the header in blocks of ``_BLOCK_RECORDS``, numbered by the line each starts on.
 
     A record whose field count is not the header's is a ``bad-row``, and
     one whose rating is not an integer a ``bad-rating``; blank records are
-    skipped. The csv module finds the record ends itself, so a quoted
-    field keeps its "\r\n", "\r", U+2028 or U+0085 as written. An
+    skipped. The csv module finds the record ends itself in a text stream
+    with ``newline=""``, so a quoted field keeps its "\r\n", "\r", U+2028 or
+    U+0085 as written; cutting blocks after a "\n" splits no line. An
     unusable header is a DatasetError, and so is a record the csv module
     refuses, such as one whose field exceeds ``csv.field_size_limit()`` (an
     unclosed quote early in a large file does), naming the line it starts on.
     """
-    reader = csv.reader(io.StringIO(text, newline=""))
+    reader = csv.reader(chain.from_iterable(io.StringIO(block, newline="") for block in blocks))
     end = 0
     try:
         header = next(reader, None)

@@ -58,7 +58,7 @@ from dataclasses import dataclass, field
 from datetime import date, timedelta
 from itertools import chain
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 import numpy as np
 
@@ -86,6 +86,7 @@ from .ingest import (
     json_text,
     parse_reviews,
     rejects_to_jsonl,
+    utf8_blocks,
 )
 from .metrics import (
     BodyScore,
@@ -225,26 +226,29 @@ def _derive_span(config: MarketConfig, catalog: MarketCatalog, apps: Sequence[st
     return (span_start, span_end) if span_start < span_end else None
 
 
-def read_stage(parse: Callable[..., T], path: str | Path, *args: object) -> T:
-    """``parse(text, *args)`` over an input or stage file's UTF-8 text.
+def _read_file(path: str | Path, consume: Callable[[Iterator[str]], T]) -> T:
+    """``consume`` over an input or stage file's UTF-8 text in blocks (``utf8_blocks``).
 
-    A missing or unreadable file, or one that is not UTF-8 or does not
-    parse (a count beyond int64 or nesting too deep included), is a dataset
-    error.
+    A missing or unreadable file, or one that is not UTF-8 or that
+    ``consume`` cannot parse (a count beyond int64 or nesting too deep
+    included), is a dataset error.
     """
     p = Path(path)
     if not p.is_file():
         raise DatasetError(f"input file not found: {p}")
     try:
-        text = p.read_bytes().decode("utf-8")
+        with p.open("rb") as stream:
+            return consume(utf8_blocks(stream, str(p)))
     except OSError as exc:
         raise DatasetError(f"cannot read {p}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise DatasetError(f"{p} is not valid UTF-8: {exc}") from exc
-    try:
-        return parse(text, *args)
     except (ValueError, KeyError, TypeError, OverflowError, RecursionError, csv.Error) as exc:
         raise DatasetError(f"{p}: {exc}") from exc
+
+
+def read_stage(parse: Callable[..., T], path: str | Path, *args: object) -> T:
+    """``parse(text, *args)`` over a stage file's whole UTF-8 text; a file
+    that cannot be read or parsed is a dataset error, as in ``_read_file``."""
+    return _read_file(path, lambda texts: parse("".join(texts), *args))
 
 
 def read_review_files(
@@ -252,11 +256,15 @@ def read_review_files(
     fmt: str,
     config: MarketConfig,
 ) -> tuple[ReviewTable, list[Reject]]:
-    """Parse and pool every input file (multi-source inputs concatenate)."""
+    """Parse and pool every input file (multi-source inputs concatenate).
+
+    Each file streams into ``parse_reviews`` in blocks, so no file's whole
+    text is held.
+    """
     tables: list[ReviewTable] = []
     rejects: list[Reject] = []
     for path in paths:
-        file_reviews, file_rejects = read_stage(parse_reviews, path, fmt, config.scales)
+        file_reviews, file_rejects = _read_file(path, lambda texts: parse_reviews(texts, fmt, config.scales))
         tables.append(file_reviews)
         rejects.extend(file_rejects)
     return ReviewTable.concat(tables), rejects

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from reviewpulse import pipeline
+from reviewpulse import ingest, pipeline
 from reviewpulse.cli import main
 from reviewpulse.ingest import serialize_reviews
 from reviewpulse.synth import generate, scenario_to_dict, spike_pair_scenario
@@ -277,6 +277,24 @@ def test_missing_dataset_exits_three(tmp_path, capsys) -> None:
     code = main(["run", str(tmp_path / "absent.jsonl"), "--out", str(tmp_path / "out")])
     assert code == 3
     assert "dataset error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+def test_input_that_is_not_utf8_exits_three_naming_the_file_and_byte(tmp_path, capsys, monkeypatch, fmt) -> None:
+    # The bad byte lies many reads into the file; its position counts from
+    # the start of the file, as a whole-file decode gives it.
+    reviews, _ = generate(spike_pair_scenario(seed=2, n_apps=3, n_windows=12, spike_window=6))
+    data = serialize_reviews(reviews, fmt=fmt).encode("utf-8")
+    cut = data.index(b"\n", len(data) // 2) + 1
+    data = data[:cut] + b"\xff" + data[cut:]
+    with pytest.raises(UnicodeDecodeError) as whole:
+        data.decode("utf-8")
+    bad = tmp_path / f"bad.{fmt}"
+    bad.write_bytes(data)
+    monkeypatch.setattr(ingest, "_READ_BYTES", 4096)
+    assert main(["run", str(bad), "--format", fmt, "--out", str(tmp_path / "out")]) == 3
+    assert f"dataset error: {bad} is not valid UTF-8: {whole.value}" in capsys.readouterr().err
+    assert f"position {cut}:" in str(whole.value) and cut > 4096
 
 
 def test_unreadable_csv_header_exits_three(tmp_path, capsys) -> None:

@@ -11,6 +11,7 @@ import csv
 import io
 import math
 import random
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 from datetime import date, timedelta
@@ -20,6 +21,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from reviewpulse import correlate
 from reviewpulse.config import MarketConfig
 from reviewpulse.correlate import (
     CORRELATIONS_CSV_COLUMNS,
@@ -598,10 +600,8 @@ def test_golden_market_ces_match_the_per_series_oracle(market: str) -> None:
     assert ce_from_reports(analysis.nonzero_events(), _oracle_runs(analysis), 7) == analysis.ces
 
 
-def test_criterion_4_ces_match_the_per_series_oracle() -> None:
-    for seed in range(100):
-        reviews, _ = generate(spike_pair_scenario(seed=seed))
-        analysis = analyze_catalog(MarketConfig(seed=seed), build_catalog(reviews), metrics=(MetricKind.COUNT,))
+def test_criterion_4_ces_match_the_per_series_oracle(criterion_4_analyses) -> None:
+    for seed, analysis in enumerate(criterion_4_analyses):
         assert analysis.runs == _oracle_runs(analysis), seed
         assert ce_from_reports(analysis.nonzero_events(), _oracle_runs(analysis), 7) == analysis.ces, seed
 
@@ -613,22 +613,88 @@ def test_ce_json_round_trip() -> None:
     assert ce_records_from_json(ce_records_to_json(ces)) == ces
 
 
+def _gapped_market(seed: int, apps: list[str], windows: list[TimeWindow]) -> np.ndarray:
+    """Random metric points with about 10% missing; the third app is constant."""
+    rng = random.Random(seed)
+    values = [[rng.uniform(0, 20) if rng.random() > 0.1 else math.nan for _ in windows] for _ in apps]
+    values[2] = [3.0] * len(windows)  # constant: rho undefined throughout
+    return np.array(values)
+
+
+def _pair_sweep(s: PairSeries, apps: list[str], values: np.ndarray) -> list[CorrelationRecord]:
+    points = {
+        a: {w.start: v for w, v in zip(s.windows, row.tolist()) if not math.isnan(v)}
+        for a, row in zip(apps, values)
+    }
+    return pair_correlations(s.app_i, s.app_j, s.metric, points[s.app_i], points[s.app_j], s.windows, 14, 0.5)
+
+
 def test_market_correlations_match_per_pair_sweeps() -> None:
     # Every pair of the all-pairs block must equal its own pair sweep, gaps
     # (missing points) and unsorted app names included.
-    rng = random.Random(606)
     apps = ["delta", "alpha", "charlie", "bravo"]
     windows = _grid(90)
-    values = [[rng.uniform(0, 20) if rng.random() > 0.1 else math.nan for _ in windows] for _ in apps]
-    values[2] = [3.0] * len(windows)  # constant: rho undefined throughout
-    series = market_correlations(apps, MetricKind.RATING, np.array(values), windows, 14, 0.5)
+    values = _gapped_market(606, apps, windows)
+    series = market_correlations(apps, MetricKind.RATING, values, windows, 14, 0.5)
     assert len(series) == 6
     for s in series:
-        points = {
-            a: {w.start: v for w, v in zip(windows, row) if not math.isnan(v)}
-            for a, row in zip(apps, values)
-        }
-        want = pair_correlations(s.app_i, s.app_j, MetricKind.RATING, points[s.app_i], points[s.app_j], windows, 14, 0.5)
+        want = _pair_sweep(s, apps, values)
         assert s.app_i < s.app_j
         assert s.records() == want
         assert extract_runs([s]) == series_runs(_as_series(want))
+
+
+def test_pair_blocks_never_change_a_result(monkeypatch) -> None:
+    # Blocks of 1, 2, 3 and 4 of the 10 pairs, the last one ragged, must give
+    # every series bit for bit as one block of all pairs and each pair's own
+    # sweep do.
+    apps = ["echo", "delta", "alpha", "charlie", "bravo"]
+    windows = _grid(90)
+    values = _gapped_market(607, apps, windows)
+    kernel = correlate._correlate_rows
+    block_rows: list[int] = []
+
+    def counted(x, *args):
+        block_rows.append(len(x))
+        return kernel(x, *args)
+
+    monkeypatch.setattr(correlate, "_correlate_rows", counted)
+
+    def blocked(pairs_per_block: int) -> list[PairSeries]:
+        block_rows.clear()
+        monkeypatch.setattr(correlate, "_PAIR_CELLS", pairs_per_block * len(windows))
+        return market_correlations(apps, MetricKind.RATING, values, windows, 14, 0.5)
+
+    whole = blocked(10)
+    assert block_rows == [10]
+    for pairs_per_block, rows in [(1, [1] * 10), (2, [2] * 5), (3, [3, 3, 3, 1]), (4, [4, 4, 2])]:
+        series = blocked(pairs_per_block)
+        assert block_rows == rows
+        assert len(series) == len(whole)
+        for s, w in zip(series, whole):
+            assert (s.app_i, s.app_j) == (w.app_i, w.app_j)
+            for name in ("rho", "c", "n_points"):
+                got, want = getattr(s, name), getattr(w, name)
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (s.app_i, s.app_j, name)
+            want = _pair_sweep(s, apps, values)
+            assert s.records() == want
+            assert np.array([math.nan if r.rho is None else r.rho for r in want]).tobytes() == s.rho.tobytes()
+
+
+def test_market_correlations_working_set_is_bounded_by_blocks() -> None:
+    # 40 apps over 1,456 windows: 780 pairs. What the kernel holds beyond
+    # the series it returns stays near one block of _PAIR_CELLS cells; blocks
+    # of 256 pairs whatever the grid length needed about 36 MiB here.
+    rng = np.random.default_rng(0)
+    windows = _grid(1456)
+    values = rng.uniform(0, 5, (40, len(windows)))
+    values[rng.random(values.shape) < 0.1] = np.nan
+    apps = [f"app{a:02d}" for a in range(40)]
+    tracemalloc.start()
+    try:
+        series = market_correlations(apps, MetricKind.RATING, values, windows, 28, 0.5)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(series) == 780
+    assert peak - kept < 4 * 2**20

@@ -6,8 +6,11 @@ behind its own accounting.
 """
 from __future__ import annotations
 
+import io
 import json
 import random
+import time
+import tracemalloc
 from datetime import datetime, timezone
 from unittest import mock
 
@@ -30,6 +33,7 @@ from reviewpulse.ingest import (
     parse_timestamp,
     rejects_to_jsonl,
     serialize_reviews,
+    utf8_blocks,
 )
 
 
@@ -465,6 +469,114 @@ def test_duplicates_across_blocks_name_the_first_line() -> None:
             (line_no + 6, f"duplicate: ({r.source}, {r.review_id}) first seen at line {line_no}")
             for line_no, r in enumerate(reviews, start=1)
         ]
+
+
+def _streamed(text: str, fmt: str, read_bytes: int, block_chars: int = 1 << 16) -> tuple:
+    """``parse_reviews`` over the text's UTF-8 bytes, read ``read_bytes`` at a time."""
+    with mock.patch.object(ingest, "_READ_BYTES", read_bytes), mock.patch.object(ingest, "_BLOCK_CHARS", block_chars):
+        return parse_reviews(utf8_blocks(io.BytesIO(text.encode("utf-8")), "input"), fmt)
+
+
+def _stream_cases() -> dict[str, tuple[str, str, list[int]]]:
+    """(text, format, reject line numbers) of inputs whose reads may split a
+    line, a CRLF or a multi-byte character anywhere."""
+    at = datetime(2024, 3, 1, 12, tzinfo=timezone.utc)
+    bodies = ["é€😀 fine", "one\u2028two\u0085three", "x" * 100]
+    src = [Review(f"r{i}", "appA", at, 4, body, "store") for i, body in enumerate(bodies)]
+    first, second, third = serialize_reviews(src, "jsonl").split("\n")[:3]
+    jsonl = "\r\n".join([first, second, "{ not json", first, third])  # no final newline
+    quoted = ["two\r\nlines", "a\nb", "c\rd", "é\u2028€\u0085"]
+    csv_src = [Review(f"r{i}", "appA", at, 4, body, "store") for i, body in enumerate(quoted)]
+    csv_text = serialize_reviews(csv_src, "csv") + "bad,row\n"
+    return {
+        "jsonl-crlf-multibyte-no-final-newline": (jsonl, "jsonl", [3, 4]),
+        "jsonl-empty": ("", "jsonl", []),
+        "jsonl-blank-line": ("\n", "jsonl", []),
+        "csv-quoted-line-breaks": (csv_text, "csv", [9]),
+        "csv-empty": ("", "csv", []),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_stream_cases()))
+def test_streamed_reads_equal_the_whole_text_parse(case: str) -> None:
+    text, fmt, reject_lines = _stream_cases()[case]
+    whole = parse_reviews(text, fmt)
+    assert [r.line_no for r in whole[1]] == reject_lines
+    for read_bytes in [*range(1, 9), 64]:
+        for block_chars in (1, 8, 1 << 16):
+            assert _streamed(text, fmt, read_bytes, block_chars) == whole, (read_bytes, block_chars)
+
+
+@settings(max_examples=100)
+@given(
+    st.lists(st.one_of(_record_line(), _OTHER_LINES), max_size=12),
+    st.lists(st.sampled_from(["\n", "\r\n"]), min_size=12, max_size=12),
+    st.booleans(),
+    st.sampled_from([1, 2, 3, 7]),
+    st.sampled_from([1, 40]),
+)
+def test_streamed_jsonl_equals_the_whole_text_parse(lines, endings, final_end, read_bytes, block_chars) -> None:
+    text = "".join(line + end for line, end in zip(lines, endings))
+    if lines and not final_end:
+        text = text[: -len(endings[len(lines) - 1])]
+    assert _streamed(text, "jsonl", read_bytes, block_chars) == parse_reviews(text, "jsonl")
+
+
+@settings(max_examples=100)
+@given(st.lists(_csv_row(), max_size=10), st.sampled_from([1, 2, 3, 7]), st.sampled_from([1, 40]))
+def test_streamed_csv_equals_the_whole_text_parse(rows, read_bytes, block_chars) -> None:
+    lines: list[str] = []
+    writer = csv_line_writer(lines)
+    writer.writerow(REVIEW_FIELDS)
+    writer.writerows(rows)
+    text = "".join(lines)
+    assert _streamed(text, "csv", read_bytes, block_chars) == parse_reviews(text, "csv")
+
+
+def test_a_line_longer_than_a_read_is_joined_once() -> None:
+    # 62,500 reads of 64 bytes end inside one 4 MB line. Joining the
+    # carried part again at every read would copy about 60 G characters.
+    long = json.dumps(json.loads(_line("r1")) | {"body": "é" * 2_000_000}, ensure_ascii=False)
+    text = "\n".join([_line("r0"), long, _line("r2")]) + "\n"
+    start = time.perf_counter()
+    got = _streamed(text, "jsonl", 64)
+    assert time.perf_counter() - start < 5.0
+    assert got == parse_reviews(text, "jsonl")
+    assert [len(r.body) for r in got[0]] == [5, 2_000_000, 5]
+
+
+@pytest.mark.parametrize("read_bytes", [1, 3, 5, 1 << 20])
+def test_bytes_that_are_not_utf8_name_their_offset_in_the_whole_input(read_bytes: int) -> None:
+    text = serialize_reviews([Review(f"r{i}", "appA", datetime(2024, 3, 1, tzinfo=timezone.utc), 4, "é€😀" * i, "store")
+                              for i in range(20)])
+    data = text.encode("utf-8")
+    for bad in (data[:-2] + b"\xff" + data[-2:], data[:-3] + b"\xe2\x82" + data[-3:], data + b"\xf0\x9f"):
+        with pytest.raises(UnicodeDecodeError) as whole:
+            bad.decode("utf-8")
+        with mock.patch.object(ingest, "_READ_BYTES", read_bytes), pytest.raises(DatasetError) as streamed:
+            parse_reviews(bad, "jsonl")
+        assert str(streamed.value) == f"input is not valid UTF-8: {whole.value}"
+
+
+def test_read_review_files_holds_no_whole_file(tmp_path) -> None:
+    from reviewpulse.config import MarketConfig
+    from reviewpulse.pipeline import read_review_files
+
+    path = tmp_path / "reviews.jsonl"
+    lines = [_line(f"r{i}", app_id=f"app{i % 7}", body=f"Review {i} says the update is fine.") for i in range(50_000)]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+    def peak(read) -> int:
+        tracemalloc.start()
+        try:
+            assert len(read()[0]) == 50_000
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    whole = peak(lambda: parse_reviews(path.read_bytes().decode("utf-8"), "jsonl"))
+    streamed = peak(lambda: read_review_files([path], "jsonl", MarketConfig()))
+    assert whole - streamed >= path.stat().st_size
 
 
 def test_rejects_jsonl_shape() -> None:
