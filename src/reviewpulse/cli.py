@@ -41,7 +41,6 @@ from .pipeline import (
     write_metrics,
     write_requests,
 )
-from .summarize import build_requests
 from .synth import default_scenario, generate, load_scenario, scenario_to_dict
 
 __all__ = ["main"]
@@ -113,7 +112,7 @@ def _cmd_summarize_prep(args: argparse.Namespace) -> int:
     catalog, _ = load_catalog(config, args.inputs, args.format)
     # Nothing is summed: the analysis only scores the CE windows' reviews.
     analysis = new_analysis(config, catalog)
-    requests = build_requests(ces, analysis.window_scored, config.sample_size, config.seed)
+    requests = analysis.summary_requests(ces)
     paths = write_requests(args.out, config, requests)
     print(f"wrote {len(requests)} summary requests to {paths[0]}")
     for path in paths[1:]:

@@ -244,10 +244,13 @@ def canonical_order(stamp_us: np.ndarray, review_id: np.ndarray, group: np.ndarr
         positions = np.flatnonzero(in_tie)
         rows = order[positions]
         ids = review_id[rows]
-        # A fixed-width numpy string sorts much faster than str objects, but
-        # drops trailing NULs; ids holding a NUL keep the object compare.
-        if "\x00" not in "".join(ids.tolist()):
-            ids = ids.astype(str)
+        # A fixed-width numpy string sorts much faster than str objects, in
+        # the same order: bytes when every id is ASCII (a quarter of UCS-4;
+        # ASCII byte order is code-point order), UCS-4 otherwise. It drops
+        # trailing NULs, so ids holding a NUL keep the object compare.
+        text = "".join(ids.tolist())
+        if "\x00" not in text:
+            ids = ids.astype("S" if text.isascii() else "U")
         order[positions] = rows[np.lexsort((ids, *(k[positions] for k in sorted_keys)))]
     return order
 
@@ -338,12 +341,9 @@ def parse_reviews(
         texts = utf8_blocks(io.BytesIO(source), "input")
     else:
         texts = source
-    if fmt == "jsonl":
-        blocks = _jsonl_blocks(_line_blocks(texts))
-    elif fmt == "csv":
-        blocks = _csv_blocks(_line_blocks(texts))
-    else:
+    if fmt not in _LINE_ENDS:
         raise ValueError(f"unknown format {fmt!r} (expected 'jsonl' or 'csv')")
+    blocks = (_jsonl_blocks if fmt == "jsonl" else _csv_blocks)(_line_blocks(texts, fmt))
     tables: list[ReviewTable] = []
     rejects: list[Reject] = []
     seen: dict[tuple[str, str], int] = {}
@@ -447,18 +447,29 @@ def _stamps_us(texts: Sequence[str]) -> tuple[Sequence[int], list[str | None]]:
     return stamps, reasons
 
 
-def _line_blocks(texts: Iterable[str]) -> Iterator[str]:
-    """The text of ``texts`` in blocks that each end just after a "\n", but
-    the last: about ``_BLOCK_CHARS`` characters, or more when one line is.
+# Where a line ends, as the first and the last line end from a position. A
+# JSONL line ends in "\n" alone; a CSV record may also end in a "\r" that no
+# "\n" follows, and a "\r" that ends a piece waits for the next piece.
+_LINE_ENDS = {
+    fmt: (re.compile(end), re.compile(f".*(?:{end})", re.S)) for fmt, end in (("jsonl", r"\n"), ("csv", r"\n|\r(?=[^\n])"))
+}
 
-    Only what follows a piece's last "\n" is carried to the next piece, in
-    parts that are joined once, so a line longer than a piece is copied
+
+def _line_blocks(texts: Iterable[str], fmt: str) -> Iterator[str]:
+    """The text of ``texts`` in blocks that each end just after a line end
+    of ``fmt``, but the last: about ``_BLOCK_CHARS`` characters, or more
+    when one line is.
+
+    Only what follows a piece's last line end is carried to the next piece,
+    in parts that are joined once, so a line longer than a piece is copied
     once, not once per piece.
     """
+    first, last = _LINE_ENDS[fmt]
     held: list[str] = []
     for text in texts:
         start = 0
-        while end := text.find("\n", start + _BLOCK_CHARS) + 1 or text.rfind("\n", start) + 1:
+        while found := first.search(text, start + _BLOCK_CHARS) or last.match(text, start):
+            end = found.end()
             yield "".join([*held, text[start:end]])
             held, start = [], end
         if start < len(text):
@@ -538,7 +549,7 @@ def _csv_blocks(blocks: Iterable[str]) -> Iterator[tuple[list, list[Reject]]]:
     one whose rating is not an integer a ``bad-rating``; blank records are
     skipped. The csv module finds the record ends itself in a text stream
     with ``newline=""``, so a quoted field keeps its "\r\n", "\r", U+2028 or
-    U+0085 as written; cutting blocks after a "\n" splits no line. An
+    U+0085 as written; cutting blocks after a line end splits no line. An
     unusable header is a DatasetError, and so is a record the csv module
     refuses, such as one whose field exceeds ``csv.field_size_limit()`` (an
     unclosed quote early in a large file does), naming the line it starts on.
@@ -705,15 +716,23 @@ def _coverage(stamp_us: np.ndarray, monthly_floor: float) -> AppCoverage:
 
 
 def _first_occurrences(table: ReviewTable) -> ReviewTable:
-    """The table without repeated ``(source, review_id)`` keys; the first wins."""
-    ids = table.review_id.tolist()
-    sources = table.source.tolist()
-    keys = ids if len(set(sources)) < 2 else list(zip(sources, ids))
-    if len(set(keys)) == len(keys):
+    """The table without repeated ``(source, review_id)`` keys; the first wins.
+
+    Each row's key is hashed into one int64 array (the review id alone when
+    every row has one source). A row whose hash no other row shares is a
+    first occurrence; only rows that share a hash are compared as keys, in
+    row order, so the hash seed reaches no result.
+    """
+    keys = table.review_id if (table.source == table.source[:1]).all() else zip(table.source, table.review_id)
+    hashes = np.fromiter(map(hash, keys), dtype=np.int64, count=len(table))
+    ordered = np.sort(hashes)
+    shared = ordered[1:][ordered[1:] == ordered[:-1]]
+    if not len(shared):
         return table
-    # Built back to front, so each key keeps its first position.
-    first = dict(zip(reversed(keys), range(len(keys) - 1, -1, -1)))
-    return table.take(np.sort(np.fromiter(first.values(), dtype=np.intp, count=len(first))))
+    rows = np.flatnonzero(np.isin(hashes, shared)).tolist()
+    first: dict[tuple[str, str], int] = {}
+    repeats = [row for row in rows if first.setdefault((table.source[row], table.review_id[row]), row) != row]
+    return table.take(np.delete(np.arange(len(table)), repeats))
 
 
 def build_catalog(reviews: Iterable[Review], monthly_floor: float = 20.0) -> MarketCatalog:

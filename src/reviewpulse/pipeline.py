@@ -187,6 +187,10 @@ class MarketAnalysis:
     # aggregate fills it for the polarity metric, and window_scored scores
     # into it only the window bodies it lacks.
     bodies: dict[str, bytes] = field(default_factory=dict, repr=False)
+    # Each window body's scored sentences, texts included: window_scored
+    # splits a body only when it is not here, and summary_requests empties
+    # it when it returns.
+    texts: dict[str, BodyScore] = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def correlations(self) -> list[CorrelationRecord]:
@@ -206,14 +210,24 @@ class MarketAnalysis:
         The window's bodies are cut from the app's ``body`` column by
         bisection on its stamps; no ``Review`` is built. Their sentence
         bins come from ``bodies``, so a body the day sums scored is not
-        scored again.
+        scored again, and their sentences from ``texts``, so a body is split
+        once however many windows hold it.
         """
         if app_id not in self.apps:
             return []
         reviews = self.catalog.reviews[app_id]
         lo, hi = np.searchsorted(reviews.stamp_us, utc_midnights(window.start, window.days)[[0, -1]]).tolist()
         bodies = reviews.body[lo:hi].tolist()
-        return list(zip(bodies, score_reviews(bodies, self.scorer, self.bodies)))
+        fresh = [body for body in dict.fromkeys(bodies) if body not in self.texts]
+        self.texts.update(zip(fresh, score_reviews(fresh, self.scorer, self.bodies)))
+        return [(body, self.texts[body]) for body in bodies]
+
+    def summary_requests(self, ces: Sequence[CorrelatedEventRecord]) -> list[SummaryRequest]:
+        """``build_requests`` for the correlated events over this analysis'
+        windows; the sentence texts it splits are dropped when it returns."""
+        requests = build_requests(ces, self.window_scored, self.config.sample_size, self.config.seed)
+        self.texts.clear()
+        return requests
 
 
 def _derive_span(config: MarketConfig, catalog: MarketCatalog, apps: Sequence[str]) -> tuple[date, date] | None:
@@ -393,9 +407,7 @@ def analyze_catalog(
     analysis.pair_series = correlate_stats(config, analysis.daily_stats)
     analysis.runs = extract_runs(analysis.pair_series)
     analysis.ces = ce_from_reports(analysis.nonzero_events(), analysis.runs, config.event_window_days)
-    analysis.requests = build_requests(
-        analysis.ces, analysis.window_scored, config.sample_size, config.seed
-    )
+    analysis.requests = analysis.summary_requests(analysis.ces)
     return analysis
 
 

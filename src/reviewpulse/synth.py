@@ -212,14 +212,21 @@ def _categorical(weights: Mapping[int, float]) -> tuple[np.ndarray, np.ndarray]:
 
 
 def generate(scenario: Scenario) -> tuple[ReviewTable, list[Label]]:
-    """Generate the scenario's reviews (canonically ordered) and labels.
+    """Generate the scenario's reviews (canonically ordered) and labels."""
+    _validate(scenario)
+    # _rows' per-app row lists are freed when it returns, before the sort and take.
+    table = _rows(scenario)
+    return table.take(canonical_order(table.stamp_us, table.review_id)), scenario_labels(scenario)
+
+
+def _rows(scenario: Scenario) -> ReviewTable:
+    """The scenario's reviews, app by app, each app's in window order.
 
     Each app's generator draws per window: its count, then (Poisson only)
     the offsets, ratings, polarity bins, coins, tones and fills. That draw
     order is part of the generated bytes. Everything after the draws runs
     once per app over its concatenated windows.
     """
-    _validate(scenario)
     spikes: dict[tuple[str, int], float] = {}
     rating_shift: dict[tuple[str, int], int] = {}
     polarity_shift: dict[tuple[str, int], int] = {}
@@ -301,10 +308,7 @@ def generate(scenario: Scenario) -> tuple[ReviewTable, list[Label]]:
         stamps.append(seconds * 1_000_000 + start_us)
         raws.append(ratings)
 
-    table = ReviewTable(
-        ids, app_ids, np.concatenate(stamps), np.concatenate(raws), bodies, [SYNTH_SOURCE] * len(ids)
-    )
-    return table.take(canonical_order(table.stamp_us, table.review_id)), scenario_labels(scenario)
+    return ReviewTable(ids, app_ids, np.concatenate(stamps), np.concatenate(raws), bodies, [SYNTH_SOURCE] * len(ids))
 
 
 def default_scenario(

@@ -579,6 +579,66 @@ def test_read_review_files_holds_no_whole_file(tmp_path) -> None:
     assert whole - streamed >= path.stat().st_size
 
 
+def _csv_ending_records_in(end: str) -> str:
+    """A CSV whose records end in ``end``, less the last; quoted bodies keep
+    their own line breaks, and lines 11 to 13 are rejects."""
+    at = datetime(2024, 3, 1, 12, tzinfo=timezone.utc)
+    bodies = ["fine", "two\r\nlines", "a\nb", "c\rd", "é😀", "x" * 50]
+    lines: list[str] = []
+    writer = csv_line_writer(lines)
+    writer.writerow(REVIEW_FIELDS)
+    writer.writerows((f"r{i}", "appA", "2024-03-01T12:00:00Z", 4, body, "store") for i, body in enumerate(bodies))
+    writer.writerows([("bad", "row"), ("r0", "appA", "2024-03-01T12:00:00Z", 4, "again", "store")])
+    writer.writerow(("r9", "appA", "2024-03-01T12:00:00Z", "four", "x", "store"))
+    writer.writerow(("r7", "appB", at.isoformat(), 5, "last", "web"))
+    return end.join(line[:-1] for line in lines)
+
+
+@pytest.mark.parametrize("end", ["\r", "\r\n"])
+def test_csv_records_ending_in_cr_or_crlf_parse_as_lf_ones(end: str) -> None:
+    lf = parse_reviews(_csv_ending_records_in("\n"), "csv")
+    assert len(lf[0]) == 7
+    assert [(r.line_no, r.reason.split(":")[0]) for r in lf[1]] == [(11, "bad-row"), (12, "duplicate"), (13, "bad-rating")]
+    text = _csv_ending_records_in(end)
+    assert parse_reviews(text, "csv") == lf
+    for read_bytes in [*range(1, 6), 64]:
+        for block_chars in (1, 8, 1 << 16):
+            assert _streamed(text, "csv", read_bytes, block_chars) == lf, (read_bytes, block_chars)
+
+
+def test_a_crlf_split_between_pieces_is_one_line() -> None:
+    text = _csv_ending_records_in("\r\n")
+    whole = parse_reviews(text, "csv")
+    cuts = [i + 1 for i in range(len(text)) if text.startswith("\r\n", i)]
+    assert len(cuts) > 10
+    with mock.patch.object(ingest, "_BLOCK_CHARS", 1):
+        for cut in cuts:
+            assert parse_reviews(iter([text[:cut], text[cut:]]), "csv") == whole, cut
+
+
+def test_a_csv_of_bare_cr_records_is_read_in_blocks(tmp_path) -> None:
+    # Records that end in "\r" alone end blocks as "\n" ones do, so the
+    # file's whole text is never held: both files peak alike.
+    from reviewpulse.config import MarketConfig
+    from reviewpulse.pipeline import read_review_files
+
+    at = datetime(2024, 3, 1, tzinfo=timezone.utc)
+    reviews = [Review(f"r{i}", f"app{i % 7}", at, 4, f"Review {i} says the update is fine.", "store") for i in range(20_000)]
+    text = serialize_reviews(reviews, "csv")
+
+    def peak(end: str) -> int:
+        path = tmp_path / f"reviews{len(end)}.csv"
+        path.write_text(text.replace("\n", end), encoding="utf-8", newline="")
+        tracemalloc.start()
+        try:
+            assert len(read_review_files([path], "csv", MarketConfig())[0]) == 20_000
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert abs(peak("\r") - peak("\n")) <= 2**20
+
+
 def test_rejects_jsonl_shape() -> None:
     text = rejects_to_jsonl([Reject(3, "bad-rating: 'x' is not an integer")])
     entry = json.loads(text)

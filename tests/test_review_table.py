@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import random
 import tempfile
+import tracemalloc
 from bisect import bisect_left
 from datetime import date, datetime, timedelta, timezone
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -119,6 +121,98 @@ def test_catalog_keeps_the_first_of_each_source_and_review_id() -> None:
     assert catalog.duplicates_dropped == len(reviews) - len(first)
     kept = list(catalog.all_reviews())
     assert sorted(kept, key=lambda r: (r.source, r.review_id)) == sorted(first.values(), key=lambda r: (r.source, r.review_id))
+
+
+# Ids for forced ties: ASCII (NUL included), prefixes of one another,
+# non-ASCII and astral code points, and lone surrogates.
+_TIE_IDS = st.one_of(
+    st.text(st.characters(max_codepoint=0x7F), max_size=5),
+    st.sampled_from(["app1", "app10", "app1-", "app", "a\x00", "a\x00\x00", "a\x01", "é", "\U0001f600", "\ud800", "a\udfff"]),
+    st.text(max_size=3),
+    st.text(st.characters(codec=None, categories=["Cs", "Ll"]), max_size=3),
+)
+
+
+@settings(max_examples=300)
+@given(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2), _TIE_IDS), max_size=30), st.booleans())
+def test_canonical_order_with_ties_equals_python_sorted(rows: list[tuple[int, int, str]], grouped: bool) -> None:
+    groups = np.array([g for g, _, _ in rows], dtype=np.intp)
+    stamps = np.array([stamp for _, stamp, _ in rows], dtype=np.int64)
+    ids = np.empty(len(rows), dtype=object)
+    ids[:] = [review_id for _, _, review_id in rows]
+    order = ingest.canonical_order(stamps, ids, groups if grouped else None)
+    key = (lambda i: rows[i]) if grouped else (lambda i: rows[i][1:])
+    assert order.tolist() == sorted(range(len(rows)), key=key)
+
+
+def _first_occurrence_catalog(reviews: list[Review]) -> dict[str, list[Review]]:
+    """Each app's reviews, first of each (source, review_id) only, in (timestamp, review_id) order: row by row."""
+    first: dict[tuple[str, str], Review] = {}
+    for review in reviews:
+        first.setdefault((review.source, review.review_id), review)
+    kept = [review for review in reviews if first[(review.source, review.review_id)] is review]
+    return {
+        app: sorted((r for r in kept if r.app_id == app), key=lambda r: (r.timestamp, r.review_id))
+        for app in sorted({r.app_id for r in kept})
+    }
+
+
+@settings(max_examples=200)
+@given(
+    st.lists(
+        st.tuples(st.sampled_from(["r0", "r1", "r10", "é", "r0\x00"]), st.sampled_from(["store", "web"]),
+                  st.sampled_from(["appA", "appB"]), st.integers(0, 3)),
+        max_size=30,
+    ),
+    st.booleans(),
+    st.sampled_from(["hash", "one hash", "three hashes"]),
+)
+def test_catalog_keeps_first_occurrences_as_a_per_row_oracle(rows, one_source: bool, hashing: str) -> None:
+    # Equal ids within and across sources; the fake hashes make rows with
+    # different keys share a hash, so only the key compare tells them apart.
+    fake = {"hash": hash, "one hash": lambda key: 0, "three hashes": lambda key: hash(key) % 3}[hashing]
+    base = datetime(2024, 5, 1, tzinfo=timezone.utc)
+    reviews = [
+        Review(review_id, app_id, base + timedelta(hours=hour), 3, f"body {i}.", "store" if one_source else source)
+        for i, (review_id, source, app_id, hour) in enumerate(rows)
+    ]
+    with mock.patch.object(ingest, "hash", fake, create=True):
+        catalog = build_catalog(ReviewTable.from_reviews(reviews))
+    want = _first_occurrence_catalog(reviews)
+    assert catalog.apps == tuple(want)
+    assert {app: list(catalog.reviews[app]) for app in catalog.apps} == want
+    assert catalog.duplicates_dropped == len(reviews) - sum(map(len, want.values()))
+
+
+def _traced_peak_above_result(call):
+    """``call()``'s result and how far tracemalloc's peak during the call rose above what the result holds."""
+    tracemalloc.start()
+    try:
+        result = call()
+        held, peak = tracemalloc.get_traced_memory()
+        return result, peak - held
+    finally:
+        tracemalloc.stop()
+
+
+def test_generate_peaks_near_the_table_it_returns() -> None:
+    # A spike-pair market (~21k reviews, 80% of them stamp ties): synth
+    # frees its row lists before the sort, and tied ids sort as bytes.
+    generate(spike_pair_scenario(seed=1, n_apps=3, n_windows=4, spike_window=1))  # warm-up
+    (table, _), over = _traced_peak_above_result(lambda: generate(spike_pair_scenario(seed=0)))
+    assert len(table) > 20_000
+    assert over <= 2 * 2**20
+
+
+def test_catalog_peaks_near_its_input_and_output() -> None:
+    # The input table is built before tracing starts, so the traced peak
+    # above the catalog is the catalog's working memory: duplicates are
+    # found from an int64 array of key hashes, not from a set of every key.
+    build_catalog(generate(spike_pair_scenario(seed=1, n_apps=3, n_windows=4, spike_window=1))[0])  # warm-up
+    table, _ = generate(spike_pair_scenario(seed=0))
+    catalog, over = _traced_peak_above_result(lambda: build_catalog(table))
+    assert catalog.duplicates_dropped == 0 and len(catalog.all_reviews()) == len(table)
+    assert over <= 1 * 2**20
 
 
 def _table(stamps_us: list[int]) -> ReviewTable:

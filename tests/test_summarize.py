@@ -336,3 +336,41 @@ def test_full_analysis_keeps_sentence_texts_only_for_ce_windows(monkeypatch) -> 
 
     assert analysis.requests == build_requests(analysis.ces, rescored, config.sample_size, config.seed)
 
+
+
+def test_summary_requests_split_each_distinct_body_once(monkeypatch) -> None:
+    # On the seed-0 wide market (24 apps, 13 weeks) the CE windows hold
+    # about 1.7 bodies per distinct body; each distinct one is split once,
+    # and no sentence text stays on the analysis afterwards.
+    from collections import Counter
+
+    from reviewpulse import metrics
+    from reviewpulse.config import MarketConfig
+    from reviewpulse.ingest import build_catalog
+    from reviewpulse.pipeline import MarketAnalysis, analyze_catalog
+    from reviewpulse.synth import default_scenario, generate
+
+    splits: Counter = Counter()
+    split_sentences = metrics.split_sentences
+
+    def counting(body: str) -> list[str]:
+        splits[body] += 1
+        return split_sentences(body)
+
+    window_bodies: list[str] = []
+    window_scored = MarketAnalysis.window_scored
+
+    def recording(self: MarketAnalysis, app_id: str, window: TimeWindow) -> list[tuple[str, BodyScore]]:
+        scored = window_scored(self, app_id, window)
+        window_bodies.extend(body for body, _ in scored)
+        return scored
+
+    monkeypatch.setattr(metrics, "split_sentences", counting)
+    monkeypatch.setattr(MarketAnalysis, "window_scored", recording)
+    catalog = build_catalog(generate(default_scenario(n_apps=24, n_windows=13, rate=40.0, seed=0))[0])
+    analysis = analyze_catalog(MarketConfig(), catalog)
+    assert analysis.requests
+    assert set(splits) == set(window_bodies)
+    assert max(splits.values()) == 1
+    assert len(window_bodies) > 1.5 * len(splits)
+    assert analysis.texts == {}
