@@ -17,7 +17,6 @@ from .config import ConfigError, MarketConfig, load_config
 from .correlate import (
     ce_records_from_json,
     ce_records_to_json,
-    extract_runs,
     read_correlations_csv,
     write_correlations_csv,
 )
@@ -90,7 +89,7 @@ def _cmd_detect(args: argparse.Namespace) -> int:
 def _cmd_correlate(args: argparse.Namespace) -> int:
     config = _load_cli_config(args)
     sums = read_stage(read_day_sums_csv, args.day_sums)
-    runs = extract_runs(correlate_stats(config, series_stats(sums, config.correlation_window_days)))
+    runs = correlate_stats(config, series_stats(sums, config.correlation_window_days))
     path = write_file(args.out, "correlations.csv", write_correlations_csv(runs))
     print(f"wrote {len(runs)} correlation runs to {path}")
     return 0

@@ -209,21 +209,23 @@ def market_correlations(
     lookback_days: int,
     h: float,
     min_points: int = DEFAULT_MIN_CORR_POINTS,
-) -> list[PairSeries]:
-    """Every pair's correlation series for one metric, in combinations order.
+) -> Iterator[list[PairSeries]]:
+    """Every pair's correlation series for one metric, in combinations order,
+    one block of pairs at a time.
 
     ``values[a, w]`` is app ``apps[a]``'s metric point at window ``w`` of
     the grid, NaN where missing; points sit at window starts, as
     ``correlation_points`` keys them. Each series equals what
-    ``pair_correlations`` gives for the pair. Pairs go through the kernel
-    in blocks of ``_PAIR_CELLS`` cells; each row's sums are its own, so the
-    block size never changes a bit of a result.
+    ``pair_correlations`` gives for the pair. A block holds the pairs of
+    ``_PAIR_CELLS`` cells and is computed only when asked for, so a caller
+    that drops each block before taking the next holds one at a time; each
+    row's sums are its own, so the block size never changes a bit of a
+    result.
     """
     ordinals = np.fromiter((w.start.toordinal() for w in windows), dtype=np.int64, count=len(windows))
     lo, hi = _window_bounds(ordinals, windows, lookback_days)
     valid = ~np.isnan(values)
     pairs = [(i, j) if apps[i] < apps[j] else (j, i) for i, j in combinations(range(len(apps)), 2)]
-    series: list[PairSeries] = []
     step = max(1, _PAIR_CELLS // max(1, len(windows)))
     for at in range(0, len(pairs), step):
         block = pairs[at : at + step]
@@ -231,11 +233,7 @@ def market_correlations(
         rows_j = [j for _, j in block]
         common = valid[rows_i] & valid[rows_j]
         rho, c, n = _correlate_rows(values[rows_i], values[rows_j], common, lo, hi, h, min_points)
-        series.extend(
-            PairSeries(apps[i], apps[j], metric, windows, rho[k], c[k], n[k])
-            for k, (i, j) in enumerate(block)
-        )
-    return series
+        yield [PairSeries(apps[i], apps[j], metric, windows, rho[k], c[k], n[k]) for k, (i, j) in enumerate(block)]
 
 
 class CorrelationRun(NamedTuple):
@@ -251,39 +249,33 @@ class CorrelationRun(NamedTuple):
     t_end: date
 
 
-# Class cells stacked per block in extract_runs; bounds its working arrays
-# at a few MB.
-_RUN_BLOCK_CELLS = 2**20
-
-
 def extract_runs(series: Sequence[PairSeries]) -> list[CorrelationRun]:
     """Every nonzero run of the pair series, series in the order given and
     each one's runs in time order.
 
     Each series must be in window order over a contiguous grid, as
     ``market_correlations`` leaves it. Consecutive series on one grid are
-    stacked into (series x windows) class matrices of up to
-    ``_RUN_BLOCK_CELLS`` cells, each cut in one array pass: a run starts at
-    window ``d`` where ``c[d] != 0`` and ``c[d] != c[d - 1]``, and ends
-    where the next window's class differs. Objects are built per run only.
+    stacked into one (series x windows) class matrix, a block of
+    ``market_correlations`` at a time in a run, and cut in one array pass:
+    a run starts at window ``d`` where ``c[d] != 0`` and
+    ``c[d] != c[d - 1]``, and ends where the next window's class differs.
+    Objects are built per run only.
     """
     runs: list[CorrelationRun] = []
     for windows, group in groupby(series, key=attrgetter("windows")):
         group = list(group)
         starts = [w.start for w in windows]
         ends = [*starts[1:], *(w.end for w in windows[-1:])]  # the grid is contiguous
-        step = max(1, _RUN_BLOCK_CELLS // max(1, len(windows)))
-        for at in range(0, len(group), step):
-            c = np.stack([s.c for s in group[at : at + step]])
-            changed = c[:, 1:] != c[:, :-1]
-            opens, closes = c != 0, c != 0
-            opens[:, 1:] &= changed
-            closes[:, :-1] &= changed
-            rows, firsts = np.nonzero(opens)
-            lasts = np.nonzero(closes)[1]
-            keys = [group[at + k] for k in rows.tolist()]
-            runs += map(CorrelationRun, [s.app_i for s in keys], [s.app_j for s in keys], [s.metric for s in keys],
-                        c[rows, firsts].tolist(), [starts[k] for k in firsts.tolist()], [ends[k] for k in lasts.tolist()])
+        c = np.stack([s.c for s in group])
+        changed = c[:, 1:] != c[:, :-1]
+        opens, closes = c != 0, c != 0
+        opens[:, 1:] &= changed
+        closes[:, :-1] &= changed
+        rows, firsts = np.nonzero(opens)
+        lasts = np.nonzero(closes)[1]
+        keys = [group[k] for k in rows.tolist()]
+        runs += map(CorrelationRun, [s.app_i for s in keys], [s.app_j for s in keys], [s.metric for s in keys],
+                    c[rows, firsts].tolist(), [starts[k] for k in firsts.tolist()], [ends[k] for k in lasts.tolist()])
     return runs
 
 

@@ -7,8 +7,8 @@ library and the CLI:
     aggregate         sum each app per UTC day, fill both grids' metric series
     series_stats      one grid's metric series of every app, from day sums
     detect_events     deviation events of every event-window series
-    correlate_stats   every app pair's correlation series per metric
-    extract_runs      every pair series' runs of a nonzero correlation class
+    correlate_stats   every app pair's runs of a nonzero correlation class,
+                      per metric, cut from each block of pair series
     ce_from_reports   correlated events from events plus correlation runs
     build_requests    summary requests for the correlated events
 
@@ -179,7 +179,6 @@ class MarketAnalysis:
     weekly_stats: dict[SeriesKey, SeriesStats] = field(default_factory=dict)
     daily_stats: dict[SeriesKey, SeriesStats] = field(default_factory=dict)
     events: dict[SeriesKey, list[EventRecord]] = field(default_factory=dict)
-    pair_series: list[PairSeries] = field(default_factory=list)
     runs: list[CorrelationRun] = field(default_factory=list)
     ces: list[CorrelatedEventRecord] = field(default_factory=list)
     requests: list[SummaryRequest] = field(default_factory=list)
@@ -194,8 +193,15 @@ class MarketAnalysis:
 
     @property
     def correlations(self) -> list[CorrelationRecord]:
-        """Every pair series as per-window records, in report order."""
-        return [record for series in self.pair_series for record in series.records()]
+        """Every pair's per-window records, in report order.
+
+        Recomputed from ``daily_stats`` on each call, through the blocks
+        that ``correlate_stats`` cuts into runs: the analysis keeps no
+        per-window correlation, and the list costs one record per pair and
+        window of every metric.
+        """
+        return [record for block in _pair_blocks(self.config, self.daily_stats)
+                for series in block for record in series.records()]
 
     def all_events(self) -> list[EventRecord]:
         return [e for records in in_report_order(self.events) for e in records]
@@ -364,8 +370,9 @@ def detect_events(
     }
 
 
-def correlate_stats(config: MarketConfig, daily_stats: Mapping[SeriesKey, SeriesStats]) -> list[PairSeries]:
-    """Every pair's correlation series, metrics in name order, apps in id order.
+def _pair_blocks(config: MarketConfig, daily_stats: Mapping[SeriesKey, SeriesStats]) -> Iterator[list[PairSeries]]:
+    """Every pair's correlation series in ``market_correlations`` blocks,
+    metrics in name order, apps in id order.
 
     Every app has a series of each metric, all on one window grid, as
     ``series_stats`` leaves them. Each app is one row of ``mu`` points per
@@ -373,21 +380,21 @@ def correlate_stats(config: MarketConfig, daily_stats: Mapping[SeriesKey, Series
     """
     apps = sorted({app for app, _ in daily_stats})
     grid = next(iter(daily_stats.values())).windows if daily_stats else []
-    out: list[PairSeries] = []
     for metric in sorted({metric for _, metric in daily_stats}, key=lambda m: m.value):
         values = np.array([daily_stats[(app, metric)].mu for app in apps])
-        out.extend(
-            market_correlations(
-                apps,
-                metric,
-                values,
-                grid,
-                config.lookback_days,
-                config.correlation_threshold,
-                min_points=config.min_corr_points,
-            )
-        )
-    return out
+        yield from market_correlations(apps, metric, values, grid, config.lookback_days,
+                                       config.correlation_threshold, min_points=config.min_corr_points)
+
+
+def correlate_stats(config: MarketConfig, daily_stats: Mapping[SeriesKey, SeriesStats]) -> list[CorrelationRun]:
+    """Every pair's correlation runs, metrics in name order, apps in id
+    order, each pair's runs in time order.
+
+    Each block of pair series is cut into runs by ``extract_runs`` and
+    dropped before the next block is computed, so no pair's per-window
+    series outlives its block.
+    """
+    return [run for block in _pair_blocks(config, daily_stats) for run in extract_runs(block)]
 
 
 def analyze_catalog(
@@ -404,8 +411,7 @@ def analyze_catalog(
     """
     analysis = aggregate(config, catalog, metrics)
     analysis.events = detect_events(config, analysis.weekly_stats)
-    analysis.pair_series = correlate_stats(config, analysis.daily_stats)
-    analysis.runs = extract_runs(analysis.pair_series)
+    analysis.runs = correlate_stats(config, analysis.daily_stats)
     analysis.ces = ce_from_reports(analysis.nonzero_events(), analysis.runs, config.event_window_days)
     analysis.requests = analysis.summary_requests(analysis.ces)
     return analysis

@@ -15,13 +15,14 @@ import tracemalloc
 from collections import Counter
 from dataclasses import replace
 from datetime import date, timedelta
-from itertools import combinations
+from itertools import combinations, groupby
+from operator import attrgetter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from reviewpulse import correlate
+from reviewpulse import correlate, pipeline
 from reviewpulse.config import MarketConfig
 from reviewpulse.correlate import (
     CORRELATIONS_CSV_COLUMNS,
@@ -39,10 +40,10 @@ from reviewpulse.correlate import (
 )
 from reviewpulse.detect import EventRecord
 from reviewpulse.ingest import build_catalog
-from reviewpulse.metrics import MetricKind, TimeWindow
+from reviewpulse.metrics import MetricKind, TimeWindow, correlation_points
 from reviewpulse.ingest import serialize_reviews
 from reviewpulse.pipeline import analyze_catalog, ce_from_reports, run_pipeline, write_bundle
-from reviewpulse.synth import generate, spike_pair_scenario
+from reviewpulse.synth import default_scenario, generate, spike_pair_scenario
 
 from oracles import detect_correlation, extract_runs as series_runs, pearson_rho
 from test_goldens import MARKETS
@@ -588,22 +589,36 @@ def test_write_bundle_builds_no_correlation_records(tmp_path, monkeypatch) -> No
 
 
 def _oracle_runs(analysis) -> list[CorrelationRun]:
-    return [run for s in analysis.pair_series for run in series_runs(s)]
+    """Every pair's runs in report order, each cut by the per-series oracle
+    from the pair's own ``pair_correlations`` sweep of the analysis' window
+    means, not from the blocks that the analysis correlates."""
+    config, stats = analysis.config, analysis.daily_stats
+    runs: list[CorrelationRun] = []
+    for metric in sorted({m for _, m in stats}, key=lambda m: m.value):
+        points = {app: correlation_points(s.records()) for (app, m), s in stats.items() if m is metric}
+        for app_i, app_j in combinations(sorted(points), 2):
+            records = pair_correlations(app_i, app_j, metric, points[app_i], points[app_j],
+                                        stats[(app_i, metric)].windows, config.lookback_days,
+                                        config.correlation_threshold, config.min_corr_points)
+            runs += series_runs(_as_series(records))
+    return runs
 
 
 @pytest.mark.parametrize("market", sorted(MARKETS))
 def test_golden_market_ces_match_the_per_series_oracle(market: str) -> None:
     reviews, _ = generate(MARKETS[market]())
     analysis = analyze_catalog(MarketConfig(seed=0), build_catalog(reviews))
-    assert analysis.runs == _oracle_runs(analysis)
+    oracle = _oracle_runs(analysis)
+    assert analysis.runs == oracle
     assert analysis.ces
-    assert ce_from_reports(analysis.nonzero_events(), _oracle_runs(analysis), 7) == analysis.ces
+    assert ce_from_reports(analysis.nonzero_events(), oracle, 7) == analysis.ces
 
 
 def test_criterion_4_ces_match_the_per_series_oracle(criterion_4_analyses) -> None:
     for seed, analysis in enumerate(criterion_4_analyses):
-        assert analysis.runs == _oracle_runs(analysis), seed
-        assert ce_from_reports(analysis.nonzero_events(), _oracle_runs(analysis), 7) == analysis.ces, seed
+        oracle = _oracle_runs(analysis)
+        assert analysis.runs == oracle, seed
+        assert ce_from_reports(analysis.nonzero_events(), oracle, 7) == analysis.ces, seed
 
 
 def test_ce_json_round_trip() -> None:
@@ -635,7 +650,7 @@ def test_market_correlations_match_per_pair_sweeps() -> None:
     apps = ["delta", "alpha", "charlie", "bravo"]
     windows = _grid(90)
     values = _gapped_market(606, apps, windows)
-    series = market_correlations(apps, MetricKind.RATING, values, windows, 14, 0.5)
+    series = [s for block in market_correlations(apps, MetricKind.RATING, values, windows, 14, 0.5) for s in block]
     assert len(series) == 6
     for s in series:
         want = _pair_sweep(s, apps, values)
@@ -663,7 +678,7 @@ def test_pair_blocks_never_change_a_result(monkeypatch) -> None:
     def blocked(pairs_per_block: int) -> list[PairSeries]:
         block_rows.clear()
         monkeypatch.setattr(correlate, "_PAIR_CELLS", pairs_per_block * len(windows))
-        return market_correlations(apps, MetricKind.RATING, values, windows, 14, 0.5)
+        return [s for block in market_correlations(apps, MetricKind.RATING, values, windows, 14, 0.5) for s in block]
 
     whole = blocked(10)
     assert block_rows == [10]
@@ -692,9 +707,62 @@ def test_market_correlations_working_set_is_bounded_by_blocks() -> None:
     apps = [f"app{a:02d}" for a in range(40)]
     tracemalloc.start()
     try:
-        series = market_correlations(apps, MetricKind.RATING, values, windows, 28, 0.5)
+        series = [s for block in market_correlations(apps, MetricKind.RATING, values, windows, 28, 0.5) for s in block]
         kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert len(series) == 780
     assert peak - kept < 4 * 2**20
+
+
+def test_analysis_of_30_apps_holds_no_pair_by_window_matrix() -> None:
+    # 435 pairs x 3 metrics x 364 windows: per-window series for every pair
+    # kept to the end of the analysis peaked at 14.0 MiB here; cutting each
+    # block into runs as it is computed keeps the peak near the runs, the
+    # window stats and the CEs (4.4 MiB).
+    reviews, _ = generate(default_scenario(n_apps=30, seed=0))
+    catalog = build_catalog(reviews)
+    del reviews
+    tracemalloc.start()
+    try:
+        analysis = analyze_catalog(MarketConfig(seed=0), catalog)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(analysis.runs) > 1000
+    assert peak <= 6 * 2**20
+
+
+def test_pair_block_size_never_changes_the_runs(monkeypatch) -> None:
+    # Blocks of 1, 2 and 3 of each metric's 10 pairs, the last one ragged,
+    # give the runs of one block of all pairs, and every block is cut into
+    # runs through the pipeline's extract_runs, once.
+    reviews, _ = generate(spike_pair_scenario(seed=0, n_apps=5))
+    catalog = build_catalog(reviews)
+    whole = analyze_catalog(MarketConfig(seed=0), catalog)
+    assert whole.runs
+    n_windows = len(next(iter(whole.daily_stats.values())).windows)
+    cut = pipeline.extract_runs
+    block_pairs: list[int] = []
+
+    def counted(series):
+        block_pairs.append(len(series))
+        return cut(series)
+
+    monkeypatch.setattr(pipeline, "extract_runs", counted)
+    for pairs_per_block, sizes in [(10, [10]), (1, [1] * 10), (2, [2] * 5), (3, [3, 3, 3, 1])]:
+        block_pairs.clear()
+        monkeypatch.setattr(correlate, "_PAIR_CELLS", pairs_per_block * n_windows)
+        assert analyze_catalog(MarketConfig(seed=0), catalog).runs == whole.runs, pairs_per_block
+        assert block_pairs == sizes * 3
+
+
+def test_runs_are_the_oracle_cut_of_the_correlations_view() -> None:
+    reviews, _ = generate(spike_pair_scenario(seed=0))
+    analysis = analyze_catalog(MarketConfig(seed=0), build_catalog(reviews))
+    records = analysis.correlations
+    n_windows = len(next(iter(analysis.daily_stats.values())).windows)
+    assert len(records) == 45 * 3 * n_windows
+    series = [_as_series(list(group)) for _, group in groupby(records, key=attrgetter("app_i", "app_j", "metric"))]
+    assert analysis.runs == [run for s in series for run in series_runs(s)]
+    assert analysis.runs

@@ -7,12 +7,19 @@ are not counted; a line of code that ends in a comment is.
 
     python3 tools/code_lines.py                 # src/reviewpulse
     python3 tools/code_lines.py path/to/package
+    python3 tools/code_lines.py --against REF   # lines at git REF, now, change
+
+With ``--against``, each module's lines at the git ref are read through
+``git show REF:path``, so no second checkout is needed; a module that is
+missing on one side counts 0 there.
 """
 
 from __future__ import annotations
 
+import argparse
 import ast
 import io
+import subprocess
 import sys
 import tokenize
 from pathlib import Path
@@ -41,14 +48,39 @@ def code_lines(source: str) -> int:
     return len(lines - docstring_lines(ast.parse(source)))
 
 
+def _git(root: Path, *args: str) -> str:
+    return subprocess.run(["git", "-C", str(root), *args], check=True, capture_output=True, text=True).stdout
+
+
+def lines_now(root: Path) -> dict[str, int]:
+    return {path.relative_to(root).as_posix(): code_lines(path.read_text(encoding="utf-8"))
+            for path in sorted(root.rglob("*.py"))}
+
+
+def lines_at(root: Path, ref: str) -> dict[str, int]:
+    """Code lines of each module under ``root`` as committed at git ``ref``."""
+    names = _git(root, "ls-tree", "-r", "--name-only", ref).splitlines()  # relative to root
+    return {name: code_lines(_git(root, "show", f"{ref}:./{name}")) for name in names if name.endswith(".py")}
+
+
 def main(argv: list[str]) -> int:
-    root = Path(argv[1] if len(argv) > 1 else Path(__file__).resolve().parents[1] / "src" / "reviewpulse")
-    total = 0
-    for path in sorted(root.rglob("*.py")):
-        n = code_lines(path.read_text(encoding="utf-8"))
-        total += n
-        print(f"{n:6d}  {path.relative_to(root)}")
-    print(f"{total:6d}  total")
+    parser = argparse.ArgumentParser(description="Count code lines per module of a package.")
+    parser.add_argument("package", nargs="?", type=Path,
+                        default=Path(__file__).resolve().parents[1] / "src" / "reviewpulse")
+    parser.add_argument("--against", metavar="REF", help="also show each module's lines at this git ref")
+    args = parser.parse_args(argv[1:])
+    now = lines_now(args.package)
+    if args.against is None:
+        for name, n in now.items():
+            print(f"{n:6d}  {name}")
+        print(f"{sum(now.values()):6d}  total")
+        return 0
+    before = lines_at(args.package, args.against)
+    print(f"{args.against[:12]:>12}     now  change")
+    rows = [(name, before.get(name, 0), now.get(name, 0)) for name in sorted(before.keys() | now.keys())]
+    rows.append(("total", sum(before.values()), sum(now.values())))
+    for name, b, n in rows:
+        print(f"{b:12d}  {n:6d}  {n - b:+6d}  {name}")
     return 0
 
 
