@@ -19,6 +19,10 @@ from the immediately preceding event window (both single-sided
 permutations; never both apps preceding). Events e_i and e_j match when
 e_i == sign * e_j, and the correlated event's class is the run's sign.
 
+Pairs are correlated a block at a time: a ``PairBlock`` holds one metric's
+windowed rho, class and point count for a block of pairs, one row a pair,
+as the kernel computes them, and ``extract_runs`` cuts a block into runs.
+
 Pairs are canonical with app_i < app_j, so swapping inputs changes
 nothing.
 """
@@ -30,8 +34,8 @@ import math
 from dataclasses import dataclass
 from bisect import bisect_left, bisect_right
 from datetime import date, timedelta
-from itertools import combinations, groupby
-from operator import attrgetter, itemgetter
+from itertools import combinations, groupby, repeat
+from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -46,7 +50,7 @@ __all__ = [
     "CorrelationRecord",
     "CorrelationRun",
     "DEFAULT_MIN_CORR_POINTS",
-    "PairSeries",
+    "PairBlock",
     "ce_records_from_json",
     "ce_records_to_json",
     "detect_correlated_events",
@@ -78,28 +82,32 @@ class CorrelationRecord:
 
 
 @dataclass(frozen=True, slots=True, eq=False)
-class PairSeries:
-    """One pair/metric correlation series over a contiguous window grid.
+class PairBlock:
+    """One metric's correlation series of a block of pairs over one
+    contiguous window grid, as ``_correlate_rows`` returns them.
 
-    Column form of the pair's ``CorrelationRecord`` rows: ``rho`` (float,
-    NaN where undefined), ``c`` (int8 from ``market_correlations``) and
-    ``n_points`` (int) hold one entry per window of ``windows``.
+    Row ``k`` is the pair ``(app_i[k], app_j[k])``: ``rho`` (float, NaN
+    where undefined), ``c`` (int8 from ``market_correlations``) and
+    ``n_points`` (int) hold one row per pair and one column per window of
+    ``windows``.
     """
 
-    app_i: str
-    app_j: str
     metric: MetricKind
     windows: Sequence[TimeWindow]
+    app_i: Sequence[str]
+    app_j: Sequence[str]
     rho: np.ndarray
     c: np.ndarray
     n_points: np.ndarray
 
     def records(self) -> list[CorrelationRecord]:
+        """Every row's ``CorrelationRecord``s, rows in order and each in window order."""
         return [
-            CorrelationRecord(self.app_i, self.app_j, self.metric, window, None if math.isnan(rho) else rho, c, n)
-            for window, rho, c, n in zip(
-                self.windows, self.rho.tolist(), self.c.tolist(), self.n_points.tolist()
+            CorrelationRecord(app_i, app_j, self.metric, window, None if math.isnan(rho) else rho, c, n)
+            for app_i, app_j, rhos, cs, ns in zip(
+                self.app_i, self.app_j, self.rho.tolist(), self.c.tolist(), self.n_points.tolist()
             )
+            for window, rho, c, n in zip(self.windows, rhos, cs, ns)
         ]
 
 
@@ -192,7 +200,7 @@ def pair_correlations(
     common = np.array([[d in points_i and d in points_j for d in dates]], dtype=bool)
     lo, hi = _window_bounds(ordinals, windows, lookback_days)
     rho, c, n = _correlate_rows(x, y, common, lo, hi, h, min_points)
-    return PairSeries(app_i, app_j, metric, windows, rho[0], c[0], n[0]).records()
+    return PairBlock(metric, windows, (app_i,), (app_j,), rho, c, n).records()
 
 
 # Cells (pairs x grid windows) correlated per block in market_correlations.
@@ -209,14 +217,14 @@ def market_correlations(
     lookback_days: int,
     h: float,
     min_points: int = DEFAULT_MIN_CORR_POINTS,
-) -> Iterator[list[PairSeries]]:
+) -> Iterator[PairBlock]:
     """Every pair's correlation series for one metric, in combinations order,
-    one block of pairs at a time.
+    one ``PairBlock`` at a time.
 
     ``values[a, w]`` is app ``apps[a]``'s metric point at window ``w`` of
     the grid, NaN where missing; points sit at window starts, as
-    ``correlation_points`` keys them. Each series equals what
-    ``pair_correlations`` gives for the pair. A block holds the pairs of
+    ``correlation_points`` keys them. Each row equals what
+    ``pair_correlations`` gives for its pair. A block holds the pairs of
     ``_PAIR_CELLS`` cells and is computed only when asked for, so a caller
     that drops each block before taking the next holds one at a time; each
     row's sums are its own, so the block size never changes a bit of a
@@ -233,7 +241,7 @@ def market_correlations(
         rows_j = [j for _, j in block]
         common = valid[rows_i] & valid[rows_j]
         rho, c, n = _correlate_rows(values[rows_i], values[rows_j], common, lo, hi, h, min_points)
-        yield [PairSeries(apps[i], apps[j], metric, windows, rho[k], c[k], n[k]) for k, (i, j) in enumerate(block)]
+        yield PairBlock(metric, windows, [apps[i] for i in rows_i], [apps[j] for j in rows_j], rho, c, n)
 
 
 class CorrelationRun(NamedTuple):
@@ -249,34 +257,26 @@ class CorrelationRun(NamedTuple):
     t_end: date
 
 
-def extract_runs(series: Sequence[PairSeries]) -> list[CorrelationRun]:
-    """Every nonzero run of the pair series, series in the order given and
-    each one's runs in time order.
+def extract_runs(block: PairBlock) -> list[CorrelationRun]:
+    """Every nonzero run of the block's pairs, rows in order and each row's
+    runs in time order.
 
-    Each series must be in window order over a contiguous grid, as
-    ``market_correlations`` leaves it. Consecutive series on one grid are
-    stacked into one (series x windows) class matrix, a block of
-    ``market_correlations`` at a time in a run, and cut in one array pass:
-    a run starts at window ``d`` where ``c[d] != 0`` and
-    ``c[d] != c[d - 1]``, and ends where the next window's class differs.
-    Objects are built per run only.
+    The block's class matrix is cut in one array pass: a run starts at
+    window ``d`` where ``c[d] != 0`` and ``c[d] != c[d - 1]``, and ends
+    where the next window's class differs. Dates are read from the grid at
+    run edges only, and objects are built per run only.
     """
-    runs: list[CorrelationRun] = []
-    for windows, group in groupby(series, key=attrgetter("windows")):
-        group = list(group)
-        starts = [w.start for w in windows]
-        ends = [*starts[1:], *(w.end for w in windows[-1:])]  # the grid is contiguous
-        c = np.stack([s.c for s in group])
-        changed = c[:, 1:] != c[:, :-1]
-        opens, closes = c != 0, c != 0
-        opens[:, 1:] &= changed
-        closes[:, :-1] &= changed
-        rows, firsts = np.nonzero(opens)
-        lasts = np.nonzero(closes)[1]
-        keys = [group[k] for k in rows.tolist()]
-        runs += map(CorrelationRun, [s.app_i for s in keys], [s.app_j for s in keys], [s.metric for s in keys],
-                    c[rows, firsts].tolist(), [starts[k] for k in firsts.tolist()], [ends[k] for k in lasts.tolist()])
-    return runs
+    c, windows = block.c, block.windows
+    changed = c[:, 1:] != c[:, :-1]
+    opens, closes = c != 0, c != 0
+    opens[:, 1:] &= changed
+    closes[:, :-1] &= changed
+    rows, firsts = np.nonzero(opens)
+    lasts = np.nonzero(closes)[1]
+    keys = rows.tolist()
+    return list(map(CorrelationRun, [block.app_i[k] for k in keys], [block.app_j[k] for k in keys],
+                    repeat(block.metric, len(keys)), c[rows, firsts].tolist(),
+                    [windows[k].start for k in firsts.tolist()], [windows[k].end for k in lasts.tolist()]))
 
 
 @dataclass(frozen=True, slots=True)

@@ -8,7 +8,7 @@ library and the CLI:
     series_stats      one grid's metric series of every app, from day sums
     detect_events     deviation events of every event-window series
     correlate_stats   every app pair's runs of a nonzero correlation class,
-                      per metric, cut from each block of pair series
+                      per metric, cut from each block of pairs
     ce_from_reports   correlated events from events plus correlation runs
     build_requests    summary requests for the correlated events
 
@@ -67,7 +67,7 @@ from .correlate import (
     CorrelatedEventRecord,
     CorrelationRecord,
     CorrelationRun,
-    PairSeries,
+    PairBlock,
     ce_records_to_json,
     detect_correlated_events,
     extract_runs,
@@ -200,8 +200,7 @@ class MarketAnalysis:
         per-window correlation, and the list costs one record per pair and
         window of every metric.
         """
-        return [record for block in _pair_blocks(self.config, self.daily_stats)
-                for series in block for record in series.records()]
+        return [record for block in _pair_blocks(self.config, self.daily_stats) for record in block.records()]
 
     def all_events(self) -> list[EventRecord]:
         return [e for records in in_report_order(self.events) for e in records]
@@ -370,7 +369,7 @@ def detect_events(
     }
 
 
-def _pair_blocks(config: MarketConfig, daily_stats: Mapping[SeriesKey, SeriesStats]) -> Iterator[list[PairSeries]]:
+def _pair_blocks(config: MarketConfig, daily_stats: Mapping[SeriesKey, SeriesStats]) -> Iterator[PairBlock]:
     """Every pair's correlation series in ``market_correlations`` blocks,
     metrics in name order, apps in id order.
 
@@ -390,7 +389,7 @@ def correlate_stats(config: MarketConfig, daily_stats: Mapping[SeriesKey, Series
     """Every pair's correlation runs, metrics in name order, apps in id
     order, each pair's runs in time order.
 
-    Each block of pair series is cut into runs by ``extract_runs`` and
+    Each ``PairBlock`` is cut into runs by one ``extract_runs`` call and
     dropped before the next block is computed, so no pair's per-window
     series outlives its block.
     """

@@ -19,8 +19,8 @@ means to it.
 ``pearson_rho`` and ``detect_correlation`` correlate and classify one
 window from its definition, and ``baseline_sigma`` takes one baseline's
 standard deviation; the tests hold the package's column sweeps to them.
-``extract_runs`` cuts one pair series into its runs, one series at a time;
-the tests hold the package's all-pairs run extractor to it.
+``extract_runs`` cuts one pair's plain class row into its runs, one window
+at a time; the tests hold the package's block run cutter to it.
 """
 
 from __future__ import annotations
@@ -34,9 +34,7 @@ from dataclasses import dataclass
 from datetime import date
 from typing import Iterable, Iterator, Mapping, Protocol, Sequence, runtime_checkable
 
-import numpy as np
-
-from reviewpulse.correlate import DEFAULT_MIN_CORR_POINTS, CorrelationRun, PairSeries
+from reviewpulse.correlate import DEFAULT_MIN_CORR_POINTS, CorrelationRun
 from reviewpulse.detect import DEFAULT_MIN_BASELINE, _check_mode, _Moments
 from reviewpulse.ingest import (
     REVIEW_FIELDS,
@@ -47,7 +45,7 @@ from reviewpulse.ingest import (
     ScaleMap,
     parse_timestamp,
 )
-from reviewpulse.metrics import MetricKind, normalize_rating
+from reviewpulse.metrics import MetricKind, TimeWindow, normalize_rating
 from reviewpulse.sentiment import NEGATION_WINDOW, NEGATORS, _lookup, default_lexicon, split_sentences
 
 
@@ -329,33 +327,19 @@ def detect_correlation(rho: float | None, h: float) -> int:
     return 0
 
 
-def extract_runs(series: PairSeries) -> list[CorrelationRun]:
-    """Collapse a pair/metric correlation series into its nonzero runs.
+def extract_runs(c: Sequence[int], windows: Sequence[TimeWindow], key: tuple[str, str, MetricKind]) -> list[CorrelationRun]:
+    """Collapse one pair/metric's class row into its nonzero runs.
 
-    The series must be in window order over a contiguous grid (as
-    ``market_correlations`` leaves it).
+    ``c[w]`` is the class at ``windows[w]``, in window order over a
+    contiguous grid; ``key`` is the pair's ``(app_i, app_j, metric)``.
     """
-    c = series.c
-    if not c.any():
-        return []
-    cuts = (np.flatnonzero(c[1:] != c[:-1]) + 1).tolist()
-    firsts = [0, *cuts]
-    ends = [*cuts, len(c)]
     runs: list[CorrelationRun] = []
-    for first, end, sign in zip(firsts, ends, c[firsts].tolist()):
-        if sign == 0:
-            continue
-        t_start = series.windows[first].start
-        runs.append(
-            CorrelationRun(
-                app_i=series.app_i,
-                app_j=series.app_j,
-                metric=series.metric,
-                sign=sign,
-                t_start=t_start,
-                t_end=series.windows[end - 1].end,
-            )
-        )
+    first = 0
+    for w in range(1, len(c) + 1):
+        if w == len(c) or c[w] != c[first]:
+            if c[first] != 0:
+                runs.append(CorrelationRun(*key, int(c[first]), windows[first].start, windows[w - 1].end))
+            first = w
     return runs
 
 

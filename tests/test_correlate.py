@@ -1,7 +1,7 @@
 """Pairwise correlation, runs, and correlated-event intersection.
 
 Oracles here: a from-definition Pearson (plain covariance over the product
-of standard deviations), a linear scan for runs, the per-series run cutter
+of standard deviations), a linear scan for runs, the per-row run cutter
 of ``oracles.extract_runs``, and a brute-force replay of the intersection
 rules for correlated events.
 """
@@ -15,7 +15,7 @@ import tracemalloc
 from collections import Counter
 from dataclasses import replace
 from datetime import date, timedelta
-from itertools import combinations, groupby
+from itertools import combinations, groupby, repeat
 from operator import attrgetter
 
 import numpy as np
@@ -28,7 +28,7 @@ from reviewpulse.correlate import (
     CORRELATIONS_CSV_COLUMNS,
     CorrelationRecord,
     CorrelationRun,
-    PairSeries,
+    PairBlock,
     ce_records_from_json,
     ce_records_to_json,
     detect_correlated_events,
@@ -168,20 +168,32 @@ def _corr(idx: int, c: int) -> CorrelationRecord:
     )
 
 
-def _as_series(records: list[CorrelationRecord]) -> PairSeries:
-    """One pair/metric's records, in window order, as a pair series."""
+def _as_block(records: list[CorrelationRecord]) -> PairBlock:
+    """One pair/metric's records, in window order, as a one-row pair block."""
     first = records[0]
-    return PairSeries(
-        first.app_i, first.app_j, first.metric, [r.window for r in records],
-        np.array([math.nan if r.rho is None else r.rho for r in records], dtype=np.float64),
-        np.array([r.c for r in records], dtype=np.int64),
-        np.array([r.n_points for r in records], dtype=np.int64),
+    return PairBlock(
+        first.metric, [r.window for r in records], (first.app_i,), (first.app_j,),
+        np.array([[math.nan if r.rho is None else r.rho for r in records]], dtype=np.float64),
+        np.array([[r.c for r in records]], dtype=np.int64),
+        np.array([[r.n_points for r in records]], dtype=np.int64),
     )
+
+
+def _record_runs(records: list[CorrelationRecord]) -> list[CorrelationRun]:
+    """One pair/metric's records, in window order, cut by the per-row oracle."""
+    first = records[0]
+    return series_runs([r.c for r in records], [r.window for r in records], (first.app_i, first.app_j, first.metric))
+
+
+def _block_runs(block: PairBlock) -> list[CorrelationRun]:
+    """Every row of a pair block cut by the per-row oracle, rows in order."""
+    keys = zip(block.app_i, block.app_j, repeat(block.metric))
+    return [run for row, key in zip(block.c.tolist(), keys) for run in series_runs(row, block.windows, key)]
 
 
 def test_runs_from_short_series() -> None:
     records = [_corr(i, c) for i, c in enumerate([0, 1, 1, 0, -1])]
-    runs = extract_runs([_as_series(records)])
+    runs = extract_runs(_as_block(records))
     assert [(r.sign, r.t_start, r.t_end) for r in runs] == [
         (1, D0 + timedelta(days=1), D0 + timedelta(days=3)),
         (-1, D0 + timedelta(days=4), D0 + timedelta(days=5)),
@@ -189,15 +201,16 @@ def test_runs_from_short_series() -> None:
 
 
 def test_all_zero_series_has_no_runs() -> None:
-    assert extract_runs([_as_series([_corr(i, 0) for i in range(20)])]) == []
-    assert extract_runs([]) == []
+    assert extract_runs(_as_block([_corr(i, 0) for i in range(20)])) == []
+    empty = np.zeros((0, 20))
+    assert extract_runs(PairBlock(MetricKind.COUNT, _grid(20), (), (), empty, empty.astype(np.int8), empty)) == []
 
 
 def test_runs_match_linear_scan_oracle() -> None:
     rng = random.Random(55)
     signs = [rng.choice([-1, 0, 0, 1]) for _ in range(365)]
     records = [_corr(i, c) for i, c in enumerate(signs)]
-    runs = extract_runs([_as_series(records)])
+    runs = extract_runs(_as_block(records))
 
     # Oracle: scan for maximal constant nonzero stretches.
     expected = []
@@ -215,43 +228,38 @@ def test_runs_match_linear_scan_oracle() -> None:
 
 
 @st.composite
-def _class_matrices(draw) -> list[PairSeries]:
-    """Pair series over one or two grids, each class row built from runs of
-    one class; rows often start or end in a run, or flip sign with no zero
-    between."""
+def _class_matrices(draw) -> PairBlock:
+    """A pair block over a grid of 1- or 2-day windows, each class row built
+    from runs of one class; rows often start or end in a run, or flip sign
+    with no zero between."""
     n = draw(st.integers(0, 30))
-    grids = [[TimeWindow(D0 + timedelta(days=2 * k), 2) for k in range(n)]]
-    grids.append(list(grids[0]) if draw(st.booleans()) else [TimeWindow(D0 + timedelta(days=k), 1) for k in range(n)])
-    series = []
-    for k in range(draw(st.integers(0, 8))):
+    days = draw(st.integers(1, 2))
+    rows = []
+    for _ in range(draw(st.integers(0, 8))):
         pieces = draw(st.lists(st.tuples(st.sampled_from([-1, 0, 1]), st.integers(1, 6)), min_size=1, max_size=8))
-        c = np.array(([sign for sign, length in pieces for _ in range(length)] + [0] * n)[:n], dtype=np.int64)
-        rho = np.where(c == 0, np.nan, 0.9 * c)
-        windows = grids[draw(st.integers(0, 1))]
-        series.append(PairSeries(f"a{k}", f"b{k}", draw(st.sampled_from(list(MetricKind))), windows, rho, c,
-                                 np.full(n, 10)))
-    return series
+        rows.append(([sign for sign, length in pieces for _ in range(length)] + [0] * n)[:n])
+    c = np.array(rows, dtype=np.int8).reshape(len(rows), n)
+    return PairBlock(draw(st.sampled_from(list(MetricKind))), _grid(n, days), [f"a{k}" for k in range(len(rows))],
+                     [f"b{k}" for k in range(len(rows))], np.where(c == 0, np.nan, 0.9 * c), c, np.full(c.shape, 10))
 
 
 @settings(max_examples=300, deadline=None)
 @given(_class_matrices())
-def test_all_pairs_runs_match_the_per_series_oracle(series: list[PairSeries]) -> None:
-    assert extract_runs(series) == [run for s in series for run in series_runs(s)]
+def test_all_pairs_runs_match_the_per_series_oracle(block: PairBlock) -> None:
+    assert extract_runs(block) == _block_runs(block)
 
 
 def test_runs_at_both_grid_edges_and_sign_flips() -> None:
     rows = [[1, 1, -1, -1, 1], [-1, 0, 0, 0, -1], [0, 1, -1, 1, 0], [0, 0, 0, 0, 0]]
-    series = [
-        PairSeries(f"a{k}", "b", MetricKind.COUNT, _grid(5), np.zeros(5), np.array(row), np.zeros(5, dtype=np.int64))
-        for k, row in enumerate(rows)
-    ]
-    runs = extract_runs(series)
+    block = PairBlock(MetricKind.COUNT, _grid(5), [f"a{k}" for k in range(len(rows))], ["b"] * len(rows),
+                      np.zeros((len(rows), 5)), np.array(rows, dtype=np.int8), np.zeros((len(rows), 5), dtype=np.int64))
+    runs = extract_runs(block)
     assert [(r.app_i, r.sign, (r.t_start - D0).days, (r.t_end - D0).days) for r in runs] == [
         ("a0", 1, 0, 2), ("a0", -1, 2, 4), ("a0", 1, 4, 5),
         ("a1", -1, 0, 1), ("a1", -1, 4, 5),
         ("a2", 1, 1, 2), ("a2", -1, 2, 3), ("a2", 1, 3, 4),
     ]
-    assert runs == [run for s in series for run in series_runs(s)]
+    assert runs == _block_runs(block)
 
 
 def _event(app: str, widx: int, e: int) -> EventRecord:
@@ -364,32 +372,36 @@ def test_random_fixtures_match_exhaustive_ce_oracle() -> None:
 
 
 @st.composite
-def _market_reports(draw) -> tuple[list[EventRecord], list[PairSeries]]:
-    """Weekly events of every app and daily correlation series of every pair."""
+def _market_reports(draw) -> tuple[list[EventRecord], list[PairBlock]]:
+    """Weekly events of every app and one block of daily correlation series
+    of every pair per metric."""
     apps = [f"app{k}" for k in range(draw(st.integers(2, 4)))]
     weeks = draw(st.integers(2, 8))
     metrics = draw(st.lists(st.sampled_from(list(MetricKind)), min_size=1, max_size=2, unique=True))
     days = [TimeWindow(D0 + timedelta(days=d), 1) for d in range(7 * weeks)]
     events: list[EventRecord] = []
-    series: list[PairSeries] = []
+    blocks: list[PairBlock] = []
+    pairs = list(combinations(apps, 2))
     for metric in metrics:
         for app in apps:
             signs = draw(st.lists(st.sampled_from([-1, 0, 0, 1]), min_size=weeks, max_size=weeks))
             events += [replace(_event(app, w, e), metric=metric) for w, e in enumerate(signs)]
-        for i, j in combinations(apps, 2):
+        rows = []
+        for _ in pairs:
             # Runs of one class, each 1..10 days long, cut to the grid.
             runs = draw(st.lists(st.tuples(st.sampled_from([-1, 0, 1]), st.integers(1, 10)), min_size=1))
-            c = np.array(([sign for sign, length in runs for _ in range(length)] * len(days))[: len(days)])
-            rho = np.where(c == 0, np.nan, 0.9 * c)
-            series.append(PairSeries(i, j, metric, days, rho, c, np.full(len(days), 10)))
-    return events, series
+            rows.append(([sign for sign, length in runs for _ in range(length)] * len(days))[: len(days)])
+        c = np.array(rows, dtype=np.int8)
+        blocks.append(PairBlock(metric, days, [i for i, _ in pairs], [j for _, j in pairs],
+                                np.where(c == 0, np.nan, 0.9 * c), c, np.full(c.shape, 10)))
+    return events, blocks
 
 
 @settings(max_examples=200)
 @given(_market_reports(), st.randoms(use_true_random=False))
 def test_ce_ignores_input_order_and_app_labels(reports, rng) -> None:
-    events, series = reports
-    runs = extract_runs(series)
+    events, blocks = reports
+    runs = [run for block in blocks for run in extract_runs(block)]
     ces = ce_from_reports(events, runs, 7)
     shuffled_events, shuffled_runs = list(events), list(runs)
     rng.shuffle(shuffled_events)
@@ -430,7 +442,7 @@ def test_two_app_spiked_market_yields_exactly_one_ce() -> None:
 
 def test_correlations_csv_round_trip() -> None:
     records = [_corr(i, c) for i, c in enumerate([0, 1, -1, -1, 0, 1])]
-    runs = extract_runs([_as_series(records)])
+    runs = extract_runs(_as_block(records))
     text = "".join(write_correlations_csv(runs))
     assert text == (
         "app_i,app_j,metric,sign,t_start,t_end\n"
@@ -579,17 +591,17 @@ def test_write_bundle_builds_no_correlation_records(tmp_path, monkeypatch) -> No
     reviews, _ = generate(spike_pair_scenario(seed=0, n_apps=3))
     analysis = analyze_catalog(MarketConfig(seed=0), build_catalog(reviews))
 
-    def refuse(self: PairSeries) -> list[CorrelationRecord]:
+    def refuse(self: PairBlock) -> list[CorrelationRecord]:
         raise AssertionError("the write path built per-window records")
 
-    monkeypatch.setattr(PairSeries, "records", refuse)
+    monkeypatch.setattr(PairBlock, "records", refuse)
     write_bundle(analysis, [], tmp_path)
     lines = (tmp_path / "correlations.csv").read_text(encoding="utf-8").splitlines()
     assert len(lines) == 1 + len(analysis.runs) > 1
 
 
 def _oracle_runs(analysis) -> list[CorrelationRun]:
-    """Every pair's runs in report order, each cut by the per-series oracle
+    """Every pair's runs in report order, each cut by the per-row oracle
     from the pair's own ``pair_correlations`` sweep of the analysis' window
     means, not from the blocks that the analysis correlates."""
     config, stats = analysis.config, analysis.daily_stats
@@ -600,7 +612,7 @@ def _oracle_runs(analysis) -> list[CorrelationRun]:
             records = pair_correlations(app_i, app_j, metric, points[app_i], points[app_j],
                                         stats[(app_i, metric)].windows, config.lookback_days,
                                         config.correlation_threshold, config.min_corr_points)
-            runs += series_runs(_as_series(records))
+            runs += _record_runs(records)
     return runs
 
 
@@ -636,12 +648,14 @@ def _gapped_market(seed: int, apps: list[str], windows: list[TimeWindow]) -> np.
     return np.array(values)
 
 
-def _pair_sweep(s: PairSeries, apps: list[str], values: np.ndarray) -> list[CorrelationRecord]:
+def _pair_sweeps(block: PairBlock, apps: list[str], values: np.ndarray) -> list[list[CorrelationRecord]]:
+    """Each row's pair, swept on its own by ``pair_correlations``."""
     points = {
-        a: {w.start: v for w, v in zip(s.windows, row.tolist()) if not math.isnan(v)}
+        a: {w.start: v for w, v in zip(block.windows, row.tolist()) if not math.isnan(v)}
         for a, row in zip(apps, values)
     }
-    return pair_correlations(s.app_i, s.app_j, s.metric, points[s.app_i], points[s.app_j], s.windows, 14, 0.5)
+    return [pair_correlations(i, j, block.metric, points[i], points[j], block.windows, 14, 0.5)
+            for i, j in zip(block.app_i, block.app_j)]
 
 
 def test_market_correlations_match_per_pair_sweeps() -> None:
@@ -650,13 +664,13 @@ def test_market_correlations_match_per_pair_sweeps() -> None:
     apps = ["delta", "alpha", "charlie", "bravo"]
     windows = _grid(90)
     values = _gapped_market(606, apps, windows)
-    series = [s for block in market_correlations(apps, MetricKind.RATING, values, windows, 14, 0.5) for s in block]
-    assert len(series) == 6
-    for s in series:
-        want = _pair_sweep(s, apps, values)
-        assert s.app_i < s.app_j
-        assert s.records() == want
-        assert extract_runs([s]) == series_runs(_as_series(want))
+    blocks = list(market_correlations(apps, MetricKind.RATING, values, windows, 14, 0.5))
+    assert sum(len(block.app_i) for block in blocks) == 6
+    for block in blocks:
+        wants = _pair_sweeps(block, apps, values)
+        assert all(i < j for i, j in zip(block.app_i, block.app_j))
+        assert block.records() == [record for want in wants for record in want]
+        assert extract_runs(block) == [run for want in wants for run in _record_runs(want)]
 
 
 def test_pair_blocks_never_change_a_result(monkeypatch) -> None:
@@ -675,30 +689,35 @@ def test_pair_blocks_never_change_a_result(monkeypatch) -> None:
 
     monkeypatch.setattr(correlate, "_correlate_rows", counted)
 
-    def blocked(pairs_per_block: int) -> list[PairSeries]:
+    def blocked(pairs_per_block: int) -> list[PairBlock]:
         block_rows.clear()
         monkeypatch.setattr(correlate, "_PAIR_CELLS", pairs_per_block * len(windows))
-        return [s for block in market_correlations(apps, MetricKind.RATING, values, windows, 14, 0.5) for s in block]
+        return list(market_correlations(apps, MetricKind.RATING, values, windows, 14, 0.5))
 
-    whole = blocked(10)
+    (whole,) = blocked(10)
     assert block_rows == [10]
     for pairs_per_block, rows in [(1, [1] * 10), (2, [2] * 5), (3, [3, 3, 3, 1]), (4, [4, 4, 2])]:
-        series = blocked(pairs_per_block)
+        blocks = blocked(pairs_per_block)
         assert block_rows == rows
-        assert len(series) == len(whole)
-        for s, w in zip(series, whole):
-            assert (s.app_i, s.app_j) == (w.app_i, w.app_j)
+        assert [len(block.app_i) for block in blocks] == rows
+        at = 0
+        for block in blocks:
+            rows_of_whole = slice(at, at + len(block.app_i))
+            at = rows_of_whole.stop
+            assert (block.app_i, block.app_j) == (whole.app_i[rows_of_whole], whole.app_j[rows_of_whole])
             for name in ("rho", "c", "n_points"):
-                got, want = getattr(s, name), getattr(w, name)
-                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (s.app_i, s.app_j, name)
-            want = _pair_sweep(s, apps, values)
-            assert s.records() == want
-            assert np.array([math.nan if r.rho is None else r.rho for r in want]).tobytes() == s.rho.tobytes()
+                got, want = getattr(block, name), getattr(whole, name)[rows_of_whole]
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (block.app_i, name)
+            wants = _pair_sweeps(block, apps, values)
+            assert block.records() == [record for want in wants for record in want]
+            for rho, want in zip(block.rho, wants):
+                assert np.array([math.nan if r.rho is None else r.rho for r in want]).tobytes() == rho.tobytes()
+        assert at == len(whole.app_i)
 
 
 def test_market_correlations_working_set_is_bounded_by_blocks() -> None:
     # 40 apps over 1,456 windows: 780 pairs. What the kernel holds beyond
-    # the series it returns stays near one block of _PAIR_CELLS cells; blocks
+    # the blocks it returns stays near one block of _PAIR_CELLS cells; blocks
     # of 256 pairs whatever the grid length needed about 36 MiB here.
     rng = np.random.default_rng(0)
     windows = _grid(1456)
@@ -707,11 +726,11 @@ def test_market_correlations_working_set_is_bounded_by_blocks() -> None:
     apps = [f"app{a:02d}" for a in range(40)]
     tracemalloc.start()
     try:
-        series = [s for block in market_correlations(apps, MetricKind.RATING, values, windows, 28, 0.5) for s in block]
+        blocks = list(market_correlations(apps, MetricKind.RATING, values, windows, 28, 0.5))
         kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(series) == 780
+    assert sum(len(block.app_i) for block in blocks) == 780
     assert peak - kept < 4 * 2**20
 
 
@@ -745,9 +764,9 @@ def test_pair_block_size_never_changes_the_runs(monkeypatch) -> None:
     cut = pipeline.extract_runs
     block_pairs: list[int] = []
 
-    def counted(series):
-        block_pairs.append(len(series))
-        return cut(series)
+    def counted(block):
+        block_pairs.append(len(block.app_i))
+        return cut(block)
 
     monkeypatch.setattr(pipeline, "extract_runs", counted)
     for pairs_per_block, sizes in [(10, [10]), (1, [1] * 10), (2, [2] * 5), (3, [3, 3, 3, 1])]:
@@ -763,6 +782,6 @@ def test_runs_are_the_oracle_cut_of_the_correlations_view() -> None:
     records = analysis.correlations
     n_windows = len(next(iter(analysis.daily_stats.values())).windows)
     assert len(records) == 45 * 3 * n_windows
-    series = [_as_series(list(group)) for _, group in groupby(records, key=attrgetter("app_i", "app_j", "metric"))]
-    assert analysis.runs == [run for s in series for run in series_runs(s)]
+    groups = groupby(records, key=attrgetter("app_i", "app_j", "metric"))
+    assert analysis.runs == [run for _, group in groups for run in _record_runs(list(group))]
     assert analysis.runs
