@@ -42,7 +42,7 @@ import numpy as np
 
 from .detect import EventRecord
 from .ingest import csv_line_writer, json_text
-from .metrics import MetricKind, TimeWindow, csv_rows, int64_cells, series_cells
+from .metrics import MetricKind, TimeWindow, csv_rows, follow_problem, int64_cells, series_cells
 
 __all__ = [
     "CORRELATIONS_CSV_COLUMNS",
@@ -383,33 +383,29 @@ def _run_problem(sign: int, t_start: date, t_end: date, window_days: int, prev: 
         return f"{(t_end - t_start).days} days are not whole {window_days}-day windows"
     if prev is None:
         return None
-    if t_start < prev.t_start:
-        return f"the run from {t_start} comes before the run from {prev.t_start}"
-    if t_start < prev.t_end:
-        return f"the run from {t_start} overlaps the run from {prev.t_start}"
     if t_start == prev.t_end and sign == prev.sign:
         return f"the run from {t_start} touches the run from {prev.t_start} with the same sign"
-    if (t_start - prev.t_end).days % window_days:
-        return f"the run from {t_start} is off the grid of the run from {prev.t_start}"
-    return None
+    return follow_problem("run", t_start, prev.t_start, prev.t_end, window_days)
 
 
 def read_correlations_csv(text: str, window_days: int) -> list[CorrelationRun]:
     """Correlation runs from the CSV dump, in file order.
 
     A row that ``series_cells`` refuses, or a ``sign`` that is not an
-    integer, is a ValueError naming its pair and line. So is a run whose
-    sign is not 1 or -1, whose ``t_end`` is not after its ``t_start``, or
-    whose span is not a whole number of ``window_days`` windows; and one
-    that comes before the previous run of its pair and metric, overlaps
-    it, touches it with the same sign, or starts a span after its end that
-    is not a whole number of windows.
+    integer, is a ValueError naming its pair and line. So is a pair that is
+    not canonical (``app_i`` not before ``app_j``, a self-pair included),
+    and a run whose sign is not 1 or -1, whose ``t_end`` is not after its
+    ``t_start``, or whose span is not a whole number of ``window_days``
+    windows; and one that touches the previous run of its pair and metric
+    with the same sign, or that ``follow_problem`` refuses after it.
     """
     runs: list[CorrelationRun] = []
     last: dict[tuple, CorrelationRun] = {}
     for line, row in csv_rows(text, CORRELATIONS_CSV_COLUMNS, "correlations"):
         label, key, (sign, t_start, t_end) = series_cells(row, CORRELATIONS_CSV_COLUMNS, line, "correlations")
         (sign,) = int64_cells((sign,), line, label)
+        if key[0] >= key[1]:
+            raise ValueError(f"{label}, CSV line {line}: app_i {key[0]!r} is not before app_j {key[1]!r}")
         problem = _run_problem(sign, t_start, t_end, window_days, last.get(key))
         if problem is not None:
             raise ValueError(f"{label}, CSV line {line}: {problem}")

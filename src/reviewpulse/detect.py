@@ -27,7 +27,7 @@ from math import isfinite, isqrt
 from typing import Iterable, Sequence
 
 from .ingest import csv_line_writer
-from .metrics import MetricKind, TimeWindow, WindowStat, csv_rows, float_cells, int64_cells, series_cells
+from .metrics import MetricKind, TimeWindow, WindowStat, csv_rows, float_cells, follow_problem, int64_cells, series_cells
 
 __all__ = [
     "EVENTS_CSV_COLUMNS",
@@ -195,27 +195,24 @@ def read_events_csv(text: str, window_days: int, k: float) -> list[EventRecord]:
     ``true`` or ``false`` is a ValueError naming its line. So is a row that
     ``series_cells`` refuses, an ``e`` or ``baseline_n`` that is not an
     integer or is beyond int64, and an ``a`` or ``sigma`` that is not a
-    number; these also name the row's series.
+    number; these also name the row's series. So does a window that
+    ``follow_problem`` refuses after the previous window of its series: a
+    repeat, an overlap, a step back or a start off that window's grid. A
+    gap of whole windows, where zero rows were dropped, is allowed.
     """
     out: list[EventRecord] = []
+    last: dict[tuple, TimeWindow] = {}
     for line, row in csv_rows(text, EVENTS_CSV_COLUMNS, "events"):
-        label, (app_id, metric), (t0, e, a, sigma, baseline_n, warmup) = series_cells(row, EVENTS_CSV_COLUMNS, line, "events")
+        label, key, (t0, e, a, sigma, baseline_n, warmup) = series_cells(row, EVENTS_CSV_COLUMNS, line, "events")
         e_value, n_value = int64_cells((e, baseline_n), line, label)
         values = float_cells((a, sigma), line, label)
         finite = all(isfinite(v) for v in values if v is not None)
         if e_value not in (-1, 0, 1) or not finite or warmup not in ("true", "false"):
             raise ValueError(f"events CSV line {line}: bad e, a, sigma or warmup: {e!r}, {a!r}, {sigma!r}, {warmup!r}")
-        out.append(
-            EventRecord(
-                app_id=app_id,
-                metric=metric,
-                window=TimeWindow(t0, window_days),
-                e=e_value,
-                a=values[0],
-                sigma=values[1],
-                k=k,
-                baseline_n=n_value,
-                warmup=warmup == "true",
-            )
-        )
+        prev = last.get(key)
+        problem = prev and follow_problem("window", t0, prev.start, prev.end, window_days)
+        if problem:
+            raise ValueError(f"{label}, CSV line {line}: {problem}")
+        last[key] = window = TimeWindow(t0, window_days)
+        out.append(EventRecord(*key, window, e_value, *values, k, n_value, warmup == "true"))
     return out

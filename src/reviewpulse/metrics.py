@@ -61,6 +61,7 @@ __all__ = [
     "check_grid",
     "day_sums",
     "float_cells",
+    "follow_problem",
     "int64_cells",
     "metric_delta",
     "normalize_rating",
@@ -330,6 +331,21 @@ def check_grid(windows: Sequence[TimeWindow], label: str) -> None:
             raise ValueError(f"{label}: window {window.start} does not follow {prev.start}")
         if window.days != prev.days:
             raise ValueError(f"{label}: window {window.start} is {window.days} days, not {prev.days}")
+
+
+def follow_problem(what: str, start: date, prev_start: date, prev_end: date, window_days: int) -> str | None:
+    """Why a ``what`` from ``start`` cannot follow the previous one of its
+    series, from ``prev_start`` to ``prev_end``, on a grid of
+    ``window_days``-day windows: it comes before it, overlaps or repeats
+    it, or leaves its grid. None when it can; a gap of whole windows is
+    allowed."""
+    if start < prev_start:
+        return f"the {what} from {start} comes before the {what} from {prev_start}"
+    if start < prev_end:
+        return f"the {what} from {start} overlaps the {what} from {prev_start}"
+    if (start - prev_end).days % window_days:
+        return f"the {what} from {start} is off the grid of the {what} from {prev_start}"
+    return None
 
 
 def metric_delta(stats: Sequence[WindowStat]) -> list[WindowStat]:

@@ -86,12 +86,14 @@ def test_ce_stage_rebuilds_the_run_output_from_csvs_alone(tmp_path) -> None:
 
 
 def _chain_matches_run(tmp_path: Path, dataset: Path, settings: list[str]) -> Path:
-    """Run the staged subcommands and ``run`` under one config; assert equal files."""
+    """Run the staged subcommands and ``run`` under one config; assert that
+    they write the same files, every file of the ``run`` bundle byte for byte."""
     flags = [arg for setting in settings for arg in ("--set", setting)]
     out = tmp_path / "run"
     assert main(["run", str(dataset), "--out", str(out), *flags]) == 0
 
     staged = tmp_path / "staged"
+    assert main(["ingest-check", str(dataset), "--out", str(staged), *flags]) == 0
     assert main(["metrics", str(dataset), "--out", str(staged), *flags]) == 0
     assert main(["detect", str(staged / "day_sums.csv"), "--out", str(staged), *flags]) == 0
     assert main(["correlate", str(staged / "day_sums.csv"), "--out", str(staged), *flags]) == 0
@@ -103,10 +105,10 @@ def _chain_matches_run(tmp_path: Path, dataset: Path, settings: list[str]) -> Pa
         "summarize-prep", str(staged / "correlated_events.json"), str(dataset),
         "--out", str(staged), *flags,
     ]) == 0
-    for name in (
-        "day_sums.csv", "metrics.csv", "metrics_daily.csv", "events.csv", "correlations.csv",
-        "correlated_events.json", "summary_requests.json", "summaries.json",
-    ):
+    names = sorted(path.name for path in out.iterdir())
+    assert sorted(path.name for path in staged.iterdir()) == names
+    assert set(names) == {*pipeline.BUNDLE_FILES, "summaries.json"}
+    for name in names:
         assert (staged / name).read_bytes() == (out / name).read_bytes(), name
     return out
 

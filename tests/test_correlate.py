@@ -498,6 +498,23 @@ def test_correlations_csv_names_the_pair_and_line_of_a_refused_run(runs, window_
     assert str(exc.value) == f"correlations of (a, b, count), {refused}"
 
 
+@pytest.mark.parametrize(
+    "rows, refused",
+    [
+        (["a,b,count,1,2024-01-01,2024-01-03", "b,a,count,1,2024-01-01,2024-01-03"],
+         "correlations of (b, a, count), CSV line 3: app_i 'b' is not before app_j 'a'"),
+        (["a,a,count,1,2024-01-01,2024-01-03"], "correlations of (a, a, count), CSV line 2: app_i 'a' is not before app_j 'a'"),
+    ],
+    ids=["swapped", "self-pair"],
+)
+def test_correlations_csv_refuses_a_pair_that_is_not_canonical(rows, refused) -> None:
+    # Both orders of one pair over the same days would give two CEs for one
+    # pair and window.
+    with pytest.raises(ValueError) as exc:
+        read_correlations_csv("app_i,app_j,metric,sign,t_start,t_end\n" + "".join(f"{r}\n" for r in rows), 1)
+    assert str(exc.value) == refused
+
+
 def test_correlations_csv_accepts_touching_runs_of_opposite_sign() -> None:
     text = (
         "app_i,app_j,metric,sign,t_start,t_end\n"
@@ -539,13 +556,14 @@ _APP_IDS = st.text(
 
 @st.composite
 def _correlation_runs(draw) -> tuple[int, list[CorrelationRun]]:
-    """A window length and the runs of a few pair series on its grid: each
-    run 1..5 windows long, after a gap of 0..3 windows, flipping sign where
-    it touches the run before."""
+    """A window length and the runs of a few canonical pair series on its
+    grid: each run 1..5 windows long, after a gap of 0..3 windows, flipping
+    sign where it touches the run before."""
     window_days = draw(st.integers(1, 3))
+    pairs = st.lists(_APP_IDS, min_size=2, max_size=2, unique=True).map(sorted)
     keys = draw(
         st.lists(
-            st.tuples(_APP_IDS, _APP_IDS, st.sampled_from([MetricKind.COUNT, MetricKind.RATING])),
+            st.tuples(pairs, st.sampled_from([MetricKind.COUNT, MetricKind.RATING])).map(lambda k: (*k[0], k[1])),
             max_size=4,
             unique=True,
         )

@@ -205,6 +205,38 @@ def test_events_csv_names_the_line_of_a_bad_numeric_cell(cells: str, refused: st
     assert str(exc.value) == f"events of (a, count), CSV line 3: {refused}"
 
 
+@pytest.mark.parametrize(
+    "t0s, window_days, refused",
+    [
+        (["01", "01"], 7, "CSV line 5: the window from 2024-01-01 overlaps the window from 2024-01-01"),
+        (["01", "03"], 7, "CSV line 5: the window from 2024-01-03 overlaps the window from 2024-01-01"),
+        (["08", "01"], 7, "CSV line 5: the window from 2024-01-01 comes before the window from 2024-01-08"),
+        (["01", "09"], 7, "CSV line 5: the window from 2024-01-09 is off the grid of the window from 2024-01-01"),
+        (["01", "15", "22", "22"], 7, "CSV line 9: the window from 2024-01-22 overlaps the window from 2024-01-22"),
+        (["01", "02"], 2, "CSV line 5: the window from 2024-01-02 overlaps the window from 2024-01-01"),
+    ],
+    ids=["repeat", "overlap", "step-back", "off-grid", "repeat-after-gap", "overlap-2-day"],
+)
+def test_events_csv_names_the_series_and_line_of_a_refused_window(t0s, window_days, refused) -> None:
+    # Windows are checked per series: another series' rows around them change nothing.
+    others = [f"y,count,{date(2025, 1, 1) + timedelta(days=14 * k)},0,,,0,true\n" for k in range(5)]
+    rows = [others[0]]
+    for k, t0 in enumerate(t0s):
+        rows += [f"x,count,2024-01-{t0},{(-1) ** k},{3.0 * (-1) ** k},1.0,8,false\n", others[k + 1]]
+    with pytest.raises(ValueError) as exc:
+        read_events_csv("app_id,metric,t0,e,a,sigma,baseline_n,warmup\n" + "".join(rows), window_days, k=2.0)
+    assert str(exc.value) == f"events of (x, count), {refused}"
+
+
+def test_events_csv_accepts_gaps_of_whole_windows() -> None:
+    # Dropped zero rows leave gaps: the nonzero rows of a series read back alone.
+    mus = [10.0, 11.0, 10.0, 10.5, 10.0, 13.0, 2.0, 9.0, 10.0, 30.0]
+    records = detect_series(_stats(mus), START, k=2.0, min_baseline=3)
+    nonzero = [r for r in records if r.e]
+    assert 0 < len(nonzero) < len(records) - 1
+    assert read_events_csv(write_events_csv(nonzero), window_days=7, k=2.0) == nonzero
+
+
 _DELTA_KINDS = (
     lambda rng: rng.uniform(-50, 50),
     lambda rng: float(rng.randrange(-9, 9)),

@@ -345,12 +345,13 @@ def test_write_file_streams_its_chunks(tmp_path) -> None:
 
 
 def test_series_csv_files_hold_their_joined_chunks(tmp_path) -> None:
-    # An app id holding "," and "\r" stays quoted across chunk boundaries.
+    # An app id holding "," and "\r" stays quoted across chunk boundaries,
+    # as app_i and as app_j of a canonical pair.
     windows = window_series(date(2024, 1, 4), date(2024, 1, 25), 7)
     series = [_series("app,\rA", [10.0, None, 1 / 3], windows), _series("appB", [None, 2.0, 2.5], windows)]
     runs = [
         CorrelationRun(a, b, MetricKind.RATING, sign, windows[k].start, windows[k].end)
-        for a, b in [("app,\rA", "appB"), ("appB", "app\r,C")]
+        for a, b in [("app,\rA", "appB"), ("app", "app\r,C")]
         for k, sign in [(0, 1), (2, -1)]
     ]
     days = np.array([0, 2, 5, 5], dtype=np.int64)
