@@ -34,7 +34,7 @@ import math
 from dataclasses import dataclass
 from bisect import bisect_left, bisect_right
 from datetime import date, timedelta
-from itertools import combinations, groupby, repeat
+from itertools import combinations, groupby
 from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -275,7 +275,7 @@ def extract_runs(block: PairBlock) -> list[CorrelationRun]:
     lasts = np.nonzero(closes)[1]
     keys = rows.tolist()
     return list(map(CorrelationRun, [block.app_i[k] for k in keys], [block.app_j[k] for k in keys],
-                    repeat(block.metric, len(keys)), c[rows, firsts].tolist(),
+                    [block.metric] * len(keys), c[rows, firsts].tolist(),
                     [windows[k].start for k in firsts.tolist()], [windows[k].end for k in lasts.tolist()]))
 
 

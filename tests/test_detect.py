@@ -218,7 +218,9 @@ def test_events_csv_names_the_line_of_a_bad_numeric_cell(cells: str, refused: st
     ids=["repeat", "overlap", "step-back", "off-grid", "repeat-after-gap", "overlap-2-day"],
 )
 def test_events_csv_names_the_series_and_line_of_a_refused_window(t0s, window_days, refused) -> None:
-    # Windows are checked per series: another series' rows around them change nothing.
+    # Windows are checked per series: another series' rows around them change
+    # nothing. A gap of whole windows is legal (dropped zero rows; see
+    # test_cli.py::test_ce_stage_rebuilds_the_run_output_from_csvs_alone).
     others = [f"y,count,{date(2025, 1, 1) + timedelta(days=14 * k)},0,,,0,true\n" for k in range(5)]
     rows = [others[0]]
     for k, t0 in enumerate(t0s):
@@ -226,15 +228,6 @@ def test_events_csv_names_the_series_and_line_of_a_refused_window(t0s, window_da
     with pytest.raises(ValueError) as exc:
         read_events_csv("app_id,metric,t0,e,a,sigma,baseline_n,warmup\n" + "".join(rows), window_days, k=2.0)
     assert str(exc.value) == f"events of (x, count), {refused}"
-
-
-def test_events_csv_accepts_gaps_of_whole_windows() -> None:
-    # Dropped zero rows leave gaps: the nonzero rows of a series read back alone.
-    mus = [10.0, 11.0, 10.0, 10.5, 10.0, 13.0, 2.0, 9.0, 10.0, 30.0]
-    records = detect_series(_stats(mus), START, k=2.0, min_baseline=3)
-    nonzero = [r for r in records if r.e]
-    assert 0 < len(nonzero) < len(records) - 1
-    assert read_events_csv(write_events_csv(nonzero), window_days=7, k=2.0) == nonzero
 
 
 _DELTA_KINDS = (
