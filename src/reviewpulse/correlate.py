@@ -264,7 +264,9 @@ def extract_runs(block: PairBlock) -> list[CorrelationRun]:
     The block's class matrix is cut in one array pass: a run starts at
     window ``d`` where ``c[d] != 0`` and ``c[d] != c[d - 1]``, and ends
     where the next window's class differs. Dates are read from the grid at
-    run edges only, and objects are built per run only.
+    run edges only, and objects are built per run only. The grid is
+    contiguous, so a run ends where the window after it starts, or at the
+    grid's end: the runs share the grid's date objects.
     """
     c, windows = block.c, block.windows
     changed = c[:, 1:] != c[:, :-1]
@@ -273,10 +275,12 @@ def extract_runs(block: PairBlock) -> list[CorrelationRun]:
     closes[:, :-1] &= changed
     rows, firsts = np.nonzero(opens)
     lasts = np.nonzero(closes)[1]
+    final = len(windows) - 1
+    grid_end = windows[final].end if windows else None
     keys = rows.tolist()
     return list(map(CorrelationRun, [block.app_i[k] for k in keys], [block.app_j[k] for k in keys],
-                    [block.metric] * len(keys), c[rows, firsts].tolist(),
-                    [windows[k].start for k in firsts.tolist()], [windows[k].end for k in lasts.tolist()]))
+                    [block.metric] * len(keys), c[rows, firsts].tolist(), [windows[k].start for k in firsts.tolist()],
+                    [windows[k + 1].start if k < final else grid_end for k in lasts.tolist()]))
 
 
 @dataclass(frozen=True, slots=True)
