@@ -327,7 +327,9 @@ def detect_correlation(rho: float | None, h: float) -> int:
     return 0
 
 
-def extract_runs(c: Sequence[int], windows: Sequence[TimeWindow], key: tuple[str, str, MetricKind]) -> list[CorrelationRun]:
+def extract_runs(
+    c: Sequence[int], windows: Sequence[TimeWindow], key: tuple[str, str, MetricKind]
+) -> list[CorrelationRun]:
     """Collapse one pair/metric's class row into its nonzero runs.
 
     ``c[w]`` is the class at ``windows[w]``, in window order over a
