@@ -80,7 +80,7 @@ def _cmd_detect(args: argparse.Namespace) -> int:
     sums = read_stage(read_day_sums_csv, args.day_sums)
     events = detect_events(config, series_stats(sums, config.event_window_days))
     records = [r for series in in_report_order(events) for r in series]
-    path = write_file(args.out, "events.csv", [write_events_csv(records)])
+    path = write_file(args.out, "events.csv", write_events_csv(records))
     nonzero = sum(1 for r in records if r.e != 0)
     print(f"wrote {len(records)} event rows ({nonzero} nonzero) to {path}")
     return 0

@@ -16,6 +16,8 @@ from datetime import date
 from pathlib import Path
 from typing import Callable, Mapping
 
+from .correlate import DEFAULT_MIN_CORR_POINTS
+from .detect import DEFAULT_MIN_BASELINE
 from .ingest import RatingScale, ScaleMap
 from .sentiment import load_lexicon
 from .summarize import load_template
@@ -47,8 +49,8 @@ class MarketConfig:
     lookback_days: int = 14
     sample_size: int = 50
     seed: int = 0
-    min_baseline: int = 4
-    min_corr_points: int = 8
+    min_baseline: int = DEFAULT_MIN_BASELINE
+    min_corr_points: int = DEFAULT_MIN_CORR_POINTS
     monthly_floor: float = 20.0
     exclude_insufficient: bool = False
     sigma_mode: str = "population"

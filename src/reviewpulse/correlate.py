@@ -41,8 +41,8 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .detect import EventRecord
-from .ingest import csv_line_writer, json_text
-from .metrics import MetricKind, TimeWindow, csv_rows, follow_problem, int64_cells, series_cells
+from .ingest import json_text
+from .metrics import MetricKind, TimeWindow, csv_prefixes, follow_problem, series_rows
 
 __all__ = [
     "CORRELATIONS_CSV_COLUMNS",
@@ -360,20 +360,14 @@ def detect_correlated_events(
 
 def write_correlations_csv(runs: Sequence[CorrelationRun]) -> Iterator[str]:
     """The correlations.csv text as chunks: the header, then one chunk per
-    pair series of one row per run, runs in the order given.
-
-    Each series' key cells are quoted once, through ``csv_line_writer``,
-    and each day's ISO text is formatted once.
-    """
-    parts: list[str] = []
-    writer = csv_line_writer(parts)
-    writer.writerow(CORRELATIONS_CSV_COLUMNS)
-    yield parts.pop()
+    pair series of one row per run, runs in the order given. Each day's ISO
+    text is formatted once."""
+    header, prefix = csv_prefixes(CORRELATIONS_CSV_COLUMNS)
+    yield header
     iso = {day: day.isoformat() for day in {r.t_start for r in runs} | {r.t_end for r in runs}}
     for (app_i, app_j, metric), group in groupby(runs, key=itemgetter(0, 1, 2)):
-        writer.writerow((app_i, app_j, metric.value, ""))
-        prefix = parts.pop()[:-1]  # the quoted key cells and a trailing comma
-        yield "".join([f"{prefix}{sign},{iso[start]},{iso[end]}\n" for _, _, _, sign, start, end in group])
+        key = prefix(app_i, app_j, metric.value)
+        yield "".join([f"{key}{sign},{iso[start]},{iso[end]}\n" for _, _, _, sign, start, end in group])
 
 
 def _run_problem(sign: int, t_start: date, t_end: date, window_days: int, prev: CorrelationRun | None) -> str | None:
@@ -395,19 +389,17 @@ def _run_problem(sign: int, t_start: date, t_end: date, window_days: int, prev: 
 def read_correlations_csv(text: str, window_days: int) -> list[CorrelationRun]:
     """Correlation runs from the CSV dump, in file order.
 
-    A row that ``series_cells`` refuses, or a ``sign`` that is not an
-    integer, is a ValueError naming its pair and line. So is a pair that is
-    not canonical (``app_i`` not before ``app_j``, a self-pair included),
-    and a run whose sign is not 1 or -1, whose ``t_end`` is not after its
-    ``t_start``, or whose span is not a whole number of ``window_days``
-    windows; and one that touches the previous run of its pair and metric
-    with the same sign, or that ``follow_problem`` refuses after it.
+    A row that ``series_rows`` refuses is a ValueError naming its pair and
+    line. So is a pair that is not canonical (``app_i`` not before
+    ``app_j``, a self-pair included), and a run whose sign is not 1 or -1,
+    whose ``t_end`` is not after its ``t_start``, or whose span is not a
+    whole number of ``window_days`` windows; and one that touches the
+    previous run of its pair and metric with the same sign, or that
+    ``follow_problem`` refuses after it.
     """
     runs: list[CorrelationRun] = []
     last: dict[tuple, CorrelationRun] = {}
-    for line, row in csv_rows(text, CORRELATIONS_CSV_COLUMNS, "correlations"):
-        label, key, (sign, t_start, t_end) = series_cells(row, CORRELATIONS_CSV_COLUMNS, line, "correlations")
-        (sign,) = int64_cells((sign,), line, label)
+    for line, label, key, (sign, t_start, t_end), _ in series_rows(text, CORRELATIONS_CSV_COLUMNS, "correlations"):
         if key[0] >= key[1]:
             raise ValueError(f"{label}, CSV line {line}: app_i {key[0]!r} is not before app_j {key[1]!r}")
         problem = _run_problem(sign, t_start, t_end, window_days, last.get(key))

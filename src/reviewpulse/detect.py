@@ -23,11 +23,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from datetime import date
+from itertools import groupby
 from math import isfinite, isqrt
-from typing import Iterable, Sequence
+from operator import attrgetter
+from typing import Iterable, Iterator, Sequence
 
-from .ingest import csv_line_writer
-from .metrics import MetricKind, TimeWindow, WindowStat, csv_rows, float_cells, follow_problem, int64_cells, series_cells
+from .metrics import MetricKind, TimeWindow, WindowStat, csv_prefixes, follow_problem, series_rows
 
 __all__ = [
     "EVENTS_CSV_COLUMNS",
@@ -166,53 +167,44 @@ def detect_series(
     return records
 
 
-def write_events_csv(records: Iterable[EventRecord]) -> str:
-    lines: list[str] = []
-    writer = csv_line_writer(lines)
-    writer.writerow(EVENTS_CSV_COLUMNS)
-    for r in records:
-        writer.writerow(
-            [
-                r.app_id,
-                r.metric.value,
-                r.window.start.isoformat(),
-                r.e,
-                "" if r.a is None else repr(r.a),
-                "" if r.sigma is None else repr(r.sigma),
-                r.baseline_n,
-                "true" if r.warmup else "false",
-            ]
-        )
-    return "".join(lines)
+def write_events_csv(records: Iterable[EventRecord]) -> Iterator[str]:
+    """The events CSV as text chunks: the header, then one chunk per run of
+    consecutive records of one series, one row per record: ``a`` and
+    ``sigma`` written with ``repr``, None empty. Nothing is built before it
+    is asked for, so a writer holds one series' text at a time."""
+    header, prefix = csv_prefixes(EVENTS_CSV_COLUMNS)
+    yield header
+    for (app, metric), group in groupby(records, key=attrgetter("app_id", "metric")):
+        key = prefix(app, metric.value)
+        yield "".join([f"{key}{r.window.start.isoformat()},{r.e},{'' if r.a is None else repr(r.a)},"
+                       f"{'' if r.sigma is None else repr(r.sigma)},{r.baseline_n},{'true' if r.warmup else 'false'}\n"
+                       for r in group])
 
 
 def read_events_csv(text: str, window_days: int, k: float) -> list[EventRecord]:
     """Rebuild event records from the CSV dump.
 
     The window length and sensitivity are not CSV columns; they come from
-    the same config that produced the dump. A row whose ``e`` is not -1, 0
-    or 1, whose ``a`` or ``sigma`` is not finite, or whose ``warmup`` is not
-    ``true`` or ``false`` is a ValueError naming its line. So is a row that
-    ``series_cells`` refuses, an ``e`` or ``baseline_n`` that is not an
-    integer or is beyond int64, and an ``a`` or ``sigma`` that is not a
-    number; these also name the row's series. So does a window that
-    ``follow_problem`` refuses after the previous window of its series: a
-    repeat, an overlap, a step back or a start off that window's grid. A
-    gap of whole windows, where zero rows were dropped, is allowed.
+    the same config that produced the dump. A row that ``series_rows``
+    refuses is a ValueError naming its series and line. So is a row whose
+    ``e`` is not -1, 0 or 1, whose ``a`` or ``sigma`` is not finite, or
+    whose ``warmup`` is not ``true`` or ``false``, quoting those cells as
+    written; and a window that ``follow_problem`` refuses after the
+    previous window of its series: a repeat, an overlap, a step back or a
+    start off that window's grid. A gap of whole windows, where zero rows
+    were dropped, is allowed.
     """
     out: list[EventRecord] = []
     last: dict[tuple, TimeWindow] = {}
-    for line, row in csv_rows(text, EVENTS_CSV_COLUMNS, "events"):
-        label, key, (t0, e, a, sigma, baseline_n, warmup) = series_cells(row, EVENTS_CSV_COLUMNS, line, "events")
-        e_value, n_value = int64_cells((e, baseline_n), line, label)
-        values = float_cells((a, sigma), line, label)
-        finite = all(isfinite(v) for v in values if v is not None)
-        if e_value not in (-1, 0, 1) or not finite or warmup not in ("true", "false"):
-            raise ValueError(f"events CSV line {line}: bad e, a, sigma or warmup: {e!r}, {a!r}, {sigma!r}, {warmup!r}")
+    for line, label, key, (t0, e, a, sigma, baseline_n, warmup), row in series_rows(text, EVENTS_CSV_COLUMNS, "events"):
+        finite = (a is None or isfinite(a)) and (sigma is None or isfinite(sigma))
+        if e not in (-1, 0, 1) or not finite or warmup not in ("true", "false"):
+            written = row[3], row[4], row[5], row[7]
+            raise ValueError(f"{label}, CSV line {line}: bad e, a, sigma or warmup: {', '.join(map(repr, written))}")
         prev = last.get(key)
         problem = prev and follow_problem("window", t0, prev.start, prev.end, window_days)
         if problem:
             raise ValueError(f"{label}, CSV line {line}: {problem}")
         last[key] = window = TimeWindow(t0, window_days)
-        out.append(EventRecord(*key, window, e_value, *values, k, n_value, warmup == "true"))
+        out.append(EventRecord(*key, window, e, a, sigma, k, baseline_n, warmup == "true"))
     return out

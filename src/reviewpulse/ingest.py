@@ -680,9 +680,6 @@ class MarketCatalog:
     monthly_floor: float
     duplicates_dropped: int
 
-    def all_reviews(self) -> ReviewTable:
-        return ReviewTable.concat(self.reviews[app] for app in self.apps)
-
     def insufficient_apps(self) -> tuple[str, ...]:
         return tuple(a for a in self.apps if self.coverage[a].insufficient)
 

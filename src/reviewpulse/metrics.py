@@ -28,8 +28,15 @@ per body), so a body the day sums scored is not scored again.
 
 A series is held as columns (``SeriesStats``) over a window grid that all
 series of the grid share; ``WindowStat`` rows are built only at the edges.
-A series CSV is written as text chunks, one per series, so no file's whole
-text is held. The metrics CSVs are reports; no stage reads them back.
+
+The series-CSV form of the stage files (day sums, metrics, events and
+correlation runs) is stated here once. A series CSV is written as text
+chunks, the header and then one chunk per series, so no file's whole text
+is held; ``csv_prefixes`` gives every writer its header and quotes each
+series' key cells once. ``series_rows`` is the one reader: it reads each
+cell after the key by its column's type, and takes a number only in the
+form the writers write it. The metrics CSVs are reports; no stage reads
+them back.
 """
 
 from __future__ import annotations
@@ -38,10 +45,11 @@ import csv
 import functools
 import io
 import math
+import re
 from dataclasses import dataclass, replace
-from datetime import date, datetime, timedelta, timezone
+from datetime import date, timedelta
 from enum import Enum
-from typing import Collection, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Collection, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -57,19 +65,17 @@ __all__ = [
     "SeriesStats",
     "TimeWindow",
     "correlation_points",
-    "csv_rows",
+    "csv_prefixes",
     "check_grid",
     "day_sums",
-    "float_cells",
     "follow_problem",
-    "int64_cells",
     "metric_delta",
     "normalize_rating",
     "read_day_sums_csv",
     "score_bodies",
     "score_review",
     "score_reviews",
-    "series_cells",
+    "series_rows",
     "utc_midnights",
     "window_series",
     "window_stats",
@@ -98,10 +104,6 @@ class TimeWindow:
     @property
     def end(self) -> date:
         return self.start + timedelta(days=self.days)
-
-    def contains(self, ts: datetime) -> bool:
-        day = ts.astimezone(timezone.utc).date()
-        return self.start <= day < self.end
 
     def overlaps(self, other: "TimeWindow") -> bool:
         return self.start < other.end and other.start < self.end
@@ -364,106 +366,125 @@ def correlation_points(stats: Sequence[WindowStat]) -> dict[date, float]:
     return {s.window.start: s.mu for s in stats if s.mu is not None}
 
 
+def csv_prefixes(columns: Sequence[str]) -> tuple[str, Callable[..., str]]:
+    """A series CSV's header line, and the function that quotes one series'
+    key cells once, in the header's ``csv`` dialect (``csv_line_writer``),
+    into the prefix of each of its rows: the quoted cells and a trailing
+    comma. The writers format the cells after the key themselves."""
+    parts: list[str] = []
+    writer = csv_line_writer(parts)
+    writer.writerow(columns)
+
+    def prefix(*key: str) -> str:
+        writer.writerow((*key, ""))
+        return parts.pop()[:-1]
+
+    return parts.pop(), prefix
+
+
 def write_metrics_csv(series: Iterable[SeriesStats]) -> Iterator[str]:
     """The metrics CSV as text chunks: the header, then one chunk per series
     of one row per window, in window order: a float written with ``repr``
-    and NaN empty. The key cells are quoted once per series, by the
-    header's ``csv`` dialect, and a grid's window cells are formatted once
-    for the consecutive series that share it. Nothing is built before it
-    is asked for, so a writer holds one series' text at a time."""
-    parts: list[str] = []
-    writer = csv_line_writer(parts)
-    writer.writerow(METRICS_CSV_COLUMNS)
-    yield parts.pop()
+    and NaN empty. A grid's window cells are formatted once for the
+    consecutive series that share it. Nothing is built before it is asked
+    for, so a writer holds one series' text at a time."""
+    header, prefix = csv_prefixes(METRICS_CSV_COLUMNS)
+    yield header
     grid, cells = None, []
     for s in series:
         if s.windows is not grid:
             grid, cells = s.windows, [f"{w.start.isoformat()},{w.days}" for w in s.windows]
-        writer.writerow((s.app_id, s.metric.value, ""))
-        prefix = parts.pop()[:-1]  # the quoted key cells and a trailing comma
+        key = prefix(s.app_id, s.metric.value)
         mu, delta = ([repr(v) if v == v else "" for v in a.tolist()] for a in (s.mu, s.delta))  # NaN != NaN
-        yield "".join([f"{prefix}{t0},{m},{d},{n}\n" for t0, m, d, n in zip(cells, mu, delta, s.n_obs.tolist())])
+        yield "".join([f"{key}{t0},{m},{d},{n}\n" for t0, m, d, n in zip(cells, mu, delta, s.n_obs.tolist())])
 
 
 def write_day_sums_csv(sums: Mapping[str, DaySums]) -> Iterator[str]:
     """The day sums CSV as text chunks: the header, then one chunk per app
     of one row per day of its span, holding that day's totals; a total that
-    was not summed is left empty. Each app id is quoted once, and the day
-    cells are formatted once per span."""
-    parts: list[str] = []
-    csv_line_writer(parts).writerows([DAY_SUMS_CSV_COLUMNS, *((app, "") for app in sums)])
+    was not summed is left empty. The day cells are formatted once per
+    span."""
+    header, prefix = csv_prefixes(DAY_SUMS_CSV_COLUMNS)
     day_cells = functools.cache(lambda start, n: [(start + timedelta(days=d)).isoformat() for d in range(n)])
-    yield parts[0]
-    for prefix, days in zip([line[:-1] for line in parts[1:]], sums.values()):  # "app," without its newline
+    yield header
+    for app, days in sums.items():
+        key = prefix(app)
         cells = day_cells(days.start, len(days.reviews) - 1)
         totals = ([""] * len(cells) if a is None else np.diff(a).tolist()
                   for a in (days.reviews, days.rating, days.polarity, days.sentences))
-        yield "".join([f"{prefix}{t0},{n},{r},{p},{s}\n" for t0, n, r, p, s in zip(cells, *totals)])
+        yield "".join([f"{key}{t0},{n},{r},{p},{s}\n" for t0, n, r, p, s in zip(cells, *totals)])
 
 
-def csv_rows(text: str, columns: Sequence[str], what: str) -> Iterator[tuple[int, list[str]]]:
-    """A report CSV's rows after its header, each with the line it ends on.
+# Numbers are read only as the writers write them: an int64 cell is ASCII
+# digits with an optional leading "-", and a float cell is what ``repr``
+# writes, an ASCII decimal with an optional exponent, or an infinity or NaN
+# (which a reader then refuses by its own rule). ``int`` and ``float``
+# alone would also take "1_0", "+1", " 4 " and non-ASCII digits.
+_FLOAT = re.compile(r"-?(?:(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][-+]?[0-9]+)?|(?i:inf|infinity|nan))")
 
-    Blank lines are skipped; a header other than ``columns`` is a ValueError.
+
+def _int64(cell: str) -> int:
+    if not (cell.isascii() and cell.removeprefix("-").isdigit()):
+        raise ValueError(f"{cell!r} is not an integer")
+    if not -(2**63) <= int(cell) < 2**63:
+        raise ValueError(f"{cell} is beyond int64")
+    return int(cell)
+
+
+def _float_or_empty(cell: str) -> float | None:
+    if cell and _FLOAT.fullmatch(cell) is None:
+        raise ValueError(f"{cell!r} is not a number")
+    return float(cell) if cell else None
+
+
+# How ``series_rows`` reads a cell after the key, by its column: a day
+# (ISO), a float or empty, the text as written; every other column is int64.
+_CELL_READERS: dict[str, Callable[[str], object]] = {
+    "t0": date.fromisoformat, "t_start": date.fromisoformat, "t_end": date.fromisoformat,
+    "a": _float_or_empty, "sigma": _float_or_empty, "warmup": str}
+
+
+def series_rows(text: str, columns: Sequence[str], what: str) -> Iterator[tuple[int, str, tuple, list, list[str]]]:
+    """A series CSV's rows after its header, each typed and cut after its key.
+
+    Each row comes as the line it ends on, its series label (``what`` and
+    the key cells), its key (the cells through ``metric``, that one as its
+    ``MetricKind``, or the first cell where there is no metric column), its
+    cells after the key, each read by its column's type in
+    ``_CELL_READERS``, and the row's cells as written. Blank lines are
+    skipped; a header other than ``columns`` is a ValueError. So is a row
+    of another length than ``columns``, a metric that is no ``MetricKind``,
+    a date that is not ISO, a cell that is not an int64 or a float as the
+    writers write them, or an int64 beyond its range; these name the
+    series and the row's line.
     """
     reader = csv.reader(io.StringIO(text))
     header = next(reader, None)
     if header is None or tuple(header) != tuple(columns):
         raise ValueError(f"bad {what} CSV header: {header!r}")
-    return ((reader.line_num, row) for row in reader if row)
-
-
-def int64_cells(cells: Iterable[str], line: int, label: str) -> list[int]:
-    """One CSV row's integer cells. A cell that is not an integer, or is
-    beyond int64, is a ValueError naming ``label`` and the row's line."""
-    values = []
-    for cell in cells:
-        try:
-            value = int(cell)
-        except ValueError:
-            raise ValueError(f"{label}, CSV line {line}: {cell!r} is not an integer") from None
-        if not -(2**63) <= value < 2**63:
-            raise ValueError(f"{label}, CSV line {line}: {cell} is beyond int64")
-        values.append(value)
-    return values
-
-
-# Columns whose cells name a day, read as ``date``s by ``series_cells``.
-_DATE_COLUMNS = ("t0", "t_start", "t_end")
-
-
-def series_cells(row: list[str], columns: Sequence[str], line: int, what: str) -> tuple[str, tuple, list]:
-    """One series CSV row cut after its key: the series label (``what`` and
-    the key cells), the key (the cells through ``metric``, that one as its
-    ``MetricKind``, or the first cell where there is no metric column) and
-    the cells after it, each of a date column as the day it names. A row of
-    another length than ``columns``, a metric that is no ``MetricKind`` or
-    a date that is not ISO is a ValueError naming the series and the row's
-    line."""
     at = columns.index("metric") + 1 if "metric" in columns else 1
-    key = row[:at]
-    label = f"{what} of ({', '.join(key)})"
-    try:
-        if len(row) != len(columns):
-            raise ValueError(f"expected {len(columns)} cells, got {len(row)}")
-        if at > 1:
-            key[-1] = MetricKind(key[-1])
-        return label, tuple(key), [date.fromisoformat(cell) if name in _DATE_COLUMNS else cell
-                                   for name, cell in zip(columns[at:], row[at:])]
-    except ValueError as exc:
-        raise ValueError(f"{label}, CSV line {line}: {exc}") from None
-
-
-def float_cells(cells: Iterable[str], line: int, label: str) -> list[float | None]:
-    """One CSV row's float cells, an empty one None. A cell that does not
-    parse as a float is a ValueError naming ``label`` and the row's line."""
-    values: list[float | None] = []
-    for cell in cells:
+    readers = [_CELL_READERS.get(name, _int64) for name in columns[at:]]
+    # A row whose int64 cells are all at most 18 plain digits, which no
+    # range holds back, reads them with ``int`` alone; a comma in any cell
+    # fails the match.
+    plain = re.compile(",".join(r"-?[0-9]{1,18}" if read is _int64 else "[^,]*" for read in readers))
+    plain_readers = [int if read is _int64 else read for read in readers]
+    cells_key = None
+    for row in reader:
+        if not row:
+            continue
+        if row[:at] != cells_key:  # a series' rows come together: its label and key are made once
+            cells_key, label, key = row[:at], f"{what} of ({', '.join(row[:at])})", None
         try:
-            values.append(None if cell == "" else float(cell))
-        except ValueError:
-            raise ValueError(f"{label}, CSV line {line}: {cell!r} is not a number") from None
-    return values
+            if len(row) != len(columns):
+                raise ValueError(f"expected {len(columns)} cells, got {len(row)}")
+            key = key or ((*row[: at - 1], MetricKind(row[at - 1])) if at > 1 else (row[0],))
+            tail = row[at:]
+            cells = [read(cell) for read, cell in
+                     zip(plain_readers if plain.fullmatch(",".join(tail)) else readers, tail)]
+        except ValueError as exc:
+            raise ValueError(f"{label}, CSV line {reader.line_num}: {exc}") from None
+        yield reader.line_num, label, key, cells, row
 
 
 def read_day_sums_csv(text: str) -> dict[str, DaySums]:
@@ -471,14 +492,13 @@ def read_day_sums_csv(text: str) -> dict[str, DaySums]:
 
     ``check_grid`` refuses an app's days with a gap, a repeat or a step
     back, and every app must hold the first app's span. A row that
-    ``series_cells`` refuses, or a total that is not an integer (an empty
-    one included) or is beyond int64, is a ValueError naming its app and
-    line; so is a negative total, or a running sum beyond int64.
+    ``series_rows`` refuses, an empty total included, is a ValueError
+    naming its app and line; so is a negative total, or a running sum
+    beyond int64.
     """
     rows: dict[str, list[tuple]] = {}
-    for line, row in csv_rows(text, DAY_SUMS_CSV_COLUMNS, "day sums"):
-        label, (app,), (t0, *totals) = series_cells(row, DAY_SUMS_CSV_COLUMNS, line, "day sums")
-        rows.setdefault(app, []).append((TimeWindow(t0, 1), *int64_cells(totals, line, label)))
+    for _, _, (app,), (t0, *totals), _ in series_rows(text, DAY_SUMS_CSV_COLUMNS, "day sums"):
+        rows.setdefault(app, []).append((TimeWindow(t0, 1), *totals))
     out: dict[str, DaySums] = {}
     for app, group in rows.items():
         days, *totals = zip(*group)

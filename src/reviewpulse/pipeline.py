@@ -45,10 +45,11 @@ and ``summarize`` (summary requests and summaries). The bundle:
 
 The metrics CSVs are reports only: no stage reads them back.
 ``write_file`` writes a file from text chunks through one handle; the
-CSVs of day sums, series and runs (metrics, metrics_daily, correlations)
-come one chunk per app or series, so no file's whole text is held. Every
-byte of the bundle is a pure function of the inputs and the config, seed
-included; running twice produces identical files.
+CSVs of day sums, series, events and runs (day_sums, metrics,
+metrics_daily, events, correlations) come one chunk per app or series,
+so no CSV's whole text is held. Every byte of the bundle is a pure
+function of the inputs and the config, seed included; running twice
+produces identical files.
 """
 
 from __future__ import annotations
@@ -508,7 +509,7 @@ def write_bundle(
     out = Path(out_dir)
     write_intake(out, rejects, analysis.catalog)
     write_metrics(out, analysis)
-    write_file(out, "events.csv", [write_events_csv(analysis.all_events())])
+    write_file(out, "events.csv", write_events_csv(analysis.all_events()))
     write_file(out, "correlations.csv", write_correlations_csv(analysis.runs))
     write_file(out, "correlated_events.json", [ce_records_to_json(analysis.ces)])
     written = write_requests(out, analysis.config, analysis.requests)

@@ -21,6 +21,13 @@ window from its definition, and ``baseline_sigma`` takes one baseline's
 standard deviation; the tests hold the package's column sweeps to them.
 ``extract_runs`` cuts one pair's plain class row into its runs, one window
 at a time; the tests hold the package's block run cutter to it.
+
+``write_events_csv`` writes the events CSV one ``csv.writer`` row a
+record, every cell quoted as the writer decides; the tests hold the
+package's per-series events writer to it byte for byte.
+``window_contains`` tests one instant against a window's UTC days, and
+``all_reviews`` pools a catalog's per-app tables; the package calls
+neither.
 """
 
 from __future__ import annotations
@@ -31,18 +38,20 @@ import json
 import math
 import re
 from dataclasses import dataclass
-from datetime import date
+from datetime import date, datetime, timezone
 from typing import Iterable, Iterator, Mapping, Protocol, Sequence, runtime_checkable
 
 from reviewpulse.correlate import DEFAULT_MIN_CORR_POINTS, CorrelationRun
-from reviewpulse.detect import DEFAULT_MIN_BASELINE, _check_mode, _Moments
+from reviewpulse.detect import DEFAULT_MIN_BASELINE, EVENTS_CSV_COLUMNS, EventRecord, _check_mode, _Moments
 from reviewpulse.ingest import (
     REVIEW_FIELDS,
     DatasetError,
+    MarketCatalog,
     Reject,
     Review,
     ReviewTable,
     ScaleMap,
+    csv_line_writer,
     parse_timestamp,
 )
 from reviewpulse.metrics import MetricKind, TimeWindow, normalize_rating
@@ -365,3 +374,32 @@ def baseline_sigma(
     for delta in deltas:
         moments.add(delta)
     return moments.sigma(mode)
+
+
+def write_events_csv(records: Iterable[EventRecord]) -> str:
+    lines: list[str] = []
+    writer = csv_line_writer(lines)
+    writer.writerow(EVENTS_CSV_COLUMNS)
+    for r in records:
+        writer.writerow(
+            [
+                r.app_id,
+                r.metric.value,
+                r.window.start.isoformat(),
+                r.e,
+                "" if r.a is None else repr(r.a),
+                "" if r.sigma is None else repr(r.sigma),
+                r.baseline_n,
+                "true" if r.warmup else "false",
+            ]
+        )
+    return "".join(lines)
+
+
+def window_contains(window: TimeWindow, ts: datetime) -> bool:
+    day = ts.astimezone(timezone.utc).date()
+    return window.start <= day < window.end
+
+
+def all_reviews(catalog: MarketCatalog) -> ReviewTable:
+    return ReviewTable.concat(catalog.reviews[app] for app in catalog.apps)

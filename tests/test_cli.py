@@ -353,11 +353,11 @@ def test_correlated_events_nested_too_deep_exit_three(tmp_path, capsys) -> None:
 
 @pytest.mark.parametrize(
     "e, a, sigma, baseline_n, warmup, refused",
-    [("7", "1.5", "0.5", "4", "false", "events CSV line 3"),
-     ("1", "nan", "0.5", "4", "false", "events CSV line 3"),
-     ("1", "1.5", "inf", "4", "false", "events CSV line 3"),
-     ("-1", "-inf", "0.5", "4", "false", "events CSV line 3"),
-     ("1", "1.5", "0.5", "4", "yes", "events CSV line 3"),
+    [("7", "1.5", "0.5", "4", "false", "events of (a, count), CSV line 3"),
+     ("1", "nan", "0.5", "4", "false", "events of (a, count), CSV line 3"),
+     ("1", "1.5", "inf", "4", "false", "events of (a, count), CSV line 3"),
+     ("-1", "-inf", "0.5", "4", "false", "events of (a, count), CSV line 3"),
+     ("1", "1.5", "0.5", "4", "yes", "events of (a, count), CSV line 3"),
      ("1.0", "1.5", "0.5", "4", "false", "events of (a, count), CSV line 3: '1.0' is not an integer"),
      ("1", "1.5", "0.5", "x", "false", "events of (a, count), CSV line 3: 'x' is not an integer"),
      ("1", "x", "0.5", "4", "false", "events of (a, count), CSV line 3: 'x' is not a number")],

@@ -13,15 +13,17 @@ import sys
 from datetime import date, timedelta
 
 import pytest
+from hypothesis import given, strategies as st
 
 from reviewpulse.detect import (
+    EventRecord,
     detect_series,
     read_events_csv,
     write_events_csv,
 )
 from reviewpulse.metrics import MetricKind, TimeWindow, WindowStat
 
-from oracles import baseline_sigma
+from oracles import baseline_sigma, write_events_csv as events_csv_by_row
 
 START = date(2024, 1, 4)
 
@@ -180,11 +182,27 @@ def test_higher_k_detects_subset() -> None:
 def test_events_csv_round_trip() -> None:
     mus = [10.0, 11.0, 10.0, None, 10.0, 13.0, 2.0]
     records = detect_series(_stats(mus), START, k=2.0)
-    text = write_events_csv(records)
+    text = "".join(write_events_csv(records))
     back = read_events_csv(text, window_days=7, k=2.0)
     assert back == records
     with pytest.raises(ValueError):
         read_events_csv("nope\n", window_days=7, k=2.0)
+
+
+_APP_IDS = st.text(st.sampled_from(',"\r\n a\xe9\u20ac\U0001f600') | st.characters(blacklist_categories=("Cs",)),
+                   min_size=1, max_size=4)
+_A_OR_SIGMA = st.none() | st.sampled_from([-0.0, 5e-324, 1e308]) | st.floats()
+_EVENT_CELLS = st.tuples(st.builds(TimeWindow, st.dates(), st.integers(1, 28)), st.sampled_from([-1, 0, 1]),
+                         _A_OR_SIGMA, _A_OR_SIGMA, st.integers(0, 2**63 - 1), st.booleans())
+
+
+@given(st.lists(st.tuples(_APP_IDS, st.sampled_from(MetricKind), st.lists(_EVENT_CELLS, max_size=6)), max_size=4))
+def test_events_csv_writer_matches_the_per_row_writer(series) -> None:
+    # Each series' records come together, as a run writes them, and go into
+    # one chunk; the text is what one csv.writer row a record writes.
+    records = [EventRecord(app, metric, window, e, a, sigma, 2.0, baseline_n, warmup)
+               for app, metric, cells in series for window, e, a, sigma, baseline_n, warmup in cells]
+    assert "".join(write_events_csv(records)) == events_csv_by_row(records)
 
 
 @pytest.mark.parametrize(

@@ -16,7 +16,7 @@ from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracles import parse_reviews_by_row
+from oracles import all_reviews, parse_reviews_by_row
 
 from reviewpulse import ingest
 from reviewpulse.ingest import (
@@ -659,7 +659,7 @@ def _review_at(app_id: str, i: int, year: int, month: int, day: int) -> Review:
 def test_zero_reviews_empty_catalog() -> None:
     catalog = build_catalog([])
     assert catalog.apps == ()
-    assert catalog.all_reviews() == []
+    assert all_reviews(catalog) == []
     assert catalog_summary(catalog)["apps"] == {}
 
 

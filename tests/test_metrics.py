@@ -13,10 +13,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from reviewpulse.correlate import CorrelationRun, read_correlations_csv, write_correlations_csv
+from reviewpulse.correlate import (
+    CORRELATIONS_CSV_COLUMNS,
+    CorrelationRun,
+    read_correlations_csv,
+    write_correlations_csv,
+)
 from reviewpulse.config import MarketConfig
+from reviewpulse.detect import EVENTS_CSV_COLUMNS, detect_series, read_events_csv, write_events_csv
 from reviewpulse.ingest import RatingScale, Review, ScaleMap, build_catalog
 from reviewpulse.metrics import (
+    DAY_SUMS_CSV_COLUMNS,
     DaySums,
     MetricKind,
     SeriesStats,
@@ -37,7 +44,7 @@ from reviewpulse.pipeline import aggregate, write_file
 from reviewpulse.sentiment import LexiconScorer
 from reviewpulse.synth import generate, spike_pair_scenario
 
-from oracles import SentenceScorer, metric_mu, scored_reviews
+from oracles import SentenceScorer, metric_mu, scored_reviews, window_contains
 
 
 def _review(i: int, ts: datetime, rating: int = 4, body: str = "ok.", app: str = "appA") -> Review:
@@ -91,11 +98,11 @@ def test_window_series_52_weeks() -> None:
 
 def test_window_membership_is_utc_half_open() -> None:
     w = TimeWindow(date(2024, 1, 8), 7)
-    assert w.contains(datetime(2024, 1, 8, 0, 0, tzinfo=timezone.utc))
-    assert not w.contains(datetime(2024, 1, 15, 0, 0, tzinfo=timezone.utc))
+    assert window_contains(w, datetime(2024, 1, 8, 0, 0, tzinfo=timezone.utc))
+    assert not window_contains(w, datetime(2024, 1, 15, 0, 0, tzinfo=timezone.utc))
     # 23:30 UTC-3 on the 14th is 02:30 UTC on the 15th: outside.
     eastern = timezone(timedelta(hours=-3))
-    assert not w.contains(datetime(2024, 1, 14, 23, 30, tzinfo=eastern))
+    assert not window_contains(w, datetime(2024, 1, 14, 23, 30, tzinfo=eastern))
 
 
 def test_empty_window_aggregates() -> None:
@@ -356,9 +363,11 @@ def test_series_csv_files_hold_their_joined_chunks(tmp_path) -> None:
     ]
     days = np.array([0, 2, 5, 5], dtype=np.int64)
     sums = {app: DaySums(date(2024, 1, 4), days, days, 2 * days, days) for app in ("app,\rA", 'app"B')}
+    events = [e for s in series for e in detect_series(s.records(), windows[0].start, k=2.0, min_baseline=1)]
     for name, write, rows in [("metrics.csv", write_metrics_csv, series),
                               ("correlations.csv", write_correlations_csv, runs),
-                              ("day_sums.csv", write_day_sums_csv, sums)]:
+                              ("day_sums.csv", write_day_sums_csv, sums),
+                              ("events.csv", write_events_csv, events)]:
         chunks = list(write(rows))
         assert len(chunks) == 3  # the header, then one chunk per series, pair or app
         path = write_file(tmp_path, name, write(rows))
@@ -368,6 +377,8 @@ def test_series_csv_files_hold_their_joined_chunks(tmp_path) -> None:
     assert list(read_day_sums_csv((tmp_path / "day_sums.csv").read_bytes().decode("utf-8"))) == list(sums)
     text = (tmp_path / "correlations.csv").read_bytes().decode("utf-8")
     assert read_correlations_csv(text, 7) == runs
+    text = (tmp_path / "events.csv").read_bytes().decode("utf-8")
+    assert read_events_csv(text, 7, k=2.0) == events
 
 
 def _arrays(days: DaySums) -> list[np.ndarray]:
@@ -404,6 +415,62 @@ def test_day_sums_csv_leaves_totals_not_summed_empty() -> None:
     assert text.splitlines()[1:] == ["appA,2024-01-04,0,,,", "appA,2024-01-05,0,,,"]
     with pytest.raises(ValueError, match=r"day sums of \(appA\), CSV line 2: '' is not an integer"):
         read_day_sums_csv(text)
+
+
+# One row per stage CSV that holds the cell under test in one typed column;
+# the row is otherwise valid, and its cell reads as 1 (or 1.5 in a float column).
+_TYPED_CELL_ROWS = {
+    "day-sums-total": ("day sums of (a)", lambda c: read_day_sums_csv(
+        f"{','.join(DAY_SUMS_CSV_COLUMNS)}\na,2024-01-01,3,{c},0,0\n")["a"].rating[1]),
+    "e": ("events of (a, count)", lambda c: read_events_csv(
+        f"{','.join(EVENTS_CSV_COLUMNS)}\na,count,2024-01-04,{c},1.5,0.5,4,false\n", 7, k=2.0)[0].e),
+    "baseline_n": ("events of (a, count)", lambda c: read_events_csv(
+        f"{','.join(EVENTS_CSV_COLUMNS)}\na,count,2024-01-04,1,1.5,0.5,{c},false\n", 7, k=2.0)[0].baseline_n),
+    "sign": ("correlations of (a, b, count)", lambda c: read_correlations_csv(
+        f"{','.join(CORRELATIONS_CSV_COLUMNS)}\na,b,count,{c},2024-01-01,2024-01-02\n", 1)[0].sign),
+    "a": ("events of (a, count)", lambda c: read_events_csv(
+        f"{','.join(EVENTS_CSV_COLUMNS)}\na,count,2024-01-04,1,{c},0.5,4,false\n", 7, k=2.0)[0].a),
+    "sigma": ("events of (a, count)", lambda c: read_events_csv(
+        f"{','.join(EVENTS_CSV_COLUMNS)}\na,count,2024-01-04,1,1.5,{c},4,false\n", 7, k=2.0)[0].sigma),
+}
+
+
+@pytest.mark.parametrize("column", ["day-sums-total", "e", "baseline_n", "sign"])
+@pytest.mark.parametrize(
+    "cell, accepted",
+    [("1", True), ("01", True), ("+1", False), (" 1", False), ("1 ", False), ("0_1", False),
+     ("\u0661", False), ("\uff11", False), ("1.0", False)],
+    ids=["plain", "leading-zero", "plus", "space-before", "space-after", "underscore", "arabic-indic-digit",
+         "fullwidth-digit", "float"],
+)
+def test_an_integer_cell_is_ascii_digits_with_an_optional_minus(column, cell, accepted) -> None:
+    # int() alone takes every refused form here but the float.
+    label, read = _TYPED_CELL_ROWS[column]
+    if accepted:
+        assert read(cell) == 1
+    else:
+        with pytest.raises(ValueError) as exc:
+            read(cell)
+        assert str(exc.value) == f"{label}, CSV line 2: {cell!r} is not an integer"
+
+
+@pytest.mark.parametrize("column", ["a", "sigma"])
+@pytest.mark.parametrize(
+    "cell, accepted",
+    [("1.5", True), ("15e-1", True), ("0.15E+01", True), ("+1.5", False), (" 1.5", False), ("1.5 ", False),
+     ("0_1.5", False), ("\u0661.5", False)],
+    ids=["plain", "exponent", "upper-exponent", "plus", "space-before", "space-after", "underscore",
+         "arabic-indic-digit"],
+)
+def test_a_float_cell_is_an_ascii_decimal_as_repr_writes_it(column, cell, accepted) -> None:
+    # float() alone takes every refused form here.
+    label, read = _TYPED_CELL_ROWS[column]
+    if accepted:
+        assert read(cell) == 1.5
+    else:
+        with pytest.raises(ValueError) as exc:
+            read(cell)
+        assert str(exc.value) == f"{label}, CSV line 2: {cell!r} is not a number"
 
 
 _SPLIT_MARKET = generate(spike_pair_scenario(seed=3, n_apps=3, n_windows=6, spike_window=3))[0]

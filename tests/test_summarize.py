@@ -24,6 +24,8 @@ from reviewpulse.summarize import (
     summary_report_entry,
 )
 
+from oracles import window_contains
+
 WINDOW = TimeWindow(date(2024, 8, 1), 7)
 
 
@@ -324,7 +326,7 @@ def test_full_analysis_keeps_sentence_texts_only_for_ce_windows(monkeypatch) -> 
     assert {type(bins) for bins in analysis.bodies.values()} == {bytes}
 
     def in_window(app_id: str, window: TimeWindow) -> list[Review]:
-        return [r for r in catalog.reviews[app_id] if window.contains(r.timestamp)]
+        return [r for r in catalog.reviews[app_id] if window_contains(window, r.timestamp)]
 
     window_bodies = {r.body for app_id, window in asked for r in in_window(app_id, window)}
     assert texted == window_bodies
