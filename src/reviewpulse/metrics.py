@@ -426,15 +426,18 @@ _FLOAT = re.compile(r"-?(?:(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][-+]?[0-9]+)?|(?i:
 def _int64(cell: str) -> int:
     if not (cell.isascii() and cell.removeprefix("-").isdigit()):
         raise ValueError(f"{cell!r} is not an integer")
-    if not -(2**63) <= int(cell) < 2**63:
+    value = int(cell)
+    if not -(2**63) <= value < 2**63:
         raise ValueError(f"{cell} is beyond int64")
-    return int(cell)
+    return value
 
 
 def _float_or_empty(cell: str) -> float | None:
-    if cell and _FLOAT.fullmatch(cell) is None:
+    if cell == "":
+        return None
+    if _FLOAT.fullmatch(cell) is None:
         raise ValueError(f"{cell!r} is not a number")
-    return float(cell) if cell else None
+    return float(cell)
 
 
 # How ``series_rows`` reads a cell after the key, by its column: a day
@@ -464,11 +467,6 @@ def series_rows(text: str, columns: Sequence[str], what: str) -> Iterator[tuple[
         raise ValueError(f"bad {what} CSV header: {header!r}")
     at = columns.index("metric") + 1 if "metric" in columns else 1
     readers = [_CELL_READERS.get(name, _int64) for name in columns[at:]]
-    # A row whose int64 cells are all at most 18 plain digits, which no
-    # range holds back, reads them with ``int`` alone; a comma in any cell
-    # fails the match.
-    plain = re.compile(",".join(r"-?[0-9]{1,18}" if read is _int64 else "[^,]*" for read in readers))
-    plain_readers = [int if read is _int64 else read for read in readers]
     cells_key = None
     for row in reader:
         if not row:
@@ -479,9 +477,7 @@ def series_rows(text: str, columns: Sequence[str], what: str) -> Iterator[tuple[
             if len(row) != len(columns):
                 raise ValueError(f"expected {len(columns)} cells, got {len(row)}")
             key = key or ((*row[: at - 1], MetricKind(row[at - 1])) if at > 1 else (row[0],))
-            tail = row[at:]
-            cells = [read(cell) for read, cell in
-                     zip(plain_readers if plain.fullmatch(",".join(tail)) else readers, tail)]
+            cells = [read(cell) for read, cell in zip(readers, row[at:])]
         except ValueError as exc:
             raise ValueError(f"{label}, CSV line {reader.line_num}: {exc}") from None
         yield reader.line_num, label, key, cells, row
