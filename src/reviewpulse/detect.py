@@ -181,6 +181,20 @@ def write_events_csv(records: Iterable[EventRecord]) -> Iterator[str]:
                        for r in group])
 
 
+def _unwritten(e: int, a: float | None, sigma: float | None, baseline_n: int, row: list[str]) -> str | None:
+    """Why ``detect_series`` never writes an event of these cells, quoting
+    them as written; None when it may."""
+    if sigma is not None and sigma < 0:
+        return f"sigma {row[5]} is negative"
+    if baseline_n < 0:
+        return f"baseline_n {row[6]} is negative"
+    if e and (a is None or sigma is None):
+        return f"e {row[3]} without both a and sigma"
+    if e and not e * a > 0:
+        return f"e {row[3]} is not the sign of a {row[4]}"
+    return None
+
+
 def read_events_csv(text: str, window_days: int, k: float) -> list[EventRecord]:
     """Rebuild event records from the CSV dump.
 
@@ -189,10 +203,12 @@ def read_events_csv(text: str, window_days: int, k: float) -> list[EventRecord]:
     refuses is a ValueError naming its series and line. So is a row whose
     ``e`` is not -1, 0 or 1, whose ``a`` or ``sigma`` is not finite, or
     whose ``warmup`` is not ``true`` or ``false``, quoting those cells as
-    written; and a window that ``follow_problem`` refuses after the
-    previous window of its series: a repeat, an overlap, a step back or a
-    start off that window's grid. A gap of whole windows, where zero rows
-    were dropped, is allowed.
+    written. ``detect_series`` never writes a negative ``sigma`` or
+    ``baseline_n``, nor a nonzero ``e`` without both ``a`` and ``sigma`` or
+    of another sign than ``a``: such a row is refused too. So is a window
+    that ``follow_problem`` refuses after the previous window of its
+    series: a repeat, an overlap, a step back or a start off that window's
+    grid. A gap of whole windows, where zero rows were dropped, is allowed.
     """
     out: list[EventRecord] = []
     last: dict[tuple, TimeWindow] = {}
@@ -202,7 +218,8 @@ def read_events_csv(text: str, window_days: int, k: float) -> list[EventRecord]:
             written = row[3], row[4], row[5], row[7]
             raise ValueError(f"{label}, CSV line {line}: bad e, a, sigma or warmup: {', '.join(map(repr, written))}")
         prev = last.get(key)
-        problem = prev and follow_problem("window", t0, prev.start, prev.end, window_days)
+        problem = _unwritten(e, a, sigma, baseline_n, row) or (
+            prev and follow_problem("window", t0, prev.start, prev.end, window_days))
         if problem:
             raise ValueError(f"{label}, CSV line {line}: {problem}")
         last[key] = window = TimeWindow(t0, window_days)

@@ -270,10 +270,11 @@ def parse_timestamp(value: str) -> datetime:
     return parsed.astimezone(timezone.utc)
 
 
-# Input bytes are read this many at a time. The text is cut into blocks of
-# about _BLOCK_CHARS characters that end at a line end, and CSV records are
+# Input bytes are read this many at a time, a block's worth: larger reads
+# only raise the parse's peak. The text is cut into blocks of about
+# _BLOCK_CHARS characters that end at a line end, and CSV records are
 # validated _BLOCK_RECORDS at a time.
-_READ_BYTES = 1 << 20
+_READ_BYTES = 1 << 16
 _BLOCK_CHARS = 1 << 16
 _BLOCK_RECORDS = 512
 _SCAN = json.JSONDecoder().scan_once
@@ -328,10 +329,13 @@ def parse_reviews(
     ``source`` is the text, its UTF-8 bytes, or the text in pieces as
     ``utf8_blocks`` reads a file; only a partial last line is carried from
     piece to piece. Duplicate ``(source, review_id)`` pairs keep the first
-    occurrence; later ones are logged as rejects. Line numbers are 1-based
-    and refer to the physical input line (the header line counts for CSV,
-    and a CSV record is numbered by the line it starts on). Rejects come in
-    line order.
+    occurrence; later ones are logged as rejects. They are found once the
+    last block is in, by one hash pass over the whole table
+    (``_repeated_keys``, as ``build_catalog`` finds them), so the parse
+    keeps no per-row key map: each block keeps only its rows' line numbers,
+    as int64. Line numbers are 1-based and refer to the physical input line
+    (the header line counts for CSV, and a CSV record is numbered by the
+    line it starts on). Rejects come in line order.
     """
     if scales is None:
         scales = ScaleMap()
@@ -345,12 +349,22 @@ def parse_reviews(
         raise ValueError(f"unknown format {fmt!r} (expected 'jsonl' or 'csv')")
     blocks = (_jsonl_blocks if fmt == "jsonl" else _csv_blocks)(_line_blocks(texts, fmt))
     tables: list[ReviewTable] = []
+    line_nos: list[np.ndarray] = []
     rejects: list[Reject] = []
-    seen: dict[tuple[str, str], int] = {}
     for columns, block_rejects in blocks:
-        tables.append(_accept(columns, block_rejects, scales, seen))
+        table, lines = _accept(columns, block_rejects, scales)
+        tables.append(table)
+        line_nos.append(lines)
         rejects += sorted(block_rejects, key=attrgetter("line_no"))
-    return ReviewTable.concat(tables), rejects
+    table = ReviewTable.concat(tables)
+    del tables  # the blocks' columns go before the hash pass
+    repeats = _repeated_keys(table)
+    if not repeats:
+        return table, rejects
+    line_of = np.concatenate(line_nos)
+    rejects += [Reject(int(line_of[row]), f"duplicate: ({table.source[row]}, {table.review_id[row]}) "
+                       f"first seen at line {line_of[first]}") for row, first in repeats]
+    return _without(table, [row for row, _ in repeats]), sorted(rejects, key=attrgetter("line_no"))
 
 
 def _drop(columns: list, reasons: list[str | None], rejects: list[Reject]) -> list:
@@ -362,14 +376,15 @@ def _drop(columns: list, reasons: list[str | None], rejects: list[Reject]) -> li
     return [c[np.array(keep, dtype=bool)] if isinstance(c, np.ndarray) else list(compress(c, keep)) for c in columns]
 
 
-def _accept(columns: list, rejects: list[Reject], scales: ScaleMap, seen: dict[tuple[str, str], int]) -> ReviewTable:
-    """The block's rows that pass every rule, less keys already in ``seen``.
+def _accept(columns: list, rejects: list[Reject], scales: ScaleMap) -> tuple[ReviewTable, np.ndarray]:
+    """The block's rows that pass every rule, and their line numbers as int64.
 
     Each rule is checked over a whole column, and costs work per row only
     when some row fails it. A row is rejected for the first rule it fails,
     in this order: a missing (or null) field, a non-string text field, a
     blank id, a non-string or unparsable timestamp, a non-integer rating, a
-    rating outside its source's scale, a duplicate ``(source, review_id)``.
+    rating outside its source's scale. Repeated keys are ``parse_reviews``'
+    to find, once per file.
     """
     types = [set(map(type, column)) for column in columns[:_LINE]]
     for k, name in enumerate(REVIEW_FIELDS):
@@ -400,20 +415,10 @@ def _accept(columns: list, rejects: list[Reject], scales: ScaleMap, seen: dict[t
             scale = scale_of[source]
             reasons.append(None if scale.contains(rating) else f"out-of-range-rating: {rating} not in [{scale.lo}, {scale.hi}]")
         columns = _drop(columns, reasons, rejects)
-    keys = list(zip(columns[_SOURCE], columns[_ID]))
-    block_seen = dict(zip(keys, columns[_LINE]))
-    if len(block_seen) == len(keys) and seen.keys().isdisjoint(block_seen):
-        seen.update(block_seen)
-    else:
-        reasons = []
-        for key, line_no in zip(keys, columns[_LINE]):
-            first = seen.setdefault(key, line_no)
-            reasons.append(None if first == line_no else f"duplicate: ({key[0]}, {key[1]}) first seen at line {first}")
-        columns = _drop(columns, reasons, rejects)
     for k in (_APP, _SOURCE):  # one string object per distinct id: a run keeps these columns
         one_of = dict(zip(columns[k], columns[k]))
         columns[k] = list(map(one_of.__getitem__, columns[k]))
-    return ReviewTable(*columns[:_LINE])
+    return ReviewTable(*columns[:_LINE]), np.array(columns[_LINE], dtype=np.int64)
 
 
 def _within(scale: RatingScale, ratings: Sequence[int]) -> bool:
@@ -712,8 +717,9 @@ def _coverage(stamp_us: np.ndarray, monthly_floor: float) -> AppCoverage:
     )
 
 
-def _first_occurrences(table: ReviewTable) -> ReviewTable:
-    """The table without repeated ``(source, review_id)`` keys; the first wins.
+def _repeated_keys(table: ReviewTable) -> list[tuple[int, int]]:
+    """Each row whose ``(source, review_id)`` key an earlier row holds, in
+    row order, with the first row that holds it.
 
     Each row's key is hashed into one int64 array (the review id alone when
     every row has one source). A row whose hash no other row shares is a
@@ -724,12 +730,15 @@ def _first_occurrences(table: ReviewTable) -> ReviewTable:
     hashes = np.fromiter(map(hash, keys), dtype=np.int64, count=len(table))
     ordered = np.sort(hashes)
     shared = ordered[1:][ordered[1:] == ordered[:-1]]
-    if not len(shared):
-        return table
-    rows = np.flatnonzero(np.isin(hashes, shared)).tolist()
     first: dict[tuple[str, str], int] = {}
-    repeats = [row for row in rows if first.setdefault((table.source[row], table.review_id[row]), row) != row]
-    return table.take(np.delete(np.arange(len(table)), repeats))
+    pairs = [(row, first.setdefault((table.source[row], table.review_id[row]), row))
+             for row in np.flatnonzero(np.isin(hashes, shared)).tolist()]
+    return [(row, at) for row, at in pairs if at != row]
+
+
+def _without(table: ReviewTable, rows: list[int]) -> ReviewTable:
+    """The table less the given rows, in one ``take``; the table itself when there are none."""
+    return table.take(np.delete(np.arange(len(table)), rows)) if rows else table
 
 
 def build_catalog(reviews: Iterable[Review], monthly_floor: float = 20.0) -> MarketCatalog:
@@ -742,7 +751,7 @@ def build_catalog(reviews: Iterable[Review], monthly_floor: float = 20.0) -> Mar
     their first and last review (inclusive), falls below ``monthly_floor``.
     """
     table = ReviewTable.from_reviews(reviews)
-    unique = _first_occurrences(table)
+    unique = _without(table, [row for row, _ in _repeated_keys(table)])
     app_ids = unique.app_id.tolist()
     apps = tuple(sorted(set(app_ids)))
     position = {app: i for i, app in enumerate(apps)}

@@ -486,23 +486,25 @@ def series_rows(text: str, columns: Sequence[str], what: str) -> Iterator[tuple[
 def read_day_sums_csv(text: str) -> dict[str, DaySums]:
     """Day sums from the CSV dump, keyed by app in first-row order.
 
-    ``check_grid`` refuses an app's days with a gap, a repeat or a step
-    back, and every app must hold the first app's span. A row that
-    ``series_rows`` refuses, an empty total included, is a ValueError
-    naming its app and line; so is a negative total, or a running sum
-    beyond int64.
+    An app's days with a gap, a repeat or a step back are refused as
+    ``check_grid`` refuses them, from the days' ordinals, and every app
+    must hold the first app's span. A row that ``series_rows`` refuses, an
+    empty total included, is a ValueError naming its app and line; so is a
+    negative total, or a running sum beyond int64.
     """
     rows: dict[str, list[tuple]] = {}
-    for _, _, (app,), (t0, *totals), _ in series_rows(text, DAY_SUMS_CSV_COLUMNS, "day sums"):
-        rows.setdefault(app, []).append((TimeWindow(t0, 1), *totals))
+    for _, _, (app,), cells, _ in series_rows(text, DAY_SUMS_CSV_COLUMNS, "day sums"):
+        rows.setdefault(app, []).append(cells)
     out: dict[str, DaySums] = {}
     for app, group in rows.items():
         days, *totals = zip(*group)
-        check_grid(days, f"day sums of ({app})")
+        off_grid = np.flatnonzero(np.diff(np.fromiter(map(date.toordinal, days), np.int64, len(days))) != 1)
+        if len(off_grid):
+            raise ValueError(f"day sums of ({app}): window {days[off_grid[0] + 1]} does not follow {days[off_grid[0]]}")
         prefixes = [_prefix(np.array(t, dtype=np.int64)) for t in totals]
         if any((s[1:] < s[:-1]).any() for s in prefixes):
             raise ValueError(f"day sums of ({app}): a total is negative or sums beyond int64")
-        sums = out[app] = DaySums(days[0].start, *prefixes)
+        sums = out[app] = DaySums(days[0], *prefixes)
         first = next(iter(out.values()))
         if (sums.start, len(sums.reviews)) != (first.start, len(first.reviews)):
             raise ValueError(f"day sums of ({app}): days from {sums.start} are not the first app's span")

@@ -224,6 +224,26 @@ def test_events_csv_names_the_line_of_a_bad_numeric_cell(cells: str, refused: st
 
 
 @pytest.mark.parametrize(
+    "cells, refused",
+    [
+        ("1,1.5,-0.5,4,false", "sigma -0.5 is negative"),
+        ("0,1.5,0.5,-3,false", "baseline_n -3 is negative"),
+        ("1,,,4,false", "e 1 without both a and sigma"),
+        ("-1,,0.5,4,false", "e -1 without both a and sigma"),
+        ("1,-9.0,0.5,4,false", "e 1 is not the sign of a -9.0"),
+        ("-1,0.0,0.5,4,false", "e -1 is not the sign of a 0.0"),
+    ],
+    ids=["negative-sigma", "negative-baseline-n", "fired-without-a-or-sigma", "fired-without-a",
+         "e-against-a", "fired-on-zero-a"],
+)
+def test_events_csv_refuses_an_event_detect_never_writes(cells: str, refused: str) -> None:
+    text = "app_id,metric,t0,e,a,sigma,baseline_n,warmup\na,count,2024-01-04,0,,,0,true\n"
+    with pytest.raises(ValueError) as exc:
+        read_events_csv(text + f"a,count,2024-01-11,{cells}\n", window_days=7, k=2.0)
+    assert str(exc.value) == f"events of (a, count), CSV line 3: {refused}"
+
+
+@pytest.mark.parametrize(
     "t0s, window_days, refused",
     [
         (["01", "01"], 7, "CSV line 5: the window from 2024-01-01 overlaps the window from 2024-01-01"),

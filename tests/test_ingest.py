@@ -579,6 +579,50 @@ def test_read_review_files_holds_no_whole_file(tmp_path) -> None:
     assert whole - streamed >= path.stat().st_size
 
 
+def test_read_review_files_peaks_under_half_the_file_above_its_result(tmp_path) -> None:
+    # The parse keeps no per-row key map: above the table it returns, it
+    # holds its blocks, one read and the end-of-file concat and hash pass.
+    from reviewpulse.config import MarketConfig
+    from reviewpulse.pipeline import read_review_files
+
+    path = tmp_path / "reviews.jsonl"
+    lines = [_line(f"r{i}", app_id=f"app{i % 7}", body=f"Review {i} says the update is fine.") for i in range(50_000)]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    tracemalloc.start()
+    try:
+        reviews, rejects = read_review_files([path], "jsonl", MarketConfig())
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (len(reviews), rejects) == (50_000, [])
+    assert peak - held <= path.stat().st_size / 2
+
+
+@settings(max_examples=150)
+@given(
+    st.lists(st.tuples(st.sampled_from(["r0", "r1", "r2", "é"]), st.sampled_from(["store", "web"]), st.booleans()),
+             max_size=24),
+    st.sampled_from(["jsonl", "csv"]),
+    st.sampled_from(["one hash", "three hashes"]),
+    st.sampled_from([1, 7, 1 << 16]),
+)
+def test_parse_duplicates_agree_with_the_per_row_oracle_under_colliding_hashes(rows, fmt, hashing, block) -> None:
+    # Equal ids within and across sources, across blocks and reads down to
+    # one; some rows fail the scale first, so they are no first occurrence.
+    # The fake hashes make rows with different keys share a hash, so only
+    # the key compare tells them apart.
+    fake = {"one hash": lambda key: 0, "three hashes": lambda key: hash(key) % 3}[hashing]
+    at = datetime(2024, 3, 1, 12, tzinfo=timezone.utc)
+    reviews = [Review(review_id, "appA", at, 4 if in_scale else 9, f"body {i}", source)
+               for i, (review_id, source, in_scale) in enumerate(rows)]
+    text = serialize_reviews(reviews, fmt)
+    with mock.patch.object(ingest, "hash", fake, create=True), mock.patch.multiple(
+        ingest, _BLOCK_CHARS=block, _BLOCK_RECORDS=block, _READ_BYTES=block
+    ):
+        got = parse_reviews(text.encode("utf-8"), fmt)
+    assert got == parse_reviews_by_row(text, fmt)
+
+
 def _csv_ending_records_in(end: str) -> str:
     """A CSV whose records end in ``end``, less the last; quoted bodies keep
     their own line breaks, and lines 11 to 13 are rejects."""
