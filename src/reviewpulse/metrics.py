@@ -19,12 +19,14 @@ stages: ``write_day_sums_csv`` writes them as one row per app and day, and
 ``read_day_sums_csv`` reads them back exactly.
 
 Sentences are scored by one kernel, ``LexiconScorer.sentence_bins``,
-called only by ``score_bodies``: it fills one memo that maps each distinct
-body to its sentence bins, one byte (0..4) per sentence in
-``split_sentences`` order. The day sums take each body's sentence count
-and polarity total from those bytes; the correlated events' windows zip
-them with the sentences' texts (``score_reviews``, one ``score_review``
-per body), so a body the day sums scored is not scored again.
+called only by ``score_bodies``, in blocks bounded by body text. It
+returns the bins in column form (``BodyBins``): one code per body, naming
+its distinct body, and each distinct body's bins, one uint8 (0..4) per
+sentence in ``split_sentences`` order. The day sums gather each row's
+sentence count and polarity total from the app's rows; the correlated
+events' windows read a body's bins through its row's code and zip them
+with the sentences' texts (``BodyBins.scored``, one ``score_review`` per
+body), so a body the day sums scored is not scored again.
 
 A series is held as columns (``SeriesStats``) over a window grid that all
 series of the grid share; ``WindowStat`` rows are built only at the edges.
@@ -53,10 +55,11 @@ from typing import Callable, Collection, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .ingest import DAY_US, RatingScale, Review, ReviewTable, ScaleMap, csv_line_writer, midnight_us, utc_datetime
+from .ingest import DAY_US, RatingScale, Review, ReviewTable, ScaleMap, csv_line_writer, midnight_us, repeated_rows, utc_datetime
 from .sentiment import LexiconScorer, split_sentences
 
 __all__ = [
+    "BodyBins",
     "BodyScore",
     "DAY_SUMS_CSV_COLUMNS",
     "METRICS_CSV_COLUMNS",
@@ -177,39 +180,86 @@ def score_review(body: str, bins: Sequence[int]) -> BodyScore:
     return list(zip(range(len(texts)), texts, bins))
 
 
-def score_reviews(bodies: Sequence[str], scorer: LexiconScorer, memo: dict[str, bytes]) -> list[BodyScore]:
+def score_reviews(bodies: Sequence[str], scorer: LexiconScorer) -> list[BodyScore]:
     """Each body's scored sentences, in the order given: ``score_review`` of
-    the body and its bins in ``memo``, which ``score_bodies`` first fills
-    with the bodies it lacks. No ``Review`` or rating is built."""
-    score_bodies(bodies, scorer, memo)
-    return [score_review(body, memo[body]) for body in bodies]
+    the body and its bins from ``score_bodies``. No ``Review`` or rating is
+    built."""
+    scores = score_bodies(bodies, scorer)
+    return scores.scored(bodies, scores.code.tolist())
 
 
-# Bodies per LexiconScorer.sentence_bins call. A block bounds the words held
-# at once and keeps the kernel's arrays above 1 KiB: numpy keeps the memory
-# of a freed array under that size for reuse, so many small calls, one per
-# app, would leave heap behind for every array size they used.
-SCORE_BLOCK = 1024
+@dataclass(frozen=True, slots=True, eq=False)
+class BodyBins:
+    """The sentence bins of a list of bodies, in column form.
+
+    ``code`` holds one int64 per body, the index of its distinct body; the
+    distinct bodies are numbered in order of first occurrence. Distinct body
+    ``k``'s bins are ``bins[first[k]:first[k + 1]]``, one uint8 (0..4) per
+    sentence in ``split_sentences`` order. Indexing by a slice or an array
+    of rows gives those rows' codes over the same distinct bodies.
+    """
+
+    code: np.ndarray
+    first: np.ndarray
+    bins: np.ndarray
+
+    def __getitem__(self, rows: slice | np.ndarray) -> "BodyBins":
+        return BodyBins(self.code[rows], self.first, self.bins)
+
+    def gather(self) -> tuple[np.ndarray, np.ndarray]:
+        """Where each row's bins start in the second array, with one entry
+        more, and every row's bins, row after row."""
+        start = self.first[self.code]
+        at = _prefix(self.first[self.code + 1] - start)
+        return at, self.bins[np.repeat(start - at[:-1], np.diff(at)) + np.arange(at[-1])]
+
+    def scored(self, bodies: Sequence[str], codes: Iterable[int]) -> list[BodyScore]:
+        """``score_review`` of each body with the bins of its distinct body,
+        whose code ``codes`` gives in the bodies' order.
+
+        Offsets are read through a memoryview, as ints, and the bins from one
+        ``bytes`` copy of them, a byte a sentence, whose slices zip fastest.
+        """
+        first, bins = memoryview(self.first), self.bins.tobytes()
+        return [score_review(body, bins[first[k] : first[k + 1]]) for body, k in zip(bodies, codes)]
 
 
-def score_bodies(bodies: Iterable[str], scorer: LexiconScorer, memo: dict[str, bytes]) -> None:
-    """Put each body that ``memo`` does not hold yet into it, as its
-    sentence bins: one byte (0..4) per sentence, in ``split_sentences``
-    order. ``SCORE_BLOCK`` bodies are scored per ``scorer.sentence_bins``
-    call; this is the kernel's one caller."""
-    fresh = list(set(bodies).difference(memo))
-    # One table sized for every fresh body before the first block: a memo
-    # regrown block by block leaves its old tables between the kernel's
-    # arrays, and that fragmented heap can keep a run's freed memory from
-    # going back to the system when the run ends.
-    scored = dict.fromkeys(fresh)
-    for i in range(0, len(fresh), SCORE_BLOCK):
-        block = fresh[i : i + SCORE_BLOCK]
-        bins, owner = scorer.sentence_bins(block)
-        cuts = np.searchsorted(owner, np.arange(len(block) + 1)).tolist()
-        joined = bins.astype(np.uint8).tobytes()
-        scored.update(zip(block, map(joined.__getitem__, map(slice, cuts, cuts[1:]))))
-    memo.update(scored)
+# Characters of body text per LexiconScorer.sentence_bins call: a block ends
+# after the body that reaches it. It bounds the words held at once, however
+# long the bodies, and keeps the kernel's arrays above 1 KiB: numpy keeps the
+# memory of a freed array under that size for reuse, so many small calls
+# would leave heap behind for every array size they used.
+SCORE_BLOCK = 16384
+
+
+def score_bodies(bodies: Sequence[str], scorer: LexiconScorer) -> BodyBins:
+    """The bodies' sentence bins (``BodyBins``), one code per body.
+
+    Distinct bodies are found by one hash pass (``repeated_rows``): only
+    bodies that share a hash are compared, so no code depends on the hash
+    seed. Each distinct body goes through ``scorer.sentence_bins`` once, in
+    blocks of ``SCORE_BLOCK`` characters; this is the kernel's one caller.
+    """
+    bodies = np.asarray(bodies, dtype=object)
+    shared, at = repeated_rows(bodies, len(bodies), bodies.__getitem__)
+    distinct = np.ones(len(bodies), dtype=bool)
+    distinct[shared[at != shared]] = False
+    code = np.cumsum(distinct)
+    code -= 1
+    code[shared] = code[at]  # a repeat takes its first row's code
+    del shared, at
+    rows = np.flatnonzero(distinct)
+    ends = _prefix(np.fromiter(map(len, bodies[rows]), dtype=np.int64, count=len(rows)))
+    counts, bins = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.uint8)]
+    lo = 0
+    while lo < len(rows):
+        hi = int(np.searchsorted(ends, ends[lo] + SCORE_BLOCK))  # the block ends after the body reaching the bound
+        block = bodies[rows[lo:hi]].tolist()
+        block_bins, owner = scorer.sentence_bins(block)
+        counts.append(np.bincount(owner, minlength=len(block)))
+        bins.append(block_bins.astype(np.uint8))
+        lo = hi
+    return BodyBins(code, _prefix(np.concatenate(counts)), np.concatenate(bins))
 
 
 @dataclass(frozen=True, slots=True)
@@ -263,7 +313,7 @@ def day_sums(
     metrics: Collection[MetricKind],
     scorer: LexiconScorer,
     scales: ScaleMap,
-    memo: dict[str, bytes],
+    bins: BodyBins | None = None,
 ) -> DaySums:
     """Day sums of one app's reviews (sorted by timestamp) over a span.
 
@@ -271,23 +321,22 @@ def day_sums(
     through ``ReviewTable.from_reviews``. ``midnights`` comes from
     ``utc_midnights``; each day is cut from the stamps by bisection.
     Ratings are normalised and bodies scored only for the span's reviews
-    and the metrics asked for. ``memo`` keeps each distinct body's sentence
-    bins, and no sentence text; the span's bodies that it does not hold yet
-    go through ``score_bodies``.
+    and the metrics asked for. ``bins`` holds the sentence bins of the
+    app's rows, a slice of what ``score_bodies`` gave; without it, the
+    span's bodies go through ``score_bodies`` here.
     """
     table = ReviewTable.from_reviews(reviews)
     cuts = np.searchsorted(table.stamp_us, midnights, side="left")
-    table = table[cuts[0] : cuts[-1]]  # the span's reviews
+    span = slice(cuts[0], cuts[-1])
+    table = table[span]  # the span's reviews
     cuts -= cuts[0]
     rating = polarity = sentences = None
     if MetricKind.RATING in metrics:
         rating = _prefix(_normalized_ratings(table, scales))[cuts]
     if MetricKind.POLARITY in metrics:
-        bodies = table.body.tolist()
-        score_bodies(bodies, scorer, memo)
-        bins = list(map(memo.__getitem__, bodies))
-        sentences = _prefix(np.fromiter(map(len, bins), dtype=np.int64, count=len(bins)))[cuts]
-        polarity = _prefix(np.frombuffer(b"".join(bins), dtype=np.uint8))[sentences]
+        at, values = (score_bodies(table.body, scorer) if bins is None else bins[span]).gather()
+        sentences = at[cuts]
+        polarity = _prefix(values)[sentences]
     return DaySums(utc_datetime(int(midnights[0])).date(), cuts, rating, polarity, sentences)
 
 

@@ -57,7 +57,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, field
 from datetime import date, timedelta
-from itertools import chain
+from itertools import accumulate
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
@@ -85,11 +85,13 @@ from .ingest import (
     build_catalog,
     catalog_summary,
     json_text,
+    midnight_us,
     parse_reviews,
     rejects_to_jsonl,
     utf8_blocks,
 )
 from .metrics import (
+    BodyBins,
     BodyScore,
     DaySums,
     MetricKind,
@@ -183,10 +185,12 @@ class MarketAnalysis:
     runs: list[CorrelationRun] = field(default_factory=list)
     ces: list[CorrelatedEventRecord] = field(default_factory=list)
     requests: list[SummaryRequest] = field(default_factory=list)
-    # Each scored body's sentence bins (metrics.score_bodies), and no text:
-    # aggregate fills it for the polarity metric, and window_scored scores
-    # into it only the window bodies it lacks.
-    bodies: dict[str, bytes] = field(default_factory=dict, repr=False)
+    # Every app's sentence bins (metrics.score_bodies) over the apps' rows,
+    # apps in order, and the row each app starts at: aggregate fills both
+    # for the polarity metric, and window_scored reads a window body's bins
+    # through its row's code. None where nothing was scored.
+    body_bins: BodyBins | None = field(default=None, repr=False)
+    app_rows: dict[str, int] = field(default_factory=dict, repr=False)
     # Each window body's scored sentences, texts included: window_scored
     # splits a body only when it is not here, and summary_requests empties
     # it when it returns.
@@ -214,19 +218,26 @@ class MarketAnalysis:
         order, each with its scored sentences.
 
         The window's bodies are cut from the app's ``body`` column by
-        bisection on its stamps; no ``Review`` is built. Their sentence
-        bins come from ``bodies``, so a body the day sums scored is not
-        scored again, and their sentences from ``texts``, so a body is split
-        once however many windows hold it.
+        bisection on its stamps; no ``Review`` is built. A body is split
+        once however many windows hold it, and its scored sentences kept in
+        ``texts``. Its bins come through its row's code in ``body_bins``,
+        so a body the day sums scored is not scored again; without them,
+        the window's fresh bodies go through ``score_reviews``.
         """
         if app_id not in self.apps:
             return []
         reviews = self.catalog.reviews[app_id]
-        lo, hi = np.searchsorted(reviews.stamp_us, utc_midnights(window.start, window.days)[[0, -1]]).tolist()
+        lo, hi = np.searchsorted(reviews.stamp_us, [midnight_us(window.start), midnight_us(window.end)]).tolist()
         bodies = reviews.body[lo:hi].tolist()
-        fresh = [body for body in dict.fromkeys(bodies) if body not in self.texts]
-        self.texts.update(zip(fresh, score_reviews(fresh, self.scorer, self.bodies)))
-        return [(body, self.texts[body]) for body in bodies]
+        if self.body_bins is None:
+            fresh = [body for body in dict.fromkeys(bodies) if body not in self.texts]
+            self.texts.update(zip(fresh, score_reviews(fresh, self.scorer)))
+        else:
+            at = self.app_rows[app_id]
+            codes = dict(zip(bodies, self.body_bins.code[at + lo : at + hi].tolist()))
+            fresh = [body for body in codes if body not in self.texts]
+            self.texts.update(zip(fresh, self.body_bins.scored(fresh, map(codes.__getitem__, fresh))))
+        return list(zip(bodies, map(self.texts.__getitem__, bodies)))
 
     def summary_requests(self, ces: Sequence[CorrelatedEventRecord]) -> list[SummaryRequest]:
         """``build_requests`` for the correlated events over this analysis'
@@ -323,22 +334,24 @@ def aggregate(
     Each app's reviews are summed per UTC day of the span once, and the
     analysis keeps those day sums; both window grids sum from them through
     ``series_stats``. Bodies are scored only where the polarity metric
-    needs them: every app's distinct bodies in one ``score_bodies`` pass
-    before the sums, into the analysis' ``bodies`` memo, which keeps each
-    body's sentence bins for the summary requests. The catalog's reviews
-    must be in canonical order, as ``build_catalog`` leaves them.
+    needs them: one ``score_bodies`` call over every app's rows, apps in
+    order, before the sums. The analysis keeps its column form as
+    ``body_bins``, each app's rows read by the app's day sums and the
+    summary requests. The catalog's reviews must be in canonical order, as
+    ``build_catalog`` leaves them.
     """
     analysis = new_analysis(config, catalog)
     span = _derive_span(config, catalog, analysis.apps)
     if span is not None:
         midnights = utc_midnights(span[0], (span[1] - span[0]).days)
         if MetricKind.POLARITY in metrics:
-            apps_bodies = (catalog.reviews[app].body.tolist() for app in analysis.apps)
-            score_bodies(chain.from_iterable(apps_bodies), analysis.scorer, analysis.bodies)
+            bodies = [catalog.reviews[app].body for app in analysis.apps]
+            analysis.app_rows = dict(zip(analysis.apps, accumulate(map(len, bodies), initial=0)))
+            analysis.body_bins = score_bodies(np.concatenate(bodies), analysis.scorer)
         for app in analysis.apps:
-            analysis.day_sums[app] = day_sums(
-                catalog.reviews[app], midnights, metrics, analysis.scorer, config.scales, analysis.bodies
-            )
+            reviews, at = catalog.reviews[app], analysis.app_rows.get(app, 0)
+            bins = None if analysis.body_bins is None else analysis.body_bins[at : at + len(reviews)]
+            analysis.day_sums[app] = day_sums(reviews, midnights, metrics, analysis.scorer, config.scales, bins)
     analysis.weekly_stats = series_stats(analysis.day_sums, config.event_window_days, metrics)
     analysis.daily_stats = series_stats(analysis.day_sums, config.correlation_window_days, metrics)
     return analysis

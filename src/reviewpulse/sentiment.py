@@ -11,8 +11,10 @@ valences, folded into the five polarity bins:
 sentence of a whole list of bodies its bin and its body's index, in order.
 Each distinct word is tokenised once per scorer, and the sentences are
 cut, negated and summed as arrays. ``metrics.score_bodies`` is its one
-caller: it keeps each body's bins, from which the day sums take their
-totals and the correlated events' windows their scored sentences.
+caller: it scores each distinct body once, in blocks of about 16 KiB of
+text, and returns the bins as columns with one code per body, from which
+the day sums take their totals and the correlated events' windows their
+scored sentences.
 """
 
 from __future__ import annotations
@@ -62,8 +64,7 @@ def split_sentences(body: str) -> list[str]:
     sentences. Joining the result with single spaces reproduces the body up
     to whitespace normalisation.
     """
-    parts = (p.strip() for p in _SENTENCE_BREAK.split(body))
-    return [p for p in parts if p]
+    return list(filter(None, map(str.strip, _SENTENCE_BREAK.split(body))))
 
 
 def _stem_candidates(token: str) -> Iterator[str]:
@@ -194,5 +195,5 @@ def load_lexicon(path: str | Path) -> dict[str, int]:
 
 @lru_cache(maxsize=1)
 def default_lexicon() -> Mapping[str, int]:
-    with resources.as_file(resources.files("reviewpulse").joinpath("data/lexicon.tsv")) as path:
+    with resources.as_file(resources.files(__package__).joinpath("data/lexicon.tsv")) as path:
         return load_lexicon(path)

@@ -168,7 +168,7 @@ def build_requests(
 
 
 def default_template() -> str:
-    ref = resources.files("reviewpulse").joinpath("data/prompt_template.txt")
+    ref = resources.files(__package__).joinpath("data/prompt_template.txt")
     return ref.read_text(encoding="utf-8")
 
 

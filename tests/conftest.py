@@ -24,8 +24,9 @@ def criterion_4_analyses() -> list:
 
     Each keeps what those tests read: events, correlation-window stats
     (the per-pair oracle correlates their means), runs, CEs and summary
-    requests. The catalog, day sums, event-window stats and sentence memo
-    are dropped, so the session holds well under 1 MB a market, not 4 MB.
+    requests. The catalog, day sums and event-window stats are dropped (a
+    counts-only analysis keeps no sentence bins), so the session holds well
+    under 1 MB a market, not 4 MB.
     ``test_criterion_4_spike_pair_recall_and_precision`` builds its own
     markets, since its wall-clock gate times that work.
     """
@@ -39,5 +40,5 @@ def criterion_4_analyses() -> list:
     for seed in range(100):
         reviews, _ = generate(spike_pair_scenario(seed=seed))
         analysis = analyze_catalog(MarketConfig(seed=seed), build_catalog(reviews), metrics=(MetricKind.COUNT,))
-        analyses.append(replace(analysis, catalog=None, day_sums={}, weekly_stats={}, bodies={}))
+        analyses.append(replace(analysis, catalog=None, day_sums={}, weekly_stats={}))
     return analyses

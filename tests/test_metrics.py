@@ -7,6 +7,7 @@ import itertools
 import math
 import random
 import tracemalloc
+from dataclasses import replace
 from datetime import date, datetime, timedelta, timezone
 
 import numpy as np
@@ -33,6 +34,7 @@ from reviewpulse.metrics import (
     metric_delta,
     normalize_rating,
     read_day_sums_csv,
+    score_bodies,
     score_review,
     utc_midnights,
     window_series,
@@ -42,7 +44,7 @@ from reviewpulse.metrics import (
 )
 from reviewpulse.pipeline import aggregate, write_file
 from reviewpulse.sentiment import LexiconScorer
-from reviewpulse.synth import generate, spike_pair_scenario
+from reviewpulse.synth import default_scenario, generate, spike_pair_scenario
 
 from oracles import SentenceScorer, metric_mu, scored_reviews, window_contains
 
@@ -192,7 +194,7 @@ def test_window_stats_buckets_by_window() -> None:
     ]
     reviews.sort(key=lambda r: r.timestamp)
     metrics = (MetricKind.COUNT, MetricKind.RATING)
-    days = day_sums(reviews, utc_midnights(start, 14), metrics, LexiconScorer(), ScaleMap(), {})
+    days = day_sums(reviews, utc_midnights(start, 14), metrics, LexiconScorer(), ScaleMap())
     windows = window_series(start, start + timedelta(days=14), 7)
     stats = window_stats("appA", days, windows, MetricKind.COUNT)
     assert stats.mu.tolist() == [2.0, 1.0]
@@ -226,7 +228,7 @@ def test_day_sums_match_per_review_bucketing_oracle() -> None:
     scored = _scored(reviews)
     by_id = {s.review.review_id: s for s in scored}
     all_metrics = (MetricKind.COUNT, MetricKind.RATING, MetricKind.POLARITY)
-    days = day_sums(reviews, utc_midnights(start, 28), all_metrics, LexiconScorer(), ScaleMap(), {})
+    days = day_sums(reviews, utc_midnights(start, 28), all_metrics, LexiconScorer(), ScaleMap())
     for width in (1, 7):
         windows = window_series(start, start + timedelta(days=28), width)
         for metric in all_metrics:
@@ -244,21 +246,27 @@ def test_day_sums_match_per_review_bucketing_oracle() -> None:
 
 @pytest.mark.parametrize("block", [1024, 2], ids=["one-block", "blocks-of-2"])
 def test_polarity_day_sums_of_repeated_bodies_match_per_review_oracle(monkeypatch, block: int) -> None:
-    # Bodies repeat within each app and across the apps, which share one
-    # memo and one scorer; the oracle scores every review on its own.
+    # Bodies repeat within each app and across the apps, whose rows are
+    # scored by one score_bodies call, as aggregate scores them, and whose
+    # day sums each read their app's rows of it; the oracle scores every
+    # review on its own.
     monkeypatch.setattr("reviewpulse.metrics.SCORE_BLOCK", block)
     rng = random.Random(33)
     start = date(2024, 1, 4)
     base = datetime(2024, 1, 4, tzinfo=timezone.utc)
     pool = ["excellent app. not good!", "", " \n ", "terrible crash.\nthe menu", "never slow? ok", "good. good."]
-    scorer, memo = LexiconScorer(), {}
-    for app in ("appA", "appB", "appC"):
-        reviews = sorted(
+    apps = [
+        sorted(
             (_review(i, base + timedelta(seconds=rng.randrange(14 * 86400)), body=rng.choice(pool), app=app)
              for i in range(60)),
             key=lambda r: (r.timestamp, r.review_id),
         )
-        days = day_sums(reviews, utc_midnights(start, 14), (MetricKind.POLARITY,), scorer, ScaleMap(), memo)
+        for app in ("appA", "appB", "appC")
+    ]
+    scorer = LexiconScorer()
+    bins = score_bodies([r.body for reviews in apps for r in reviews], scorer)
+    for at, reviews in zip(range(0, 180, 60), apps):
+        days = day_sums(reviews, utc_midnights(start, 14), (MetricKind.POLARITY,), scorer, ScaleMap(), bins[at : at + 60])
         polarity, sentences = [0] * 15, [0] * 15
         for s in _scored(reviews):
             day = (s.review.timestamp.date() - start).days
@@ -266,7 +274,28 @@ def test_polarity_day_sums_of_repeated_bodies_match_per_review_oracle(monkeypatc
             sentences[day + 1] += len(s.sentences)
         assert days.polarity.tolist() == list(itertools.accumulate(polarity))
         assert days.sentences.tolist() == list(itertools.accumulate(sentences))
-    assert len(memo) == len(pool)
+    assert len(bins.first) == len(pool) + 1
+
+
+def test_aggregate_of_unique_bodies_holds_little_above_its_result() -> None:
+    # Four apps of unique 3-sentence bodies, built as the desk benchmark
+    # builds its market: 5,311 reviews. With the sentence bins as columns
+    # (one code per row) and the kernel's blocks bounded by body text,
+    # aggregate's peak stays about 0.46 MiB above what it returns; a memo of
+    # one bytes per body, scored in blocks of 1,024 bodies, peaked 1.42 MiB
+    # above it here.
+    scenario = default_scenario(n_apps=4, n_windows=26, rate=50.0, seed=0)
+    scenario = replace(scenario, apps=tuple(replace(a, sentences_per_review=3) for a in scenario.apps))
+    catalog = build_catalog(generate(scenario)[0])
+    aggregate(MarketConfig(), catalog)  # numpy's and the lexicon's first-use loads
+    tracemalloc.start()
+    try:
+        analysis = aggregate(MarketConfig(), catalog)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(analysis.body_bins.code) == len(analysis.body_bins.first) - 1 == 5311
+    assert peak - kept < 0.75 * 2**20
 
 
 def test_score_review_refuses_a_bin_count_other_than_the_sentence_count() -> None:
@@ -280,7 +309,7 @@ def test_score_review_refuses_a_bin_count_other_than_the_sentence_count() -> Non
 
 def test_window_stats_refuse_windows_outside_the_day_sums() -> None:
     start = date(2024, 1, 4)
-    days = day_sums([], utc_midnights(start, 14), (MetricKind.COUNT,), LexiconScorer(), ScaleMap(), {})
+    days = day_sums([], utc_midnights(start, 14), (MetricKind.COUNT,), LexiconScorer(), ScaleMap())
     with pytest.raises(ValueError):
         window_stats("appA", days, window_series(start, start + timedelta(days=21), 7), MetricKind.COUNT)
     with pytest.raises(ValueError):
@@ -410,7 +439,7 @@ def test_day_sums_csv_round_trip(apps, offset, n_days, data) -> None:
 def test_day_sums_csv_leaves_totals_not_summed_empty() -> None:
     # A count-only analysis has no rating or polarity totals to write, and
     # the reader refuses the empty cells rather than reading them as zeros.
-    days = day_sums([], utc_midnights(date(2024, 1, 4), 2), (MetricKind.COUNT,), LexiconScorer(), ScaleMap(), {})
+    days = day_sums([], utc_midnights(date(2024, 1, 4), 2), (MetricKind.COUNT,), LexiconScorer(), ScaleMap())
     text = "".join(write_day_sums_csv({"appA": days}))
     assert text.splitlines()[1:] == ["appA,2024-01-04,0,,,", "appA,2024-01-05,0,,,"]
     with pytest.raises(ValueError, match=r"day sums of \(appA\), CSV line 2: '' is not an integer"):

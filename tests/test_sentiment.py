@@ -11,6 +11,7 @@ to the oracle's ``score_sentences``, one sentence at a time.
 """
 from __future__ import annotations
 
+import itertools
 import random
 import re
 from types import MappingProxyType
@@ -21,7 +22,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from reviewpulse import metrics
+from reviewpulse import ingest, metrics
 from reviewpulse.metrics import score_bodies, score_reviews
 from reviewpulse.sentiment import (
     LexiconScorer,
@@ -281,15 +282,18 @@ def test_score_bodies_match_the_per_sentence_path(custom: bool, data) -> None:
     lexicon = _CUSTOM_LEXICON if custom else default_lexicon()
     scorer = LexiconScorer(lexicon) if custom else LexiconScorer()
     oracle = SentenceScorer(lexicon)
-    memo: dict[str, bytes] = {}
-    # The second list meets coded words and memoised bodies, and is scored
-    # in blocks of two bodies.
+    # The second list meets coded words, and is scored in blocks of two
+    # characters: one body a block, or a run of empty ones and the next.
     for block in (metrics.SCORE_BLOCK, 2):
         bodies = data.draw(_bodies(sorted(lexicon)))
         with mock.patch.object(metrics, "SCORE_BLOCK", block):
-            score_bodies(bodies, scorer, memo)
-        for body in bodies:
-            assert memo[body] == bytes(p for _, _, p in score_sentences(body, oracle))
+            scores = score_bodies(bodies, scorer)
+        codes: dict[str, int] = {}
+        assert scores.code.tolist() == [codes.setdefault(body, len(codes)) for body in bodies]
+        assert (scores.first.dtype, scores.bins.dtype, len(scores.first)) == (np.int64, np.uint8, len(codes) + 1)
+        for body, code in codes.items():
+            got = scores.bins[scores.first[code] : scores.first[code + 1]].tobytes()
+            assert got == bytes(p for _, _, p in score_sentences(body, oracle))
 
 
 @pytest.mark.parametrize("custom", [False, True], ids=["built-in", "custom"])
@@ -300,22 +304,56 @@ def test_sentence_bins_match_the_oracle_sentence_for_sentence(custom: bool, data
     scorer = LexiconScorer(lexicon) if custom else LexiconScorer()
     reviews_scorer = LexiconScorer(lexicon) if custom else LexiconScorer()
     oracle = SentenceScorer(lexicon)
-    memo: dict[str, bytes] = {}
-    for _ in range(2):  # the second list meets coded words and memoised bodies
+    for _ in range(2):  # the second list meets coded words
         bodies = data.draw(_bodies(sorted(lexicon)))
         want = [score_sentences(body, oracle) for body in bodies]
         bins, owner = scorer.sentence_bins(bodies)
         assert (bins.dtype, owner.dtype) == (np.int64, np.int64)
         assert list(zip(owner.tolist(), bins.tolist())) == [(k, p) for k, s in enumerate(want) for _, _, p in s]
-        assert score_reviews(bodies, reviews_scorer, memo) == want
+        assert score_reviews(bodies, reviews_scorer) == want
+
+
+# Empty, blank and "\n"-split bodies and non-ASCII text, each of two apps
+# repeating bodies of its own and of the other.
+_APP_A = ["", " ", "great app.\nnot good", "\n\n", "Ünïcödé is great. ça marche!", "never bad?\n\nslow",
+          "great app.\nnot good", "", "café 😀. awful\u3000crash!"]
+_APP_B = ["never bad?\n\nslow", "\t\u3000", "great app.\nnot good", "GREAT app. Not Good", "\t\u3000", "ok"]
+
+
+@pytest.mark.parametrize("block", [metrics.SCORE_BLOCK, 5, 1])
+@pytest.mark.parametrize("hashing", ["one hash", "three hashes"])
+def test_body_codes_agree_with_the_oracle_under_colliding_hashes(hashing: str, block: int) -> None:
+    # The fake hashes make different bodies share a hash, so only comparing
+    # the bodies themselves tells them apart; every body gets the bins of the
+    # per-sentence oracle and every repeat its first occurrence's code.
+    fake = {"one hash": lambda key: 0, "three hashes": lambda key: hash(key) % 3}[hashing]
+    oracle = SentenceScorer(default_lexicon())
+    rows = _APP_A + _APP_B
+    with mock.patch.object(ingest, "hash", fake, create=True), mock.patch.object(metrics, "SCORE_BLOCK", block):
+        scores = score_bodies(rows, LexiconScorer())
+    codes: dict[str, int] = {}
+    assert scores.code.tolist() == [codes.setdefault(body, len(codes)) for body in rows]
+    assert len(scores.first) == len(codes) + 1
+    for body, code in zip(rows, scores.code.tolist()):
+        assert scores.bins[scores.first[code] : scores.first[code + 1]].tolist() == [
+            p for _, _, p in score_sentences(body, oracle)]
+    # Each app's rows read alone give the app's bins, row after row.
+    for app, rows_of_app in ((slice(0, len(_APP_A)), _APP_A), (slice(len(_APP_A), None), _APP_B)):
+        at, bins = scores[app].gather()
+        want = [[p for _, _, p in score_sentences(body, oracle)] for body in rows_of_app]
+        assert at.tolist() == [0, *itertools.accumulate(map(len, want))]
+        assert bins.tolist() == list(itertools.chain.from_iterable(want))
 
 
 def test_score_bodies_refuse_a_valence_outside_the_scale() -> None:
     assert SentenceScorer({"great": 3}).score("great") == 4
-    memo: dict[str, bytes] = {}
-    with pytest.raises(ValueError, match="outside -2..\\+2"):
-        score_bodies(["great"], LexiconScorer({"great": 3}), memo)
-    assert memo == {}
+    scorer = LexiconScorer({"great": 3, "good": 1})
+    # Nothing of a refused call is kept: the word is refused again, in a
+    # block of its own or not, and the scorer still scores the others.
+    for block in (metrics.SCORE_BLOCK, 1):
+        with mock.patch.object(metrics, "SCORE_BLOCK", block), pytest.raises(ValueError, match="outside -2..\\+2"):
+            score_bodies(["good", "great"], scorer)
+    assert score_bodies(["good"], scorer).bins.tolist() == [3]
 
 
 def test_sentence_tuples_agree_with_score_review() -> None:

@@ -278,8 +278,9 @@ def test_counts_only_analysis_prepares_the_full_analysis_requests() -> None:
 
 def test_full_analysis_keeps_sentence_texts_only_for_ce_windows(monkeypatch) -> None:
     # A polarity run scores each distinct body once, for the day sums, into
-    # one memo of sentence bins that holds no text; the correlated events'
-    # windows read their bins from it, and only their sentences get texts.
+    # sentence bins in column form that hold no text: one code per row, in
+    # first-occurrence order. The correlated events' windows read their bins
+    # through their rows' codes, and only their sentences get texts.
     from collections import Counter
 
     from reviewpulse import metrics
@@ -322,8 +323,11 @@ def test_full_analysis_keeps_sentence_texts_only_for_ce_windows(monkeypatch) -> 
     all_bodies = {body for app in analysis.apps for body in catalog.reviews[app].body.tolist()}
     assert set(kernel_bodies) == all_bodies
     assert max(kernel_bodies.values()) == 1
-    assert set(analysis.bodies) == all_bodies
-    assert {type(bins) for bins in analysis.bodies.values()} == {bytes}
+    rows = [body for app in analysis.apps for body in catalog.reviews[app].body.tolist()]
+    codes: dict[str, int] = {}
+    assert analysis.body_bins.code.tolist() == [codes.setdefault(body, len(codes)) for body in rows]
+    assert len(analysis.body_bins.first) == len(all_bodies) + 1
+    assert analysis.body_bins.bins.dtype == "uint8"
 
     def in_window(app_id: str, window: TimeWindow) -> list[Review]:
         return [r for r in catalog.reviews[app_id] if window_contains(window, r.timestamp)]
@@ -334,7 +338,7 @@ def test_full_analysis_keeps_sentence_texts_only_for_ce_windows(monkeypatch) -> 
 
     def rescored(app_id: str, window: TimeWindow) -> list[tuple[str, BodyScore]]:
         bodies = [r.body for r in in_window(app_id, window)]
-        return list(zip(bodies, score_reviews(bodies, LexiconScorer(), {})))
+        return list(zip(bodies, score_reviews(bodies, LexiconScorer())))
 
     assert analysis.requests == build_requests(analysis.ces, rescored, config.sample_size, config.seed)
 

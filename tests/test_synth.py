@@ -124,7 +124,7 @@ def test_every_polarity_bin_survives_the_scoring_round_trip() -> None:
     scorer = LexiconScorer()
     for target in range(5):
         reviews, _ = generate(_one_app_scenario(polarity_bin=target, rate=20.0, n_windows=2))
-        scored = score_reviews([r.body for r in reviews], scorer, {})
+        scored = score_reviews([r.body for r in reviews], scorer)
         polarities = {p for parts in scored for _, _, p in parts}
         assert polarities == {target}, f"bin {target} scored as {polarities}"
 
@@ -132,7 +132,7 @@ def test_every_polarity_bin_survives_the_scoring_round_trip() -> None:
 def test_polarity_shift_moves_the_bin_up() -> None:
     inj = Injection(apps=("solo",), window_index=1, kind="polarity-shift", magnitude=1.0)
     reviews, labels = generate(_one_app_scenario(polarity_bin=2, injections=(inj,)))
-    scored = score_reviews([r.body for r in reviews], LexiconScorer(), {})
+    scored = score_reviews([r.body for r in reviews], LexiconScorer())
     for r, parts in zip(reviews, scored):
         widx = int(r.review_id.split("-w")[1].split("-")[0])
         want = 3 if widx == 1 else 2
