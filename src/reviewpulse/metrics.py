@@ -327,7 +327,7 @@ def day_sums(
     """
     table = ReviewTable.from_reviews(reviews)
     cuts = np.searchsorted(table.stamp_us, midnights, side="left")
-    span = slice(cuts[0], cuts[-1])
+    span = slice(int(cuts[0]), int(cuts[-1]))
     table = table[span]  # the span's reviews
     cuts -= cuts[0]
     rating = polarity = sentences = None

@@ -14,11 +14,12 @@ the perfbench workload's review dump for the seed, written by
 Each side builds what the stage takes once (a catalog, an analysis), on
 its own code. Per round each side then runs the stage best of k, and the
 side that goes first alternates by round. A round's ratio is the change's
-best over the base's. The report gives the median ratio and its
-interquartile range, the rounds the change was faster in, a two-sided
-sign-test p-value, a verdict at the 5% level, and each side's tracemalloc
-peak of one call, traced apart from the timed calls. Fresh-process
-measures (``ru_maxrss`` growth, cold starts) are out of its reach.
+best over the base's. The report gives each side's median best, the
+median ratio and its interquartile range, the rounds the change was
+faster in, a two-sided sign-test p-value, a verdict at the 5% level, and
+each side's tracemalloc peak of one call, traced apart from the timed
+calls. Fresh-process measures (``ru_maxrss`` growth, cold starts) are out
+of its reach.
 """
 
 from __future__ import annotations
@@ -140,19 +141,19 @@ def sign_test(wins: int, n: int) -> float:
 
 
 def compare(base: Callable[[], object], change: Callable[[], object], rounds: int, k: int) -> dict:
-    ratios = []
+    ratios, bests = [], {"base": [], "change": []}
     for r in range(rounds):
-        sides = {}
         for name in (("base", "change") if r % 2 == 0 else ("change", "base")):
-            sides[name] = best_of(base if name == "base" else change, k)
-        ratios.append(sides["change"] / sides["base"])
+            bests[name].append(best_of(base if name == "base" else change, k))
+        ratios.append(bests["change"][-1] / bests["base"][-1])
     wins = sum(ratio < 1 for ratio in ratios)
     untied = sum(ratio != 1 for ratio in ratios)
     p = sign_test(wins, untied)
     q1, median, q3 = statistics.quantiles(ratios, n=4, method="inclusive") if len(ratios) > 1 else ratios * 3
     verdict = "no difference" if p >= 0.05 else ("faster" if wins > untied - wins else "slower")
     return {"rounds": rounds, "best_of": k, "ratios": [round(x, 4) for x in ratios], "median_ratio": median,
-            "iqr": q3 - q1, "change_wins": wins, "p_value": p, "verdict": verdict}
+            "iqr": q3 - q1, "change_wins": wins, "p_value": p, "verdict": verdict,
+            "median_s": {name: statistics.median(times) for name, times in bests.items()}}
 
 
 def parse_args(argv: list[str] | None) -> argparse.Namespace:
