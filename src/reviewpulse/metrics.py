@@ -247,13 +247,13 @@ def score_bodies(bodies: Sequence[str], scorer: LexiconScorer) -> BodyBins:
     code = np.cumsum(distinct)
     code -= 1
     code[shared] = code[at]  # a repeat takes its first row's code
-    del shared, at
+    del shared, at  # before the kernel's blocks
     rows = np.flatnonzero(distinct)
-    ends = _prefix(np.fromiter(map(len, bodies[rows]), dtype=np.int64, count=len(rows)))
+    chars = _prefix(np.fromiter(map(len, bodies[rows]), dtype=np.int64, count=len(rows)))  # text before each
     counts, bins = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.uint8)]
     lo = 0
     while lo < len(rows):
-        hi = int(np.searchsorted(ends, ends[lo] + SCORE_BLOCK))  # the block ends after the body reaching the bound
+        hi = int(np.searchsorted(chars, chars[lo] + SCORE_BLOCK))  # the block ends after the body reaching the bound
         block = bodies[rows[lo:hi]].tolist()
         block_bins, owner = scorer.sentence_bins(block)
         counts.append(np.bincount(owner, minlength=len(block)))
