@@ -21,7 +21,7 @@ from datetime import date, datetime, timedelta, timezone
 from itertools import chain, compress
 from operator import attrgetter, itemgetter
 from types import SimpleNamespace
-from typing import BinaryIO, Callable, Hashable, Iterable, Iterator, Mapping, Sequence
+from typing import BinaryIO, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -45,7 +45,6 @@ __all__ = [
     "parse_reviews",
     "parse_timestamp",
     "rejects_to_jsonl",
-    "repeated_rows",
     "serialize_reviews",
     "utc_datetime",
     "utf8_blocks",
@@ -718,35 +717,23 @@ def _coverage(stamp_us: np.ndarray, monthly_floor: float) -> AppCoverage:
     )
 
 
-def repeated_rows(hashed: Iterable[Hashable], n: int, keys: Callable[[np.ndarray], Iterable[Hashable]]
-                  ) -> tuple[np.ndarray, np.ndarray]:
-    """The rows whose hash another of the ``n`` rows shares, in row order,
-    and for each the first row that holds its key, as int64 arrays.
-
-    ``hashed`` gives what each row hashes, in row order, into one int64
-    array, grouped by one sort; rows with equal keys must hash alike. A row
-    outside the returned ones is the first to hold its key. Only rows that
-    share a hash are compared, by their ``keys(rows)`` and in row order, so
-    the hash seed reaches no result.
-    """
-    hashes = np.fromiter(map(hash, hashed), dtype=np.int64, count=n)
-    order = np.argsort(hashes)
-    tie = np.diff(hashes[order]) == 0  # between each row and the next in hash order
-    shared = np.zeros(n, dtype=bool)
-    shared[order[1:][tie]] = shared[order[:-1][tie]] = True
-    del hashes, order, tie  # the hash pass' arrays go before the compares
-    rows = np.flatnonzero(shared)
-    first: dict[Hashable, int] = {}
-    return rows, rows[np.fromiter(map(first.setdefault, keys(rows), range(len(rows))), dtype=np.int64, count=len(rows))]
-
-
 def _repeated_keys(table: ReviewTable) -> list[tuple[int, int]]:
     """Each row whose ``(source, review_id)`` key an earlier row holds, in
-    row order, with the first row that holds it (``repeated_rows``; a row
-    hashes its review id alone when every row has one source)."""
+    row order, with the first row that holds it.
+
+    Each row's key is hashed into one int64 array (the review id alone when
+    every row has one source). A row whose hash no other row shares is a
+    first occurrence; only rows that share a hash are compared as keys, in
+    row order, so the hash seed reaches no result.
+    """
     keys = table.review_id if (table.source == table.source[:1]).all() else zip(table.source, table.review_id)
-    rows, first = repeated_rows(keys, len(table), lambda rows: zip(table.source[rows], table.review_id[rows]))
-    return [(row, at) for row, at in zip(rows.tolist(), first.tolist()) if at != row]
+    hashes = np.fromiter(map(hash, keys), dtype=np.int64, count=len(table))
+    ordered = np.sort(hashes)
+    shared = ordered[1:][ordered[1:] == ordered[:-1]]
+    first: dict[tuple[str, str], int] = {}
+    pairs = [(row, first.setdefault((table.source[row], table.review_id[row]), row))
+             for row in np.flatnonzero(np.isin(hashes, shared)).tolist()]
+    return [(row, at) for row, at in pairs if at != row]
 
 
 def _without(table: ReviewTable, rows: list[int]) -> ReviewTable:

@@ -21,7 +21,7 @@ stages: ``write_day_sums_csv`` writes them as one row per app and day, and
 Sentences are scored by one kernel, ``LexiconScorer.sentence_bins``,
 called only by ``score_bodies``, in blocks bounded by body text. It
 returns the bins in column form (``BodyBins``): one code per body, naming
-its distinct body, and each distinct body's bins, one uint8 (0..4) per
+its distinct body, and each distinct body's bins, one byte (0..4) per
 sentence in ``split_sentences`` order. The day sums gather each row's
 sentence count and polarity total from the app's rows; the correlated
 events' windows read a body's bins through its row's code and zip them
@@ -55,7 +55,7 @@ from typing import Callable, Collection, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .ingest import DAY_US, RatingScale, Review, ReviewTable, ScaleMap, csv_line_writer, midnight_us, repeated_rows, utc_datetime
+from .ingest import DAY_US, RatingScale, Review, ReviewTable, ScaleMap, csv_line_writer, midnight_us, utc_datetime
 from .sentiment import LexiconScorer, split_sentences
 
 __all__ = [
@@ -194,14 +194,14 @@ class BodyBins:
 
     ``code`` holds one int64 per body, the index of its distinct body; the
     distinct bodies are numbered in order of first occurrence. Distinct body
-    ``k``'s bins are ``bins[first[k]:first[k + 1]]``, one uint8 (0..4) per
+    ``k``'s bins are ``bins[first[k]:first[k + 1]]``, one byte (0..4) per
     sentence in ``split_sentences`` order. Indexing by a slice or an array
     of rows gives those rows' codes over the same distinct bodies.
     """
 
     code: np.ndarray
     first: np.ndarray
-    bins: np.ndarray
+    bins: bytes
 
     def __getitem__(self, rows: slice | np.ndarray) -> "BodyBins":
         return BodyBins(self.code[rows], self.first, self.bins)
@@ -211,17 +211,16 @@ class BodyBins:
         more, and every row's bins, row after row."""
         start = self.first[self.code]
         at = _prefix(self.first[self.code + 1] - start)
-        return at, self.bins[np.repeat(start - at[:-1], np.diff(at)) + np.arange(at[-1])]
+        index = np.repeat(start - at[:-1], np.diff(at)) + np.arange(at[-1])
+        return at, np.frombuffer(self.bins, dtype=np.uint8)[index]
 
     def scored(self, bodies: Sequence[str], codes: Iterable[int]) -> list[BodyScore]:
         """``score_review`` of each body with the bins of its distinct body,
-        whose code ``codes`` gives in the bodies' order.
-
-        Offsets are read through a memoryview, as ints, and the bins from one
-        ``bytes`` copy of them, a byte a sentence, whose slices zip fastest.
-        """
-        first, bins = memoryview(self.first), self.bins.tobytes()
-        return [score_review(body, bins[first[k] : first[k + 1]]) for body, k in zip(bodies, codes)]
+        whose code ``codes`` gives in the bodies' order. The offsets are read
+        as ints through a memoryview, and each body's bins are a slice of
+        ``bins``, the form that zips fastest."""
+        first = memoryview(self.first)
+        return [score_review(body, self.bins[first[k] : first[k + 1]]) for body, k in zip(bodies, codes)]
 
 
 # Characters of body text per LexiconScorer.sentence_bins call: a block ends
@@ -235,31 +234,28 @@ SCORE_BLOCK = 16384
 def score_bodies(bodies: Sequence[str], scorer: LexiconScorer) -> BodyBins:
     """The bodies' sentence bins (``BodyBins``), one code per body.
 
-    Distinct bodies are found by one hash pass (``repeated_rows``): only
-    bodies that share a hash are compared, so no code depends on the hash
-    seed. Each distinct body goes through ``scorer.sentence_bins`` once, in
-    blocks of ``SCORE_BLOCK`` characters; this is the kernel's one caller.
+    The distinct bodies are numbered by one dict: bodies that share a hash
+    are told apart by comparing them, so no code depends on the hash seed.
+    Each distinct body goes through ``scorer.sentence_bins`` once, in blocks
+    of ``SCORE_BLOCK`` characters; this is the kernel's one caller.
     """
-    bodies = np.asarray(bodies, dtype=object)
-    shared, at = repeated_rows(bodies, len(bodies), bodies.__getitem__)
-    distinct = np.ones(len(bodies), dtype=bool)
-    distinct[shared[at != shared]] = False
-    code = np.cumsum(distinct)
-    code -= 1
-    code[shared] = code[at]  # a repeat takes its first row's code
-    del shared, at  # before the kernel's blocks
-    rows = np.flatnonzero(distinct)
-    chars = _prefix(np.fromiter(map(len, bodies[rows]), dtype=np.int64, count=len(rows)))  # text before each
+    codes = dict.fromkeys(bodies)
+    for k, body in enumerate(codes):
+        codes[body] = k
+    code = np.fromiter(map(codes.__getitem__, bodies), dtype=np.int64, count=len(bodies))
+    distinct = list(codes)
+    del codes  # before the kernel's blocks
+    chars = _prefix(np.fromiter(map(len, distinct), dtype=np.int64, count=len(distinct)))  # text before each
     counts, bins = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.uint8)]
     lo = 0
-    while lo < len(rows):
+    while lo < len(distinct):
         hi = int(np.searchsorted(chars, chars[lo] + SCORE_BLOCK))  # the block ends after the body reaching the bound
-        block = bodies[rows[lo:hi]].tolist()
+        block = distinct[lo:hi]
         block_bins, owner = scorer.sentence_bins(block)
         counts.append(np.bincount(owner, minlength=len(block)))
         bins.append(block_bins.astype(np.uint8))
         lo = hi
-    return BodyBins(code, _prefix(np.concatenate(counts)), np.concatenate(bins))
+    return BodyBins(code, _prefix(np.concatenate(counts)), np.concatenate(bins).tobytes())
 
 
 @dataclass(frozen=True, slots=True)
@@ -311,7 +307,6 @@ def day_sums(
     reviews: Sequence[Review],
     midnights: np.ndarray,
     metrics: Collection[MetricKind],
-    scorer: LexiconScorer,
     scales: ScaleMap,
     bins: BodyBins | None = None,
 ) -> DaySums:
@@ -320,10 +315,10 @@ def day_sums(
     ``reviews`` is the app's ``ReviewTable``; any other sequence goes
     through ``ReviewTable.from_reviews``. ``midnights`` comes from
     ``utc_midnights``; each day is cut from the stamps by bisection.
-    Ratings are normalised and bodies scored only for the span's reviews
-    and the metrics asked for. ``bins`` holds the sentence bins of the
-    app's rows, a slice of what ``score_bodies`` gave; without it, the
-    span's bodies go through ``score_bodies`` here.
+    Ratings are normalised only for the span's reviews and the metrics
+    asked for. The polarity metric takes ``bins``, the sentence bins of the
+    app's rows (``score_bodies`` of their bodies, or the app's slice of
+    them), and gathers the span's rows from it.
     """
     table = ReviewTable.from_reviews(reviews)
     cuts = np.searchsorted(table.stamp_us, midnights, side="left")
@@ -334,7 +329,7 @@ def day_sums(
     if MetricKind.RATING in metrics:
         rating = _prefix(_normalized_ratings(table, scales))[cuts]
     if MetricKind.POLARITY in metrics:
-        at, values = (score_bodies(table.body, scorer) if bins is None else bins[span]).gather()
+        at, values = bins[span].gather()
         sentences = at[cuts]
         polarity = _prefix(values)[sentences]
     return DaySums(utc_datetime(int(midnights[0])).date(), cuts, rating, polarity, sentences)

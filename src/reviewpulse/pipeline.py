@@ -229,14 +229,11 @@ class MarketAnalysis:
         reviews = self.catalog.reviews[app_id]
         lo, hi = np.searchsorted(reviews.stamp_us, [midnight_us(window.start), midnight_us(window.end)]).tolist()
         bodies = reviews.body[lo:hi].tolist()
-        if self.body_bins is None:
-            fresh = [body for body in dict.fromkeys(bodies) if body not in self.texts]
-            self.texts.update(zip(fresh, score_reviews(fresh, self.scorer)))
-        else:
-            at = self.app_rows[app_id]
-            codes = dict(zip(bodies, self.body_bins.code[at + lo : at + hi].tolist()))
-            fresh = [body for body in codes if body not in self.texts]
-            self.texts.update(zip(fresh, self.body_bins.scored(fresh, map(codes.__getitem__, fresh))))
+        bins, at = self.body_bins, self.app_rows.get(app_id, 0)
+        codes = dict.fromkeys(bodies) if bins is None else dict(zip(bodies, bins.code[at + lo : at + hi].tolist()))
+        fresh = [body for body in codes if body not in self.texts]
+        scored = score_reviews(fresh, self.scorer) if bins is None else bins.scored(fresh, map(codes.__getitem__, fresh))
+        self.texts.update(zip(fresh, scored))
         return list(zip(bodies, map(self.texts.__getitem__, bodies)))
 
     def summary_requests(self, ces: Sequence[CorrelatedEventRecord]) -> list[SummaryRequest]:
@@ -351,7 +348,7 @@ def aggregate(
         for app in analysis.apps:
             reviews, at = catalog.reviews[app], analysis.app_rows.get(app, 0)
             bins = None if analysis.body_bins is None else analysis.body_bins[at : at + len(reviews)]
-            analysis.day_sums[app] = day_sums(reviews, midnights, metrics, analysis.scorer, config.scales, bins)
+            analysis.day_sums[app] = day_sums(reviews, midnights, metrics, config.scales, bins)
     analysis.weekly_stats = series_stats(analysis.day_sums, config.event_window_days, metrics)
     analysis.daily_stats = series_stats(analysis.day_sums, config.correlation_window_days, metrics)
     return analysis

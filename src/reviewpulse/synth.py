@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from datetime import date
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -319,12 +319,17 @@ def default_scenario(
     injections: Sequence[Injection] = (),
 ) -> Scenario:
     """Template market: Poisson counts with the default mixes, in 7-day windows."""
-    return _weekly_market([AppSpec(f"app{i:02d}", rate) for i in range(n_apps)], n_windows, seed, injections)
-
-
-def _weekly_market(apps: Sequence[AppSpec], n_windows: int, seed: int, injections: Sequence[Injection] = ()) -> Scenario:
-    """A market of ``apps`` over ``n_windows`` 7-day windows from ``MARKET_START``."""
-    return Scenario(MARKET_START, n_windows, 7, tuple(apps), tuple(injections), seed)
+    apps = tuple(
+        AppSpec(app_id=f"app{i:02d}", rate_per_window=rate) for i in range(n_apps)
+    )
+    return Scenario(
+        start=MARKET_START,
+        n_windows=n_windows,
+        window_days=7,
+        apps=apps,
+        injections=tuple(injections),
+        seed=seed,
+    )
 
 
 def _one_tone_app(app_id: str, rate: float, count_model: str = "constant") -> AppSpec:
@@ -347,15 +352,31 @@ def spike_pair_scenario(
     them correlated daily counts at the spike window — the one correlated
     event the scenario is built to exhibit.
     """
-    quiet = [_one_tone_app(f"app{i:02d}", rate) for i in range(max(0, n_apps - 2))]
-    noisy = [_one_tone_app(name, rate, "poisson") for name in ("spike0", "spike1")]
-    spike = Injection(apps=("spike0", "spike1"), window_index=spike_window, kind="count-spike", magnitude=5.0)
-    return _weekly_market(quiet + noisy, n_windows, seed, (spike,))
+    quiet = tuple(_one_tone_app(f"app{i:02d}", rate) for i in range(max(0, n_apps - 2)))
+    noisy = tuple(_one_tone_app(name, rate, "poisson") for name in ("spike0", "spike1"))
+    return Scenario(
+        start=MARKET_START,
+        n_windows=n_windows,
+        window_days=7,
+        apps=quiet + noisy,
+        injections=(
+            Injection(apps=("spike0", "spike1"), window_index=spike_window, kind="count-spike", magnitude=5.0),
+        ),
+        seed=seed,
+    )
 
 
 def flat_scenario(n_apps: int = 10, n_windows: int = 52, seed: int = 0) -> Scenario:
     """Null market: 21 reviews a 7-day window, one rating, one polarity bin, no injections."""
-    return _weekly_market([_one_tone_app(f"app{i:02d}", 21.0) for i in range(n_apps)], n_windows, seed)
+    apps = tuple(_one_tone_app(f"app{i:02d}", 21.0) for i in range(n_apps))
+    return Scenario(
+        start=MARKET_START,
+        n_windows=n_windows,
+        window_days=7,
+        apps=apps,
+        injections=(),
+        seed=seed,
+    )
 
 
 def scenario_to_dict(scenario: Scenario) -> dict:
@@ -364,13 +385,26 @@ def scenario_to_dict(scenario: Scenario) -> dict:
         "n_windows": scenario.n_windows,
         "window_days": scenario.window_days,
         "seed": scenario.seed,
-        # Each app and injection in its fields' order; weights keyed by text, in key order.
         "apps": [
-            {**asdict(a), "rating_weights": {str(k): v for k, v in sorted(a.rating_weights.items())},
-             "polarity_weights": {str(k): v for k, v in sorted(a.polarity_weights.items())}}
+            {
+                "app_id": a.app_id,
+                "rate_per_window": a.rate_per_window,
+                "count_model": a.count_model,
+                "rating_weights": {str(k): v for k, v in sorted(a.rating_weights.items())},
+                "polarity_weights": {str(k): v for k, v in sorted(a.polarity_weights.items())},
+                "sentences_per_review": a.sentences_per_review,
+            }
             for a in scenario.apps
         ],
-        "injections": [{**asdict(i), "apps": list(i.apps)} for i in scenario.injections],
+        "injections": [
+            {
+                "apps": list(i.apps),
+                "window_index": i.window_index,
+                "kind": i.kind,
+                "magnitude": i.magnitude,
+            }
+            for i in scenario.injections
+        ],
     }
 
 

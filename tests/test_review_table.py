@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 from reviewpulse import ingest
 from reviewpulse.config import MarketConfig
 from reviewpulse.ingest import Review, ReviewTable, ScaleMap, build_catalog, serialize_reviews
-from reviewpulse.metrics import MetricKind, day_sums, utc_midnights
+from reviewpulse.metrics import MetricKind, day_sums, score_bodies, utc_midnights
 from reviewpulse.pipeline import BUNDLE_FILES, analyze_catalog, run_pipeline
 from reviewpulse.sentiment import LexiconScorer
 from reviewpulse.synth import generate, spike_pair_scenario
@@ -228,7 +228,7 @@ def _assert_cuts_match_bisect(stamps_us: list[int], start: date, n_days: int) ->
     stamps = [datetime(1970, 1, 1, tzinfo=timezone.utc) + timedelta(microseconds=s) for s in stamps_us]
     midnights = [datetime.combine(start, datetime.min.time(), tzinfo=timezone.utc) + timedelta(days=d)
                  for d in range(n_days + 1)]
-    days = day_sums(table, utc_midnights(start, n_days), (MetricKind.COUNT,), LexiconScorer(), ScaleMap())
+    days = day_sums(table, utc_midnights(start, n_days), (MetricKind.COUNT,), ScaleMap())
     assert days.start == start
     before = bisect_left(stamps, midnights[0])
     assert days.reviews.tolist() == [bisect_left(stamps, m) - before for m in midnights]
@@ -260,7 +260,8 @@ def test_day_cuts_match_bisection_over_four_years_of_heavy_days() -> None:
 def test_day_sums_of_a_list_equal_those_of_its_table() -> None:
     reviews = sorted(_reviews(300), key=lambda r: (r.timestamp, r.review_id))
     metrics = (MetricKind.COUNT, MetricKind.RATING, MetricKind.POLARITY)
-    args = (utc_midnights(date(2023, 12, 31), 4), metrics, LexiconScorer(), ScaleMap())
+    bins = score_bodies([r.body for r in reviews], LexiconScorer())
+    args = (utc_midnights(date(2023, 12, 31), 4), metrics, ScaleMap(), bins)
     from_list = day_sums(reviews, *args)
     from_table = day_sums(ReviewTable.from_reviews(reviews), *args)
     for name in ("reviews", "rating", "polarity", "sentences"):

@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from reviewpulse import ingest, metrics
+from reviewpulse import metrics
 from reviewpulse.metrics import score_bodies, score_reviews
 from reviewpulse.sentiment import (
     LexiconScorer,
@@ -290,9 +290,9 @@ def test_score_bodies_match_the_per_sentence_path(custom: bool, data) -> None:
             scores = score_bodies(bodies, scorer)
         codes: dict[str, int] = {}
         assert scores.code.tolist() == [codes.setdefault(body, len(codes)) for body in bodies]
-        assert (scores.first.dtype, scores.bins.dtype, len(scores.first)) == (np.int64, np.uint8, len(codes) + 1)
+        assert (scores.first.dtype, type(scores.bins), len(scores.first)) == (np.int64, bytes, len(codes) + 1)
         for body, code in codes.items():
-            got = scores.bins[scores.first[code] : scores.first[code + 1]].tobytes()
+            got = scores.bins[scores.first[code] : scores.first[code + 1]]
             assert got == bytes(p for _, _, p in score_sentences(body, oracle))
 
 
@@ -323,19 +323,22 @@ _APP_B = ["never bad?\n\nslow", "\t\u3000", "great app.\nnot good", "GREAT app. 
 @pytest.mark.parametrize("block", [metrics.SCORE_BLOCK, 5, 1])
 @pytest.mark.parametrize("hashing", ["one hash", "three hashes"])
 def test_body_codes_agree_with_the_oracle_under_colliding_hashes(hashing: str, block: int) -> None:
-    # The fake hashes make different bodies share a hash, so only comparing
-    # the bodies themselves tells them apart; every body gets the bins of the
-    # per-sentence oracle and every repeat its first occurrence's code.
-    fake = {"one hash": lambda key: 0, "three hashes": lambda key: hash(key) % 3}[hashing]
+    # Each body is a str whose hash the fake gives, so different bodies share
+    # a hash and only comparing the bodies themselves tells them apart; every
+    # body gets the bins of the per-sentence oracle and every repeat its
+    # first occurrence's code.
+    fake = {"one hash": lambda text: 0, "three hashes": lambda text: hash(text) % 3}[hashing]
+    colliding = type("Colliding", (str,), {"__hash__": lambda self: fake(str(self))})
     oracle = SentenceScorer(default_lexicon())
     rows = _APP_A + _APP_B
-    with mock.patch.object(ingest, "hash", fake, create=True), mock.patch.object(metrics, "SCORE_BLOCK", block):
-        scores = score_bodies(rows, LexiconScorer())
+    assert len({hash(colliding(body)) for body in rows}) <= 3
+    with mock.patch.object(metrics, "SCORE_BLOCK", block):
+        scores = score_bodies([colliding(body) for body in rows], LexiconScorer())
     codes: dict[str, int] = {}
     assert scores.code.tolist() == [codes.setdefault(body, len(codes)) for body in rows]
     assert len(scores.first) == len(codes) + 1
     for body, code in zip(rows, scores.code.tolist()):
-        assert scores.bins[scores.first[code] : scores.first[code + 1]].tolist() == [
+        assert list(scores.bins[scores.first[code] : scores.first[code + 1]]) == [
             p for _, _, p in score_sentences(body, oracle)]
     # Each app's rows read alone give the app's bins, row after row.
     for app, rows_of_app in ((slice(0, len(_APP_A)), _APP_A), (slice(len(_APP_A), None), _APP_B)):
@@ -353,7 +356,7 @@ def test_score_bodies_refuse_a_valence_outside_the_scale() -> None:
     for block in (metrics.SCORE_BLOCK, 1):
         with mock.patch.object(metrics, "SCORE_BLOCK", block), pytest.raises(ValueError, match="outside -2..\\+2"):
             score_bodies(["good", "great"], scorer)
-    assert score_bodies(["good"], scorer).bins.tolist() == [3]
+    assert list(score_bodies(["good"], scorer).bins) == [3]
 
 
 def test_sentence_tuples_agree_with_score_review() -> None:

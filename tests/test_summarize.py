@@ -327,7 +327,7 @@ def test_full_analysis_keeps_sentence_texts_only_for_ce_windows(monkeypatch) -> 
     codes: dict[str, int] = {}
     assert analysis.body_bins.code.tolist() == [codes.setdefault(body, len(codes)) for body in rows]
     assert len(analysis.body_bins.first) == len(all_bodies) + 1
-    assert analysis.body_bins.bins.dtype == "uint8"
+    assert type(analysis.body_bins.bins) is bytes
 
     def in_window(app_id: str, window: TimeWindow) -> list[Review]:
         return [r for r in catalog.reviews[app_id] if window_contains(window, r.timestamp)]
