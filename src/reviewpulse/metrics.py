@@ -51,6 +51,7 @@ import re
 from dataclasses import dataclass, replace
 from datetime import date, timedelta
 from enum import Enum
+from itertools import count
 from typing import Callable, Collection, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -231,20 +232,23 @@ class BodyBins:
 SCORE_BLOCK = 16384
 
 
-def score_bodies(bodies: Sequence[str], scorer: LexiconScorer) -> BodyBins:
+def score_bodies(bodies: Iterable[str], scorer: LexiconScorer) -> BodyBins:
     """The bodies' sentence bins (``BodyBins``), one code per body.
 
-    The distinct bodies are numbered by one dict: bodies that share a hash
-    are told apart by comparing them, so no code depends on the hash seed.
-    Each distinct body goes through ``scorer.sentence_bins`` once, in blocks
-    of ``SCORE_BLOCK`` characters; this is the kernel's one caller.
+    The bodies are read once, into one dict that keeps each distinct body's
+    first row; a body's code is the rank of its first row among those. The
+    dict tells bodies that share a hash apart by comparing them, so no code
+    depends on the hash seed. Each distinct body goes through
+    ``scorer.sentence_bins`` once, in blocks of ``SCORE_BLOCK`` characters;
+    this is the kernel's one caller.
     """
-    codes = dict.fromkeys(bodies)
-    for k, body in enumerate(codes):
-        codes[body] = k
-    code = np.fromiter(map(codes.__getitem__, bodies), dtype=np.int64, count=len(bodies))
-    distinct = list(codes)
-    del codes  # before the kernel's blocks
+    first: dict[str, int] = {}
+    rows_first = np.fromiter(map(first.setdefault, bodies, count()), dtype=np.int64)
+    firsts = np.fromiter(first.values(), dtype=np.int64, count=len(first))  # ascending
+    distinct = list(first)
+    del first  # before the kernel's blocks
+    code = np.searchsorted(firsts, rows_first)
+    del rows_first, firsts
     chars = _prefix(np.fromiter(map(len, distinct), dtype=np.int64, count=len(distinct)))  # text before each
     counts, bins = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.uint8)]
     lo = 0

@@ -57,7 +57,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, field
 from datetime import date, timedelta
-from itertools import accumulate
+from itertools import accumulate, chain
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
@@ -344,7 +344,7 @@ def aggregate(
         if MetricKind.POLARITY in metrics:
             bodies = [catalog.reviews[app].body for app in analysis.apps]
             analysis.app_rows = dict(zip(analysis.apps, accumulate(map(len, bodies), initial=0)))
-            analysis.body_bins = score_bodies(np.concatenate(bodies), analysis.scorer)
+            analysis.body_bins = score_bodies(chain.from_iterable(bodies), analysis.scorer)
         for app in analysis.apps:
             reviews, at = catalog.reviews[app], analysis.app_rows.get(app, 0)
             bins = None if analysis.body_bins is None else analysis.body_bins[at : at + len(reviews)]
