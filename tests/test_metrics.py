@@ -281,7 +281,7 @@ def test_aggregate_of_unique_bodies_holds_little_above_its_result() -> None:
     # Four apps of unique 3-sentence bodies, built as the desk benchmark
     # builds its market: 5,311 reviews. With the sentence bins as columns
     # (one code per row) and the kernel's blocks bounded by body text,
-    # aggregate's peak stays about 0.46 MiB above what it returns; a memo of
+    # aggregate's peak stays about 0.41 MiB above what it returns; a memo of
     # one bytes per body, scored in blocks of 1,024 bodies, peaked 1.42 MiB
     # above it here.
     scenario = default_scenario(n_apps=4, n_windows=26, rate=50.0, seed=0)
