@@ -10,14 +10,17 @@ correlation is classified against a threshold h:
      0  otherwise, and whenever rho is undefined
 
 Consecutive windows with the same nonzero class form a run, and the runs
-are all that correlations.csv holds and the CE stage reads. Each run is
-examined only at its first event-window-sized interval: deviation events
-of the two apps falling into event windows that overlap that interval are
-intersected there. Zero events are ignored. When the same-window
-intersection is empty, the test is retried with one app's event taken
-from the immediately preceding event window (both single-sided
-permutations; never both apps preceding). Events e_i and e_j match when
-e_i == sign * e_j, and the correlated event's class is the run's sign.
+are all that correlations.csv holds and the CE stage reads. Correlated
+events come from one join over all pairs, driven by the windows where an
+app fired: for each (metric, event window) with a nonzero event, the
+candidate pairs join an app that fired there with one that fired there or
+in the window just before, and only those pairs' runs whose first
+interval (the event-window-sized span from the run's start) overlaps the
+window are read. Zero events are ignored. The pairings are tried in order:
+the same window for both apps, then app_i's event from the immediately
+preceding event window, then app_j's (never both apps preceding). Events
+e_i and e_j match when e_i == sign * e_j, the correlated event's class is
+the run's sign, and per pair the earliest run is kept for each (window, sign).
 
 Pairs are correlated a block at a time: a ``PairBlock`` holds one metric's
 windowed rho, class and point count for a block of pairs, one row a pair,
@@ -297,65 +300,61 @@ class CorrelatedEventRecord:
 
 
 def detect_correlated_events(
-    events_i: Sequence[EventRecord],
-    events_j: Sequence[EventRecord],
-    runs: Sequence[CorrelationRun],
+    events: Iterable[EventRecord],
+    runs: Iterable[CorrelationRun],
     event_window_days: int,
 ) -> list[CorrelatedEventRecord]:
-    """Intersect two apps' events with their correlation runs.
+    """Every pair's correlated events, in one join of all apps' events with
+    all pairs' correlation runs.
 
-    Zero events are ignored. For each run, every event window overlapping
-    the run's first interval, the ``event_window_days`` days from its
-    start, is tested. The same-window pairing is tried first; if it yields
-    nothing the two single-sided pairings against the immediately
-    preceding event window are tried in order (app_i preceding, then app_j
-    preceding). A pairing matches when
+    Zero events are ignored, and so is every run of a pair whose two apps
+    did not both fire in its metric. The join starts from each (metric,
+    event window) where some app fired. Its candidate pairs join an app
+    that fired there with an app that fired there or in the window just
+    before; the only runs read are a candidate pair's runs whose first
+    interval, the ``event_window_days`` days from ``t_start``, overlaps
+    the window, found by bisecting the pair's runs in (t_start, t_end,
+    sign) order. The pairings are tried in order: both events from the
+    window, then app_i's from the window before with app_j's from the
+    window, then app_i's from the window with app_j's from the window
+    before; never both from before. A pairing matches when
     ``e_i == run.sign * e_j``, and the CE's class is the run's sign. At
-    most one record survives per (event window, class); when several runs
-    would duplicate one, the earliest-starting run wins.
+    most one record is kept per pair, metric, window and class: the one of
+    the earliest run, whose first matching pairing gives its event pair.
+    Records go in (metric name, app_i, app_j, window start, -ce) order, so
+    no input order and no hash seed changes them.
     """
-    by_start_i = {r.window.start: r for r in events_i if r.e}
-    by_start_j = {r.window.start: r for r in events_j if r.e}
-    # Every pairing takes one app's event from the tested window itself.
-    grid = sorted({r.window for by_start in (by_start_i, by_start_j) for r in by_start.values()})
-    starts = [w.start for w in grid]
-    longest = timedelta(days=max((w.days for w in grid), default=0))
-
-    found: dict[tuple[date, int], CorrelatedEventRecord] = {}
-    for run in sorted(runs, key=lambda r: (r.t_start, r.t_end, r.sign)):
-        first = TimeWindow(run.t_start, event_window_days)
-        # Only windows starting in (first.start - longest, first.end) can overlap.
-        lo = bisect_right(starts, first.start - longest)
-        hi = bisect_left(starts, first.end, lo)
-        for window in grid[lo:hi]:
-            if not window.overlaps(first):
-                continue
-            same_i = by_start_i.get(window.start)
-            same_j = by_start_j.get(window.start)
-            prev_start = window.start - timedelta(days=window.days)
-            candidates = (
-                (same_i, same_j),
-                (by_start_i.get(prev_start), same_j),
-                (same_i, by_start_j.get(prev_start)),
-            )
-            for e_i, e_j in candidates:
-                if e_i is None or e_j is None or e_i.e != run.sign * e_j.e:
-                    continue
-                key = (window.start, run.sign)
-                if key not in found:
-                    found[key] = CorrelatedEventRecord(
-                        app_i=run.app_i,
-                        app_j=run.app_j,
-                        metric=run.metric,
-                        window=window,
-                        ce=run.sign,
-                        event_i=e_i,
-                        event_j=e_j,
-                        run=run,
-                        first_interval=first,
-                    )
-                break
-    return sorted(found.values(), key=lambda r: (r.window.start, -r.ce))
+    fired: dict[tuple[MetricKind, date], dict[str, EventRecord]] = {}
+    for event in events:
+        if event.e:
+            fired.setdefault((event.metric, event.window.start), {})[event.app_id] = event
+    series = {(metric, app) for (metric, _), apps in fired.items() for app in apps}
+    runs_by_pair: dict[tuple[MetricKind, str, str], list[CorrelationRun]] = {}
+    for run in runs:
+        if (run.metric, run.app_i) in series and (run.metric, run.app_j) in series:
+            runs_by_pair.setdefault((run.metric, run.app_i, run.app_j), []).append(run)
+    for pair_runs in runs_by_pair.values():
+        pair_runs.sort(key=itemgetter(4, 5, 3))
+    reach = timedelta(days=event_window_days)
+    found: list[CorrelatedEventRecord] = []
+    for (metric, start), same in fired.items():
+        window = next(iter(same.values())).window
+        before = fired.get((metric, start - timedelta(days=window.days)), {})
+        for app_i, app_j in {(a, b) if a < b else (b, a) for a in same for b in (*same, *before) if a != b}:
+            pair_runs = runs_by_pair.get((metric, app_i, app_j), [])
+            lo = bisect_right(pair_runs, start - reach, key=itemgetter(4))
+            hi = bisect_left(pair_runs, window.end, lo, key=itemgetter(4))
+            pairings = ((same.get(app_i), same.get(app_j)), (before.get(app_i), same.get(app_j)),
+                        (same.get(app_i), before.get(app_j)))
+            # The earliest run of each sign whose first interval overlaps the window.
+            earliest = {run.sign: run for run in reversed(pair_runs[lo:hi])}
+            for run in earliest.values():
+                for e_i, e_j in pairings:
+                    if e_i is not None and e_j is not None and e_i.e == run.sign * e_j.e:
+                        found.append(CorrelatedEventRecord(app_i, app_j, metric, window, run.sign, e_i, e_j, run,
+                                                           TimeWindow(run.t_start, event_window_days)))
+                        break
+    return sorted(found, key=lambda r: (r.metric.value, r.app_i, r.app_j, r.window.start, -r.ce))
 
 
 def write_correlations_csv(runs: Sequence[CorrelationRun]) -> Iterator[str]:

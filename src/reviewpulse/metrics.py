@@ -70,7 +70,6 @@ __all__ = [
     "TimeWindow",
     "correlation_points",
     "csv_prefixes",
-    "check_grid",
     "day_sums",
     "follow_problem",
     "metric_delta",
@@ -108,9 +107,6 @@ class TimeWindow:
     @property
     def end(self) -> date:
         return self.start + timedelta(days=self.days)
-
-    def overlaps(self, other: "TimeWindow") -> bool:
-        return self.start < other.end and other.start < self.end
 
 
 @dataclass(frozen=True, slots=True)
@@ -372,17 +368,6 @@ def window_stats(
     return SeriesStats(app_id, metric, windows, mu, np.diff(mu, prepend=np.nan), n_obs)
 
 
-def check_grid(windows: Sequence[TimeWindow], label: str) -> None:
-    """Refuse windows that are not consecutive windows of one length in
-    time order (a gap, a step back, a repeat or a change of length) with a
-    ValueError naming ``label``."""
-    for prev, window in zip(windows, windows[1:]):
-        if window.start != prev.end:
-            raise ValueError(f"{label}: window {window.start} does not follow {prev.start}")
-        if window.days != prev.days:
-            raise ValueError(f"{label}: window {window.start} is {window.days} days, not {prev.days}")
-
-
 def follow_problem(what: str, start: date, prev_start: date, prev_end: date, window_days: int) -> str | None:
     """Why a ``what`` from ``start`` cannot follow the previous one of its
     series, from ``prev_start`` to ``prev_end``, on a grid of
@@ -402,9 +387,16 @@ def metric_delta(stats: Sequence[WindowStat]) -> list[WindowStat]:
     """Fill deltas: mu minus the previous window's mu, where both exist.
 
     The input must be one app/metric series in window order over a
-    contiguous grid; the first window's delta is always missing.
+    contiguous grid; the first window's delta is always missing. Windows
+    that are not consecutive windows of one length in time order (a gap, a
+    step back, a repeat or a change of length) are a ValueError.
     """
-    check_grid([s.window for s in stats], "series")
+    windows = [s.window for s in stats]
+    for prev, window in zip(windows, windows[1:]):
+        if window.start != prev.end:
+            raise ValueError(f"series: window {window.start} does not follow {prev.start}")
+        if window.days != prev.days:
+            raise ValueError(f"series: window {window.start} is {window.days} days, not {prev.days}")
     prevs = [None, *(s.mu for s in stats)]
     return [replace(s, delta=None if s.mu is None or p is None else s.mu - p) for s, p in zip(stats, prevs)]
 
@@ -535,10 +527,11 @@ def read_day_sums_csv(text: str) -> dict[str, DaySums]:
     """Day sums from the CSV dump, keyed by app in first-row order.
 
     An app's days with a gap, a repeat or a step back are refused as
-    ``check_grid`` refuses them, from the days' ordinals, and every app
-    must hold the first app's span. A row that ``series_rows`` refuses, an
-    empty total included, is a ValueError naming its app and line; so is a
-    negative total, or a running sum beyond int64.
+    ``metric_delta`` refuses a series' windows, from the days' ordinals,
+    and every app must hold the first app's span. A row that
+    ``series_rows`` refuses, an empty total included, is a ValueError
+    naming its app and line; so is a negative total, or a running sum
+    beyond int64.
     """
     rows: dict[str, list[tuple]] = {}
     for _, _, (app,), cells, _ in series_rows(text, DAY_SUMS_CSV_COLUMNS, "day sums"):

@@ -9,7 +9,8 @@ library and the CLI:
     detect_events     deviation events of every event-window series
     correlate_stats   every app pair's runs of a nonzero correlation class,
                       per metric, cut from each block of pairs
-    ce_from_reports   correlated events from events plus correlation runs
+    ce_from_reports   correlated events from events plus correlation runs,
+                      in one join over all pairs (correlate)
     build_requests    summary requests for the correlated events
 
 The one intermediate is each app's ``metrics.DaySums``: integer totals
@@ -434,26 +435,15 @@ def ce_from_reports(
 ) -> list[CorrelatedEventRecord]:
     """Correlated events recomputed purely from events plus correlation runs.
 
-    Zero events are ignored, so a pair takes part only if both its apps
-    fired, and a CE's class is its run's sign. Pairs go in (metric name,
-    app_i, app_j) order. This is the only path to CE records; the ``ce``
-    subcommand feeds it the runs read back from correlations.csv and gets
-    byte-identical results to a full run, whether or not events.csv keeps
-    its zero rows.
+    One call of ``detect_correlated_events`` joins every app's events with
+    every pair's runs: zero events are ignored, so a pair takes part only
+    if both its apps fired, a CE's class is its run's sign, and records go
+    in (metric name, app_i, app_j, window start, -ce) order. This is the
+    only path to CE records; the ``ce`` subcommand feeds it the runs read
+    back from correlations.csv and gets byte-identical results to a full
+    run, whether or not events.csv keeps its zero rows.
     """
-    events_by_series: dict[SeriesKey, list[EventRecord]] = {}
-    for record in events:
-        if record.e:
-            events_by_series.setdefault((record.app_id, record.metric), []).append(record)
-    runs_by_pair: dict[tuple, list[CorrelationRun]] = {}
-    for run in runs:
-        if (run.app_i, run.metric) in events_by_series and (run.app_j, run.metric) in events_by_series:
-            runs_by_pair.setdefault((run.metric.value, run.app_i, run.app_j, run.metric), []).append(run)
-    ces: list[CorrelatedEventRecord] = []
-    for (_, app_i, app_j, metric), pair_runs in sorted(runs_by_pair.items(), key=lambda item: item[0][:3]):
-        events_i, events_j = events_by_series[(app_i, metric)], events_by_series[(app_j, metric)]
-        ces += detect_correlated_events(events_i, events_j, pair_runs, event_window_days)
-    return ces
+    return detect_correlated_events(events, runs, event_window_days)
 
 
 @dataclass(slots=True)

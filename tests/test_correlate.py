@@ -26,6 +26,7 @@ from reviewpulse import correlate, pipeline
 from reviewpulse.config import MarketConfig
 from reviewpulse.correlate import (
     CORRELATIONS_CSV_COLUMNS,
+    CorrelatedEventRecord,
     CorrelationRecord,
     CorrelationRun,
     PairBlock,
@@ -281,25 +282,25 @@ def test_no_events_means_no_ce() -> None:
     events_i = [_event("a", w, 0) for w in range(10)]
     events_j = [_event("b", w, 1) for w in range(10)]
     runs = [_run(1, 0, 70)]
-    assert detect_correlated_events(events_i, events_j, runs, 7) == []
+    assert detect_correlated_events([*events_i, *events_j], runs, 7) == []
 
 
 def test_same_window_agreement_with_positive_run() -> None:
     events_i = [_event("a", w, 1 if w == 4 else 0) for w in range(10)]
     events_j = [_event("b", w, 1 if w == 4 else 0) for w in range(10)]
-    ces = detect_correlated_events(events_i, events_j, [_run(1, 28, 42)], 7)
+    ces = detect_correlated_events([*events_i, *events_j], [_run(1, 28, 42)], 7)
     assert len(ces) == 1
     assert ces[0].ce == 1 and ces[0].window == TimeWindow(D0 + timedelta(days=28), 7)
     assert ces[0].first_interval == TimeWindow(D0 + timedelta(days=28), 7)
     # A run of class 0 matches nothing, even over two firing events.
-    assert detect_correlated_events(events_i, events_j, [_run(0, 28, 42)], 7) == []
+    assert detect_correlated_events([*events_i, *events_j], [_run(0, 28, 42)], 7) == []
 
 
 def test_opposite_signs_with_negative_run() -> None:
     events_i = [_event("a", w, 1 if w == 4 else 0) for w in range(10)]
     events_j = [_event("b", w, -1 if w == 4 else 0) for w in range(10)]
-    assert detect_correlated_events(events_i, events_j, [_run(1, 28, 42)], 7) == []
-    ces = detect_correlated_events(events_i, events_j, [_run(-1, 28, 42)], 7)
+    assert detect_correlated_events([*events_i, *events_j], [_run(1, 28, 42)], 7) == []
+    ces = detect_correlated_events([*events_i, *events_j], [_run(-1, 28, 42)], 7)
     assert len(ces) == 1 and ces[0].ce == -1
 
 
@@ -308,7 +309,7 @@ def test_preceding_window_pairings_one_sided_only() -> None:
     # pairing applies at window 4.
     events_i = [_event("a", w, 1 if w == 3 else 0) for w in range(10)]
     events_j = [_event("b", w, 1 if w == 4 else 0) for w in range(10)]
-    ces = detect_correlated_events(events_i, events_j, [_run(1, 28, 42)], 7)
+    ces = detect_correlated_events([*events_i, *events_j], [_run(1, 28, 42)], 7)
     assert [(c.window.start, c.ce) for c in ces] == [(D0 + timedelta(days=28), 1)]
     assert ces[0].event_i.window.start == D0 + timedelta(days=21)
 
@@ -317,11 +318,12 @@ def test_preceding_window_pairings_one_sided_only() -> None:
     # window 3 itself does not overlap the first interval.
     events_i = [_event("a", w, 1 if w == 3 else 0) for w in range(10)]
     events_j = [_event("b", w, 1 if w == 3 else 0) for w in range(10)]
-    assert detect_correlated_events(events_i, events_j, [_run(1, 28, 42)], 7) == []
+    assert detect_correlated_events([*events_i, *events_j], [_run(1, 28, 42)], 7) == []
 
 
 def _oracle_ces(events_i, events_j, runs):
-    """Brute-force replay of the intersection rules on plain dicts."""
+    """Brute-force replay of the intersection rules on plain dicts: one
+    pair's records, in (window start, -ce) order."""
     by_i = {r.window.start: r for r in events_i}
     by_j = {r.window.start: r for r in events_j}
     grid = sorted({r.window for r in events_i} | {r.window for r in events_j})
@@ -350,9 +352,24 @@ def _oracle_ces(events_i, events_j, runs):
                 ce = match(run.sign, ei, ej)
                 if ce == 0:
                     continue
-                found.setdefault((w.start, ce), (w.start, ce, ei.window.start, ej.window.start))
+                record = CorrelatedEventRecord(run.app_i, run.app_j, run.metric, w, ce, ei, ej, run,
+                                               TimeWindow(run.t_start, 7))
+                found.setdefault((w.start, ce), record)
                 break
-    return sorted(found.values(), key=lambda t: (t[0], -t[1]))
+    return sorted(found.values(), key=lambda r: (r.window.start, -r.ce))
+
+
+def _market_oracle_ces(events, runs):
+    """``_oracle_ces`` applied pair by pair, pairs in (metric name, app_i,
+    app_j) order, each given its two apps' events of the metric."""
+    by_series, by_pair = {}, {}
+    for e in events:
+        by_series.setdefault((e.app_id, e.metric), []).append(e)
+    for r in runs:
+        by_pair.setdefault((r.metric.value, r.app_i, r.app_j), []).append(r)
+    return [ce for (_, app_i, app_j), pair_runs in sorted(by_pair.items())
+            for ce in _oracle_ces(by_series.get((app_i, pair_runs[0].metric), []),
+                                  by_series.get((app_j, pair_runs[0].metric), []), pair_runs)]
 
 
 def test_random_fixtures_match_exhaustive_ce_oracle() -> None:
@@ -364,11 +381,7 @@ def test_random_fixtures_match_exhaustive_ce_oracle() -> None:
         for _ in range(rng.randrange(0, 6)):
             start = rng.randrange(0, 358)
             runs.append(_run(rng.choice([-1, 1]), start, start + rng.randrange(1, 30)))
-        got = [
-            (r.window.start, r.ce, r.event_i.window.start, r.event_j.window.start)
-            for r in detect_correlated_events(events_i, events_j, runs, 7)
-        ]
-        assert got == _oracle_ces(events_i, events_j, runs)
+        assert detect_correlated_events([*events_i, *events_j], runs, 7) == _oracle_ces(events_i, events_j, runs)
 
 
 @st.composite
@@ -424,6 +437,52 @@ def test_ce_ignores_input_order_and_app_labels(reports, rng) -> None:
         return Counter((frozenset((names[r.app_i], names[r.app_j])), r.metric, r.window.start, r.ce) for r in records)
 
     assert keys(flipped, rename) == keys(ces, {a: a for a in rename})
+
+
+@st.composite
+def _crowded_market(draw) -> tuple[list[EventRecord], list[CorrelationRun]]:
+    """Weekly events of 3-5 apps over 1-2 metrics, with a week where at
+    least three apps fire at once, and random runs of every pair, which
+    may overlap each other; one pair gets runs of both signs starting in
+    one week."""
+    apps = [f"app{k}" for k in range(draw(st.integers(3, 5)))]
+    weeks = draw(st.integers(2, 6))
+    metrics = draw(st.lists(st.sampled_from(list(MetricKind)), min_size=1, max_size=2, unique=True))
+    events: list[EventRecord] = []
+    runs: list[CorrelationRun] = []
+    for metric in metrics:
+        crowded = draw(st.integers(0, weeks - 1))
+        for k, app in enumerate(apps):
+            signs = draw(st.lists(st.sampled_from([-1, 0, 0, 1]), min_size=weeks, max_size=weeks))
+            if k < 3:
+                signs[crowded] = draw(st.sampled_from([-1, 1]))
+            events += [replace(_event(app, w, e), metric=metric) for w, e in enumerate(signs)]
+        pairs = list(combinations(apps, 2))
+        for pair in pairs:
+            drawn = st.tuples(st.sampled_from([-1, 1]), st.integers(0, 7 * weeks - 1), st.integers(1, 20))
+            runs += [CorrelationRun(*pair, metric, sign, D0 + timedelta(days=start), D0 + timedelta(days=start + days))
+                     for sign, start, days in draw(st.lists(drawn, max_size=4))]
+        # Both starts fall in (window start - 7, window start + 7): each run's
+        # first interval overlaps the crowded window.
+        pair, start = draw(st.sampled_from(pairs)), 7 * crowded + draw(st.integers(-6, 0))
+        runs += [CorrelationRun(*pair, metric, sign, D0 + timedelta(days=start + draw(st.integers(0, 6))),
+                                D0 + timedelta(days=start + 7)) for sign in (1, -1)]
+    return events, runs
+
+
+@settings(max_examples=300)
+@given(_crowded_market(), st.randoms(use_true_random=False))
+def test_market_join_matches_the_pair_by_pair_oracle(market, rng) -> None:
+    events, runs = market
+    rng.shuffle(events)
+    rng.shuffle(runs)
+    assert detect_correlated_events(events, runs, 7) == _market_oracle_ces(events, runs)
+
+
+def test_criterion_4_ces_match_the_pair_by_pair_oracle(criterion_4_analyses) -> None:
+    for seed, analysis in enumerate(criterion_4_analyses):
+        assert analysis.ces == _market_oracle_ces(analysis.all_events(), analysis.runs), seed
+    assert sum(len(a.ces) for a in criterion_4_analyses) > len(criterion_4_analyses)
 
 
 def test_two_app_spiked_market_yields_exactly_one_ce() -> None:
@@ -654,7 +713,7 @@ def test_criterion_4_ces_match_the_per_series_oracle(criterion_4_analyses) -> No
 def test_ce_json_round_trip() -> None:
     events_i = [_event("a", w, 1 if w == 4 else 0) for w in range(10)]
     events_j = [_event("b", w, 1 if w == 4 else 0) for w in range(10)]
-    ces = detect_correlated_events(events_i, events_j, [_run(1, 28, 42)], 7)
+    ces = detect_correlated_events([*events_i, *events_j], [_run(1, 28, 42)], 7)
     assert ce_records_from_json(ce_records_to_json(ces)) == ces
 
 
