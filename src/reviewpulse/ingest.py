@@ -106,7 +106,6 @@ _MICROSECOND = timedelta(microseconds=1)
 DAY_US = 86_400_000_000
 _COLUMNS = ("review_id", "app_id", "stamp_us", "raw_rating", "body", "source")
 _TEXT_COLUMNS = frozenset(("review_id", "app_id", "body", "source"))
-_REVIEW_ROW = attrgetter("review_id", "app_id", "timestamp", "raw_rating", "body", "source")
 # Row columns in REVIEW_FIELDS order; a parsed block holds line numbers after them.
 _ID, _APP, _STAMP, _RATING, _BODY, _SOURCE, _LINE = range(7)
 
@@ -140,15 +139,19 @@ def _column(name: str, values: Sequence) -> np.ndarray:
     return column
 
 
-class ReviewTable(Sequence[Review]):
+class ReviewTable:
     """Reviews held as columns, one row per review, in the order given.
 
     ``stamp_us`` holds each timestamp as int64 UTC microseconds since the
     epoch and ``raw_rating`` the raw rating as int64; ``review_id``,
     ``app_id``, ``body`` and ``source`` are object arrays of str. Every
-    column is read-only. Indexing a row builds one ``Review`` with a UTC
-    timestamp; slicing and ``take`` return tables over the same strings.
-    A table equals any sequence holding equal reviews in the same order.
+    column is read-only. ``table[rows]``, with a slice or an array of row
+    positions, is the table of those rows over the same strings; a table
+    equals only a table with equal columns.
+
+    Iterating builds one ``Review`` a row, with a UTC timestamp: the one
+    row view, kept for the benchmark's ``input_properties``, which reads
+    ``app_id`` and ``body`` off each row. No stage iterates a table.
     """
 
     __slots__ = _COLUMNS
@@ -166,22 +169,6 @@ class ReviewTable(Sequence[Review]):
         raise AttributeError("ReviewTable is immutable")
 
     @classmethod
-    def from_reviews(cls, reviews: Iterable[Review]) -> "ReviewTable":
-        """The table of ``reviews`` in their order; a table is returned as is.
-
-        Every timestamp must carry a UTC offset: a naive one is a
-        ValueError, and any other is stored as the same instant in UTC.
-        """
-        if isinstance(reviews, ReviewTable):
-            return reviews
-        columns = _transpose(list(map(_REVIEW_ROW, reviews)))
-        for review_id, ts in zip(columns[_ID], columns[_STAMP]):
-            if ts.utcoffset() is None:
-                raise ValueError(f"review {review_id!r} has a naive timestamp {ts.isoformat()}")
-        columns[_STAMP] = [(ts - _EPOCH) // _MICROSECOND for ts in columns[_STAMP]]
-        return cls(*columns)
-
-    @classmethod
     def concat(cls, tables: Iterable["ReviewTable"]) -> "ReviewTable":
         """The rows of every table, one table after another."""
         tables = list(tables)
@@ -191,20 +178,11 @@ class ReviewTable(Sequence[Review]):
             return cls(*_transpose(()))
         return cls(*(np.concatenate([getattr(t, name) for t in tables]) for name in _COLUMNS))
 
-    def take(self, rows: np.ndarray) -> "ReviewTable":
-        """The table of the given row positions, in their order."""
-        return ReviewTable(*(getattr(self, name)[rows] for name in _COLUMNS))
-
     def __len__(self) -> int:
         return len(self.stamp_us)
 
-    def __getitem__(self, index: int | slice) -> "Review | ReviewTable":
-        if isinstance(index, slice):
-            return ReviewTable(*(getattr(self, name)[index] for name in _COLUMNS))
-        i = range(len(self))[index]  # IndexError and negative indices as for a list
-        return _make_review(
-            self.review_id[i], self.app_id[i], int(self.stamp_us[i]), int(self.raw_rating[i]), self.body[i], self.source[i]
-        )
+    def __getitem__(self, rows: slice | np.ndarray) -> "ReviewTable":
+        return ReviewTable(*(getattr(self, name)[rows] for name in _COLUMNS))
 
     def __iter__(self) -> Iterator[Review]:
         return map(_make_review, *(getattr(self, name).tolist() for name in _COLUMNS))
@@ -212,8 +190,6 @@ class ReviewTable(Sequence[Review]):
     def __eq__(self, other: object) -> bool:
         if isinstance(other, ReviewTable):
             return all(np.array_equal(getattr(self, name), getattr(other, name)) for name in _COLUMNS)
-        if isinstance(other, Sequence) and not isinstance(other, str):
-            return len(self) == len(other) and all(a == b for a, b in zip(self, other))
         return NotImplemented
 
     __hash__ = None  # type: ignore[assignment]
@@ -633,9 +609,11 @@ def _utc_text(ts: datetime) -> str:
     return ts.astimezone(timezone.utc).isoformat().replace("+00:00", "Z")
 
 
-def serialize_reviews(reviews: Iterable[Review], fmt: str = "jsonl") -> str:
-    """Serialise reviews back to the interchange format (round-trip safe)."""
-    rows = ((r.review_id, r.app_id, _utc_text(r.timestamp), r.raw_rating, r.body, r.source) for r in reviews)
+def serialize_reviews(table: ReviewTable, fmt: str = "jsonl") -> str:
+    """Serialise a table's rows back to the interchange format (round-trip
+    safe), read from its columns: no ``Review`` is built."""
+    stamps = map(_utc_text, map(utc_datetime, table.stamp_us.tolist()))
+    rows = zip(table.review_id, table.app_id, stamps, table.raw_rating.tolist(), table.body, table.source)
     if fmt == "jsonl":
         return _jsonl_text(dict(zip(REVIEW_FIELDS, row)) for row in rows)
     if fmt == "csv":
@@ -737,27 +715,25 @@ def _repeated_keys(table: ReviewTable) -> list[tuple[int, int]]:
 
 
 def _without(table: ReviewTable, rows: list[int]) -> ReviewTable:
-    """The table less the given rows, in one ``take``; the table itself when there are none."""
-    return table.take(np.delete(np.arange(len(table)), rows)) if rows else table
+    """The table less the given rows, in one index; the table itself when there are none."""
+    return table[np.delete(np.arange(len(table)), rows)] if rows else table
 
 
-def build_catalog(reviews: Iterable[Review], monthly_floor: float = 20.0) -> MarketCatalog:
-    """Group reviews per app and compute coverage statistics.
+def build_catalog(table: ReviewTable, monthly_floor: float = 20.0) -> MarketCatalog:
+    """Group a table's reviews per app and compute coverage statistics.
 
-    A ``ReviewTable`` is used as it is; any other iterable goes through
-    ``ReviewTable.from_reviews``. Repeated ``(source, review_id)`` keys keep
-    their first occurrence. The insufficient-data flag marks apps whose
-    mean monthly review count, taken over the calendar months between
-    their first and last review (inclusive), falls below ``monthly_floor``.
+    Repeated ``(source, review_id)`` keys keep their first occurrence. The
+    insufficient-data flag marks apps whose mean monthly review count,
+    taken over the calendar months between their first and last review
+    (inclusive), falls below ``monthly_floor``.
     """
-    table = ReviewTable.from_reviews(reviews)
     unique = _without(table, [row for row, _ in _repeated_keys(table)])
     app_ids = unique.app_id.tolist()
     apps = tuple(sorted(set(app_ids)))
     position = {app: i for i, app in enumerate(apps)}
     codes = np.fromiter(map(position.__getitem__, app_ids), dtype=np.intp, count=len(app_ids))
     order = canonical_order(unique.stamp_us, unique.review_id, group=codes)
-    ordered = unique.take(order)
+    ordered = unique[order]
     bounds = np.searchsorted(codes[order], np.arange(len(apps) + 1)).tolist()
     by_app = {app: ordered[lo:hi] for app, lo, hi in zip(apps, bounds, bounds[1:])}
     return MarketCatalog(

@@ -56,7 +56,7 @@ from typing import Callable, Collection, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .ingest import DAY_US, RatingScale, Review, ReviewTable, ScaleMap, csv_line_writer, midnight_us, utc_datetime
+from .ingest import DAY_US, RatingScale, ReviewTable, ScaleMap, csv_line_writer, midnight_us, utc_datetime
 from .sentiment import LexiconScorer, split_sentences
 
 __all__ = [
@@ -304,7 +304,7 @@ def _normalized_ratings(reviews: ReviewTable, scales: ScaleMap) -> np.ndarray:
 
 
 def day_sums(
-    reviews: Sequence[Review],
+    table: ReviewTable,
     midnights: np.ndarray,
     metrics: Collection[MetricKind],
     scales: ScaleMap,
@@ -312,15 +312,13 @@ def day_sums(
 ) -> DaySums:
     """Day sums of one app's reviews (sorted by timestamp) over a span.
 
-    ``reviews`` is the app's ``ReviewTable``; any other sequence goes
-    through ``ReviewTable.from_reviews``. ``midnights`` comes from
+    ``table`` is the app's ``ReviewTable``. ``midnights`` comes from
     ``utc_midnights``; each day is cut from the stamps by bisection.
     Ratings are normalised only for the span's reviews and the metrics
     asked for. The polarity metric takes ``bins``, the sentence bins of the
     app's rows (``score_bodies`` of their bodies, or the app's slice of
     them), and gathers the span's rows from it.
     """
-    table = ReviewTable.from_reviews(reviews)
     cuts = np.searchsorted(table.stamp_us, midnights, side="left")
     span = slice(int(cuts[0]), int(cuts[-1]))
     table = table[span]  # the span's reviews

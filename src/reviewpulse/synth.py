@@ -214,9 +214,9 @@ def _categorical(weights: Mapping[int, float]) -> tuple[np.ndarray, np.ndarray]:
 def generate(scenario: Scenario) -> tuple[ReviewTable, list[Label]]:
     """Generate the scenario's reviews (canonically ordered) and labels."""
     _validate(scenario)
-    # _rows' per-app row lists are freed when it returns, before the sort and take.
+    # _rows' per-app row lists are freed when it returns, before the sort and index.
     table = _rows(scenario)
-    return table.take(canonical_order(table.stamp_us, table.review_id)), scenario_labels(scenario)
+    return table[canonical_order(table.stamp_us, table.review_id)], scenario_labels(scenario)
 
 
 def _rows(scenario: Scenario) -> ReviewTable:

@@ -25,9 +25,9 @@ at a time; the tests hold the package's block run cutter to it.
 ``write_events_csv`` writes the events CSV one ``csv.writer`` row a
 record, every cell quoted as the writer decides; the tests hold the
 package's per-series events writer to it byte for byte.
-``window_contains`` tests one instant against a window's UTC days, and
-``all_reviews`` pools a catalog's per-app tables; the package calls
-neither.
+``window_contains`` tests one instant against a window's UTC days,
+``all_reviews`` pools a catalog's per-app tables, and ``table_of`` builds
+the table of a list of ``Review``; the package calls none of them.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ import json
 import math
 import re
 from dataclasses import dataclass
-from datetime import date, datetime, timezone
+from datetime import date, datetime, timedelta, timezone
 from typing import Iterable, Iterator, Mapping, Protocol, Sequence, runtime_checkable
 
 from reviewpulse.correlate import DEFAULT_MIN_CORR_POINTS, CorrelationRun
@@ -114,7 +114,25 @@ def parse_reviews_by_row(
             rejects.append(Reject(line_no, f"duplicate: ({key[0]}, {key[1]}) first seen at line {first}"))
             continue
         reviews.append(review)
-    return ReviewTable.from_reviews(reviews), rejects
+    return table_of(reviews), rejects
+
+
+def table_of(reviews: Iterable[Review]) -> ReviewTable:
+    """The table of ``reviews`` in their order.
+
+    Every timestamp must carry a UTC offset: a naive one is a ValueError,
+    and any other is stored as the same instant in UTC.
+    """
+    reviews = list(reviews)
+    for r in reviews:
+        if r.timestamp.utcoffset() is None:
+            raise ValueError(f"review {r.review_id!r} has a naive timestamp {r.timestamp.isoformat()}")
+    epoch = datetime(1970, 1, 1, tzinfo=timezone.utc)
+    return ReviewTable(
+        [r.review_id for r in reviews], [r.app_id for r in reviews],
+        [(r.timestamp - epoch) // timedelta(microseconds=1) for r in reviews],
+        [r.raw_rating for r in reviews], [r.body for r in reviews], [r.source for r in reviews],
+    )
 
 
 def _jsonl_records(lines: Sequence[str]) -> Iterator[tuple[int, dict | _RecordError]]:

@@ -16,7 +16,7 @@ from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracles import all_reviews, parse_reviews_by_row
+from oracles import all_reviews, parse_reviews_by_row, table_of
 
 from reviewpulse import ingest
 from reviewpulse.ingest import (
@@ -51,16 +51,16 @@ def _line(review_id: str, app_id: str = "appA", ts: str = "2024-01-05T10:00:00Z"
 
 def test_empty_input_is_identity() -> None:
     reviews, rejects = parse_reviews("", "jsonl")
-    assert reviews == [] and rejects == []
+    assert len(reviews) == 0 and rejects == []
     reviews, rejects = parse_reviews("", "csv")
-    assert reviews == [] and rejects == []
+    assert len(reviews) == 0 and rejects == []
 
 
 def test_single_wellformed_line() -> None:
     reviews, rejects = parse_reviews(_line("r1", rating=5), "jsonl")
     assert rejects == []
     assert len(reviews) == 1
-    r = reviews[0]
+    r = next(iter(reviews))
     assert r.raw_rating == 5
     assert r.review_id == "r1"
     assert r.timestamp == datetime(2024, 1, 5, 10, 0, tzinfo=timezone.utc)
@@ -172,10 +172,10 @@ def test_csv_round_trip_and_bad_header() -> None:
         Review("r2", "appB", datetime(2024, 3, 2, 9, 30, tzinfo=timezone.utc), 1, "Bad!", "store"),
     ]
     for fmt in ("jsonl", "csv"):
-        text = serialize_reviews(src, fmt)
+        text = serialize_reviews(table_of(src), fmt)
         back, rejects = parse_reviews(text, fmt)
         assert rejects == []
-        assert back == src
+        assert back == table_of(src)
     with pytest.raises(DatasetError):
         parse_reviews("review_id,app_id\nr1,a\n", "csv")
 
@@ -188,10 +188,10 @@ def test_jsonl_round_trip_keeps_unicode_line_separators(separator: str) -> None:
                f"First{separator}second.", "store"),
         Review("r2", "appB", datetime(2024, 3, 2, 9, 30, tzinfo=timezone.utc), 2, "Plain.", "store"),
     ]
-    text = serialize_reviews(src, "jsonl")
+    text = serialize_reviews(table_of(src), "jsonl")
     assert separator in text
     for source in (text, text.encode("utf-8")):
-        assert parse_reviews(source, "jsonl") == (src, [])
+        assert parse_reviews(source, "jsonl") == (table_of(src), [])
 
 
 def test_jsonl_crlf_file_parses_with_physical_line_numbers() -> None:
@@ -199,8 +199,8 @@ def test_jsonl_crlf_file_parses_with_physical_line_numbers() -> None:
         Review(f"r{i}", "appA", datetime(2024, 3, 1 + i, 12, tzinfo=timezone.utc), 3, "Fine.", "store")
         for i in range(3)
     ]
-    crlf = serialize_reviews(src, "jsonl").replace("\n", "\r\n")
-    assert parse_reviews(crlf.encode("utf-8"), "jsonl") == (src, [])
+    crlf = serialize_reviews(table_of(src), "jsonl").replace("\n", "\r\n")
+    assert parse_reviews(crlf.encode("utf-8"), "jsonl") == (table_of(src), [])
     # A bad line keeps its number: CRLF ends one line, not two.
     broken = crlf.replace('"timestamp": "2024-03-02T12:00:00Z"', '"timestamp": "soon"')
     reviews, rejects = parse_reviews(broken, "jsonl")
@@ -241,10 +241,10 @@ def test_csv_round_trip_keeps_line_breaks_in_bodies(separator: str) -> None:
                f"First{separator}second.", "store"),
         Review("r2", "appB", datetime(2024, 3, 2, 9, 30, tzinfo=timezone.utc), 2, "Plain.", "store"),
     ]
-    text = serialize_reviews(src, "csv")
+    text = serialize_reviews(table_of(src), "csv")
     assert separator in text
     for source in (text, text.encode("utf-8")):
-        assert parse_reviews(source, "csv") == (src, [])
+        assert parse_reviews(source, "csv") == (table_of(src), [])
 
 
 # Arbitrary text, with line breaks, quotes and commas drawn often.
@@ -265,7 +265,7 @@ def test_parse_reads_back_what_serialize_writes(fields: list[tuple[str, str]], f
         Review(f"r{i}", app_id, datetime(2024, 3, 1, 12, tzinfo=timezone.utc), 4, body, "store")
         for i, (body, app_id) in enumerate(fields)
     ]
-    assert parse_reviews(serialize_reviews(src, fmt), fmt) == (src, [])
+    assert parse_reviews(serialize_reviews(table_of(src), fmt), fmt) == (table_of(src), [])
 
 
 def test_csv_reject_after_multiline_records_reports_its_physical_line() -> None:
@@ -483,11 +483,11 @@ def _stream_cases() -> dict[str, tuple[str, str, list[int]]]:
     at = datetime(2024, 3, 1, 12, tzinfo=timezone.utc)
     bodies = ["é€😀 fine", "one\u2028two\u0085three", "x" * 100]
     src = [Review(f"r{i}", "appA", at, 4, body, "store") for i, body in enumerate(bodies)]
-    first, second, third = serialize_reviews(src, "jsonl").split("\n")[:3]
+    first, second, third = serialize_reviews(table_of(src), "jsonl").split("\n")[:3]
     jsonl = "\r\n".join([first, second, "{ not json", first, third])  # no final newline
     quoted = ["two\r\nlines", "a\nb", "c\rd", "é\u2028€\u0085"]
     csv_src = [Review(f"r{i}", "appA", at, 4, body, "store") for i, body in enumerate(quoted)]
-    csv_text = serialize_reviews(csv_src, "csv") + "bad,row\n"
+    csv_text = serialize_reviews(table_of(csv_src), "csv") + "bad,row\n"
     return {
         "jsonl-crlf-multibyte-no-final-newline": (jsonl, "jsonl", [3, 4]),
         "jsonl-empty": ("", "jsonl", []),
@@ -547,8 +547,8 @@ def test_a_line_longer_than_a_read_is_joined_once() -> None:
 
 @pytest.mark.parametrize("read_bytes", [1, 3, 5, 1 << 20])
 def test_bytes_that_are_not_utf8_name_their_offset_in_the_whole_input(read_bytes: int) -> None:
-    text = serialize_reviews([Review(f"r{i}", "appA", datetime(2024, 3, 1, tzinfo=timezone.utc), 4, "é€😀" * i, "store")
-                              for i in range(20)])
+    text = serialize_reviews(table_of([Review(f"r{i}", "appA", datetime(2024, 3, 1, tzinfo=timezone.utc), 4, "é€😀" * i,
+                                              "store") for i in range(20)]))
     data = text.encode("utf-8")
     for bad in (data[:-2] + b"\xff" + data[-2:], data[:-3] + b"\xe2\x82" + data[-3:], data + b"\xf0\x9f"):
         with pytest.raises(UnicodeDecodeError) as whole:
@@ -615,7 +615,7 @@ def test_parse_duplicates_agree_with_the_per_row_oracle_under_colliding_hashes(r
     at = datetime(2024, 3, 1, 12, tzinfo=timezone.utc)
     reviews = [Review(review_id, "appA", at, 4 if in_scale else 9, f"body {i}", source)
                for i, (review_id, source, in_scale) in enumerate(rows)]
-    text = serialize_reviews(reviews, fmt)
+    text = serialize_reviews(table_of(reviews), fmt)
     with mock.patch.object(ingest, "hash", fake, create=True), mock.patch.multiple(
         ingest, _BLOCK_CHARS=block, _BLOCK_RECORDS=block, _READ_BYTES=block
     ):
@@ -668,7 +668,7 @@ def test_a_csv_of_bare_cr_records_is_read_in_blocks(tmp_path) -> None:
 
     at = datetime(2024, 3, 1, tzinfo=timezone.utc)
     reviews = [Review(f"r{i}", f"app{i % 7}", at, 4, f"Review {i} says the update is fine.", "store") for i in range(20_000)]
-    text = serialize_reviews(reviews, "csv")
+    text = serialize_reviews(table_of(reviews), "csv")
 
     def peak(end: str) -> int:
         path = tmp_path / f"reviews{len(end)}.csv"
@@ -701,16 +701,16 @@ def _review_at(app_id: str, i: int, year: int, month: int, day: int) -> Review:
 
 
 def test_zero_reviews_empty_catalog() -> None:
-    catalog = build_catalog([])
+    catalog = build_catalog(table_of([]))
     assert catalog.apps == ()
-    assert all_reviews(catalog) == []
+    assert len(all_reviews(catalog)) == 0
     assert catalog_summary(catalog)["apps"] == {}
 
 
 def test_insufficient_flag_single_app() -> None:
     # 12 reviews inside one calendar month against a floor of 20/month.
     reviews = [_review_at("appA", i, 2024, 2, 1 + i) for i in range(12)]
-    catalog = build_catalog(reviews, monthly_floor=20.0)
+    catalog = build_catalog(table_of(reviews), monthly_floor=20.0)
     cov = catalog.coverage["appA"]
     assert cov.total == 12 and cov.months_spanned == 1
     assert cov.insufficient
@@ -734,7 +734,7 @@ def test_coverage_flags_match_brute_force_monthly_average() -> None:
         reviews.extend(app_reviews)
     rng.shuffle(reviews)
 
-    catalog = build_catalog(reviews, monthly_floor=20.0)
+    catalog = build_catalog(table_of(reviews), monthly_floor=20.0)
     for app_id, app_reviews in per_app.items():
         # Brute force: calendar months spanned, inclusive of both ends.
         stamps = sorted(r.timestamp for r in app_reviews)
@@ -755,7 +755,7 @@ def test_catalog_orders_reviews_canonically() -> None:
         _review_at("appA", 0, 2024, 1, 5),
         _review_at("appB", 3, 2024, 1, 2),
     ]
-    catalog = build_catalog(reviews)
+    catalog = build_catalog(table_of(reviews))
     assert catalog.apps == ("appA", "appB")
     assert [r.review_id for r in catalog.reviews["appA"]] == ["appA-0", "appA-1"]
     assert [r.review_id for r in catalog.reviews["appB"]] == ["appB-3", "appB-2"]
@@ -772,7 +772,7 @@ def test_monthly_counts_match_per_review_month_oracle() -> None:
                3, "Fine.", "store")
         for i in range(500)
     ]
-    cov = build_catalog(reviews).coverage["appA"]
+    cov = build_catalog(table_of(reviews)).coverage["appA"]
     want: dict[str, int] = {}
     for r in reviews:
         ts = r.timestamp.astimezone(timezone.utc)

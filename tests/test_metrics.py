@@ -46,7 +46,7 @@ from reviewpulse.pipeline import aggregate, write_file
 from reviewpulse.sentiment import LexiconScorer
 from reviewpulse.synth import default_scenario, generate, spike_pair_scenario
 
-from oracles import SentenceScorer, metric_mu, scored_reviews, window_contains
+from oracles import SentenceScorer, metric_mu, scored_reviews, table_of, window_contains
 
 
 def _review(i: int, ts: datetime, rating: int = 4, body: str = "ok.", app: str = "appA") -> Review:
@@ -194,7 +194,7 @@ def test_window_stats_buckets_by_window() -> None:
     ]
     reviews.sort(key=lambda r: r.timestamp)
     metrics = (MetricKind.COUNT, MetricKind.RATING)
-    days = day_sums(reviews, utc_midnights(start, 14), metrics, ScaleMap())
+    days = day_sums(table_of(reviews), utc_midnights(start, 14), metrics, ScaleMap())
     windows = window_series(start, start + timedelta(days=14), 7)
     stats = window_stats("appA", days, windows, MetricKind.COUNT)
     assert stats.mu.tolist() == [2.0, 1.0]
@@ -229,7 +229,7 @@ def test_day_sums_match_per_review_bucketing_oracle() -> None:
     by_id = {s.review.review_id: s for s in scored}
     all_metrics = (MetricKind.COUNT, MetricKind.RATING, MetricKind.POLARITY)
     bins = score_bodies([r.body for r in reviews], LexiconScorer())
-    days = day_sums(reviews, utc_midnights(start, 28), all_metrics, ScaleMap(), bins)
+    days = day_sums(table_of(reviews), utc_midnights(start, 28), all_metrics, ScaleMap(), bins)
     for width in (1, 7):
         windows = window_series(start, start + timedelta(days=28), width)
         for metric in all_metrics:
@@ -266,7 +266,7 @@ def test_polarity_day_sums_of_repeated_bodies_match_per_review_oracle(monkeypatc
     ]
     bins = score_bodies([r.body for reviews in apps for r in reviews], LexiconScorer())
     for at, reviews in zip(range(0, 180, 60), apps):
-        days = day_sums(reviews, utc_midnights(start, 14), (MetricKind.POLARITY,), ScaleMap(), bins[at : at + 60])
+        days = day_sums(table_of(reviews), utc_midnights(start, 14), (MetricKind.POLARITY,), ScaleMap(), bins[at : at + 60])
         polarity, sentences = [0] * 15, [0] * 15
         for s in _scored(reviews):
             day = (s.review.timestamp.date() - start).days
@@ -309,7 +309,7 @@ def test_score_review_refuses_a_bin_count_other_than_the_sentence_count() -> Non
 
 def test_window_stats_refuse_windows_outside_the_day_sums() -> None:
     start = date(2024, 1, 4)
-    days = day_sums([], utc_midnights(start, 14), (MetricKind.COUNT,), ScaleMap())
+    days = day_sums(table_of([]), utc_midnights(start, 14), (MetricKind.COUNT,), ScaleMap())
     with pytest.raises(ValueError):
         window_stats("appA", days, window_series(start, start + timedelta(days=21), 7), MetricKind.COUNT)
     with pytest.raises(ValueError):
@@ -439,7 +439,7 @@ def test_day_sums_csv_round_trip(apps, offset, n_days, data) -> None:
 def test_day_sums_csv_leaves_totals_not_summed_empty() -> None:
     # A count-only analysis has no rating or polarity totals to write, and
     # the reader refuses the empty cells rather than reading them as zeros.
-    days = day_sums([], utc_midnights(date(2024, 1, 4), 2), (MetricKind.COUNT,), ScaleMap())
+    days = day_sums(table_of([]), utc_midnights(date(2024, 1, 4), 2), (MetricKind.COUNT,), ScaleMap())
     text = "".join(write_day_sums_csv({"appA": days}))
     assert text.splitlines()[1:] == ["appA,2024-01-04,0,,,", "appA,2024-01-05,0,,,"]
     with pytest.raises(ValueError, match=r"day sums of \(appA\), CSV line 2: '' is not an integer"):
@@ -514,7 +514,7 @@ def test_day_sums_of_disjoint_parts_add_up(seed: int, share: float) -> None:
     config = MarketConfig(span_start=date(2024, 1, 6), span_end=date(2024, 2, 10))
     rng = random.Random(seed)
     first = np.array([rng.random() < share for _ in range(len(_SPLIT_MARKET))])
-    parts = [_SPLIT_MARKET.take(np.flatnonzero(first)), _SPLIT_MARKET.take(np.flatnonzero(~first))]
+    parts = [_SPLIT_MARKET[np.flatnonzero(first)], _SPLIT_MARKET[np.flatnonzero(~first)]]
     whole, *halves = (aggregate(config, build_catalog(t)).day_sums for t in (_SPLIT_MARKET, *parts))
     assert list(whole) == ["app00", "spike0", "spike1"]
     for app, days in whole.items():

@@ -1,5 +1,6 @@
 """Columnar reviews: the table against lists of ``Review``, the day cuts
-against bisection over datetimes, and that a run materialises no row."""
+against bisection over datetimes, and that a run or a write materialises
+no row."""
 from __future__ import annotations
 
 import random
@@ -15,14 +16,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from reviewpulse import ingest
+from reviewpulse.cli import main
 from reviewpulse.config import MarketConfig
-from reviewpulse.ingest import Review, ReviewTable, ScaleMap, build_catalog, serialize_reviews
-from reviewpulse.metrics import MetricKind, day_sums, score_bodies, utc_midnights
+from reviewpulse.ingest import Review, ReviewTable, ScaleMap, build_catalog, parse_reviews, serialize_reviews
+from reviewpulse.metrics import MetricKind, day_sums, utc_midnights
 from reviewpulse.pipeline import BUNDLE_FILES, analyze_catalog, run_pipeline
-from reviewpulse.sentiment import LexiconScorer
 from reviewpulse.synth import generate, spike_pair_scenario
 
-from oracles import all_reviews
+from oracles import all_reviews, table_of
 
 ZONES = [timezone.utc, timezone(timedelta(hours=-7)), timezone(timedelta(hours=5, minutes=45))]
 
@@ -45,20 +46,19 @@ def _reviews(n: int, seed: int = 3) -> list[Review]:
 
 def test_table_round_trips_a_list_of_reviews() -> None:
     reviews = _reviews(200)
-    table = ReviewTable.from_reviews(reviews)
+    table = table_of(reviews)
     assert len(table) == 200
     assert list(table) == reviews
-    assert table == reviews and reviews == list(table)
-    assert table == ReviewTable.from_reviews(list(table))
-    assert table != reviews[:-1] and table != reviews[::-1]
-    assert ReviewTable.from_reviews([]) == [] and len(ReviewTable.concat([])) == 0
+    assert table == table_of(list(table))
+    assert table != table_of(reviews[:-1]) and table != table_of(reviews[::-1]) and table != reviews
+    assert table_of([]) == ReviewTable.concat([]) and len(ReviewTable.concat([])) == 0
     assert ReviewTable.concat([table[:50], table[50:]]) == table
 
 
 def test_non_utc_timestamps_come_back_as_the_same_instant_in_utc() -> None:
     aware = datetime(2024, 3, 1, 1, 30, 0, 7, tzinfo=timezone(timedelta(hours=9)))
-    table = ReviewTable.from_reviews([Review("r1", "appA", aware, 4, "Fine.", "store")])
-    back = table[0].timestamp
+    table = table_of([Review("r1", "appA", aware, 4, "Fine.", "store")])
+    back = next(iter(table)).timestamp
     assert back == aware
     assert back.tzinfo is timezone.utc
     assert back.isoformat() == "2024-02-29T16:30:00.000007+00:00"
@@ -67,12 +67,12 @@ def test_non_utc_timestamps_come_back_as_the_same_instant_in_utc() -> None:
 def test_naive_timestamp_is_refused() -> None:
     naive = Review("r1", "appA", datetime(2024, 3, 1, 12), 4, "Fine.", "store")
     with pytest.raises(ValueError, match="naive"):
-        ReviewTable.from_reviews([naive])
+        table_of([naive])
 
 
 def test_slices_and_indices_behave_as_on_a_list() -> None:
     reviews = _reviews(23)
-    table = ReviewTable.from_reviews(reviews)
+    table = table_of(reviews)
     bounds = [None, -30, -23, -5, -1, 0, 1, 7, 22, 23, 40]
     for start in bounds:
         for stop in bounds:
@@ -80,11 +80,15 @@ def test_slices_and_indices_behave_as_on_a_list() -> None:
                 part = table[start:stop:step]
                 assert isinstance(part, ReviewTable)
                 assert list(part) == reviews[start:stop:step], (start, stop, step)
-    for i in (-23, -1, 0, 5, 22):
-        assert table[i] == reviews[i]
-    for i in (-24, 23):
+    for rows in ([], [5, 5, 0], [-1, -23, 22], list(range(22, -1, -1)), [3, -20, 3, -1, 0]):
+        part = table[np.array(rows, dtype=np.intp)]
+        assert isinstance(part, ReviewTable)
+        assert list(part) == [reviews[i] for i in rows], rows
+    for rows in ([-24], [0, 23]):
         with pytest.raises(IndexError):
-            table[i]
+            table[np.array(rows)]
+    with pytest.raises(TypeError):
+        table[0]  # a row is no table: iterate for Review objects
     with pytest.raises(AttributeError):
         table.stamp_us = np.zeros(23, dtype=np.int64)
     with pytest.raises(ValueError):
@@ -102,7 +106,7 @@ def test_catalog_breaks_stamp_ties_by_review_id_as_python_sorts_them() -> None:
         Review(f"r{i}", rng.choice(["appA", "appB"]), base + timedelta(seconds=rng.randrange(4)), 3, "Fine.", "store")
         for i in rng.sample(range(300), 300)
     ]
-    catalog = build_catalog(reviews)
+    catalog = build_catalog(table_of(reviews))
     for app in catalog.apps:
         want = sorted((r for r in reviews if r.app_id == app), key=lambda r: (r.timestamp, r.review_id))
         assert list(catalog.reviews[app]) == want
@@ -119,7 +123,7 @@ def test_catalog_keeps_the_first_of_each_source_and_review_id() -> None:
     first: dict[tuple[str, str], Review] = {}
     for r in reviews:
         first.setdefault((r.source, r.review_id), r)
-    catalog = build_catalog(ReviewTable.concat([ReviewTable.from_reviews(reviews[:100]), ReviewTable.from_reviews(reviews[100:])]))
+    catalog = build_catalog(ReviewTable.concat([table_of(reviews[:100]), table_of(reviews[100:])]))
     assert catalog.duplicates_dropped == len(reviews) - len(first)
     kept = list(all_reviews(catalog))
     assert sorted(kept, key=lambda r: (r.source, r.review_id)) == sorted(first.values(), key=lambda r: (r.source, r.review_id))
@@ -179,7 +183,7 @@ def test_catalog_keeps_first_occurrences_as_a_per_row_oracle(rows, one_source: b
         for i, (review_id, source, app_id, hour) in enumerate(rows)
     ]
     with mock.patch.object(ingest, "hash", fake, create=True):
-        catalog = build_catalog(ReviewTable.from_reviews(reviews))
+        catalog = build_catalog(table_of(reviews))
     want = _first_occurrence_catalog(reviews)
     assert catalog.apps == tuple(want)
     assert {app: list(catalog.reviews[app]) for app in catalog.apps} == want
@@ -257,21 +261,8 @@ def test_day_cuts_match_bisection_over_four_years_of_heavy_days() -> None:
     _assert_cuts_match_bisect(stamps, start, n_days)
 
 
-def test_day_sums_of_a_list_equal_those_of_its_table() -> None:
-    reviews = sorted(_reviews(300), key=lambda r: (r.timestamp, r.review_id))
-    metrics = (MetricKind.COUNT, MetricKind.RATING, MetricKind.POLARITY)
-    bins = score_bodies([r.body for r in reviews], LexiconScorer())
-    args = (utc_midnights(date(2023, 12, 31), 4), metrics, ScaleMap(), bins)
-    from_list = day_sums(reviews, *args)
-    from_table = day_sums(ReviewTable.from_reviews(reviews), *args)
-    for name in ("reviews", "rating", "polarity", "sentences"):
-        assert getattr(from_list, name).tolist() == getattr(from_table, name).tolist(), name
-
-
-def test_a_run_builds_no_review_objects(monkeypatch) -> None:
-    # Rows stay columns from parse to bundle: the counts-only sweep market
-    # and a full analysis, where polarity is scored and CE windows feed
-    # summary requests, never turn a table row into a Review.
+def _reviews_built(monkeypatch) -> list[str]:
+    """The ids of the rows that ``ingest._make_review`` turns into a ``Review`` from now on."""
     built = []
     make = ingest._make_review
 
@@ -280,12 +271,32 @@ def test_a_run_builds_no_review_objects(monkeypatch) -> None:
         return make(*row)
 
     monkeypatch.setattr(ingest, "_make_review", counting)
+    return built
+
+
+def test_a_run_builds_no_review_objects(monkeypatch) -> None:
+    # Rows stay columns from parse to bundle: the counts-only sweep market
+    # and a full analysis, where polarity is scored and CE windows feed
+    # summary requests, never turn a table row into a Review.
+    built = _reviews_built(monkeypatch)
     reviews, _ = generate(spike_pair_scenario(seed=0))
     catalog = build_catalog(reviews)
     counts = analyze_catalog(MarketConfig(seed=0), catalog, metrics=(MetricKind.COUNT,))
     full = analyze_catalog(MarketConfig(seed=0), catalog)
     assert counts.requests and full.requests
     assert MetricKind.POLARITY in {metric for _, metric in full.daily_stats}
+    assert built == []
+
+
+def test_writing_reviews_builds_no_review_objects(monkeypatch, tmp_path) -> None:
+    # serialize_reviews formats the columns, in both formats, and synth
+    # writes its market through it.
+    built = _reviews_built(monkeypatch)
+    table, _ = generate(spike_pair_scenario(seed=2, n_apps=3, n_windows=12, spike_window=6))
+    for fmt in ("jsonl", "csv"):
+        assert parse_reviews(serialize_reviews(table, fmt), fmt) == (table, [])
+    assert main(["synth", "--seed", "1", "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "reviews.jsonl").stat().st_size > 0
     assert built == []
 
 

@@ -198,4 +198,4 @@ def test_canonical_order_holds_for_any_app_ids() -> None:
             for k, (a, n) in enumerate(zip(base.apps, names))
         )
         reviews, _ = generate(replace(base, apps=apps))
-        assert reviews == sorted(reviews, key=attrgetter("timestamp", "review_id"))
+        assert list(reviews) == sorted(reviews, key=attrgetter("timestamp", "review_id"))
