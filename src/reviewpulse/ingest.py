@@ -16,7 +16,7 @@ import csv
 import io
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from datetime import date, datetime, timedelta, timezone
 from itertools import chain, compress
 from operator import attrgetter, itemgetter
@@ -747,20 +747,9 @@ def build_catalog(table: ReviewTable, monthly_floor: float = 20.0) -> MarketCata
 
 def catalog_summary(catalog: MarketCatalog) -> dict:
     """JSON-ready coverage summary (used by the ingest-check report)."""
-    apps = {}
-    for app in catalog.apps:
-        cov = catalog.coverage[app]
-        apps[app] = {
-            "first": _utc_text(cov.first),
-            "last": _utc_text(cov.last),
-            "total": cov.total,
-            "months_spanned": cov.months_spanned,
-            "monthly_mean": cov.monthly_mean,
-            "monthly_counts": dict(cov.monthly_counts),
-            "insufficient": cov.insufficient,
-        }
     return {
-        "apps": apps,
+        "apps": {app: {**asdict(cov), "first": _utc_text(cov.first), "last": _utc_text(cov.last)}
+                 for app, cov in catalog.coverage.items()},
         "app_count": len(catalog.apps),
         "review_count": sum(c.total for c in catalog.coverage.values()),
         "monthly_floor": catalog.monthly_floor,

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from datetime import date
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -380,32 +380,10 @@ def flat_scenario(n_apps: int = 10, n_windows: int = 52, seed: int = 0) -> Scena
 
 
 def scenario_to_dict(scenario: Scenario) -> dict:
-    return {
-        "start": scenario.start.isoformat(),
-        "n_windows": scenario.n_windows,
-        "window_days": scenario.window_days,
-        "seed": scenario.seed,
-        "apps": [
-            {
-                "app_id": a.app_id,
-                "rate_per_window": a.rate_per_window,
-                "count_model": a.count_model,
-                "rating_weights": {str(k): v for k, v in sorted(a.rating_weights.items())},
-                "polarity_weights": {str(k): v for k, v in sorted(a.polarity_weights.items())},
-                "sentences_per_review": a.sentences_per_review,
-            }
-            for a in scenario.apps
-        ],
-        "injections": [
-            {
-                "apps": list(i.apps),
-                "window_index": i.window_index,
-                "kind": i.kind,
-                "magnitude": i.magnitude,
-            }
-            for i in scenario.injections
-        ],
-    }
+    """The scenario's fields as ``asdict`` gives them, ``start`` as ISO text:
+    ``json_text`` writes it as ``scenario.json``, key-sorted (the weight keys
+    are single digits, so int and str order agree)."""
+    return {**asdict(scenario), "start": scenario.start.isoformat()}
 
 
 def _weights_from_dict(app: Mapping, key: str, default: Mapping[int, float]) -> dict[int, float]:
