@@ -39,7 +39,7 @@ from bisect import bisect_left, bisect_right
 from datetime import date, timedelta
 from itertools import combinations, groupby
 from operator import itemgetter
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Any, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -409,42 +409,78 @@ def read_correlations_csv(text: str, window_days: int) -> list[CorrelationRun]:
     return runs
 
 
-def _event_from_dict(data: Mapping) -> EventRecord:
+def _field(data: object, at: str, key: str, *types: type) -> Any:
+    """``data[key]`` when ``data`` is a JSON object holding ``key`` as one
+    of ``types``, as ``json.loads`` gives them (so a bool is no int); a
+    ValueError naming the field, ``at`` before ``key``, otherwise."""
+    if type(data) is not dict or key not in data:
+        raise ValueError(f"no field {at}{key}")
+    if type(data[key]) not in types:
+        names = " or ".join({type(None): "null", dict: "an object"}.get(t, t.__name__) for t in types)
+        raise ValueError(f"{at}{key} must be {names}, got {data[key]!r}")
+    return data[key]
+
+
+def _day(data: object, at: str, key: str) -> date:
+    text = _field(data, at, key, str)
+    try:
+        return date.fromisoformat(text)
+    except ValueError:
+        raise ValueError(f"{at}{key} is not an ISO date: {text!r}") from None
+
+
+def _event_from_dict(item: dict, side: str, app_id: str, metric: str) -> EventRecord:
+    """The record's event ``side``, which must be of ``app_id`` and ``metric``."""
+    data, at = _field(item, "", side, dict), f"{side}."
+    if (_field(data, at, "app_id", str), _field(data, at, "metric", str)) != (app_id, metric):
+        raise ValueError(f"{side} is of ({data['app_id']}, {data['metric']}), not ({app_id}, {metric})")
+    number = (int, float)
     return EventRecord(
-        app_id=str(data["app_id"]),
-        metric=MetricKind(data["metric"]),
-        window=TimeWindow(date.fromisoformat(data["window_start"]), int(data["window_days"])),
-        e=int(data["e"]),
-        a=None if data["a"] is None else float(data["a"]),
-        sigma=None if data["sigma"] is None else float(data["sigma"]),
-        k=float(data["k"]),
-        baseline_n=int(data["baseline_n"]),
-        warmup=bool(data["warmup"]),
+        app_id, MetricKind(metric), TimeWindow(_day(data, at, "window_start"), _field(data, at, "window_days", int)),
+        _field(data, at, "e", int), _field(data, at, "a", *number, type(None)),
+        _field(data, at, "sigma", *number, type(None)), _field(data, at, "k", *number),
+        _field(data, at, "baseline_n", int), _field(data, at, "warmup", bool),
+    )
+
+
+def _ce_from_dict(item: object) -> CorrelatedEventRecord:
+    app_i, app_j, metric = (_field(item, "", key, str) for key in ("app_i", "app_j", "metric"))
+    kind = MetricKind(metric)
+    window = TimeWindow(_day(item, "", "window_start"), _field(item, "", "window_days", int))
+    ce, run = _field(item, "", "ce", int), _field(item, "", "run", dict)
+    sign, t_start = _field(run, "run.", "sign", int), _day(run, "run.", "t_start")
+    if sign not in (-1, 1) or ce != sign:
+        raise ValueError(f"ce {ce} and run.sign {sign} must be the same 1 or -1")
+    first = TimeWindow(_day(run, "run.", "first_interval_start"), _field(run, "run.", "first_interval_days", int))
+    if first != TimeWindow(t_start, window.days):
+        raise ValueError(f"run.first_interval ({first.start}, {first.days}) is not ({t_start}, {window.days}), "
+                         "the run's start and the window's days")
+    return CorrelatedEventRecord(
+        app_i, app_j, kind, window, ce,
+        _event_from_dict(item, "event_i", app_i, metric), _event_from_dict(item, "event_j", app_j, metric),
+        CorrelationRun(app_i, app_j, kind, sign, t_start, _day(run, "run.", "t_end")), first,
     )
 
 
 def ce_records_from_json(text: str) -> list[CorrelatedEventRecord]:
+    """Correlated events from their JSON dump, in file order.
+
+    Each field is read only as the JSON type that ``ce_records_to_json``
+    writes, and dates only as ISO text. A record is also refused when its
+    ``ce`` or run sign is not 1 or -1, or the two differ; when an event's
+    app or metric is not the record's; or when its first interval is not
+    the run's start and the window's days. A refusal is a ValueError naming
+    the record's position and the field.
+    """
     payload = json.loads(text)
+    if type(payload) is not list:
+        raise ValueError(f"correlated events must be a JSON list, got {type(payload).__name__}")
     records: list[CorrelatedEventRecord] = []
-    for item in payload:
-        run = item["run"]
-        records.append(
-            CorrelatedEventRecord(
-                app_i=str(item["app_i"]),
-                app_j=str(item["app_j"]),
-                metric=MetricKind(item["metric"]),
-                window=TimeWindow(date.fromisoformat(item["window_start"]), int(item["window_days"])),
-                ce=int(item["ce"]),
-                event_i=_event_from_dict(item["event_i"]),
-                event_j=_event_from_dict(item["event_j"]),
-                run=CorrelationRun(str(item["app_i"]), str(item["app_j"]), MetricKind(item["metric"]), int(run["sign"]),
-                                   date.fromisoformat(run["t_start"]), date.fromisoformat(run["t_end"])),
-                first_interval=TimeWindow(
-                    date.fromisoformat(run["first_interval_start"]),
-                    int(run["first_interval_days"]),
-                ),
-            )
-        )
+    for n, item in enumerate(payload):
+        try:
+            records.append(_ce_from_dict(item))
+        except ValueError as exc:
+            raise ValueError(f"correlated event {n}: {exc}") from None
     return records
 
 

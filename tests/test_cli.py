@@ -343,6 +343,44 @@ def test_correlated_events_that_are_not_a_list_of_objects_exit_three(tmp_path, c
     assert "dataset error:" in capsys.readouterr().err
 
 
+def _set(path: str, value: object):
+    """A change to a correlated-event record: ``value``, or ``value(record)``, at the dotted ``path``."""
+    def change(record: dict) -> None:
+        *parents, key = path.split(".")
+        at = record
+        for parent in parents:
+            at = at[parent]
+        at[key] = value(record) if callable(value) else value
+    return change
+
+
+@pytest.mark.parametrize(
+    "change, field",
+    [(_set("event_i.warmup", "false"), "event_i.warmup"), (_set("event_j.e", 1.9), "event_j.e"),
+     (_set("ce", 7), "ce 7"), (_set("ce", lambda r: -r["ce"]), "ce -1"), (_set("window_days", "7"), "window_days"),
+     (_set("event_j.baseline_n", True), "event_j.baseline_n"), (_set("event_i.k", True), "event_i.k"),
+     (_set("event_i.a", "1.5"), "event_i.a"), (_set("run.sign", 3), "run.sign"),
+     (_set("run.first_interval_days", 8), "run.first_interval"), (_set("run.t_end", "soon"), "run.t_end"),
+     (_set("run.first_interval_start", lambda r: r["run"]["t_end"]), "run.first_interval"),
+     (_set("app_i", 5), "app_i"), (_set("event_i.app_id", lambda r: r["app_j"]), "event_i"),
+     (_set("event_j.metric", "rating"), "event_j"), (_set("run", [1]), "run"), (lambda r: r.pop("event_j"), "event_j")],
+)
+def test_correlated_events_the_writer_never_writes_exit_three(tmp_path, capsys, change, field) -> None:
+    # The staged chain's one correlated event, each time with one field
+    # changed to a form or value that ce_records_to_json never writes.
+    dataset = _small_dataset(tmp_path)
+    staged = tmp_path / "staged"
+    assert main(["run", str(dataset), "--out", str(staged)]) == 0
+    records = json.loads((staged / "correlated_events.json").read_text(encoding="utf-8"))
+    assert len(records) == 1 and records[0]["run"]["sign"] == 1
+    change(records[0])
+    ces = tmp_path / "correlated_events.json"
+    ces.write_text(json.dumps(records), encoding="utf-8")
+    assert main(["summarize-prep", str(ces), str(dataset), "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert "dataset error:" in err and "correlated event 0: " in err and field in err, err
+
+
 def test_correlated_events_nested_too_deep_exit_three(tmp_path, capsys) -> None:
     ces = tmp_path / "correlated_events.json"
     ces.write_text("[" * 100_000, encoding="utf-8")

@@ -711,10 +711,13 @@ def test_criterion_4_ces_match_the_per_series_oracle(criterion_4_analyses) -> No
 
 
 def test_ce_json_round_trip() -> None:
+    # A library caller may pass an int k; the writer writes it as given.
     events_i = [_event("a", w, 1 if w == 4 else 0) for w in range(10)]
-    events_j = [_event("b", w, 1 if w == 4 else 0) for w in range(10)]
+    events_j = [replace(_event("b", w, 1 if w == 4 else 0), k=2, warmup=True) for w in range(10)]
     ces = detect_correlated_events([*events_i, *events_j], [_run(1, 28, 42)], 7)
-    assert ce_records_from_json(ce_records_to_json(ces)) == ces
+    back = ce_records_from_json(ce_records_to_json(ces))
+    assert back == ces and len(ces) == 1
+    assert type(back[0].event_j.k) is int and type(back[0].event_i.k) is float
 
 
 def _gapped_market(seed: int, apps: list[str], windows: list[TimeWindow]) -> np.ndarray:
