@@ -85,7 +85,8 @@ class ScaleMap:
 
 @dataclass(frozen=True, slots=True)
 class Review:
-    """One accepted review. ``timestamp`` is always timezone-aware UTC."""
+    """One accepted review, as iterating a ``ReviewTable`` yields its rows.
+    ``timestamp`` is always timezone-aware UTC."""
 
     review_id: str
     app_id: str
