@@ -330,6 +330,7 @@ def parse_reviews(
     rejects: list[Reject] = []
     for columns, block_rejects in blocks:
         table, lines = _accept(columns, block_rejects, scales)
+        del columns  # a block's raw fields go before the next block is read, and the last before the concat
         tables.append(table)
         line_nos.append(lines)
         rejects += sorted(block_rejects, key=attrgetter("line_no"))

@@ -266,12 +266,19 @@ def _read_file(path: str | Path, consume: Callable[[Iterator[str]], T]) -> T:
     if not p.is_file():
         raise DatasetError(f"input file not found: {p}")
     try:
-        with p.open("rb") as stream:
-            return consume(utf8_blocks(stream, str(p)))
+        return consume(_pieces(p))
     except OSError as exc:
         raise DatasetError(f"cannot read {p}: {exc}") from exc
     except (ValueError, KeyError, TypeError, OverflowError, RecursionError, csv.Error) as exc:
         raise DatasetError(f"{p}: {exc}") from exc
+
+
+def _pieces(p: Path) -> Iterator[str]:
+    """The file's text as ``utf8_blocks`` reads it. The file is opened
+    unbuffered, as each read is ``_READ_BYTES`` long, and is closed once its
+    last piece is read, not held through the parse's end-of-file work."""
+    with p.open("rb", buffering=0) as stream:
+        yield from utf8_blocks(stream, str(p))
 
 
 def read_stage(parse: Callable[..., T], path: str | Path, *args: object) -> T:
