@@ -18,7 +18,7 @@ from typing import Callable, Mapping
 
 from .correlate import DEFAULT_MIN_CORR_POINTS
 from .detect import DEFAULT_MIN_BASELINE
-from .ingest import RatingScale, ScaleMap
+from .ingest import RatingScale, ScaleMap, iso_date
 from .sentiment import load_lexicon
 from .summarize import load_template
 
@@ -86,7 +86,7 @@ _PARSE_BY_TYPE = {
     "float": _parse_finite,
     "bool": _parse_bool,
     "str": str,
-    "date | None": _none_or(date.fromisoformat),
+    "date | None": _none_or(iso_date),
     "str | None": _none_or(str),
 }
 _KEY_PARSERS = {f.name: _PARSE_BY_TYPE[f.type] for f in fields(MarketConfig) if f.type in _PARSE_BY_TYPE}

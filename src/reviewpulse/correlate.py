@@ -44,7 +44,7 @@ from typing import Any, Iterable, Iterator, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .detect import EventRecord
-from .ingest import json_text
+from .ingest import json_date, json_text, json_value
 from .metrics import MetricKind, TimeWindow, csv_prefixes, follow_problem, series_rows
 
 __all__ = [
@@ -411,33 +411,31 @@ def read_correlations_csv(text: str, window_days: int) -> list[CorrelationRun]:
 
 def _field(data: object, at: str, key: str, *types: type) -> Any:
     """``data[key]`` when ``data`` is a JSON object holding ``key`` as one
-    of ``types``, as ``json.loads`` gives them (so a bool is no int); a
-    ValueError naming the field, ``at`` before ``key``, otherwise."""
+    of ``types`` (``json_value``); a ValueError naming the field, ``at``
+    before ``key``, otherwise."""
     if type(data) is not dict or key not in data:
         raise ValueError(f"no field {at}{key}")
-    if type(data[key]) not in types:
-        names = " or ".join({type(None): "null", dict: "an object"}.get(t, t.__name__) for t in types)
-        raise ValueError(f"{at}{key} must be {names}, got {data[key]!r}")
-    return data[key]
+    return json_value(data[key], f"{at}{key}", *types)
 
 
 def _day(data: object, at: str, key: str) -> date:
-    text = _field(data, at, key, str)
-    try:
-        return date.fromisoformat(text)
-    except ValueError:
-        raise ValueError(f"{at}{key} is not an ISO date: {text!r}") from None
+    return json_date(_field(data, at, key, str), f"{at}{key}")
 
 
-def _event_from_dict(item: dict, side: str, app_id: str, metric: str) -> EventRecord:
-    """The record's event ``side``, which must be of ``app_id`` and ``metric``."""
+def _event_from_dict(item: dict, side: str, app_id: str, metric: str, window: TimeWindow) -> EventRecord:
+    """The record's event ``side``, which must be of ``app_id`` and
+    ``metric``, fire (``e`` 1 or -1), and be in ``window`` or the one before."""
     data, at = _field(item, "", side, dict), f"{side}."
     if (_field(data, at, "app_id", str), _field(data, at, "metric", str)) != (app_id, metric):
         raise ValueError(f"{side} is of ({data['app_id']}, {data['metric']}), not ({app_id}, {metric})")
+    own = TimeWindow(_day(data, at, "window_start"), _field(data, at, "window_days", int))
+    if own not in (window, TimeWindow(window.start - timedelta(days=window.days), window.days)):
+        raise ValueError(f"{side}'s window ({own.start}, {own.days}) is neither the record's nor the one before")
+    if _field(data, at, "e", int) not in (-1, 1):
+        raise ValueError(f"{at}e must be 1 or -1, got {data['e']}")
     number = (int, float)
     return EventRecord(
-        app_id, MetricKind(metric), TimeWindow(_day(data, at, "window_start"), _field(data, at, "window_days", int)),
-        _field(data, at, "e", int), _field(data, at, "a", *number, type(None)),
+        app_id, MetricKind(metric), own, data["e"], _field(data, at, "a", *number, type(None)),
         _field(data, at, "sigma", *number, type(None)), _field(data, at, "k", *number),
         _field(data, at, "baseline_n", int), _field(data, at, "warmup", bool),
     )
@@ -445,6 +443,8 @@ def _event_from_dict(item: dict, side: str, app_id: str, metric: str) -> EventRe
 
 def _ce_from_dict(item: object) -> CorrelatedEventRecord:
     app_i, app_j, metric = (_field(item, "", key, str) for key in ("app_i", "app_j", "metric"))
+    if app_i >= app_j:
+        raise ValueError(f"app_i {app_i!r} is not before app_j {app_j!r}")
     kind = MetricKind(metric)
     window = TimeWindow(_day(item, "", "window_start"), _field(item, "", "window_days", int))
     ce, run = _field(item, "", "ce", int), _field(item, "", "run", dict)
@@ -455,9 +455,14 @@ def _ce_from_dict(item: object) -> CorrelatedEventRecord:
     if first != TimeWindow(t_start, window.days):
         raise ValueError(f"run.first_interval ({first.start}, {first.days}) is not ({t_start}, {window.days}), "
                          "the run's start and the window's days")
+    event_i = _event_from_dict(item, "event_i", app_i, metric, window)
+    event_j = _event_from_dict(item, "event_j", app_j, metric, window)
+    if window not in (event_i.window, event_j.window):
+        raise ValueError("event_i and event_j are both from the window before")
+    if event_i.e != ce * event_j.e:
+        raise ValueError(f"event_i.e {event_i.e} is not ce {ce} times event_j.e {event_j.e}")
     return CorrelatedEventRecord(
-        app_i, app_j, kind, window, ce,
-        _event_from_dict(item, "event_i", app_i, metric), _event_from_dict(item, "event_j", app_j, metric),
+        app_i, app_j, kind, window, ce, event_i, event_j,
         CorrelationRun(app_i, app_j, kind, sign, t_start, _day(run, "run.", "t_end")), first,
     )
 
@@ -466,11 +471,15 @@ def ce_records_from_json(text: str) -> list[CorrelatedEventRecord]:
     """Correlated events from their JSON dump, in file order.
 
     Each field is read only as the JSON type that ``ce_records_to_json``
-    writes, and dates only as ISO text. A record is also refused when its
-    ``ce`` or run sign is not 1 or -1, or the two differ; when an event's
-    app or metric is not the record's; or when its first interval is not
-    the run's start and the window's days. A refusal is a ValueError naming
-    the record's position and the field.
+    writes, and dates only as ``iso_date`` text. A record is also refused
+    when ``detect_correlated_events`` could not have made it: when
+    ``app_i`` is not before ``app_j``; when its ``ce`` or run sign is not 1
+    or -1, or the two differ; when an event's app or metric is not the
+    record's, its ``e`` is not 1 or -1, or its window is neither the
+    record's nor the one before; when both events are from the window
+    before, or ``e_i`` is not ``ce * e_j``; or when its first interval is
+    not the run's start and the window's days. A refusal is a ValueError
+    naming the record's position and the field.
     """
     payload = json.loads(text)
     if type(payload) is not list:

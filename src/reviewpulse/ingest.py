@@ -21,7 +21,7 @@ from datetime import date, datetime, timedelta, timezone
 from itertools import chain, compress
 from operator import attrgetter, itemgetter
 from types import SimpleNamespace
-from typing import BinaryIO, Iterable, Iterator, Mapping, Sequence
+from typing import Any, BinaryIO, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -40,7 +40,10 @@ __all__ = [
     "canonical_order",
     "catalog_summary",
     "csv_line_writer",
+    "iso_date",
+    "json_date",
     "json_text",
+    "json_value",
     "midnight_us",
     "parse_reviews",
     "parse_timestamp",
@@ -230,6 +233,21 @@ def canonical_order(stamp_us: np.ndarray, review_id: np.ndarray, group: np.ndarr
             ids = ids.astype("S" if text.isascii() else "U")
         order[positions] = rows[np.lexsort((ids, *(k[positions] for k in sorted_keys)))]
     return order
+
+
+# RFC 3339's full-date, in ASCII digits; compiled at first use, by re's cache.
+_ISO_DATE = r"[0-9]{4}-[0-9]{2}-[0-9]{2}"
+
+
+def iso_date(text: str) -> date:
+    """The day ``text`` spells as ``YYYY-MM-DD``, the one date form read.
+
+    ``date.fromisoformat`` alone would take ``20240104`` and ``2024-W01-4``
+    on Python 3.11 and refuse them on 3.10.
+    """
+    if not re.fullmatch(_ISO_DATE, text):
+        raise ValueError(f"Invalid isoformat string: {text!r}")
+    return date.fromisoformat(text)
 
 
 def parse_timestamp(value: str) -> datetime:
@@ -528,14 +546,14 @@ def _transpose(rows: Sequence[Sequence]) -> list:
 def _csv_blocks(blocks: Iterable[str]) -> Iterator[tuple[list, list[Reject]]]:
     """The records after the header in blocks of ``_BLOCK_RECORDS``, numbered by the line each starts on.
 
-    A record whose field count is not the header's is a ``bad-row``, and
-    one whose rating is not an integer a ``bad-rating``; blank records are
-    skipped. The csv module finds the record ends itself in a text stream
-    with ``newline=""``, so a quoted field keeps its "\r\n", "\r", U+2028 or
-    U+0085 as written; cutting blocks after a line end splits no line. An
-    unusable header is a DatasetError, and so is a record the csv module
-    refuses, such as one whose field exceeds ``csv.field_size_limit()`` (an
-    unclosed quote early in a large file does), naming the line it starts on.
+    A record whose field count is not the header's is a ``bad-row``; blank
+    records are skipped. The csv module finds the record ends itself in a
+    text stream with ``newline=""``, so a quoted field keeps its "\r\n",
+    "\r", U+2028 or U+0085 as written; cutting blocks after a line end
+    splits no line. An unusable header is a DatasetError, and so is a
+    record the csv module refuses, such as one whose field exceeds
+    ``csv.field_size_limit()`` (an unclosed quote early in a large file
+    does), naming the line it starts on.
     """
     reader = csv.reader(chain.from_iterable(io.StringIO(block, newline="") for block in blocks))
     end = 0
@@ -560,35 +578,32 @@ def _csv_blocks(blocks: Iterable[str]) -> Iterator[tuple[list, list[Reject]]]:
             elif row:
                 rejects.append(Reject(line_no, f"bad-row: expected {len(header)} fields, got {len(row)}"))
             if len(rows) == _BLOCK_RECORDS:
-                yield _csv_block(rows, line_nos, fields_of, rejects)
+                yield _csv_block(rows, line_nos, fields_of), rejects
                 rows, line_nos, rejects = [], [], []
         if rows or rejects:
-            yield _csv_block(rows, line_nos, fields_of, rejects)
+            yield _csv_block(rows, line_nos, fields_of), rejects
     except csv.Error as exc:
         raise DatasetError(f"CSV record at line {end + 1}: {exc}") from exc
 
 
-def _csv_block(
-    rows: list[list[str]], line_nos: list[int], fields_of: itemgetter, rejects: list[Reject]
-) -> tuple[list, list[Reject]]:
-    """The records' columns in REVIEW_FIELDS order with int ratings; a rating that is not one is a reject."""
+def _csv_block(rows: list[list[str]], line_nos: list[int], fields_of: itemgetter) -> list:
+    """The records' columns in REVIEW_FIELDS order, each rating as the int
+    its stripped text reads as, or as that text, for ``_accept``'s rating
+    rule to reject in its turn."""
     columns = [*_transpose(list(map(fields_of, rows))), line_nos]
     texts = list(map(str.strip, columns[_RATING]))
     try:
         columns[_RATING] = list(map(int, texts))
     except ValueError:
-        ratings = list(map(_int_or_none, texts))
-        reasons = [None if r is not None else f"bad-rating: {t!r} is not an integer" for r, t in zip(ratings, texts)]
-        columns[_RATING] = ratings
-        columns = _drop(columns, reasons, rejects)
-    return columns, rejects
+        columns[_RATING] = list(map(_int_or_text, texts))
+    return columns
 
 
-def _int_or_none(text: str) -> int | None:
+def _int_or_text(text: str) -> int | str:
     try:
         return int(text)
     except ValueError:
-        return None
+        return text
 
 
 def csv_line_writer(lines: list[str]):
@@ -604,6 +619,24 @@ def csv_line_writer(lines: list[str]):
 def json_text(payload: object) -> str:
     """The indented, key-sorted JSON of a report file, ending in a newline."""
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def json_value(value: object, at: str, *types: type) -> Any:
+    """``value`` when it is one of ``types`` as ``json.loads`` gives them (so
+    a bool is no int); a ValueError naming it ``at`` otherwise."""
+    if type(value) not in types:
+        names = " or ".join({type(None): "null", dict: "an object", list: "a list"}.get(t, t.__name__) for t in types)
+        raise ValueError(f"{at} must be {names}, got {value!r}")
+    return value
+
+
+def json_date(value: object, at: str) -> date:
+    """``value`` read as ``iso_date`` text; a ValueError naming it ``at`` otherwise."""
+    text = json_value(value, at, str)
+    try:
+        return iso_date(text)
+    except ValueError:
+        raise ValueError(f"{at} is not an ISO date: {text!r}") from None
 
 
 def _utc_text(ts: datetime) -> str:

@@ -56,7 +56,7 @@ from typing import Callable, Collection, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .ingest import DAY_US, RatingScale, ReviewTable, ScaleMap, csv_line_writer, midnight_us, utc_datetime
+from .ingest import DAY_US, RatingScale, ReviewTable, ScaleMap, csv_line_writer, iso_date, midnight_us, utc_datetime
 from .sentiment import LexiconScorer, split_sentences
 
 __all__ = [
@@ -479,9 +479,9 @@ def _float_or_empty(cell: str) -> float | None:
 
 
 # How ``series_rows`` reads a cell after the key, by its column: a day
-# (ISO), a float or empty, the text as written; every other column is int64.
+# (``iso_date``), a float or empty, the text as written; every other column is int64.
 _CELL_READERS: dict[str, Callable[[str], object]] = {
-    "t0": date.fromisoformat, "t_start": date.fromisoformat, "t_end": date.fromisoformat,
+    "t0": iso_date, "t_start": iso_date, "t_end": iso_date,
     "a": _float_or_empty, "sigma": _float_or_empty, "warmup": str}
 
 

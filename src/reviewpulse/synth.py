@@ -22,14 +22,14 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from datetime import date
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
-from .ingest import ReviewTable, canonical_order, midnight_us
+from .ingest import ReviewTable, canonical_order, json_date, json_value, midnight_us
 from .metrics import MetricKind
 from .summarize import derive_seed
 
@@ -97,10 +97,10 @@ class Label:
 class Scenario:
     start: date
     n_windows: int
-    window_days: int
     apps: tuple[AppSpec, ...]
-    injections: tuple[Injection, ...]
-    seed: int
+    window_days: int = 7
+    injections: tuple[Injection, ...] = ()
+    seed: int = 0
 
 
 def _proper_weights(weights: Mapping[int, float]) -> bool:
@@ -118,8 +118,8 @@ def _validate(scenario: Scenario) -> None:
     if len(set(ids)) != len(ids):
         errors.append("duplicate app ids in scenario")
     for app in scenario.apps:
-        if app.rate_per_window < 0:
-            errors.append(f"{app.app_id}: rate_per_window must be >= 0")
+        if not 0 <= app.rate_per_window < math.inf:
+            errors.append(f"{app.app_id}: rate_per_window must be >= 0 and finite")
         if app.count_model not in ("poisson", "constant"):
             errors.append(f"{app.app_id}: unknown count model {app.count_model!r}")
         if app.sentences_per_review < 1:
@@ -138,8 +138,8 @@ def _validate(scenario: Scenario) -> None:
             errors.append(f"unknown injection kind {inj.kind!r}")
         if not 0 <= inj.window_index < scenario.n_windows:
             errors.append(f"injection window {inj.window_index} outside 0..{scenario.n_windows - 1}")
-        if inj.magnitude <= 0:
-            errors.append(f"injection magnitude must be positive, got {inj.magnitude}")
+        if not 0 < inj.magnitude < math.inf:
+            errors.append(f"injection magnitude must be positive and finite, got {inj.magnitude}")
         for app_id in inj.apps:
             if app_id not in known:
                 errors.append(f"injection targets unknown app {app_id!r}")
@@ -319,17 +319,8 @@ def default_scenario(
     injections: Sequence[Injection] = (),
 ) -> Scenario:
     """Template market: Poisson counts with the default mixes, in 7-day windows."""
-    apps = tuple(
-        AppSpec(app_id=f"app{i:02d}", rate_per_window=rate) for i in range(n_apps)
-    )
-    return Scenario(
-        start=MARKET_START,
-        n_windows=n_windows,
-        window_days=7,
-        apps=apps,
-        injections=tuple(injections),
-        seed=seed,
-    )
+    apps = tuple(AppSpec(app_id=f"app{i:02d}", rate_per_window=rate) for i in range(n_apps))
+    return Scenario(start=MARKET_START, n_windows=n_windows, apps=apps, injections=tuple(injections), seed=seed)
 
 
 def _one_tone_app(app_id: str, rate: float, count_model: str = "constant") -> AppSpec:
@@ -354,29 +345,14 @@ def spike_pair_scenario(
     """
     quiet = tuple(_one_tone_app(f"app{i:02d}", rate) for i in range(max(0, n_apps - 2)))
     noisy = tuple(_one_tone_app(name, rate, "poisson") for name in ("spike0", "spike1"))
-    return Scenario(
-        start=MARKET_START,
-        n_windows=n_windows,
-        window_days=7,
-        apps=quiet + noisy,
-        injections=(
-            Injection(apps=("spike0", "spike1"), window_index=spike_window, kind="count-spike", magnitude=5.0),
-        ),
-        seed=seed,
-    )
+    spike = Injection(apps=("spike0", "spike1"), window_index=spike_window, kind="count-spike", magnitude=5.0)
+    return Scenario(start=MARKET_START, n_windows=n_windows, apps=quiet + noisy, injections=(spike,), seed=seed)
 
 
 def flat_scenario(n_apps: int = 10, n_windows: int = 52, seed: int = 0) -> Scenario:
     """Null market: 21 reviews a 7-day window, one rating, one polarity bin, no injections."""
     apps = tuple(_one_tone_app(f"app{i:02d}", 21.0) for i in range(n_apps))
-    return Scenario(
-        start=MARKET_START,
-        n_windows=n_windows,
-        window_days=7,
-        apps=apps,
-        injections=(),
-        seed=seed,
-    )
+    return Scenario(start=MARKET_START, n_windows=n_windows, apps=apps, seed=seed)
 
 
 def scenario_to_dict(scenario: Scenario) -> dict:
@@ -386,45 +362,67 @@ def scenario_to_dict(scenario: Scenario) -> dict:
     return {**asdict(scenario), "start": scenario.start.isoformat()}
 
 
-def _weights_from_dict(app: Mapping, key: str, default: Mapping[int, float]) -> dict[int, float]:
-    weights = app.get(key, default)
-    if not isinstance(weights, Mapping):
-        raise ValueError(f"{key} must map values to weights, got {type(weights).__name__}")
-    return {int(k): float(v) for k, v in weights.items()}
+def _json(*types: type) -> Callable[[object, str], Any]:
+    return lambda value, at: json_value(value, at, *types)
 
 
-def scenario_from_dict(data: Mapping) -> Scenario:
+def _float(value: object, at: str) -> float:
+    return float(json_value(value, at, int, float))  # an int reads as the float it equals
+
+
+def _tuple_of(read: Callable[[object, str], Any]) -> Callable[[object, str], tuple]:
+    return lambda value, at: tuple(read(item, f"{at}[{n}]") for n, item in enumerate(json_value(value, at, list)))
+
+
+def _weights(value: object, at: str) -> dict[int, float]:
+    """A weight map, its int keys as ``json_text`` writes them: ASCII digits."""
+    for key in json_value(value, at, dict):
+        if not (key.isascii() and key.isdigit() and str(int(key)) == key):
+            raise ValueError(f"{at} key {key!r} is not an integer")
+    return {int(key): _float(weight, f"{at}.{key}") for key, weight in value.items()}
+
+
+# Each field is read by its declared type, as json.loads gives what
+# json_text writes. _FIELDS is built at import, so a field type with no
+# reader fails there, not on a user's file.
+_READ_BY_TYPE: dict[str, Callable[[object, str], Any]] = {
+    "int": _json(int),
+    "float": _float,
+    "str": _json(str),
+    "date": json_date,
+    "tuple[str, ...]": _tuple_of(_json(str)),
+    "Mapping[int, float]": _weights,
+    "tuple[AppSpec, ...]": _tuple_of(lambda value, at: _from_dict(AppSpec, value, at)),
+    "tuple[Injection, ...]": _tuple_of(lambda value, at: _from_dict(Injection, value, at)),
+}
+_FIELDS = {cls: {f.name: (_READ_BY_TYPE[f.type], f.default is MISSING and f.default_factory is MISSING)
+                 for f in fields(cls)} for cls in (AppSpec, Injection, Scenario)}
+
+
+def _from_dict(cls: type, data: object, at: str) -> Any:
+    """A ``cls`` from the JSON object ``data``, found at ``at``: each key read
+    by its field's type, an absent field its default. A key that is no
+    field, a missing required field or a value of another type is a
+    ValueError naming its path."""
+    prefix = f"{at}." if at else ""
+    readers = _FIELDS[cls]
+    for key in json_value(data, at or "the scenario", dict):
+        if key not in readers:
+            raise ValueError(f"{prefix}{key} is not a field")
+    for name, (_, required) in readers.items():
+        if required and name not in data:
+            raise ValueError(f"{prefix}{name} is missing")
+    return cls(**{key: readers[key][0](value, prefix + key) for key, value in data.items()})
+
+
+def scenario_from_dict(data: object) -> Scenario:
+    """The scenario in ``data`` as ``json.loads`` gives a scenario file,
+    validated; a ValueError starting ``bad scenario:`` and naming the
+    field otherwise."""
     try:
-        apps = tuple(
-            AppSpec(
-                app_id=str(a["app_id"]),
-                rate_per_window=float(a["rate_per_window"]),
-                count_model=str(a.get("count_model", "poisson")),
-                rating_weights=_weights_from_dict(a, "rating_weights", DEFAULT_RATING_WEIGHTS),
-                polarity_weights=_weights_from_dict(a, "polarity_weights", DEFAULT_POLARITY_WEIGHTS),
-                sentences_per_review=int(a.get("sentences_per_review", 1)),
-            )
-            for a in data["apps"]
-        )
-        injections = tuple(
-            Injection(
-                apps=tuple(str(x) for x in i["apps"]),
-                window_index=int(i["window_index"]),
-                kind=str(i["kind"]),
-                magnitude=float(i["magnitude"]),
-            )
-            for i in data.get("injections", [])
-        )
-        scenario = Scenario(
-            start=date.fromisoformat(str(data["start"])),
-            n_windows=int(data["n_windows"]),
-            window_days=int(data.get("window_days", 7)),
-            apps=apps,
-            injections=injections,
-            seed=int(data.get("seed", 0)),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"bad scenario: {exc}") from exc
+        scenario = _from_dict(Scenario, data, "")
+    except ValueError as exc:
+        raise ValueError(f"bad scenario: {exc}") from None
     _validate(scenario)
     return scenario
 

@@ -172,7 +172,7 @@ def _csv_records(text: str) -> Iterator[tuple[int, dict | _RecordError]]:
         try:
             record["rating"] = int(rating_text)
         except ValueError:
-            record = _RecordError(f"bad-rating: {rating_text!r} is not an integer")
+            record["rating"] = rating_text  # the rating rule rejects it in its turn
         yield line_no, record
 
 

@@ -354,6 +354,19 @@ def _set(path: str, value: object):
     return change
 
 
+def _both(*changes):
+    """The ``_set`` changes, each made in turn."""
+    def change(record: dict) -> None:
+        for one in changes:
+            one(record)
+    return change
+
+
+def _swap_apps(record: dict) -> None:
+    record["app_i"], record["app_j"] = record["app_j"], record["app_i"]
+    record["event_i"], record["event_j"] = record["event_j"], record["event_i"]
+
+
 @pytest.mark.parametrize(
     "change, field",
     [(_set("event_i.warmup", "false"), "event_i.warmup"), (_set("event_j.e", 1.9), "event_j.e"),
@@ -363,7 +376,14 @@ def _set(path: str, value: object):
      (_set("run.first_interval_days", 8), "run.first_interval"), (_set("run.t_end", "soon"), "run.t_end"),
      (_set("run.first_interval_start", lambda r: r["run"]["t_end"]), "run.first_interval"),
      (_set("app_i", 5), "app_i"), (_set("event_i.app_id", lambda r: r["app_j"]), "event_i"),
-     (_set("event_j.metric", "rating"), "event_j"), (_set("run", [1]), "run"), (lambda r: r.pop("event_j"), "event_j")],
+     (_set("event_j.metric", "rating"), "event_j"), (_set("run", [1]), "run"), (lambda r: r.pop("event_j"), "event_j"),
+     (_swap_apps, "app_i 'spike1' is not before app_j 'spike0'"),
+     (_set("event_i.window_start", "2023-02-16"), "event_i's window (2023-02-16, 7)"),
+     (_set("event_j.window_days", 14), "event_j's window (2024-02-15, 14)"),
+     (_both(_set("event_i.window_start", "2024-02-08"), _set("event_j.window_start", "2024-02-08")),
+      "both from the window before"),
+     (_both(_set("event_i.e", 0), _set("event_j.e", 0)), "event_i.e must be 1 or -1"),
+     (_set("event_j.e", -1), "event_i.e 1 is not ce 1 times event_j.e -1")],
 )
 def test_correlated_events_the_writer_never_writes_exit_three(tmp_path, capsys, change, field) -> None:
     # The staged chain's one correlated event, each time with one field

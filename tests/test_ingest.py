@@ -11,7 +11,8 @@ import json
 import random
 import time
 import tracemalloc
-from datetime import datetime, timezone
+from dataclasses import replace
+from datetime import date, datetime, timedelta, timezone
 from unittest import mock
 
 import pytest
@@ -19,6 +20,9 @@ from hypothesis import given, settings, strategies as st
 from oracles import all_reviews, parse_reviews_by_row, table_of
 
 from reviewpulse import ingest
+from reviewpulse.config import ConfigError, MarketConfig, apply_overrides
+from reviewpulse.correlate import CorrelatedEventRecord, CorrelationRun, ce_records_from_json, ce_records_to_json
+from reviewpulse.detect import EventRecord
 from reviewpulse.ingest import (
     REVIEW_FIELDS,
     DatasetError,
@@ -35,6 +39,8 @@ from reviewpulse.ingest import (
     serialize_reviews,
     utf8_blocks,
 )
+from reviewpulse.metrics import MetricKind, TimeWindow, read_day_sums_csv
+from reviewpulse.synth import scenario_from_dict
 
 
 def _line(review_id: str, app_id: str = "appA", ts: str = "2024-01-05T10:00:00Z",
@@ -232,6 +238,25 @@ def test_csv_row_rejects() -> None:
         (11, "bad-field:review_id: empty"),
         (12, "bad-timestamp: timestamp '2024-01-05' has no timezone offset"),
     ]
+
+
+def test_csv_and_jsonl_twins_reject_a_row_for_the_same_first_fault() -> None:
+    # Each row has two faults, the second a rating that is no integer; the
+    # JSONL twin writes every field as the same JSON string.
+    good = {"review_id": "r1", "app_id": "appA", "timestamp": "2024-01-05T10:00:00Z", "rating": "x",
+            "body": "b", "source": "store"}
+    rows = [{**good, "review_id": " "}, {**good, "app_id": ""}, {**good, "source": ""},
+            {**good, "timestamp": "soon"}, {**good, "timestamp": "2024-01-05T10:00:00"}, {**good, "rating": "4.5"}]
+    jsonl = "".join(json.dumps(row) + "\n" for row in rows)
+    lines: list[str] = []
+    writer = csv_line_writer(lines)
+    writer.writerow(REVIEW_FIELDS)
+    writer.writerows([row[name] for name in REVIEW_FIELDS] for row in rows)
+    from_jsonl, from_csv = parse_reviews(jsonl, "jsonl"), parse_reviews("".join(lines), "csv")
+    assert len(from_jsonl[0]) == len(from_csv[0]) == 0
+    assert [(r.line_no + 1, r.reason) for r in from_jsonl[1]] == [(r.line_no, r.reason) for r in from_csv[1]]
+    assert [r.reason.split(":")[0] for r in from_csv[1]] == [
+        "bad-field", "bad-field", "bad-field", "bad-timestamp", "bad-timestamp", "bad-rating"]
 
 
 @pytest.mark.parametrize("separator", ["\r\n", "\r", "\n", "\u2028", "\u0085"])
@@ -780,3 +805,43 @@ def test_monthly_counts_match_per_review_month_oracle() -> None:
         want[key] = want.get(key, 0) + 1
     assert dict(cov.monthly_counts) == dict(sorted(want.items()))
     assert list(cov.monthly_counts) == sorted(want)
+
+
+# The one date form every reader takes, and forms that Python 3.11's
+# date.fromisoformat also takes (the first two; 3.10's refuses them) or
+# that no version takes.
+_DATE_FORMS = [("2024-01-04", True), ("20240104", False), ("2024-W01-4", False), ("2024-1-4", False),
+               ("2024-01-04T00:00", False), ("\u0662\u0660\u0662\u0664-\u0660\u0661-\u0660\u0664", False)]
+
+
+def _read_day_sums(text: str) -> object:
+    return read_day_sums_csv(f"app_id,t0,reviews,rating,polarity,sentences\na,{text},1,4,2,1\n")
+
+
+def _read_ce(text: str) -> object:
+    day = date(2024, 1, 4)
+    event = EventRecord("a", MetricKind.COUNT, TimeWindow(day, 7), 1, 3.0, 1.0, 2.0, 4, False)
+    ce = CorrelatedEventRecord("a", "b", MetricKind.COUNT, TimeWindow(day, 7), 1, event, replace(event, app_id="b"),
+                               CorrelationRun("a", "b", MetricKind.COUNT, 1, day, day + timedelta(days=7)),
+                               TimeWindow(day, 7))
+    return ce_records_from_json(ce_records_to_json([ce]).replace('"2024-01-04"', json.dumps(text)))
+
+
+def _read_scenario(text: str) -> object:
+    return scenario_from_dict({"start": text, "n_windows": 1, "apps": []})
+
+
+def _read_config(text: str) -> object:
+    return apply_overrides(MarketConfig(), {"span_start": text})
+
+
+@pytest.mark.parametrize("read", [_read_day_sums, _read_ce, _read_scenario, _read_config],
+                         ids=["stage-csv", "correlated-events", "scenario", "config"])
+@pytest.mark.parametrize("text, accepted", _DATE_FORMS, ids=[text for text, _ in _DATE_FORMS])
+def test_every_date_reader_takes_only_yyyy_mm_dd(read, text: str, accepted: bool) -> None:
+    if accepted:
+        read(text)
+        assert ingest.iso_date(text) == date(2024, 1, 4)
+    else:
+        with pytest.raises((ValueError, ConfigError)):
+            read(text)

@@ -1,12 +1,15 @@
 """Synthetic market generator: labels, distributions, and score round trips."""
 from __future__ import annotations
 
+import json
 import math
 from datetime import date, datetime, timedelta, timezone
 
 import pytest
+from hypothesis import given, strategies as st
 
-from reviewpulse.ingest import parse_reviews, serialize_reviews
+from reviewpulse.cli import main
+from reviewpulse.ingest import json_text, parse_reviews, serialize_reviews
 from reviewpulse.metrics import MetricKind, score_reviews
 from reviewpulse.sentiment import LexiconScorer
 from reviewpulse.synth import (
@@ -154,7 +157,115 @@ def test_scenario_dict_round_trip() -> None:
         spike_pair_scenario(seed=4),
         flat_scenario(n_apps=2),
     ):
-        assert scenario_from_dict(scenario_to_dict(scenario)) == scenario
+        text = json_text(scenario_to_dict(scenario))
+        read = scenario_from_dict(json.loads(text))
+        assert read == scenario
+        assert json_text(scenario_to_dict(read)) == text
+
+
+_APP_IDS = st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=6)
+
+
+def _weights(lo: int, hi: int) -> st.SearchStrategy[dict[int, float]]:
+    weights = st.dictionaries(st.integers(lo, hi), st.floats(0, 100), min_size=1)
+    return weights.filter(lambda w: sum(w.values()) > 0)
+
+
+@st.composite
+def _scenarios(draw) -> Scenario:
+    ids = draw(st.lists(_APP_IDS, min_size=1, max_size=4, unique=True))
+    apps = tuple(
+        AppSpec(
+            app_id=app_id,
+            rate_per_window=draw(st.floats(0, 1e6)),
+            count_model=draw(st.sampled_from(["poisson", "constant"])),
+            rating_weights=draw(_weights(1, 5)),
+            polarity_weights=draw(_weights(0, 4)),
+            sentences_per_review=draw(st.integers(1, 5)),
+        )
+        for app_id in ids
+    )
+    n_windows = draw(st.integers(1, 60))
+    injections = tuple(
+        Injection(apps=tuple(draw(st.lists(st.sampled_from(ids), max_size=3))),
+                  window_index=draw(st.integers(0, n_windows - 1)), kind=kind,
+                  magnitude=draw(st.floats(0, 1e6, exclude_min=True)))
+        for kind in ("count-spike", "rating-drop", "polarity-shift")
+        for _ in range(draw(st.integers(0, 3)))
+    )
+    return Scenario(start=draw(st.dates()), n_windows=n_windows, apps=apps, window_days=draw(st.integers(1, 30)),
+                    injections=injections, seed=draw(st.integers(min_value=0)))
+
+
+@given(_scenarios())
+def test_every_scenario_file_reads_back_and_writes_the_same_bytes(scenario: Scenario) -> None:
+    text = json_text(scenario_to_dict(scenario))
+    read = scenario_from_dict(json.loads(text))
+    assert read == scenario
+    assert json_text(scenario_to_dict(read)) == text
+
+
+def test_an_absent_field_takes_its_dataclass_default() -> None:
+    data = {"start": "2024-01-04", "n_windows": 3, "apps": [{"app_id": "a", "rate_per_window": 2}]}
+    assert scenario_from_dict(data) == Scenario(start=date(2024, 1, 4), n_windows=3, apps=(AppSpec("a", 2.0),))
+
+
+def _changed(path: str, value: object):
+    """A spike-pair scenario dict with ``value`` at ``path`` (keys and list
+    positions, dot-separated), or ``value(parent)`` done to its parent."""
+    def change(data: dict) -> dict:
+        *parents, key = [int(part) if part.isdigit() else part for part in path.split(".")]
+        at = data
+        for part in parents:
+            at = at[part]
+        if callable(value):
+            value(at[key])
+        else:
+            at[key] = value
+        return data
+    return change
+
+
+@pytest.mark.parametrize(
+    "change, refused",
+    [
+        (_changed("apps.0.rate_per_window", "40"), "apps[0].rate_per_window must be int or float, got '40'"),
+        (_changed("apps.0.sentences_per_review", 1.9), "apps[0].sentences_per_review must be int, got 1.9"),
+        (_changed("n_windows", "52"), "n_windows must be int, got '52'"),
+        (_changed("seed", True), "seed must be int, got True"),
+        (_changed("injections.0.magnitude", "5"), "injections[0].magnitude must be int or float, got '5'"),
+        (_changed("apps.0.app_id", 7), "apps[0].app_id must be str, got 7"),
+        (_changed("window_days", 7.9), "window_days must be int, got 7.9"),
+        (_changed("apps.0.rating_weights", lambda w: w.update({"\u0663": 1.0})),
+         "apps[0].rating_weights key '\u0663' is not an integer"),
+        (_changed("apps.0.polarity_weights", lambda w: w.update({"03": 1.0})),
+         "apps[0].polarity_weights key '03' is not an integer"),
+        (_changed("bogus", 1), "bogus is not a field"),
+        (_changed("injections.0.bogus", 1), "injections[0].bogus is not a field"),
+        (_changed("start", 20240104), "start must be str, got 20240104"),
+        (_changed("start", "20240104"), "start is not an ISO date: '20240104'"),
+        (_changed("apps", "spike0"), "apps must be a list, got 'spike0'"),
+        (_changed("injections.0.apps", "spike0"), "injections[0].apps must be a list, got 'spike0'"),
+        (_changed("apps.1", lambda app: app.pop("app_id")), "apps[1].app_id is missing"),
+        (_changed("apps.0.rate_per_window", float("nan")), "app00: rate_per_window must be >= 0 and finite"),
+        (_changed("injections.0.magnitude", float("inf")), "injection magnitude must be positive and finite"),
+    ],
+    ids=["rate-text", "sentences-float", "n-windows-text", "seed-bool", "magnitude-text", "app-id-int",
+         "window-days-float", "weight-key-arabic-indic", "weight-key-leading-zero", "unknown-key",
+         "unknown-injection-key", "start-int", "start-basic-form", "apps-text", "injection-apps-text",
+         "app-id-missing", "rate-nan", "magnitude-inf"],
+)
+def test_a_scenario_file_the_writer_never_writes_is_refused_naming_the_field(tmp_path, capsys, change, refused) -> None:
+    data = change(json.loads(json_text(scenario_to_dict(spike_pair_scenario(seed=0)))))
+    with pytest.raises(ValueError) as exc:
+        scenario_from_dict(data)
+    assert refused in str(exc.value)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    assert main(["synth", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "bad scenario" in err and refused in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_invalid_scenarios_are_rejected_with_every_error() -> None:
