@@ -44,7 +44,7 @@ from typing import Any, Iterable, Iterator, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .detect import EventRecord
-from .ingest import json_date, json_text, json_value
+from .ingest import json_date, json_text, json_value, text_pieces
 from .metrics import MetricKind, TimeWindow, csv_prefixes, follow_problem, series_rows
 
 __all__ = [
@@ -385,7 +385,7 @@ def _run_problem(sign: int, t_start: date, t_end: date, window_days: int, prev: 
     return follow_problem("run", t_start, prev.t_start, prev.t_end, window_days)
 
 
-def read_correlations_csv(text: str, window_days: int) -> list[CorrelationRun]:
+def read_correlations_csv(text: str | Iterable[str], window_days: int) -> list[CorrelationRun]:
     """Correlation runs from the CSV dump, in file order.
 
     A row that ``series_rows`` refuses is a ValueError naming its pair and
@@ -467,8 +467,12 @@ def _ce_from_dict(item: object) -> CorrelatedEventRecord:
     )
 
 
-def ce_records_from_json(text: str) -> list[CorrelatedEventRecord]:
+def ce_records_from_json(text: str | Iterable[str]) -> list[CorrelatedEventRecord]:
     """Correlated events from their JSON dump, in file order.
+
+    ``text`` is the text or its pieces (``text_pieces``). This is the one
+    stage file decoded whole: its pieces are joined here, since JSON is
+    decoded from the whole text.
 
     Each field is read only as the JSON type that ``ce_records_to_json``
     writes, and dates only as ``iso_date`` text. A record is also refused
@@ -481,7 +485,7 @@ def ce_records_from_json(text: str) -> list[CorrelatedEventRecord]:
     not the run's start and the window's days. A refusal is a ValueError
     naming the record's position and the field.
     """
-    payload = json.loads(text)
+    payload = json.loads("".join(text_pieces(text)))
     if type(payload) is not list:
         raise ValueError(f"correlated events must be a JSON list, got {type(payload).__name__}")
     records: list[CorrelatedEventRecord] = []

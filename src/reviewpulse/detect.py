@@ -195,7 +195,7 @@ def _unwritten(e: int, a: float | None, sigma: float | None, baseline_n: int, ro
     return None
 
 
-def read_events_csv(text: str, window_days: int, k: float) -> list[EventRecord]:
+def read_events_csv(text: str | Iterable[str], window_days: int, k: float) -> list[EventRecord]:
     """Rebuild event records from the CSV dump.
 
     The window length and sensitivity are not CSV columns; they come from

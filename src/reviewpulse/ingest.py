@@ -40,15 +40,18 @@ __all__ = [
     "canonical_order",
     "catalog_summary",
     "csv_line_writer",
+    "is_int_text",
     "iso_date",
     "json_date",
     "json_text",
     "json_value",
+    "line_blocks",
     "midnight_us",
     "parse_reviews",
     "parse_timestamp",
     "rejects_to_jsonl",
     "serialize_reviews",
+    "text_pieces",
     "utc_datetime",
     "utf8_blocks",
 ]
@@ -235,8 +238,9 @@ def canonical_order(stamp_us: np.ndarray, review_id: np.ndarray, group: np.ndarr
     return order
 
 
-# RFC 3339's full-date, in ASCII digits; compiled at first use, by re's cache.
-_ISO_DATE = r"[0-9]{4}-[0-9]{2}-[0-9]{2}"
+# RFC 3339's full-date, in ASCII digits, compiled once at import: a stage
+# file holds a date cell per row.
+_ISO_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
 
 
 def iso_date(text: str) -> date:
@@ -245,9 +249,19 @@ def iso_date(text: str) -> date:
     ``date.fromisoformat`` alone would take ``20240104`` and ``2024-W01-4``
     on Python 3.11 and refuse them on 3.10.
     """
-    if not re.fullmatch(_ISO_DATE, text):
+    if not _ISO_DATE.fullmatch(text):
         raise ValueError(f"Invalid isoformat string: {text!r}")
     return date.fromisoformat(text)
+
+
+def is_int_text(text: str) -> bool:
+    """Whether ``text`` is ASCII digits with an optional leading "-", the one
+    integer form read from CSV text, as the writers write an int.
+
+    ``int`` alone would also take "+4", "0_4", " 4 " and non-ASCII digits
+    such as "٤" and "４".
+    """
+    return text.isascii() and text.removeprefix("-").isdigit()
 
 
 def parse_timestamp(value: str) -> datetime:
@@ -314,6 +328,13 @@ def _decode_problem(exc: UnicodeDecodeError, offset: int) -> str:
     return f"'{exc.encoding}' codec can't decode bytes in position {start}-{exc.end - 1 + offset}: {exc.reason}"
 
 
+def text_pieces(source: str | Iterable[str]) -> Iterable[str]:
+    """A parser's text in pieces: a str is one piece, never iterated by
+    character, and anything else is the pieces, such as ``utf8_blocks``
+    reads from a file."""
+    return (source,) if isinstance(source, str) else source
+
+
 def parse_reviews(
     source: str | bytes | Iterable[str],
     fmt: str = "jsonl",
@@ -334,15 +355,10 @@ def parse_reviews(
     """
     if scales is None:
         scales = ScaleMap()
-    if isinstance(source, str):
-        texts: Iterable[str] = (source,)
-    elif isinstance(source, bytes):
-        texts = utf8_blocks(io.BytesIO(source), "input")
-    else:
-        texts = source
+    texts = utf8_blocks(io.BytesIO(source), "input") if isinstance(source, bytes) else text_pieces(source)
     if fmt not in _LINE_ENDS:
         raise ValueError(f"unknown format {fmt!r} (expected 'jsonl' or 'csv')")
-    blocks = (_jsonl_blocks if fmt == "jsonl" else _csv_blocks)(_line_blocks(texts, fmt))
+    blocks = (_jsonl_blocks if fmt == "jsonl" else _csv_blocks)(line_blocks(texts, fmt))
     tables: list[ReviewTable] = []
     line_nos: list[np.ndarray] = []
     rejects: list[Reject] = []
@@ -456,7 +472,7 @@ _LINE_ENDS = {
 }
 
 
-def _line_blocks(texts: Iterable[str], fmt: str) -> Iterator[str]:
+def line_blocks(texts: Iterable[str], fmt: str) -> Iterator[str]:
     """The text of ``texts`` in blocks that each end just after a line end
     of ``fmt``, but the last: about ``_BLOCK_CHARS`` characters, or more
     when one line is.
@@ -588,20 +604,18 @@ def _csv_blocks(blocks: Iterable[str]) -> Iterator[tuple[list, list[Reject]]]:
 
 def _csv_block(rows: list[list[str]], line_nos: list[int], fields_of: itemgetter) -> list:
     """The records' columns in REVIEW_FIELDS order, each rating as the int
-    its stripped text reads as, or as that text, for ``_accept``'s rating
-    rule to reject in its turn."""
+    its stripped text spells (``is_int_text``), or as that text, for
+    ``_accept``'s rating rule to reject in its turn."""
     columns = [*_transpose(list(map(fields_of, rows))), line_nos]
-    texts = list(map(str.strip, columns[_RATING]))
-    try:
-        columns[_RATING] = list(map(int, texts))
-    except ValueError:
-        columns[_RATING] = list(map(_int_or_text, texts))
+    columns[_RATING] = list(map(_int_or_text, map(str.strip, columns[_RATING])))
     return columns
 
 
 def _int_or_text(text: str) -> int | str:
+    """The int ``text`` spells, or the text when it is no ``is_int_text`` or
+    has more digits than ``int`` converts."""
     try:
-        return int(text)
+        return int(text) if is_int_text(text) else text
     except ValueError:
         return text
 

@@ -35,10 +35,12 @@ The series-CSV form of the stage files (day sums, metrics, events and
 correlation runs) is stated here once. A series CSV is written as text
 chunks, the header and then one chunk per series, so no file's whole text
 is held; ``csv_prefixes`` gives every writer its header and quotes each
-series' key cells once. ``series_rows`` is the one reader: it reads each
-cell after the key by its column's type, and takes a number only in the
-form the writers write it. The metrics CSVs are reports; no stage reads
-them back.
+series' key cells once. ``series_rows`` is the one reader: it takes the
+text in pieces, as ``pipeline.read_stage`` reads a file, and parses it in
+blocks of whole lines, so no stage CSV's whole text is held either way. It
+reads each cell after the key by its column's type, each distinct date or
+integer text once per read, and takes a number only in the form the
+writers write it. The metrics CSVs are reports; no stage reads them back.
 """
 
 from __future__ import annotations
@@ -51,12 +53,13 @@ import re
 from dataclasses import dataclass, replace
 from datetime import date, timedelta
 from enum import Enum
-from itertools import count
+from itertools import chain, count
 from typing import Callable, Collection, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .ingest import DAY_US, RatingScale, ReviewTable, ScaleMap, csv_line_writer, iso_date, midnight_us, utc_datetime
+from .ingest import (DAY_US, RatingScale, ReviewTable, ScaleMap, csv_line_writer, is_int_text, iso_date, line_blocks,
+                     midnight_us, text_pieces, utc_datetime)
 from .sentiment import LexiconScorer, split_sentences
 
 __all__ = [
@@ -453,16 +456,16 @@ def write_day_sums_csv(sums: Mapping[str, DaySums]) -> Iterator[str]:
         yield "".join([f"{key}{t0},{n},{r},{p},{s}\n" for t0, n, r, p, s in zip(cells, *totals)])
 
 
-# Numbers are read only as the writers write them: an int64 cell is ASCII
-# digits with an optional leading "-", and a float cell is what ``repr``
-# writes, an ASCII decimal with an optional exponent, or an infinity or NaN
-# (which a reader then refuses by its own rule). ``int`` and ``float``
-# alone would also take "1_0", "+1", " 4 " and non-ASCII digits.
+# Numbers are read only as the writers write them: an int64 cell is
+# ``is_int_text``, and a float cell is what ``repr`` writes, an ASCII
+# decimal with an optional exponent, or an infinity or NaN (which a reader
+# then refuses by its own rule). ``int`` and ``float`` alone would also
+# take "1_0", "+1", " 4 " and non-ASCII digits.
 _FLOAT = re.compile(r"-?(?:(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][-+]?[0-9]+)?|(?i:inf|infinity|nan))")
 
 
 def _int64(cell: str) -> int:
-    if not (cell.isascii() and cell.removeprefix("-").isdigit()):
+    if not is_int_text(cell):
         raise ValueError(f"{cell!r} is not an integer")
     value = int(cell)
     if not -(2**63) <= value < 2**63:
@@ -479,13 +482,15 @@ def _float_or_empty(cell: str) -> float | None:
 
 
 # How ``series_rows`` reads a cell after the key, by its column: a day
-# (``iso_date``), a float or empty, the text as written; every other column is int64.
-_CELL_READERS: dict[str, Callable[[str], object]] = {
-    "t0": iso_date, "t_start": iso_date, "t_end": iso_date,
-    "a": _float_or_empty, "sigma": _float_or_empty, "warmup": str}
+# (``iso_date``), a float or empty, the text as written; every other column
+# is int64. Days and int64s go through one cache per read: a stage file
+# holds few distinct ones, where nearly every float is distinct.
+_DATE_COLUMNS = ("t0", "t_start", "t_end")
+_CELL_READERS: dict[str, Callable[[str], object]] = {"a": _float_or_empty, "sigma": _float_or_empty, "warmup": str}
 
 
-def series_rows(text: str, columns: Sequence[str], what: str) -> Iterator[tuple[int, str, tuple, list, list[str]]]:
+def series_rows(text: str | Iterable[str], columns: Sequence[str],
+                what: str) -> Iterator[tuple[int, str, tuple, list, list[str]]]:
     """A series CSV's rows after its header, each typed and cut after its key.
 
     Each row comes as the line it ends on, its series label (``what`` and
@@ -497,14 +502,23 @@ def series_rows(text: str, columns: Sequence[str], what: str) -> Iterator[tuple[
     of another length than ``columns``, a metric that is no ``MetricKind``,
     a date that is not ISO, a cell that is not an int64 or a float as the
     writers write them, or an int64 beyond its range; these name the
-    series and the row's line.
+    series and the row's line. Equal date or int64 cells share one object:
+    each distinct text is read once per call, and a refused one every time.
+
+    ``text`` is the CSV's text or its pieces (``text_pieces``), read in
+    blocks of whole lines cut at "\n" only, each through an ``io.StringIO``
+    that splits its lines there too: the lines, line numbers and verdicts
+    of the whole text, which is never joined. A bare "\r" in an unquoted
+    cell is the ``csv`` module's error, as in one ``io.StringIO``.
     """
-    reader = csv.reader(io.StringIO(text))
+    # "jsonl" blocks end at "\n" alone, where io.StringIO ends a line.
+    reader = csv.reader(chain.from_iterable(map(io.StringIO, line_blocks(text_pieces(text), "jsonl"))))
     header = next(reader, None)
     if header is None or tuple(header) != tuple(columns):
         raise ValueError(f"bad {what} CSV header: {header!r}")
     at = columns.index("metric") + 1 if "metric" in columns else 1
-    readers = [_CELL_READERS.get(name, _int64) for name in columns[at:]]
+    day, int64 = functools.cache(iso_date), functools.cache(_int64)
+    readers = [day if name in _DATE_COLUMNS else _CELL_READERS.get(name, int64) for name in columns[at:]]
     cells_key = None
     for row in reader:
         if not row:
@@ -521,7 +535,7 @@ def series_rows(text: str, columns: Sequence[str], what: str) -> Iterator[tuple[
         yield reader.line_num, label, key, cells, row
 
 
-def read_day_sums_csv(text: str) -> dict[str, DaySums]:
+def read_day_sums_csv(text: str | Iterable[str]) -> dict[str, DaySums]:
     """Day sums from the CSV dump, keyed by app in first-row order.
 
     An app's days with a gap, a repeat or a step back are refused as

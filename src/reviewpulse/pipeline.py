@@ -23,9 +23,13 @@ same code after the day sums. Each (app, metric) series is one
 share. ``detect_events`` builds rows only for event windows.
 
 ``analyze_catalog`` chains aggregate through the requests in memory, and
-``run_pipeline`` adds parsing before and the bundle after. Each CLI
-subcommand is a thin adapter: it reads its stage file with ``read_stage``,
-calls one stage function and writes through the writers here
+``run_pipeline`` adds parsing before and the bundle after. ``read_stage``
+is the one file reader: it hands a parser, ``parse_reviews`` or a stage
+reader, the file's text in the pieces ``utf8_blocks`` decodes, so no review
+file or stage CSV is held whole. ``correlated_events.json`` alone is joined,
+by its reader, as JSON is decoded whole. Each CLI subcommand is a thin
+adapter: it reads its stage file with ``read_stage``, calls one stage
+function and writes through the writers here
 (``write_file``, ``write_intake``, ``write_metrics``, ``write_requests``).
 This module decides which files a stage writes, the order series are
 written in and which prompt template is used. Each file's format is
@@ -255,18 +259,21 @@ def _derive_span(config: MarketConfig, catalog: MarketCatalog, apps: Sequence[st
     return (span_start, span_end) if span_start < span_end else None
 
 
-def _read_file(path: str | Path, consume: Callable[[Iterator[str]], T]) -> T:
-    """``consume`` over an input or stage file's UTF-8 text in blocks (``utf8_blocks``).
+def read_stage(parse: Callable[..., T], path: str | Path, *args: object) -> T:
+    """``parse(pieces, *args)`` over a review or stage file's UTF-8 text in
+    pieces (``utf8_blocks``); every parser takes them, so the file's whole
+    text is never joined here.
 
     A missing or unreadable file, or one that is not UTF-8 or that
-    ``consume`` cannot parse (a count beyond int64 or nesting too deep
-    included), is a dataset error.
+    ``parse`` cannot parse (a count beyond int64 or nesting too deep
+    included), is a dataset error. The parse reads the pieces as they are
+    decoded, so the first fault in file order is the one reported.
     """
     p = Path(path)
     if not p.is_file():
         raise DatasetError(f"input file not found: {p}")
     try:
-        return consume(_pieces(p))
+        return parse(_pieces(p), *args)
     except OSError as exc:
         raise DatasetError(f"cannot read {p}: {exc}") from exc
     except (ValueError, KeyError, TypeError, OverflowError, RecursionError, csv.Error) as exc:
@@ -281,12 +288,6 @@ def _pieces(p: Path) -> Iterator[str]:
         yield from utf8_blocks(stream, str(p))
 
 
-def read_stage(parse: Callable[..., T], path: str | Path, *args: object) -> T:
-    """``parse(text, *args)`` over a stage file's whole UTF-8 text; a file
-    that cannot be read or parsed is a dataset error, as in ``_read_file``."""
-    return _read_file(path, lambda texts: parse("".join(texts), *args))
-
-
 def read_review_files(
     paths: Sequence[str | Path],
     fmt: str,
@@ -294,16 +295,11 @@ def read_review_files(
 ) -> tuple[ReviewTable, list[Reject]]:
     """Parse and pool every input file (multi-source inputs concatenate).
 
-    Each file streams into ``parse_reviews`` in blocks, so no file's whole
-    text is held.
+    Each file streams into ``parse_reviews`` through ``read_stage``, so no
+    file's whole text is held.
     """
-    tables: list[ReviewTable] = []
-    rejects: list[Reject] = []
-    for path in paths:
-        file_reviews, file_rejects = _read_file(path, lambda texts: parse_reviews(texts, fmt, config.scales))
-        tables.append(file_reviews)
-        rejects.extend(file_rejects)
-    return ReviewTable.concat(tables), rejects
+    parsed = [read_stage(parse_reviews, path, fmt, config.scales) for path in paths]
+    return ReviewTable.concat(table for table, _ in parsed), [reject for _, rejects in parsed for reject in rejects]
 
 
 def load_catalog(

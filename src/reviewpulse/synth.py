@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from datetime import date
 from pathlib import Path
@@ -114,8 +115,8 @@ def _validate(scenario: Scenario) -> None:
         errors.append(f"n_windows must be >= 1, got {scenario.n_windows}")
     if scenario.window_days < 1:
         errors.append(f"window_days must be >= 1, got {scenario.window_days}")
-    ids = [a.app_id for a in scenario.apps]
-    if len(set(ids)) != len(ids):
+    rates = {app.app_id: app.rate_per_window for app in scenario.apps}
+    if len(rates) != len(scenario.apps):
         errors.append("duplicate app ids in scenario")
     for app in scenario.apps:
         if not 0 <= app.rate_per_window < math.inf:
@@ -132,7 +133,6 @@ def _validate(scenario: Scenario) -> None:
             errors.append(f"{app.app_id}: polarity weights must cover bins 0..4")
         elif not _proper_weights(app.polarity_weights):
             errors.append(f"{app.app_id}: polarity weights must be non-negative with a positive sum")
-    known = set(ids)
     for inj in scenario.injections:
         if inj.kind not in INJECTION_KINDS:
             errors.append(f"unknown injection kind {inj.kind!r}")
@@ -141,10 +141,28 @@ def _validate(scenario: Scenario) -> None:
         if not 0 < inj.magnitude < math.inf:
             errors.append(f"injection magnitude must be positive and finite, got {inj.magnitude}")
         for app_id in inj.apps:
-            if app_id not in known:
+            if app_id not in rates:
                 errors.append(f"injection targets unknown app {app_id!r}")
+    if not errors:  # each window's rate, as _rows draws it, must be one that numpy's Poisson sampler takes
+        probe, spikes = np.random.default_rng(0), _by_window(scenario, "count-spike", 1.0, operator.mul)
+        for app, where, rate in [*((app, "every window", rate) for app, rate in rates.items()),
+                                 *((app, f"window {w}", rates[app] * spike) for (app, w), spike in spikes.items())]:
+            try:  # numpy's own check refuses a rate above the installed numpy's limit, or NaN
+                probe.poisson(rate)
+            except ValueError:
+                errors.append(f"{app}: the rate of {where}, {rate}, reaches numpy's Poisson limit")
     if errors:
         raise ValueError("; ".join(errors))
+
+
+def _by_window(scenario: Scenario, kind: str, start: float, step: Callable[[Any, float], Any]) -> dict:
+    """Each (app, window) that injections of ``kind`` hit, with ``step``
+    folded over their magnitudes from ``start``, in injection order."""
+    folded: dict[tuple[str, int], Any] = {}
+    for inj in scenario.injections:
+        for app_id in inj.apps if inj.kind == kind else ():
+            folded[app_id, inj.window_index] = step(folded.get((app_id, inj.window_index), start), inj.magnitude)
+    return folded
 
 
 def scenario_labels(scenario: Scenario) -> list[Label]:
@@ -227,18 +245,9 @@ def _rows(scenario: Scenario) -> ReviewTable:
     order is part of the generated bytes. Everything after the draws runs
     once per app over its concatenated windows.
     """
-    spikes: dict[tuple[str, int], float] = {}
-    rating_shift: dict[tuple[str, int], int] = {}
-    polarity_shift: dict[tuple[str, int], int] = {}
-    for inj in scenario.injections:
-        for app_id in inj.apps:
-            key = (app_id, inj.window_index)
-            if inj.kind == "count-spike":
-                spikes[key] = spikes.get(key, 1.0) * inj.magnitude
-            elif inj.kind == "rating-drop":
-                rating_shift[key] = rating_shift.get(key, 0) - int(round(inj.magnitude))
-            else:
-                polarity_shift[key] = polarity_shift.get(key, 0) + int(round(inj.magnitude))
+    spikes = _by_window(scenario, "count-spike", 1.0, operator.mul)
+    rating_shift = _by_window(scenario, "rating-drop", 0, lambda shift, magnitude: shift - int(round(magnitude)))
+    polarity_shift = _by_window(scenario, "polarity-shift", 0, lambda shift, magnitude: shift + int(round(magnitude)))
 
     start_us = midnight_us(scenario.start)
     window_seconds = scenario.window_days * 86400

@@ -169,10 +169,12 @@ def _csv_records(text: str) -> Iterator[tuple[int, dict | _RecordError]]:
             continue
         record = dict(zip(header, row))
         rating_text = record["rating"].strip()
+        # An integer is ASCII digits with an optional leading "-"; other text,
+        # and digits past int's limit, is kept for the rating rule to reject.
         try:
-            record["rating"] = int(rating_text)
+            record["rating"] = int(rating_text) if re.fullmatch("-?[0-9]+", rating_text) else rating_text
         except ValueError:
-            record["rating"] = rating_text  # the rating rule rejects it in its turn
+            record["rating"] = rating_text
         yield line_no, record
 
 

@@ -25,19 +25,32 @@ def _ab(tmp_path: Path, *args: str) -> dict:
     return json.loads(done.stdout)
 
 
-def test_head_against_head_reads_as_one_version(tmp_path) -> None:
-    # A throwaway repository holding the package, so the ref is exported by
-    # git archive as for any commit.
+def _repo(tmp_path: Path) -> Path:
+    """A throwaway repository holding the package, so the ref is exported by
+    git archive as for any commit."""
     repo = tmp_path / "repo"
     shutil.copytree(ROOT / "src" / "reviewpulse", repo / "src" / "reviewpulse",
                     ignore=shutil.ignore_patterns("__pycache__"))
     git = ["git", "-C", str(repo), "-c", "user.name=t", "-c", "user.email=t@example.com"]
     for args in (["init", "-q"], ["add", "-A"], ["commit", "-q", "-m", "one"]):
         subprocess.run(git + args, check=True, capture_output=True)
-    result = _ab(tmp_path, "--root", str(repo), "--base", "HEAD", "--change", "HEAD", "--stage", "aggregate")
+    return repo
+
+
+def test_head_against_head_reads_as_one_version(tmp_path) -> None:
+    result = _ab(tmp_path, "--root", str(_repo(tmp_path)), "--base", "HEAD", "--change", "HEAD", "--stage", "aggregate")
     assert (result["rounds"], len(result["ratios"]), result["stage"]) == (8, 8, "aggregate")
     assert 0.5 < result["median_ratio"] < 2
     assert 0 <= result["p_value"] <= 1
+    peaks = result["peak_mib"]
+    assert abs(peaks["change"] - peaks["base"]) <= 0.1 * peaks["base"]
+
+
+def test_head_against_head_reads_stage_files_as_one_version(tmp_path) -> None:
+    # Each side writes its own bundle once and reads its stage CSVs back.
+    result = _ab(tmp_path, "--root", str(_repo(tmp_path)), "--base", "HEAD", "--change", "HEAD", "--stage", "read_stages")
+    assert (result["rounds"], len(result["ratios"]), result["stage"]) == (8, 8, "read_stages")
+    assert 0.5 < result["median_ratio"] < 2
     peaks = result["peak_mib"]
     assert abs(peaks["change"] - peaks["base"]) <= 0.1 * peaks["base"]
 

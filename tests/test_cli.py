@@ -481,6 +481,20 @@ def test_bad_scenario_file_exits_two(tmp_path, capsys) -> None:
     assert "bad scenario" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("where", [("apps", 1, "rate_per_window"), ("injections", 0, "magnitude")])
+def test_a_rate_numpy_cannot_sample_exits_two(tmp_path, capsys, where) -> None:
+    # Finite, but spike0's rate times the spike is beyond numpy's Poisson limit.
+    scenario = json.loads(json.dumps(scenario_to_dict(spike_pair_scenario(seed=0, n_apps=3, n_windows=6, spike_window=3))))
+    key, index, field = where
+    scenario[key][index][field] = 1e300
+    scenario_path = tmp_path / "scenario.json"
+    scenario_path.write_text(json.dumps(scenario), encoding="utf-8")
+    assert main(["synth", str(scenario_path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "bad scenario" in err and "spike0: the rate of window 3" in err and "Poisson limit" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_scenario_nested_too_deep_exits_two(tmp_path, capsys) -> None:
     scenario_path = tmp_path / "scenario.json"
     scenario_path.write_text("[" * 100_000, encoding="utf-8")

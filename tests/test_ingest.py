@@ -8,7 +8,10 @@ from __future__ import annotations
 
 import io
 import json
+import os
 import random
+import subprocess
+import sys
 import time
 import tracemalloc
 from dataclasses import replace
@@ -583,24 +586,40 @@ def test_bytes_that_are_not_utf8_name_their_offset_in_the_whole_input(read_bytes
         assert str(streamed.value) == f"input is not valid UTF-8: {whole.value}"
 
 
-def test_read_review_files_holds_no_whole_file(tmp_path) -> None:
-    from reviewpulse.config import MarketConfig
-    from reviewpulse.pipeline import read_review_files
+# The two parses of the test below, traced in a fresh process: objects that
+# earlier tests leave on the interpreter's free lists would otherwise serve
+# some of either parse's allocations untraced, and move the two peaks apart
+# by tens of KB.
+_PEAKS = """
+import sys, tracemalloc
+from pathlib import Path
+from reviewpulse.config import MarketConfig
+from reviewpulse.ingest import parse_reviews
+from reviewpulse.pipeline import read_review_files
 
+def peak(read) -> int:
+    tracemalloc.start()
+    try:
+        assert len(read()[0]) == 50_000
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+path = Path(sys.argv[1])
+print(peak(lambda: parse_reviews(path.read_bytes().decode("utf-8"), "jsonl")),
+      peak(lambda: read_review_files([path], "jsonl", MarketConfig())))
+"""
+
+
+def test_read_review_files_holds_no_whole_file(tmp_path) -> None:
     path = tmp_path / "reviews.jsonl"
     lines = [_line(f"r{i}", app_id=f"app{i % 7}", body=f"Review {i} says the update is fine.") for i in range(50_000)]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-    def peak(read) -> int:
-        tracemalloc.start()
-        try:
-            assert len(read()[0]) == 50_000
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-
-    whole = peak(lambda: parse_reviews(path.read_bytes().decode("utf-8"), "jsonl"))
-    streamed = peak(lambda: read_review_files([path], "jsonl", MarketConfig()))
+    src = os.path.dirname(os.path.dirname(ingest.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", _PEAKS, str(path)], env=env, check=True, capture_output=True,
+                          text=True, timeout=300)
+    whole, streamed = map(int, done.stdout.split())
     assert whole - streamed >= path.stat().st_size
 
 
@@ -621,6 +640,34 @@ def test_read_review_files_peaks_under_half_the_file_above_its_result(tmp_path) 
         tracemalloc.stop()
     assert (len(reviews), rejects) == (50_000, [])
     assert peak - held <= path.stat().st_size / 2
+
+
+def test_a_csv_file_and_its_jsonl_twin_accept_the_same_ratings() -> None:
+    # The JSONL twin holds each rating text as the JSON value it spells, or
+    # as a string where it spells none: "+4", "٤", "４" and "0_4" are no JSON
+    # number, so a JSONL file cannot hold them as one, and CSV now refuses
+    # them too. (A leading zero, "04", is ASCII digits, which CSV reads as
+    # 4, though JSON has no such number.)
+    texts = ["4", " 4 ", "-4", "9", "+4", "٤", "４", "0_4", "4.0", "four", ""]
+    lines: list[str] = []
+    writer = csv_line_writer(lines)
+    writer.writerow(REVIEW_FIELDS)
+    twin = []
+    for i, text in enumerate(texts):
+        writer.writerow([f"r{i}", "appA", "2024-01-05T10:00:00Z", text, "Fine.", "store"])
+        try:
+            rating = json.loads(text)
+        except ValueError:
+            rating = text
+        twin.append(_line(f"r{i}", rating=rating))
+    from_csv = parse_reviews("".join(lines), "csv")
+    from_jsonl = parse_reviews("\n".join(twin) + "\n", "jsonl")
+    assert from_csv[0] == from_jsonl[0]
+    assert from_csv[0].raw_rating.tolist() == [4, 4]
+    assert [(r.line_no - 1, r.reason.split(":")[0]) for r in from_csv[1]] == [
+        (r.line_no, r.reason.split(":")[0]) for r in from_jsonl[1]]
+    assert [r.reason for r in from_csv[1] if r.line_no in (6, 7, 8, 9)] == [
+        f"bad-rating: {text!r} is not an integer" for text in ("+4", "٤", "４", "0_4")]
 
 
 @settings(max_examples=150)

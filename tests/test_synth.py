@@ -186,10 +186,13 @@ def _scenarios(draw) -> Scenario:
         for app_id in ids
     )
     n_windows = draw(st.integers(1, 60))
+    # Count spikes go up to 20x: nine on one window (three injections naming
+    # its app thrice) at the top rate stay below numpy's Poisson limit,
+    # which a scenario's rates must.
     injections = tuple(
         Injection(apps=tuple(draw(st.lists(st.sampled_from(ids), max_size=3))),
                   window_index=draw(st.integers(0, n_windows - 1)), kind=kind,
-                  magnitude=draw(st.floats(0, 1e6, exclude_min=True)))
+                  magnitude=draw(st.floats(0, 20 if kind == "count-spike" else 1e6, exclude_min=True)))
         for kind in ("count-spike", "rating-drop", "polarity-shift")
         for _ in range(draw(st.integers(0, 3)))
     )

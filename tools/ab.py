@@ -11,8 +11,10 @@ imported from there; the package loads its data through
 the perfbench workload's review dump for the seed, written by
 ``perfbench/run.py --emit`` in a child process, or a given JSONL file.
 
-Each side builds what the stage takes once (a catalog, an analysis), on
-its own code. Per round each side then runs the stage best of k, and the
+Each side builds what the stage takes once (a catalog, an analysis, or
+for ``read_stages`` the bundle whose day_sums.csv, events.csv and
+correlations.csv it reads through ``pipeline.read_stage``), on its own
+code. Per round each side then runs the stage best of k, and the
 side that goes first alternates by round. A round's ratio is the change's
 best over the base's. The report gives each side's median best, the
 median ratio and its interquartile range, the rounds the change was
@@ -104,11 +106,19 @@ def stage_call(package: str, stage: str, data: Path, seed: int, out: Path) -> Ca
         return lambda: analysis.summary_requests(analysis.ces)
     if stage == "write_bundle":
         return lambda: pipeline.write_bundle(analysis, rejects, out)
+    if stage == "read_stages":  # the side's own bundle, written once, read back as the CLI stages read it
+        pipeline.write_bundle(analysis, rejects, out)
+        metrics, detect, correlate = (importlib.import_module(f"{package}.{name}")
+                                      for name in ("metrics", "detect", "correlate"))
+        reads = [(metrics.read_day_sums_csv, "day_sums.csv"),
+                 (detect.read_events_csv, "events.csv", config.event_window_days, config.sensitivity),
+                 (correlate.read_correlations_csv, "correlations.csv", config.correlation_window_days)]
+        return lambda: [pipeline.read_stage(parse, out / name, *args) for parse, name, *args in reads]
     raise ValueError(f"unknown stage {stage!r}")
 
 
 STAGES = ("load_catalog", "aggregate", "correlate_stats", "ce_from_reports", "summary_requests", "write_bundle",
-          "run_pipeline")
+          "read_stages", "run_pipeline")
 
 
 def best_of(call: Callable[[], object], k: int) -> float:
