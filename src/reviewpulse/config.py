@@ -119,7 +119,6 @@ def apply_overrides(config: MarketConfig, values: Mapping[str, str]) -> MarketCo
     updates: dict[str, object] = {}
     default_scale = config.scales.default
     per_source = dict(config.scales.per_source)
-    scales_touched = False
 
     for key, value in values.items():
         try:
@@ -127,10 +126,8 @@ def apply_overrides(config: MarketConfig, values: Mapping[str, str]) -> MarketCo
                 updates[key] = _KEY_PARSERS[key](value)
             elif key == "scale.default":
                 default_scale = _parse_scale(value)
-                scales_touched = True
             elif key.startswith("scale."):
                 per_source[key[len("scale.") :]] = _parse_scale(value)
-                scales_touched = True
             else:
                 errors.append(f"unknown config key {key!r}")
         except (ValueError, TypeError) as exc:
@@ -138,10 +135,7 @@ def apply_overrides(config: MarketConfig, values: Mapping[str, str]) -> MarketCo
 
     if errors:
         raise ConfigError(errors)
-    config = replace(config, **updates)  # type: ignore[arg-type]
-    if scales_touched:
-        config.scales = ScaleMap(default=default_scale, per_source=per_source)
-    return config
+    return replace(config, **updates, scales=ScaleMap(default_scale, per_source))  # type: ignore[arg-type]
 
 
 def validate_config(config: MarketConfig) -> MarketConfig:

@@ -57,6 +57,7 @@ __all__ = [
     "ce_records_from_json",
     "ce_records_to_json",
     "detect_correlated_events",
+    "event_entry",
     "extract_runs",
     "market_correlations",
     "pair_correlations",
@@ -409,6 +410,13 @@ def read_correlations_csv(text: str | Iterable[str], window_days: int) -> list[C
     return runs
 
 
+# An event's fields after its series and window (``event_entry``), each with
+# the JSON types that ce_records_to_json writes it as; the writer and the
+# reader both go by this table.
+_EVENT_FIELDS = {"e": (int,), "a": (int, float, type(None)), "sigma": (int, float, type(None)), "k": (int, float),
+                 "baseline_n": (int,), "warmup": (bool,)}
+
+
 def _field(data: object, at: str, key: str, *types: type) -> Any:
     """``data[key]`` when ``data`` is a JSON object holding ``key`` as one
     of ``types`` (``json_value``); a ValueError naming the field, ``at``
@@ -431,14 +439,10 @@ def _event_from_dict(item: dict, side: str, app_id: str, metric: str, window: Ti
     own = TimeWindow(_day(data, at, "window_start"), _field(data, at, "window_days", int))
     if own not in (window, TimeWindow(window.start - timedelta(days=window.days), window.days)):
         raise ValueError(f"{side}'s window ({own.start}, {own.days}) is neither the record's nor the one before")
-    if _field(data, at, "e", int) not in (-1, 1):
-        raise ValueError(f"{at}e must be 1 or -1, got {data['e']}")
-    number = (int, float)
-    return EventRecord(
-        app_id, MetricKind(metric), own, data["e"], _field(data, at, "a", *number, type(None)),
-        _field(data, at, "sigma", *number, type(None)), _field(data, at, "k", *number),
-        _field(data, at, "baseline_n", int), _field(data, at, "warmup", bool),
-    )
+    values = {key: _field(data, at, key, *types) for key, types in _EVENT_FIELDS.items()}
+    if values["e"] not in (-1, 1):
+        raise ValueError(f"{at}e must be 1 or -1, got {values['e']}")
+    return EventRecord(app_id, MetricKind(metric), own, **values)
 
 
 def _ce_from_dict(item: object) -> CorrelatedEventRecord:
@@ -497,19 +501,14 @@ def ce_records_from_json(text: str | Iterable[str]) -> list[CorrelatedEventRecor
     return records
 
 
+def event_entry(app_id: str, metric: MetricKind, window: TimeWindow) -> dict:
+    """The JSON of an event's series and window, as every report that names
+    an event writes it: correlated events, summary requests and summaries."""
+    return {"app_id": app_id, "metric": metric.value, "window_start": window.start.isoformat(), "window_days": window.days}
+
+
 def _event_to_dict(record: EventRecord) -> dict:
-    return {
-        "app_id": record.app_id,
-        "metric": record.metric.value,
-        "window_start": record.window.start.isoformat(),
-        "window_days": record.window.days,
-        "e": record.e,
-        "a": record.a,
-        "sigma": record.sigma,
-        "k": record.k,
-        "baseline_n": record.baseline_n,
-        "warmup": record.warmup,
-    }
+    return event_entry(record.app_id, record.metric, record.window) | {key: getattr(record, key) for key in _EVENT_FIELDS}
 
 
 def ce_records_to_json(records: Iterable[CorrelatedEventRecord]) -> str:

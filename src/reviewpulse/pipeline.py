@@ -31,8 +31,11 @@ by its reader, as JSON is decoded whole. Each CLI subcommand is a thin
 adapter: it reads its stage file with ``read_stage``, calls one stage
 function and writes through the writers here
 (``write_file``, ``write_intake``, ``write_metrics``, ``write_requests``).
-This module decides which files a stage writes, the order series are
-written in and which prompt template is used. Each file's format is
+This module names the files of the intake, metrics and requests writers
+and of ``write_bundle``, and decides the order series are written in and
+which prompt template is used; the ``detect``, ``correlate`` and ``ce``
+subcommands name their own files in ``cli`` (``events.csv``,
+``correlations.csv``, ``correlated_events.json``). Each file's format is
 decided in the module of its records: ``ingest`` (rejects, catalog),
 ``metrics``, ``detect``, ``correlate`` (correlations, correlated events)
 and ``summarize`` (summary requests and summaries). The bundle:
@@ -60,7 +63,7 @@ produces identical files.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from datetime import date, timedelta
 from itertools import accumulate, chain
 from pathlib import Path
@@ -190,12 +193,11 @@ class MarketAnalysis:
     runs: list[CorrelationRun] = field(default_factory=list)
     ces: list[CorrelatedEventRecord] = field(default_factory=list)
     requests: list[SummaryRequest] = field(default_factory=list)
-    # Every app's sentence bins (metrics.score_bodies) over the apps' rows,
-    # apps in order, and the row each app starts at: aggregate fills both
-    # for the polarity metric, and window_scored reads a window body's bins
-    # through its row's code. None where nothing was scored.
-    body_bins: BodyBins | None = field(default=None, repr=False)
-    app_rows: dict[str, int] = field(default_factory=dict, repr=False)
+    # Each app's sentence bins, its rows' slice of the one metrics.score_bodies
+    # call over every app: aggregate fills them for the polarity metric, and
+    # window_scored reads a window body's bins through its row's code. Empty
+    # where nothing was scored.
+    body_bins: dict[str, BodyBins] = field(default_factory=dict, repr=False)
     # Each window body's scored sentences, texts included: window_scored
     # splits a body only when it is not here, and summary_requests empties
     # it when it returns.
@@ -225,17 +227,17 @@ class MarketAnalysis:
         The window's bodies are cut from the app's ``body`` column by
         bisection on its stamps; no ``Review`` is built. A body is split
         once however many windows hold it, and its scored sentences kept in
-        ``texts``. Its bins come through its row's code in ``body_bins``,
-        so a body the day sums scored is not scored again; without them,
-        the window's fresh bodies go through ``score_reviews``.
+        ``texts``. Its bins come through its row's code in the app's
+        ``body_bins``, so a body the day sums scored is not scored again;
+        without them, the window's fresh bodies go through ``score_reviews``.
         """
         if app_id not in self.apps:
             return []
         reviews = self.catalog.reviews[app_id]
         lo, hi = np.searchsorted(reviews.stamp_us, [midnight_us(window.start), midnight_us(window.end)]).tolist()
         bodies = reviews.body[lo:hi].tolist()
-        bins, at = self.body_bins, self.app_rows.get(app_id, 0)
-        codes = dict.fromkeys(bodies) if bins is None else dict(zip(bodies, bins.code[at + lo : at + hi].tolist()))
+        bins = self.body_bins.get(app_id)
+        codes = dict.fromkeys(bodies) if bins is None else dict(zip(bodies, bins.code[lo:hi].tolist()))
         fresh = [body for body in codes if body not in self.texts]
         scored = score_reviews(fresh, self.scorer) if bins is None else bins.scored(fresh, map(codes.__getitem__, fresh))
         self.texts.update(zip(fresh, scored))
@@ -336,10 +338,10 @@ def aggregate(
     analysis keeps those day sums; both window grids sum from them through
     ``series_stats``. Bodies are scored only where the polarity metric
     needs them: one ``score_bodies`` call over every app's rows, apps in
-    order, before the sums. The analysis keeps its column form as
-    ``body_bins``, each app's rows read by the app's day sums and the
-    summary requests. The catalog's reviews must be in canonical order, as
-    ``build_catalog`` leaves them.
+    order, before the sums, so each distinct body is scored once across
+    apps. The analysis keeps each app's slice of it in ``body_bins``, read
+    by the app's day sums and summary requests. The catalog's reviews must
+    be in canonical order, as ``build_catalog`` leaves them.
     """
     analysis = new_analysis(config, catalog)
     span = _derive_span(config, catalog, analysis.apps)
@@ -347,12 +349,12 @@ def aggregate(
         midnights = utc_midnights(span[0], (span[1] - span[0]).days)
         if MetricKind.POLARITY in metrics:
             bodies = [catalog.reviews[app].body for app in analysis.apps]
-            analysis.app_rows = dict(zip(analysis.apps, accumulate(map(len, bodies), initial=0)))
-            analysis.body_bins = score_bodies(chain.from_iterable(bodies), analysis.scorer)
+            bins = score_bodies(chain.from_iterable(bodies), analysis.scorer)
+            codes = np.split(bins.code, list(accumulate(map(len, bodies)))[:-1])
+            analysis.body_bins = {app: replace(bins, code=code) for app, code in zip(analysis.apps, codes)}
         for app in analysis.apps:
-            reviews, at = catalog.reviews[app], analysis.app_rows.get(app, 0)
-            bins = None if analysis.body_bins is None else analysis.body_bins[at : at + len(reviews)]
-            analysis.day_sums[app] = day_sums(reviews, midnights, metrics, config.scales, bins)
+            analysis.day_sums[app] = day_sums(catalog.reviews[app], midnights, metrics, config.scales,
+                                              analysis.body_bins.get(app))
     analysis.weekly_stats = series_stats(analysis.day_sums, config.event_window_days, metrics)
     analysis.daily_stats = series_stats(analysis.day_sums, config.correlation_window_days, metrics)
     return analysis

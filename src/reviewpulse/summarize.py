@@ -31,7 +31,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Callable, Protocol, Sequence, TypeVar, runtime_checkable
 
-from .correlate import CorrelatedEventRecord
+from .correlate import CorrelatedEventRecord, event_entry
 from .detect import EventRecord
 from .metrics import BodyScore, MetricKind, TimeWindow
 
@@ -241,19 +241,10 @@ def call_with_retry(
     raise last
 
 
-def _event_entry(request: SummaryRequest) -> dict:
-    return {
-        "app_id": request.app_id,
-        "metric": request.metric.value,
-        "window_start": request.window.start.isoformat(),
-        "window_days": request.window.days,
-    }
-
-
 def request_report_entry(request: SummaryRequest, prompt: str) -> dict:
     """A summary_requests.json entry for a request and its built prompt."""
     return {
-        "event": _event_entry(request),
+        "event": event_entry(request.app_id, request.metric, request.window),
         "variant": request.variant,
         "n_requested": request.n_requested,
         "n_available": request.n_available,
@@ -270,11 +261,8 @@ def summary_report_entry(
     client: SummarizerClient,
     sleep: Callable[[float], None] = time.sleep,
 ) -> dict:
-    """A summaries.json entry: the client's summary of a request's built prompt."""
-    return {
-        "event": _event_entry(request),
-        "variant": request.variant,
-        "n_sampled": request.n_sampled,
-        "prompt_sha256": prompt_sha256(prompt),
-        "summary_text": call_with_retry(client, prompt, sleep=sleep),
-    }
+    """A summaries.json entry: the request's entry without its sample's
+    sizes, seed and texts, and the client's summary of its built prompt."""
+    entry = request_report_entry(request, prompt)
+    return {**{key: entry[key] for key in ("event", "variant", "n_sampled", "prompt_sha256")},
+            "summary_text": call_with_retry(client, prompt, sleep=sleep)}

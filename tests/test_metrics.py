@@ -294,7 +294,9 @@ def test_aggregate_of_unique_bodies_holds_little_above_its_result() -> None:
         kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(analysis.body_bins.code) == len(analysis.body_bins.first) - 1 == 5311
+    bins = [analysis.body_bins[app] for app in analysis.apps]
+    assert all(b.first is bins[0].first for b in bins)
+    assert sum(len(b.code) for b in bins) == len(bins[0].first) - 1 == 5311
     assert peak - kept < 0.75 * 2**20
 
 

@@ -325,9 +325,11 @@ def test_full_analysis_keeps_sentence_texts_only_for_ce_windows(monkeypatch) -> 
     assert max(kernel_bodies.values()) == 1
     rows = [body for app in analysis.apps for body in catalog.reviews[app].body.tolist()]
     codes: dict[str, int] = {}
-    assert analysis.body_bins.code.tolist() == [codes.setdefault(body, len(codes)) for body in rows]
-    assert len(analysis.body_bins.first) == len(all_bodies) + 1
-    assert type(analysis.body_bins.bins) is bytes
+    bins = [analysis.body_bins[app] for app in analysis.apps]
+    assert [k for b in bins for k in b.code.tolist()] == [codes.setdefault(body, len(codes)) for body in rows]
+    assert all(b.first is bins[0].first and b.bins is bins[0].bins for b in bins)
+    assert len(bins[0].first) == len(all_bodies) + 1
+    assert type(bins[0].bins) is bytes
 
     def in_window(app_id: str, window: TimeWindow) -> list[Review]:
         return [r for r in catalog.reviews[app_id] if window_contains(window, r.timestamp)]
