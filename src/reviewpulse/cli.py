@@ -107,7 +107,7 @@ def _cmd_ce(args: argparse.Namespace) -> int:
 
 def _cmd_summarize_prep(args: argparse.Namespace) -> int:
     config = _load_cli_config(args)
-    ces = read_stage(ce_records_from_json, args.correlated_events)
+    ces = read_stage(ce_records_from_json, args.correlated_events, config.correlation_window_days)
     catalog, _ = load_catalog(config, args.inputs, args.format)
     # Nothing is summed: the analysis only scores the CE windows' reviews.
     analysis = new_analysis(config, catalog)

@@ -43,7 +43,7 @@ from typing import Any, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .detect import EventRecord
+from .detect import EventRecord, event_problem
 from .ingest import json_date, json_text, json_value, text_pieces
 from .metrics import MetricKind, TimeWindow, csv_prefixes, follow_problem, series_rows
 
@@ -445,7 +445,7 @@ def _event_from_dict(item: dict, side: str, app_id: str, metric: str, window: Ti
     return EventRecord(app_id, MetricKind(metric), own, **values)
 
 
-def _ce_from_dict(item: object) -> CorrelatedEventRecord:
+def _ce_from_dict(item: object, window_days: int) -> CorrelatedEventRecord:
     app_i, app_j, metric = (_field(item, "", key, str) for key in ("app_i", "app_j", "metric"))
     if app_i >= app_j:
         raise ValueError(f"app_i {app_i!r} is not before app_j {app_j!r}")
@@ -455,6 +455,9 @@ def _ce_from_dict(item: object) -> CorrelatedEventRecord:
     sign, t_start = _field(run, "run.", "sign", int), _day(run, "run.", "t_start")
     if sign not in (-1, 1) or ce != sign:
         raise ValueError(f"ce {ce} and run.sign {sign} must be the same 1 or -1")
+    t_end = _day(run, "run.", "t_end")
+    if problem := _run_problem(sign, t_start, t_end, window_days, None):
+        raise ValueError(f"run: {problem}")
     first = TimeWindow(_day(run, "run.", "first_interval_start"), _field(run, "run.", "first_interval_days", int))
     if first != TimeWindow(t_start, window.days):
         raise ValueError(f"run.first_interval ({first.start}, {first.days}) is not ({t_start}, {window.days}), "
@@ -465,13 +468,17 @@ def _ce_from_dict(item: object) -> CorrelatedEventRecord:
         raise ValueError("event_i and event_j are both from the window before")
     if event_i.e != ce * event_j.e:
         raise ValueError(f"event_i.e {event_i.e} is not ce {ce} times event_j.e {event_j.e}")
+    for side, event in (("event_i", event_i), ("event_j", event_j)):
+        written = [json.dumps(item[side][key]) for key in _EVENT_FIELDS if key != "k"]
+        if problem := event_problem(*(getattr(event, key) for key in _EVENT_FIELDS), written):
+            raise ValueError(f"{side}: {problem}")
     return CorrelatedEventRecord(
         app_i, app_j, kind, window, ce, event_i, event_j,
-        CorrelationRun(app_i, app_j, kind, sign, t_start, _day(run, "run.", "t_end")), first,
+        CorrelationRun(app_i, app_j, kind, sign, t_start, t_end), first,
     )
 
 
-def ce_records_from_json(text: str | Iterable[str]) -> list[CorrelatedEventRecord]:
+def ce_records_from_json(text: str | Iterable[str], window_days: int) -> list[CorrelatedEventRecord]:
     """Correlated events from their JSON dump, in file order.
 
     ``text`` is the text or its pieces (``text_pieces``). This is the one
@@ -482,12 +489,14 @@ def ce_records_from_json(text: str | Iterable[str]) -> list[CorrelatedEventRecor
     writes, and dates only as ``iso_date`` text. A record is also refused
     when ``detect_correlated_events`` could not have made it: when
     ``app_i`` is not before ``app_j``; when its ``ce`` or run sign is not 1
-    or -1, or the two differ; when an event's app or metric is not the
-    record's, its ``e`` is not 1 or -1, or its window is neither the
-    record's nor the one before; when both events are from the window
-    before, or ``e_i`` is not ``ce * e_j``; or when its first interval is
-    not the run's start and the window's days. A refusal is a ValueError
-    naming the record's position and the field.
+    or -1, or the two differ; when its run is one that ``_run_problem``
+    refuses on a grid of ``window_days``-day correlation windows; when an
+    event's app or metric is not the record's, its ``e`` is not 1 or -1,
+    its window is neither the record's nor the one before, or
+    ``event_problem`` refuses it, as ``read_events_csv`` does; when both
+    events are from the window before, or ``e_i`` is not ``ce * e_j``; or
+    when its first interval is not the run's start and the window's days.
+    A refusal is a ValueError naming the record's position and the field.
     """
     payload = json.loads("".join(text_pieces(text)))
     if type(payload) is not list:
@@ -495,7 +504,7 @@ def ce_records_from_json(text: str | Iterable[str]) -> list[CorrelatedEventRecor
     records: list[CorrelatedEventRecord] = []
     for n, item in enumerate(payload):
         try:
-            records.append(_ce_from_dict(item))
+            records.append(_ce_from_dict(item, window_days))
         except ValueError as exc:
             raise ValueError(f"correlated event {n}: {exc}") from None
     return records

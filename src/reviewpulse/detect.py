@@ -34,6 +34,7 @@ __all__ = [
     "EVENTS_CSV_COLUMNS",
     "EventRecord",
     "detect_series",
+    "event_problem",
     "read_events_csv",
     "write_events_csv",
 ]
@@ -181,17 +182,31 @@ def write_events_csv(records: Iterable[EventRecord]) -> Iterator[str]:
                        for r in group])
 
 
-def _unwritten(e: int, a: float | None, sigma: float | None, baseline_n: int, row: list[str]) -> str | None:
-    """Why ``detect_series`` never writes an event of these cells, quoting
-    them as written; None when it may."""
+def event_problem(e: int, a: float | None, sigma: float | None, k: float, baseline_n: int, warmup: bool | None,
+                  written: Sequence[str]) -> str | None:
+    """Why ``detect_series`` never writes an event of these values; None
+    when it may. ``written`` holds the texts of ``e``, ``a``, ``sigma``,
+    ``baseline_n`` and ``warmup`` as the file spells them, which the
+    message quotes; ``warmup`` is None where its text is no boolean.
+
+    Refused: an ``e`` other than -1, 0 or 1, an ``a`` or ``sigma`` that is
+    not finite, a ``warmup`` that is no boolean, a ``k`` that is not finite
+    and > 0, a negative ``sigma`` or ``baseline_n``, and a nonzero ``e``
+    without both ``a`` and ``sigma`` or of another sign than ``a``.
+    """
+    e_text, a_text, sigma_text, n_text, warmup_text = written
+    if e not in (-1, 0, 1) or not all(x is None or isfinite(x) for x in (a, sigma)) or warmup is None:
+        return f"bad e, a, sigma or warmup: {', '.join(map(repr, (e_text, a_text, sigma_text, warmup_text)))}"
+    if not (isfinite(k) and k > 0):
+        return f"k {k!r} is not finite and > 0"
     if sigma is not None and sigma < 0:
-        return f"sigma {row[5]} is negative"
+        return f"sigma {sigma_text} is negative"
     if baseline_n < 0:
-        return f"baseline_n {row[6]} is negative"
+        return f"baseline_n {n_text} is negative"
     if e and (a is None or sigma is None):
-        return f"e {row[3]} without both a and sigma"
+        return f"e {e_text} without both a and sigma"
     if e and not e * a > 0:
-        return f"e {row[3]} is not the sign of a {row[4]}"
+        return f"e {e_text} is not the sign of a {a_text}"
     return None
 
 
@@ -200,12 +215,8 @@ def read_events_csv(text: str | Iterable[str], window_days: int, k: float) -> li
 
     The window length and sensitivity are not CSV columns; they come from
     the same config that produced the dump. A row that ``series_rows``
-    refuses is a ValueError naming its series and line. So is a row whose
-    ``e`` is not -1, 0 or 1, whose ``a`` or ``sigma`` is not finite, or
-    whose ``warmup`` is not ``true`` or ``false``, quoting those cells as
-    written. ``detect_series`` never writes a negative ``sigma`` or
-    ``baseline_n``, nor a nonzero ``e`` without both ``a`` and ``sigma`` or
-    of another sign than ``a``: such a row is refused too. So is a window
+    refuses is a ValueError naming its series and line. So is a row that
+    ``event_problem`` refuses, quoting its cells as written, and a window
     that ``follow_problem`` refuses after the previous window of its
     series: a repeat, an overlap, a step back or a start off that window's
     grid. A gap of whole windows, where zero rows were dropped, is allowed.
@@ -213,15 +224,11 @@ def read_events_csv(text: str | Iterable[str], window_days: int, k: float) -> li
     out: list[EventRecord] = []
     last: dict[tuple, TimeWindow] = {}
     for line, label, key, (t0, e, a, sigma, baseline_n, warmup), row in series_rows(text, EVENTS_CSV_COLUMNS, "events"):
-        finite = (a is None or isfinite(a)) and (sigma is None or isfinite(sigma))
-        if e not in (-1, 0, 1) or not finite or warmup not in ("true", "false"):
-            written = row[3], row[4], row[5], row[7]
-            raise ValueError(f"{label}, CSV line {line}: bad e, a, sigma or warmup: {', '.join(map(repr, written))}")
         prev = last.get(key)
-        problem = _unwritten(e, a, sigma, baseline_n, row) or (
+        problem = event_problem(e, a, sigma, k, baseline_n, warmup, row[3:]) or (
             prev and follow_problem("window", t0, prev.start, prev.end, window_days))
         if problem:
             raise ValueError(f"{label}, CSV line {line}: {problem}")
         last[key] = window = TimeWindow(t0, window_days)
-        out.append(EventRecord(*key, window, e, a, sigma, k, baseline_n, warmup == "true"))
+        out.append(EventRecord(*key, window, e, a, sigma, k, baseline_n, warmup))
     return out

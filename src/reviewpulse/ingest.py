@@ -255,13 +255,15 @@ def iso_date(text: str) -> date:
 
 
 def is_int_text(text: str) -> bool:
-    """Whether ``text`` is ASCII digits with an optional leading "-", the one
-    integer form read from CSV text, as the writers write an int.
+    """Whether ``text`` is ASCII digits with an optional leading "-" and no
+    leading zero but in "0" itself: the one integer form read from CSV
+    text, as the writers write an int and as JSON spells one ("-0" too).
 
-    ``int`` alone would also take "+4", "0_4", " 4 " and non-ASCII digits
-    such as "٤" and "４".
+    ``int`` alone would also take "+4", "0_4", " 4 ", "04" and non-ASCII
+    digits such as "٤" and "４".
     """
-    return text.isascii() and text.removeprefix("-").isdigit()
+    digits = text.removeprefix("-")
+    return text.isascii() and digits.isdigit() and (digits == "0" or digits[0] != "0")
 
 
 def parse_timestamp(value: str) -> datetime:

@@ -482,11 +482,13 @@ def _float_or_empty(cell: str) -> float | None:
 
 
 # How ``series_rows`` reads a cell after the key, by its column: a day
-# (``iso_date``), a float or empty, the text as written; every other column
-# is int64. Days and int64s go through one cache per read: a stage file
-# holds few distinct ones, where nearly every float is distinct.
+# (``iso_date``), a float or empty, a flag (None for a text other than
+# "true" or "false", which the reader refuses by its own rule); every other
+# column is int64. Days and int64s go through one cache per read: a stage
+# file holds few distinct ones, where nearly every float is distinct.
 _DATE_COLUMNS = ("t0", "t_start", "t_end")
-_CELL_READERS: dict[str, Callable[[str], object]] = {"a": _float_or_empty, "sigma": _float_or_empty, "warmup": str}
+_CELL_READERS: dict[str, Callable[[str], object]] = {"a": _float_or_empty, "sigma": _float_or_empty,
+                                                     "warmup": {"true": True, "false": False}.get}
 
 
 def series_rows(text: str | Iterable[str], columns: Sequence[str],

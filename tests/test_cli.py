@@ -383,7 +383,17 @@ def _swap_apps(record: dict) -> None:
      (_both(_set("event_i.window_start", "2024-02-08"), _set("event_j.window_start", "2024-02-08")),
       "both from the window before"),
      (_both(_set("event_i.e", 0), _set("event_j.e", 0)), "event_i.e must be 1 or -1"),
-     (_set("event_j.e", -1), "event_i.e 1 is not ce 1 times event_j.e -1")],
+     (_set("event_j.e", -1), "event_i.e 1 is not ce 1 times event_j.e -1"),
+     (_set("event_i.a", None), "event_i: e 1 without both a and sigma"),
+     (_set("event_i.a", lambda r: -r["event_i"]["a"]), "event_i: e 1 is not the sign of a -"),
+     (_set("event_j.sigma", -2.0), "event_j: sigma -2.0 is negative"),
+     (_set("event_j.sigma", None), "event_j: e 1 without both a and sigma"),
+     (_set("event_i.baseline_n", -3), "event_i: baseline_n -3 is negative"),
+     (_set("event_i.a", float("nan")), "event_i: bad e, a, sigma or warmup: '1', 'NaN'"),
+     (_set("event_j.k", float("inf")), "event_j: k inf is not finite and > 0"),
+     (_set("event_j.k", -2.0), "event_j: k -2.0 is not finite and > 0"),
+     (_set("run.t_end", lambda r: r["run"]["t_start"]), "run: t_end 2024-02-15 is not after t_start 2024-02-15"),
+     (_set("run.t_end", "2024-02-08"), "run: t_end 2024-02-08 is not after t_start 2024-02-15")],
 )
 def test_correlated_events_the_writer_never_writes_exit_three(tmp_path, capsys, change, field) -> None:
     # The staged chain's one correlated event, each time with one field

@@ -8,6 +8,9 @@ from pathlib import Path
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "code_lines.py"
 
+# The code-line cap that ROADMAP.md sets for src/reviewpulse.
+LINE_CAP = 2595
+
 
 def _git(repo: Path, *args: str) -> None:
     subprocess.run(["git", "-C", str(repo), "-c", "user.name=t", "-c", "user.email=t@example.com", *args],
@@ -40,3 +43,9 @@ def test_lines_against_a_ref_per_module_and_in_total(tmp_path) -> None:
         ["2", "1", "-1", "a.py"], ["1", "0", "-1", "gone.py"], ["0", "3", "+3", "new.py"],
         ["2", "2", "+0", "sub/b.py"], ["5", "6", "+1", "total"],
     ]
+
+
+def test_the_package_stays_under_its_line_cap() -> None:
+    done = subprocess.run([sys.executable, str(TOOL)], check=True, capture_output=True, text=True)
+    total, name = done.stdout.splitlines()[-1].split()
+    assert name == "total" and int(total) <= LINE_CAP, done.stdout

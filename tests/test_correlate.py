@@ -485,6 +485,35 @@ def test_criterion_4_ces_match_the_pair_by_pair_oracle(criterion_4_analyses) -> 
     assert sum(len(a.ces) for a in criterion_4_analyses) > len(criterion_4_analyses)
 
 
+def test_a_subset_of_apps_gets_the_full_analysis_restricted_to_it() -> None:
+    # App-subset locality: with the span fixed by the config, an app's
+    # events, and a pair's runs and CEs, depend on those apps' reviews
+    # alone, so no row of a kernel block and no pair of the CE join leaks
+    # into another. Every app draws Poisson counts, so the background pairs
+    # correlate too; the subset always keeps the spike pair. Requests are
+    # not compared: an event whose CE partner is left out is summarised
+    # only in the full run.
+    kept_ces = left_out_ces = 0
+    for seed in range(8):
+        rng = random.Random(seed)
+        scenario = spike_pair_scenario(seed=seed, n_apps=rng.randint(4, 8))
+        scenario = replace(scenario, apps=tuple(replace(a, count_model="poisson") for a in scenario.apps))
+        reviews, _ = generate(scenario)
+        config = MarketConfig(seed=seed, span_start=scenario.start,
+                              span_end=scenario.start + timedelta(days=7 * scenario.n_windows))
+        full = analyze_catalog(config, build_catalog(reviews))
+        others = [app for app in full.apps if not app.startswith("spike")]
+        kept = {"spike0", "spike1", *rng.sample(others, rng.randint(1, len(others) - 1))}
+        part = analyze_catalog(config, build_catalog(reviews[np.flatnonzero(np.isin(reviews.app_id, sorted(kept)))]))
+        assert set(part.apps) == kept, seed
+        assert part.events == {key: events for key, events in full.events.items() if key[0] in kept}, seed
+        assert part.runs == [r for r in full.runs if {r.app_i, r.app_j} <= kept], seed
+        assert part.ces == [c for c in full.ces if {c.app_i, c.app_j} <= kept], seed
+        kept_ces += len(part.ces)
+        left_out_ces += len(full.ces) - len(part.ces)
+    assert kept_ces and left_out_ces
+
+
 def test_two_app_spiked_market_yields_exactly_one_ce() -> None:
     reviews, labels = generate(spike_pair_scenario(seed=0, n_apps=2))
     analysis = analyze_catalog(
@@ -715,7 +744,7 @@ def test_ce_json_round_trip() -> None:
     events_i = [_event("a", w, 1 if w == 4 else 0) for w in range(10)]
     events_j = [replace(_event("b", w, 1 if w == 4 else 0), k=2, warmup=True) for w in range(10)]
     ces = detect_correlated_events([*events_i, *events_j], [_run(1, 28, 42)], 7)
-    back = ce_records_from_json(ce_records_to_json(ces))
+    back = ce_records_from_json(ce_records_to_json(ces), 1)
     assert back == ces and len(ces) == 1
     assert type(back[0].event_j.k) is int and type(back[0].event_i.k) is float
 

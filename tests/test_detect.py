@@ -213,8 +213,11 @@ def test_events_csv_writer_matches_the_per_row_writer(series) -> None:
         (f"{2**63},,,0,true", f"{2**63} is beyond int64"),
         ("1,x,0.5,4,false", "'x' is not a number"),
         ("1,1.5,0.5x,4,false", "'0.5x' is not a number"),
+        ("0,,,07,true", "'07' is not an integer"),
+        ("-01,1.5,0.5,4,false", "'-01' is not an integer"),
     ],
-    ids=["e-float", "baseline-n-text", "e-beyond-int64", "a-text", "sigma-text"],
+    ids=["e-float", "baseline-n-text", "e-beyond-int64", "a-text", "sigma-text", "baseline-n-leading-zero",
+         "e-leading-zero"],
 )
 def test_events_csv_names_the_line_of_a_bad_numeric_cell(cells: str, refused: str) -> None:
     text = "app_id,metric,t0,e,a,sigma,baseline_n,warmup\na,count,2024-01-04,0,,,0,true\n"
@@ -241,6 +244,14 @@ def test_events_csv_refuses_an_event_detect_never_writes(cells: str, refused: st
     with pytest.raises(ValueError) as exc:
         read_events_csv(text + f"a,count,2024-01-11,{cells}\n", window_days=7, k=2.0)
     assert str(exc.value) == f"events of (a, count), CSV line 3: {refused}"
+
+
+@pytest.mark.parametrize("k", [math.inf, math.nan, 0.0, -2.0])
+def test_events_csv_refuses_a_sensitivity_detect_never_judges_by(k: float) -> None:
+    text = "app_id,metric,t0,e,a,sigma,baseline_n,warmup\na,count,2024-01-04,0,,,0,true\n"
+    with pytest.raises(ValueError) as exc:
+        read_events_csv(text, window_days=7, k=k)
+    assert str(exc.value) == f"events of (a, count), CSV line 2: k {k!r} is not finite and > 0"
 
 
 @pytest.mark.parametrize(

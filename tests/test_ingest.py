@@ -644,11 +644,10 @@ def test_read_review_files_peaks_under_half_the_file_above_its_result(tmp_path) 
 
 def test_a_csv_file_and_its_jsonl_twin_accept_the_same_ratings() -> None:
     # The JSONL twin holds each rating text as the JSON value it spells, or
-    # as a string where it spells none: "+4", "٤", "４" and "0_4" are no JSON
-    # number, so a JSONL file cannot hold them as one, and CSV now refuses
-    # them too. (A leading zero, "04", is ASCII digits, which CSV reads as
-    # 4, though JSON has no such number.)
-    texts = ["4", " 4 ", "-4", "9", "+4", "٤", "４", "0_4", "4.0", "four", ""]
+    # as a string where it spells none: "+4", "٤", "４", "0_4", and a
+    # leading zero ("04", "-04", "00"), are no JSON number, so a JSONL file
+    # cannot hold them as one, and CSV refuses them too. "-0" is JSON's 0.
+    texts = ["4", " 4 ", "-4", "9", "+4", "٤", "４", "0_4", "4.0", "four", "", "04", "-04", "00", "-0"]
     lines: list[str] = []
     writer = csv_line_writer(lines)
     writer.writerow(REVIEW_FIELDS)
@@ -666,8 +665,8 @@ def test_a_csv_file_and_its_jsonl_twin_accept_the_same_ratings() -> None:
     assert from_csv[0].raw_rating.tolist() == [4, 4]
     assert [(r.line_no - 1, r.reason.split(":")[0]) for r in from_csv[1]] == [
         (r.line_no, r.reason.split(":")[0]) for r in from_jsonl[1]]
-    assert [r.reason for r in from_csv[1] if r.line_no in (6, 7, 8, 9)] == [
-        f"bad-rating: {text!r} is not an integer" for text in ("+4", "٤", "４", "0_4")]
+    assert [r.reason for r in from_csv[1] if r.line_no in (6, 7, 8, 9, 13, 14, 15)] == [
+        f"bad-rating: {text!r} is not an integer" for text in ("+4", "٤", "４", "0_4", "04", "-04", "00")]
 
 
 @settings(max_examples=150)
@@ -871,7 +870,7 @@ def _read_ce(text: str) -> object:
     ce = CorrelatedEventRecord("a", "b", MetricKind.COUNT, TimeWindow(day, 7), 1, event, replace(event, app_id="b"),
                                CorrelationRun("a", "b", MetricKind.COUNT, 1, day, day + timedelta(days=7)),
                                TimeWindow(day, 7))
-    return ce_records_from_json(ce_records_to_json([ce]).replace('"2024-01-04"', json.dumps(text)))
+    return ce_records_from_json(ce_records_to_json([ce]).replace('"2024-01-04"', json.dumps(text)), 1)
 
 
 def _read_scenario(text: str) -> object:

@@ -469,13 +469,14 @@ _TYPED_CELL_ROWS = {
 @pytest.mark.parametrize("column", ["day-sums-total", "e", "baseline_n", "sign"])
 @pytest.mark.parametrize(
     "cell, accepted",
-    [("1", True), ("01", True), ("+1", False), (" 1", False), ("1 ", False), ("0_1", False),
+    [("1", True), ("01", False), ("+1", False), (" 1", False), ("1 ", False), ("0_1", False),
      ("\u0661", False), ("\uff11", False), ("1.0", False)],
     ids=["plain", "leading-zero", "plus", "space-before", "space-after", "underscore", "arabic-indic-digit",
          "fullwidth-digit", "float"],
 )
 def test_an_integer_cell_is_ascii_digits_with_an_optional_minus(column, cell, accepted) -> None:
-    # int() alone takes every refused form here but the float.
+    # int() alone takes every refused form here but the float. A leading
+    # zero is refused as JSON refuses it: no writer writes one.
     label, read = _TYPED_CELL_ROWS[column]
     if accepted:
         assert read(cell) == 1

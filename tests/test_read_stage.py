@@ -25,7 +25,7 @@ READERS = {
     "day_sums.csv": (read_day_sums_csv,),
     "events.csv": (read_events_csv, CONFIG.event_window_days, CONFIG.sensitivity),
     "correlations.csv": (read_correlations_csv, CONFIG.correlation_window_days),
-    "correlated_events.json": (ce_records_from_json,),
+    "correlated_events.json": (ce_records_from_json, CONFIG.correlation_window_days),
 }
 
 
