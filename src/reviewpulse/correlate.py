@@ -505,7 +505,7 @@ def ce_records_from_json(text: str | Iterable[str], window_days: int) -> list[Co
     for n, item in enumerate(payload):
         try:
             records.append(_ce_from_dict(item, window_days))
-        except ValueError as exc:
+        except (ValueError, OverflowError) as exc:  # OverflowError: an int too large for a float check
             raise ValueError(f"correlated event {n}: {exc}") from None
     return records
 

@@ -392,6 +392,7 @@ def _swap_apps(record: dict) -> None:
      (_set("event_i.a", float("nan")), "event_i: bad e, a, sigma or warmup: '1', 'NaN'"),
      (_set("event_j.k", float("inf")), "event_j: k inf is not finite and > 0"),
      (_set("event_j.k", -2.0), "event_j: k -2.0 is not finite and > 0"),
+     (_set("event_i.a", 10**400), "correlated event 0: int too large to convert to float"),
      (_set("run.t_end", lambda r: r["run"]["t_start"]), "run: t_end 2024-02-15 is not after t_start 2024-02-15"),
      (_set("run.t_end", "2024-02-08"), "run: t_end 2024-02-08 is not after t_start 2024-02-15")],
 )

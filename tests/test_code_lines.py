@@ -45,7 +45,7 @@ def test_lines_against_a_ref_per_module_and_in_total(tmp_path) -> None:
     ]
 
 
-def test_the_package_stays_under_its_line_cap() -> None:
+def test_the_package_stays_within_its_line_cap() -> None:
     done = subprocess.run([sys.executable, str(TOOL)], check=True, capture_output=True, text=True)
     total, name = done.stdout.splitlines()[-1].split()
     assert name == "total" and int(total) <= LINE_CAP, done.stdout
