@@ -14,13 +14,8 @@ from pathlib import Path
 from typing import Sequence
 
 from .config import ConfigError, MarketConfig, load_config
-from .correlate import (
-    ce_records_from_json,
-    ce_records_to_json,
-    read_correlations_csv,
-    write_correlations_csv,
-)
-from .detect import read_events_csv, write_events_csv
+from .correlate import ce_records_from_json, read_correlations_csv
+from .detect import read_events_csv
 from .ingest import DatasetError, serialize_reviews
 from .metrics import read_day_sums_csv
 from .pipeline import (
@@ -28,17 +23,19 @@ from .pipeline import (
     ce_from_reports,
     correlate_stats,
     detect_events,
-    in_report_order,
     json_text,
     load_catalog,
     new_analysis,
     read_stage,
     run_pipeline,
     series_stats,
+    write_ces,
+    write_events,
     write_file,
     write_intake,
     write_metrics,
     write_requests,
+    write_runs,
 )
 from .synth import default_scenario, generate, load_scenario, scenario_to_dict
 
@@ -60,17 +57,19 @@ def _load_cli_config(args: argparse.Namespace) -> MarketConfig:
 def _cmd_ingest_check(args: argparse.Namespace) -> int:
     config = _load_cli_config(args)
     catalog, rejects = load_catalog(config, args.inputs, args.format)
-    out = Path(args.out)
-    write_intake(out, rejects, catalog)
+    paths = write_intake(args.out, rejects, catalog)
     print(f"accepted {sum(len(v) for v in catalog.reviews.values())} reviews across {len(catalog.apps)} apps, {len(rejects)} rejects")
-    print(f"wrote {out / 'rejects.jsonl'} and {out / 'catalog.json'}")
+    print(f"wrote {' and '.join(map(str, paths))}")
     return 0
 
 
 def _cmd_metrics(args: argparse.Namespace) -> int:
     config = _load_cli_config(args)
     catalog, _ = load_catalog(config, args.inputs, args.format)
-    weekly, daily = write_metrics(args.out, aggregate(config, catalog))
+    analysis = aggregate(config, catalog)
+    write_metrics(args.out, analysis)
+    weekly, daily = (sum(len(s.windows) for s in stats.values())
+                     for stats in (analysis.weekly_stats, analysis.daily_stats))
     print(f"wrote day sums, {weekly} event-window rows and {daily} correlation-window rows to {Path(args.out)}")
     return 0
 
@@ -79,10 +78,9 @@ def _cmd_detect(args: argparse.Namespace) -> int:
     config = _load_cli_config(args)
     sums = read_stage(read_day_sums_csv, args.day_sums)
     events = detect_events(config, series_stats(sums, config.event_window_days))
-    records = [r for series in in_report_order(events) for r in series]
-    path = write_file(args.out, "events.csv", write_events_csv(records))
-    nonzero = sum(1 for r in records if r.e != 0)
-    print(f"wrote {len(records)} event rows ({nonzero} nonzero) to {path}")
+    [path] = write_events(args.out, events)
+    nonzero = sum(r.e != 0 for series in events.values() for r in series)
+    print(f"wrote {sum(map(len, events.values()))} event rows ({nonzero} nonzero) to {path}")
     return 0
 
 
@@ -90,7 +88,7 @@ def _cmd_correlate(args: argparse.Namespace) -> int:
     config = _load_cli_config(args)
     sums = read_stage(read_day_sums_csv, args.day_sums)
     runs = correlate_stats(config, series_stats(sums, config.correlation_window_days))
-    path = write_file(args.out, "correlations.csv", write_correlations_csv(runs))
+    [path] = write_runs(args.out, runs)
     print(f"wrote {len(runs)} correlation runs to {path}")
     return 0
 
@@ -100,7 +98,7 @@ def _cmd_ce(args: argparse.Namespace) -> int:
     events = read_stage(read_events_csv, args.events, config.event_window_days, config.sensitivity)
     runs = read_stage(read_correlations_csv, args.correlations, config.correlation_window_days)
     ces = ce_from_reports(events, runs, config.event_window_days)
-    path = write_file(args.out, "correlated_events.json", [ce_records_to_json(ces)])
+    [path] = write_ces(args.out, ces)
     print(f"wrote {len(ces)} correlated events to {path}")
     return 0
 

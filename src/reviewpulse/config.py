@@ -18,7 +18,7 @@ from typing import Callable, Mapping
 
 from .correlate import DEFAULT_MIN_CORR_POINTS
 from .detect import DEFAULT_MIN_BASELINE
-from .ingest import RatingScale, ScaleMap, iso_date
+from .ingest import DEFAULT_MONTHLY_FLOOR, RatingScale, ScaleMap, iso_date
 from .sentiment import load_lexicon
 from .summarize import load_template
 
@@ -51,7 +51,7 @@ class MarketConfig:
     seed: int = 0
     min_baseline: int = DEFAULT_MIN_BASELINE
     min_corr_points: int = DEFAULT_MIN_CORR_POINTS
-    monthly_floor: float = 20.0
+    monthly_floor: float = DEFAULT_MONTHLY_FLOOR
     exclude_insufficient: bool = False
     sigma_mode: str = "population"
     summarizer: str = "mock"
@@ -138,33 +138,27 @@ def apply_overrides(config: MarketConfig, values: Mapping[str, str]) -> MarketCo
     return replace(config, **updates, scales=ScaleMap(default_scale, per_source))  # type: ignore[arg-type]
 
 
+# Each key's bound, in the order violations are listed: the key, its rule
+# as the message states it, and the test a value must pass.
+_BOUNDS: tuple[tuple[str, str, Callable[[object], bool]], ...] = (
+    ("event_window_days", ">= 1", lambda v: v >= 1),
+    ("correlation_window_days", ">= 1", lambda v: v >= 1),
+    ("sensitivity", "> 0", lambda v: v > 0),
+    ("correlation_threshold", "in (0, 1]", lambda v: 0 < v <= 1),
+    ("lookback_days", ">= 1", lambda v: v >= 1),
+    ("sample_size", ">= 1", lambda v: v >= 1),
+    ("min_baseline", ">= 1", lambda v: v >= 1),
+    ("min_corr_points", ">= 2", lambda v: v >= 2),
+    ("monthly_floor", ">= 0", lambda v: v >= 0),
+    ("sigma_mode", "'population' or 'sample'", lambda v: v in ("population", "sample")),
+    ("summarizer", "'mock' or 'none'", lambda v: v in ("mock", "none")),
+)
+
+
 def validate_config(config: MarketConfig) -> MarketConfig:
     """Check every constraint; raise ConfigError listing all violations."""
-    errors: list[str] = []
-    if config.event_window_days < 1:
-        errors.append(f"event_window_days must be >= 1, got {config.event_window_days}")
-    if config.correlation_window_days < 1:
-        errors.append(f"correlation_window_days must be >= 1, got {config.correlation_window_days}")
-    if not config.sensitivity > 0:
-        errors.append(f"sensitivity must be > 0, got {config.sensitivity}")
-    if not 0 < config.correlation_threshold <= 1:
-        errors.append(
-            f"correlation_threshold must be in (0, 1], got {config.correlation_threshold}"
-        )
-    if config.lookback_days < 1:
-        errors.append(f"lookback_days must be >= 1, got {config.lookback_days}")
-    if config.sample_size < 1:
-        errors.append(f"sample_size must be >= 1, got {config.sample_size}")
-    if config.min_baseline < 1:
-        errors.append(f"min_baseline must be >= 1, got {config.min_baseline}")
-    if config.min_corr_points < 2:
-        errors.append(f"min_corr_points must be >= 2, got {config.min_corr_points}")
-    if config.monthly_floor < 0:
-        errors.append(f"monthly_floor must be >= 0, got {config.monthly_floor}")
-    if config.sigma_mode not in ("population", "sample"):
-        errors.append(f"sigma_mode must be 'population' or 'sample', got {config.sigma_mode!r}")
-    if config.summarizer not in ("mock", "none"):
-        errors.append(f"summarizer must be 'mock' or 'none', got {config.summarizer!r}")
+    errors = [f"{key} must be {rule}, got {getattr(config, key)!r}"
+              for key, rule, holds in _BOUNDS if not holds(getattr(config, key))]
     if config.span_start is not None and config.span_end is not None:
         if config.span_start >= config.span_end:
             errors.append(

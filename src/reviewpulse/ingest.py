@@ -698,6 +698,10 @@ class AppCoverage:
     insufficient: bool
 
 
+# The mean monthly review count below which an app is flagged insufficient.
+DEFAULT_MONTHLY_FLOOR = 20.0
+
+
 @dataclass(frozen=True, slots=True)
 class MarketCatalog:
     """All accepted reviews grouped per app, in canonical order.
@@ -770,7 +774,7 @@ def _without(table: ReviewTable, rows: list[int]) -> ReviewTable:
     return table[np.delete(np.arange(len(table)), rows)] if rows else table
 
 
-def build_catalog(table: ReviewTable, monthly_floor: float = 20.0) -> MarketCatalog:
+def build_catalog(table: ReviewTable, monthly_floor: float = DEFAULT_MONTHLY_FLOOR) -> MarketCatalog:
     """Group a table's reviews per app and compute coverage statistics.
 
     Repeated ``(source, review_id)`` keys keep their first occurrence. The

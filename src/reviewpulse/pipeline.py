@@ -27,18 +27,20 @@ share. ``detect_events`` builds rows only for event windows.
 is the one file reader: it hands a parser, ``parse_reviews`` or a stage
 reader, the file's text in the pieces ``utf8_blocks`` decodes, so no review
 file or stage CSV is held whole. ``correlated_events.json`` alone is joined,
-by its reader, as JSON is decoded whole. Each CLI subcommand is a thin
-adapter: it reads its stage file with ``read_stage``, calls one stage
-function and writes through the writers here
-(``write_file``, ``write_intake``, ``write_metrics``, ``write_requests``).
-This module names the files of the intake, metrics and requests writers
-and of ``write_bundle``, and decides the order series are written in and
-which prompt template is used; the ``detect``, ``correlate`` and ``ce``
-subcommands name their own files in ``cli`` (``events.csv``,
-``correlations.csv``, ``correlated_events.json``). Each file's format is
-decided in the module of its records: ``ingest`` (rejects, catalog),
-``metrics``, ``detect``, ``correlate`` (correlations, correlated events)
-and ``summarize`` (summary requests and summaries). The bundle:
+by its reader, as JSON is decoded whole.
+
+Every stage file has one writer here, which names the file and returns
+the paths it wrote: ``write_intake``, ``write_metrics``, ``write_events``,
+``write_runs``, ``write_ces`` and ``write_requests``. ``write_bundle`` is
+those six in stage order, and its result's ``files`` are the names of the
+paths they return. Each CLI subcommand is a thin adapter: it reads its
+stage file with ``read_stage``, calls one stage function and writes
+through its stage's writer, so ``cli`` names no stage file. This module
+also decides the order series are written in and which prompt template is
+used. Each file's format is decided in the module of its records:
+``ingest`` (rejects, catalog), ``metrics``, ``detect``, ``correlate``
+(correlations, correlated events) and ``summarize`` (summary requests and
+summaries). The bundle:
 
     rejects.jsonl            per-line parse rejects
     catalog.json             per-app coverage and floor flags
@@ -134,7 +136,6 @@ from .summarize import (
 # patch stages by name.
 
 __all__ = [
-    "BUNDLE_FILES",
     "MarketAnalysis",
     "PipelineResult",
     "aggregate",
@@ -151,25 +152,16 @@ __all__ = [
     "run_pipeline",
     "series_stats",
     "write_bundle",
+    "write_ces",
+    "write_events",
     "write_file",
     "write_intake",
     "write_metrics",
     "write_requests",
+    "write_runs",
 ]
 
 ALL_METRICS = (MetricKind.COUNT, MetricKind.RATING, MetricKind.POLARITY)
-
-BUNDLE_FILES = (
-    "rejects.jsonl",
-    "catalog.json",
-    "day_sums.csv",
-    "metrics.csv",
-    "metrics_daily.csv",
-    "events.csv",
-    "correlations.csv",
-    "correlated_events.json",
-    "summary_requests.json",
-)
 
 T = TypeVar("T")
 SeriesKey = tuple[str, MetricKind]
@@ -215,7 +207,7 @@ class MarketAnalysis:
         return [record for block in _pair_blocks(self.config, self.daily_stats) for record in block.records()]
 
     def all_events(self) -> list[EventRecord]:
-        return [e for records in in_report_order(self.events) for e in records]
+        return list(chain.from_iterable(in_report_order(self.events)))
 
     def nonzero_events(self) -> list[EventRecord]:
         return [e for e in self.all_events() if e.e != 0]
@@ -474,21 +466,32 @@ def write_file(out_dir: str | Path, name: str, chunks: Iterable[str]) -> Path:
     return path
 
 
-def write_intake(out_dir: str | Path, rejects: Sequence[Reject], catalog: MarketCatalog) -> None:
-    """Write rejects.jsonl and catalog.json."""
-    write_file(out_dir, "rejects.jsonl", [rejects_to_jsonl(rejects)])
-    write_file(out_dir, "catalog.json", [json_text(catalog_summary(catalog))])
+def write_intake(out_dir: str | Path, rejects: Sequence[Reject], catalog: MarketCatalog) -> list[Path]:
+    """Write rejects.jsonl and catalog.json; return their paths."""
+    return [write_file(out_dir, "rejects.jsonl", [rejects_to_jsonl(rejects)]),
+            write_file(out_dir, "catalog.json", [json_text(catalog_summary(catalog))])]
 
 
-def write_metrics(out_dir: str | Path, analysis: MarketAnalysis) -> tuple[int, int]:
-    """Write day_sums.csv, metrics.csv and metrics_daily.csv; return the
-    series CSVs' row counts."""
-    weekly = in_report_order(analysis.weekly_stats)
-    daily = in_report_order(analysis.daily_stats)
-    write_file(out_dir, "day_sums.csv", write_day_sums_csv(analysis.day_sums))
-    write_file(out_dir, "metrics.csv", write_metrics_csv(weekly))
-    write_file(out_dir, "metrics_daily.csv", write_metrics_csv(daily))
-    return sum(len(s.windows) for s in weekly), sum(len(s.windows) for s in daily)
+def write_metrics(out_dir: str | Path, analysis: MarketAnalysis) -> list[Path]:
+    """Write day_sums.csv, metrics.csv and metrics_daily.csv; return their paths."""
+    return [write_file(out_dir, "day_sums.csv", write_day_sums_csv(analysis.day_sums)),
+            write_file(out_dir, "metrics.csv", write_metrics_csv(in_report_order(analysis.weekly_stats))),
+            write_file(out_dir, "metrics_daily.csv", write_metrics_csv(in_report_order(analysis.daily_stats)))]
+
+
+def write_events(out_dir: str | Path, events_by_series: Mapping[SeriesKey, Sequence[EventRecord]]) -> list[Path]:
+    """Write events.csv, every series' events in report order; return its path."""
+    return [write_file(out_dir, "events.csv", write_events_csv(chain.from_iterable(in_report_order(events_by_series))))]
+
+
+def write_runs(out_dir: str | Path, runs: Sequence[CorrelationRun]) -> list[Path]:
+    """Write correlations.csv; return its path."""
+    return [write_file(out_dir, "correlations.csv", write_correlations_csv(runs))]
+
+
+def write_ces(out_dir: str | Path, ces: Iterable[CorrelatedEventRecord]) -> list[Path]:
+    """Write correlated_events.json; return its path."""
+    return [write_file(out_dir, "correlated_events.json", [ce_records_to_json(ces)])]
 
 
 def write_requests(out_dir: str | Path, config: MarketConfig, requests: Sequence[SummaryRequest]) -> list[Path]:
@@ -510,17 +513,15 @@ def write_bundle(
     rejects: Sequence[Reject],
     out_dir: str | Path,
 ) -> PipelineResult:
-    """Write every report file for an analysis (reports exist even when empty)."""
+    """Write every report file for an analysis (reports exist even when
+    empty), through the stage writers in stage order."""
     out = Path(out_dir)
-    write_intake(out, rejects, analysis.catalog)
-    write_metrics(out, analysis)
-    write_file(out, "events.csv", write_events_csv(analysis.all_events()))
-    write_file(out, "correlations.csv", write_correlations_csv(analysis.runs))
-    write_file(out, "correlated_events.json", [ce_records_to_json(analysis.ces)])
-    written = write_requests(out, analysis.config, analysis.requests)
+    paths = [*write_intake(out, rejects, analysis.catalog), *write_metrics(out, analysis),
+             *write_events(out, analysis.events), *write_runs(out, analysis.runs), *write_ces(out, analysis.ces),
+             *write_requests(out, analysis.config, analysis.requests)]
     return PipelineResult(
         out_dir=out,
-        files=BUNDLE_FILES + tuple(p.name for p in written if p.name not in BUNDLE_FILES),
+        files=tuple(p.name for p in paths),
         reviews_accepted=sum(len(v) for v in analysis.catalog.reviews.values()),
         reviews_rejected=len(rejects),
         apps=len(analysis.apps),

@@ -11,6 +11,7 @@ import pytest
 
 from reviewpulse import ingest, pipeline
 from reviewpulse.cli import main
+from reviewpulse.config import MarketConfig
 from reviewpulse.ingest import serialize_reviews
 from reviewpulse.synth import generate, scenario_to_dict, spike_pair_scenario
 
@@ -107,10 +108,27 @@ def _chain_matches_run(tmp_path: Path, dataset: Path, settings: list[str]) -> Pa
     ]) == 0
     names = sorted(path.name for path in out.iterdir())
     assert sorted(path.name for path in staged.iterdir()) == names
-    assert set(names) == {*pipeline.BUNDLE_FILES, "summaries.json"}
+    assert names == sorted(BUNDLE_FILES)
     for name in names:
         assert (staged / name).read_bytes() == (out / name).read_bytes(), name
     return out
+
+
+@pytest.mark.parametrize("summarizer", ["mock", "none"])
+def test_result_files_are_the_files_written_in_write_order(tmp_path, monkeypatch, summarizer) -> None:
+    written: list[str] = []
+    write_file = pipeline.write_file
+
+    def recording(out_dir, name, chunks):
+        written.append(name)
+        return write_file(out_dir, name, chunks)
+
+    monkeypatch.setattr(pipeline, "write_file", recording)
+    out = tmp_path / "out"
+    result = pipeline.run_pipeline(MarketConfig(summarizer=summarizer), [_small_dataset(tmp_path)], out)
+    assert result.files == tuple(written)
+    assert sorted(result.files) == sorted(path.name for path in out.iterdir())
+    assert set(result.files) == set(BUNDLE_FILES) - ({"summaries.json"} if summarizer == "none" else set())
 
 
 def test_staged_commands_chain_into_the_same_artifacts(tmp_path) -> None:

@@ -1,6 +1,7 @@
 """Config defaults, parsing, precedence, and whole-file validation."""
 from __future__ import annotations
 
+import math
 from dataclasses import fields
 from datetime import date
 
@@ -63,6 +64,39 @@ def test_all_violations_reported_at_once() -> None:
     joined = str(err.value)
     for key in ("sensitivity", "correlation_threshold", "sample_size", "sigma_mode", "span_start"):
         assert key in joined
+
+
+def test_every_bound_is_reported_in_its_order_with_its_value() -> None:
+    with pytest.raises(ConfigError) as err:
+        load_config(None, {
+            "event_window_days": "0", "correlation_window_days": "-1", "sensitivity": "-0.5",
+            "correlation_threshold": "1.5", "lookback_days": "0", "sample_size": "0", "min_baseline": "0",
+            "min_corr_points": "1", "monthly_floor": "-1", "sigma_mode": "weird", "summarizer": "gpt",
+        })
+    assert err.value.errors == [
+        "event_window_days must be >= 1, got 0",
+        "correlation_window_days must be >= 1, got -1",
+        "sensitivity must be > 0, got -0.5",
+        "correlation_threshold must be in (0, 1], got 1.5",
+        "lookback_days must be >= 1, got 0",
+        "sample_size must be >= 1, got 0",
+        "min_baseline must be >= 1, got 0",
+        "min_corr_points must be >= 2, got 1",
+        "monthly_floor must be >= 0, got -1.0",
+        "sigma_mode must be 'population' or 'sample', got 'weird'",
+        "summarizer must be 'mock' or 'none', got 'gpt'",
+    ]
+
+
+@pytest.mark.parametrize(
+    "key, rule", [("sensitivity", "> 0"), ("correlation_threshold", "in (0, 1]"), ("monthly_floor", ">= 0")]
+)
+def test_a_nan_float_bound_is_refused(key: str, rule: str) -> None:
+    # The parser refuses a NaN in a file or flag; a config built in code
+    # meets the same bound.
+    with pytest.raises(ConfigError) as err:
+        validate_config(MarketConfig(**{key: math.nan}))
+    assert err.value.errors == [f"{key} must be {rule}, got nan"]
 
 
 def test_key_value_text_parsing() -> None:

@@ -20,7 +20,7 @@ from reviewpulse.cli import main
 from reviewpulse.config import MarketConfig
 from reviewpulse.ingest import Review, ReviewTable, ScaleMap, build_catalog, parse_reviews, serialize_reviews
 from reviewpulse.metrics import MetricKind, day_sums, utc_midnights
-from reviewpulse.pipeline import BUNDLE_FILES, analyze_catalog, run_pipeline
+from reviewpulse.pipeline import analyze_catalog, run_pipeline
 from reviewpulse.synth import generate, spike_pair_scenario
 
 from oracles import all_reviews, table_of
@@ -301,8 +301,8 @@ def test_writing_reviews_builds_no_review_objects(monkeypatch, tmp_path) -> None
 
 
 def _bundle(inputs: list[Path], out: Path) -> dict[str, bytes]:
-    run_pipeline(MarketConfig(seed=4), inputs, out)
-    return {name: (out / name).read_bytes() for name in BUNDLE_FILES}
+    files = run_pipeline(MarketConfig(seed=4), inputs, out).files
+    return {name: (out / name).read_bytes() for name in files}
 
 
 _MARKET = serialize_reviews(
