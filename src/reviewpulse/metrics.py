@@ -49,7 +49,6 @@ import csv
 import functools
 import io
 import math
-import re
 from dataclasses import dataclass, replace
 from datetime import date, timedelta
 from enum import Enum
@@ -457,11 +456,10 @@ def write_day_sums_csv(sums: Mapping[str, DaySums]) -> Iterator[str]:
 
 
 # Numbers are read only as the writers write them: an int64 cell is
-# ``is_int_text``, and a float cell is what ``repr`` writes, an ASCII
-# decimal with an optional exponent, or an infinity or NaN (which a reader
-# then refuses by its own rule). ``int`` and ``float`` alone would also
-# take "1_0", "+1", " 4 " and non-ASCII digits.
-_FLOAT = re.compile(r"-?(?:(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][-+]?[0-9]+)?|(?i:inf|infinity|nan))")
+# ``is_int_text``, and a float cell is the text ``repr`` writes for its
+# value, "inf" and "nan" included (a reader then refuses those by its own
+# rule). ``int`` and ``float`` alone would also take "1_0", "+1", " 4 ",
+# non-ASCII digits, "01.5", ".5", "1.", "1e5" and "NaN".
 
 
 def _int64(cell: str) -> int:
@@ -476,9 +474,12 @@ def _int64(cell: str) -> int:
 def _float_or_empty(cell: str) -> float | None:
     if cell == "":
         return None
-    if _FLOAT.fullmatch(cell) is None:
-        raise ValueError(f"{cell!r} is not a number")
-    return float(cell)
+    try:
+        if repr(value := float(cell)) == cell:
+            return value
+    except ValueError:
+        pass
+    raise ValueError(f"{cell!r} is not a number")
 
 
 # How ``series_rows`` reads a cell after the key, by its column: a day

@@ -488,17 +488,20 @@ def test_an_integer_cell_is_ascii_digits_with_an_optional_minus(column, cell, ac
 
 @pytest.mark.parametrize("column", ["a", "sigma"])
 @pytest.mark.parametrize(
-    "cell, accepted",
-    [("1.5", True), ("15e-1", True), ("0.15E+01", True), ("+1.5", False), (" 1.5", False), ("1.5 ", False),
-     ("0_1.5", False), ("\u0661.5", False)],
-    ids=["plain", "exponent", "upper-exponent", "plus", "space-before", "space-after", "underscore",
-         "arabic-indic-digit"],
+    "cell, value",
+    [("1.5", 1.5), ("1e-05", 1e-05), ("15e-1", None), ("0.15E+01", None), ("+1.5", None), (" 1.5", None),
+     ("1.5 ", None), ("0_1.5", None), ("\u0661.5", None), ("01.5", None), (".5", None), ("1.", None),
+     ("1e5", None), ("NaN", None), ("Infinity", None)],
+    ids=["plain", "repr-exponent", "exponent", "upper-exponent", "plus", "space-before", "space-after",
+         "underscore", "arabic-indic-digit", "leading-zero", "no-integer-digit", "no-fraction-digit",
+         "exponent-of-a-plain-value", "capital-nan", "infinity-spelled-out"],
 )
-def test_a_float_cell_is_an_ascii_decimal_as_repr_writes_it(column, cell, accepted) -> None:
-    # float() alone takes every refused form here.
+def test_a_float_cell_is_an_ascii_decimal_as_repr_writes_it(column, cell, value) -> None:
+    # float() alone takes every refused form here: a cell is taken only as
+    # repr writes its value.
     label, read = _TYPED_CELL_ROWS[column]
-    if accepted:
-        assert read(cell) == 1.5
+    if value is not None:
+        assert read(cell) == value
     else:
         with pytest.raises(ValueError) as exc:
             read(cell)
