@@ -12,16 +12,21 @@ import statistics
 import sys
 from datetime import date, timedelta
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from reviewpulse.config import MarketConfig
 from reviewpulse.detect import (
     EventRecord,
     detect_series,
     read_events_csv,
     write_events_csv,
 )
+from reviewpulse.ingest import build_catalog, midnight_us
 from reviewpulse.metrics import MetricKind, TimeWindow, WindowStat
+from reviewpulse.pipeline import analyze_catalog
+from reviewpulse.synth import default_scenario, generate
 
 from oracles import baseline_sigma, write_events_csv as events_csv_by_row
 
@@ -316,3 +321,61 @@ def test_sigma_is_the_correctly_rounded_exact_standard_deviation() -> None:
 def test_non_finite_delta_is_a_value_error(bad: float) -> None:
     with pytest.raises(ValueError, match="finite"):
         baseline_sigma([1.0, 2.0, bad, 3.0])
+
+
+# A market whose composition changes mid-span: in default_scenario(n_apps=6,
+# seed=0), app05 enters at 2024-07-25 (its earlier reviews are dropped) and
+# app04 leaves then (its later ones are dropped). The span is fixed by the
+# config, so both apps are series over all 52 weeks.
+CHANGE = date(2024, 7, 25)
+
+
+@pytest.fixture(scope="module")
+def entry_and_exit() -> dict[tuple[str, MetricKind, date], EventRecord]:
+    reviews, _ = generate(default_scenario(n_apps=6, seed=0))
+    cut = midnight_us(CHANGE)
+    dropped = (((reviews.app_id == "app05") & (reviews.stamp_us < cut))
+               | ((reviews.app_id == "app04") & (reviews.stamp_us >= cut)))
+    config = MarketConfig(span_start=date(2024, 1, 4), span_end=date(2025, 1, 2))
+    analysis = analyze_catalog(config, build_catalog(reviews[np.flatnonzero(~dropped)]))
+    return {(e.app_id, e.metric, e.window.start): e for e in analysis.all_events()}
+
+
+def test_an_entrant_count_does_not_fire_at_entry_as_its_sigma_is_degenerate(entry_and_exit) -> None:
+    # 28 zero deltas before entry give sigma 0.0, which suppresses the event
+    # however large the entry's delta.
+    entry = entry_and_exit[("app05", MetricKind.COUNT, CHANGE)]
+    assert (entry.e, entry.a, entry.sigma, entry.baseline_n, entry.warmup) == (0, 48.0, 0.0, 28, False)
+    after = entry_and_exit[("app05", MetricKind.COUNT, CHANGE + timedelta(days=7))]
+    assert after.sigma > 0.0 and after.baseline_n == 29
+
+
+@pytest.mark.parametrize("metric", [MetricKind.RATING, MetricKind.POLARITY])
+def test_an_entrant_mean_metric_is_in_warm_up_through_the_window_after_entry(entry_and_exit, metric) -> None:
+    # Before entry the app has no mean, so no delta joins its baseline: at
+    # entry the delta is missing too, and the window after has a delta but
+    # an empty baseline.
+    entry = entry_and_exit[("app05", metric, CHANGE)]
+    after = entry_and_exit[("app05", metric, CHANGE + timedelta(days=7))]
+    assert (entry.e, entry.a, entry.sigma, entry.baseline_n, entry.warmup) == (0, None, None, 0, True)
+    assert (after.e, after.sigma, after.baseline_n, after.warmup) == (0, None, 0, True)
+    assert after.a is not None
+
+
+def test_a_leaving_app_count_fires_a_drop_at_exit(entry_and_exit) -> None:
+    exit_ = entry_and_exit[("app04", MetricKind.COUNT, CHANGE)]
+    assert (exit_.e, exit_.a, exit_.baseline_n, exit_.warmup) == (-1, -43.0, 28, False)
+    assert exit_.a <= -exit_.k * exit_.sigma
+    later = [e for (app, _, start), e in entry_and_exit.items() if app == "app04" and start > CHANGE]
+    assert later and all(e.e == 0 for e in later)
+
+
+@pytest.mark.parametrize("metric", [MetricKind.RATING, MetricKind.POLARITY])
+def test_a_leaving_app_mean_metric_has_a_missing_delta_from_exit_on(entry_and_exit, metric) -> None:
+    # The baseline is out of warm-up and not degenerate: the missing delta
+    # alone keeps e at 0, and no later window adds to the baseline.
+    windows = [e for (app, m, start), e in entry_and_exit.items() if app == "app04" and m is metric and start >= CHANGE]
+    assert len(windows) == 23
+    for event in windows:
+        assert (event.e, event.a, event.baseline_n, event.warmup) == (0, None, 28, False)
+        assert event.sigma > 0.0
