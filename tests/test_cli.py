@@ -1,6 +1,7 @@
 """Command-line surface: exit codes, report bundles, stage plumbing."""
 from __future__ import annotations
 
+import argparse
 import csv
 import json
 from dataclasses import replace
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from reviewpulse import ingest, pipeline
-from reviewpulse.cli import main
+from reviewpulse.cli import build_parser, main
 from reviewpulse.config import MarketConfig
 from reviewpulse.ingest import serialize_reviews
 from reviewpulse.synth import generate, scenario_to_dict, spike_pair_scenario
@@ -696,3 +697,63 @@ def test_stage_count_beyond_int64_exits_three(tmp_path, capsys, command, header,
     inputs = [str(stage)] if command == "detect" else [str(events), str(stage)]
     assert main([command, *inputs, "--out", str(tmp_path / "out")]) == 3
     assert "dataset error" in capsys.readouterr().err
+
+
+_CONFIG_FLAGS = (
+    ("config", ("--config",), None, False, None, None),
+    ("set", ("--set",), None, False, None, None),
+    ("out", ("--out",), None, True, None, None),
+    ("seed", ("--seed",), None, False, None, None),
+)
+_REVIEW_FILES = (
+    ("inputs", (), "+", True, None, None),
+    ("format", ("--format",), None, False, ("jsonl", "csv"), "jsonl"),
+)
+_DAY_SUMS = ("day_sums", (), None, True, None, None)
+# Each subcommand's actions after -h, in the order it adds them: dest,
+# option strings, nargs, required, choices, default. The formatted --help
+# text is not pinned, since argparse words it differently across versions.
+_PARSER = {
+    "ingest-check": (*_REVIEW_FILES, *_CONFIG_FLAGS),
+    "metrics": (*_REVIEW_FILES, *_CONFIG_FLAGS),
+    "detect": (_DAY_SUMS, *_CONFIG_FLAGS),
+    "correlate": (_DAY_SUMS, *_CONFIG_FLAGS),
+    "ce": (("events", (), None, True, None, None), ("correlations", (), None, True, None, None), *_CONFIG_FLAGS),
+    "summarize-prep": (("correlated_events", (), None, True, None, None), *_REVIEW_FILES, *_CONFIG_FLAGS),
+    "synth": (("scenario", (), "?", False, None, None), *_CONFIG_FLAGS[2:]),
+    "run": (*_REVIEW_FILES, *_CONFIG_FLAGS),
+}
+
+
+def _subparsers() -> dict:
+    [action] = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+def test_the_subcommands_in_help_order() -> None:
+    assert list(_subparsers()) == list(_PARSER)
+
+
+@pytest.mark.parametrize("command", _PARSER)
+def test_each_subcommand_takes_its_arguments(command) -> None:
+    help_action, *actions = _subparsers()[command]._actions
+    assert help_action.option_strings == ["-h", "--help"]
+    assert tuple((a.dest, tuple(a.option_strings), a.nargs, a.required, a.choices, a.default)
+                 for a in actions) == _PARSER[command]
+
+
+@pytest.mark.parametrize("command, inputs", [
+    ("ingest-check", ["absent.jsonl"]),
+    ("metrics", ["absent.jsonl"]),
+    ("detect", ["absent.csv"]),
+    ("correlate", ["absent.csv"]),
+    ("ce", ["absent.csv", "absent.csv"]),
+    ("summarize-prep", ["absent.json", "absent.jsonl"]),
+    ("run", ["absent.jsonl"]),
+])
+def test_each_subcommand_reads_its_config_before_any_input(tmp_path, capsys, command, inputs) -> None:
+    code = main([command, *(str(tmp_path / name) for name in inputs), "--out", str(tmp_path / "out"),
+                 "--set", "no_such_key=1"])
+    assert code == 2
+    assert capsys.readouterr().err == "config error: unknown config key 'no_such_key'\n"
+    assert not (tmp_path / "out").exists()
