@@ -54,8 +54,7 @@ def _load_cli_config(args: argparse.Namespace) -> MarketConfig:
     return load_config(args.config, overrides)
 
 
-def _cmd_ingest_check(args: argparse.Namespace) -> int:
-    config = _load_cli_config(args)
+def _cmd_ingest_check(config: MarketConfig, args: argparse.Namespace) -> int:
     catalog, rejects = load_catalog(config, args.inputs, args.format)
     paths = write_intake(args.out, rejects, catalog)
     print(f"accepted {sum(len(v) for v in catalog.reviews.values())} reviews across {len(catalog.apps)} apps, {len(rejects)} rejects")
@@ -63,8 +62,7 @@ def _cmd_ingest_check(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_metrics(args: argparse.Namespace) -> int:
-    config = _load_cli_config(args)
+def _cmd_metrics(config: MarketConfig, args: argparse.Namespace) -> int:
     catalog, _ = load_catalog(config, args.inputs, args.format)
     analysis = aggregate(config, catalog)
     write_metrics(args.out, analysis)
@@ -74,8 +72,7 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_detect(args: argparse.Namespace) -> int:
-    config = _load_cli_config(args)
+def _cmd_detect(config: MarketConfig, args: argparse.Namespace) -> int:
     sums = read_stage(read_day_sums_csv, args.day_sums)
     events = detect_events(config, series_stats(sums, config.event_window_days))
     [path] = write_events(args.out, events)
@@ -84,8 +81,7 @@ def _cmd_detect(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_correlate(args: argparse.Namespace) -> int:
-    config = _load_cli_config(args)
+def _cmd_correlate(config: MarketConfig, args: argparse.Namespace) -> int:
     sums = read_stage(read_day_sums_csv, args.day_sums)
     runs = correlate_stats(config, series_stats(sums, config.correlation_window_days))
     [path] = write_runs(args.out, runs)
@@ -93,8 +89,7 @@ def _cmd_correlate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_ce(args: argparse.Namespace) -> int:
-    config = _load_cli_config(args)
+def _cmd_ce(config: MarketConfig, args: argparse.Namespace) -> int:
     events = read_stage(read_events_csv, args.events, config.event_window_days, config.sensitivity)
     runs = read_stage(read_correlations_csv, args.correlations, config.correlation_window_days)
     ces = ce_from_reports(events, runs, config.event_window_days)
@@ -103,8 +98,7 @@ def _cmd_ce(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_summarize_prep(args: argparse.Namespace) -> int:
-    config = _load_cli_config(args)
+def _cmd_summarize_prep(config: MarketConfig, args: argparse.Namespace) -> int:
     ces = read_stage(ce_records_from_json, args.correlated_events, config.correlation_window_days)
     catalog, _ = load_catalog(config, args.inputs, args.format)
     # Nothing is summed: the analysis only scores the CE windows' reviews.
@@ -136,8 +130,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
-    config = _load_cli_config(args)
+def _cmd_run(config: MarketConfig, args: argparse.Namespace) -> int:
     result = run_pipeline(config, args.inputs, args.out, fmt=args.format)
     print(
         f"accepted {result.reviews_accepted} reviews ({result.reviews_rejected} rejects) "
@@ -151,21 +144,23 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="config file (flat key = value lines)")
-    parser.add_argument(
-        "--set",
-        action="append",
-        metavar="KEY=VALUE",
-        help="override one config key (repeatable, wins over the file)",
-    )
-    parser.add_argument("--out", required=True, help="output directory")
-    parser.add_argument("--seed", type=int, help="override the run seed")
-
-
-def _add_dataset_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("inputs", nargs="+", help="review dataset file(s)")
-    parser.add_argument("--format", choices=("jsonl", "csv"), default="jsonl", help="input format")
+_DAY_SUMS = ("day_sums", "day_sums.csv from the metrics stage")
+# One row per subcommand, in --help order: its name and help, the stage
+# files it reads (dest and help), whether it reads review files, and its
+# handler. synth reads no config and adds its own arguments.
+_SUBCOMMANDS = (
+    ("ingest-check", "parse inputs, report rejects and per-app coverage", (), True, _cmd_ingest_check),
+    ("metrics", "compute day sums and windowed metric series", (), True, _cmd_metrics),
+    ("detect", "detect deviation events from day_sums.csv", (_DAY_SUMS,), False, _cmd_detect),
+    ("correlate", "compute pairwise correlation runs from day_sums.csv", (_DAY_SUMS,), False, _cmd_correlate),
+    ("ce", "intersect events with correlation runs",
+     (("events", "events.csv from the detect stage"), ("correlations", "correlations.csv from the correlate stage")),
+     False, _cmd_ce),
+    ("summarize-prep", "build summary requests for correlated events",
+     (("correlated_events", "correlated_events.json from the ce stage"),), True, _cmd_summarize_prep),
+    ("synth", "generate a synthetic review market", (), False, _cmd_synth),
+    ("run", "full pipeline: ingest through summary requests", (), True, _cmd_run),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -174,58 +169,33 @@ def build_parser() -> argparse.ArgumentParser:
         description="Detect deviation events and cross-app correlated events in app review streams.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("ingest-check", help="parse inputs, report rejects and per-app coverage")
-    _add_dataset_args(p)
-    _add_common(p)
-    p.set_defaults(handler=_cmd_ingest_check)
-
-    p = sub.add_parser("metrics", help="compute day sums and windowed metric series")
-    _add_dataset_args(p)
-    _add_common(p)
-    p.set_defaults(handler=_cmd_metrics)
-
-    p = sub.add_parser("detect", help="detect deviation events from day_sums.csv")
-    p.add_argument("day_sums", help="day_sums.csv from the metrics stage")
-    _add_common(p)
-    p.set_defaults(handler=_cmd_detect)
-
-    p = sub.add_parser("correlate", help="compute pairwise correlation runs from day_sums.csv")
-    p.add_argument("day_sums", help="day_sums.csv from the metrics stage")
-    _add_common(p)
-    p.set_defaults(handler=_cmd_correlate)
-
-    p = sub.add_parser("ce", help="intersect events with correlation runs")
-    p.add_argument("events", help="events.csv from the detect stage")
-    p.add_argument("correlations", help="correlations.csv from the correlate stage")
-    _add_common(p)
-    p.set_defaults(handler=_cmd_ce)
-
-    p = sub.add_parser("summarize-prep", help="build summary requests for correlated events")
-    p.add_argument("correlated_events", help="correlated_events.json from the ce stage")
-    _add_dataset_args(p)
-    _add_common(p)
-    p.set_defaults(handler=_cmd_summarize_prep)
-
-    p = sub.add_parser("synth", help="generate a synthetic review market")
-    p.add_argument("scenario", nargs="?", help="scenario JSON (omit for the default market)")
-    p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--seed", type=int, help="override the scenario seed")
-    p.set_defaults(handler=_cmd_synth)
-
-    p = sub.add_parser("run", help="full pipeline: ingest through summary requests")
-    _add_dataset_args(p)
-    _add_common(p)
-    p.set_defaults(handler=_cmd_run)
-
+    for name, help_text, stage_files, reads_reviews, handler in _SUBCOMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        p.set_defaults(handler=handler)
+        if handler is _cmd_synth:
+            p.add_argument("scenario", nargs="?", help="scenario JSON (omit for the default market)")
+            p.add_argument("--out", required=True, help="output directory")
+            p.add_argument("--seed", type=int, help="override the scenario seed")
+            continue
+        for dest, file_help in stage_files:
+            p.add_argument(dest, help=file_help)
+        if reads_reviews:
+            p.add_argument("inputs", nargs="+", help="review dataset file(s)")
+            p.add_argument("--format", choices=("jsonl", "csv"), default="jsonl", help="input format")
+        p.add_argument("--config", help="config file (flat key = value lines)")
+        p.add_argument("--set", action="append", metavar="KEY=VALUE",
+                       help="override one config key (repeatable, wins over the file)")
+        p.add_argument("--out", required=True, help="output directory")
+        p.add_argument("--seed", type=int, help="override the run seed")
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        if args.handler is _cmd_synth:
+            return _cmd_synth(args)
+        return args.handler(_load_cli_config(args), args)
     except ConfigError as exc:
         for error in exc.errors:
             print(f"config error: {error}", file=sys.stderr)
