@@ -1,8 +1,9 @@
 """Command line interface.
 
 Exit codes: 0 success, 2 config violation (bad config file, flag, or
-scenario), 3 fatal dataset error (unreadable input). Per-record problems
-never fail a run; they land in rejects.jsonl.
+scenario, or an --out that is a file or lies under one, refused before any
+input is read), 3 fatal dataset error (unreadable input). Per-record
+problems never fail a run; they land in rejects.jsonl.
 """
 
 from __future__ import annotations
@@ -193,6 +194,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        out = Path(args.out)
+        nearest = next(path for path in (out, *out.parents) if path.exists())
+        if not nearest.is_dir():
+            raise ConfigError([f"--out {args.out}: {nearest} is not a directory"])
         if args.handler is _cmd_synth:
             return _cmd_synth(args)
         return args.handler(_load_cli_config(args), args)
