@@ -195,7 +195,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         out = Path(args.out)
-        nearest = next(path for path in (out, *out.parents) if path.exists())
+        nearest = next(path for path in (out, *out.parents) if path.exists() or path.is_symlink())
         if not nearest.is_dir():
             raise ConfigError([f"--out {args.out}: {nearest} is not a directory"])
         if args.handler is _cmd_synth:

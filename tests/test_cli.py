@@ -759,17 +759,20 @@ def test_each_subcommand_reads_its_config_before_any_input(tmp_path, capsys, com
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("under", [False, True], ids=["file", "under-a-file"])
+@pytest.mark.parametrize("under", [False, True], ids=["at", "under"])
+@pytest.mark.parametrize("link", [False, True], ids=["file", "dangling-link"])
 @pytest.mark.parametrize("command", [["run", "absent.jsonl"], ["run", "reviews.jsonl"], ["synth"]],
                          ids=["run-missing-input", "run", "synth"])
-def test_an_out_that_is_a_file_or_under_one_exits_two_before_any_work(tmp_path, capsys, command, under) -> None:
+def test_an_out_that_is_a_file_or_under_one_exits_two_before_any_work(tmp_path, capsys, command, link, under) -> None:
     _small_dataset(tmp_path)
-    blocker = tmp_path / "afile"
-    blocker.write_text("kept\n", encoding="utf-8")
+    (tmp_path / "afile").write_text("kept\n", encoding="utf-8")
+    blocker = tmp_path / "alink" if link else tmp_path / "afile"
+    if link:
+        blocker.symlink_to(tmp_path / "nowhere")
     before = sorted(tmp_path.rglob("*"))
     out = blocker / "sub" if under else blocker
     code = main([command[0], *(str(tmp_path / name) for name in command[1:]), "--out", str(out)])
     assert code == 2
     assert capsys.readouterr().err == f"config error: --out {out}: {blocker} is not a directory\n"
     assert sorted(tmp_path.rglob("*")) == before
-    assert blocker.read_text(encoding="utf-8") == "kept\n"
+    assert (tmp_path / "afile").read_text(encoding="utf-8") == "kept\n"
