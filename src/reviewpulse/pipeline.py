@@ -51,7 +51,7 @@ summaries). The bundle:
     correlations.csv         runs of a nonzero correlation class per pair
     correlated_events.json   correlated events with embedded context
     summary_requests.json    sampled texts and prompt hashes per event
-    summaries.json           mock-client summaries (when configured)
+    summaries.json           mock summaries (when configured)
 
 The metrics CSVs are reports only: no stage reads them back.
 ``write_file`` writes a file from text chunks through one handle; the
@@ -120,7 +120,6 @@ from .metrics import (
 )
 from .sentiment import LexiconScorer, load_lexicon
 from .summarize import (
-    MockSummarizer,
     SummaryRequest,
     build_prompt,
     build_requests,
@@ -496,14 +495,14 @@ def write_ces(out_dir: str | Path, ces: Iterable[CorrelatedEventRecord]) -> list
 
 def write_requests(out_dir: str | Path, config: MarketConfig, requests: Sequence[SummaryRequest]) -> list[Path]:
     """Write summary_requests.json, and summaries.json when the summarizer is
-    the mock; return the paths written. Each request's prompt is built once."""
+    the mock; return the paths written. Each request's prompt is built and
+    hashed once, and its summary is made from its request entry."""
     template = load_template(config.prompt_template_path) if config.prompt_template_path else default_template()
     prompts = [build_prompt(r, template) for r in requests]
     entries = [request_report_entry(r, p) for r, p in zip(requests, prompts)]
     paths = [write_file(out_dir, "summary_requests.json", [json_text(entries)])]
     if config.summarizer == "mock":
-        client = MockSummarizer()
-        summaries = [summary_report_entry(r, p, client) for r, p in zip(requests, prompts)]
+        summaries = [summary_report_entry(e, p) for e, p in zip(entries, prompts)]
         paths.append(write_file(out_dir, "summaries.json", [json_text(summaries)]))
     return paths
 

@@ -14,10 +14,10 @@ texts are available than requested, all of them are taken. Sampling seeds
 derive from the run seed plus the request identity, so reports are
 reproducible byte for byte.
 
-Actual model calls sit behind ``SummarizerClient``; the bundled
-deterministic mock is the only client the core ships. A live adapter must
-take its credentials from the environment, and nothing from the
-environment is ever written into reports.
+The one summarizer is the bundled deterministic mock, ``mock_summary``:
+a pure function of the prompt, so nothing is retried. A live summarizer,
+when one is added, must take its credentials from the environment, and
+nothing from the environment is ever written into reports.
 """
 
 from __future__ import annotations
@@ -25,26 +25,23 @@ from __future__ import annotations
 import hashlib
 import random
 import re
-import time
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Callable, Protocol, Sequence, TypeVar, runtime_checkable
+from typing import Callable, Sequence, TypeVar
 
 from .correlate import CorrelatedEventRecord, event_entry
 from .detect import EventRecord
 from .metrics import BodyScore, MetricKind, TimeWindow
 
 __all__ = [
-    "MockSummarizer",
-    "SummarizerClient",
     "SummaryRequest",
     "VARIANTS",
     "build_prompt",
     "build_requests",
-    "call_with_retry",
     "default_template",
     "derive_seed",
+    "mock_summary",
     "requests_for_event",
     "sample_reviews",
 ]
@@ -201,44 +198,10 @@ def prompt_sha256(prompt: str) -> str:
     return hashlib.sha256(prompt.encode("utf-8")).hexdigest()
 
 
-@runtime_checkable
-class SummarizerClient(Protocol):
-    name: str
-
-    def summarize(self, prompt: str) -> str:
-        """Return a summary for the prompt. May raise on transient failure."""
-
-
-class MockSummarizer:
-    """Offline stand-in: output depends on the prompt bytes and nothing else."""
-
-    name = "mock"
-
-    def summarize(self, prompt: str) -> str:
-        digest = prompt_sha256(prompt)
-        return f"[mock summary {digest[:16]}; {len(prompt.split())} prompt tokens]"
-
-
-def call_with_retry(
-    client: SummarizerClient,
-    prompt: str,
-    attempts: int = 3,
-    sleep: Callable[[float], None] = time.sleep,
-) -> str:
-    """Call a client with exponential backoff: three attempts by default,
-    waiting 0.5 s after the first failure and doubling the wait after each."""
-    if attempts < 1:
-        raise ValueError(f"attempts must be >= 1, got {attempts}")
-    last: Exception | None = None
-    for attempt in range(attempts):
-        try:
-            return client.summarize(prompt)
-        except Exception as exc:
-            last = exc
-            if attempt + 1 < attempts:
-                sleep(0.5 * 2**attempt)
-    assert last is not None
-    raise last
+def mock_summary(prompt: str) -> str:
+    """The bundled summarizer, offline: its text depends on the prompt's
+    bytes and nothing else."""
+    return f"[mock summary {prompt_sha256(prompt)[:16]}; {len(prompt.split())} prompt tokens]"
 
 
 def request_report_entry(request: SummaryRequest, prompt: str) -> dict:
@@ -255,14 +218,9 @@ def request_report_entry(request: SummaryRequest, prompt: str) -> dict:
     }
 
 
-def summary_report_entry(
-    request: SummaryRequest,
-    prompt: str,
-    client: SummarizerClient,
-    sleep: Callable[[float], None] = time.sleep,
-) -> dict:
-    """A summaries.json entry: the request's entry without its sample's
-    sizes, seed and texts, and the client's summary of its built prompt."""
-    entry = request_report_entry(request, prompt)
+def summary_report_entry(entry: dict, prompt: str) -> dict:
+    """A summaries.json entry from a request's summary_requests.json entry
+    and its built prompt: the entry without its sample's sizes, seed and
+    texts, and the ``mock_summary`` of the prompt."""
     return {**{key: entry[key] for key in ("event", "variant", "n_sampled", "prompt_sha256")},
-            "summary_text": call_with_retry(client, prompt, sleep=sleep)}
+            "summary_text": mock_summary(prompt)}

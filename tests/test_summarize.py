@@ -1,11 +1,9 @@
-"""Sampling, polarity pools, prompt rendering, and the mock client."""
+"""Sampling, polarity pools, prompt rendering, and the mock summarizer."""
 from __future__ import annotations
 
 import random
 from datetime import date
 from pathlib import Path
-
-import pytest
 
 from reviewpulse.correlate import CorrelatedEventRecord, CorrelationRun
 from reviewpulse.detect import EventRecord
@@ -13,11 +11,10 @@ from reviewpulse.ingest import Review
 from reviewpulse.metrics import BodyScore, MetricKind, TimeWindow
 from reviewpulse.sentiment import LexiconScorer
 from reviewpulse.summarize import (
-    MockSummarizer,
     build_prompt,
     build_requests,
-    call_with_retry,
     derive_seed,
+    mock_summary,
     request_report_entry,
     requests_for_event,
     sample_reviews,
@@ -203,42 +200,10 @@ def test_prompt_matches_golden_file() -> None:
 
 
 def test_mock_summarizer_depends_only_on_prompt_bytes() -> None:
-    client = MockSummarizer()
-    a = client.summarize("one prompt")
-    assert a == MockSummarizer().summarize("one prompt")
-    assert a != client.summarize("another prompt")
+    a = mock_summary("one prompt")
+    assert a == mock_summary("one prompt")
+    assert a != mock_summary("another prompt")
     assert a.startswith("[mock summary ")
-
-
-class _Flaky:
-    def __init__(self, failures: int) -> None:
-        self.failures = failures
-        self.calls = 0
-
-    def summarize(self, prompt: str) -> str:
-        self.calls += 1
-        if self.calls <= self.failures:
-            raise RuntimeError(f"transient {self.calls}")
-        return f"ok after {self.calls}"
-
-
-def test_retry_recovers_from_transient_failures() -> None:
-    delays: list[float] = []
-    client = _Flaky(failures=2)
-    out = call_with_retry(client, "p", attempts=3, sleep=delays.append)
-    assert out == "ok after 3"
-    assert delays == [0.5, 1.0]
-
-
-def test_retry_reraises_after_exhaustion() -> None:
-    delays: list[float] = []
-    client = _Flaky(failures=99)
-    with pytest.raises(RuntimeError, match="transient 3"):
-        call_with_retry(client, "p", attempts=3, sleep=delays.append)
-    assert client.calls == 3
-    assert delays == [0.5, 1.0]
-    with pytest.raises(ValueError):
-        call_with_retry(client, "p", attempts=0, sleep=delays.append)
 
 
 def test_report_entries_carry_the_expected_fields() -> None:
@@ -253,7 +218,7 @@ def test_report_entries_carry_the_expected_fields() -> None:
         "app_id": "appA", "metric": "count",
         "window_start": "2024-08-01", "window_days": 7,
     }
-    summary = summary_report_entry(request, prompt, MockSummarizer(), sleep=lambda _: None)
+    summary = summary_report_entry(entry, prompt)
     assert set(summary) == {"event", "variant", "n_sampled", "prompt_sha256", "summary_text"}
     assert summary["prompt_sha256"] == entry["prompt_sha256"]
 
