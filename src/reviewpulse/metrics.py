@@ -279,6 +279,11 @@ class DaySums:
     polarity: np.ndarray | None = None
     sentences: np.ndarray | None = None
 
+    @property
+    def metrics(self) -> tuple[MetricKind, ...]:
+        """The metrics whose totals these day sums hold, the count always."""
+        return tuple(m for m, sums in zip(MetricKind, (self.reviews, self.rating, self.polarity)) if sums is not None)
+
 
 def utc_midnights(start: date, n_days: int) -> np.ndarray:
     """The UTC midnights opening days ``start`` .. ``start + n_days``, as
@@ -521,7 +526,9 @@ def series_rows(text: str | Iterable[str], columns: Sequence[str],
         raise ValueError(f"bad {what} CSV header: {header!r}")
     at = columns.index("metric") + 1 if "metric" in columns else 1
     day, int64 = functools.cache(iso_date), functools.cache(_int64)
-    readers = [day if name in _DATE_COLUMNS else _CELL_READERS.get(name, int64) for name in columns[at:]]
+    total = lambda cell: None if cell == "" else int64(cell)  # a day sums total that was not summed is empty
+    readers = [day if name in _DATE_COLUMNS else total if name in DAY_SUMS_CSV_COLUMNS[3:] else
+               _CELL_READERS.get(name, int64) for name in columns[at:]]
     cells_key = None
     for row in reader:
         if not row:
@@ -543,13 +550,21 @@ def read_day_sums_csv(text: str | Iterable[str]) -> dict[str, DaySums]:
 
     An app's days with a gap, a repeat or a step back are refused as
     ``metric_delta`` refuses a series' windows, from the days' ordinals,
-    and every app must hold the first app's span. A row that
-    ``series_rows`` refuses, an empty total included, is a ValueError
+    and every app must hold the first app's span. A rating, polarity or
+    sentences column that is empty on every row of the file was not summed
+    and reads as None, as a counts-only analysis writes it; polarity and
+    sentences go together. A row that ``series_rows`` refuses (an empty
+    reviews cell included), that leaves other totals empty than the file's
+    first row does, or only one of polarity and sentences, is a ValueError
     naming its app and line; so is a negative total, or a running sum
     beyond int64.
     """
     rows: dict[str, list[tuple]] = {}
-    for _, _, (app,), cells, _ in series_rows(text, DAY_SUMS_CSV_COLUMNS, "day sums"):
+    for line, label, (app,), cells, _ in series_rows(text, DAY_SUMS_CSV_COLUMNS, "day sums"):
+        held = [cell is not None for cell in cells[2:]]  # which of rating, polarity and sentences the row holds
+        if held != (summed := summed if rows else held) or held[1] != held[2]:  # as the first row, polarity as sentences
+            raise ValueError(f"{label}, CSV line {line}: a total is empty on some rows and not on others, "
+                             "or polarity and sentences are not both empty")
         rows.setdefault(app, []).append(cells)
     out: dict[str, DaySums] = {}
     for app, group in rows.items():
@@ -557,8 +572,8 @@ def read_day_sums_csv(text: str | Iterable[str]) -> dict[str, DaySums]:
         off_grid = np.flatnonzero(np.diff(np.fromiter(map(date.toordinal, days), np.int64, len(days))) != 1)
         if len(off_grid):
             raise ValueError(f"day sums of ({app}): window {days[off_grid[0] + 1]} does not follow {days[off_grid[0]]}")
-        prefixes = [_prefix(np.array(t, dtype=np.int64)) for t in totals]
-        if any((s[1:] < s[:-1]).any() for s in prefixes):
+        prefixes = [None if t[0] is None else _prefix(np.array(t, dtype=np.int64)) for t in totals]
+        if any((s[1:] < s[:-1]).any() for s in prefixes if s is not None):
             raise ValueError(f"day sums of ({app}): a total is negative or sums beyond int64")
         sums = out[app] = DaySums(days[0], *prefixes)
         first = next(iter(out.values()))

@@ -352,13 +352,15 @@ def aggregate(
 
 
 def series_stats(sums: Mapping[str, DaySums], window_days: int,
-                 metrics: Sequence[MetricKind] = ALL_METRICS) -> dict[SeriesKey, SeriesStats]:
+                 metrics: Sequence[MetricKind] | None = None) -> dict[SeriesKey, SeriesStats]:
     """Every app's series of each metric on one grid of ``window_days``-day
-    windows over the span that the apps' day sums share."""
+    windows over the span that the apps' day sums share; by default, of
+    each metric whose totals the app's day sums hold."""
     first = next(iter(sums.values()), None)
     grid = [] if first is None else window_series(
         first.start, first.start + timedelta(days=len(first.reviews) - 1), window_days)
-    return {(app, metric): window_stats(app, days, grid, metric) for app, days in sums.items() for metric in metrics}
+    return {(app, metric): window_stats(app, days, grid, metric) for app, days in sums.items()
+            for metric in (days.metrics if metrics is None else metrics)}
 
 
 def detect_events(

@@ -613,9 +613,10 @@ def test_correlations_off_their_window_grid_exit_three(tmp_path, capsys, runs, w
         (("a:01:1", f"a:02:{2**63}"), f"day sums of (a), CSV line 3: {2**63} is beyond int64"),
         (("a:01:1", f"a:02:{2**63 - 1}"), "day sums of (a): a total is negative or sums beyond int64"),
         ((), "bad day sums CSV header"),
+        (("a:01:1", "a:02:"), "day sums of (a), CSV line 3: a total is empty on some rows and not on others"),
     ],
     ids=["gap", "backwards", "repeat", "other-span", "short-span", "negative", "not-integer",
-         "beyond-int64", "sum-beyond-int64", "header"],
+         "beyond-int64", "sum-beyond-int64", "header", "mixed-empty"],
 )
 def test_bad_day_sums_exit_three(tmp_path, capsys, command, rows, refused) -> None:
     day_sums = tmp_path / "day_sums.csv"
@@ -630,6 +631,25 @@ def test_bad_day_sums_exit_three(tmp_path, capsys, command, rows, refused) -> No
     err = capsys.readouterr().err
     assert "dataset error:" in err and refused in err
     assert not out.exists()
+
+
+def test_detect_and_correlate_read_a_counts_only_bundle_back(tmp_path) -> None:
+    # A counts-only analysis, as criterion 4 runs it, writes day_sums.csv
+    # with its rating, polarity and sentence totals empty. detect and
+    # correlate read it back and build the count series alone, so their
+    # files equal the bundle's byte for byte.
+    from reviewpulse.ingest import build_catalog
+    from reviewpulse.metrics import MetricKind
+    from reviewpulse.pipeline import analyze_catalog, write_bundle
+
+    catalog = build_catalog(generate(spike_pair_scenario(seed=0))[0])
+    bundle = tmp_path / "bundle"
+    write_bundle(analyze_catalog(MarketConfig(seed=0), catalog, metrics=(MetricKind.COUNT,)), [], bundle)
+    assert (bundle / "day_sums.csv").read_text(encoding="utf-8").splitlines()[1].endswith(",,,")
+    for command, name in (("detect", "events.csv"), ("correlate", "correlations.csv")):
+        out = tmp_path / command
+        assert main([command, str(bundle / "day_sums.csv"), "--out", str(out), "--seed", "0"]) == 0
+        assert (out / name).read_bytes() == (bundle / name).read_bytes(), name
 
 
 _STAGE_HEADERS = {

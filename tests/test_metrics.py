@@ -424,10 +424,15 @@ def _arrays(days: DaySums) -> list[np.ndarray]:
 )
 def test_day_sums_csv_round_trip(apps, offset, n_days, data) -> None:
     # Totals reach 2**58 a day, so the running sums come near int64's top.
+    # The rating totals, and the polarity and sentence totals together, may
+    # not have been summed, for every app of the file alike; they come back
+    # as None.
     start = date(2020, 1, 1) + timedelta(days=offset)
     totals = st.lists(st.integers(0, 2**58), min_size=n_days, max_size=n_days)
+    rating, polarity = data.draw(st.booleans()), data.draw(st.booleans())
     sums = {
-        app: DaySums(start, *(np.array([0, *np.cumsum(data.draw(totals))], dtype=np.int64) for _ in range(4)))
+        app: DaySums(start, *(np.array([0, *np.cumsum(data.draw(totals))], dtype=np.int64) if summed else None
+                              for summed in (True, rating, polarity, polarity)))
         for app in apps
     }
     back = read_day_sums_csv("".join(write_day_sums_csv(sums)))
@@ -435,16 +440,39 @@ def test_day_sums_csv_round_trip(apps, offset, n_days, data) -> None:
     for app, days in sums.items():
         assert back[app].start == start
         for got, want in zip(_arrays(back[app]), _arrays(days), strict=True):
-            np.testing.assert_array_equal(got, want, strict=True)
+            assert (got is None) == (want is None)
+            if want is not None:
+                np.testing.assert_array_equal(got, want, strict=True)
 
 
 def test_day_sums_csv_leaves_totals_not_summed_empty() -> None:
-    # A count-only analysis has no rating or polarity totals to write, and
-    # the reader refuses the empty cells rather than reading them as zeros.
+    # A count-only analysis has no rating or polarity totals to write. The
+    # reader takes the columns empty on every row back as not summed, never
+    # as zeros, and so holds the count metric alone.
     days = day_sums(table_of([]), utc_midnights(date(2024, 1, 4), 2), (MetricKind.COUNT,), ScaleMap())
     text = "".join(write_day_sums_csv({"appA": days}))
     assert text.splitlines()[1:] == ["appA,2024-01-04,0,,,", "appA,2024-01-05,0,,,"]
-    with pytest.raises(ValueError, match=r"day sums of \(appA\), CSV line 2: '' is not an integer"):
+    back = read_day_sums_csv(text)["appA"]
+    assert (back.rating, back.polarity, back.sentences) == (None, None, None)
+    np.testing.assert_array_equal(back.reviews, days.reviews, strict=True)
+    assert back.metrics == days.metrics == (MetricKind.COUNT,)
+
+
+@pytest.mark.parametrize(
+    "rows, line",
+    [(("a,2024-01-04,1,,,", "a,2024-01-05,1,2,,"), 3),
+     (("a,2024-01-04,1,2,,", "b,2024-01-04,1,,,"), 3),
+     (("a,2024-01-04,1,2,3,",), 2),
+     (("a,2024-01-04,1,2,,4",), 2)],
+    ids=["filled-after-empty", "empty-in-another-app", "polarity-without-sentences", "sentences-without-polarity"],
+)
+def test_day_sums_csv_refuses_a_total_empty_on_some_rows_only(rows, line) -> None:
+    # A total not summed is empty on every row of the file; polarity and
+    # sentences are summed together. The first row that breaks either rule
+    # is named.
+    text = ",".join(DAY_SUMS_CSV_COLUMNS) + "\n" + "".join(row + "\n" for row in rows)
+    app = rows[line - 2][0]
+    with pytest.raises(ValueError, match=rf"day sums of \({app}\), CSV line {line}: "):
         read_day_sums_csv(text)
 
 
