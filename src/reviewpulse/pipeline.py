@@ -54,7 +54,8 @@ summaries). The bundle:
     summaries.json           mock summaries (when configured)
 
 The metrics CSVs are reports only: no stage reads them back.
-``write_file`` writes a file from text chunks through one handle; the
+``write_file`` writes a file whole from text chunks through one handle,
+to a temporary name that it renames onto the file after the last; the
 CSVs of day sums, series, events and runs (day_sums, metrics,
 metrics_daily, events, correlations) come one chunk per app or series,
 so no CSV's whole text is held. Every byte of the bundle is a pure
@@ -65,6 +66,7 @@ produces identical files.
 from __future__ import annotations
 
 import csv
+import os
 from dataclasses import dataclass, field, replace
 from datetime import date, timedelta
 from itertools import accumulate, chain
@@ -457,13 +459,28 @@ class PipelineResult:
 
 
 def write_file(out_dir: str | Path, name: str, chunks: Iterable[str]) -> Path:
-    """Write one report file from its text chunks, in order, through one
-    handle (UTF-8, newlines as given), creating the directory."""
+    """Write one report file whole from its text chunks, in order, through
+    one handle (UTF-8, newlines as given), creating the directory.
+
+    The chunks go to a new file of a random temporary name beside it, which
+    ``os.replace`` renames onto ``name`` after the last chunk, so a process
+    that fails, or is killed, mid-write leaves the old file or the new one,
+    never a part of either. On any exception the temporary file is removed
+    and the exception re-raised; a killed process may leave it behind.
+    Nothing is fsynced, so a power loss is not covered. A ``name`` that is
+    a symbolic link is replaced by a regular file, not written through. The
+    file gets the mode a plain ``open`` gives a new one.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    path = out / name
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        f.writelines(chunks)
+    path, temp = out / name, out / f".{name}.{os.urandom(6).hex()}.tmp"
+    try:
+        with open(temp, "x", encoding="utf-8", newline="") as f:
+            f.writelines(chunks)
+        os.replace(temp, path)
+    except BaseException:
+        temp.unlink(missing_ok=True)
+        raise
     return path
 
 
@@ -497,8 +514,9 @@ def write_ces(out_dir: str | Path, ces: Iterable[CorrelatedEventRecord]) -> list
 
 def write_requests(out_dir: str | Path, config: MarketConfig, requests: Sequence[SummaryRequest]) -> list[Path]:
     """Write summary_requests.json, and summaries.json when the summarizer is
-    the mock; return the paths written. Each request's prompt is built and
-    hashed once, and its summary is made from its request entry."""
+    the mock, else remove a summaries.json left in ``out_dir``; return the
+    paths written. Each request's prompt is built and hashed once, and its
+    summary is made from its request entry."""
     template = load_template(config.prompt_template_path) if config.prompt_template_path else default_template()
     prompts = [build_prompt(r, template) for r in requests]
     entries = [request_report_entry(r, p) for r, p in zip(requests, prompts)]
@@ -506,6 +524,8 @@ def write_requests(out_dir: str | Path, config: MarketConfig, requests: Sequence
     if config.summarizer == "mock":
         summaries = [summary_report_entry(e, p) for e, p in zip(entries, prompts)]
         paths.append(write_file(out_dir, "summaries.json", [json_text(summaries)]))
+    else:  # no summaries.json of an earlier run is left beside this run's requests
+        (Path(out_dir) / "summaries.json").unlink(missing_ok=True)
     return paths
 
 

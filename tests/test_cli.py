@@ -256,11 +256,22 @@ def test_a_line_json_cannot_decode_is_one_reject_not_a_failed_run(tmp_path) -> N
     assert [(r["line_no"], r["reason"].split(":")[0]) for r in rejects] == [(1, "invalid-json"), (2, "invalid-json")]
 
 
-def test_run_with_summarizer_none_writes_requests_but_no_summaries(tmp_path) -> None:
-    out = tmp_path / "out"
-    assert main(["run", str(_small_dataset(tmp_path)), "--out", str(out), "--set", "summarizer=none"]) == 0
-    assert (out / "summary_requests.json").is_file()
-    assert not (out / "summaries.json").exists()
+def test_run_with_summarizer_none_writes_requests_but_no_summaries(tmp_path, capsys) -> None:
+    # Into a fresh --out, and into one that a mock run filled before: its
+    # summaries.json goes, and the bundle is the fresh one, file for file.
+    dataset = _small_dataset(tmp_path)
+    fresh, reused = tmp_path / "fresh", tmp_path / "reused"
+    assert main(["run", str(dataset), "--out", str(reused)]) == 0
+    assert (reused / "summaries.json").is_file()
+    for out in (fresh, reused):
+        capsys.readouterr()
+        assert main(["run", str(dataset), "--out", str(out), "--set", "summarizer=none"]) == 0
+        assert (out / "summary_requests.json").is_file()
+        assert not (out / "summaries.json").exists()
+        assert "summaries.json" not in capsys.readouterr().out
+    assert sorted(p.name for p in reused.iterdir()) == sorted(p.name for p in fresh.iterdir())
+    for path in fresh.iterdir():
+        assert (reused / path.name).read_bytes() == path.read_bytes(), path.name
 
 
 def test_config_file_that_is_not_utf8_exits_two(tmp_path, capsys) -> None:

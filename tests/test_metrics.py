@@ -6,6 +6,7 @@ import io
 import itertools
 import math
 import random
+import stat
 import tracemalloc
 from dataclasses import replace
 from datetime import date, datetime, timedelta, timezone
@@ -380,6 +381,38 @@ def test_write_file_streams_its_chunks(tmp_path) -> None:
         tracemalloc.stop()
     assert peak - base < 2**20
     assert path.read_bytes() == "".join(chunks()).encode("utf-8")
+
+
+def test_write_file_leaves_the_earlier_file_when_a_chunk_fails(tmp_path) -> None:
+    # The chunks go to a temporary file that replaces the report only after
+    # the last one: a failure part-way leaves the earlier file as it was,
+    # and no temporary file beside it.
+    path = write_file(tmp_path, "report.csv", ["earlier\n"])
+
+    def chunks():
+        yield "x" * 100_000 + "\n"
+        raise RuntimeError("chunk failed")
+
+    with pytest.raises(RuntimeError, match="chunk failed"):
+        write_file(tmp_path, "report.csv", chunks())
+    assert path.read_bytes() == b"earlier\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["report.csv"]
+
+
+def test_write_file_replaces_a_link_by_a_file_with_the_mode_of_a_plain_open(tmp_path) -> None:
+    # A report file that is a symbolic link is replaced, not written
+    # through, and the new file has the mode a plain open gives it (not the
+    # 0600 of a private temporary file).
+    plain = tmp_path / "plain.txt"
+    plain.write_text("plain\n", encoding="utf-8")
+    target = tmp_path / "target.txt"
+    target.write_text("target\n", encoding="utf-8")
+    (tmp_path / "out").mkdir()
+    (tmp_path / "out" / "report.csv").symlink_to(target)
+    path = write_file(tmp_path / "out", "report.csv", ["new\n"])
+    assert not path.is_symlink() and path.read_bytes() == b"new\n"
+    assert target.read_bytes() == b"target\n"
+    assert stat.S_IMODE(path.stat().st_mode) == stat.S_IMODE(plain.stat().st_mode)
 
 
 def test_series_csv_files_hold_their_joined_chunks(tmp_path) -> None:
