@@ -20,7 +20,9 @@ import pytest
 
 from reviewpulse.config import MarketConfig
 from reviewpulse.ingest import serialize_reviews
+from reviewpulse.metrics import MetricKind, TimeWindow
 from reviewpulse.pipeline import run_pipeline
+from reviewpulse.summarize import SummaryRequest, build_prompt, mock_summary, prompt_sha256
 from reviewpulse.synth import Injection, Scenario, default_scenario, generate, spike_pair_scenario
 
 SPIKE_WEEK = date(2024, 1, 4) + timedelta(days=30 * 7)
@@ -105,6 +107,29 @@ def test_seed0_bundle_matches_golden(market: str, tmp_path) -> None:
     result = run_pipeline(MarketConfig(seed=0), [dataset], tmp_path / "out")
     got = {name: _sha((tmp_path / "out" / name).read_bytes()) for name in result.files}
     assert got == BUNDLES[market]
+
+
+@pytest.mark.parametrize("market", sorted(MARKETS))
+def test_each_summary_is_its_request_entry_and_the_mock_of_its_prompt(market: str, tmp_path) -> None:
+    # Entry i of summaries.json is entry i of summary_requests.json without
+    # the sample's sizes, seed and texts, then the mock summary of the
+    # prompt rebuilt from that entry's texts.
+    reviews, _ = generate(MARKETS[market]())
+    dataset = tmp_path / "reviews.jsonl"
+    dataset.write_text(serialize_reviews(reviews), encoding="utf-8")
+    run_pipeline(MarketConfig(seed=0), [dataset], tmp_path / "out")
+    requests, summaries = (json.loads((tmp_path / "out" / name).read_text(encoding="utf-8"))
+                           for name in ("summary_requests.json", "summaries.json"))
+    assert len(requests) > 0
+    for request, summary in zip(requests, summaries, strict=True):
+        event = request["event"]
+        prompt = build_prompt(SummaryRequest(
+            event["app_id"], MetricKind(event["metric"]),
+            TimeWindow(date.fromisoformat(event["window_start"]), event["window_days"]), request["variant"],
+            tuple(request["texts"]), request["n_requested"], request["n_available"], request["seed"]))
+        assert prompt_sha256(prompt) == request["prompt_sha256"]
+        kept = {k: v for k, v in request.items() if k not in ("n_requested", "n_available", "seed", "texts")}
+        assert summary == {**kept, "summary_text": mock_summary(prompt)}
 
 
 def test_criterion_4_decisions_match_golden(criterion_4_analyses) -> None:
