@@ -562,7 +562,7 @@ def read_day_sums_csv(text: str | Iterable[str]) -> dict[str, DaySums]:
     rows: dict[str, list[tuple]] = {}
     for line, label, (app,), cells, _ in series_rows(text, DAY_SUMS_CSV_COLUMNS, "day sums"):
         held = [cell is not None for cell in cells[2:]]  # which of rating, polarity and sentences the row holds
-        if held != (summed := summed if rows else held) or held[1] != held[2]:  # as the first row, polarity as sentences
+        if held != (summed := summed if rows else held) or held[1] != held[2]:  # as on the first row; polarity with sentences
             raise ValueError(f"{label}, CSV line {line}: a total is empty on some rows and not on others, "
                              "or polarity and sentences are not both empty")
         rows.setdefault(app, []).append(cells)

@@ -625,9 +625,11 @@ def test_correlations_off_their_window_grid_exit_three(tmp_path, capsys, runs, w
         (("a:01:1", f"a:02:{2**63 - 1}"), "day sums of (a): a total is negative or sums beyond int64"),
         ((), "bad day sums CSV header"),
         (("a:01:1", "a:02:"), "day sums of (a), CSV line 3: a total is empty on some rows and not on others"),
+        (("a:01:", "a:02:1"), "day sums of (a), CSV line 3: a total is empty on some rows and not on others"),
+        (("a:01:1", "b:01:"), "day sums of (b), CSV line 3: a total is empty on some rows and not on others"),
     ],
     ids=["gap", "backwards", "repeat", "other-span", "short-span", "negative", "not-integer",
-         "beyond-int64", "sum-beyond-int64", "header", "mixed-empty"],
+         "beyond-int64", "sum-beyond-int64", "header", "mixed-empty", "filled-after-empty", "empty-in-another-app"],
 )
 def test_bad_day_sums_exit_three(tmp_path, capsys, command, rows, refused) -> None:
     day_sums = tmp_path / "day_sums.csv"
